@@ -25,7 +25,7 @@ test = pf.load_dataset(out / "data" / "test")
 
 config = pf.ModelConfig.desk(precision="float32", init_seed=0)
 model = pf.CompletionModel(config)
-print(f"desk model: {pf.parameter_count(model):,} parameters, "
+print(f"desk model: {model.parameter_count():,} parameters, "
       f"stages {config.stage_sizes}")
 
 optimizer = pf.Adam(model, lr=1e-3)

@@ -60,9 +60,7 @@ from .pipeline import (
     Adam,
     CompletionModel,
     ModelConfig,
-    build_model,
     evaluate_loss,
-    parameter_count,
     run_training,
     train_step,
 )

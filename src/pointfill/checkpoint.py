@@ -17,7 +17,8 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, ParseError
+from .pipeline import CompletionModel, ModelConfig, parse_config_text
 
 MAGIC = b"SDCP"
 VERSION = 1
@@ -55,7 +56,10 @@ def _read_record(fh):
     raw_name = fh.read(name_len)
     if len(raw_name) != name_len:
         raise FormatError("truncated checkpoint while reading record name")
-    name = raw_name.decode("utf-8")
+    try:
+        name = raw_name.decode("utf-8")
+    except UnicodeDecodeError:
+        raise FormatError("checkpoint record name is not valid utf-8") from None
     rank = _read_u32(fh, f"rank of {name!r}")
     shape = tuple(_read_u32(fh, f"extent of {name!r}") for _ in range(rank))
     count = int(np.prod(shape)) if shape else 1
@@ -67,13 +71,10 @@ def _read_record(fh):
 
 def save_checkpoint(model, path, optimizer=None):
     """Write model parameters (and optionally optimizer state) to ``path``."""
-    config_text = "".join(
-        f"{k} = {v}\n" for k, v in model.config.to_mapping().items()
-    )
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         _write_u32(fh, VERSION)
-        encoded = config_text.encode("utf-8")
+        encoded = model.config.to_text().encode("utf-8")
         _write_u32(fh, len(encoded))
         fh.write(encoded)
         for param in model.named_parameters():
@@ -96,15 +97,10 @@ def read_checkpoint(path):
         raw = fh.read(config_len)
         if len(raw) != config_len:
             raise FormatError("truncated checkpoint while reading config")
-        mapping = {}
-        for line in raw.decode("utf-8").splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise FormatError(f"malformed config line {line!r}")
-            key, _, value = line.partition("=")
-            mapping[key.strip()] = value.strip()
+        try:
+            mapping = parse_config_text(raw.decode("utf-8"), source="checkpoint config")
+        except (UnicodeDecodeError, ParseError) as exc:
+            raise FormatError(f"malformed checkpoint config: {exc}") from None
         arrays = {}
         while True:
             record = _read_record(fh)
@@ -128,11 +124,13 @@ def load_checkpoint(path, into=None, optimizer=None):
 
     Returns the model.
     """
-    from .pipeline import CompletionModel, ModelConfig
-
     mapping, arrays = read_checkpoint(path)
     if into is None:
-        model = CompletionModel(ModelConfig.from_mapping(mapping))
+        try:
+            config = ModelConfig.from_mapping(mapping)
+        except ParseError as exc:
+            raise FormatError(f"malformed checkpoint config: {exc}") from None
+        model = CompletionModel(config)
     else:
         model = into
     for param in model.named_parameters():

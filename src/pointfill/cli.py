@@ -18,9 +18,9 @@ from . import data as dataio
 from . import gradcheck as gradsuite
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ContractError, FormatError, NumericsError, ParseError, ShapeError
-from .generator import export_seed_provenance
+from .generator import ATTENTION_VARIANTS, GENERATOR_VARIANTS, export_seed_provenance
 from .losses import chamfer, fidelity, fscore, mmd
-from .pipeline import Adam, CompletionModel, ModelConfig, run_training
+from .pipeline import Adam, CompletionModel, ModelConfig, parse_config_text, run_training
 
 USAGE_ERROR = 1
 FAILURE = 2
@@ -33,37 +33,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def _read_config_file(path):
-    mapping = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError(f"{path}: line {lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            mapping[key.strip()] = value.strip()
-    return mapping
-
-
 def _resolve_config(args, overrides=None):
     mapping = {}
     if getattr(args, "config", None):
-        mapping.update(_read_config_file(args.config))
+        mapping.update(parse_config_text(Path(args.config).read_text(), source=args.config))
     if getattr(args, "seed", None) is not None:
         mapping["init_seed"] = str(args.seed)
     if overrides:
         mapping.update(overrides)
     return ModelConfig.from_mapping(mapping)
-
-
-def _echo_config(config, out_path, extra=None):
-    lines = [f"{k} = {v}" for k, v in config.to_mapping().items()]
-    for key, value in (extra or {}).items():
-        lines.append(f"{key} = {value}")
-    target = Path(out_path)
-    target.write_text("\n".join(lines) + "\n")
 
 
 def _write_loss_log(path, rows):
@@ -79,7 +57,7 @@ def _write_loss_log(path, rows):
             fh.write(",".join(cells) + "\n")
 
 
-def _run_training_command(args, overrides=None):
+def _cmd_train(args, overrides=None):
     config = _resolve_config(args, overrides)
     samples = [(p, g) for _, p, g in dataio.load_dataset(args.data)]
     samples = [
@@ -96,24 +74,19 @@ def _run_training_command(args, overrides=None):
     out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, out, optimizer=optimizer)
     _write_loss_log(out.with_suffix(out.suffix + ".losses.csv"), rows)
-    _echo_config(
-        config, out.with_suffix(out.suffix + ".config.txt"),
-        extra={"steps": args.steps, "lr": args.lr, "seed": args.seed},
+    out.with_suffix(out.suffix + ".config.txt").write_text(
+        config.to_text(extra={"steps": args.steps, "lr": args.lr, "seed": args.seed})
     )
     print(f"trained {args.steps} steps; final loss {rows[-1].breakdown.total:.6g}")
     print(f"checkpoint written to {out}")
     return 0
 
 
-def _cmd_train(args):
-    return _run_training_command(args)
-
-
 def _cmd_ablate(args):
     overrides = {"generator": args.generator, "seed_attention": args.attention}
     if args.lam is not None:
         overrides["attention_scale"] = str(args.lam)
-    return _run_training_command(args, overrides)
+    return _cmd_train(args, overrides)
 
 
 def _cmd_complete(args):
@@ -258,11 +231,10 @@ def build_parser():
 
     p_ablate = sub.add_parser("ablate", help="train a generator/attention variant")
     p_ablate.add_argument(
-        "--generator", default="uptrans",
-        choices=("uptrans", "folding", "deconv", "graphconv", "pointwise"),
+        "--generator", default="uptrans", choices=GENERATOR_VARIANTS,
     )
     p_ablate.add_argument(
-        "--attention", default="none", choices=("softmax", "none", "scaled", "log"),
+        "--attention", default="none", choices=ATTENTION_VARIANTS,
         help="attention mode for the seed generator",
     )
     p_ablate.add_argument("--lambda", dest="lam", type=float, default=None)
@@ -280,7 +252,7 @@ def main(argv=None):
     try:
         return args.fn(args)
     except (ContractError, NumericsError, FormatError, ParseError, ShapeError,
-            FileNotFoundError, IndexError) as exc:
+            UnicodeDecodeError, FileNotFoundError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAILURE
 

@@ -1,6 +1,6 @@
-"""Point generators: the neighborhood-attention upsampler, the seed
-generator built on it, the refinement stage wrapper, and the four
-alternative generator cores used for ablation runs.
+"""Point generators: the neighborhood-attention upsampler (channel-wise or
+point-wise), the seed generator built on it, the refinement stage wrapper,
+and the alternative generator cores used for ablation runs.
 
 The central operation turns each point into ``rate`` new feature rows. For
 point ``i`` with neighborhood ``N(i)`` (k nearest neighbors), kernel ``m``
@@ -23,6 +23,7 @@ source cloud.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,6 @@ from .errors import ContractError, ShapeError
 from .layers import Linear, Mlp2, Module
 
 ATTENTION_VARIANTS = ("softmax", "none", "scaled", "log")
-GENERATOR_VARIANTS = ("uptrans", "folding", "deconv", "graphconv", "pointwise")
 
 
 @dataclass
@@ -106,8 +106,21 @@ def _neighbor_rows(cloud_np, k):
     return geometry.knn(cloud_np, cloud_np, k).indices.reshape(-1)
 
 
+def _stack_heads(heads, n, channels):
+    """Interleave per-kernel (n, channels) outputs kernel-fastest into
+    (n * rate, channels) rows."""
+    heads = [ad.reshape(h, (n, 1, channels)) for h in heads]
+    stacked = heads[0] if len(heads) == 1 else ad.concat(heads, axis=1)
+    return ad.reshape(stacked, (n * len(heads), channels))
+
+
 class UpsampleTransformer(Module):
-    """Channel-wise neighborhood attention producing ``rate`` rows per point.
+    """Neighborhood attention producing ``rate`` rows per point.
+
+    Channel-wise by default: every kernel emits one weight per neighbor and
+    channel. With ``pointwise=True`` the kernels end in a single column, so
+    each neighbor gets one scalar weight, normalized over the neighborhood
+    and shared by all channels (the ``pointwise`` generator variant).
 
     Args:
         rng: numpy Generator used for weight init.
@@ -117,16 +130,18 @@ class UpsampleTransformer(Module):
         seed_channels: width of interpolated seed features, or None to run
             without the regional encoding term.
         interp_k: neighborhood size for seed feature interpolation.
+        pointwise: one scalar weight per neighbor instead of per channel.
     """
 
     def __init__(self, rng, channels, rate, k=16, seed_channels=None, interp_k=3,
-                 dtype=np.float32):
+                 dtype=np.float32, pointwise=False):
         if rate < 1:
             raise ContractError("rate must be >= 1")
         self.channels = channels
         self.rate = rate
         self.k = k
         self.interp_k = interp_k
+        self.pointwise = pointwise
         self.value_mixer = Mlp2(rng, 2 * channels, channels, channels, dtype=dtype)
         self.query_map = Linear(rng, channels, channels, dtype=dtype)
         self.key_map = Linear(rng, channels, channels, dtype=dtype)
@@ -137,8 +152,9 @@ class UpsampleTransformer(Module):
             if seed_channels
             else None
         )
+        width = 1 if pointwise else channels
         self.kernels = [
-            Mlp2(rng, channels, channels, channels, dtype=dtype, last_bias=False)
+            Mlp2(rng, channels, channels, width, dtype=dtype, last_bias=False)
             for _ in range(rate)
         ]
 
@@ -152,7 +168,8 @@ class UpsampleTransformer(Module):
             seeds: optional SeedSet for the regional encoding term.
             mode: AttentionMode; defaults to softmax.
             capture: optional dict that receives the raw and normalized
-                per-kernel weights (for inspection in tests and demos).
+                per-kernel weights (for inspection in tests and demos);
+                shaped (n, k, channels), or (n, k) when point-wise.
 
         Returns:
             Tensor of shape (rate * n, channels).
@@ -161,7 +178,7 @@ class UpsampleTransformer(Module):
         if queries.shape[0] != n or keys.shape[0] != n:
             raise ShapeError("queries, keys and cloud must agree on row count")
         mode = mode or AttentionMode("softmax")
-        k = self.k
+        k, c = self.k, self.channels
         nbrs = _neighbor_rows(cloud.data, k)
 
         values = self.value_map(self.value_mixer(ad.concat([keys, queries], axis=1)))
@@ -174,35 +191,43 @@ class UpsampleTransformer(Module):
             if self.seed_encoder is None:
                 raise ContractError("this transformer was built without seed encoding")
             s = geometry.interpolate_seed_features(cloud.data, seeds, self.interp_k)
-            rel_seed = ad.sub(ad.repeat_rows(s, k), ad.gather_rows(s, nbrs))
-            delta = ad.add(delta, self.seed_encoder(rel_seed))
+            # no local name: without a tape the (n*k, seed_channels) difference
+            # is freed before the kernel loop, which sets inference peak memory
+            delta = ad.add(delta, self.seed_encoder(
+                ad.sub(ad.repeat_rows(s, k), ad.gather_rows(s, nbrs))
+            ))
 
         logits_in = ad.add(
             ad.sub(ad.repeat_rows(q, k), ad.gather_rows(key_feats, nbrs)), delta
         )
-        value_term = ad.reshape(
-            ad.add(ad.gather_rows(values, nbrs), delta), (n, k, self.channels)
-        )
+        value_term = ad.add(ad.gather_rows(values, nbrs), delta)
+        if not self.pointwise:
+            value_term = ad.reshape(value_term, (n, k, c))
 
         if capture is not None:
             capture["raw"], capture["weights"] = [], []
         heads = []
         for kernel in self.kernels:
-            raw = ad.reshape(kernel(logits_in), (n, k, self.channels))
-            if mode.variant == "none":
-                weights = raw
-            else:
-                # normalize over the neighborhood axis, per point and channel
-                weights = ad.permute(
-                    mode.normalize(ad.permute(raw, (0, 2, 1))), (0, 2, 1)
+            if self.pointwise:
+                raw = ad.reshape(kernel(logits_in), (n, k))
+                weights = mode.normalize(raw)
+                spread = ad.repeat_cols(ad.reshape(weights, (n * k, 1)), c)
+                h = ad.reduce_sum(
+                    ad.reshape(ad.mul(spread, value_term), (n, k, c)), axis=1
                 )
+            else:
+                raw = weights = ad.reshape(kernel(logits_in), (n, k, c))
+                if mode.variant != "none":
+                    # normalize over the neighborhood axis, per point and channel
+                    weights = ad.permute(
+                        mode.normalize(ad.permute(raw, (0, 2, 1))), (0, 2, 1)
+                    )
+                h = ad.reduce_sum(ad.mul(weights, value_term), axis=1)
             if capture is not None:
                 capture["raw"].append(raw)
                 capture["weights"].append(weights)
-            h = ad.reduce_sum(ad.mul(weights, value_term), axis=1)
-            heads.append(ad.reshape(h, (n, 1, self.channels)))
-        stacked = heads[0] if len(heads) == 1 else ad.concat(heads, axis=1)
-        return ad.reshape(stacked, (n * self.rate, self.channels))
+            heads.append(h)
+        return _stack_heads(heads, n, c)
 
 
 class FoldingCore(Module):
@@ -221,13 +246,9 @@ class FoldingCore(Module):
     def __call__(self, queries, keys=None, cloud=None, seeds=None, mode=None,
                  capture=None):
         n = queries.shape[0]
-        heads = []
-        for m in range(self.rate):
-            g = ad.constant(np.tile(self.grid[m], (n, 1)), like=queries)
-            h = self.shared_map(ad.concat([queries, g], axis=1))
-            heads.append(ad.reshape(h, (n, 1, self.channels)))
-        stacked = heads[0] if len(heads) == 1 else ad.concat(heads, axis=1)
-        return ad.reshape(stacked, (n * self.rate, self.channels))
+        grids = (ad.constant(np.tile(g, (n, 1)), like=queries) for g in self.grid)
+        heads = (self.shared_map(ad.concat([queries, g], axis=1)) for g in grids)
+        return _stack_heads(heads, n, self.channels)
 
 
 def _folding_grid(rate):
@@ -248,11 +269,8 @@ class DeconvCore(Module):
     def __call__(self, queries, keys=None, cloud=None, seeds=None, mode=None,
                  capture=None):
         n = queries.shape[0]
-        heads = [
-            ad.reshape(split(queries), (n, 1, self.channels)) for split in self.splits
-        ]
-        stacked = heads[0] if len(heads) == 1 else ad.concat(heads, axis=1)
-        return ad.reshape(stacked, (n * self.rate, self.channels))
+        heads = (split(queries) for split in self.splits)
+        return _stack_heads(heads, n, self.channels)
 
 
 class GraphConvCore(Module):
@@ -270,85 +288,12 @@ class GraphConvCore(Module):
                  capture=None):
         n = queries.shape[0]
         nbrs = _neighbor_rows(cloud.data, self.k)
-        heads = []
-        for kernel in self.kernels:
-            mapped = ad.reshape(
-                kernel(ad.gather_rows(queries, nbrs)), (n, self.k, self.channels)
-            )
-            h = ad.max_over_axis(mapped, axis=1)
-            heads.append(ad.reshape(h, (n, 1, self.channels)))
-        stacked = heads[0] if len(heads) == 1 else ad.concat(heads, axis=1)
-        return ad.reshape(stacked, (n * self.rate, self.channels))
-
-
-class PointwiseAttentionCore(Module):
-    """Attention with one scalar weight per neighbor instead of per channel.
-
-    Shares the query/key/value/encoding structure of the channel-wise
-    transformer; only the kernels end in a single output column.
-    """
-
-    def __init__(self, rng, channels, rate, k=16, seed_channels=None, interp_k=3,
-                 dtype=np.float32):
-        self.channels = channels
-        self.rate = rate
-        self.k = k
-        self.interp_k = interp_k
-        self.value_mixer = Mlp2(rng, 2 * channels, channels, channels, dtype=dtype)
-        self.query_map = Linear(rng, channels, channels, dtype=dtype)
-        self.key_map = Linear(rng, channels, channels, dtype=dtype)
-        self.value_map = Linear(rng, channels, channels, dtype=dtype)
-        self.pos_encoder = Mlp2(rng, 3, channels, channels, dtype=dtype)
-        self.seed_encoder = (
-            Mlp2(rng, seed_channels, channels, channels, dtype=dtype)
-            if seed_channels
-            else None
+        k, c = self.k, self.channels
+        mapped = (
+            ad.reshape(kernel(ad.gather_rows(queries, nbrs)), (n, k, c))
+            for kernel in self.kernels
         )
-        self.kernels = [
-            Mlp2(rng, channels, channels, 1, dtype=dtype, last_bias=False)
-            for _ in range(rate)
-        ]
-
-    def __call__(self, queries, keys, cloud, seeds=None, mode=None, capture=None):
-        n = cloud.shape[0]
-        mode = mode or AttentionMode("softmax")
-        k = self.k
-        nbrs = _neighbor_rows(cloud.data, k)
-
-        values = self.value_map(self.value_mixer(ad.concat([keys, queries], axis=1)))
-        q = self.query_map(queries)
-        key_feats = self.key_map(keys)
-
-        rel_pos = ad.sub(ad.repeat_rows(cloud, k), ad.gather_rows(cloud, nbrs))
-        delta = self.pos_encoder(rel_pos)
-        if seeds is not None:
-            if self.seed_encoder is None:
-                raise ContractError("this core was built without seed encoding")
-            s = geometry.interpolate_seed_features(cloud.data, seeds, self.interp_k)
-            rel_seed = ad.sub(ad.repeat_rows(s, k), ad.gather_rows(s, nbrs))
-            delta = ad.add(delta, self.seed_encoder(rel_seed))
-
-        logits_in = ad.add(
-            ad.sub(ad.repeat_rows(q, k), ad.gather_rows(key_feats, nbrs)), delta
-        )
-        value_term = ad.add(ad.gather_rows(values, nbrs), delta)
-
-        if capture is not None:
-            capture["raw"], capture["weights"] = [], []
-        heads = []
-        for kernel in self.kernels:
-            raw = ad.reshape(kernel(logits_in), (n, k))
-            weights = mode.normalize(raw)
-            if capture is not None:
-                capture["raw"].append(raw)
-                capture["weights"].append(weights)
-            spread = ad.repeat_cols(ad.reshape(weights, (n * k, 1)), self.channels)
-            h = ad.reduce_sum(
-                ad.reshape(ad.mul(spread, value_term), (n, k, self.channels)), axis=1
-            )
-            heads.append(ad.reshape(h, (n, 1, self.channels)))
-        stacked = heads[0] if len(heads) == 1 else ad.concat(heads, axis=1)
-        return ad.reshape(stacked, (n * self.rate, self.channels))
+        return _stack_heads((ad.max_over_axis(m, axis=1) for m in mapped), n, c)
 
 
 _CORES = {
@@ -356,8 +301,9 @@ _CORES = {
     "folding": FoldingCore,
     "deconv": DeconvCore,
     "graphconv": GraphConvCore,
-    "pointwise": PointwiseAttentionCore,
+    "pointwise": functools.partial(UpsampleTransformer, pointwise=True),
 }
+GENERATOR_VARIANTS = tuple(_CORES)
 
 
 def make_core(variant, rng, channels, rate, k=16, seed_channels=None, interp_k=3,

@@ -23,14 +23,11 @@ from . import autodiff as ad
 from . import geometry
 from .generator import (
     AttentionMode,
-    DeconvCore,
-    FoldingCore,
-    GraphConvCore,
-    PointwiseAttentionCore,
     SeedSet,
     StageState,
     UpsampleStage,
     UpsampleTransformer,
+    make_core,
 )
 from .losses import chamfer, completion_loss, partial_matching_loss
 from .pipeline import CompletionModel, ModelConfig
@@ -247,11 +244,11 @@ def _case_uptrans(mode):
     return build
 
 
-def _ablation_case(factory, seed, uses_neighbors):
+def _ablation_case(variant, seed):
     def build():
         rng = _rng(seed)
         n, c = 8, 6
-        core = factory(rng, c, 2, k=3, seed_channels=None, dtype=np.float64)
+        core = make_core(variant, rng, c, 2, k=3, seed_channels=None, dtype=np.float64)
         cloud = ad.tensor(_cloud(rng, n))
         q = _leaf(rng, (n, c))
         k = _leaf(rng, (n, c))
@@ -363,10 +360,10 @@ CASES = {
     "uptrans_none": _case_uptrans(AttentionMode("none")),
     "uptrans_scaled": _case_uptrans(AttentionMode("scaled", lam=1.7)),
     "uptrans_log": _case_uptrans(AttentionMode("log")),
-    "generator_folding": _ablation_case(FoldingCore, 31, False),
-    "generator_deconv": _ablation_case(DeconvCore, 32, False),
-    "generator_graphconv": _ablation_case(GraphConvCore, 33, True),
-    "generator_pointwise": _ablation_case(PointwiseAttentionCore, 34, True),
+    "generator_folding": _ablation_case("folding", 31),
+    "generator_deconv": _ablation_case("deconv", 32),
+    "generator_graphconv": _ablation_case("graphconv", 33),
+    "generator_pointwise": _ablation_case("pointwise", 34),
     "chamfer_l1": _case_chamfer("l1"),
     "chamfer_l2": _case_chamfer("l2"),
     "partial_matching": _case_partial_matching,

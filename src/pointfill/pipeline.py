@@ -1,4 +1,4 @@
-"""Model assembly, training loop and parameter accounting.
+"""Model assembly, config text, training loop and losses.
 
 A :class:`CompletionModel` chains the encoder, the seed generator and a
 stack of refinement stages. ``forward`` returns the seed set plus every
@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from . import geometry
 from .encoder import Encoder
-from .errors import ContractError, NumericsError
+from .errors import ContractError, FormatError, NumericsError, ParseError
 from .generator import AttentionMode, SeedGenerator, StageState, UpsampleStage
 from .layers import Mlp2, Module
 from .losses import (
@@ -153,12 +153,20 @@ class ModelConfig:
     @classmethod
     def from_mapping(cls, mapping):
         kwargs = {}
-        known = {f.name: f for f in fields(cls)}
+        known = {f.name for f in fields(cls)}
         for key, raw in mapping.items():
             if key not in known:
                 raise ContractError(f"unknown config key {key!r}")
-            kwargs[key] = _parse_field(known[key].name, raw)
+            try:
+                kwargs[key] = _parse_field(key, raw)
+            except ValueError:
+                raise ParseError(f"config key {key!r}: bad value {raw!r}") from None
         return cls(**kwargs)
+
+    def to_text(self, extra=None):
+        """The config as ``key = value`` lines, ``extra`` pairs appended."""
+        items = {**self.to_mapping(), **(extra or {})}
+        return "".join(f"{k} = {v}\n" for k, v in items.items())
 
 
 _INT_FIELDS = {
@@ -179,6 +187,20 @@ def _parse_field(name, raw):
     if name == "stage_attention":
         return tuple(v.strip() for v in raw.split(",") if v.strip())
     return raw
+
+
+def parse_config_text(text, source="config"):
+    """Read ``key = value`` lines into a mapping; ``#`` starts a comment."""
+    mapping = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError(f"{source}: line {lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        mapping[key.strip()] = value.strip()
+    return mapping
 
 
 class CompletionModel(Module):
@@ -227,8 +249,9 @@ class CompletionModel(Module):
         patches = self.encoder(partial)
         seeds = self.seed_generator(patches)
 
-        merged = np.concatenate([seeds.coords.data, partial], axis=0)
-        idx = geometry.farthest_point_sample(merged, cfg.coarse_points, start=0)
+        _, idx = geometry.fuse_and_resample(
+            seeds.coords.data, partial, cfg.coarse_points, return_indices=True
+        )
         coarse = ad.gather_rows(
             ad.concat([seeds.coords, ad.tensor(partial)], axis=0), idx
         )
@@ -250,15 +273,6 @@ class CompletionModel(Module):
         """Convenience: forward pass returning only the final cloud array."""
         _, states = self.forward(partial)
         return states[-1].cloud.data.copy()
-
-
-def build_model(config):
-    return CompletionModel(config)
-
-
-def parameter_count(model):
-    """Exact number of scalar parameters in a model (or any Module)."""
-    return sum(p.tensor.size for p in model.named_parameters())
 
 
 class Adam(Module):
@@ -308,8 +322,6 @@ class Adam(Module):
         return out
 
     def load_state_arrays(self, arrays):
-        from .errors import FormatError
-
         if "adam.step" in arrays:
             self.step_count = int(round(float(arrays["adam.step"][0])))
         for name, p in self._params:
@@ -321,6 +333,25 @@ class Adam(Module):
                 store[name] = arr.copy()
 
 
+def _forward_loss(model, partial, gt, targets=None):
+    """Forward pass and training loss on one pair: ``(total, LossBreakdown)``."""
+    dtype = model.config.dtype
+    seeds, states = model.forward(partial)
+    comp_total, terms = completion_loss(
+        seeds.coords, [s.cloud for s in states], np.asarray(gt, dtype=dtype),
+        targets=targets,
+    )
+    matching = partial_matching_loss(
+        ad.tensor(np.asarray(partial, dtype=dtype)), states[-1].cloud
+    )
+    total = ad.add(comp_total, matching)
+    return total, LossBreakdown(
+        stage_cds=tuple(float(t.item()) for t in terms),
+        partial_matching=float(matching.item()),
+        total=float(total.item()),
+    )
+
+
 def _accumulate_loss(model, partial, gt, scale=1.0, targets=None):
     """Forward + loss + backward for one cloud, scaled for accumulation.
 
@@ -329,23 +360,9 @@ def _accumulate_loss(model, partial, gt, scale=1.0, targets=None):
     carries precomputed per-output loss targets. Returns the (unscaled)
     LossBreakdown for this pair.
     """
-    dtype = model.config.dtype
-    gt = np.asarray(gt, dtype=dtype)
     with ad.Tape() as tape:
-        seeds, states = model.forward(partial)
-        comp_total, terms = completion_loss(
-            seeds.coords, [s.cloud for s in states], gt, targets=targets
-        )
-        matching = partial_matching_loss(
-            ad.tensor(np.asarray(partial, dtype=dtype)), states[-1].cloud
-        )
-        total = ad.add(comp_total, matching)
+        total, breakdown = _forward_loss(model, partial, gt, targets=targets)
         scaled = total if scale == 1.0 else ad.mul(total, float(scale))
-    breakdown = LossBreakdown(
-        stage_cds=tuple(float(t.item()) for t in terms),
-        partial_matching=float(matching.item()),
-        total=float(total.item()),
-    )
     if not np.isfinite(breakdown.total):
         raise NumericsError(
             "non-finite training loss: "
@@ -357,19 +374,7 @@ def _accumulate_loss(model, partial, gt, scale=1.0, targets=None):
 
 def evaluate_loss(model, partial, gt):
     """Training-objective value on one pair, without gradients or updates."""
-    dtype = model.config.dtype
-    gt = np.asarray(gt, dtype=dtype)
-    seeds, states = model.forward(partial)
-    _, terms = completion_loss(seeds.coords, [s.cloud for s in states], gt)
-    matching = partial_matching_loss(
-        ad.tensor(np.asarray(partial, dtype=dtype)), states[-1].cloud
-    )
-    stage_values = tuple(float(t.item()) for t in terms)
-    return LossBreakdown(
-        stage_cds=stage_values,
-        partial_matching=float(matching.item()),
-        total=float(sum(stage_values) + matching.item()),
-    )
+    return _forward_loss(model, partial, gt)[1]
 
 
 def train_step(model, partial, gt, optimizer):

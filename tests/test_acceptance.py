@@ -269,7 +269,7 @@ def test_criterion_07_ablation_harness(tmp_path):
 
 
 def test_criterion_08_parameter_accounting():
-    count = pf.parameter_count(CompletionModel(ModelConfig.benchmark_16k()))
+    count = CompletionModel(ModelConfig.benchmark_16k()).parameter_count()
     assert 1_600_000 <= count <= 4_800_000, f"parameter count {count}"
     _ok(8, f"parameter accounting ({count / 1e6:.2f}M in [1.6M, 4.8M])")
 

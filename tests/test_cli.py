@@ -1,12 +1,16 @@
 """Command line surface: exit codes, files produced, determinism."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from pointfill import data
-from pointfill.checkpoint import save_checkpoint
-from pointfill.cli import main
-from pointfill.pipeline import CompletionModel, ModelConfig
+from pointfill.checkpoint import load_checkpoint, save_checkpoint
+from pointfill.cli import build_parser, main
+from pointfill.errors import FormatError
+from pointfill.generator import ATTENTION_VARIANTS, GENERATOR_VARIANTS
+from pointfill.pipeline import CompletionModel, ModelConfig, parse_config_text
 
 
 MICRO_CFG = (
@@ -46,6 +50,10 @@ def run_train(root, out_name, extra=()):
         "--seed", "3",
         *extra,
     ])
+
+
+def micro_model():
+    return CompletionModel(ModelConfig.from_mapping(parse_config_text(MICRO_CFG)))
 
 
 def test_usage_error_exit_code():
@@ -209,3 +217,58 @@ def test_ablate_trains_variant(micro_dataset, capsys):
     assert len(log) == 5
     totals = [float(line.split(",")[-1]) for line in log[1:]]
     assert all(np.isfinite(totals))
+
+
+def test_ablate_offers_every_variant():
+    parser = build_parser()
+    for generator in GENERATOR_VARIANTS:
+        for attention in ATTENTION_VARIANTS:
+            args = parser.parse_args([
+                "ablate", "--generator", generator, "--attention", attention,
+                "--data", "d", "--out", "o",
+            ])
+            assert (args.generator, args.attention) == (generator, attention)
+
+
+@pytest.mark.parametrize("line", ["channels = abc", "rates = 1,x"])
+def test_train_malformed_config_value_exits_2(micro_dataset, capsys, line):
+    (micro_dataset / "micro.cfg").write_text(MICRO_CFG + line + "\n")
+    assert run_train(micro_dataset, "model.ckpt") == 2
+    key, value = (part.strip() for part in line.split("="))
+    err = capsys.readouterr().err
+    assert repr(key) in err and repr(value) in err
+
+
+def test_train_config_file_with_undecodable_bytes_exits_2(micro_dataset):
+    (micro_dataset / "micro.cfg").write_bytes(MICRO_CFG.encode() + b"channels = \xff\n")
+    assert run_train(micro_dataset, "model.ckpt") == 2
+
+
+def _corrupt(raw, kind):
+    """A checkpoint byte string damaged in one place."""
+    (config_len,) = struct.unpack_from("<I", raw, 8)
+    if kind == "record_name_utf8":
+        return raw[: 16 + config_len] + b"\xff" + raw[17 + config_len:]
+    if kind == "config_utf8":
+        return raw[:12] + b"\xff" + raw[13:]
+    config = raw[12: 12 + config_len].replace(b"channels = 16", b"channels = abc")
+    return raw[:8] + struct.pack("<I", len(config)) + config + raw[12 + config_len:]
+
+
+@pytest.mark.parametrize("kind", ["record_name_utf8", "config_utf8", "config_value"])
+def test_complete_corrupt_checkpoint_exits_2(micro_dataset, capsys, kind):
+    root = micro_dataset
+    path = root / "bad.ckpt"
+    save_checkpoint(micro_model(), path)
+    damaged = _corrupt(path.read_bytes(), kind)
+    assert damaged != path.read_bytes()
+    path.write_bytes(damaged)
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
+    code = main([
+        "complete", "--ckpt", str(path),
+        "--input", str(root / "data" / "train" / "0000_sphere_partial.xyz"),
+        "--output", str(root / "out.xyz"),
+    ])
+    assert code == 2
+    assert "checkpoint" in capsys.readouterr().err

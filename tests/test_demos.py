@@ -1,0 +1,30 @@
+"""The demo scripts run to completion from a clean working directory.
+
+Demo 06 trains a desk model for about half a minute and is left to manual
+runs: ``python3 demos/06_toy_training.py``.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("0[1-5]_*.py"))
+
+
+def test_demo_set_is_complete():
+    assert [p.name[:2] for p in DEMOS] == ["01", "02", "03", "04", "05"]
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_exits_zero(demo, tmp_path):
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    result = subprocess.run(
+        [sys.executable, str(demo)], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr

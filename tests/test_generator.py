@@ -12,7 +12,6 @@ from pointfill.generator import (
     DeconvCore,
     FoldingCore,
     GraphConvCore,
-    PointwiseAttentionCore,
     SeedGenerator,
     SeedSet,
     StageState,
@@ -206,8 +205,8 @@ def test_graphconv_equal_neighbor_features_collapse_max():
 
 def test_pointwise_softmax_weights_sum_to_one_per_point_and_kernel():
     rng = np.random.default_rng(22)
-    core = PointwiseAttentionCore(np.random.default_rng(23), 6, rate=2, k=4,
-                                  dtype=np.float64)
+    core = make_core("pointwise", np.random.default_rng(23), 6, rate=2, k=4,
+                     dtype=np.float64)
     q, k, cloud = uptrans_inputs(rng)
     capture = {}
     core(q, k, cloud, seeds=None, mode=AttentionMode("softmax"), capture=capture)

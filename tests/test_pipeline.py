@@ -5,12 +5,14 @@ import pytest
 
 from pointfill import geometry
 from pointfill.checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
-from pointfill.errors import ContractError, FormatError, NumericsError
+from pointfill.errors import ContractError, FormatError, NumericsError, ParseError
+from pointfill.layers import Module
 from pointfill.pipeline import (
     Adam,
     CompletionModel,
     ModelConfig,
-    parameter_count,
+    evaluate_loss,
+    parse_config_text,
     run_training,
     train_step,
 )
@@ -51,6 +53,24 @@ def test_config_mapping_round_trip():
 def test_config_rejects_unknown_key():
     with pytest.raises(ContractError):
         ModelConfig.from_mapping({"not_a_key": "1"})
+
+
+@pytest.mark.parametrize("key,value", [("channels", "abc"), ("rates", "1,x")])
+def test_config_rejects_malformed_value_naming_key_and_value(key, value):
+    with pytest.raises(ParseError, match=f"'{key}'.*'{value}'"):
+        ModelConfig.from_mapping({key: value})
+
+
+def test_config_text_strips_comments_and_round_trips():
+    text = "# layout\nchannels = 32   # narrower\n\nrates = 1,2\n"
+    assert parse_config_text(text) == {"channels": "32", "rates": "1,2"}
+    cfg = desk_config(rates=(1, 2, 4), generator="pointwise", attention_scale=2.5)
+    assert ModelConfig.from_mapping(parse_config_text(cfg.to_text())) == cfg
+
+
+def test_config_text_rejects_line_without_equals():
+    with pytest.raises(ParseError, match="line 2"):
+        parse_config_text("channels = 32\nchannels 32\n")
 
 
 # --- forward -----------------------------------------------------------------------
@@ -124,6 +144,15 @@ def test_train_step_deterministic_breakdown():
     )
 
 
+def test_evaluate_loss_matches_train_step_bitwise():
+    rng = np.random.default_rng(6)
+    for seed in range(4):
+        partial, gt = toy_pair(rng)
+        model = CompletionModel(desk_config(init_seed=seed))
+        evaluated = evaluate_loss(model, partial, gt)
+        assert evaluated == train_step(model, partial, gt, Adam(model, lr=1e-3))
+
+
 def test_zero_learning_rate_keeps_parameters():
     rng = np.random.default_rng(6)
     partial, gt = toy_pair(rng)
@@ -177,22 +206,22 @@ def test_learning_rate_decay_schedule():
 
 def test_parameter_count_benchmark_config_in_expected_band():
     model = CompletionModel(ModelConfig.benchmark_16k())
-    count = parameter_count(model)
+    count = model.parameter_count()
     assert 1_600_000 <= count <= 4_800_000
 
 
 def test_parameter_count_empty_model_is_zero():
-    class Hollow:
-        def named_parameters(self):
+    class Hollow(Module):
+        def named_parameters(self, prefix=""):
             return iter(())
 
-    assert parameter_count(Hollow()) == 0
+    assert Hollow().parameter_count() == 0
 
 
 def test_parameter_count_grows_with_width():
     narrow = CompletionModel(desk_config())
     wide = CompletionModel(desk_config(channels=128, seed_channels=128))
-    assert parameter_count(wide) > parameter_count(narrow)
+    assert wide.parameter_count() > narrow.parameter_count()
 
 
 def test_parameter_names_unique_and_prefixed():
