@@ -6,7 +6,6 @@ Run: python3 demos/05_seeds_and_upsampling.py
 import numpy as np
 
 from pointfill import autodiff as ad
-from pointfill import geometry
 from pointfill.encoder import PatchFeatures
 from pointfill.generator import (
     AttentionMode,
@@ -53,18 +52,12 @@ table = seed_provenance(16, 2)
 print(f"\n{patches.centers.shape[0]} patches -> {seeds.coords.shape[0]} seeds")
 print("provenance rows (seed, patch, kernel):", table[:4].tolist(), "...")
 
-# A refinement stage duplicates points and moves them by learned offsets;
-# fresh stages start as exact duplication (zero-initialized offsets).
+# A refinement stage interpolates the seed features at its points, then
+# duplicates the points and moves them by learned offsets; fresh stages
+# start as exact duplication (zero-initialized offsets).
 stage = UpsampleStage(np.random.default_rng(2), channels=16, seed_channels=16,
                       rate=2, k=6, dtype=np.float64)
-state = StageState(
-    cloud=cloud,
-    features=feats,
-    rate=1,
-    interpolated_seed_features=geometry.interpolate_seed_features(
-        cloud.data, seeds, 3
-    ),
-)
+state = StageState(cloud=cloud, features=feats, rate=1)
 refined = stage(state, seeds)
 drift = np.linalg.norm(refined.cloud.data - np.repeat(cloud.data, 2, axis=0), axis=1)
 print(f"\nfresh stage: {state.cloud.shape[0]} -> {refined.cloud.shape[0]} points, "

@@ -20,6 +20,7 @@ leaf tensors accumulate across backward passes until ``grad`` is cleared.
 
 from __future__ import annotations
 
+import contextvars
 import math
 
 import numpy as np
@@ -118,7 +119,8 @@ class _Record:
         self.backfn = backfn
 
 
-_ACTIVE_TAPE = None
+# per thread (and per asyncio task): a tape never records another thread's ops
+_ACTIVE_TAPE = contextvars.ContextVar("pointfill_active_tape", default=None)
 
 
 class Tape:
@@ -139,15 +141,13 @@ class Tape:
         return len(self.records)
 
     def __enter__(self):
-        global _ACTIVE_TAPE
-        if _ACTIVE_TAPE is not None:
+        if _ACTIVE_TAPE.get() is not None:
             raise ContractError("tapes do not nest; close the active tape first")
-        _ACTIVE_TAPE = self
+        _ACTIVE_TAPE.set(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        global _ACTIVE_TAPE
-        _ACTIVE_TAPE = None
+        _ACTIVE_TAPE.set(None)
         return False
 
     def backward(self, loss):
@@ -190,8 +190,8 @@ def _emit(out_data, inputs, backfn, requires=None):
     """Finalize a primitive: build the output tensor and record the adjoint."""
     needs = any(t.requires_grad for t in inputs) if requires is None else requires
     out = Tensor(out_data, requires_grad=needs)
-    if needs and _ACTIVE_TAPE is not None:
-        _ACTIVE_TAPE.records.append(_Record(out, tuple(inputs), backfn))
+    if needs and (tape := _ACTIVE_TAPE.get()) is not None:
+        tape.records.append(_Record(out, tuple(inputs), backfn))
     return out
 
 

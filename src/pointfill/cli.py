@@ -59,15 +59,16 @@ def _write_loss_log(path, rows):
 
 def _cmd_train(args, overrides=None):
     config = _resolve_config(args, overrides)
+    seed = config.init_seed  # --seed if given, else the config's init_seed
     samples = [(p, g) for _, p, g in dataio.load_dataset(args.data)]
     samples = [
-        (dataio.resample_input(p, config.input_points, seed=args.seed + i), g)
+        (dataio.resample_input(p, config.input_points, seed=seed + i), g)
         for i, (p, g) in enumerate(samples)
     ]
     model = CompletionModel(config)
     optimizer = Adam(model, lr=args.lr)
     rows = run_training(
-        model, samples, args.steps, optimizer, seed=args.seed,
+        model, samples, args.steps, optimizer, seed=seed,
         lr_decay_every=args.lr_decay_every, batch_clouds=args.batch_clouds,
     )
     out = Path(args.out)
@@ -75,7 +76,7 @@ def _cmd_train(args, overrides=None):
     save_checkpoint(model, out, optimizer=optimizer)
     _write_loss_log(out.with_suffix(out.suffix + ".losses.csv"), rows)
     out.with_suffix(out.suffix + ".config.txt").write_text(
-        config.to_text(extra={"steps": args.steps, "lr": args.lr, "seed": args.seed})
+        config.to_text(extra={"steps": args.steps, "lr": args.lr, "seed": seed})
     )
     print(f"trained {args.steps} steps; final loss {rows[-1].breakdown.total:.6g}")
     print(f"checkpoint written to {out}")
@@ -189,7 +190,10 @@ def _add_training_flags(parser):
     parser.add_argument("--data", required=True, help="directory of *_partial/_gt.xyz")
     parser.add_argument("--out", required=True, help="checkpoint output path")
     parser.add_argument("--steps", type=int, default=200)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--seed", type=int, default=None,
+        help="run seed; overrides the config's init_seed (default 0)",
+    )
     parser.add_argument("--lr", type=float, default=1e-3)
     parser.add_argument("--lr-decay-every", type=int, default=None)
     parser.add_argument(

@@ -92,7 +92,7 @@ class PointTransformerLayer(Module):
             raise ContractError("feature rows must match the cloud")
         x = self.pre(features)
         cloud_t = ad.constant(cloud, like=features)
-        h = self.core(x, x, cloud_t, seeds=None, mode=self._mode)
+        h = self.core(x, x, cloud_t, mode=self._mode)
         return ad.add(features, self.post(h))
 
 

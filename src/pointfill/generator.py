@@ -9,10 +9,10 @@ produces channel-wise attention logits
     a_hat[i, j, m] = kernel_m(query_map(q_i) - key_map(k_j) + delta_ij)
 
 where ``delta_ij = pos_encoder(p_i - p_j) + seed_encoder(s_i - s_j)`` mixes
-a positional term with a regional term from interpolated seed features
-(positional only when no seeds are supplied). The logits are normalized
-over the neighborhood by the configured attention mode and combined with
-the per-point values:
+a positional term with a regional term from the seed features interpolated
+at the points (positional only when none are supplied). The logits are
+normalized over the neighborhood by the configured attention mode and
+combined with the per-point values:
 
     h[i, m] = sum_j a[i, j, m] * (value_map(v_j) + delta_ij)
 
@@ -83,13 +83,11 @@ class SeedSet:
 @dataclass
 class StageState:
     """One decoder stage: its cloud, the features that act as the next
-    layer's keys, the rate that produced it, and the seed features
-    interpolated at its points."""
+    layer's keys, and the rate that produced it."""
 
     cloud: ad.Tensor  # (n, 3)
     features: ad.Tensor  # (n, channels)
     rate: int = 1
-    interpolated_seed_features: ad.Tensor | None = None
 
     def __post_init__(self):
         if self.rate < 1:
@@ -129,18 +127,16 @@ class UpsampleTransformer(Module):
         k: neighborhood size for the attention.
         seed_channels: width of interpolated seed features, or None to run
             without the regional encoding term.
-        interp_k: neighborhood size for seed feature interpolation.
         pointwise: one scalar weight per neighbor instead of per channel.
     """
 
-    def __init__(self, rng, channels, rate, k=16, seed_channels=None, interp_k=3,
+    def __init__(self, rng, channels, rate, k=16, seed_channels=None,
                  dtype=np.float32, pointwise=False):
         if rate < 1:
             raise ContractError("rate must be >= 1")
         self.channels = channels
         self.rate = rate
         self.k = k
-        self.interp_k = interp_k
         self.pointwise = pointwise
         self.value_mixer = Mlp2(rng, 2 * channels, channels, channels, dtype=dtype)
         self.query_map = Linear(rng, channels, channels, dtype=dtype)
@@ -158,14 +154,16 @@ class UpsampleTransformer(Module):
             for _ in range(rate)
         ]
 
-    def __call__(self, queries, keys, cloud, seeds=None, mode=None, capture=None):
+    def __call__(self, queries, keys, cloud, seed_features=None, mode=None,
+                 capture=None):
         """Run the attention upsampling.
 
         Args:
             queries: (n, channels) point-wise query features.
             keys: (n, channels) point-wise key features.
             cloud: (n, 3) Tensor of point coordinates.
-            seeds: optional SeedSet for the regional encoding term.
+            seed_features: optional (n, seed_channels) seed features
+                interpolated at ``cloud``, for the regional encoding term.
             mode: AttentionMode; defaults to softmax.
             capture: optional dict that receives the raw and normalized
                 per-kernel weights (for inspection in tests and demos);
@@ -187,15 +185,14 @@ class UpsampleTransformer(Module):
 
         rel_pos = ad.sub(ad.repeat_rows(cloud, k), ad.gather_rows(cloud, nbrs))
         delta = self.pos_encoder(rel_pos)
-        if seeds is not None:
+        if seed_features is not None:
             if self.seed_encoder is None:
                 raise ContractError("this transformer was built without seed encoding")
-            s = geometry.interpolate_seed_features(cloud.data, seeds, self.interp_k)
             # no local name: without a tape the (n*k, seed_channels) difference
             # is freed before the kernel loop, which sets inference peak memory
-            delta = ad.add(delta, self.seed_encoder(
-                ad.sub(ad.repeat_rows(s, k), ad.gather_rows(s, nbrs))
-            ))
+            delta = ad.add(delta, self.seed_encoder(ad.sub(
+                ad.repeat_rows(seed_features, k), ad.gather_rows(seed_features, nbrs)
+            )))
 
         logits_in = ad.add(
             ad.sub(ad.repeat_rows(q, k), ad.gather_rows(key_feats, nbrs)), delta
@@ -243,8 +240,8 @@ class FoldingCore(Module):
         self.grid = _folding_grid(rate).astype(dtype)
         self.shared_map = Mlp2(rng, channels + 2, channels, channels, dtype=dtype)
 
-    def __call__(self, queries, keys=None, cloud=None, seeds=None, mode=None,
-                 capture=None):
+    def __call__(self, queries, keys=None, cloud=None, seed_features=None,
+                 mode=None, capture=None):
         n = queries.shape[0]
         grids = (ad.constant(np.tile(g, (n, 1)), like=queries) for g in self.grid)
         heads = (self.shared_map(ad.concat([queries, g], axis=1)) for g in grids)
@@ -266,8 +263,8 @@ class DeconvCore(Module):
         self.rate = rate
         self.splits = [Linear(rng, channels, channels, dtype=dtype) for _ in range(rate)]
 
-    def __call__(self, queries, keys=None, cloud=None, seeds=None, mode=None,
-                 capture=None):
+    def __call__(self, queries, keys=None, cloud=None, seed_features=None,
+                 mode=None, capture=None):
         n = queries.shape[0]
         heads = (split(queries) for split in self.splits)
         return _stack_heads(heads, n, self.channels)
@@ -284,8 +281,8 @@ class GraphConvCore(Module):
             Mlp2(rng, channels, channels, channels, dtype=dtype) for _ in range(rate)
         ]
 
-    def __call__(self, queries, keys=None, cloud=None, seeds=None, mode=None,
-                 capture=None):
+    def __call__(self, queries, keys=None, cloud=None, seed_features=None,
+                 mode=None, capture=None):
         n = queries.shape[0]
         nbrs = _neighbor_rows(cloud.data, self.k)
         k, c = self.k, self.channels
@@ -306,13 +303,12 @@ _CORES = {
 GENERATOR_VARIANTS = tuple(_CORES)
 
 
-def make_core(variant, rng, channels, rate, k=16, seed_channels=None, interp_k=3,
+def make_core(variant, rng, channels, rate, k=16, seed_channels=None,
               dtype=np.float32):
     if variant not in _CORES:
         raise ContractError(f"unknown generator variant {variant!r}")
     return _CORES[variant](
-        rng, channels, rate, k=k, seed_channels=seed_channels, interp_k=interp_k,
-        dtype=dtype,
+        rng, channels, rate, k=k, seed_channels=seed_channels, dtype=dtype
     )
 
 
@@ -350,7 +346,7 @@ class SeedGenerator(Module):
         centers = ad.constant(patches.centers, like=patches.features)
         q = self.query_proj(patches.features)
         keys = self.key_proj(patches.features)
-        feats = self.core(q, keys, centers, seeds=None, mode=self.mode)
+        feats = self.core(q, keys, centers, mode=self.mode)
         pooled = ad.reshape(
             ad.max_over_axis(patches.features, axis=0), (1, self.patch_channels)
         )
@@ -381,11 +377,11 @@ def export_seed_provenance(path, n_patches, rate):
 class UpsampleStage(Module):
     """One coarse-to-fine refinement stage.
 
-    Builds queries from the previous stage's features concatenated with the
-    interpolated seed features, runs the generator core (keys are the
-    previous stage's features), and moves duplicated points by predicted
-    offsets. The offset head is zero-initialized so a fresh stage is an
-    exact duplication.
+    Interpolates the seed features once at the input cloud, builds queries
+    from the previous stage's features concatenated with them, runs the
+    generator core on the same tensor (keys are the previous stage's
+    features), and moves duplicated points by predicted offsets. The offset
+    head is zero-initialized so a fresh stage is an exact duplication.
     """
 
     def __init__(self, rng, channels, seed_channels, rate, k=16, interp_k=3,
@@ -397,28 +393,16 @@ class UpsampleStage(Module):
             rng, channels + seed_channels, channels, channels, dtype=dtype
         )
         self.core = make_core(
-            variant, rng, channels, rate, k=k, seed_channels=seed_channels,
-            interp_k=interp_k, dtype=dtype,
+            variant, rng, channels, rate, k=k, seed_channels=seed_channels, dtype=dtype
         )
         self.offset_map = Mlp2(rng, channels, channels, 3, dtype=dtype, zero_last=True)
 
     def __call__(self, state, seeds):
-        if state.interpolated_seed_features is None:
-            raise ContractError("stage input needs interpolated seed features")
-        n = state.cloud.shape[0]
-        queries = self.query_builder(
-            ad.concat([state.features, state.interpolated_seed_features], axis=1)
-        )
+        s = geometry.interpolate_seed_features(state.cloud.data, seeds, self.interp_k)
+        queries = self.query_builder(ad.concat([state.features, s], axis=1))
         feats = self.core(
-            queries, state.features, state.cloud, seeds=seeds, mode=self.mode
+            queries, state.features, state.cloud, seed_features=s, mode=self.mode
         )
         offsets = self.offset_map(feats)
         new_cloud = ad.add(ad.repeat_rows(state.cloud, self.rate), offsets)
-        return StageState(
-            cloud=new_cloud,
-            features=feats,
-            rate=self.rate,
-            interpolated_seed_features=geometry.interpolate_seed_features(
-                new_cloud.data, seeds, self.interp_k
-            ),
-        )
+        return StageState(cloud=new_cloud, features=feats, rate=self.rate)

@@ -9,6 +9,7 @@ through the coordinates (the weights are constants of the geometry).
 
 from __future__ import annotations
 
+import contextvars
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -77,20 +78,26 @@ class GeometryFreeze:
         return value
 
 
-_FREEZE = None
+# per thread (and per asyncio task), like the active autodiff tape
+_FREEZE = contextvars.ContextVar("pointfill_geometry_freeze", default=None)
 
 
 @contextmanager
 def freeze_geometry(freezer):
     """Route geometric decisions through ``freezer`` within the block."""
-    global _FREEZE
-    if _FREEZE is not None:
+    if _FREEZE.get() is not None:
         raise ContractError("geometry freezers do not nest")
-    _FREEZE = freezer
+    _FREEZE.set(freezer)
     try:
         yield freezer
     finally:
-        _FREEZE = None
+        _FREEZE.set(None)
+
+
+def _decide(compute):
+    """Run a geometric decision, through the active freezer if there is one."""
+    freezer = _FREEZE.get()
+    return compute() if freezer is None else freezer.take(compute)
 
 
 def canonical_start_index(points):
@@ -117,9 +124,7 @@ def farthest_point_sample(points, k, start=0):
         raise ContractError(f"farthest_point_sample: k={k} outside [1, {n}]")
     if not 0 <= start < n:
         raise ContractError(f"farthest_point_sample: start={start} out of range")
-    if _FREEZE is not None:
-        return _FREEZE.take(lambda: _fps_compute(pts, k, start))
-    return _fps_compute(pts, k, start)
+    return _decide(lambda: _fps_compute(pts, k, start))
 
 
 def _fps_compute(pts, k, start):
@@ -152,9 +157,7 @@ def knn(queries, reference, k):
         raise ContractError(f"knn: k={k} exceeds reference size {r.shape[0]}")
     if k < 1:
         raise ContractError("knn: k must be >= 1")
-    if _FREEZE is not None:
-        return _FREEZE.take(lambda: _knn_compute(q, r, k))
-    return _knn_compute(q, r, k)
+    return _decide(lambda: _knn_compute(q, r, k))
 
 
 def _knn_compute(q, r, k):

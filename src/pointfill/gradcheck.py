@@ -205,20 +205,15 @@ def _case_interpolation():
     return fn, [feats]
 
 
-def _build_uptrans(seed, with_seeds):
+def _build_uptrans(seed):
     rng = _rng(seed)
     n, c, cs = 8, 6, 4
-    core = UpsampleTransformer(
-        rng, c, rate=2, k=3, seed_channels=cs if with_seeds else None,
-        interp_k=2, dtype=np.float64,
-    )
+    core = UpsampleTransformer(rng, c, rate=2, k=3, seed_channels=cs, dtype=np.float64)
     cloud = _cloud(rng, n)
-    seeds = None
-    if with_seeds:
-        seeds = SeedSet(
-            coords=ad.tensor(_cloud(rng, 5)),
-            features=ad.tensor(rng.standard_normal((5, cs))),
-        )
+    seeds = SeedSet(
+        coords=ad.tensor(_cloud(rng, 5)),
+        features=ad.tensor(rng.standard_normal((5, cs))),
+    )
     queries = _leaf(rng, (n, c))
     keys = _leaf(rng, (n, c))
     cloud_t = _leaf(rng, (n, 3))
@@ -229,14 +224,15 @@ def _build_uptrans(seed, with_seeds):
 
 def _case_uptrans(mode):
     def build():
-        core, q, k, cloud, seeds, params, rng = _build_uptrans(30, with_seeds=True)
+        core, q, k, cloud, seeds, params, rng = _build_uptrans(30)
         probe = 0.01 * rng.standard_normal((cloud.shape[0] * core.rate, core.channels))
         freezer = geometry.GeometryFreeze()
 
         def fn(q, k, cloud, *params):
             freezer.begin_pass()
             with geometry.freeze_geometry(freezer):
-                out = core(q, k, cloud, seeds=seeds, mode=mode)
+                s = geometry.interpolate_seed_features(cloud.data, seeds, 2)
+                out = core(q, k, cloud, seed_features=s, mode=mode)
             return ad.reduce_sum(ad.mul(out, ad.constant(probe, like=q)))
 
         return fn, [q, k, cloud, *params]
@@ -256,7 +252,7 @@ def _ablation_case(variant, seed):
         probe = 0.01 * rng.standard_normal((n * 2, c))
 
         def fn(q, k, *params):
-            out = core(q, k, cloud, seeds=None, mode=AttentionMode("softmax"))
+            out = core(q, k, cloud, mode=AttentionMode("softmax"))
             return ad.reduce_sum(ad.mul(out, ad.constant(probe, like=q)))
 
         return fn, [q, k, *params]
@@ -313,13 +309,7 @@ def _case_upsample_layer():
     def fn(cloud, feats, *params):
         freezer.begin_pass()
         with geometry.freeze_geometry(freezer):
-            state = StageState(
-                cloud=cloud, features=feats, rate=1,
-                interpolated_seed_features=geometry.interpolate_seed_features(
-                    cloud.data, seeds, 2
-                ),
-            )
-            out = stage(state, seeds)
+            out = stage(StageState(cloud=cloud, features=feats), seeds)
         return ad.reduce_sum(ad.mul(out.cloud, ad.constant(probe, like=cloud)))
 
     return fn, [cloud, feats, *params]

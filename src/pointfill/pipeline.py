@@ -65,6 +65,11 @@ class ModelConfig:
         self.validate()
 
     def validate(self):
+        small = [name for name in sorted(_SIZE_FIELDS) if getattr(self, name) < 1]
+        if small:
+            raise ContractError(f"config sizes must be >= 1: {', '.join(small)}")
+        if self.init_seed < 0:
+            raise ContractError("init_seed must be >= 0")
         if not self.rates:
             raise ContractError("config needs at least one upsample rate")
         if any(r < 1 for r in self.rates):
@@ -169,11 +174,12 @@ class ModelConfig:
         return "".join(f"{k} = {v}\n" for k, v in items.items())
 
 
-_INT_FIELDS = {
+_SIZE_FIELDS = {
     "input_points", "stage1_points", "stage1_channels", "patch_points",
     "patch_channels", "encoder_k", "seed_rate", "seed_channels",
-    "coarse_points", "channels", "attention_k", "interp_k", "init_seed",
+    "coarse_points", "channels", "attention_k", "interp_k",
 }
+_INT_FIELDS = _SIZE_FIELDS | {"init_seed"}
 
 
 def _parse_field(name, raw):
@@ -255,14 +261,7 @@ class CompletionModel(Module):
         coarse = ad.gather_rows(
             ad.concat([seeds.coords, ad.tensor(partial)], axis=0), idx
         )
-        state = StageState(
-            cloud=coarse,
-            features=self.point_lift(coarse),
-            rate=1,
-            interpolated_seed_features=geometry.interpolate_seed_features(
-                coarse.data, seeds, cfg.interp_k
-            ),
-        )
+        state = StageState(cloud=coarse, features=self.point_lift(coarse))
         states = []
         for stage in self.stages:
             state = stage(state, seeds)

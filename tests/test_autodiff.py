@@ -1,10 +1,13 @@
 """Engine tests: primitive values, exact adjoints, tape semantics."""
 
+import threading
+
 import numpy as np
 import pytest
 
 from pointfill import autodiff as ad
 from pointfill.errors import ContractError, NumericsError, ShapeError
+from pointfill.pipeline import CompletionModel, ModelConfig
 
 
 def leaf(data, dtype=np.float64):
@@ -309,3 +312,27 @@ def test_grad_check_nonfinite_raises():
 
     with pytest.raises(NumericsError):
         ad.grad_check(fn, [x])
+
+
+def test_tape_records_only_its_own_thread():
+    # the model's parameters require gradients, so a completion running in
+    # another thread would land on a tape that were shared between threads
+    model = CompletionModel(ModelConfig.micro())
+    partial = np.random.default_rng(0).standard_normal((24, 3))
+    worker_tapes = []
+
+    def complete_in_worker():
+        model.complete(partial)
+        with ad.Tape() as tape:  # no nesting error: the main thread's tape is not here
+            model.forward(partial)
+        worker_tapes.append(len(tape))
+
+    with ad.Tape() as tape:
+        worker = threading.Thread(target=complete_in_worker)
+        worker.start()
+        worker.join(timeout=60)
+        with pytest.raises(ContractError, match="do not nest"):
+            ad.Tape().__enter__()
+    assert not worker.is_alive()
+    assert len(tape) == 0
+    assert worker_tapes and worker_tapes[0] > 0

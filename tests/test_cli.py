@@ -8,7 +8,7 @@ import pytest
 from pointfill import data
 from pointfill.checkpoint import load_checkpoint, save_checkpoint
 from pointfill.cli import build_parser, main
-from pointfill.errors import FormatError
+from pointfill.errors import ContractError, FormatError
 from pointfill.generator import ATTENTION_VARIANTS, GENERATOR_VARIANTS
 from pointfill.pipeline import CompletionModel, ModelConfig, parse_config_text
 
@@ -237,6 +237,55 @@ def test_train_malformed_config_value_exits_2(micro_dataset, capsys, line):
     key, value = (part.strip() for part in line.split("="))
     err = capsys.readouterr().err
     assert repr(key) in err and repr(value) in err
+
+
+def train_without_seed_flag(root, out_name, extra=()):
+    return main([
+        "train", "--config", str(root / "micro.cfg"), "--data",
+        str(root / "data" / "train"), "--out", str(root / out_name), "--steps", "2",
+        *extra,
+    ])
+
+
+@pytest.mark.parametrize("line", ["channels = 0", "attention_k = -2", "init_seed = -1"])
+def test_train_config_value_below_range_exits_2(micro_dataset, capsys, line):
+    (micro_dataset / "micro.cfg").write_text(MICRO_CFG + line + "\n")
+    assert train_without_seed_flag(micro_dataset, "model.ckpt") == 2
+    assert line.split("=")[0].strip() in capsys.readouterr().err
+
+
+SIZE_FIELDS = (
+    "input_points", "stage1_points", "stage1_channels", "patch_points",
+    "patch_channels", "encoder_k", "seed_rate", "seed_channels",
+    "coarse_points", "channels", "attention_k", "interp_k",
+)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{name: 0} for name in SIZE_FIELDS] + [{"channels": -3}, {"init_seed": -1}],
+    ids=lambda o: "{}={}".format(*next(iter(o.items()))),
+)
+def test_model_config_rejects_values_below_range(overrides):
+    with pytest.raises(ContractError, match=next(iter(overrides))):
+        ModelConfig(**overrides)
+
+
+@pytest.mark.parametrize(
+    "config_line, flag, expected",
+    [("init_seed = 5\n", (), 5), ("init_seed = 5\n", ("--seed", "3"), 3), ("", (), 0)],
+    ids=["config_only", "flag_overrides_config", "neither"],
+)
+def test_train_seed_flag_overrides_config_init_seed(micro_dataset, config_line, flag,
+                                                     expected):
+    (micro_dataset / "micro.cfg").write_text(MICRO_CFG + config_line)
+    assert train_without_seed_flag(micro_dataset, "a.ckpt", flag) == 0
+    resolved = parse_config_text((micro_dataset / "a.ckpt.config.txt").read_text())
+    assert (resolved["init_seed"], resolved["seed"]) == (str(expected), str(expected))
+    # one number names the run: the same run as passing that number as --seed
+    (micro_dataset / "micro.cfg").write_text(MICRO_CFG)
+    assert train_without_seed_flag(micro_dataset, "b.ckpt", ("--seed", str(expected))) == 0
+    assert (micro_dataset / "a.ckpt").read_bytes() == (micro_dataset / "b.ckpt").read_bytes()
 
 
 def test_train_config_file_with_undecodable_bytes_exits_2(micro_dataset):

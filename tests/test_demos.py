@@ -1,4 +1,4 @@
-"""The demo scripts run to completion from a clean working directory.
+"""The demo scripts and the benchmark's smoke test run to completion.
 
 Demo 06 trains a desk model for about half a minute and is left to manual
 runs: ``python3 demos/06_toy_training.py``.
@@ -28,3 +28,14 @@ def test_demo_exits_zero(demo, tmp_path):
         capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_benchmark_smoke_exits_zero():
+    # the tracer wraps callables by module and attribute name, so a rename
+    # such as UpsampleStage.__call__ or geometry.interpolate_seed_features
+    # shows up here first
+    result = subprocess.run(
+        [sys.executable, "perfbench/smoke.py"], cwd=ROOT,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr

@@ -80,11 +80,12 @@ def test_single_neighbor_softmax_reduces_to_value_plus_encoding():
 def test_softmax_weights_sum_to_one_per_point_kernel_channel():
     rng = np.random.default_rng(4)
     core = UpsampleTransformer(np.random.default_rng(5), 6, rate=3, k=4,
-                               seed_channels=4, interp_k=2, dtype=np.float64)
+                               seed_channels=4, dtype=np.float64)
     q, k, cloud = uptrans_inputs(rng)
     seeds = make_seeds(rng, 5, 4)
+    s = geometry.interpolate_seed_features(cloud.data, seeds, 2)
     capture = {}
-    core(q, k, cloud, seeds=seeds, mode=AttentionMode("softmax"), capture=capture)
+    core(q, k, cloud, seed_features=s, mode=AttentionMode("softmax"), capture=capture)
     assert len(capture["weights"]) == 3
     for w in capture["weights"]:
         assert w.shape == (8, 4, 6)
@@ -138,12 +139,16 @@ def test_every_kernel_bank_parameter_gets_gradient():
     rng = np.random.default_rng(14)
     for mode in (AttentionMode("softmax"), AttentionMode("none")):
         core = UpsampleTransformer(np.random.default_rng(15), 6, rate=2, k=3,
-                                   seed_channels=4, interp_k=2, dtype=np.float64)
+                                   seed_channels=4, dtype=np.float64)
         q, k, cloud = uptrans_inputs(rng)
         seeds = make_seeds(rng, 5, 4)
         probe = rng.standard_normal((16, 6))
         with ad.Tape() as tape:
-            out = core(q, k, cloud, seeds=seeds, mode=mode)
+            out = core(
+                q, k, cloud,
+                seed_features=geometry.interpolate_seed_features(cloud.data, seeds, 2),
+                mode=mode,
+            )
             loss = ad.reduce_sum(ad.mul(out, ad.constant(probe)))
         tape.backward(loss)
         dead = [
@@ -166,7 +171,7 @@ def test_variant_output_contract(variant):
     core = make_core(variant, np.random.default_rng(17), 6, rate=2, k=3,
                      dtype=np.float64)
     q, k, cloud = uptrans_inputs(rng)
-    out = core(q, k, cloud, seeds=None, mode=AttentionMode("softmax"))
+    out = core(q, k, cloud, mode=AttentionMode("softmax"))
     assert out.shape == (16, 6)
 
 
@@ -176,11 +181,11 @@ def test_variant_permutation_equivariance(variant):
     core = make_core(variant, np.random.default_rng(19), 6, rate=2, k=3,
                      dtype=np.float64)
     q, k, cloud = uptrans_inputs(rng, n=12)
-    base = core(q, k, cloud, seeds=None, mode=AttentionMode("softmax"))
+    base = core(q, k, cloud, mode=AttentionMode("softmax"))
     perm = rng.permutation(12)
     out_perm = core(
         ad.tensor(q.data[perm]), ad.tensor(k.data[perm]), ad.tensor(cloud.data[perm]),
-        seeds=None, mode=AttentionMode("softmax"),
+        mode=AttentionMode("softmax"),
     )
     # rows permute in kernel groups; compare the feature sets geometrically
     # by pairing them with the duplicated output coordinates
@@ -196,7 +201,7 @@ def test_graphconv_equal_neighbor_features_collapse_max():
     cloud = ad.tensor(random_cloud(rng, 7))
     row = rng.standard_normal(5)
     feats = ad.tensor(np.tile(row, (7, 1)))
-    out = core(feats, feats, cloud, seeds=None, mode=None)
+    out = core(feats, feats, cloud, mode=None)
     single = ad.tensor(row.reshape(1, 5))
     for m, kernel in enumerate(core.kernels):
         expected = kernel(single).data[0]
@@ -209,7 +214,7 @@ def test_pointwise_softmax_weights_sum_to_one_per_point_and_kernel():
                      dtype=np.float64)
     q, k, cloud = uptrans_inputs(rng)
     capture = {}
-    core(q, k, cloud, seeds=None, mode=AttentionMode("softmax"), capture=capture)
+    core(q, k, cloud, mode=AttentionMode("softmax"), capture=capture)
     for w in capture["weights"]:
         assert w.shape == (8, 4)
         np.testing.assert_allclose(w.data.sum(axis=1), np.ones(8), atol=1e-6)
@@ -282,17 +287,10 @@ def test_seed_generator_translation_snapshot():
 # --- upsample stage -----------------------------------------------------------------
 
 
-def make_state(rng, seeds, n=8, c=6, interp_k=2, dtype=np.float64):
+def make_state(rng, n=8, c=6, dtype=np.float64):
     cloud = ad.tensor(random_cloud(rng, n).astype(dtype))
     feats = ad.tensor(rng.standard_normal((n, c)).astype(dtype))
-    return StageState(
-        cloud=cloud,
-        features=feats,
-        rate=1,
-        interpolated_seed_features=geometry.interpolate_seed_features(
-            cloud.data, seeds, interp_k
-        ),
-    )
+    return StageState(cloud=cloud, features=feats, rate=1)
 
 
 def test_stage_rate_one_preserves_count():
@@ -300,11 +298,10 @@ def test_stage_rate_one_preserves_count():
     seeds = make_seeds(rng, 5, 4)
     stage = UpsampleStage(np.random.default_rng(33), 6, 4, rate=1, k=3, interp_k=2,
                           dtype=np.float64)
-    state = make_state(rng, seeds)
+    state = make_state(rng)
     out = stage(state, seeds)
     assert out.cloud.shape == (8, 3)
     assert out.features.shape == (8, 6)
-    assert out.interpolated_seed_features.shape == (8, 4)
 
 
 def test_fresh_stage_is_exact_duplication():
@@ -313,7 +310,7 @@ def test_fresh_stage_is_exact_duplication():
     seeds = make_seeds(rng, 5, 4)
     stage = UpsampleStage(np.random.default_rng(35), 6, 4, rate=3, k=3, interp_k=2,
                           dtype=np.float64)
-    state = make_state(rng, seeds)
+    state = make_state(rng)
     out = stage(state, seeds)
     np.testing.assert_array_equal(out.cloud.data, np.repeat(state.cloud.data, 3, axis=0))
 
@@ -327,7 +324,7 @@ def test_stage_children_stay_within_offset_bound():
     stage.offset_map.lin1.w.data = 0.1 * rng.standard_normal(
         stage.offset_map.lin1.w.shape
     )
-    state = make_state(rng, seeds, n=12)
+    state = make_state(rng, n=12)
     out = stage(state, seeds)
     assert out.cloud.shape == (48, 3)
     parents = np.repeat(state.cloud.data, 4, axis=0)
@@ -338,17 +335,6 @@ def test_stage_children_stay_within_offset_bound():
     assert bound > 0
 
 
-def test_stage_requires_interpolated_features():
-    rng = np.random.default_rng(38)
-    seeds = make_seeds(rng, 5, 4)
-    stage = UpsampleStage(np.random.default_rng(39), 6, 4, rate=2, k=3, interp_k=2,
-                          dtype=np.float64)
-    state = make_state(rng, seeds)
-    state.interpolated_seed_features = None
-    with pytest.raises(ContractError):
-        stage(state, seeds)
-
-
 def test_stage_permutation_equivariance_by_chamfer():
     rng = np.random.default_rng(40)
     seeds = make_seeds(rng, 6, 4)
@@ -357,16 +343,13 @@ def test_stage_permutation_equivariance_by_chamfer():
     stage.offset_map.lin1.w.data = 0.1 * rng.standard_normal(
         stage.offset_map.lin1.w.shape
     )
-    state = make_state(rng, seeds, n=10)
+    state = make_state(rng, n=10)
     base = stage(state, seeds)
     perm = rng.permutation(10)
     permuted_state = StageState(
         cloud=ad.tensor(state.cloud.data[perm]),
         features=ad.tensor(state.features.data[perm]),
         rate=1,
-        interpolated_seed_features=geometry.interpolate_seed_features(
-            state.cloud.data[perm], seeds, 2
-        ),
     )
     out_perm = stage(permuted_state, seeds)
     assert chamfer(base.cloud.data, out_perm.cloud.data, "l2").item() < 1e-12

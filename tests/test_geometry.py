@@ -1,5 +1,7 @@
 """Geometric kernels against trivial cases and brute-force oracles."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -239,6 +241,22 @@ def test_canonical_start_is_permutation_invariant():
     np.testing.assert_array_equal(
         permuted[geometry.canonical_start_index(permuted)], base
     )
+
+
+def test_geometry_freeze_holds_only_its_own_thread():
+    pts = random_cloud(np.random.default_rng(12), 12)
+    freezer = geometry.GeometryFreeze()
+    freezer.begin_pass()
+    found = []
+    with geometry.freeze_geometry(freezer):
+        worker = threading.Thread(target=lambda: found.append(geometry.knn(pts, pts, 3)))
+        worker.start()
+        worker.join(timeout=60)
+        with pytest.raises(ContractError, match="do not nest"):
+            with geometry.freeze_geometry(geometry.GeometryFreeze()):
+                pass
+    assert not worker.is_alive() and len(found) == 1
+    assert freezer.tape == []
 
 
 def test_geometry_freeze_replays_first_pass():

@@ -101,6 +101,23 @@ def test_fresh_model_outputs_duplicate_coarse_cloud():
         )
 
 
+def test_forward_interpolates_seed_features_once_per_stage(monkeypatch):
+    # each stage interpolates at its input cloud and hands that one tensor
+    # to both its query builder and its core; the final cloud gets none
+    queried = []
+    interpolate = geometry.interpolate_seed_features
+
+    def counted(queries, seeds, k=3):
+        queried.append(len(queries))
+        return interpolate(queries, seeds, k)
+
+    monkeypatch.setattr(geometry, "interpolate_seed_features", counted)
+    config = desk_config()
+    CompletionModel(config).forward(random_cloud(np.random.default_rng(2), 512))
+    assert len(queried) == len(config.rates)
+    assert queried == [config.coarse_points, *config.stage_sizes[:-1]]
+
+
 def test_forward_is_deterministic():
     rng = np.random.default_rng(2)
     partial = random_cloud(rng, 512)
