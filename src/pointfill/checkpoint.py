@@ -4,7 +4,12 @@ Layout (all integers unsigned 32-bit little-endian):
 
     magic "SDCP" | version u32 | config_len u32 | config text (key=value lines)
     then per-array records until EOF:
-    name_len u32 | name utf-8 | rank u32 | extents u32 * rank | float32 LE data
+    name_len u32 | name utf-8 | dtype u32 | rank u32 | extents u32 * rank | data
+
+``dtype`` is the item size of the little-endian float data: 4 for float32,
+8 for float64, so parameters of either precision round-trip bitwise.
+Version 1 files have no ``dtype`` field and always hold float32 data; they
+still load.
 
 Model parameters are written first in model order; optimizer state, when
 saved, follows as extra records under the reserved ``adam.`` name prefix so
@@ -13,60 +18,72 @@ training can resume deterministically.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
 
-from .errors import FormatError, ParseError
+from .errors import ContractError, FormatError, ParseError
 from .pipeline import CompletionModel, ModelConfig, parse_config_text
 
 MAGIC = b"SDCP"
-VERSION = 1
+VERSION = 2
+_DTYPES = {4: np.dtype("<f4"), 8: np.dtype("<f8")}  # by the dtype field
+_MAX_RANK = 32  # numpy's dimension limit before 2.0
 
 
 def _write_u32(fh, value):
     fh.write(struct.pack("<I", value))
 
 
-def _read_u32(fh, what):
-    raw = fh.read(4)
-    if len(raw) != 4:
+def _read_exact(fh, size, n, what):
+    """The next ``n`` bytes of a ``size``-byte file; refuses before reading
+    when fewer are left, so a corrupt length never asks for a huge read."""
+    if n > size - fh.tell():
         raise FormatError(f"truncated checkpoint while reading {what}")
-    return struct.unpack("<I", raw)[0]
+    return fh.read(n)
+
+
+def _read_u32(fh, size, what):
+    return struct.unpack("<I", _read_exact(fh, size, 4, what))[0]
 
 
 def _write_record(fh, name, array):
     encoded = name.encode("utf-8")
     _write_u32(fh, len(encoded))
     fh.write(encoded)
-    arr = np.ascontiguousarray(array, dtype="<f4")
+    arr = np.asarray(array)
+    arr = np.ascontiguousarray(arr, dtype="<f8" if arr.dtype == np.float64 else "<f4")
+    _write_u32(fh, arr.itemsize)
     _write_u32(fh, arr.ndim)
     for extent in arr.shape:
         _write_u32(fh, extent)
     fh.write(arr.tobytes())
 
 
-def _read_record(fh):
-    head = fh.read(4)
-    if not head:
+def _read_record(fh, size, version):
+    if fh.tell() == size:
         return None
-    if len(head) != 4:
-        raise FormatError("truncated checkpoint while reading record header")
-    (name_len,) = struct.unpack("<I", head)
-    raw_name = fh.read(name_len)
-    if len(raw_name) != name_len:
-        raise FormatError("truncated checkpoint while reading record name")
+    name_len = _read_u32(fh, size, "record header")
+    raw_name = _read_exact(fh, size, name_len, "record name")
     try:
         name = raw_name.decode("utf-8")
     except UnicodeDecodeError:
         raise FormatError("checkpoint record name is not valid utf-8") from None
-    rank = _read_u32(fh, f"rank of {name!r}")
-    shape = tuple(_read_u32(fh, f"extent of {name!r}") for _ in range(rank))
-    count = int(np.prod(shape)) if shape else 1
-    payload = fh.read(4 * count)
-    if len(payload) != 4 * count:
-        raise FormatError(f"truncated checkpoint while reading data of {name!r}")
-    return name, np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+    dtype = _DTYPES[4]
+    if version >= 2:
+        code = _read_u32(fh, size, f"dtype of {name!r}")
+        if code not in _DTYPES:
+            raise FormatError(f"checkpoint record {name!r} has unknown dtype code {code}")
+        dtype = _DTYPES[code]
+    rank = _read_u32(fh, size, f"rank of {name!r}")
+    if rank > _MAX_RANK:
+        raise FormatError(f"checkpoint record {name!r} has rank {rank}")
+    shape = struct.unpack(f"<{rank}I", _read_exact(fh, size, 4 * rank, f"extents of {name!r}"))
+    count = math.prod(shape)  # python ints: extents cannot wrap around
+    payload = _read_exact(fh, size, dtype.itemsize * count, f"data of {name!r}")
+    return name, np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
 
 
 def save_checkpoint(model, path, optimizer=None):
@@ -85,25 +102,24 @@ def save_checkpoint(model, path, optimizer=None):
 
 
 def read_checkpoint(path):
-    """Parse a checkpoint into ``(config_mapping, {name: float32 array})``."""
+    """Parse a checkpoint into ``(config_mapping, {name: float array})``."""
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
         if magic != MAGIC:
             raise FormatError(f"bad checkpoint magic {magic!r}")
-        version = _read_u32(fh, "version")
-        if version != VERSION:
+        version = _read_u32(fh, size, "version")
+        if version not in (1, VERSION):
             raise FormatError(f"unsupported checkpoint version {version}")
-        config_len = _read_u32(fh, "config length")
-        raw = fh.read(config_len)
-        if len(raw) != config_len:
-            raise FormatError("truncated checkpoint while reading config")
+        config_len = _read_u32(fh, size, "config length")
+        raw = _read_exact(fh, size, config_len, "config")
         try:
             mapping = parse_config_text(raw.decode("utf-8"), source="checkpoint config")
         except (UnicodeDecodeError, ParseError) as exc:
             raise FormatError(f"malformed checkpoint config: {exc}") from None
         arrays = {}
         while True:
-            record = _read_record(fh)
+            record = _read_record(fh, size, version)
             if record is None:
                 break
             arrays[record[0]] = record[1]
@@ -127,10 +143,9 @@ def load_checkpoint(path, into=None, optimizer=None):
     mapping, arrays = read_checkpoint(path)
     if into is None:
         try:
-            config = ModelConfig.from_mapping(mapping)
-        except ParseError as exc:
+            model = CompletionModel(ModelConfig.from_mapping(mapping))
+        except (ParseError, ContractError) as exc:
             raise FormatError(f"malformed checkpoint config: {exc}") from None
-        model = CompletionModel(config)
     else:
         model = into
     for param in model.named_parameters():

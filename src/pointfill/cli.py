@@ -44,20 +44,21 @@ def _resolve_config(args, overrides=None):
     return ModelConfig.from_mapping(mapping)
 
 
-def _write_loss_log(path, rows):
-    with open(path, "w") as fh:
-        first = rows[0].breakdown
-        header = ["step", *first.labels(), "l_part", "total"]
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            b = row.breakdown
-            cells = [str(row.step)]
-            cells += [f"{v:.9g}" for v in b.stage_cds]
-            cells += [f"{b.partial_matching:.9g}", f"{b.total:.9g}"]
-            fh.write(",".join(cells) + "\n")
+def _loss_log_lines(row):
+    """The loss log lines of one training step, the header first on step 1."""
+    b = row.breakdown
+    cells = [str(row.step)]
+    cells += [f"{v:.9g}" for v in b.stage_cds]
+    cells += [f"{b.partial_matching:.9g}", f"{b.total:.9g}"]
+    line = ",".join(cells) + "\n"
+    if row.step == 1:
+        line = ",".join(["step", *b.labels(), "l_part", "total"]) + "\n" + line
+    return line
 
 
 def _cmd_train(args, overrides=None):
+    if args.steps < 1:
+        raise ContractError(f"--steps must be >= 1, got {args.steps}")
     config = _resolve_config(args, overrides)
     seed = config.init_seed  # --seed if given, else the config's init_seed
     samples = [(p, g) for _, p, g in dataio.load_dataset(args.data)]
@@ -67,14 +68,21 @@ def _cmd_train(args, overrides=None):
     ]
     model = CompletionModel(config)
     optimizer = Adam(model, lr=args.lr)
-    rows = run_training(
-        model, samples, args.steps, optimizer, seed=seed,
-        lr_decay_every=args.lr_decay_every, batch_clouds=args.batch_clouds,
-    )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
+    # one flushed row per step, so an interrupted run keeps the steps it made
+    with open(out.with_suffix(out.suffix + ".losses.csv"), "w") as log:
+
+        def on_step(row):
+            log.write(_loss_log_lines(row))
+            log.flush()
+
+        rows = run_training(
+            model, samples, args.steps, optimizer, seed=seed,
+            lr_decay_every=args.lr_decay_every, batch_clouds=args.batch_clouds,
+            on_step=on_step,
+        )
     save_checkpoint(model, out, optimizer=optimizer)
-    _write_loss_log(out.with_suffix(out.suffix + ".losses.csv"), rows)
     out.with_suffix(out.suffix + ".config.txt").write_text(
         config.to_text(extra={"steps": args.steps, "lr": args.lr, "seed": seed})
     )

@@ -143,13 +143,26 @@ def _fps_compute(pts, k, start):
     return chosen
 
 
+#: Query-reference pair count from which ``knn`` prunes its search with a
+#: uniform grid over the reference cloud. Both paths return bitwise equal
+#: tables; below this size comparing every pair is as fast.
+GRID_KNN_MIN_PAIRS = 2**24
+
+_GRID_CELL_POINTS = 8  # reference points per occupied cell, on a surface
+_GRID_BLOCK_POINTS = 128  # queries per block, on a surface
+_GRID_MARGIN = 1e-4  # relative slack that covers the rounding of distances
+
+
 def knn(queries, reference, k):
     """Exact k nearest neighbors by squared Euclidean distance.
 
     Ties are broken by lowest reference index; a reference point identical
     to the query is eligible. Distances are computed per pair from the raw
     coordinate differences (chunked over queries to bound memory), so the
-    result does not depend on any factored distance expansion.
+    result does not depend on any factored distance expansion. From
+    ``GRID_KNN_MIN_PAIRS`` query-reference pairs on, each block of nearby
+    queries compares only the reference points a spatial grid cannot rule
+    out; the table is bitwise equal to comparing every pair.
     """
     q = as_cloud(queries, "queries")
     r = as_cloud(reference, "reference")
@@ -157,7 +170,85 @@ def knn(queries, reference, k):
         raise ContractError(f"knn: k={k} exceeds reference size {r.shape[0]}")
     if k < 1:
         raise ContractError("knn: k must be >= 1")
+    if q.shape[0] * r.shape[0] >= GRID_KNN_MIN_PAIRS:
+        return _decide(lambda: _knn_grid(q, r, k))
     return _decide(lambda: _knn_compute(q, r, k))
+
+
+def _grid_cells(pts, per_cell):
+    """Cell id of every point on a cubic grid over the bounding box, with
+    about ``per_cell`` points per occupied cell when the points lie on a
+    surface (cells per axis ~ sqrt(n / per_cell))."""
+    lo = pts.min(axis=0)
+    span = float((pts.max(axis=0) - lo).max())
+    per_axis = max(1, int(np.sqrt(pts.shape[0] / per_cell)))
+    size = span / per_axis if span > 0 else 1.0
+    ijk = np.minimum(((pts - lo) / size).astype(np.int64), per_axis - 1)
+    return (ijk[:, 0] * per_axis + ijk[:, 1]) * per_axis + ijk[:, 2]
+
+
+def _group(ids):
+    """Stable order of ``ids`` and the start of each run of equal ids in it."""
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
+    return order, starts
+
+
+def _knn_grid(q, r, k):
+    """``_knn_compute`` with the reference cloud pruned per block of queries.
+
+    Reference points are bucketed into grid cells, each with the tight box
+    of its points, and queries into coarser cells, the blocks. Each member
+    of a block has the k nearest reference points of the block's mean
+    within distance ``U``, the largest member-to-those-points distance, so
+    ``U`` bounds every member's k-th neighbor distance, and a cell whose
+    box lies farther than ``U`` from the block's box holds only points
+    strictly farther from each member than its k-th neighbor. Each block
+    runs ``_knn_compute`` on the points of the cells that pass, in
+    ascending index order: distances come from the same per-pair formula
+    and ties meet in the same order, so the table is bitwise equal to the
+    brute-force one. Bounds are taken in float64 with a relative margin
+    that covers the rounding of the compared distances.
+    """
+    n, m = q.shape[0], r.shape[0]
+    dtype = np.result_type(q, r)
+    q64 = q.astype(np.float64)
+    r64 = r.astype(np.float64)
+    scale = max(np.abs(q64).max(), np.abs(r64).max())
+    if dtype.kind != "f" or 12.0 * scale * scale >= np.finfo(dtype).max:
+        return _knn_compute(q, r, k)  # squared distances could overflow
+
+    r_order, r_starts = _group(_grid_cells(r64, _GRID_CELL_POINTS))
+    r_counts = np.diff(np.r_[r_starts, m])
+    r_sorted = r64[r_order]
+    cell_lo = np.minimum.reduceat(r_sorted, r_starts, axis=0)
+    cell_hi = np.maximum.reduceat(r_sorted, r_starts, axis=0)
+
+    q_order, q_starts = _group(_grid_cells(q64, _GRID_BLOCK_POINTS))
+    q_counts = np.diff(np.r_[q_starts, n])
+    q_sorted = q64[q_order]
+    block_lo = np.minimum.reduceat(q_sorted, q_starts, axis=0)
+    block_hi = np.maximum.reduceat(q_sorted, q_starts, axis=0)
+    centers = np.add.reduceat(q_sorted, q_starts, axis=0) / q_counts[:, None]
+    near = _knn_compute(centers, r64, k).indices
+
+    indices = np.empty((n, k), dtype=np.int64)
+    distances = np.empty((n, k), dtype=q.dtype)
+    for b, (lo, count) in enumerate(zip(q_starts, q_counts)):
+        offsets = q_sorted[lo:lo + count, None, :] - r64[near[b]][None, :, :]
+        reach = np.sqrt(np.einsum("ijk,ijk->ij", offsets, offsets).max())
+        reach = (1.0 + _GRID_MARGIN) * reach + _GRID_MARGIN * scale
+        gap = np.maximum(np.maximum(cell_lo - block_hi[b], block_lo[b] - cell_hi), 0.0)
+        keep = np.flatnonzero(np.einsum("ij,ij->i", gap, gap) <= reach * reach)
+        counts = r_counts[keep]
+        within = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        cand = np.sort(r_order[np.repeat(r_starts[keep], counts) + within])
+        members = q_order[lo:lo + count]
+        sub = _knn_compute(q[members], r[cand], k)
+        indices[members] = cand[sub.indices]
+        distances[members] = sub.distances
+    return NeighborIndex(indices=indices, distances=distances)
 
 
 def _knn_compute(q, r, k):

@@ -1,0 +1,157 @@
+"""Checkpoint format: exact round trips in both precisions, version 1 files,
+and damaged files, which must load or fail with FormatError, nothing else."""
+
+import functools
+import struct
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pointfill.checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
+from pointfill.errors import FormatError
+from pointfill.pipeline import Adam, CompletionModel, ModelConfig, train_step
+
+CONFIGS = {
+    "micro": lambda: ModelConfig.micro(init_seed=3),  # float64
+    "desk": lambda: ModelConfig.desk(init_seed=3),  # float32
+}
+
+
+def trained(config):
+    """A model and optimizer after one step, so the moments are non-zero."""
+    rng = np.random.default_rng(0)
+    model = CompletionModel(config)
+    optimizer = Adam(model, lr=1e-3)
+    n = config.input_points
+    train_step(model, rng.standard_normal((n, 3)), rng.standard_normal((n, 3)), optimizer)
+    return model, optimizer
+
+
+def write_version_1(path, model):
+    """The version 1 layout: no dtype code, float32 data."""
+    with open(path, "wb") as fh:
+        text = model.config.to_text().encode("utf-8")
+        fh.write(b"SDCP" + struct.pack("<II", 1, len(text)) + text)
+        for param in model.named_parameters():
+            name = param.name.encode("utf-8")
+            arr = np.ascontiguousarray(param.tensor.data, dtype="<f4")
+            fh.write(struct.pack("<I", len(name)) + name)
+            fh.write(struct.pack(f"<{1 + arr.ndim}I", arr.ndim, *arr.shape))
+            fh.write(arr.tobytes())
+
+
+@pytest.mark.parametrize("scale", sorted(CONFIGS))
+def test_round_trip_is_bitwise_with_optimizer_state(tmp_path, scale):
+    model, optimizer = trained(CONFIGS[scale]())
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path, optimizer=optimizer)
+    loaded = load_checkpoint(path)
+    restored = Adam(loaded, lr=1e-3)
+    load_checkpoint(path, into=loaded, optimizer=restored)
+    dtype = model.config.dtype
+    for before, after in zip(model.named_parameters(), loaded.named_parameters()):
+        assert after.tensor.data.dtype == dtype
+        assert np.array_equal(before.tensor.data, after.tensor.data), before.name
+    saved, got = optimizer.state_arrays(), restored.state_arrays()
+    assert saved.keys() == got.keys()
+    for name in saved:
+        assert np.array_equal(saved[name], got[name]), name
+
+
+def test_records_keep_their_precision(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(CompletionModel(CONFIGS["micro"]()), path)
+    _, arrays = read_checkpoint(path)
+    assert {a.dtype for a in arrays.values()} == {np.dtype(np.float64)}
+
+
+def test_version_1_file_still_loads(tmp_path):
+    model = CompletionModel(CONFIGS["desk"]())
+    old, new = tmp_path / "v1.ckpt", tmp_path / "v2.ckpt"
+    write_version_1(old, model)
+    save_checkpoint(model, new)
+    loaded = load_checkpoint(old)
+    for before, after in zip(model.named_parameters(), loaded.named_parameters()):
+        assert np.array_equal(before.tensor.data, after.tensor.data), before.name
+    # float32 records hold the same bytes as before, plus one dtype code each
+    records = sum(1 for _ in model.named_parameters())
+    assert new.stat().st_size == old.stat().st_size + 4 * records
+
+
+def test_unknown_dtype_code_is_format_error(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(CompletionModel(CONFIGS["micro"]()), path)
+    raw = path.read_bytes()
+    (config_len,) = struct.unpack_from("<I", raw, 8)
+    (name_len,) = struct.unpack_from("<I", raw, 12 + config_len)
+    code_at = 16 + config_len + name_len
+    path.write_bytes(raw[:code_at] + struct.pack("<I", 2) + raw[code_at + 4:])
+    with pytest.raises(FormatError, match="dtype code 2"):
+        load_checkpoint(path)
+
+
+def test_extent_larger_than_file_is_refused_before_reading(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(CompletionModel(CONFIGS["micro"]()), path)
+    raw = path.read_bytes()
+    (config_len,) = struct.unpack_from("<I", raw, 8)
+    (name_len,) = struct.unpack_from("<I", raw, 12 + config_len)
+    rank_at = 20 + config_len + name_len
+    path.write_bytes(raw[:rank_at] + struct.pack("<2I", 1, 2**32 - 1) + raw[rank_at + 8:])
+    with pytest.raises(FormatError, match="truncated"):
+        load_checkpoint(path)
+
+
+def test_rank_beyond_numpy_limit_is_format_error(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(CompletionModel(CONFIGS["micro"]()), path)
+    raw = path.read_bytes()
+    (config_len,) = struct.unpack_from("<I", raw, 8)
+    record = struct.pack("<I", 1) + b"x" + struct.pack("<2I", 4, 66)
+    record += struct.pack("<66I", *[1] * 66) + np.zeros(1, "<f4").tobytes()
+    path.write_bytes(raw[: 12 + config_len] + record)
+    with pytest.raises(FormatError, match="rank 66"):
+        load_checkpoint(path)
+
+
+@functools.lru_cache(maxsize=None)
+def micro_checkpoint_bytes():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "micro.ckpt"
+        save_checkpoint(CompletionModel(CONFIGS["micro"]()), path)
+        return path.read_bytes()
+
+
+def loads_or_format_error(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "damaged.ckpt"
+        path.write_bytes(raw)
+        try:
+            load_checkpoint(path)
+        except FormatError:
+            pass
+
+
+FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@FUZZ
+@given(st.data())
+def test_truncated_checkpoint_loads_or_raises_format_error(data):
+    raw = micro_checkpoint_bytes()
+    loads_or_format_error(raw[: data.draw(st.integers(0, len(raw) - 1))])
+
+
+@FUZZ
+@given(st.data())
+def test_bit_flipped_checkpoint_loads_or_raises_format_error(data):
+    raw = bytearray(micro_checkpoint_bytes())
+    # half the flips land in the header, config and first records
+    limit = data.draw(st.sampled_from([min(len(raw), 1024), len(raw)]))
+    at = data.draw(st.integers(0, limit - 1))
+    raw[at] ^= 1 << data.draw(st.integers(0, 7))
+    loads_or_format_error(bytes(raw))

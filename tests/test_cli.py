@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from pointfill import data
+from pointfill import data, pipeline
 from pointfill.checkpoint import load_checkpoint, save_checkpoint
 from pointfill.cli import build_parser, main
 from pointfill.errors import ContractError, FormatError
@@ -83,6 +83,26 @@ def test_train_writes_checkpoint_log_and_config(micro_dataset, capsys):
     resolved = (micro_dataset / "model.ckpt.config.txt").read_text()
     assert "channels = 16" in resolved
     assert "steps = 6" in resolved
+
+
+def test_train_streams_loss_log_before_failing_step(micro_dataset, monkeypatch):
+    log_path = micro_dataset / "model.ckpt.losses.csv"
+    on_disk = []
+    real_step = pipeline.Adam.step
+
+    def step(self):
+        if self.step_count == 2:  # the third optimizer step of the run
+            on_disk.append(log_path.read_text())
+            raise RuntimeError("injected failure")
+        real_step(self)
+
+    monkeypatch.setattr(pipeline.Adam, "step", step)
+    with pytest.raises(RuntimeError, match="injected failure"):
+        run_train(micro_dataset, "model.ckpt")
+    lines = on_disk[0].splitlines()
+    assert lines[0] == "step,cd_seeds,cd_stage1,cd_stage2,l_part,total"
+    assert [line.split(",")[0] for line in lines[1:]] == ["1", "2"]
+    assert log_path.read_text() == on_disk[0]
 
 
 def test_train_is_bitwise_deterministic(micro_dataset):
@@ -247,6 +267,13 @@ def train_without_seed_flag(root, out_name, extra=()):
     ])
 
 
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_train_steps_below_one_exits_2_and_writes_nothing(micro_dataset, capsys, steps):
+    assert run_train(micro_dataset, "model.ckpt", ("--steps", steps)) == 2
+    assert "--steps" in capsys.readouterr().err
+    assert not list(micro_dataset.glob("model.ckpt*"))
+
+
 @pytest.mark.parametrize("line", ["channels = 0", "attention_k = -2", "init_seed = -1"])
 def test_train_config_value_below_range_exits_2(micro_dataset, capsys, line):
     (micro_dataset / "micro.cfg").write_text(MICRO_CFG + line + "\n")
@@ -300,11 +327,19 @@ def _corrupt(raw, kind):
         return raw[: 16 + config_len] + b"\xff" + raw[17 + config_len:]
     if kind == "config_utf8":
         return raw[:12] + b"\xff" + raw[13:]
+    if kind == "extents_wrap":
+        # first record: extents whose uint64 product wraps to 0, no data
+        head = 12 + config_len
+        (name_len,) = struct.unpack_from("<I", raw, head)
+        head += 8 + name_len  # past name length, name and dtype code
+        return raw[:head] + struct.pack("<4I", 3, 2**31, 2**31, 4)
     config = raw[12: 12 + config_len].replace(b"channels = 16", b"channels = abc")
     return raw[:8] + struct.pack("<I", len(config)) + config + raw[12 + config_len:]
 
 
-@pytest.mark.parametrize("kind", ["record_name_utf8", "config_utf8", "config_value"])
+@pytest.mark.parametrize(
+    "kind", ["record_name_utf8", "config_utf8", "config_value", "extents_wrap"]
+)
 def test_complete_corrupt_checkpoint_exits_2(micro_dataset, capsys, kind):
     root = micro_dataset
     path = root / "bad.ckpt"

@@ -272,3 +272,133 @@ def test_geometry_freeze_replays_first_pass():
         replayed = geometry.knn(moved, moved, 3).indices
     np.testing.assert_array_equal(first, replayed)
     assert not np.array_equal(geometry.knn(moved, moved, 3).indices, first)
+
+
+# --- grid-pruned kNN ------------------------------------------------------------
+
+
+def sphere(rng, n):
+    pts = rng.standard_normal((n, 3))
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+
+def grid_case(name, rng):
+    """(queries, reference, k) for one awkward input of the grid search."""
+    if name == "duplicates":
+        r = random_cloud(rng, 40)
+        r = np.concatenate([r, r[rng.permutation(40)], r[:10]])
+        return np.concatenate([r[:30], random_cloud(rng, 30)]), r, 4
+    if name == "lattice_ties":  # equal distances across cell boundaries
+        r = rng.integers(-4, 5, (90, 3)).astype(float)
+        q = rng.integers(-8, 9, (60, 3)) / 2.0
+        return q, r, 6
+    if name == "flat_one_axis":
+        q, r = random_cloud(rng, 60), random_cloud(rng, 90)
+        q[:, 2] = r[:, 2] = 0.25
+        return q, r, 3
+    if name == "flat_two_axes":
+        q, r = random_cloud(rng, 60), random_cloud(rng, 90)
+        q[:, 1:] = r[:, 1:] = -1.5
+        return q, r, 3
+    if name == "identical":
+        return np.zeros((50, 3)), np.zeros((40, 3)), 5  # zero extent and scale
+    if name == "far_queries":  # a half-sphere reference, whole-sphere queries
+        r = sphere(rng, 200)
+        r = r[r[:, 2] >= -0.1]
+        q = sphere(rng, 60)
+        q[:30, 2] -= 3.0
+        return q, r, 2
+    if name == "k_equals_m":
+        return random_cloud(rng, 60), random_cloud(rng, 25), 25
+    if name == "one_query":
+        return random_cloud(rng, 1), random_cloud(rng, 90), 7
+    if name == "huge_coordinates":  # float32 squared distances overflow to inf
+        r = np.zeros((50, 3))
+        r[:, 0] = 5e19 - 2e17 * np.arange(50)
+        return random_cloud(rng, 3), r, 1
+    raise KeyError(name)
+
+
+GRID_CASES = [
+    "duplicates", "lattice_ties", "flat_one_axis", "flat_two_axes",
+    "identical", "far_queries", "k_equals_m", "one_query", "huge_coordinates",
+]
+
+
+def assert_same_table(got, want):
+    np.testing.assert_array_equal(got.indices, want.indices)
+    assert got.distances.dtype == want.distances.dtype
+    np.testing.assert_array_equal(got.distances, want.distances)
+
+
+@pytest.mark.parametrize("fine", [False, True], ids=["default_grid", "fine_grid"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", GRID_CASES)
+def test_grid_knn_bitwise_equals_brute_force_and_oracle(monkeypatch, name, dtype, fine):
+    if fine:  # many small blocks and cells, so small inputs are pruned
+        monkeypatch.setattr(geometry, "_GRID_CELL_POINTS", 1)
+        monkeypatch.setattr(geometry, "_GRID_BLOCK_POINTS", 4)
+    q, r, k = grid_case(name, np.random.default_rng(GRID_CASES.index(name)))
+    q, r = q.astype(dtype), r.astype(dtype)
+    with np.errstate(over="ignore"):
+        got = geometry._knn_grid(q, r, k)
+        assert_same_table(got, geometry._knn_compute(q, r, k))
+        oracle_idx, oracle_dist = knn_oracle(q, r, k)
+    np.testing.assert_array_equal(got.indices, oracle_idx)
+    np.testing.assert_allclose(got.distances, oracle_dist, rtol=1e-6, atol=1e-12)
+
+
+def test_grid_knn_compares_a_fraction_of_the_pairs(monkeypatch):
+    rng = np.random.default_rng(20)
+    q, r = sphere(rng, 4096), sphere(rng, 4096)
+    compared = []
+    brute = geometry._knn_compute
+
+    def counting(a, b, k):
+        compared.append(a.shape[0] * b.shape[0])
+        return brute(a, b, k)
+
+    monkeypatch.setattr(geometry, "_knn_compute", counting)
+    got = geometry._knn_grid(q, r, 1)
+    assert sum(compared) < q.shape[0] * r.shape[0] // 4
+    monkeypatch.undo()
+    assert_same_table(got, geometry._knn_compute(q, r, 1))
+
+
+def spy_on_grid(monkeypatch):
+    calls = []
+    grid = geometry._knn_grid
+
+    def spy(q, r, k):
+        calls.append(q.shape[0] * r.shape[0])
+        return grid(q, r, k)
+
+    monkeypatch.setattr(geometry, "_knn_grid", spy)
+    return calls
+
+
+def test_knn_takes_grid_path_from_threshold(monkeypatch):
+    assert geometry.GRID_KNN_MIN_PAIRS == 16_384 * 1_024
+    rng = np.random.default_rng(21)
+    q = sphere(rng, 16_384).astype(np.float32)
+    r = sphere(rng, 1_024).astype(np.float32)
+    calls = spy_on_grid(monkeypatch)
+    assert_same_table(geometry.knn(q, r, 1), geometry._knn_compute(q, r, 1))
+    assert calls == [16_384 * 1_024]
+    geometry.knn(q[1:], r, 1)  # one pair row below the threshold: brute force
+    assert calls == [16_384 * 1_024]
+
+
+def test_geometry_freeze_replays_grid_knn(monkeypatch):
+    rng = np.random.default_rng(22)
+    q, r = sphere(rng, 16_384), sphere(rng, 1_024)
+    calls = spy_on_grid(monkeypatch)
+    freezer = geometry.GeometryFreeze()
+    freezer.begin_pass()
+    with geometry.freeze_geometry(freezer):
+        first = geometry.knn(q, r, 2)
+    freezer.begin_pass()
+    with geometry.freeze_geometry(freezer):
+        replayed = geometry.knn(q[::-1] + 1.0, r, 2)
+    assert replayed is first and len(calls) == 1
+    assert_same_table(first, geometry._knn_compute(q, r, 2))
