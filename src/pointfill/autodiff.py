@@ -5,7 +5,7 @@ A :class:`Tensor` wraps a float32 or float64 numpy array. While a
 :class:`Tape` is active (used as a context manager), every primitive whose
 inputs require gradients appends a record with an exact adjoint closure;
 ``tape.backward(loss)`` replays the records in reverse and accumulates
-``d(loss)/d(tensor)`` into ``tensor.grad``.
+``d(loss)/d(leaf)`` into the ``grad`` of every leaf tensor.
 
 Design rules kept deliberately strict so the adjoint code stays auditable:
 
@@ -13,9 +13,13 @@ Design rules kept deliberately strict so the adjoint code stays auditable:
 * only ``linear`` broadcasts (its bias, over rows) and it owns that adjoint;
 * without an active tape the primitives just compute values (inference mode).
 
-Gradient accumulation semantics match common practice: grads of tensors
-produced on the tape are reset at the start of every backward pass, grads of
-leaf tensors accumulate across backward passes until ``grad`` is cleared.
+A tape is single-use: ``backward`` consumes it. Each record is dropped once
+its adjoint has run and each intermediate's gradient once it has been passed
+on, so backward frees memory as it goes instead of doubling the tape. Only
+leaves, the ``requires_grad`` tensors that no record on the tape produced
+(parameters, inputs), keep a gradient afterwards; leaf grads accumulate across
+backward passes until ``grad`` is cleared. To inspect the gradient of an
+intermediate value, make that value a leaf of its own tape.
 """
 
 from __future__ import annotations
@@ -151,39 +155,54 @@ class Tape:
         return False
 
     def backward(self, loss):
-        """Populate grads of every requires_grad tensor reachable from ``loss``.
+        """Accumulate ``d(loss)/d(leaf)`` into every leaf's grad; consumes the tape.
 
-        Tensors recorded on this tape but not reachable from ``loss`` end up
-        with zero grads; grads of leaf tensors accumulate across backward
-        passes. Raises ContractError if ``loss`` is not scalar.
+        A leaf is a requires_grad tensor that no record on this tape produced.
+        Leaves recorded here but not reachable from ``loss`` get zero grads;
+        leaf grads accumulate across backward passes. Records are popped as
+        their adjoints run and intermediate grads are released once passed on:
+        afterwards the tape is empty, intermediates have ``grad is None``, and
+        a second backward on this tape raises ContractError. Also raises
+        ContractError if ``loss`` is not scalar.
         """
         if not isinstance(loss, Tensor) or loss.size != 1:
             raise ContractError("backward expects a scalar Tensor loss")
-        if not self.records:
+        records = self.records
+        if not records:
             raise ContractError("backward on an empty tape")
-        for rec in self.records:
+        produced = set()
+        leaves = {}
+        for rec in records:  # in topological order: inputs before outputs
+            for t in rec.inputs:
+                if t.requires_grad and id(t) not in produced:
+                    leaves[id(t)] = t
             rec.output.grad = None  # reset intermediates, keep leaf grads
+            produced.add(id(rec.output))
         loss.grad = np.ones_like(loss.data)
-        for rec in reversed(self.records):
+        while records:
+            rec = records.pop()
             gout = rec.output.grad
             if gout is None:
                 continue  # not reachable from the loss
+            rec.output.grad = None  # gout now has no owner but this loop
+            handed_over = False
             for inp, gin in zip(rec.inputs, rec.backfn(gout)):
                 if gin is None:
                     continue
-                if inp.grad is None:
-                    # pass-through adjoints hand back gout or a view of it;
-                    # those must be copied before they can be accumulated into
-                    if np.may_share_memory(gin, gout):
-                        inp.grad = np.array(gin)
-                    else:
-                        inp.grad = gin
-                else:
+                if inp.grad is not None:
                     inp.grad += gin
-        for rec in self.records:
-            for t in (rec.output, *rec.inputs):
-                if t.requires_grad and t.grad is None:
-                    t.grad = np.zeros_like(t.data)
+                elif np.may_share_memory(gin, gout):
+                    # pass-through adjoints hand back gout or views of it: the
+                    # first input may own that memory, later ones get copies.
+                    # Safe while no adjoint gives overlapping views to more
+                    # than two inputs (add gives two; add(x, x) is still 2g).
+                    inp.grad = np.array(gin) if handed_over else gin
+                    handed_over = True
+                else:
+                    inp.grad = gin
+        for t in leaves.values():
+            if t.grad is None:
+                t.grad = np.zeros_like(t.data)
 
 
 def _emit(out_data, inputs, backfn, requires=None):
@@ -259,12 +278,13 @@ def mul(a, b):
 
 
 def relu(x):
-    mask = x.data > 0
+    y = np.where(x.data > 0, x.data, x.dtype.type(0))
 
     def back(g):
-        return (g * mask if x.requires_grad else None,)
+        # y > 0 exactly where x > 0, so the mask is recomputed, not stored
+        return (g * (y > 0) if x.requires_grad else None,)
 
-    return _emit(np.where(mask, x.data, x.dtype.type(0)), [x], back)
+    return _emit(y, [x], back)
 
 
 def sqrt(x):

@@ -3,13 +3,16 @@
 Layout (all integers unsigned 32-bit little-endian):
 
     magic "SDCP" | version u32 | config_len u32 | config text (key=value lines)
-    then per-array records until EOF:
+    then per-array records up to the checksum:
     name_len u32 | name utf-8 | dtype u32 | rank u32 | extents u32 * rank | data
+    then crc32 u32, the ``zlib.crc32`` of every byte before it, ending the file
 
 ``dtype`` is the item size of the little-endian float data: 4 for float32,
-8 for float64, so parameters of either precision round-trip bitwise.
-Version 1 files have no ``dtype`` field and always hold float32 data; they
-still load.
+8 for float64, so parameters of either precision round-trip bitwise. The
+checksum is verified before anything after the version is parsed, so a
+damaged file is refused instead of loading as a different model. Version 2
+files have no checksum; version 1 files also have no ``dtype`` field and
+always hold float32 data. Both still load.
 
 Model parameters are written first in model order; optimizer state, when
 saved, follows as extra records under the reserved ``adam.`` name prefix so
@@ -21,6 +24,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import zlib
 
 import numpy as np
 
@@ -28,9 +32,10 @@ from .errors import ContractError, FormatError, ParseError
 from .pipeline import CompletionModel, ModelConfig, parse_config_text
 
 MAGIC = b"SDCP"
-VERSION = 2
+VERSION = 3
 _DTYPES = {4: np.dtype("<f4"), 8: np.dtype("<f8")}  # by the dtype field
 _MAX_RANK = 32  # numpy's dimension limit before 2.0
+_CRC_CHUNK = 1 << 16  # checksum read size; large reads would move glibc's mmap threshold
 
 
 def _write_u32(fh, value):
@@ -47,6 +52,20 @@ def _read_exact(fh, size, n, what):
 
 def _read_u32(fh, size, what):
     return struct.unpack("<I", _read_exact(fh, size, 4, what))[0]
+
+
+def _crc32(fh, n):
+    """CRC-32 of the first ``n`` bytes of ``fh``, read in fixed-size chunks."""
+    fh.seek(0)
+    crc = 0
+    chunk = memoryview(bytearray(_CRC_CHUNK))
+    while n:
+        got = fh.readinto(chunk[: min(n, _CRC_CHUNK)])
+        if not got:
+            raise FormatError("truncated checkpoint while checking its checksum")
+        crc = zlib.crc32(chunk[:got], crc)
+        n -= got
+    return crc
 
 
 def _write_record(fh, name, array):
@@ -88,7 +107,7 @@ def _read_record(fh, size, version):
 
 def save_checkpoint(model, path, optimizer=None):
     """Write model parameters (and optionally optimizer state) to ``path``."""
-    with open(path, "wb") as fh:
+    with open(path, "w+b") as fh:
         fh.write(MAGIC)
         _write_u32(fh, VERSION)
         encoded = model.config.to_text().encode("utf-8")
@@ -99,6 +118,7 @@ def save_checkpoint(model, path, optimizer=None):
         if optimizer is not None:
             for name, array in optimizer.state_arrays().items():
                 _write_record(fh, name, array)
+        _write_u32(fh, _crc32(fh, fh.tell()))
 
 
 def read_checkpoint(path):
@@ -109,8 +129,17 @@ def read_checkpoint(path):
         if magic != MAGIC:
             raise FormatError(f"bad checkpoint magic {magic!r}")
         version = _read_u32(fh, size, "version")
-        if version not in (1, VERSION):
+        if version not in (1, 2, VERSION):
             raise FormatError(f"unsupported checkpoint version {version}")
+        if version >= 3:
+            size -= 4  # the trailing checksum is not payload
+            if size < 8:
+                raise FormatError("truncated checkpoint while reading its checksum")
+            fh.seek(size)
+            (stored,) = struct.unpack("<I", fh.read(4))
+            if _crc32(fh, size) != stored:
+                raise FormatError("checkpoint checksum mismatch: the file is damaged")
+            fh.seek(8)
         config_len = _read_u32(fh, size, "config length")
         raw = _read_exact(fh, size, config_len, "config")
         try:

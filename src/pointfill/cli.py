@@ -57,8 +57,11 @@ def _loss_log_lines(row):
 
 
 def _cmd_train(args, overrides=None):
-    if args.steps < 1:
-        raise ContractError(f"--steps must be >= 1, got {args.steps}")
+    # refused here, before any file is written
+    for flag, value in (("--steps", args.steps), ("--batch-clouds", args.batch_clouds),
+                        ("--lr-decay-every", args.lr_decay_every)):
+        if value is not None and value < 1:
+            raise ContractError(f"{flag} must be >= 1, got {value}")
     config = _resolve_config(args, overrides)
     seed = config.init_seed  # --seed if given, else the config's init_seed
     samples = [(p, g) for _, p, g in dataio.load_dataset(args.data)]
@@ -228,11 +231,12 @@ def build_parser():
     p_complete.set_defaults(fn=_cmd_complete)
 
     p_eval = sub.add_parser("eval", help="evaluate metrics over a dataset")
-    p_eval.add_argument("--ckpt", help="checkpoint (omit with --predictions)")
+    source = p_eval.add_mutually_exclusive_group(required=True)
+    source.add_argument("--ckpt", help="checkpoint to complete the partial clouds with")
+    source.add_argument("--predictions", help="directory of <id>_pred.xyz files")
     p_eval.add_argument("--data", required=True)
     p_eval.add_argument("--metrics", default="cd-l1,cd-l2,fscore,fidelity")
     p_eval.add_argument("--mmd-library", help="directory of reference .xyz clouds")
-    p_eval.add_argument("--predictions", help="directory of <id>_pred.xyz files")
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.set_defaults(fn=_cmd_eval)
 

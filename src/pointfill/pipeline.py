@@ -412,6 +412,8 @@ def run_training(model, samples, steps, optimizer, seed=0, lr_decay_every=None,
         raise ContractError("run_training needs at least one sample")
     if batch_clouds < 1:
         raise ContractError("batch_clouds must be >= 1")
+    if lr_decay_every is not None and lr_decay_every < 1:
+        raise ContractError(f"lr_decay_every must be >= 1 or None, got {lr_decay_every}")
     rng = np.random.default_rng(seed)
     base_lr = optimizer.lr
     sizes = [model.config.seed_count, *model.config.stage_sizes]

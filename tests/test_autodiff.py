@@ -1,13 +1,14 @@
 """Engine tests: primitive values, exact adjoints, tape semantics."""
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pointfill import autodiff as ad
 from pointfill.errors import ContractError, NumericsError, ShapeError
-from pointfill.pipeline import CompletionModel, ModelConfig
+from pointfill.pipeline import Adam, CompletionModel, ModelConfig, train_step
 
 
 def leaf(data, dtype=np.float64):
@@ -150,6 +151,88 @@ def test_backward_bitwise_deterministic():
         )
         grads.append(x.grad.copy())
     assert np.array_equal(grads[0], grads[1])
+
+
+# --- the tape is consumed by backward ---------------------------------------
+
+
+def test_backward_consumes_the_tape():
+    x = leaf([1.0, 2.0, 3.0])
+    with ad.Tape() as tape:
+        squares = ad.mul(x, x)
+        out = ad.reduce_sum(squares)
+    tape.backward(out)
+    assert len(tape) == 0
+    assert squares.grad is None and out.grad is None  # intermediates released
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0, 6.0])
+    with pytest.raises(ContractError, match="empty tape"):
+        tape.backward(out)
+
+
+@pytest.mark.parametrize(
+    "op", [ad.add, lambda a, b: ad.concat([a, b])], ids=["add", "concat"]
+)
+def test_inputs_of_one_record_get_grads_that_do_not_share_memory(op):
+    # both adjoints hand back views of one gradient; only one input may own it
+    a, b = leaf(np.ones(3)), leaf(np.ones(3))
+    with ad.Tape() as tape:
+        joined = op(a, b)
+        out = ad.reduce_sum(ad.mul(joined, 3.0))
+    tape.backward(out)
+    assert joined.grad is None
+    assert not np.shares_memory(a.grad, b.grad)
+    np.testing.assert_array_equal(a.grad, [3.0, 3.0, 3.0])
+    np.testing.assert_array_equal(b.grad, [3.0, 3.0, 3.0])
+
+
+def test_add_of_a_tensor_to_itself_gives_exactly_two():
+    x = leaf([0.1, -2.5, 7.0])
+    with ad.Tape() as tape:
+        doubled = ad.add(x, x)
+        out = ad.reduce_sum(doubled)
+    tape.backward(out)
+    assert doubled.grad is None
+    np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
+
+
+def test_view_adjoints_accumulate_exactly_over_two_passes():
+    x = leaf(np.arange(6.0).reshape(2, 3))
+    weights = ad.tensor(np.linspace(-1.0, 1.5, 6).reshape(2, 3))
+    expected = weights.data.T.reshape(2, 3)
+    for passes in (1, 2):
+        with ad.Tape() as tape:
+            turned = ad.permute(ad.reshape(x, (3, 2)), (1, 0))
+            out = ad.reduce_sum(ad.mul(turned, weights))
+        tape.backward(out)
+        assert len(tape) == 0 and turned.grad is None
+        np.testing.assert_array_equal(x.grad, passes * expected)
+
+
+def test_train_step_backward_frees_memory_as_it_goes(monkeypatch):
+    # the peak while backward runs stays near the memory held when it starts;
+    # keeping every record and intermediate grad to the end doubles it
+    config = ModelConfig.desk()
+    rng = np.random.default_rng(0)
+    partial = rng.standard_normal((config.input_points, 3))
+    gt = rng.standard_normal((config.final_points, 3))
+    model = CompletionModel(config)
+    optimizer = Adam(model)
+    traced = {}
+    real_backward = ad.Tape.backward
+
+    def measured_backward(self, loss):
+        tracemalloc.reset_peak()
+        traced["start"] = tracemalloc.get_traced_memory()[0]
+        real_backward(self, loss)
+        traced["peak"] = tracemalloc.get_traced_memory()[1]
+
+    monkeypatch.setattr(ad.Tape, "backward", measured_backward)
+    tracemalloc.start()
+    try:
+        train_step(model, partial, gt, optimizer)
+    finally:
+        tracemalloc.stop()
+    assert traced["peak"] <= 1.1 * traced["start"], traced
 
 
 # --- finite differences for every primitive ---------------------------------

@@ -4,6 +4,7 @@ and damaged files, which must load or fail with FormatError, nothing else."""
 import functools
 import struct
 import tempfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,12 @@ def write_version_1(path, model):
             fh.write(arr.tobytes())
 
 
+def sealed(body):
+    """A version 3 file from everything before its checksum, so damage made on
+    purpose reaches the parser check under test instead of the checksum."""
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
 @pytest.mark.parametrize("scale", sorted(CONFIGS))
 def test_round_trip_is_bitwise_with_optimizer_state(tmp_path, scale):
     model, optimizer = trained(CONFIGS[scale]())
@@ -77,9 +84,10 @@ def test_version_1_file_still_loads(tmp_path):
     loaded = load_checkpoint(old)
     for before, after in zip(model.named_parameters(), loaded.named_parameters()):
         assert np.array_equal(before.tensor.data, after.tensor.data), before.name
-    # float32 records hold the same bytes as before, plus one dtype code each
+    # float32 records hold the same bytes as before, plus one dtype code
+    # each; the file ends with the checksum
     records = sum(1 for _ in model.named_parameters())
-    assert new.stat().st_size == old.stat().st_size + 4 * records
+    assert new.stat().st_size == old.stat().st_size + 4 * records + 4
 
 
 def test_unknown_dtype_code_is_format_error(tmp_path):
@@ -89,7 +97,7 @@ def test_unknown_dtype_code_is_format_error(tmp_path):
     (config_len,) = struct.unpack_from("<I", raw, 8)
     (name_len,) = struct.unpack_from("<I", raw, 12 + config_len)
     code_at = 16 + config_len + name_len
-    path.write_bytes(raw[:code_at] + struct.pack("<I", 2) + raw[code_at + 4:])
+    path.write_bytes(sealed(raw[:code_at] + struct.pack("<I", 2) + raw[code_at + 4:-4]))
     with pytest.raises(FormatError, match="dtype code 2"):
         load_checkpoint(path)
 
@@ -101,7 +109,9 @@ def test_extent_larger_than_file_is_refused_before_reading(tmp_path):
     (config_len,) = struct.unpack_from("<I", raw, 8)
     (name_len,) = struct.unpack_from("<I", raw, 12 + config_len)
     rank_at = 20 + config_len + name_len
-    path.write_bytes(raw[:rank_at] + struct.pack("<2I", 1, 2**32 - 1) + raw[rank_at + 8:])
+    path.write_bytes(
+        sealed(raw[:rank_at] + struct.pack("<2I", 1, 2**32 - 1) + raw[rank_at + 8:-4])
+    )
     with pytest.raises(FormatError, match="truncated"):
         load_checkpoint(path)
 
@@ -113,7 +123,7 @@ def test_rank_beyond_numpy_limit_is_format_error(tmp_path):
     (config_len,) = struct.unpack_from("<I", raw, 8)
     record = struct.pack("<I", 1) + b"x" + struct.pack("<2I", 4, 66)
     record += struct.pack("<66I", *[1] * 66) + np.zeros(1, "<f4").tobytes()
-    path.write_bytes(raw[: 12 + config_len] + record)
+    path.write_bytes(sealed(raw[: 12 + config_len] + record))
     with pytest.raises(FormatError, match="rank 66"):
         load_checkpoint(path)
 
@@ -155,3 +165,47 @@ def test_bit_flipped_checkpoint_loads_or_raises_format_error(data):
     at = data.draw(st.integers(0, limit - 1))
     raw[at] ^= 1 << data.draw(st.integers(0, 7))
     loads_or_format_error(bytes(raw))
+
+
+def test_version_2_file_still_loads(tmp_path):
+    model = CompletionModel(CONFIGS["micro"]())
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    raw = path.read_bytes()
+    # version 2 is the version 3 layout without the trailing checksum
+    path.write_bytes(raw[:4] + struct.pack("<I", 2) + raw[8:-4])
+    loaded = load_checkpoint(path)
+    for before, after in zip(model.named_parameters(), loaded.named_parameters()):
+        assert np.array_equal(before.tensor.data, after.tensor.data), before.name
+
+
+def test_every_bit_flip_of_the_config_block_is_format_error(tmp_path):
+    # without the checksum some flips load silently as another model
+    # (other rates or init_seed); the block is the length field and the text
+    raw = micro_checkpoint_bytes()
+    (config_len,) = struct.unpack_from("<I", raw, 8)
+    path = tmp_path / "damaged.ckpt"
+    loaded = []
+    for at in range(8, 12 + config_len):
+        for bit in range(8):
+            damaged = bytearray(raw)
+            damaged[at] ^= 1 << bit
+            path.write_bytes(damaged)
+            try:
+                load_checkpoint(path)
+                loaded.append((at, bit))
+            except FormatError:
+                pass
+    assert loaded == []
+
+
+@FUZZ
+@given(st.data())
+def test_resealed_bit_flip_loads_or_raises_format_error(data):
+    # the checksum stops almost every flip above; resealing after the flip
+    # fuzzes the parser's own bounds checks, as a buggy writer would
+    raw = bytearray(micro_checkpoint_bytes()[:-4])
+    limit = data.draw(st.sampled_from([min(len(raw), 1024), len(raw)]))
+    at = data.draw(st.integers(8, limit - 1))  # past the magic and version
+    raw[at] ^= 1 << data.draw(st.integers(0, 7))
+    loads_or_format_error(sealed(bytes(raw)))

@@ -1,6 +1,7 @@
 """Command line surface: exit codes, files produced, determinism."""
 
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -274,6 +275,26 @@ def test_train_steps_below_one_exits_2_and_writes_nothing(micro_dataset, capsys,
     assert not list(micro_dataset.glob("model.ckpt*"))
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--batch-clouds", "0"), ("--batch-clouds", "-2"),
+     ("--lr-decay-every", "0"), ("--lr-decay-every", "-1")],
+)
+def test_train_schedule_flag_below_one_exits_2_and_writes_nothing(micro_dataset, capsys,
+                                                                  flag, value):
+    # a negative --lr-decay-every used to raise the learning rate every step
+    assert run_train(micro_dataset, "model.ckpt", (flag, value)) == 2
+    assert flag in capsys.readouterr().err
+    assert not list(micro_dataset.glob("model.ckpt*"))
+
+
+def test_eval_needs_a_checkpoint_or_predictions(micro_dataset, capsys):
+    assert main(["eval", "--data", str(micro_dataset / "data" / "train")]) == 1
+    err = capsys.readouterr().err
+    assert "--ckpt" in err and "--predictions" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("line", ["channels = 0", "attention_k = -2", "init_seed = -1"])
 def test_train_config_value_below_range_exits_2(micro_dataset, capsys, line):
     (micro_dataset / "micro.cfg").write_text(MICRO_CFG + line + "\n")
@@ -321,20 +342,24 @@ def test_train_config_file_with_undecodable_bytes_exits_2(micro_dataset):
 
 
 def _corrupt(raw, kind):
-    """A checkpoint byte string damaged in one place."""
+    """A checkpoint byte string damaged in one place. The checksum is
+    recomputed, so the damage reaches the parser check under test."""
+    raw = raw[:-4]
     (config_len,) = struct.unpack_from("<I", raw, 8)
     if kind == "record_name_utf8":
-        return raw[: 16 + config_len] + b"\xff" + raw[17 + config_len:]
-    if kind == "config_utf8":
-        return raw[:12] + b"\xff" + raw[13:]
-    if kind == "extents_wrap":
+        raw = raw[: 16 + config_len] + b"\xff" + raw[17 + config_len:]
+    elif kind == "config_utf8":
+        raw = raw[:12] + b"\xff" + raw[13:]
+    elif kind == "extents_wrap":
         # first record: extents whose uint64 product wraps to 0, no data
         head = 12 + config_len
         (name_len,) = struct.unpack_from("<I", raw, head)
         head += 8 + name_len  # past name length, name and dtype code
-        return raw[:head] + struct.pack("<4I", 3, 2**31, 2**31, 4)
-    config = raw[12: 12 + config_len].replace(b"channels = 16", b"channels = abc")
-    return raw[:8] + struct.pack("<I", len(config)) + config + raw[12 + config_len:]
+        raw = raw[:head] + struct.pack("<4I", 3, 2**31, 2**31, 4)
+    else:
+        config = raw[12: 12 + config_len].replace(b"channels = 16", b"channels = abc")
+        raw = raw[:8] + struct.pack("<I", len(config)) + config + raw[12 + config_len:]
+    return raw + struct.pack("<I", zlib.crc32(raw))
 
 
 @pytest.mark.parametrize(
@@ -355,4 +380,5 @@ def test_complete_corrupt_checkpoint_exits_2(micro_dataset, capsys, kind):
         "--output", str(root / "out.xyz"),
     ])
     assert code == 2
-    assert "checkpoint" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "checkpoint" in err and "checksum" not in err

@@ -218,6 +218,16 @@ def test_learning_rate_decay_schedule():
     assert seen == [1e-3, 1e-3, 1e-4, 1e-4]
 
 
+@pytest.mark.parametrize("every", [0, -1])
+def test_learning_rate_decay_interval_below_one_is_refused(every):
+    # -1 used to multiply the rate by 10 every step; 0 silently meant no decay
+    rng = np.random.default_rng(10)
+    model = CompletionModel(desk_config())
+    with pytest.raises(ContractError, match="lr_decay_every"):
+        run_training(model, [toy_pair(rng, n=512)], steps=2, optimizer=Adam(model),
+                     lr_decay_every=every)
+
+
 # --- parameter accounting ---------------------------------------------------------------
 
 
