@@ -317,7 +317,10 @@ def linear(x, weight, bias):
         raise ShapeError(
             f"linear: x {x.shape} incompatible with weight {weight.shape}, bias {bias.shape}"
         )
-    out = x.data @ weight.data + bias.data
+    if not x.dtype == weight.dtype == bias.dtype:  # the in-place bias add would cast
+        raise ContractError(f"linear: dtypes {x.dtype}, {weight.dtype}, {bias.dtype} differ")
+    out = x.data @ weight.data
+    out += bias.data
 
     def back(g):
         gx = g @ weight.data.T if x.requires_grad else None

@@ -100,6 +100,22 @@ def _decide(compute):
     return compute() if freezer is None else freezer.take(compute)
 
 
+def _sq_dist(a, b):
+    """Squared Euclidean distances between broadcast (..., 3) arrays.
+
+    Summed in the fixed order ``(dx*dx + dy*dy) + dz*dz``, in place over one
+    broadcast array, so the rounding does not depend on how numpy vectorizes
+    a reduction on the machine at hand.
+    """
+    d2 = a[..., 0] - b[..., 0]
+    d2 *= d2
+    for axis in (1, 2):
+        d = a[..., axis] - b[..., axis]
+        d *= d
+        d2 += d
+    return d2
+
+
 def canonical_start_index(points):
     """Index of the lexicographically smallest point (x, then y, then z).
 
@@ -130,15 +146,12 @@ def farthest_point_sample(points, k, start=0):
 def _fps_compute(pts, k, start):
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = start
-    diff = pts - pts[start]
-    min_d2 = np.einsum("ij,ij->i", diff, diff)
+    min_d2 = _sq_dist(pts, pts[start])
     min_d2[start] = -np.inf
     for i in range(1, k):
         nxt = int(np.argmax(min_d2))  # argmax takes the first max: lowest index
         chosen[i] = nxt
-        diff = pts - pts[nxt]
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        np.minimum(min_d2, d2, out=min_d2)
+        np.minimum(min_d2, _sq_dist(pts, pts[nxt]), out=min_d2)
         min_d2[nxt] = -np.inf
     return chosen
 
@@ -146,7 +159,7 @@ def _fps_compute(pts, k, start):
 #: Query-reference pair count from which ``knn`` prunes its search with a
 #: uniform grid over the reference cloud. Both paths return bitwise equal
 #: tables; below this size comparing every pair is as fast.
-GRID_KNN_MIN_PAIRS = 2**24
+GRID_KNN_MIN_PAIRS = 2**22
 
 _GRID_CELL_POINTS = 8  # reference points per occupied cell, on a surface
 _GRID_BLOCK_POINTS = 128  # queries per block, on a surface
@@ -158,11 +171,13 @@ def knn(queries, reference, k):
 
     Ties are broken by lowest reference index; a reference point identical
     to the query is eligible. Distances are computed per pair from the raw
-    coordinate differences (chunked over queries to bound memory), so the
-    result does not depend on any factored distance expansion. From
-    ``GRID_KNN_MIN_PAIRS`` query-reference pairs on, each block of nearby
-    queries compares only the reference points a spatial grid cannot rule
-    out; the table is bitwise equal to comparing every pair.
+    coordinate differences (chunked over queries to bound memory), summed
+    in the fixed order ``(dx*dx + dy*dy) + dz*dz``, so the result depends
+    neither on a factored distance expansion nor on the machine's SIMD
+    reduction order. From ``GRID_KNN_MIN_PAIRS`` (2**22) query-reference
+    pairs on, each block of nearby queries compares only the reference
+    points a spatial grid cannot rule out; the table is bitwise equal to
+    comparing every pair.
     """
     q = as_cloud(queries, "queries")
     r = as_cloud(reference, "reference")
@@ -236,11 +251,12 @@ def _knn_grid(q, r, k):
     indices = np.empty((n, k), dtype=np.int64)
     distances = np.empty((n, k), dtype=q.dtype)
     for b, (lo, count) in enumerate(zip(q_starts, q_counts)):
-        offsets = q_sorted[lo:lo + count, None, :] - r64[near[b]][None, :, :]
-        reach = np.sqrt(np.einsum("ijk,ijk->ij", offsets, offsets).max())
+        reach = np.sqrt(_sq_dist(q_sorted[lo:lo + count, None, :], r64[near[b]]).max())
         reach = (1.0 + _GRID_MARGIN) * reach + _GRID_MARGIN * scale
-        gap = np.maximum(np.maximum(cell_lo - block_hi[b], block_lo[b] - cell_hi), 0.0)
-        keep = np.flatnonzero(np.einsum("ij,ij->i", gap, gap) <= reach * reach)
+        # per axis, at most one of the two one-sided box gaps is nonzero
+        above = np.maximum(cell_lo - block_hi[b], 0.0)
+        below = np.maximum(block_lo[b] - cell_hi, 0.0)
+        keep = np.flatnonzero(_sq_dist(above, below) <= reach * reach)
         counts = r_counts[keep]
         within = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
         cand = np.sort(r_order[np.repeat(r_starts[keep], counts) + within])
@@ -259,8 +275,7 @@ def _knn_compute(q, r, k):
     chunk = max(1, int(2_000_000 // max(m, 1)))
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
-        diff = q[lo:hi, None, :] - r[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        d2 = _sq_dist(q[lo:hi, None, :], r)
         order = _smallest_k(d2, k)
         indices[lo:hi] = order
         distances[lo:hi] = np.sqrt(np.take_along_axis(d2, order, axis=1))

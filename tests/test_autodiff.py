@@ -69,6 +69,9 @@ def test_dtype_mismatch_rejected():
     b = ad.tensor(np.zeros(3), dtype=np.float64)
     with pytest.raises(ContractError):
         ad.add(a, b)
+    with pytest.raises(ContractError, match="dtypes"):
+        ad.linear(ad.tensor(np.zeros((2, 3)), dtype=np.float32),
+                  ad.tensor(np.zeros((3, 3)), dtype=np.float32), b)
 
 
 def test_sqrt_negative_raises():

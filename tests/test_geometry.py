@@ -378,15 +378,15 @@ def spy_on_grid(monkeypatch):
 
 
 def test_knn_takes_grid_path_from_threshold(monkeypatch):
-    assert geometry.GRID_KNN_MIN_PAIRS == 16_384 * 1_024
+    assert geometry.GRID_KNN_MIN_PAIRS == 2_048 * 2_048
     rng = np.random.default_rng(21)
-    q = sphere(rng, 16_384).astype(np.float32)
-    r = sphere(rng, 1_024).astype(np.float32)
+    q = sphere(rng, 2_048).astype(np.float32)
+    r = sphere(rng, 2_048).astype(np.float32)
     calls = spy_on_grid(monkeypatch)
     assert_same_table(geometry.knn(q, r, 1), geometry._knn_compute(q, r, 1))
-    assert calls == [16_384 * 1_024]
+    assert calls == [2_048 * 2_048]
     geometry.knn(q[1:], r, 1)  # one pair row below the threshold: brute force
-    assert calls == [16_384 * 1_024]
+    assert calls == [2_048 * 2_048]
 
 
 def test_geometry_freeze_replays_grid_knn(monkeypatch):
@@ -402,3 +402,42 @@ def test_geometry_freeze_replays_grid_knn(monkeypatch):
         replayed = geometry.knn(q[::-1] + 1.0, r, 2)
     assert replayed is first and len(calls) == 1
     assert_same_table(first, geometry._knn_compute(q, r, 2))
+
+
+# --- fixed summation order --------------------------------------------------------
+
+
+def plain_sq_dist(a, b):
+    d = a - b
+    return (d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]) + d[..., 2] * d[..., 2]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", GRID_CASES)
+def test_knn_distances_follow_the_fixed_summation_order(name, dtype):
+    q, r, k = grid_case(name, np.random.default_rng(GRID_CASES.index(name)))
+    q, r = q.astype(dtype), r.astype(dtype)
+    with np.errstate(over="ignore"):
+        d2 = plain_sq_dist(q[:, None, :], r)
+        want = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        for got in (geometry._knn_compute(q, r, k), geometry._knn_grid(q, r, k)):
+            np.testing.assert_array_equal(got.indices, want)
+            assert got.distances.dtype == dtype
+            np.testing.assert_array_equal(
+                got.distances, np.sqrt(np.take_along_axis(d2, want, axis=1))
+            )
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fps_follows_the_fixed_summation_order(dtype):
+    # from a start at the origin every distance to the unit sphere is 1 up to
+    # rounding, so the picks depend on the exact order of the sum
+    pts = np.concatenate([np.zeros((8, 3)), sphere(np.random.default_rng(24), 1_024)])
+    pts = pts.astype(dtype)
+    chosen = [0]
+    min_d2 = np.full(pts.shape[0], np.inf, dtype=dtype)
+    while len(chosen) < 64:
+        np.minimum(min_d2, plain_sq_dist(pts, pts[chosen[-1]]), out=min_d2)
+        min_d2[chosen] = -np.inf
+        chosen.append(int(np.argmax(min_d2)))
+    np.testing.assert_array_equal(geometry._fps_compute(pts, 64, 0), chosen)
