@@ -23,7 +23,7 @@ print("d(sum x^2)/dx =", x.grad, "(expected 2x)")
 rng = np.random.default_rng(0)
 logits = ad.tensor(rng.standard_normal((4, 6)), requires_grad=True)
 with ad.Tape() as tape:
-    weights = ad.softmax_last(logits)
+    weights = ad.softmax(logits)
     score = ad.reduce_sum(ad.mul(weights, ad.constant(rng.standard_normal((4, 6)))))
 tape.backward(score)
 print("softmax rows sum to", weights.data.sum(axis=-1).round(12))

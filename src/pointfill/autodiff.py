@@ -10,7 +10,8 @@ inputs require gradients appends a record with an exact adjoint closure;
 Design rules kept deliberately strict so the adjoint code stays auditable:
 
 * elementwise ops accept equal shapes or a python scalar, nothing else;
-* only ``linear`` broadcasts (its bias, over rows) and it owns that adjoint;
+* only ``linear`` (its bias, over rows) and ``neighbor_sum`` (width-1
+  weights, over channels) broadcast, and each owns that adjoint;
 * without an active tape the primitives just compute values (inference mode).
 
 A tape is single-use: ``backward`` consumes it. Each record is dropped once
@@ -335,34 +336,27 @@ def linear(x, weight, bias):
 # Normalizers
 
 
-def softmax_last(x):
-    """Softmax over the last axis, stabilized by subtracting the slice max."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
+def softmax(x, axis=-1, log=False):
+    """Softmax (or log-softmax, which is nonpositive) over one axis,
+    stabilized by subtracting the slice max."""
+    axis = _check_axis(x, axis)
+    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    if log:
+        shifted -= np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+        s = np.exp(shifted)
+    else:
+        np.exp(shifted, out=shifted)
+        shifted /= shifted.sum(axis=axis, keepdims=True)
+        s = shifted
 
     def back(g):
         if not x.requires_grad:
             return (None,)
-        dot = (g * s).sum(axis=-1, keepdims=True)
-        return (s * (g - dot),)
+        if log:
+            return (g - s * g.sum(axis=axis, keepdims=True),)
+        return (s * (g - (g * s).sum(axis=axis, keepdims=True)),)
 
-    return _emit(s, [x], back)
-
-
-def log_softmax_last(x):
-    """Log-softmax over the last axis (yields nonpositive values)."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    y = shifted - lse
-    s = np.exp(y)
-
-    def back(g):
-        if not x.requires_grad:
-            return (None,)
-        return (g - s * g.sum(axis=-1, keepdims=True),)
-
-    return _emit(y, [x], back)
+    return _emit(shifted, [x], back)
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +386,33 @@ def reduce_mean(x, axis=None):
     n = x.size if axis is None else x.shape[_check_axis(x, axis)]
     scaled = reduce_sum(x, axis=axis)
     return mul(scaled, 1.0 / n)
+
+
+def neighbor_sum(weights, values):
+    """Weighted sum over the neighbor axis: ``out[i] = sum_j w[i, j] * v[i, j]``.
+
+    ``values`` is (n, k, C); ``weights`` is (n, k, C), one weight per
+    neighbor and channel, or (n, k, 1), one weight per neighbor shared by
+    every channel. Returns (n, C). The (n, k, C) product is not kept.
+    """
+    fits = values.ndim == weights.ndim == 3 and weights.shape[:2] == values.shape[:2]
+    if not fits or weights.shape[2] not in (1, values.shape[2]):
+        raise ShapeError(
+            f"neighbor_sum: weights {weights.shape} do not fit values {values.shape}"
+        )
+    if weights.dtype != values.dtype:
+        raise ContractError(f"neighbor_sum: dtypes {weights.dtype} and {values.dtype} differ")
+    w, v = weights.data, values.data
+
+    def back(g):
+        g = g[:, None, :]  # broadcast over the neighbors, no copy
+        gw = g * v if weights.requires_grad else None
+        if gw is not None and w.shape[2] == 1:
+            gw = gw.sum(axis=2, keepdims=True)
+        gv = g * w if values.requires_grad else None
+        return (gw, gv)
+
+    return _emit((w * v).sum(axis=1), [weights, values], back)
 
 
 def max_over_axis(x, axis):
@@ -486,30 +507,6 @@ def reshape(x, shape):
         return (g.reshape(x.shape) if x.requires_grad else None,)
 
     return _emit(x.data.reshape(shape), [x], back)
-
-
-def permute(x, axes):
-    axes = tuple(int(a) for a in axes)
-    if sorted(axes) != list(range(x.ndim)):
-        raise ShapeError(f"permute axes {axes} invalid for rank {x.ndim}")
-    inverse = np.argsort(axes)
-
-    def back(g):
-        return (g.transpose(inverse) if x.requires_grad else None,)
-
-    return _emit(x.data.transpose(axes), [x], back)
-
-
-def repeat_cols(x, n):
-    """Tile a (rows, 1) tensor to (rows, n); adjoint sums the copies."""
-    if x.ndim != 2 or x.shape[1] != 1:
-        raise ShapeError(f"repeat_cols expects shape (rows, 1), got {x.shape}")
-    n = int(n)
-
-    def back(g):
-        return (g.sum(axis=1, keepdims=True) if x.requires_grad else None,)
-
-    return _emit(np.repeat(x.data, n, axis=1), [x], back)
 
 
 def repeat_rows(x, r):

@@ -58,14 +58,13 @@ class AttentionMode:
             raise ContractError("scaled attention needs lam > 0")
 
     def normalize(self, logits):
-        """Normalize over the last axis of ``logits``."""
-        if self.variant == "softmax":
-            return ad.softmax_last(logits)
+        """Normalize (n, k, width) ``logits`` over axis 1, the k neighbors of
+        each point, separately for every point and weight column."""
         if self.variant == "none":
             return logits
         if self.variant == "scaled":
-            return ad.softmax_last(ad.mul(logits, float(self.lam)))
-        return ad.log_softmax_last(logits)
+            logits = ad.mul(logits, float(self.lam))
+        return ad.softmax(logits, axis=1, log=self.variant == "log")
 
 
 @dataclass
@@ -137,7 +136,6 @@ class UpsampleTransformer(Module):
         self.channels = channels
         self.rate = rate
         self.k = k
-        self.pointwise = pointwise
         self.value_mixer = Mlp2(rng, 2 * channels, channels, channels, dtype=dtype)
         self.query_map = Linear(rng, channels, channels, dtype=dtype)
         self.key_map = Linear(rng, channels, channels, dtype=dtype)
@@ -148,9 +146,9 @@ class UpsampleTransformer(Module):
             if seed_channels
             else None
         )
-        width = 1 if pointwise else channels
+        self.width = 1 if pointwise else channels
         self.kernels = [
-            Mlp2(rng, channels, channels, width, dtype=dtype, last_bias=False)
+            Mlp2(rng, channels, channels, self.width, dtype=dtype, last_bias=False)
             for _ in range(rate)
         ]
 
@@ -167,7 +165,7 @@ class UpsampleTransformer(Module):
             mode: AttentionMode; defaults to softmax.
             capture: optional dict that receives the raw and normalized
                 per-kernel weights (for inspection in tests and demos);
-                shaped (n, k, channels), or (n, k) when point-wise.
+                shaped (n, k, channels), or (n, k, 1) when point-wise.
 
         Returns:
             Tensor of shape (rate * n, channels).
@@ -197,33 +195,18 @@ class UpsampleTransformer(Module):
         logits_in = ad.add(
             ad.sub(ad.repeat_rows(q, k), ad.gather_rows(key_feats, nbrs)), delta
         )
-        value_term = ad.add(ad.gather_rows(values, nbrs), delta)
-        if not self.pointwise:
-            value_term = ad.reshape(value_term, (n, k, c))
+        value_term = ad.reshape(ad.add(ad.gather_rows(values, nbrs), delta), (n, k, c))
 
         if capture is not None:
             capture["raw"], capture["weights"] = [], []
         heads = []
         for kernel in self.kernels:
-            if self.pointwise:
-                raw = ad.reshape(kernel(logits_in), (n, k))
-                weights = mode.normalize(raw)
-                spread = ad.repeat_cols(ad.reshape(weights, (n * k, 1)), c)
-                h = ad.reduce_sum(
-                    ad.reshape(ad.mul(spread, value_term), (n, k, c)), axis=1
-                )
-            else:
-                raw = weights = ad.reshape(kernel(logits_in), (n, k, c))
-                if mode.variant != "none":
-                    # normalize over the neighborhood axis, per point and channel
-                    weights = ad.permute(
-                        mode.normalize(ad.permute(raw, (0, 2, 1))), (0, 2, 1)
-                    )
-                h = ad.reduce_sum(ad.mul(weights, value_term), axis=1)
+            raw = ad.reshape(kernel(logits_in), (n, k, self.width))
+            weights = mode.normalize(raw)
             if capture is not None:
                 capture["raw"].append(raw)
                 capture["weights"].append(weights)
-            heads.append(h)
+            heads.append(ad.neighbor_sum(weights, value_term))
         return _stack_heads(heads, n, c)
 
 

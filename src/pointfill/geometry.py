@@ -335,13 +335,11 @@ def interpolate_seed_features(queries, seeds, k=3):
     w = 1.0 / np.maximum(nbr.distances, DISTANCE_FLOOR)
     w = w / w.sum(axis=1, keepdims=True)
     m = q.shape[0]
-    channels = features.shape[1]
     gathered = ad.gather_rows(features, nbr.indices.reshape(-1))
-    weights = ad.constant(
-        np.repeat(w.reshape(-1, 1), channels, axis=1), like=features
+    return ad.neighbor_sum(
+        ad.constant(w.reshape(m, k, 1), like=features),
+        ad.reshape(gathered, (m, k, features.shape[1])),
     )
-    weighted = ad.mul(gathered, weights)
-    return ad.reduce_sum(ad.reshape(weighted, (m, k, channels)), axis=1)
 
 
 def fuse_and_resample(seeds, partial, n0, return_indices=False):

@@ -69,22 +69,24 @@ def _case_relu():
 
 def _case_softmax():
     rng = _rng(2)
-    x = _leaf(rng, (4, 6))
-    probe = rng.standard_normal((4, 6))
+    x = _leaf(rng, (2, 4, 3))
+    probe = rng.standard_normal((2, 4, 3))
 
     def fn(x):
-        return ad.reduce_sum(ad.mul(ad.softmax_last(x), ad.constant(probe, like=x)))
+        return ad.reduce_sum(ad.mul(ad.softmax(x, axis=1), ad.constant(probe, like=x)))
 
     return fn, [x]
 
 
 def _case_log_softmax():
     rng = _rng(3)
-    x = _leaf(rng, (3, 5))
-    probe = rng.standard_normal((3, 5))
+    x = _leaf(rng, (3, 5, 1))
+    probe = rng.standard_normal((3, 5, 1))
 
     def fn(x):
-        return ad.reduce_sum(ad.mul(ad.log_softmax_last(x), ad.constant(probe, like=x)))
+        return ad.reduce_sum(
+            ad.mul(ad.softmax(x, axis=1, log=True), ad.constant(probe, like=x))
+        )
 
     return fn, [x]
 
@@ -154,13 +156,13 @@ def _case_structure():
     return fn, [a, b]
 
 
-def _case_reshape_permute():
+def _case_reshape():
     rng = _rng(9)
     x = _leaf(rng, (4, 6))
-    probe = rng.standard_normal((3, 4, 2))
+    probe = rng.standard_normal((4, 3, 2))
 
     def fn(x):
-        cube = ad.permute(ad.reshape(x, (4, 3, 2)), (1, 0, 2))
+        cube = ad.reshape(x, (4, 3, 2))
         return ad.reduce_sum(ad.mul(cube, ad.constant(probe, like=x)))
 
     return fn, [x]
@@ -176,15 +178,19 @@ def _case_sqrt():
     return fn, [x]
 
 
-def _case_repeat_cols():
-    rng = _rng(11)
-    x = _leaf(rng, (6, 1))
-    probe = rng.standard_normal((6, 4))
+def _case_neighbor_sum(width, seed):
+    def build():
+        rng = _rng(seed)
+        w = _leaf(rng, (3, 2, width))
+        v = _leaf(rng, (3, 2, 4))
+        probe = rng.standard_normal((3, 4))
 
-    def fn(x):
-        return ad.reduce_sum(ad.mul(ad.repeat_cols(x, 4), ad.constant(probe, like=x)))
+        def fn(w, v):
+            return ad.reduce_sum(ad.mul(ad.neighbor_sum(w, v), ad.constant(probe, like=w)))
 
-    return fn, [x]
+        return fn, [w, v]
+
+    return build
 
 
 # --- model-level cases -----------------------------------------------------
@@ -342,9 +348,10 @@ CASES = {
     "reductions": _case_reductions,
     "max_over_axis": _case_max_over_axis,
     "concat_gather": _case_structure,
-    "reshape_permute": _case_reshape_permute,
+    "reshape": _case_reshape,
     "sqrt": _case_sqrt,
-    "repeat_cols": _case_repeat_cols,
+    "neighbor_sum_pointwise": _case_neighbor_sum(1, 11),
+    "neighbor_sum_channelwise": _case_neighbor_sum(4, 12),
     "interpolation": _case_interpolation,
     "uptrans_softmax": _case_uptrans(AttentionMode("softmax")),
     "uptrans_none": _case_uptrans(AttentionMode("none")),

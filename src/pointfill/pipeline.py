@@ -322,14 +322,22 @@ class Adam(Module):
 
     def load_state_arrays(self, arrays):
         if "adam.step" in arrays:
-            self.step_count = int(round(float(arrays["adam.step"][0])))
+            step = arrays["adam.step"]
+            if step.shape != (1,) or not np.isfinite(step[0]) or step[0] < 0:
+                raise FormatError(f"optimizer record 'adam.step' is not one step count: {step}")
+            self.step_count = int(round(float(step[0])))
         for name, p in self._params:
             for prefix, store in (("adam.m.", self.moment1), ("adam.v.", self.moment2)):
                 key = prefix + name
                 if key not in arrays:
                     raise FormatError(f"optimizer state missing record {key!r}")
-                arr = arrays[key].astype(p.dtype, copy=False).reshape(p.shape)
-                store[name] = arr.copy()
+                stored = arrays[key]
+                if stored.shape != p.shape:
+                    raise FormatError(
+                        f"optimizer record {key!r} has shape {stored.shape} in the "
+                        f"checkpoint but {p.shape} in the model"
+                    )
+                store[name] = stored.astype(p.dtype, copy=False).copy()
 
 
 def _forward_loss(model, partial, gt, targets=None):

@@ -26,14 +26,14 @@ def run_backward(fn, *inputs):
 
 
 def test_softmax_uniform_logits():
-    out = ad.softmax_last(ad.tensor([0.0, 0.0, 0.0], dtype=np.float64))
+    out = ad.softmax(ad.tensor([0.0, 0.0, 0.0], dtype=np.float64))
     np.testing.assert_allclose(out.data, [1 / 3, 1 / 3, 1 / 3], rtol=0, atol=1e-15)
 
 
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(0)
     x = ad.tensor(rng.standard_normal((6, 9)) * 30)
-    out = ad.softmax_last(x)
+    out = ad.softmax(x)
     assert (out.data >= 0).all()
     np.testing.assert_allclose(out.data.sum(axis=-1), np.ones(6), atol=1e-6)
 
@@ -83,8 +83,79 @@ def test_log_softmax_is_log_of_softmax():
     rng = np.random.default_rng(1)
     x = ad.tensor(rng.standard_normal((4, 5)))
     np.testing.assert_allclose(
-        ad.log_softmax_last(x).data, np.log(ad.softmax_last(x).data), atol=1e-12
+        ad.softmax(x, log=True).data, np.log(ad.softmax(x).data), atol=1e-12
     )
+
+
+# --- neighbor attention: softmax over axis 1 and neighbor_sum -----------------
+
+
+def _numpy_softmax_over_k(a, g, log):
+    """Plain numpy over the last axis of the (n, C, k) transposed view, the
+    path the attention kernels took before softmax gained an axis.
+    Returns the value and the adjoint of ``g``, both as (n, k, C)."""
+    t, gt = a.transpose(0, 2, 1), g.transpose(0, 2, 1)
+    shifted = t - t.max(axis=-1, keepdims=True)
+    if log:
+        y = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        s = np.exp(y)
+        gx = gt - s * gt.sum(axis=-1, keepdims=True)
+    else:
+        e = np.exp(shifted)
+        y = s = e / e.sum(axis=-1, keepdims=True)
+        gx = s * (gt - (gt * s).sum(axis=-1, keepdims=True))
+    return y.transpose(0, 2, 1), gx.transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize("log", [False, True], ids=["softmax", "log"])
+@pytest.mark.parametrize("width", [1, 8])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_over_neighbors_is_bitwise_plain_numpy(dtype, width, log):
+    rng = np.random.default_rng(40)
+    a = (3.0 * rng.standard_normal((5, 16, width))).astype(dtype)
+    g = rng.standard_normal((5, 16, width)).astype(dtype)
+    x = leaf(a, dtype=dtype)
+    with ad.Tape() as tape:
+        y = ad.softmax(x, axis=1, log=log)
+        out = ad.reduce_sum(ad.mul(y, ad.constant(g)))
+    tape.backward(out)
+    want_y, want_gx = _numpy_softmax_over_k(a, g, log)
+    assert y.data.dtype == dtype and x.grad.dtype == dtype
+    assert np.array_equal(y.data, want_y)
+    assert np.array_equal(x.grad, want_gx)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_neighbor_sum_width_one_is_bitwise_the_repeated_weights(dtype):
+    rng = np.random.default_rng(41)
+    w1 = rng.standard_normal((6, 16, 1)).astype(dtype)
+    v = rng.standard_normal((6, 16, 5)).astype(dtype)
+    g = rng.standard_normal((6, 5)).astype(dtype)
+    runs = []
+    for w in (w1, np.repeat(w1, 5, axis=2)):
+        weights, values = leaf(w, dtype=dtype), leaf(v, dtype=dtype)
+        run_backward(
+            lambda a, b: ad.reduce_sum(ad.mul(ad.neighbor_sum(a, b), ad.constant(g))),
+            weights, values,
+        )
+        runs.append((ad.neighbor_sum(weights, values).data, weights.grad, values.grad))
+    (out1, gw1, gv1), (out_c, gw_c, gv_c) = runs
+    assert np.array_equal(out1, out_c)
+    assert np.array_equal(out_c, (np.repeat(w1, 5, axis=2) * v).sum(axis=1))
+    assert gw1.shape == (6, 16, 1)
+    assert np.array_equal(gw1, gw_c.sum(axis=2, keepdims=True))
+    assert np.array_equal(gv1, gv_c)
+
+
+def test_neighbor_sum_rejects_misfit_weights_and_mixed_dtypes():
+    values = ad.tensor(np.zeros((4, 3, 5)))
+    for shape in [(4, 3, 2), (4, 2, 5), (3, 3, 1), (4, 3), (12, 5)]:
+        with pytest.raises(ShapeError, match="neighbor_sum"):
+            ad.neighbor_sum(ad.tensor(np.zeros(shape)), values)
+    with pytest.raises(ShapeError):
+        ad.neighbor_sum(ad.tensor(np.zeros((4, 3, 1))), ad.tensor(np.zeros((12, 5))))
+    with pytest.raises(ContractError, match="dtypes"):
+        ad.neighbor_sum(ad.tensor(np.zeros((4, 3, 1)), dtype=np.float32), values)
 
 
 # --- backward --------------------------------------------------------------
@@ -147,7 +218,7 @@ def test_backward_bitwise_deterministic():
         rng.standard_normal((8, 5))
         run_backward(
             lambda x, w: ad.reduce_sum(
-                ad.softmax_last(ad.linear(x, w, ad.tensor(np.zeros(4))))
+                ad.softmax(ad.linear(x, w, ad.tensor(np.zeros(4))))
             ),
             x,
             w,
@@ -199,15 +270,18 @@ def test_add_of_a_tensor_to_itself_gives_exactly_two():
 
 
 def test_view_adjoints_accumulate_exactly_over_two_passes():
+    # reshape and concat both hand back views: x's first grad is a slice of
+    # the gradient of the joined tensor, which the second pass adds into
     x = leaf(np.arange(6.0).reshape(2, 3))
-    weights = ad.tensor(np.linspace(-1.0, 1.5, 6).reshape(2, 3))
-    expected = weights.data.T.reshape(2, 3)
+    pad = ad.tensor(np.zeros((1, 2)))
+    weights = ad.tensor(np.linspace(-1.0, 1.5, 8).reshape(4, 2))
+    expected = weights.data[:3].reshape(2, 3)
     for passes in (1, 2):
         with ad.Tape() as tape:
-            turned = ad.permute(ad.reshape(x, (3, 2)), (1, 0))
-            out = ad.reduce_sum(ad.mul(turned, weights))
+            joined = ad.concat([ad.reshape(x, (3, 2)), pad], axis=0)
+            out = ad.reduce_sum(ad.mul(joined, weights))
         tape.backward(out)
-        assert len(tape) == 0 and turned.grad is None
+        assert len(tape) == 0 and joined.grad is None
         np.testing.assert_array_equal(x.grad, passes * expected)
 
 
@@ -270,11 +344,13 @@ def _case_relu(rng):
 
 
 def _case_softmax(rng):
-    return _probed(ad.softmax_last, (3, 4), rng), [leaf(rng.standard_normal((3, 4)))]
+    return (_probed(lambda a: ad.softmax(a, axis=1), (3, 4, 2), rng),
+            [leaf(rng.standard_normal((3, 4, 2)))])
 
 
 def _case_log_softmax(rng):
-    return _probed(ad.log_softmax_last, (2, 6), rng), [leaf(rng.standard_normal((2, 6)))]
+    return (_probed(lambda a: ad.softmax(a, axis=1, log=True), (2, 6, 1), rng),
+            [leaf(rng.standard_normal((2, 6, 1)))])
 
 
 def _case_linear(rng):
@@ -312,9 +388,9 @@ def _case_gather_rows(rng):
             [leaf(rng.standard_normal((4, 2)))])
 
 
-def _case_reshape_permute(rng):
-    op = lambda a: ad.permute(ad.reshape(a, (2, 3, 2)), (1, 0, 2))
-    return _probed(op, (3, 2, 2), rng), [leaf(rng.standard_normal((2, 6)))]
+def _case_reshape(rng):
+    op = lambda a: ad.reshape(a, (2, 3, 2))
+    return _probed(op, (2, 3, 2), rng), [leaf(rng.standard_normal((2, 6)))]
 
 
 def _case_sqrt(rng):
@@ -322,9 +398,13 @@ def _case_sqrt(rng):
             [leaf(rng.standard_normal(8))])
 
 
-def _case_repeat_cols(rng):
-    return (_probed(lambda a: ad.repeat_cols(a, 3), (5, 3), rng),
-            [leaf(rng.standard_normal((5, 1)))])
+def _case_neighbor_sum(width):
+    def build(rng):
+        return (_probed(ad.neighbor_sum, (5, 3), rng),
+                [leaf(rng.standard_normal((5, 2, width))),
+                 leaf(rng.standard_normal((5, 2, 3)))])
+
+    return build
 
 
 _PRIMITIVE_CASES = {
@@ -340,9 +420,10 @@ _PRIMITIVE_CASES = {
     "max_over_axis": _case_max_over_axis,
     "concat": _case_concat,
     "gather_rows": _case_gather_rows,
-    "reshape_permute": _case_reshape_permute,
+    "reshape": _case_reshape,
     "sqrt": _case_sqrt,
-    "repeat_cols": _case_repeat_cols,
+    "neighbor_sum_pointwise": _case_neighbor_sum(1),
+    "neighbor_sum_channelwise": _case_neighbor_sum(3),
 }
 
 
@@ -368,10 +449,10 @@ def test_grad_check_softmax_sum_is_constant():
     # the analytic and the numeric gradient vanish (to roundoff)
     x = leaf(np.random.default_rng(3).standard_normal((3, 4)) * 0.1)
     with ad.Tape() as tape:
-        out = ad.reduce_sum(ad.softmax_last(x))
+        out = ad.reduce_sum(ad.softmax(x))
     tape.backward(out)
     assert np.abs(x.grad).max() < 1e-12
-    report = ad.grad_check(lambda x: ad.reduce_sum(ad.softmax_last(x)), [x])
+    report = ad.grad_check(lambda x: ad.reduce_sum(ad.softmax(x)), [x])
     for _, _, analytic, numeric, _ in report.failures:
         assert abs(analytic) < 1e-9 and abs(numeric) < 1e-9
 

@@ -69,6 +69,27 @@ def test_round_trip_is_bitwise_with_optimizer_state(tmp_path, scale):
         assert np.array_equal(saved[name], got[name]), name
 
 
+MOMENT = "adam.v.encoder.abstract1.lift.lin0.w"  # the parameter is (3, 6)
+MISSHAPEN_STATE = {
+    "transposed_moment": (MOMENT, np.zeros((6, 3))),
+    "moment_of_19": (MOMENT, np.zeros(19)),
+    "empty_step": ("adam.step", np.zeros(0, dtype=np.float32)),
+    "nan_step": ("adam.step", np.array([np.nan], dtype=np.float32)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISSHAPEN_STATE))
+def test_misshapen_optimizer_record_is_format_error_naming_it(tmp_path, case, monkeypatch):
+    model, optimizer = trained(CONFIGS["micro"]())
+    key, bad = MISSHAPEN_STATE[case]
+    state = {**optimizer.state_arrays(), key: bad}
+    monkeypatch.setattr(optimizer, "state_arrays", lambda: state)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path, optimizer=optimizer)
+    with pytest.raises(FormatError, match=f"'{key}'"):
+        load_checkpoint(path, into=model, optimizer=Adam(model, lr=1e-3))
+
+
 def test_records_keep_their_precision(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(CompletionModel(CONFIGS["micro"]()), path)

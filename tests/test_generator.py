@@ -216,8 +216,8 @@ def test_pointwise_softmax_weights_sum_to_one_per_point_and_kernel():
     capture = {}
     core(q, k, cloud, mode=AttentionMode("softmax"), capture=capture)
     for w in capture["weights"]:
-        assert w.shape == (8, 4)
-        np.testing.assert_allclose(w.data.sum(axis=1), np.ones(8), atol=1e-6)
+        assert w.shape == (8, 4, 1)
+        np.testing.assert_allclose(w.data.sum(axis=1), np.ones((8, 1)), atol=1e-6)
 
 
 def test_folding_grid_distinguishes_replicas():
