@@ -34,7 +34,7 @@ probe = rng.standard_normal((5, 3))
 
 
 def fn(a):
-    return ad.reduce_sum(ad.mul(ad.relu(ad.linear(a, w, b)), ad.constant(probe)))
+    return ad.reduce_sum(ad.mul(ad.linear_relu(a, w, b), ad.constant(probe)))
 
 
 w = ad.tensor(rng.standard_normal((4, 3)), requires_grad=True)

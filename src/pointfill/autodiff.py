@@ -10,7 +10,7 @@ inputs require gradients appends a record with an exact adjoint closure;
 Design rules kept deliberately strict so the adjoint code stays auditable:
 
 * elementwise ops accept equal shapes or a python scalar, nothing else;
-* only ``linear`` (its bias, over rows) and ``neighbor_sum`` (width-1
+* only the linear ops (their bias, over rows) and ``neighbor_sum`` (width-1
   weights, over channels) broadcast, and each owns that adjoint;
 * without an active tape the primitives just compute values (inference mode).
 
@@ -278,16 +278,6 @@ def mul(a, b):
     return _emit(a.data * b.data, [a, b], back)
 
 
-def relu(x):
-    y = np.where(x.data > 0, x.data, x.dtype.type(0))
-
-    def back(g):
-        # y > 0 exactly where x > 0, so the mask is recomputed, not stored
-        return (g * (y > 0) if x.requires_grad else None,)
-
-    return _emit(y, [x], back)
-
-
 def sqrt(x):
     """Elementwise square root; inputs must be nonnegative.
 
@@ -310,16 +300,16 @@ def sqrt(x):
 # Linear algebra
 
 
-def linear(x, weight, bias):
-    """Affine map ``x @ weight + bias`` over rows of a rank-2 input."""
+def _affine(x, weight, bias, op):
+    """Checked ``x @ weight + bias`` and its adjoint, shared by the linear ops."""
     if x.ndim != 2 or weight.ndim != 2 or bias.ndim != 1:
-        raise ShapeError("linear expects x:(n,i), weight:(i,o), bias:(o,)")
+        raise ShapeError(f"{op} expects x:(n,i), weight:(i,o), bias:(o,)")
     if x.shape[1] != weight.shape[0] or weight.shape[1] != bias.shape[0]:
         raise ShapeError(
-            f"linear: x {x.shape} incompatible with weight {weight.shape}, bias {bias.shape}"
+            f"{op}: x {x.shape} incompatible with weight {weight.shape}, bias {bias.shape}"
         )
     if not x.dtype == weight.dtype == bias.dtype:  # the in-place bias add would cast
-        raise ContractError(f"linear: dtypes {x.dtype}, {weight.dtype}, {bias.dtype} differ")
+        raise ContractError(f"{op}: dtypes {x.dtype}, {weight.dtype}, {bias.dtype} differ")
     out = x.data @ weight.data
     out += bias.data
 
@@ -328,6 +318,28 @@ def linear(x, weight, bias):
         gw = x.data.T @ g if weight.requires_grad else None
         gb = g.sum(axis=0) if bias.requires_grad else None
         return (gx, gw, gb)
+
+    return out, back
+
+
+def linear(x, weight, bias):
+    """Affine map ``x @ weight + bias`` over rows of a rank-2 input."""
+    out, back = _affine(x, weight, bias, "linear")
+    return _emit(out, [x, weight, bias], back)
+
+
+def linear_relu(x, weight, bias):
+    """``relu(x @ weight + bias)`` as one record that keeps only the activation.
+
+    relu maps NaN and -0.0 to +0.0, as ``np.where(z > 0, z, 0)`` does. The
+    adjoint recovers the mask from the output: y > 0 exactly where z > 0.
+    """
+    out, affine_back = _affine(x, weight, bias, "linear_relu")
+    np.fmax(out, 0, out=out)  # fmax returns the non-NaN operand: NaN -> 0
+    out += 0  # -0.0 -> +0.0
+
+    def back(g):
+        return affine_back(g * (out > 0))
 
     return _emit(out, [x, weight, bias], back)
 
@@ -473,29 +485,69 @@ def concat(xs, axis=0):
     return _emit(out, xs, back)
 
 
+def _row_index(index, x, op):
+    """``index`` as a 1-d integer array of valid row numbers of ``x``."""
+    idx = np.asarray(index)
+    if idx.ndim != 1 or idx.dtype.kind not in "iu":
+        raise ShapeError(f"{op} expects a 1-d integer index")
+    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
+        raise IndexError(f"{op} index out of range for {x.shape[0]} rows")
+    return idx
+
+
+def _scatter_rows(g, idx, x):
+    """The adjoint of ``x.data[idx]``: row ``idx[i]`` accumulates ``g[i]``."""
+    # scatter-add via bincount over a flattened composite index; much
+    # faster than np.add.at and deterministic (bin-order accumulation)
+    stride = int(np.prod(x.shape[1:], dtype=np.int64)) if x.ndim > 1 else 1
+    flat = (idx[:, None] * stride + np.arange(stride)).ravel() if stride > 1 else idx
+    gx = np.bincount(flat, weights=g.ravel(), minlength=x.size)
+    return gx.reshape(x.shape).astype(x.dtype, copy=False)
+
+
 def gather_rows(x, index):
     """Select rows along axis 0: ``out[i] = x[index[i]]``.
 
     Indices may repeat, which doubles as row duplication; the adjoint
     scatter-adds, so repeated rows accumulate their gradients.
     """
-    idx = np.asarray(index)
-    if idx.ndim != 1 or idx.dtype.kind not in "iu":
-        raise ShapeError("gather_rows expects a 1-d integer index")
-    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
-        raise IndexError(f"gather_rows index out of range for {x.shape[0]} rows")
+    idx = _row_index(index, x, "gather_rows")
 
     def back(g):
-        if not x.requires_grad:
-            return (None,)
-        # scatter-add via bincount over a flattened composite index; much
-        # faster than np.add.at and deterministic (bin-order accumulation)
-        stride = int(np.prod(x.shape[1:], dtype=np.int64)) if x.ndim > 1 else 1
-        flat = (idx[:, None] * stride + np.arange(stride)).ravel() if stride > 1 else idx
-        gx = np.bincount(flat, weights=g.ravel(), minlength=x.size)
-        return (gx.reshape(x.shape).astype(x.dtype, copy=False),)
+        return (_scatter_rows(g, idx, x) if x.requires_grad else None,)
 
     return _emit(x.data[idx], [x], back)
+
+
+def neighbor_diff(center, other, index, k):
+    """Neighbor differences ``out[i*k + j] = center[i] - other[index[i*k + j]]``.
+
+    Equals ``sub(repeat_rows(center, k), gather_rows(other, index))`` as one
+    record, which keeps neither the repeated nor the gathered rows.
+    """
+    if center.ndim < 1:
+        raise ShapeError("neighbor_diff expects at least one axis")
+    k = int(k)
+    if k < 1:
+        raise ShapeError("neighbor_diff needs k >= 1")
+    idx = _row_index(index, other, "neighbor_diff")
+    n = center.shape[0]
+    rows, picked = (n * k, *center.shape[1:]), (idx.size, *other.shape[1:])
+    if rows != picked:
+        raise ShapeError(f"neighbor_diff: shapes {rows} and {picked} differ")
+    if center.dtype != other.dtype:
+        raise ContractError(f"neighbor_diff: dtypes {center.dtype} and {other.dtype} differ")
+    out = np.repeat(center.data, k, axis=0)
+    out -= other.data[idx]
+
+    def back(g):
+        # other first: the order in which the unfused gather and repeat
+        # records accumulated, so a shared input sums in the same order
+        go = _scatter_rows(-g, idx, other) if other.requires_grad else None
+        gc = g.reshape(n, k, *center.shape[1:]).sum(axis=1) if center.requires_grad else None
+        return (go, gc)
+
+    return _emit(out, [other, center], back)
 
 
 def reshape(x, shape):
@@ -548,6 +600,8 @@ class GradCheckReport:
 
     def record(self, input_index, coord, analytic, numeric):
         rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
+        if not (math.isfinite(analytic) and math.isfinite(rel)):
+            rel = math.inf  # a NaN would pass every ``rel > bound`` test
         self.checked += 1
         if rel > self.max_rel_error:
             self.max_rel_error = rel
@@ -576,10 +630,13 @@ def grad_check(fn, inputs, eps=1e-5, tol=1e-4, max_coords_per_input=None, seed=0
 
     Returns a GradCheckReport. Raises NumericsError if ``fn`` produces a
     non-finite value and ContractError on misuse (non-scalar output, wrong
-    precision, nonpositive eps).
+    precision, an eps that is not finite and > 0, a tol that is not finite
+    and >= 0).
     """
-    if eps <= 0:
-        raise ContractError("grad_check needs eps > 0")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ContractError(f"grad_check needs a finite eps > 0, got {eps}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ContractError(f"grad_check needs a finite tol >= 0, got {tol}")
     inputs = list(inputs)
     for t in inputs:
         if t.dtype != np.float64:

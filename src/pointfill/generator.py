@@ -181,20 +181,17 @@ class UpsampleTransformer(Module):
         q = self.query_map(queries)
         key_feats = self.key_map(keys)
 
-        rel_pos = ad.sub(ad.repeat_rows(cloud, k), ad.gather_rows(cloud, nbrs))
-        delta = self.pos_encoder(rel_pos)
+        delta = self.pos_encoder(ad.neighbor_diff(cloud, cloud, nbrs, k))
         if seed_features is not None:
             if self.seed_encoder is None:
                 raise ContractError("this transformer was built without seed encoding")
             # no local name: without a tape the (n*k, seed_channels) difference
             # is freed before the kernel loop, which sets inference peak memory
-            delta = ad.add(delta, self.seed_encoder(ad.sub(
-                ad.repeat_rows(seed_features, k), ad.gather_rows(seed_features, nbrs)
-            )))
+            delta = ad.add(delta, self.seed_encoder(
+                ad.neighbor_diff(seed_features, seed_features, nbrs, k)
+            ))
 
-        logits_in = ad.add(
-            ad.sub(ad.repeat_rows(q, k), ad.gather_rows(key_feats, nbrs)), delta
-        )
+        logits_in = ad.add(ad.neighbor_diff(q, key_feats, nbrs, k), delta)
         value_term = ad.reshape(ad.add(ad.gather_rows(values, nbrs), delta), (n, k, c))
 
         if capture is not None:

@@ -60,11 +60,14 @@ def _scalarize(t, rng):
 # --- primitive cases -------------------------------------------------------
 
 
-def _case_relu():
+def _case_linear_relu():
     rng = _rng(1)
-    x = _leaf(rng, (5, 4))
-    x.data += np.sign(x.data) * 0.05  # keep clear of the kink
-    return lambda x: ad.reduce_sum(ad.relu(x)), [x]
+    w = _leaf(rng, (4, 4))
+    b = _leaf(rng, (4,))
+    z = rng.standard_normal((5, 4))
+    z += np.sign(z) * 0.05  # keep the pre-activations clear of the kink
+    x = ad.tensor(np.linalg.solve(w.data.T, (z - b.data).T).T.copy(), requires_grad=True)
+    return lambda x, w, b: ad.reduce_sum(ad.linear_relu(x, w, b)), [x, w, b]
 
 
 def _case_softmax():
@@ -189,6 +192,25 @@ def _case_neighbor_sum(width, seed):
             return ad.reduce_sum(ad.mul(ad.neighbor_sum(w, v), ad.constant(probe, like=w)))
 
         return fn, [w, v]
+
+    return build
+
+
+def _case_neighbor_diff(shared, seed):
+    def build():
+        rng = _rng(seed)
+        center = _leaf(rng, (3, 4))
+        other = center if shared else _leaf(rng, (5, 4))
+        idx = rng.integers(0, other.shape[0], size=6)
+        probe = rng.standard_normal((6, 4))
+
+        def fn(center, other):
+            diff = ad.neighbor_diff(center, other, idx, 2)
+            return ad.reduce_sum(ad.mul(diff, ad.constant(probe, like=center)))
+
+        if shared:
+            return (lambda center: fn(center, center)), [center]
+        return fn, [center, other]
 
     return build
 
@@ -340,7 +362,7 @@ def _case_full_forward():
 
 
 CASES = {
-    "relu": _case_relu,
+    "linear_relu": _case_linear_relu,
     "softmax": _case_softmax,
     "log_softmax": _case_log_softmax,
     "linear": _case_linear,
@@ -352,6 +374,8 @@ CASES = {
     "sqrt": _case_sqrt,
     "neighbor_sum_pointwise": _case_neighbor_sum(1, 11),
     "neighbor_sum_channelwise": _case_neighbor_sum(4, 12),
+    "neighbor_diff": _case_neighbor_diff(False, 13),
+    "neighbor_diff_shared": _case_neighbor_diff(True, 14),
     "interpolation": _case_interpolation,
     "uptrans_softmax": _case_uptrans(AttentionMode("softmax")),
     "uptrans_none": _case_uptrans(AttentionMode("none")),

@@ -81,7 +81,11 @@ class Linear(Module):
 
 
 class Mlp2(Module):
-    """Two affine layers with a relu between (the shared per-point map)."""
+    """Two affine layers with a relu between (the shared per-point map).
+
+    The first layer and the relu run as one ``linear_relu`` record, so a
+    taped call appends two records and keeps no pre-activation.
+    """
 
     def __init__(self, rng, n_in, n_hidden, n_out, dtype=np.float32, zero_last=False,
                  last_bias=True):
@@ -92,4 +96,4 @@ class Mlp2(Module):
         )
 
     def __call__(self, x):
-        return self.lin1(ad.relu(self.lin0(x)))
+        return self.lin1(ad.linear_relu(x, self.lin0.w, self.lin0.b))

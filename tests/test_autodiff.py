@@ -1,5 +1,6 @@
 """Engine tests: primitive values, exact adjoints, tape semantics."""
 
+import math
 import threading
 import tracemalloc
 
@@ -8,6 +9,7 @@ import pytest
 
 from pointfill import autodiff as ad
 from pointfill.errors import ContractError, NumericsError, ShapeError
+from pointfill.layers import Mlp2
 from pointfill.pipeline import Adam, CompletionModel, ModelConfig, train_step
 
 
@@ -156,6 +158,151 @@ def test_neighbor_sum_rejects_misfit_weights_and_mixed_dtypes():
         ad.neighbor_sum(ad.tensor(np.zeros((4, 3, 1))), ad.tensor(np.zeros((12, 5))))
     with pytest.raises(ContractError, match="dtypes"):
         ad.neighbor_sum(ad.tensor(np.zeros((4, 3, 1)), dtype=np.float32), values)
+
+
+# --- fused records: linear_relu and neighbor_diff ----------------------------
+
+
+def _special_values(dtype):
+    """-0.0, +0.0, +-NaN, +-inf, +-subnormals and ordinary values."""
+    tiny = np.finfo(dtype).smallest_subnormal
+    return np.array(
+        [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, tiny, -tiny, 7 * tiny, -7 * tiny,
+         1.5, -2.5], dtype=dtype,
+    )
+
+
+def _plain_linear_relu(x, w, b, g):
+    """``np.where(x @ w + b > 0, ., 0)`` and the relu-then-linear adjoint of ``g``."""
+    z = x @ w
+    z += b
+    gz = g * (z > 0)
+    return np.where(z > 0, z, z.dtype.type(0)), gz @ w.T, x.T @ gz, gz.sum(axis=0)
+
+
+def _bits(*arrays):
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_linear_relu_is_bitwise_plain_numpy(dtype):
+    rng = np.random.default_rng(42)
+    # the first 12 rows hold one special value each in column 0, which row 0
+    # of w maps to z unchanged, negated and halved; the last 8 rows are generic
+    x = np.zeros((20, 4), dtype=dtype)
+    x[:12, 0] = _special_values(dtype)
+    x[12:, 1:] = rng.standard_normal((8, 3))
+    w = rng.standard_normal((4, 3)).astype(dtype)
+    w[0] = [1.0, -1.0, 0.5]
+    b = np.array([0.0, -0.0, 0.25], dtype=dtype)
+    g = rng.standard_normal((20, 3)).astype(dtype)
+    with np.errstate(invalid="ignore"):
+        want = _plain_linear_relu(x, w, b, g)
+        xt, wt, bt = leaf(x, dtype), leaf(w, dtype), leaf(b, dtype)
+        with ad.Tape() as tape:
+            y = ad.linear_relu(xt, wt, bt)
+            out = ad.reduce_sum(ad.mul(y, ad.constant(g)))
+        tape.backward(out)
+    with np.errstate(invalid="ignore"):
+        z = x @ w + b
+    assert np.isnan(z).any() and np.isinf(z).any() and (z[12:] > 0).any()
+    assert ((z != 0) & (np.abs(z) < np.finfo(dtype).tiny)).any()  # subnormals
+    assert _bits(y.data, xt.grad, wt.grad, bt.grad) == _bits(*want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_linear_relu_relu_step_is_bitwise_np_where(dtype, monkeypatch):
+    # numpy's GEMM never yields -0.0 (its sums start at +0.0), so the
+    # pre-activations are injected behind the shared affine helper
+    z = np.stack([_special_values(dtype), -_special_values(dtype)], axis=1)
+    g = np.random.default_rng(43).standard_normal(z.shape).astype(dtype)
+    seen = {}
+
+    def affine(x, weight, bias, op):
+        def back(gz):
+            seen["gz"] = gz
+            return (None, None, None)
+
+        return z.copy(), back
+
+    monkeypatch.setattr(ad, "_affine", affine)
+    x = leaf(np.zeros((12, 1)), dtype)
+    with ad.Tape() as tape:
+        y = ad.linear_relu(x, leaf(np.zeros((1, 2)), dtype), leaf(np.zeros(2), dtype))
+        out = ad.reduce_sum(ad.mul(y, ad.constant(g)))
+    tape.backward(out)
+    assert np.signbit(z).any() and np.isnan(z).any()
+    assert _bits(y.data) == _bits(np.where(z > 0, z, dtype(0)))
+    assert _bits(seen["gz"]) == _bits(g * (z > 0))
+
+
+def test_linear_relu_rejects_what_linear_rejects():
+    x = ad.tensor(np.zeros((2, 3)))
+    with pytest.raises(ShapeError, match="linear_relu"):
+        ad.linear_relu(x, ad.tensor(np.zeros((4, 3))), ad.tensor(np.zeros(3)))
+    with pytest.raises(ShapeError, match="linear_relu"):
+        ad.linear_relu(x, ad.tensor(np.zeros((3, 3))), ad.tensor(np.zeros(2)))
+    with pytest.raises(ContractError, match="dtypes"):
+        ad.linear_relu(x, ad.tensor(np.zeros((3, 3)), dtype=np.float32),
+                       ad.tensor(np.zeros(3)))
+
+
+def test_taped_mlp2_appends_two_records():
+    mlp = Mlp2(np.random.default_rng(0), 3, 5, 4)
+    with ad.Tape() as tape:
+        mlp(ad.tensor(np.ones((6, 3)), dtype=np.float32))
+    assert len(tape) == 2
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["distinct", "shared"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_neighbor_diff_is_bitwise_the_unfused_composition(dtype, shared):
+    # magnitudes spread over six decades, so the order in which the gradient
+    # contributions reach a shared input shows in the low bits
+    rng = np.random.default_rng(44)
+    n, m, k, c = 6, 9, 4, 5
+    scale = 10.0 ** rng.uniform(-3, 3, (1, c))
+    a = (scale * rng.standard_normal((n, c))).astype(dtype)
+    b = a if shared else (scale * rng.standard_normal((m, c))).astype(dtype)
+    idx = rng.integers(0, b.shape[0], size=n * k)
+    g = (scale * rng.standard_normal((n * k, c))).astype(dtype)
+    prior = (scale * rng.standard_normal((n, c))).astype(dtype)
+    runs = []
+    for fused in (True, False):
+        center = leaf(a, dtype)
+        center.grad = prior.copy()  # a gradient from an earlier pass
+        other = center if shared else leaf(b, dtype)
+        with ad.Tape() as tape:
+            if fused:
+                diff = ad.neighbor_diff(center, other, idx, k)
+            else:
+                diff = ad.sub(ad.repeat_rows(center, k), ad.gather_rows(other, idx))
+            out = ad.add(
+                ad.reduce_sum(ad.mul(diff, ad.constant(g))),
+                ad.reduce_sum(ad.mul(center, center)),
+            )
+        tape.backward(out)
+        runs.append(_bits(diff.data, center.grad, other.grad))
+    assert runs[0] == runs[1]
+
+
+def test_neighbor_diff_rejects_misfit_index_shape_and_dtype():
+    center, other = ad.tensor(np.zeros((3, 2))), ad.tensor(np.zeros((5, 2)))
+    idx = np.arange(6) % 5
+    for bad in (np.full(6, 5), np.full(6, -1)):
+        with pytest.raises(IndexError, match="neighbor_diff"):
+            ad.neighbor_diff(center, other, bad, 2)
+    for bad in (idx.reshape(3, 2), idx.astype(np.float64)):
+        with pytest.raises(ShapeError, match="neighbor_diff"):
+            ad.neighbor_diff(center, other, bad, 2)
+    with pytest.raises(ShapeError):
+        ad.neighbor_diff(center, other, idx[:5], 2)  # not n * k rows
+    with pytest.raises(ShapeError):
+        ad.neighbor_diff(center, other, idx, 0)
+    with pytest.raises(ShapeError):
+        ad.neighbor_diff(center, ad.tensor(np.zeros((5, 3))), idx, 2)
+    with pytest.raises(ContractError, match="dtypes"):
+        ad.neighbor_diff(center, ad.tensor(np.zeros((5, 2)), dtype=np.float32), idx, 2)
 
 
 # --- backward --------------------------------------------------------------
@@ -338,9 +485,12 @@ def _case_mul(rng):
             [leaf(rng.standard_normal((2, 5))), leaf(rng.standard_normal((2, 5)))])
 
 
-def _case_relu(rng):
-    x = np.sign(rng.standard_normal(12)) * (0.05 + np.abs(rng.standard_normal(12)))
-    return lambda a: ad.reduce_sum(ad.relu(a)), [leaf(x)]
+def _case_linear_relu(rng):
+    w, b = rng.standard_normal((3, 3)), rng.standard_normal(3)
+    # pre-activations at least 0.05 away from the kink
+    z = np.sign(rng.standard_normal((4, 3))) * (0.05 + np.abs(rng.standard_normal((4, 3))))
+    x = np.linalg.solve(w.T, (z - b).T).T.copy()
+    return _probed(ad.linear_relu, (4, 3), rng), [leaf(x), leaf(w), leaf(b)]
 
 
 def _case_softmax(rng):
@@ -388,6 +538,18 @@ def _case_gather_rows(rng):
             [leaf(rng.standard_normal((4, 2)))])
 
 
+def _case_neighbor_diff(rng):
+    idx = np.array([4, 0, 2, 2, 1, 3])
+    return (_probed(lambda a, b: ad.neighbor_diff(a, b, idx, 2), (6, 2), rng),
+            [leaf(rng.standard_normal((3, 2))), leaf(rng.standard_normal((5, 2)))])
+
+
+def _case_neighbor_diff_shared(rng):
+    idx = np.array([1, 0, 2, 2, 0, 1])
+    return (_probed(lambda a: ad.neighbor_diff(a, a, idx, 2), (6, 2), rng),
+            [leaf(rng.standard_normal((3, 2)))])
+
+
 def _case_reshape(rng):
     op = lambda a: ad.reshape(a, (2, 3, 2))
     return _probed(op, (2, 3, 2), rng), [leaf(rng.standard_normal((2, 6)))]
@@ -411,7 +573,7 @@ _PRIMITIVE_CASES = {
     "add": _case_add,
     "sub_scalar": _case_sub_scalar,
     "mul": _case_mul,
-    "relu": _case_relu,
+    "linear_relu": _case_linear_relu,
     "softmax": _case_softmax,
     "log_softmax": _case_log_softmax,
     "linear": _case_linear,
@@ -420,6 +582,8 @@ _PRIMITIVE_CASES = {
     "max_over_axis": _case_max_over_axis,
     "concat": _case_concat,
     "gather_rows": _case_gather_rows,
+    "neighbor_diff": _case_neighbor_diff,
+    "neighbor_diff_shared": _case_neighbor_diff_shared,
     "reshape": _case_reshape,
     "sqrt": _case_sqrt,
     "neighbor_sum_pointwise": _case_neighbor_sum(1),
@@ -437,11 +601,35 @@ def test_primitive_adjoints_match_finite_differences(name):
 # --- grad_check harness ------------------------------------------------------
 
 
-def test_grad_check_relu_positive_inputs():
-    x = leaf(np.linspace(0.5, 2.0, 8))
-    report = ad.grad_check(lambda x: ad.reduce_sum(ad.relu(x)), [x], tol=1e-6)
+def test_grad_check_linear_relu_positive_inputs():
+    x = leaf(np.linspace(0.5, 2.0, 8).reshape(8, 1))
+    w, b = leaf([[1.0]]), leaf([0.0])
+    report = ad.grad_check(
+        lambda x, w, b: ad.reduce_sum(ad.linear_relu(x, w, b)), [x, w, b], tol=1e-6
+    )
     assert report.passed
     assert report.max_rel_error < 1e-6
+
+
+def test_grad_check_fails_a_nan_adjoint():
+    def nan_adjoint(x):  # a finite value whose recorded adjoint is NaN
+        return ad._emit(x.data * 2.0, [x], lambda g: (g * np.nan,))
+
+    x = leaf(np.linspace(1.0, 2.0, 4))
+    report = ad.grad_check(lambda x: ad.reduce_sum(nan_adjoint(x)), [x])
+    assert not report.passed and len(report.failures) == 4
+    assert report.max_rel_error == math.inf
+    assert report.worst[:2] == (0, 0) and math.isnan(report.worst[2])
+
+
+@pytest.mark.parametrize("bad", [
+    {"tol": math.nan}, {"tol": math.inf}, {"tol": -1e-4},
+    {"eps": math.nan}, {"eps": math.inf}, {"eps": 0.0},
+])
+def test_grad_check_needs_finite_tol_and_eps(bad):
+    x = leaf(np.ones(3))
+    with pytest.raises(ContractError, match="finite"):
+        ad.grad_check(lambda x: ad.reduce_sum(ad.mul(x, x)), [x], **bad)
 
 
 def test_grad_check_softmax_sum_is_constant():

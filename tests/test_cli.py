@@ -215,6 +215,12 @@ def test_gradcheck_single_op_and_exit_codes(capsys):
     assert main(["gradcheck", "--op", "no_such_case"]) == 1
 
 
+def test_gradcheck_nan_tolerance_exits_two(capsys):
+    # NaN compares False against every error, so it would pass any adjoint
+    assert main(["gradcheck", "--op", "softmax", "--tol", "nan"]) == 2
+    assert "finite tol" in capsys.readouterr().err
+
+
 def test_gradcheck_full_suite_exits_zero(capsys):
     assert main(["gradcheck"]) == 0
     out = capsys.readouterr().out
