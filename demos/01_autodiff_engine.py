@@ -19,15 +19,22 @@ print(f"loss = {loss.item():.1f} (tape holds {len(tape)} primitive records)")
 tape.backward(loss)
 print("d(sum x^2)/dx =", x.grad, "(expected 2x)")
 
-# A less trivial composite: softmax attention weights over random logits.
+# A less trivial composite: one attention head. A two-layer kernel turns
+# each (point, neighbor) row into logits, a softmax over the 6 neighbors of
+# each of 4 points makes them weights, and the weights sum the values.
 rng = np.random.default_rng(0)
-logits = ad.tensor(rng.standard_normal((4, 6)), requires_grad=True)
+n, k, c = 4, 6, 3
+rows = ad.tensor(rng.standard_normal((n * k, c)), requires_grad=True)
+values = ad.tensor(rng.standard_normal((n, k, c)))
+w0, b0 = ad.tensor(rng.standard_normal((c, c))), ad.tensor(np.zeros(c))
+w1, b1 = ad.tensor(rng.standard_normal((c, c))), ad.tensor(np.zeros(c))
+weights = []
 with ad.Tape() as tape:
-    weights = ad.softmax(logits)
-    score = ad.reduce_sum(ad.mul(weights, ad.constant(rng.standard_normal((4, 6)))))
+    head = ad.attention_head(rows, values, w0, b0, w1, b1, "softmax", capture=weights)
+    score = ad.reduce_sum(ad.mul(head, ad.constant(rng.standard_normal((n, c)))))
 tape.backward(score)
-print("softmax rows sum to", weights.data.sum(axis=-1).round(12))
-print("max |d score / d logits| =", float(np.abs(logits.grad).max()).__round__(4))
+print("softmax weights sum over the neighbors to", weights[0].data.sum(axis=1)[0].round(12))
+print("max |d score / d rows| =", float(np.abs(rows.grad).max()).__round__(4))
 
 # grad_check compares the recorded adjoints against central differences.
 probe = rng.standard_normal((5, 3))

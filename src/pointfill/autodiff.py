@@ -10,8 +10,9 @@ inputs require gradients appends a record with an exact adjoint closure;
 Design rules kept deliberately strict so the adjoint code stays auditable:
 
 * elementwise ops accept equal shapes or a python scalar, nothing else;
-* only the linear ops (their bias, over rows) and ``neighbor_sum`` (width-1
-  weights, over channels) broadcast, and each owns that adjoint;
+* only the linear ops (their bias, over rows), ``neighbor_sum`` and
+  ``attention_head`` (width-1 weights, over channels) broadcast, and each
+  owns that adjoint;
 * without an active tape the primitives just compute values (inference mode).
 
 A tape is single-use: ``backward`` consumes it. Each record is dropped once
@@ -300,8 +301,8 @@ def sqrt(x):
 # Linear algebra
 
 
-def _affine(x, weight, bias, op):
-    """Checked ``x @ weight + bias`` and its adjoint, shared by the linear ops."""
+def _check_affine(x, weight, bias, op):
+    """Shapes and dtypes of ``x @ weight + bias``: x:(n,i), weight:(i,o), bias:(o,)."""
     if x.ndim != 2 or weight.ndim != 2 or bias.ndim != 1:
         raise ShapeError(f"{op} expects x:(n,i), weight:(i,o), bias:(o,)")
     if x.shape[1] != weight.shape[0] or weight.shape[1] != bias.shape[0]:
@@ -310,6 +311,11 @@ def _affine(x, weight, bias, op):
         )
     if not x.dtype == weight.dtype == bias.dtype:  # the in-place bias add would cast
         raise ContractError(f"{op}: dtypes {x.dtype}, {weight.dtype}, {bias.dtype} differ")
+
+
+def _affine(x, weight, bias, op):
+    """Checked ``x @ weight + bias`` and its adjoint, shared by the linear ops."""
+    _check_affine(x, weight, bias, op)
     out = x.data @ weight.data
     out += bias.data
 
@@ -320,6 +326,13 @@ def _affine(x, weight, bias, op):
         return (gx, gw, gb)
 
     return out, back
+
+
+def _relu_(out):
+    """relu in place; maps NaN and -0.0 to +0.0, as ``np.where(z > 0, z, 0)`` does."""
+    np.fmax(out, 0, out=out)  # fmax returns the non-NaN operand: NaN -> 0
+    out += 0  # -0.0 -> +0.0
+    return out
 
 
 def linear(x, weight, bias):
@@ -335,40 +348,12 @@ def linear_relu(x, weight, bias):
     adjoint recovers the mask from the output: y > 0 exactly where z > 0.
     """
     out, affine_back = _affine(x, weight, bias, "linear_relu")
-    np.fmax(out, 0, out=out)  # fmax returns the non-NaN operand: NaN -> 0
-    out += 0  # -0.0 -> +0.0
+    _relu_(out)
 
     def back(g):
         return affine_back(g * (out > 0))
 
     return _emit(out, [x, weight, bias], back)
-
-
-# ---------------------------------------------------------------------------
-# Normalizers
-
-
-def softmax(x, axis=-1, log=False):
-    """Softmax (or log-softmax, which is nonpositive) over one axis,
-    stabilized by subtracting the slice max."""
-    axis = _check_axis(x, axis)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    if log:
-        shifted -= np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-        s = np.exp(shifted)
-    else:
-        np.exp(shifted, out=shifted)
-        shifted /= shifted.sum(axis=axis, keepdims=True)
-        s = shifted
-
-    def back(g):
-        if not x.requires_grad:
-            return (None,)
-        if log:
-            return (g - s * g.sum(axis=axis, keepdims=True),)
-        return (s * (g - (g * s).sum(axis=axis, keepdims=True)),)
-
-    return _emit(shifted, [x], back)
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +385,26 @@ def reduce_mean(x, axis=None):
     return mul(scaled, 1.0 / n)
 
 
+def _weighted_sum(w, v):
+    """``out[i] = sum_j w[i, j] * v[i, j]`` for (n, k, C) values and (n, k, C)
+    or (n, k, 1) weights."""
+    return (w * v).sum(axis=1)
+
+
+def _weighted_sum_back(g, w, v, need_w, need_v, gw_out=None, gv_out=None):
+    """The adjoint of ``_weighted_sum``: ``(gw, gv)``, None where not needed,
+    written into ``gw_out``/``gv_out`` when given."""
+    g = g[:, None, :]  # broadcast over the neighbors, no copy
+    gw = gv = None
+    if need_w and w.shape[2] == 1:
+        gw = np.sum(g * v, axis=2, keepdims=True, out=gw_out)
+    elif need_w:
+        gw = np.multiply(g, v, out=gw_out)
+    if need_v:
+        gv = np.multiply(g, w, out=gv_out)
+    return gw, gv
+
+
 def neighbor_sum(weights, values):
     """Weighted sum over the neighbor axis: ``out[i] = sum_j w[i, j] * v[i, j]``.
 
@@ -417,14 +422,9 @@ def neighbor_sum(weights, values):
     w, v = weights.data, values.data
 
     def back(g):
-        g = g[:, None, :]  # broadcast over the neighbors, no copy
-        gw = g * v if weights.requires_grad else None
-        if gw is not None and w.shape[2] == 1:
-            gw = gw.sum(axis=2, keepdims=True)
-        gv = g * w if values.requires_grad else None
-        return (gw, gv)
+        return _weighted_sum_back(g, w, v, weights.requires_grad, values.requires_grad)
 
-    return _emit((w * v).sum(axis=1), [weights, values], back)
+    return _emit(_weighted_sum(w, v), [weights, values], back)
 
 
 def max_over_axis(x, axis):
@@ -581,6 +581,167 @@ def repeat_rows(x, r):
 
 
 # ---------------------------------------------------------------------------
+# Neighbor attention
+
+#: How a head normalizes its logits over the k neighbors of each point.
+ATTENTION_VARIANTS = ("softmax", "none", "scaled", "log")
+
+# Rows per attention_head tile. A (2048, 128) float32 block is 1 MB, so each
+# block a tile makes (hidden activation, logits, weighted values) is still in
+# a 2 MB per-core L2 when the next step reads it; full (n*k, C) blocks at
+# 16k points are 16.8 MB and go through memory between steps.
+_TILE_ROWS = 2048
+
+
+def check_attention(variant, lam):
+    """Raise ContractError unless ``variant`` is one of ATTENTION_VARIANTS and,
+    for ``scaled``, ``lam`` is finite and > 0."""
+    if variant not in ATTENTION_VARIANTS:
+        raise ContractError(
+            f"attention variant must be one of {ATTENTION_VARIANTS}, got {variant!r}"
+        )
+    if variant == "scaled" and not (math.isfinite(lam) and lam > 0):
+        raise ContractError(f"scaled attention needs a finite lam > 0, got {lam}")
+
+
+def _normalize_(r, variant, lam):
+    """Normalize (p, k, W) logits over axis 1 in place and return the weights
+    (log-weights for ``log``); ``lam`` is the ``scaled`` factor, of r's dtype."""
+    if variant == "none":
+        return r
+    if variant == "scaled":
+        r *= lam
+    r -= r.max(axis=1, keepdims=True)
+    if variant == "log":
+        r -= np.log(np.exp(r).sum(axis=1, keepdims=True))
+    else:
+        np.exp(r, out=r)
+        r /= r.sum(axis=1, keepdims=True)
+    return r
+
+
+def _normalize_back_(g, s, variant, lam):
+    """The adjoint of ``_normalize_`` at the weights ``s`` it returned, in
+    place in the weights' gradient ``g``."""
+    if variant == "log":
+        g -= np.exp(s) * g.sum(axis=1, keepdims=True)
+    elif variant != "none":
+        g -= (g * s).sum(axis=1, keepdims=True)
+        g *= s
+        if variant == "scaled":
+            g *= lam
+    return g
+
+
+def _tiles(n, k):
+    """``(start, stop)`` point ranges covering n points of k rows each.
+
+    A tile holds about _TILE_ROWS rows and starts on a 16-row boundary. On
+    OpenBLAS, a GEMM over such a row range gives the same bits as those rows
+    of the GEMM over all rows; from a 4-row boundary, width-1 products (which
+    numpy runs as a gemv) did not. A last tile under half a tile joins the
+    one before, so no tile is a one-row GEMM, also a gemv.
+    """
+    step = 16 // math.gcd(k, 16)
+    size = max(1, _TILE_ROWS // (k * step)) * step
+    starts = list(range(0, n, size))
+    if len(starts) > 1 and n - starts[-1] < size // 2:
+        starts.pop()
+    return zip(starts, starts[1:] + [n])
+
+
+def attention_head(x, values, w0, b0, w1, b1, variant="softmax", lam=1.0, capture=None):
+    """One attention kernel head as one record, computed in point tiles.
+
+    For (n*k, i) rows ``x`` (row ``i*k + j`` pairs point i with neighbor j)
+    and (n, k, C) ``values``, the kernel's logits are
+    ``relu(x @ w0 + b0) @ w1 + b1`` reshaped to (n, k, W), with W = C (one
+    weight per channel) or W = 1 (one weight per neighbor). They are
+    normalized over the k neighbors by ``variant`` (``scaled`` multiplies
+    by ``lam`` before the softmax; ``log`` gives log-weights; ``none`` keeps
+    the logits), and the result is ``sum_j weights[i, j] * values[i, j]``,
+    (n, C).
+
+    Each tile of about _TILE_ROWS rows runs the whole chain while its blocks
+    are in cache. Every step but the GEMMs works per point, and the weight
+    and bias gradients are full-size GEMMs and sums, so the op gives the bits
+    of ``linear_relu``, ``linear``, a reshape, the normalization and
+    ``neighbor_sum`` over all rows, gradients included, wherever a GEMM over
+    a tile's rows gives the bits of those rows of the full GEMM. OpenBLAS
+    does at the model's shapes (hidden width C), not at every shape: with
+    float64 and an 18-wide hidden layer, a 2,048-row tile rounds differently
+    from the same rows of a product over 4,096 rows.
+
+    Recorded, the op keeps only the hidden activation (n*k, hidden) and the
+    weights (n, k, W), and its adjoint recomputes nothing; unrecorded, it
+    keeps nothing. ``capture``, an optional list, receives the weights as a
+    constant Tensor.
+    """
+    check_attention(variant, lam)
+    if values.ndim != 3:
+        raise ShapeError(f"attention_head expects (n, k, C) values, got {values.shape}")
+    n, k, c = values.shape
+    _check_affine(x, w0, b0, "attention_head")
+    _check_affine(w0, w1, b1, "attention_head")  # the hidden width is w0's columns
+    width = w1.shape[1]
+    if x.shape[0] != n * k or width not in (1, c):
+        raise ShapeError(
+            f"attention_head: x {x.shape} and weight {w1.shape} do not fit values {values.shape}"
+        )
+    if values.dtype != x.dtype:
+        raise ContractError(f"attention_head: dtypes {x.dtype} and {values.dtype} differ")
+    inputs = [x, values, w0, b0, w1, b1]
+    record = any(t.requires_grad for t in inputs) and _ACTIVE_TAPE.get() is not None
+    xd, v, lam = x.data, values.data, x.dtype.type(lam)
+    out = np.empty((n, c), dtype=x.dtype)
+    hidden = np.empty((n * k, w0.shape[1]), x.dtype) if record else None
+    weights = np.empty((n, k, width), x.dtype) if record or capture is not None else None
+    for a, b in _tiles(n, k):
+        rows = slice(a * k, b * k)
+        h = np.matmul(xd[rows], w0.data, out=None if hidden is None else hidden[rows])
+        h += b0.data
+        _relu_(h)
+        kept = None if weights is None else weights[a:b].reshape(-1, width)
+        r = np.matmul(h, w1.data, out=kept).reshape(b - a, k, width)
+        r += b1.data
+        out[a:b] = _weighted_sum(_normalize_(r, variant, lam), v[a:b])
+    if capture is not None:
+        capture.append(Tensor(weights))
+
+    def back(g):
+        nonlocal hidden, weights  # the tape is single-use: drop each block once read
+        gv = np.empty_like(v) if values.requires_grad else None
+        gr = np.empty((n, k, width), x.dtype)
+        for a, b in _tiles(n, k):  # the weighted sum's and the normalization's adjoints
+            s = weights[a:b]
+            gs, _ = _weighted_sum_back(
+                g[a:b], s, v[a:b], True, gv is not None, gr[a:b], None if gv is None else gv[a:b]
+            )
+            _normalize_back_(gs, s, variant, lam)
+        weights = None
+        gr = gr.reshape(n * k, width)
+        # weight and bias gradients sum over all n*k rows: one full-size call
+        # each, as the unfused linear adjoints make
+        gw1 = hidden.T @ gr if w1.requires_grad else None
+        gb1 = gr.sum(axis=0) if b1.requires_grad else None
+        gx = gw0 = gb0 = None
+        if x.requires_grad or w0.requires_grad or b0.requires_grad:
+            gz = gr if width == hidden.shape[1] else np.empty_like(hidden)  # gz takes gr's rows
+            gx = np.empty_like(xd) if x.requires_grad else None
+            for a, b in _tiles(n, k):  # the kernel's adjoints
+                rows = slice(a * k, b * k)
+                np.multiply(gr[rows] @ w1.data.T, hidden[rows] > 0, out=gz[rows])
+                if gx is not None:
+                    np.matmul(gz[rows], w0.data.T, out=gx[rows])
+            hidden = None
+            gw0 = xd.T @ gz if w0.requires_grad else None
+            gb0 = gz.sum(axis=0) if b0.requires_grad else None
+        return (gx, gv, gw0, gb0, gw1, gb1)
+
+    return _emit(out, inputs, back)
+
+
+# ---------------------------------------------------------------------------
 # Gradient checking
 
 
@@ -664,18 +825,20 @@ def grad_check(fn, inputs, eps=1e-5, tol=1e-4, max_coords_per_input=None, seed=0
     rng = np.random.default_rng(seed)
     report = GradCheckReport(tol)
     for i, t in enumerate(inputs):
-        flat = t.data.reshape(-1)
-        coords = np.arange(flat.size)
-        if max_coords_per_input is not None and flat.size > max_coords_per_input:
-            coords = rng.choice(flat.size, size=max_coords_per_input, replace=False)
+        coords = np.arange(t.size)
+        if max_coords_per_input is not None and t.size > max_coords_per_input:
+            coords = rng.choice(t.size, size=max_coords_per_input, replace=False)
             coords.sort()
         ga = analytic[i].reshape(-1)
         for c in coords:
-            keep = flat[c]
-            flat[c] = keep + eps
+            # an index into the leaf itself: reshaping a non-contiguous
+            # leaf would perturb a copy that fn never reads
+            at = np.unravel_index(c, t.shape)
+            keep = t.data[at]
+            t.data[at] = keep + eps
             up = evaluate()
-            flat[c] = keep - eps
+            t.data[at] = keep - eps
             down = evaluate()
-            flat[c] = keep
+            t.data[at] = keep
             report.record(i, int(c), float(ga[c]), (up - down) / (2.0 * eps))
     return report

@@ -16,7 +16,8 @@ combined with the per-point values:
 
     h[i, m] = sum_j a[i, j, m] * (value_map(v_j) + delta_ij)
 
-Output rows are stacked kernel-fastest: row ``i * rate + m`` belongs to
+Each kernel, its normalization and that sum are one ``ad.attention_head``
+record. Output rows are stacked kernel-fastest: row ``i * rate + m`` belongs to
 source point ``i`` and kernel ``m``, matching plain row duplication of the
 source cloud.
 """
@@ -33,7 +34,7 @@ from . import geometry
 from .errors import ContractError, ShapeError
 from .layers import Linear, Mlp2, Module
 
-ATTENTION_VARIANTS = ("softmax", "none", "scaled", "log")
+ATTENTION_VARIANTS = ad.ATTENTION_VARIANTS
 
 
 @dataclass
@@ -43,28 +44,15 @@ class AttentionMode:
     ``softmax`` is the standard choice, ``none`` passes the logits through
     unchanged (weights may leave (0, 1), useful when generating points
     outside the seen region), ``scaled`` applies softmax to ``lam * logits``
-    and ``log`` uses log-softmax (weights are nonpositive by construction).
+    (``lam`` finite and > 0) and ``log`` uses log-softmax (weights are
+    nonpositive by construction).
     """
 
     variant: str = "softmax"
     lam: float = 1.0
 
     def __post_init__(self):
-        if self.variant not in ATTENTION_VARIANTS:
-            raise ContractError(
-                f"attention variant must be one of {ATTENTION_VARIANTS}, got {self.variant!r}"
-            )
-        if self.variant == "scaled" and not self.lam > 0:
-            raise ContractError("scaled attention needs lam > 0")
-
-    def normalize(self, logits):
-        """Normalize (n, k, width) ``logits`` over axis 1, the k neighbors of
-        each point, separately for every point and weight column."""
-        if self.variant == "none":
-            return logits
-        if self.variant == "scaled":
-            logits = ad.mul(logits, float(self.lam))
-        return ad.softmax(logits, axis=1, log=self.variant == "log")
+        ad.check_attention(self.variant, self.lam)
 
 
 @dataclass
@@ -163,9 +151,13 @@ class UpsampleTransformer(Module):
             seed_features: optional (n, seed_channels) seed features
                 interpolated at ``cloud``, for the regional encoding term.
             mode: AttentionMode; defaults to softmax.
-            capture: optional dict that receives the raw and normalized
-                per-kernel weights (for inspection in tests and demos);
-                shaped (n, k, channels), or (n, k, 1) when point-wise.
+            capture: optional dict for inspection in tests and demos.
+                ``capture["weights"]`` receives each kernel's normalized
+                weights, shaped (n, k, channels), or (n, k, 1) when
+                point-wise. ``capture["raw"]`` receives the raw logits only
+                under ``none``, where they are the same tensors as the
+                weights; the softmax modes keep no raw logits, so it stays
+                empty for them.
 
         Returns:
             Tensor of shape (rate * n, channels).
@@ -194,16 +186,18 @@ class UpsampleTransformer(Module):
         logits_in = ad.add(ad.neighbor_diff(q, key_feats, nbrs, k), delta)
         value_term = ad.reshape(ad.add(ad.gather_rows(values, nbrs), delta), (n, k, c))
 
+        weights = None
         if capture is not None:
-            capture["raw"], capture["weights"] = [], []
-        heads = []
-        for kernel in self.kernels:
-            raw = ad.reshape(kernel(logits_in), (n, k, self.width))
-            weights = mode.normalize(raw)
-            if capture is not None:
-                capture["raw"].append(raw)
-                capture["weights"].append(weights)
-            heads.append(ad.neighbor_sum(weights, value_term))
+            weights = capture["weights"] = []
+            # only ``none`` keeps its logits: they are its weights
+            capture["raw"] = weights if mode.variant == "none" else []
+        heads = [
+            ad.attention_head(
+                logits_in, value_term, kernel.lin0.w, kernel.lin0.b, kernel.lin1.w,
+                kernel.lin1.b, mode.variant, mode.lam, capture=weights,
+            )
+            for kernel in self.kernels
+        ]
         return _stack_heads(heads, n, c)
 
 

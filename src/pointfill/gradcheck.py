@@ -70,28 +70,30 @@ def _case_linear_relu():
     return lambda x, w, b: ad.reduce_sum(ad.linear_relu(x, w, b)), [x, w, b]
 
 
-def _case_softmax():
-    rng = _rng(2)
-    x = _leaf(rng, (2, 4, 3))
-    probe = rng.standard_normal((2, 4, 3))
+def _case_attention_head(variant, width, seed):
+    def build():
+        rng = _rng(seed)
+        n, k, c = 3, 4, 3
+        w0 = _leaf(rng, (c, c))
+        b0 = _leaf(rng, (c,))
+        z = rng.standard_normal((n * k, c))
+        z += np.sign(z) * 0.05  # keep the pre-activations clear of the kink
+        x = ad.tensor(np.linalg.solve(w0.data.T, (z - b0.data).T).T, requires_grad=True)
+        values = _leaf(rng, (n, k, c))
+        w1 = _leaf(rng, (c, width))
+        b1 = _leaf(rng, (width,))
+        probe = rng.standard_normal((n, c))
 
-    def fn(x):
-        return ad.reduce_sum(ad.mul(ad.softmax(x, axis=1), ad.constant(probe, like=x)))
+        def fn(x, values, w0, b0, w1, b1=b1):
+            out = ad.attention_head(x, values, w0, b0, w1, b1, variant, lam=1.7)
+            return ad.reduce_sum(ad.mul(out, ad.constant(probe, like=x)))
 
-    return fn, [x]
+        # a logit bias shared by the k neighbors cancels in the softmax
+        # modes, so its gradient is structurally zero: check it under none
+        inputs = [x, values, w0, b0, w1]
+        return fn, inputs + [b1] if variant == "none" else inputs
 
-
-def _case_log_softmax():
-    rng = _rng(3)
-    x = _leaf(rng, (3, 5, 1))
-    probe = rng.standard_normal((3, 5, 1))
-
-    def fn(x):
-        return ad.reduce_sum(
-            ad.mul(ad.softmax(x, axis=1, log=True), ad.constant(probe, like=x))
-        )
-
-    return fn, [x]
+    return build
 
 
 def _case_linear():
@@ -363,8 +365,11 @@ def _case_full_forward():
 
 CASES = {
     "linear_relu": _case_linear_relu,
-    "softmax": _case_softmax,
-    "log_softmax": _case_log_softmax,
+    "attention_head_softmax": _case_attention_head("softmax", 3, 2),
+    "attention_head_scaled": _case_attention_head("scaled", 3, 15),
+    "attention_head_log": _case_attention_head("log", 3, 3),
+    "attention_head_none": _case_attention_head("none", 3, 16),
+    "attention_head_pointwise": _case_attention_head("softmax", 1, 17),
     "linear": _case_linear,
     "elementwise": _case_elementwise,
     "reductions": _case_reductions,

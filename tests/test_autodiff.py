@@ -27,17 +27,36 @@ def run_backward(fn, *inputs):
 # --- values ----------------------------------------------------------------
 
 
+def _pass_through_head(logits, values, variant="softmax", capture=None):
+    """An attention head over (n*k, 1) ``logits`` whose kernel passes them
+    through exactly: relu(l) - relu(-l) = l."""
+    w0, b0 = ad.tensor([[1.0, -1.0]]), ad.tensor(np.zeros(2))
+    w1, b1 = ad.tensor([[1.0], [-1.0]]), ad.tensor(np.zeros(1))
+    return ad.attention_head(logits, values, w0, b0, w1, b1, variant, capture=capture)
+
+
+def _head_weights(logits, variant="softmax"):
+    """The weights and output of a pass-through head at (n, k, 1) ``logits``
+    over all-ones values."""
+    n, k, _ = logits.shape
+    weights = []
+    out = _pass_through_head(
+        ad.tensor(logits.reshape(n * k, 1)), ad.tensor(np.ones((n, k, 2))), variant, weights
+    )
+    return weights[0].data, out.data
+
+
 def test_softmax_uniform_logits():
-    out = ad.softmax(ad.tensor([0.0, 0.0, 0.0], dtype=np.float64))
-    np.testing.assert_allclose(out.data, [1 / 3, 1 / 3, 1 / 3], rtol=0, atol=1e-15)
+    weights, _ = _head_weights(np.zeros((1, 3, 1)))
+    np.testing.assert_allclose(weights[0, :, 0], [1 / 3, 1 / 3, 1 / 3], rtol=0, atol=1e-15)
 
 
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(0)
-    x = ad.tensor(rng.standard_normal((6, 9)) * 30)
-    out = ad.softmax(x)
-    assert (out.data >= 0).all()
-    np.testing.assert_allclose(out.data.sum(axis=-1), np.ones(6), atol=1e-6)
+    weights, out = _head_weights(rng.standard_normal((6, 9, 1)) * 30)
+    assert (weights >= 0).all()
+    np.testing.assert_allclose(weights.sum(axis=1), np.ones((6, 1)), atol=1e-6)
+    np.testing.assert_allclose(out, np.ones((6, 2)), atol=1e-6)  # sums of ones
 
 
 def test_linear_identity():
@@ -83,9 +102,9 @@ def test_sqrt_negative_raises():
 
 def test_log_softmax_is_log_of_softmax():
     rng = np.random.default_rng(1)
-    x = ad.tensor(rng.standard_normal((4, 5)))
+    logits = rng.standard_normal((4, 5, 1))
     np.testing.assert_allclose(
-        ad.softmax(x, log=True).data, np.log(ad.softmax(x).data), atol=1e-12
+        _head_weights(logits, "log")[0], np.log(_head_weights(logits)[0]), atol=1e-12
     )
 
 
@@ -113,18 +132,17 @@ def _numpy_softmax_over_k(a, g, log):
 @pytest.mark.parametrize("width", [1, 8])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_softmax_over_neighbors_is_bitwise_plain_numpy(dtype, width, log):
+    # attention_head's normalization and its adjoint, on their own
     rng = np.random.default_rng(40)
     a = (3.0 * rng.standard_normal((5, 16, width))).astype(dtype)
     g = rng.standard_normal((5, 16, width)).astype(dtype)
-    x = leaf(a, dtype=dtype)
-    with ad.Tape() as tape:
-        y = ad.softmax(x, axis=1, log=log)
-        out = ad.reduce_sum(ad.mul(y, ad.constant(g)))
-    tape.backward(out)
+    variant = "log" if log else "softmax"
+    y = ad._normalize_(a.copy(), variant, dtype(1))
+    gx = ad._normalize_back_(g.copy(), y, variant, dtype(1))
     want_y, want_gx = _numpy_softmax_over_k(a, g, log)
-    assert y.data.dtype == dtype and x.grad.dtype == dtype
-    assert np.array_equal(y.data, want_y)
-    assert np.array_equal(x.grad, want_gx)
+    assert y.dtype == dtype and gx.dtype == dtype
+    assert np.array_equal(y, want_y)
+    assert np.array_equal(gx, want_gx)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -305,6 +323,202 @@ def test_neighbor_diff_rejects_misfit_index_shape_and_dtype():
         ad.neighbor_diff(center, ad.tensor(np.zeros((5, 2)), dtype=np.float32), idx, 2)
 
 
+# --- attention_head: one tiled record per kernel head --------------------------
+
+
+def _plain_attention_head(x, v, w0, b0, w1, b1, variant, lam, g):
+    """The unfused records in plain numpy: linear_relu, linear, reshape, the
+    normalization (with its mul under ``scaled``) and neighbor_sum, each over
+    all rows, and their adjoints of ``g``. Returns the weights, the output and
+    the gradients of x, v, w0, b0, w1 and b1."""
+    n, k, _ = v.shape
+    z = x @ w0
+    z += b0
+    h = np.where(z > 0, z, z.dtype.type(0))
+    r = h @ w1
+    r += b1
+    r = r.reshape(n, k, -1)
+    lam = x.dtype.type(lam)
+    if variant == "scaled":
+        r = r * lam
+    if variant == "none":
+        y = s = r
+    elif variant == "log":
+        y = r - r.max(axis=1, keepdims=True)
+        y -= np.log(np.exp(y).sum(axis=1, keepdims=True))
+        s = np.exp(y)
+    else:
+        e = r - r.max(axis=1, keepdims=True)
+        np.exp(e, out=e)
+        y = s = e / e.sum(axis=1, keepdims=True)
+    g3 = g[:, None, :]
+    gy = g3 * v
+    if y.shape[2] == 1:
+        gy = gy.sum(axis=2, keepdims=True)
+    if variant == "none":
+        gr = gy
+    elif variant == "log":
+        gr = gy - s * gy.sum(axis=1, keepdims=True)
+    else:
+        gr = s * (gy - (gy * s).sum(axis=1, keepdims=True))
+        if variant == "scaled":
+            gr = gr * lam
+    gr = gr.reshape(n * k, -1)
+    gz = (gr @ w1.T) * (h > 0)
+    return (y, (y * v).sum(axis=1), gz @ w0.T, g3 * y, x.T @ gz, gz.sum(axis=0),
+            h.T @ gr, gr.sum(axis=0))
+
+
+def _head_arrays(rng, n, k, c, width, dtype):
+    """x, values, w0, b0, w1, b1 for one head, hidden width C as in the model."""
+    shapes = [(n * k, c), (n, k, c), (c, c), (c,), (c, width), (width,)]
+    return [(0.5 * rng.standard_normal(s)).astype(dtype) for s in shapes]
+
+
+_TILINGS = {"real": (330, 16, 16), "small": (50, 3, 5)}  # n, k, C
+
+
+@pytest.mark.parametrize("tiling", sorted(_TILINGS))
+@pytest.mark.parametrize("width", ["channel", "point"])
+@pytest.mark.parametrize("variant", ad.ATTENTION_VARIANTS)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_head_is_bitwise_the_unfused_records(dtype, variant, width, tiling,
+                                                       monkeypatch):
+    n, k, c = _TILINGS[tiling]
+    if tiling == "small":
+        monkeypatch.setattr(ad, "_TILE_ROWS", 48)
+    tiles = [b - a for a, b in ad._tiles(n, k)]
+    assert len(tiles) >= 3 and tiles[-1] != tiles[0]  # several tiles, the last ragged
+    rng = np.random.default_rng(45)
+    arrays = _head_arrays(rng, n, k, c, c if width == "channel" else 1, dtype)
+    g = rng.standard_normal((n, c)).astype(dtype)
+    want = _plain_attention_head(*arrays, variant, 1.7, g)
+    leaves = [leaf(a, dtype) for a in arrays]
+    captured = []
+    with ad.Tape() as tape:
+        out = ad.attention_head(*leaves, variant, 1.7, capture=captured)
+        loss = ad.reduce_sum(ad.mul(out, ad.constant(g)))
+    tape.backward(loss)
+    got = [captured[0].data, out.data] + [t.grad for t in leaves]
+    assert _bits(*got) == _bits(*want)
+    untaped = ad.attention_head(*[ad.tensor(a) for a in arrays], variant, 1.7)
+    assert _bits(untaped.data) == _bits(want[1])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_heads_sharing_inputs_accumulate_in_reverse_order(dtype, monkeypatch):
+    # two heads read the same x and values, which carry gradients from an
+    # earlier pass; magnitudes over six decades make the order of the sums show
+    monkeypatch.setattr(ad, "_TILE_ROWS", 48)
+    rng = np.random.default_rng(46)
+    n, k, c = 50, 3, 5
+    scale = 10.0 ** rng.uniform(-3, 3, c)
+    heads = [_head_arrays(rng, n, k, c, c, dtype) for _ in range(2)]
+    x, v = heads[0][:2]
+    gs = [(scale * rng.standard_normal((n, c))).astype(dtype) for _ in heads]
+    prior = [(scale * rng.standard_normal(a.shape)).astype(dtype) for a in (x, v)]
+    xt, vt = leaf(x, dtype), leaf(v, dtype)
+    xt.grad, vt.grad = prior[0].copy(), prior[1].copy()
+    with ad.Tape() as tape:
+        terms = [
+            ad.reduce_sum(ad.mul(
+                ad.attention_head(xt, vt, *[leaf(a, dtype) for a in arrays[2:]], "softmax"),
+                ad.constant(g),
+            ))
+            for arrays, g in zip(heads, gs)
+        ]
+        loss = ad.add(*terms)
+    tape.backward(loss)
+    plain = [_plain_attention_head(x, v, *arrays[2:], "softmax", 1.0, g)[2:4]
+             for arrays, g in zip(heads, gs)]
+    for i, t in enumerate((xt, vt)):
+        reverse = (prior[i] + plain[1][i]) + plain[0][i]  # the last head's record runs first
+        forward = (prior[i] + plain[0][i]) + plain[1][i]
+        assert not np.array_equal(reverse, forward)
+        assert _bits(t.grad) == _bits(reverse)
+
+
+@pytest.mark.parametrize("tile_rows", [2048, 48])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 16, 17, 40])
+def test_attention_tiles_cover_the_points_on_16_row_boundaries(k, tile_rows, monkeypatch):
+    monkeypatch.setattr(ad, "_TILE_ROWS", tile_rows)
+    (_, size), *_ = ad._tiles(10**6, k)
+    assert size * k <= max(tile_rows, 16 * k)
+    for n in (1, 5, size - 1, size, size + 1, 3 * size + 1, 3 * size + size // 2):
+        bounds = list(ad._tiles(n, k))
+        assert [a for a, _ in bounds[1:]] == [b for _, b in bounds[:-1]]
+        assert bounds[0][0] == 0 and bounds[-1][1] == n
+        assert all(a * k % 16 == 0 for a, _ in bounds)
+        assert len(bounds) == 1 or all((b - a) * k > 1 for a, b in bounds)  # no one-row GEMM
+
+
+@pytest.mark.parametrize("width", ["channel", "point"])
+@pytest.mark.parametrize("k", [16, 4])
+@pytest.mark.parametrize("c, dtype", [
+    (128, np.float32), (64, np.float32), (64, np.float64), (6, np.float64),
+], ids=["16k", "desk", "desk-float64", "micro"])
+def test_row_tiles_of_the_head_gemms_are_rows_of_the_full_gemms(c, dtype, k, width):
+    # what makes attention_head bitwise: each GEMM it runs per tile gives
+    # the bits of the same rows of the GEMM over all n*k rows
+    rng = np.random.default_rng(47)
+    n = 4800 // k
+    w = c if width == "channel" else 1
+    w0 = rng.standard_normal((c, c)).astype(dtype)
+    w1 = rng.standard_normal((c, w)).astype(dtype)
+    pairs = [
+        (rng.standard_normal((n * k, c)).astype(dtype), w0),  # x @ w0
+        (rng.standard_normal((n * k, c)).astype(dtype), w1),  # h @ w1
+        (rng.standard_normal((n * k, w)).astype(dtype), w1.T),  # gr @ w1.T
+        (rng.standard_normal((n * k, c)).astype(dtype), w0.T),  # gz @ w0.T
+    ]
+    bounds = list(ad._tiles(n, k))
+    assert len(bounds) >= 2
+    for rows, weight in pairs:
+        tiles = [rows[a * k:b * k] @ weight for a, b in bounds]
+        assert _bits(np.concatenate(tiles)) == _bits(rows @ weight)
+
+
+def test_attention_head_rejects_misfit_shapes_dtypes_and_modes():
+    x, v, w0, b0, w1, b1 = (ad.tensor(a) for a in _head_arrays(
+        np.random.default_rng(48), 2, 3, 4, 4, np.float64))
+    ad.attention_head(x, v, w0, b0, w1, b1)  # fits
+    misfits = [
+        (ad.tensor(np.zeros((5, 4))), v, w0, b0, w1, b1),  # not n * k rows
+        (x, ad.tensor(np.zeros((6, 4))), w0, b0, w1, b1),  # values not (n, k, C)
+        (x, v, ad.tensor(np.zeros((3, 4))), b0, w1, b1),  # w0 rows != x columns
+        (x, v, w0, ad.tensor(np.zeros(5)), w1, b1),  # b0 != hidden width
+        (x, v, w0, b0, ad.tensor(np.zeros((5, 4))), b1),  # w1 rows != hidden width
+        (x, v, w0, b0, ad.tensor(np.zeros((4, 2))), ad.tensor(np.zeros(2))),  # W not C or 1
+        (x, v, w0, b0, w1, ad.tensor(np.zeros(1))),  # b1 != W
+    ]
+    for args in misfits:
+        with pytest.raises(ShapeError, match="attention_head"):
+            ad.attention_head(*args)
+    f32 = ad.tensor(np.zeros((2, 3, 4)), dtype=np.float32)
+    with pytest.raises(ContractError, match="dtypes"):
+        ad.attention_head(x, f32, w0, b0, w1, b1)
+    with pytest.raises(ContractError, match="dtypes"):
+        ad.attention_head(x, v, w0, b0, ad.tensor(np.zeros((4, 4)), dtype=np.float32), b1)
+    with pytest.raises(ContractError, match="variant"):
+        ad.attention_head(x, v, w0, b0, w1, b1, "hardmax")
+    for lam in (math.inf, math.nan, 0.0):
+        with pytest.raises(ContractError, match="finite lam"):
+            ad.attention_head(x, v, w0, b0, w1, b1, "scaled", lam)
+
+
+def test_taped_attention_head_keeps_only_the_hidden_activation_and_weights():
+    arrays = _head_arrays(np.random.default_rng(49), 40, 16, 8, 8, np.float32)
+    with ad.Tape() as tape:
+        ad.attention_head(*[leaf(a, np.float32) for a in arrays], "scaled", 2.0)
+    (record,) = tape.records
+    kept = dict(zip(record.backfn.__code__.co_freevars,
+                    (cell.cell_contents for cell in record.backfn.__closure__)))
+    blocks = {name for name, a in kept.items() if isinstance(a, np.ndarray) and a.ndim > 1}
+    assert blocks == {"hidden", "weights", "xd", "v"}  # xd and v are the inputs' data
+    assert kept["xd"] is arrays[0] and kept["v"] is arrays[1]
+    assert kept["hidden"].shape == (40 * 16, 8) and kept["weights"].shape == (40, 16, 8)
+
+
 # --- backward --------------------------------------------------------------
 
 
@@ -363,10 +577,10 @@ def test_backward_bitwise_deterministic():
         w = leaf(rng.standard_normal((5, 4)))  # same stream restart below
         rng = np.random.default_rng(7)
         rng.standard_normal((8, 5))
+        values = ad.tensor(np.linspace(-1.0, 1.0, 32).reshape(2, 4, 4))
+        w1, zeros = ad.tensor(np.eye(4)), ad.tensor(np.zeros(4))
         run_backward(
-            lambda x, w: ad.reduce_sum(
-                ad.softmax(ad.linear(x, w, ad.tensor(np.zeros(4))))
-            ),
+            lambda x, w: ad.reduce_sum(ad.attention_head(x, values, w, zeros, w1, zeros)),
             x,
             w,
         )
@@ -493,14 +707,26 @@ def _case_linear_relu(rng):
     return _probed(ad.linear_relu, (4, 3), rng), [leaf(x), leaf(w), leaf(b)]
 
 
-def _case_softmax(rng):
-    return (_probed(lambda a: ad.softmax(a, axis=1), (3, 4, 2), rng),
-            [leaf(rng.standard_normal((3, 4, 2)))])
+def _case_attention_head(variant, width):
+    def build(rng):
+        n, k, c = 3, 4, 3
+        w0, b0 = rng.standard_normal((c, c)), rng.standard_normal(c)
+        # pre-activations at least 0.05 away from the kink
+        z = np.sign(rng.standard_normal((n * k, c))) * (
+            0.05 + np.abs(rng.standard_normal((n * k, c))))
+        x = np.linalg.solve(w0.T, (z - b0).T).T
+        w1, b1 = rng.standard_normal((c, width)), rng.standard_normal(width)
+        inputs = [leaf(x), leaf(rng.standard_normal((n, k, c))), leaf(w0), leaf(b0), leaf(w1)]
+        # a logit bias shared by the k neighbors cancels in the softmax modes
+        # (a structurally zero gradient): it is checked under none only
+        if variant == "none":
+            op = lambda *args: ad.attention_head(*args, variant)
+            inputs.append(leaf(b1))
+        else:
+            op = lambda *args: ad.attention_head(*args, ad.tensor(b1), variant, 1.7)
+        return _probed(op, (n, c), rng), inputs
 
-
-def _case_log_softmax(rng):
-    return (_probed(lambda a: ad.softmax(a, axis=1, log=True), (2, 6, 1), rng),
-            [leaf(rng.standard_normal((2, 6, 1)))])
+    return build
 
 
 def _case_linear(rng):
@@ -574,8 +800,11 @@ _PRIMITIVE_CASES = {
     "sub_scalar": _case_sub_scalar,
     "mul": _case_mul,
     "linear_relu": _case_linear_relu,
-    "softmax": _case_softmax,
-    "log_softmax": _case_log_softmax,
+    "attention_head_softmax": _case_attention_head("softmax", 3),
+    "attention_head_scaled": _case_attention_head("scaled", 3),
+    "attention_head_log": _case_attention_head("log", 3),
+    "attention_head_none": _case_attention_head("none", 3),
+    "attention_head_pointwise": _case_attention_head("softmax", 1),
     "linear": _case_linear,
     "reduce_sum_axis": _case_reduce_sum_axis,
     "reduce_mean_axis": _case_reduce_mean_axis,
@@ -633,16 +862,28 @@ def test_grad_check_needs_finite_tol_and_eps(bad):
 
 
 def test_grad_check_softmax_sum_is_constant():
-    # softmax rows sum to one, so the scalarized output is constant: both
-    # the analytic and the numeric gradient vanish (to roundoff)
-    x = leaf(np.random.default_rng(3).standard_normal((3, 4)) * 0.1)
+    # softmax weights sum to one, so a head over all-ones values outputs
+    # ones: both the analytic and the numeric gradient vanish (to roundoff)
+    x = leaf(np.random.default_rng(3).standard_normal((12, 1)) * 0.1)
+    values = ad.tensor(np.ones((3, 4, 1)))
     with ad.Tape() as tape:
-        out = ad.reduce_sum(ad.softmax(x))
+        out = ad.reduce_sum(_pass_through_head(x, values))
     tape.backward(out)
     assert np.abs(x.grad).max() < 1e-12
-    report = ad.grad_check(lambda x: ad.reduce_sum(ad.softmax(x)), [x])
+    report = ad.grad_check(lambda x: ad.reduce_sum(_pass_through_head(x, values)), [x])
     for _, _, analytic, numeric, _ in report.failures:
         assert abs(analytic) < 1e-9 and abs(numeric) < 1e-9
+
+
+def test_grad_check_perturbs_a_non_contiguous_leaf_in_place():
+    # a transposed leaf: reshaping it copies, so the perturbation must go
+    # through an index into the leaf itself to reach fn
+    x = ad.tensor(np.random.default_rng(4).standard_normal((4, 3)).T, requires_grad=True)
+    assert not x.data.flags.c_contiguous
+    probe = ad.constant(np.arange(12.0).reshape(3, 4) - 5.5)
+    report = ad.grad_check(lambda x: ad.reduce_sum(ad.mul(ad.mul(x, x), probe)), [x])
+    assert report.passed and report.checked == 12
+    assert report.max_rel_error < 1e-6
 
 
 def test_grad_check_flags_with_zero_tolerance():

@@ -217,7 +217,7 @@ def test_gradcheck_single_op_and_exit_codes(capsys):
 
 def test_gradcheck_nan_tolerance_exits_two(capsys):
     # NaN compares False against every error, so it would pass any adjoint
-    assert main(["gradcheck", "--op", "softmax", "--tol", "nan"]) == 2
+    assert main(["gradcheck", "--op", "attention_head_softmax", "--tol", "nan"]) == 2
     assert "finite tol" in capsys.readouterr().err
 
 
@@ -244,6 +244,19 @@ def test_ablate_trains_variant(micro_dataset, capsys):
     assert len(log) == 5
     totals = [float(line.split(",")[-1]) for line in log[1:]]
     assert all(np.isfinite(totals))
+
+
+def test_ablate_infinite_lambda_exits_2(micro_dataset, capsys):
+    code = main([
+        "ablate", "--attention", "scaled", "--lambda", "inf",
+        "--config", str(micro_dataset / "micro.cfg"),
+        "--data", str(micro_dataset / "data" / "train"),
+        "--out", str(micro_dataset / "inf.ckpt"),
+        "--steps", "1",
+    ])
+    assert code == 2
+    assert "finite lam" in capsys.readouterr().err
+    assert not (micro_dataset / "inf.ckpt").exists()
 
 
 def test_ablate_offers_every_variant():

@@ -1,5 +1,7 @@
 """Generator cores: attention math, modes, variants, stage wrapper."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,13 @@ def test_attention_mode_validation():
         AttentionMode("hardmax")
     with pytest.raises(ContractError):
         AttentionMode("scaled", lam=0.0)
+
+
+@pytest.mark.parametrize("lam", [math.inf, math.nan])
+def test_scaled_attention_needs_a_finite_positive_lam(lam):
+    # an infinite scale turns every weight into NaN, which a later relu hides
+    with pytest.raises(ContractError, match="finite lam"):
+        AttentionMode("scaled", lam=lam)
 
 
 # --- upsample transformer --------------------------------------------------------
@@ -102,6 +111,21 @@ def test_mode_none_passes_raw_logits_through():
     core(q, k, cloud, mode=AttentionMode("none"), capture=capture)
     for raw, weights in zip(capture["raw"], capture["weights"]):
         assert raw is weights
+
+
+@pytest.mark.parametrize("pointwise", [False, True], ids=["channelwise", "pointwise"])
+def test_taped_upsample_transformer_appends_one_record_per_head(pointwise):
+    rng = np.random.default_rng(26)
+    core = UpsampleTransformer(np.random.default_rng(27), 6, rate=3, k=3,
+                               dtype=np.float64, pointwise=pointwise)
+    q, k, cloud = uptrans_inputs(rng)
+    with ad.Tape() as tape:
+        core(q, k, cloud, mode=AttentionMode("scaled", lam=2.0))
+    ops = [rec.backfn.__qualname__.split(".")[0] for rec in tape.records]
+    first = ops.index("attention_head")
+    # one record per kernel, holding its MLP, normalization and weighted sum
+    assert ops[first:first + 3] == ["attention_head"] * 3
+    assert ops.count("attention_head") == 3
 
 
 def test_mode_none_differs_from_softmax():
