@@ -10,9 +10,9 @@ inputs require gradients appends a record with an exact adjoint closure;
 Design rules kept deliberately strict so the adjoint code stays auditable:
 
 * elementwise ops accept equal shapes or a python scalar, nothing else;
-* only the linear ops (their bias, over rows), ``neighbor_sum`` and
-  ``attention_head`` (width-1 weights, over channels) broadcast, and each
-  owns that adjoint;
+* only the linear ops (their bias, over rows), ``neighbor_sum`` (its
+  weights, over channels) and ``attention_head`` (width-1 weights, over
+  channels) broadcast, and each owns that adjoint;
 * without an active tape the primitives just compute values (inference mode).
 
 A tape is single-use: ``backward`` consumes it. Each record is dropped once
@@ -207,9 +207,9 @@ class Tape:
                 t.grad = np.zeros_like(t.data)
 
 
-def _emit(out_data, inputs, backfn, requires=None):
+def _emit(out_data, inputs, backfn):
     """Finalize a primitive: build the output tensor and record the adjoint."""
-    needs = any(t.requires_grad for t in inputs) if requires is None else requires
+    needs = any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=needs)
     if needs and (tape := _ACTIVE_TAPE.get()) is not None:
         tape.records.append(_Record(out, tuple(inputs), backfn))
@@ -391,40 +391,17 @@ def _weighted_sum(w, v):
     return (w * v).sum(axis=1)
 
 
-def _weighted_sum_back(g, w, v, need_w, need_v, gw_out=None, gv_out=None):
-    """The adjoint of ``_weighted_sum``: ``(gw, gv)``, None where not needed,
-    written into ``gw_out``/``gv_out`` when given."""
+def _weighted_sum_back(g, w, v, gw_out, gv_out=None):
+    """The adjoint of ``_weighted_sum``, written into ``gw_out`` and, when
+    given, ``gv_out``; returns ``gw_out``."""
     g = g[:, None, :]  # broadcast over the neighbors, no copy
-    gw = gv = None
-    if need_w and w.shape[2] == 1:
-        gw = np.sum(g * v, axis=2, keepdims=True, out=gw_out)
-    elif need_w:
-        gw = np.multiply(g, v, out=gw_out)
-    if need_v:
-        gv = np.multiply(g, w, out=gv_out)
-    return gw, gv
-
-
-def neighbor_sum(weights, values):
-    """Weighted sum over the neighbor axis: ``out[i] = sum_j w[i, j] * v[i, j]``.
-
-    ``values`` is (n, k, C); ``weights`` is (n, k, C), one weight per
-    neighbor and channel, or (n, k, 1), one weight per neighbor shared by
-    every channel. Returns (n, C). The (n, k, C) product is not kept.
-    """
-    fits = values.ndim == weights.ndim == 3 and weights.shape[:2] == values.shape[:2]
-    if not fits or weights.shape[2] not in (1, values.shape[2]):
-        raise ShapeError(
-            f"neighbor_sum: weights {weights.shape} do not fit values {values.shape}"
-        )
-    if weights.dtype != values.dtype:
-        raise ContractError(f"neighbor_sum: dtypes {weights.dtype} and {values.dtype} differ")
-    w, v = weights.data, values.data
-
-    def back(g):
-        return _weighted_sum_back(g, w, v, weights.requires_grad, values.requires_grad)
-
-    return _emit(_weighted_sum(w, v), [weights, values], back)
+    if w.shape[2] == 1:
+        np.sum(g * v, axis=2, keepdims=True, out=gw_out)
+    else:
+        np.multiply(g, v, out=gw_out)
+    if gv_out is not None:
+        np.multiply(g, w, out=gv_out)
+    return gw_out
 
 
 def max_over_axis(x, axis):
@@ -550,6 +527,32 @@ def neighbor_diff(center, other, index, k):
     return _emit(out, [other, center], back)
 
 
+def neighbor_sum(other, index, weights):
+    """Weighted sum of gathered rows: ``out[i] = sum_j w[i, j] * other[index[i*k + j]]``.
+
+    ``other`` is (N, C); ``weights`` is a constant (m, k) array, cast to
+    other's dtype, and ``index`` holds m*k row numbers of ``other``. Returns
+    (m, C) as one record that keeps no gathered rows; the adjoint
+    scatter-adds into ``other``.
+    """
+    if isinstance(weights, Tensor):
+        raise ContractError("neighbor_sum: weights are constants; pass an array")
+    w = np.asarray(weights, dtype=other.dtype)
+    if other.ndim != 2 or w.ndim != 2:
+        raise ShapeError(f"neighbor_sum expects (N, C) rows and (m, k) weights, "
+                         f"got {other.shape} and {w.shape}")
+    idx = _row_index(index, other, "neighbor_sum")
+    if idx.size != w.size:
+        raise ShapeError(f"neighbor_sum: {idx.size} indices do not fit weights {w.shape}")
+    (m, k), c = w.shape, other.shape[1]
+    w = w[:, :, None]  # one weight per neighbor, shared by every channel
+
+    def back(g):
+        return (_scatter_rows((g[:, None, :] * w).reshape(m * k, c), idx, other),)
+
+    return _emit(_weighted_sum(w, other.data[idx].reshape(m, k, c)), [other], back)
+
+
 def reshape(x, shape):
     shape = tuple(int(s) for s in shape)
     if math.prod(shape) != x.size:
@@ -665,8 +668,8 @@ def attention_head(x, values, w0, b0, w1, b1, variant="softmax", lam=1.0, captur
     Each tile of about _TILE_ROWS rows runs the whole chain while its blocks
     are in cache. Every step but the GEMMs works per point, and the weight
     and bias gradients are full-size GEMMs and sums, so the op gives the bits
-    of ``linear_relu``, ``linear``, a reshape, the normalization and
-    ``neighbor_sum`` over all rows, gradients included, wherever a GEMM over
+    of ``linear_relu``, ``linear``, a reshape, the normalization and the
+    weighted sum over all rows, gradients included, wherever a GEMM over
     a tile's rows gives the bits of those rows of the full GEMM. OpenBLAS
     does at the model's shapes (hidden width C), not at every shape: with
     float64 and an 18-wide hidden layer, a 2,048-row tile rounds differently
@@ -714,9 +717,7 @@ def attention_head(x, values, w0, b0, w1, b1, variant="softmax", lam=1.0, captur
         gr = np.empty((n, k, width), x.dtype)
         for a, b in _tiles(n, k):  # the weighted sum's and the normalization's adjoints
             s = weights[a:b]
-            gs, _ = _weighted_sum_back(
-                g[a:b], s, v[a:b], True, gv is not None, gr[a:b], None if gv is None else gv[a:b]
-            )
+            gs = _weighted_sum_back(g[a:b], s, v[a:b], gr[a:b], None if gv is None else gv[a:b])
             _normalize_back_(gs, s, variant, lam)
         weights = None
         gr = gr.reshape(n * k, width)

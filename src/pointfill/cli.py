@@ -18,7 +18,8 @@ from . import data as dataio
 from . import gradcheck as gradsuite
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ContractError, FormatError, NumericsError, ParseError, ShapeError
-from .generator import ATTENTION_VARIANTS, GENERATOR_VARIANTS, export_seed_provenance
+from .autodiff import ATTENTION_VARIANTS
+from .generator import GENERATOR_VARIANTS, export_seed_provenance
 from .losses import chamfer, fidelity, fscore, mmd
 from .pipeline import Adam, CompletionModel, ModelConfig, parse_config_text, run_training
 

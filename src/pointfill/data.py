@@ -174,6 +174,8 @@ def resample_input(cloud, n, seed=0):
     clouds are reduced to a uniformly chosen subset (original order kept).
     """
     pts = as_cloud(cloud)
+    if seed < 0:
+        raise ContractError(f"resample_input: seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     count = pts.shape[0]
     if n < 1:
@@ -248,6 +250,10 @@ def read_ply(path):
         elif token[0] == "element":
             in_vertex = token[1] == "vertex"
             if in_vertex:
+                if len(token) < 3 or not token[2].isdecimal():
+                    raise ParseError(
+                        f"{path}: line {lineno}: vertex count is not a non-negative integer"
+                    )
                 count = int(token[2])
         elif token[0] == "property" and in_vertex:
             names.append(token[-1])

@@ -34,9 +34,6 @@ from . import geometry
 from .errors import ContractError, ShapeError
 from .layers import Linear, Mlp2, Module
 
-ATTENTION_VARIANTS = ad.ATTENTION_VARIANTS
-
-
 @dataclass
 class AttentionMode:
     """How raw attention logits are normalized over a neighborhood.
@@ -91,12 +88,16 @@ def _neighbor_rows(cloud_np, k):
     return geometry.knn(cloud_np, cloud_np, k).indices.reshape(-1)
 
 
-def _stack_heads(heads, n, channels):
-    """Interleave per-kernel (n, channels) outputs kernel-fastest into
-    (n * rate, channels) rows."""
-    heads = [ad.reshape(h, (n, 1, channels)) for h in heads]
-    stacked = heads[0] if len(heads) == 1 else ad.concat(heads, axis=1)
-    return ad.reshape(stacked, (n * len(heads), channels))
+def _stack_heads(heads):
+    """Interleave per-kernel (n, C) outputs kernel-fastest into (n * rate, C)
+    rows: row i of their (n, rate * C) concatenation is head 0's row i, then
+    head 1's, and so on, so one reshape stacks them. One head is returned
+    as it is."""
+    heads = list(heads)
+    if len(heads) == 1:
+        return heads[0]
+    n, c = heads[0].shape
+    return ad.reshape(ad.concat(heads, axis=1), (n * len(heads), c))
 
 
 class UpsampleTransformer(Module):
@@ -198,7 +199,7 @@ class UpsampleTransformer(Module):
             )
             for kernel in self.kernels
         ]
-        return _stack_heads(heads, n, c)
+        return _stack_heads(heads)
 
 
 class FoldingCore(Module):
@@ -219,7 +220,7 @@ class FoldingCore(Module):
         n = queries.shape[0]
         grids = (ad.constant(np.tile(g, (n, 1)), like=queries) for g in self.grid)
         heads = (self.shared_map(ad.concat([queries, g], axis=1)) for g in grids)
-        return _stack_heads(heads, n, self.channels)
+        return _stack_heads(heads)
 
 
 def _folding_grid(rate):
@@ -239,9 +240,7 @@ class DeconvCore(Module):
 
     def __call__(self, queries, keys=None, cloud=None, seed_features=None,
                  mode=None, capture=None):
-        n = queries.shape[0]
-        heads = (split(queries) for split in self.splits)
-        return _stack_heads(heads, n, self.channels)
+        return _stack_heads(split(queries) for split in self.splits)
 
 
 class GraphConvCore(Module):
@@ -264,7 +263,7 @@ class GraphConvCore(Module):
             ad.reshape(kernel(ad.gather_rows(queries, nbrs)), (n, k, c))
             for kernel in self.kernels
         )
-        return _stack_heads((ad.max_over_axis(m, axis=1) for m in mapped), n, c)
+        return _stack_heads(ad.max_over_axis(m, axis=1) for m in mapped)
 
 
 _CORES = {

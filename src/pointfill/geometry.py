@@ -334,12 +334,7 @@ def interpolate_seed_features(queries, seeds, k=3):
     nbr = knn(q, coords, k)
     w = 1.0 / np.maximum(nbr.distances, DISTANCE_FLOOR)
     w = w / w.sum(axis=1, keepdims=True)
-    m = q.shape[0]
-    gathered = ad.gather_rows(features, nbr.indices.reshape(-1))
-    return ad.neighbor_sum(
-        ad.constant(w.reshape(m, k, 1), like=features),
-        ad.reshape(gathered, (m, k, features.shape[1])),
-    )
+    return ad.neighbor_sum(features, nbr.indices.reshape(-1), w)
 
 
 def fuse_and_resample(seeds, partial, n0, return_indices=False):

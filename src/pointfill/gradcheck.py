@@ -51,12 +51,6 @@ def _cloud(rng, n, spread=1.0):
     return spread * rng.standard_normal((n, 3))
 
 
-def _scalarize(t, rng):
-    # project onto a fixed random direction so every output coordinate matters
-    probe = ad.constant(rng.standard_normal(t.shape), like=t)
-    return ad.reduce_sum(ad.mul(t, probe))
-
-
 # --- primitive cases -------------------------------------------------------
 
 
@@ -183,19 +177,18 @@ def _case_sqrt():
     return fn, [x]
 
 
-def _case_neighbor_sum(width, seed):
-    def build():
-        rng = _rng(seed)
-        w = _leaf(rng, (3, 2, width))
-        v = _leaf(rng, (3, 2, 4))
-        probe = rng.standard_normal((3, 4))
+def _case_neighbor_sum():
+    rng = _rng(11)
+    other = _leaf(rng, (4, 3))
+    idx = np.array([2, 0, 2, 3, 1, 2])  # row 2 is picked three times
+    weights = rng.standard_normal((3, 2))
+    probe = rng.standard_normal((3, 3))
 
-        def fn(w, v):
-            return ad.reduce_sum(ad.mul(ad.neighbor_sum(w, v), ad.constant(probe, like=w)))
+    def fn(other):
+        out = ad.neighbor_sum(other, idx, weights)
+        return ad.reduce_sum(ad.mul(out, ad.constant(probe, like=other)))
 
-        return fn, [w, v]
-
-    return build
+    return fn, [other]
 
 
 def _case_neighbor_diff(shared, seed):
@@ -377,8 +370,7 @@ CASES = {
     "concat_gather": _case_structure,
     "reshape": _case_reshape,
     "sqrt": _case_sqrt,
-    "neighbor_sum_pointwise": _case_neighbor_sum(1, 11),
-    "neighbor_sum_channelwise": _case_neighbor_sum(4, 12),
+    "neighbor_sum": _case_neighbor_sum,
     "neighbor_diff": _case_neighbor_diff(False, 13),
     "neighbor_diff_shared": _case_neighbor_diff(True, 14),
     "interpolation": _case_interpolation,

@@ -49,7 +49,7 @@ def _cloud_tensor(x, name):
 def _nearest_sq_dist(src, dst):
     """Differentiable squared distance from each src row to its nearest dst row."""
     idx = geometry.knn(src.data, dst.data, 1).indices[:, 0]
-    diff = ad.sub(src, ad.gather_rows(dst, idx))
+    diff = ad.neighbor_diff(src, dst, idx, 1)
     return ad.reduce_sum(ad.mul(diff, diff), axis=1)
 
 

@@ -274,7 +274,7 @@ class CompletionModel(Module):
         return states[-1].cloud.data.copy()
 
 
-class Adam(Module):
+class Adam:
     """First-order adaptive-moment optimizer (beta1=0.9, beta2=0.999)."""
 
     def __init__(self, model, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):

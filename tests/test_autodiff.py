@@ -3,6 +3,7 @@
 import math
 import threading
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -146,36 +147,40 @@ def test_softmax_over_neighbors_is_bitwise_plain_numpy(dtype, width, log):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_neighbor_sum_width_one_is_bitwise_the_repeated_weights(dtype):
+def test_neighbor_sum_is_bitwise_plain_numpy(dtype):
+    # gather -> reshape -> (w * v).sum(axis=1), and the adjoint's scatter-add
+    # in float64 in index order (as np.bincount sums); rows 4 and 0 repeat
     rng = np.random.default_rng(41)
-    w1 = rng.standard_normal((6, 16, 1)).astype(dtype)
-    v = rng.standard_normal((6, 16, 5)).astype(dtype)
-    g = rng.standard_normal((6, 5)).astype(dtype)
-    runs = []
-    for w in (w1, np.repeat(w1, 5, axis=2)):
-        weights, values = leaf(w, dtype=dtype), leaf(v, dtype=dtype)
-        run_backward(
-            lambda a, b: ad.reduce_sum(ad.mul(ad.neighbor_sum(a, b), ad.constant(g))),
-            weights, values,
-        )
-        runs.append((ad.neighbor_sum(weights, values).data, weights.grad, values.grad))
-    (out1, gw1, gv1), (out_c, gw_c, gv_c) = runs
-    assert np.array_equal(out1, out_c)
-    assert np.array_equal(out_c, (np.repeat(w1, 5, axis=2) * v).sum(axis=1))
-    assert gw1.shape == (6, 16, 1)
-    assert np.array_equal(gw1, gw_c.sum(axis=2, keepdims=True))
-    assert np.array_equal(gv1, gv_c)
+    m, k, c = 6, 3, 5
+    idx = np.array([4, 0, 4, 1, 4, 2, 0, 3, 5, 4, 0, 6, 2, 2, 1, 0, 4, 6])
+    other = leaf(rng.standard_normal((7, c)), dtype)
+    w = rng.uniform(0.1, 1.0, (m, k))
+    g = rng.standard_normal((m, c)).astype(dtype)
+    with ad.Tape() as tape:
+        out = ad.neighbor_sum(other, idx, w)
+        assert len(tape) == 1
+        loss = ad.reduce_sum(ad.mul(out, ad.constant(g)))
+    tape.backward(loss)
+    w3 = w.astype(dtype)[:, :, None]
+    want = (w3 * other.data[idx].reshape(m, k, c)).sum(axis=1)
+    want_grad = np.zeros((7, c))
+    np.add.at(want_grad, idx, (g[:, None, :] * w3).reshape(m * k, c).astype(np.float64))
+    assert out.dtype == other.grad.dtype == dtype
+    assert _bits(out.data, other.grad) == _bits(want, want_grad.astype(dtype))
 
 
-def test_neighbor_sum_rejects_misfit_weights_and_mixed_dtypes():
-    values = ad.tensor(np.zeros((4, 3, 5)))
-    for shape in [(4, 3, 2), (4, 2, 5), (3, 3, 1), (4, 3), (12, 5)]:
+def test_neighbor_sum_rejects_misfit_rows_index_and_weights():
+    other, idx, w = ad.tensor(np.zeros((5, 2))), np.arange(6) % 5, np.ones((3, 2))
+    with pytest.raises(ContractError, match="constants"):
+        ad.neighbor_sum(other, idx, ad.tensor(w))
+    for rows, weights in ((ad.tensor(np.zeros(5)), w), (other, np.ones(6))):
         with pytest.raises(ShapeError, match="neighbor_sum"):
-            ad.neighbor_sum(ad.tensor(np.zeros(shape)), values)
-    with pytest.raises(ShapeError):
-        ad.neighbor_sum(ad.tensor(np.zeros((4, 3, 1))), ad.tensor(np.zeros((12, 5))))
-    with pytest.raises(ContractError, match="dtypes"):
-        ad.neighbor_sum(ad.tensor(np.zeros((4, 3, 1)), dtype=np.float32), values)
+            ad.neighbor_sum(rows, idx, weights)
+    with pytest.raises(ShapeError, match="neighbor_sum"):
+        ad.neighbor_sum(other, idx[:5], w)  # not m * k indices
+    for bad in (np.full(6, 5), idx.reshape(3, 2)):
+        with pytest.raises((IndexError, ShapeError), match="neighbor_sum"):
+            ad.neighbor_sum(other, bad, w)
 
 
 # --- fused records: linear_relu and neighbor_diff ----------------------------
@@ -710,12 +715,30 @@ def _case_linear_relu(rng):
 def _case_attention_head(variant, width):
     def build(rng):
         n, k, c = 3, 4, 3
-        w0, b0 = rng.standard_normal((c, c)), rng.standard_normal(c)
-        # pre-activations at least 0.05 away from the kink
-        z = np.sign(rng.standard_normal((n * k, c))) * (
-            0.05 + np.abs(rng.standard_normal((n * k, c))))
+        sign = lambda shape: rng.choice([-1.0, 1.0], shape)
+        # no weight entry near 0, where it would scale a gradient row or
+        # column down to finite-difference roundoff. w0 is diagonally
+        # dominant (condition number under 13): x, solved from z below,
+        # stays near z's scale, where an ill-conditioned w0 made |x| reach
+        # hundreds
+        diagonal = np.eye(c, dtype=bool)
+        w0 = sign((c, c)) * np.where(
+            diagonal, rng.uniform(1.2, 1.5, (c, c)), rng.uniform(0.2, 0.5, (c, c)))
+        b0 = rng.uniform(-0.5, 0.5, c)
+        # pre-activations 0.05 to 0.5 away from the kink. Each hidden unit is
+        # active for one neighbor of some point and inactive for another: a
+        # unit active for all k neighbors of every point gives b0 a gradient
+        # that the softmax's shift invariance makes structurally zero
+        signs = sign((n, k, c))
+        point, unit = rng.integers(n, size=c), np.arange(c)
+        signs[point, 0, unit], signs[point, 1, unit] = 1.0, -1.0
+        z = (signs * rng.uniform(0.05, 0.5, (n, k, c))).reshape(n * k, c)
         x = np.linalg.solve(w0.T, (z - b0).T).T
-        w1, b1 = rng.standard_normal((c, width)), rng.standard_normal(width)
+        # |relu(z) @ w1| <= 1.8, so the logits lie in [0.2, 4.3] and spread
+        # by at most 3.6 over a point's neighbors: no softmax weight is near
+        # 0, nor a logit, which is the weight under none
+        w1 = sign((c, width)) * rng.uniform(0.4, 1.2, (c, width))
+        b1 = rng.uniform(2.0, 2.5, width)
         inputs = [leaf(x), leaf(rng.standard_normal((n, k, c))), leaf(w0), leaf(b0), leaf(w1)]
         # a logit bias shared by the k neighbors cancels in the softmax modes
         # (a structurally zero gradient): it is checked under none only
@@ -786,13 +809,11 @@ def _case_sqrt(rng):
             [leaf(rng.standard_normal(8))])
 
 
-def _case_neighbor_sum(width):
-    def build(rng):
-        return (_probed(ad.neighbor_sum, (5, 3), rng),
-                [leaf(rng.standard_normal((5, 2, width))),
-                 leaf(rng.standard_normal((5, 2, 3)))])
-
-    return build
+def _case_neighbor_sum(rng):
+    idx = np.array([2, 0, 2, 3, 1, 2])  # row 2 is picked three times
+    w = rng.standard_normal((3, 2))
+    return (_probed(lambda a: ad.neighbor_sum(a, idx, w), (3, 3), rng),
+            [leaf(rng.standard_normal((4, 3)))])
 
 
 _PRIMITIVE_CASES = {
@@ -815,14 +836,14 @@ _PRIMITIVE_CASES = {
     "neighbor_diff_shared": _case_neighbor_diff_shared,
     "reshape": _case_reshape,
     "sqrt": _case_sqrt,
-    "neighbor_sum_pointwise": _case_neighbor_sum(1),
-    "neighbor_sum_channelwise": _case_neighbor_sum(3),
+    "neighbor_sum": _case_neighbor_sum,
 }
 
 
 @pytest.mark.parametrize("name", sorted(_PRIMITIVE_CASES))
 def test_primitive_adjoints_match_finite_differences(name):
-    fn, inputs = _PRIMITIVE_CASES[name](np.random.default_rng(hash(name) % 2**32))
+    # a digest of the name, not hash(): str hashes are salted per process
+    fn, inputs = _PRIMITIVE_CASES[name](np.random.default_rng(zlib.crc32(name.encode())))
     report = ad.grad_check(fn, inputs, eps=1e-5, tol=1e-4)
     assert report.passed, f"{name}: {report.summary()}"
 

@@ -10,7 +10,8 @@ from pointfill import data, pipeline
 from pointfill.checkpoint import load_checkpoint, save_checkpoint
 from pointfill.cli import build_parser, main
 from pointfill.errors import ContractError, FormatError
-from pointfill.generator import ATTENTION_VARIANTS, GENERATOR_VARIANTS
+from pointfill.autodiff import ATTENTION_VARIANTS
+from pointfill.generator import GENERATOR_VARIANTS
 from pointfill.pipeline import CompletionModel, ModelConfig, parse_config_text
 
 
@@ -401,3 +402,37 @@ def test_complete_corrupt_checkpoint_exits_2(micro_dataset, capsys, kind):
     assert code == 2
     err = capsys.readouterr().err
     assert "checkpoint" in err and "checksum" not in err
+
+
+@pytest.mark.parametrize("command", ["complete", "eval"])
+def test_negative_seed_exits_2(micro_dataset, capsys, command):
+    root = micro_dataset
+    save_checkpoint(micro_model(), root / "fresh.ckpt")
+    train = root / "data" / "train"
+    where = {
+        "complete": ["--input", str(train / "0000_sphere_partial.xyz"),
+                     "--output", str(root / "out.xyz")],
+        "eval": ["--data", str(train)],
+    }[command]
+    code = main([command, "--ckpt", str(root / "fresh.ckpt"), *where, "--seed", "-1"])
+    assert code == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not (root / "out.xyz").exists()
+
+
+@pytest.mark.parametrize("count", ["abc", "-3", ""])
+def test_complete_ply_with_a_bad_vertex_count_exits_2(micro_dataset, capsys, count):
+    root = micro_dataset
+    save_checkpoint(micro_model(), root / "fresh.ckpt")
+    ply = root / "bad.ply"
+    ply.write_text(
+        f"ply\nformat ascii 1.0\nelement vertex {count}\nproperty float x\n"
+        "property float y\nproperty float z\nend_header\n0 0 0\n"
+    )
+    code = main([
+        "complete", "--ckpt", str(root / "fresh.ckpt"),
+        "--input", str(ply), "--output", str(root / "out.xyz"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "line 3: vertex count is not a non-negative integer" in err

@@ -128,6 +128,22 @@ def test_taped_upsample_transformer_appends_one_record_per_head(pointwise):
     assert ops.count("attention_head") == 3
 
 
+@pytest.mark.parametrize("rate", [1, 3])
+def test_taped_upsample_transformer_stacks_its_heads_with_one_concat_and_one_reshape(rate):
+    rng = np.random.default_rng(28)
+    core = UpsampleTransformer(np.random.default_rng(29), 6, rate=rate, k=3,
+                               dtype=np.float64)
+    q, k, cloud = uptrans_inputs(rng)
+    with ad.Tape() as tape:
+        out = core(q, k, cloud)
+    ops = [rec.backfn.__qualname__.split(".")[0] for rec in tape.records]
+    first = ops.index("attention_head")
+    stack = ["concat", "reshape"] if rate > 1 else []
+    assert ops[first:] == ["attention_head"] * rate + stack
+    assert out is tape.records[-1].output
+    assert out.shape == (8 * rate, 6)
+
+
 def test_mode_none_differs_from_softmax():
     rng = np.random.default_rng(8)
     core = UpsampleTransformer(np.random.default_rng(9), 6, rate=2, k=3,
