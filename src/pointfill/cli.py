@@ -147,9 +147,8 @@ def _cmd_eval(args):
         if not library:
             raise ContractError(f"no .xyz clouds in {args.mmd_library}")
 
-    print(",".join(["sample", *metrics]))
     sums = np.zeros(len(metrics))
-    for sample_id, partial, gt in samples:
+    for i, (sample_id, partial, gt) in enumerate(samples):
         if model is not None:
             resampled = dataio.resample_input(
                 partial, model.config.input_points, seed=args.seed
@@ -170,6 +169,8 @@ def _cmd_eval(args):
             else:
                 values.append(mmd(pred, library)[0])
         sums += np.asarray(values)
+        if i == 0:  # not before: a first sample that fails prints nothing
+            print(",".join(["sample", *metrics]))
         print(",".join([sample_id, *[f"{v:.6g}" for v in values]]))
     means = sums / len(samples)
     print(",".join(["mean", *[f"{v:.6g}" for v in means]]))

@@ -231,57 +231,78 @@ def write_ply(path, cloud):
 
 
 def read_ply(path):
-    """Minimal ascii PLY reader; unknown vertex properties are skipped."""
+    """Minimal ascii PLY reader: the x, y and z of the vertex element.
+
+    The body is walked element by element, in header order, one row per
+    line: the rows of earlier elements are skipped, a list property spans its
+    count token and that many items, and x, y and z are taken by name. A
+    layout that cannot be read so raises ParseError naming the line.
+    """
     with open(path) as fh:
         lines = fh.readlines()
     if not lines or lines[0].strip() != "ply":
         raise ParseError(f"{path}: line 1: not a ply file")
-    count = None
-    names = []
-    body_at = None
-    in_vertex = False
+
+    def fail(lineno, what):
+        raise ParseError(f"{path}: line {lineno}: {what}")
+
+    elements = []  # (name, count, [(property, is list)], header line)
     for lineno, line in enumerate(lines[1:], start=2):
-        token = line.strip().split()
-        if not token:
-            continue
-        if token[0] == "format":
-            if token[1] != "ascii":
-                raise ParseError(f"{path}: line {lineno}: only ascii ply supported")
+        token = line.split() or [""]
+        if token[0] == "format" and token[1:2] != ["ascii"]:
+            fail(lineno, "only ascii ply supported")
         elif token[0] == "element":
-            in_vertex = token[1] == "vertex"
-            if in_vertex:
-                if len(token) < 3 or not token[2].isdecimal():
-                    raise ParseError(
-                        f"{path}: line {lineno}: vertex count is not a non-negative integer"
-                    )
-                count = int(token[2])
-        elif token[0] == "property" and in_vertex:
-            names.append(token[-1])
+            if len(token) != 3 or not token[2].isdecimal():
+                what = token[1] if len(token) > 1 else "element"
+                fail(lineno, f"{what} count is not a non-negative integer")
+            elements.append((token[1], int(token[2]), [], lineno))
+        elif token[0] == "property":
+            listed = token[1:2] == ["list"]
+            if not elements or len(token) != (5 if listed else 3):
+                fail(lineno, "property line outside an element or malformed")
+            elements[-1][2].append((token[-1], listed))
         elif token[0] == "end_header":
-            body_at = lineno
             break
-    if body_at is None or count is None:
-        raise ParseError(f"{path}: missing end_header or vertex element")
-    for axis in ("x", "y", "z"):
-        if axis not in names:
-            raise ParseError(f"{path}: vertex element lacks property {axis}")
-    cols = [names.index(a) for a in ("x", "y", "z")]
-    rows = []
-    for lineno, line in enumerate(lines[body_at:], start=body_at + 1):
-        parts = line.split()
-        if not parts:
-            continue
-        if len(rows) == count:
-            break
-        if len(parts) < len(names):
-            raise ParseError(f"{path}: line {lineno}: expected {len(names)} values")
+    else:
+        raise ParseError(f"{path}: missing end_header")
+    vertex = [e for e in elements if e[0] == "vertex"]
+    if len(vertex) != 1:
+        raise ParseError(f"{path}: expected one vertex element, found {len(vertex)}")
+    for axis in "xyz":
+        if [p for p in vertex[0][2] if p[0] == axis] != [(axis, False)]:
+            fail(vertex[0][3], f"vertex element needs one scalar property {axis}")
+    body = [
+        (n, line.split()) for n, line in enumerate(lines[lineno:], start=lineno + 1)
+        if line.strip()
+    ]
+    for name, count, props, _ in elements[: elements.index(vertex[0]) + 1]:
+        rows, body = body[:count], body[count:]
+        if len(rows) != count:
+            raise ParseError(f"{path}: expected {count} {name} rows, found {len(rows)}")
+        scalars = [_ply_row(path, n, parts, props) for n, parts in rows]
+    points = []
+    for (n, _), row in zip(rows, scalars):
         try:
-            rows.append([float(parts[c]) for c in cols])
+            points.append([float(row[axis]) for axis in "xyz"])
         except ValueError:
-            raise ParseError(f"{path}: line {lineno}: bad number") from None
-    if len(rows) != count:
-        raise ParseError(f"{path}: expected {count} vertices, found {len(rows)}")
-    return np.asarray(rows)
+            fail(n, "bad number")
+    return np.asarray(points)
+
+
+def _ply_row(path, lineno, parts, props):
+    """The scalar tokens of one PLY body row, by property name."""
+    scalars, at = {}, 0
+    for name, listed in props:
+        if not listed:
+            scalars[name] = at
+            at += 1
+        elif at < len(parts) and parts[at].isdecimal():
+            at += 1 + int(parts[at])
+        else:
+            raise ParseError(f"{path}: line {lineno}: list property {name} lacks a count")
+    if at != len(parts):
+        raise ParseError(f"{path}: line {lineno}: expected {at} values, found {len(parts)}")
+    return {name: parts[i] for name, i in scalars.items()}
 
 
 def read_cloud(path):

@@ -155,10 +155,7 @@ class UpsampleTransformer(Module):
             capture: optional dict for inspection in tests and demos.
                 ``capture["weights"]`` receives each kernel's normalized
                 weights, shaped (n, k, channels), or (n, k, 1) when
-                point-wise. ``capture["raw"]`` receives the raw logits only
-                under ``none``, where they are the same tensors as the
-                weights; the softmax modes keep no raw logits, so it stays
-                empty for them.
+                point-wise; under ``none`` they are the raw logits.
 
         Returns:
             Tensor of shape (rate * n, channels).
@@ -190,8 +187,6 @@ class UpsampleTransformer(Module):
         weights = None
         if capture is not None:
             weights = capture["weights"] = []
-            # only ``none`` keeps its logits: they are its weights
-            capture["raw"] = weights if mode.variant == "none" else []
         heads = [
             ad.attention_head(
                 logits_in, value_term, kernel.lin0.w, kernel.lin0.b, kernel.lin1.w,

@@ -6,16 +6,18 @@ forward case uses a micro model and samples a handful of coordinates per
 parameter tensor (every tensor is still touched), which keeps the suite
 fast without skipping any operation.
 
-Composite cases run inside a geometry freeze (see GeometryFreeze): neighbor
+Every case runs inside one geometry freeze (see GeometryFreeze): neighbor
 selections and interpolation weights are constants of the geometry by
 contract, so finite differences must probe the same function the adjoints
-differentiate. Their scalarization probes are also scaled to ~1e-2 so that
-coordinates with structurally zero gradients (softmax shift invariance,
+differentiate. The composite cases' scalarization probes are scaled to ~1e-2
+so that coordinates with structurally zero gradients (softmax shift invariance,
 occasionally inactive relu units) keep their finite-difference noise below
 the 1e-8 absolute floor of the relative-error formula.
 """
 
 from __future__ import annotations
+
+import zlib
 
 import numpy as np
 
@@ -40,11 +42,12 @@ def _rng(seed=0):
     return np.random.default_rng(seed)
 
 
+def _param(data):
+    return ad.tensor(data, requires_grad=True, dtype=np.float64)
+
+
 def _leaf(rng, shape, scale=1.0, offset=0.0):
-    return ad.tensor(
-        offset + scale * rng.standard_normal(shape), requires_grad=True,
-        dtype=np.float64,
-    )
+    return _param(offset + scale * rng.standard_normal(shape))
 
 
 def _cloud(rng, n, spread=1.0):
@@ -64,28 +67,39 @@ def _case_linear_relu():
     return lambda x, w, b: ad.reduce_sum(ad.linear_relu(x, w, b)), [x, w, b]
 
 
-def _case_attention_head(variant, width, seed):
+def _case_attention_head(name, variant, width):
     def build():
-        rng = _rng(seed)
+        rng = _rng(zlib.crc32(name.encode()))  # not hash(): salted per process
         n, k, c = 3, 4, 3
-        w0 = _leaf(rng, (c, c))
-        b0 = _leaf(rng, (c,))
-        z = rng.standard_normal((n * k, c))
-        z += np.sign(z) * 0.05  # keep the pre-activations clear of the kink
-        x = ad.tensor(np.linalg.solve(w0.data.T, (z - b0.data).T).T, requires_grad=True)
-        values = _leaf(rng, (n, k, c))
-        w1 = _leaf(rng, (c, width))
-        b1 = _leaf(rng, (width,))
+        sign = lambda shape: rng.choice([-1.0, 1.0], shape)
+        # Data clear of finite-difference roundoff: no w0 or w1 entry near 0
+        # (it would scale a gradient row or column down); a diagonally
+        # dominant w0 (condition number under 13), so x stays near z's scale;
+        # pre-activations z 0.05 to 0.5 from the kink, each hidden unit active
+        # for one neighbor of some point and inactive for another (else the
+        # softmax's shift invariance zeroes b0's gradient); |relu(z) @ w1| <=
+        # 1.8, so the logits lie in [0.2, 4.3] and spread by at most 3.6 per
+        # point: no softmax weight is near 0, nor a logit (the none weight)
+        w0 = sign((c, c)) * np.where(
+            np.eye(c, dtype=bool), rng.uniform(1.2, 1.5, (c, c)), rng.uniform(0.2, 0.5, (c, c)))
+        b0 = rng.uniform(-0.5, 0.5, c)
+        signs = sign((n, k, c))
+        point, unit = rng.integers(n, size=c), np.arange(c)
+        signs[point, 0, unit], signs[point, 1, unit] = 1.0, -1.0
+        z = (signs * rng.uniform(0.05, 0.5, (n, k, c))).reshape(n * k, c)
+        x = np.linalg.solve(w0.T, (z - b0).T).T
+        w1 = sign((c, width)) * rng.uniform(0.4, 1.2, (c, width))
+        b1 = rng.uniform(2.0, 2.5, width)
+        inputs = [_param(a) for a in (x, rng.standard_normal((n, k, c)), w0, b0, w1, b1)]
         probe = rng.standard_normal((n, c))
 
-        def fn(x, values, w0, b0, w1, b1=b1):
+        def fn(x, values, w0, b0, w1, b1=inputs[-1]):
             out = ad.attention_head(x, values, w0, b0, w1, b1, variant, lam=1.7)
             return ad.reduce_sum(ad.mul(out, ad.constant(probe, like=x)))
 
         # a logit bias shared by the k neighbors cancels in the softmax
-        # modes, so its gradient is structurally zero: check it under none
-        inputs = [x, values, w0, b0, w1]
-        return fn, inputs + [b1] if variant == "none" else inputs
+        # modes (a structurally zero gradient): it is checked under none only
+        return fn, inputs if variant == "none" else inputs[:-1]
 
     return build
 
@@ -110,7 +124,8 @@ def _case_elementwise():
 
     def fn(a, b):
         mixed = ad.mul(ad.add(a, b), ad.sub(a, ad.mul(b, 0.5)))
-        return ad.reduce_sum(mixed)
+        # a scalar on either side of sub
+        return ad.reduce_sum(ad.sub(1.5, ad.sub(mixed, 0.5)))
 
     return fn, [a, b]
 
@@ -118,10 +133,13 @@ def _case_elementwise():
 def _case_reductions():
     rng = _rng(6)
     x = _leaf(rng, (5, 4))
+    probe = rng.standard_normal(4)
 
     def fn(x):
+        column_means = ad.mul(ad.reduce_mean(x, axis=0), ad.constant(probe, like=x))
         return ad.add(
-            ad.reduce_mean(ad.mul(x, x)), ad.reduce_sum(ad.reduce_sum(x, axis=1))
+            ad.add(ad.reduce_mean(ad.mul(x, x)), ad.reduce_sum(ad.reduce_sum(x, axis=1))),
+            ad.reduce_sum(column_means),
         )
 
     return fn, [x]
@@ -146,13 +164,19 @@ def _case_structure():
     b = _leaf(rng, (2, 4))
     idx = np.array([4, 0, 2, 2, 1])
     probe = rng.standard_normal((5, 4))
+    c = _leaf(rng, (3, 2))
+    wide_probe = rng.standard_normal((3, 6))
 
-    def fn(a, b):
+    def fn(a, b, c):
         merged = ad.concat([a, b], axis=0)
         rows = ad.gather_rows(merged, idx)
-        return ad.reduce_sum(ad.mul(rows, ad.constant(probe, like=a)))
+        wide = ad.concat([a, c], axis=1)
+        return ad.add(
+            ad.reduce_sum(ad.mul(rows, ad.constant(probe, like=a))),
+            ad.reduce_sum(ad.mul(wide, ad.constant(wide_probe, like=a))),
+        )
 
-    return fn, [a, b]
+    return fn, [a, b, c]
 
 
 def _case_reshape():
@@ -228,37 +252,28 @@ def _case_interpolation():
     return fn, [feats]
 
 
-def _build_uptrans(seed):
-    rng = _rng(seed)
-    n, c, cs = 8, 6, 4
-    core = UpsampleTransformer(rng, c, rate=2, k=3, seed_channels=cs, dtype=np.float64)
-    cloud = _cloud(rng, n)
-    seeds = SeedSet(
-        coords=ad.tensor(_cloud(rng, 5)),
-        features=ad.tensor(rng.standard_normal((5, cs))),
-    )
-    queries = _leaf(rng, (n, c))
-    keys = _leaf(rng, (n, c))
-    cloud_t = _leaf(rng, (n, 3))
-    cloud_t.data = cloud
-    params = [p.tensor for p in core.named_parameters()]
-    return core, queries, keys, cloud_t, seeds, params, rng
-
-
 def _case_uptrans(mode):
     def build():
-        core, q, k, cloud, seeds, params, rng = _build_uptrans(30)
-        probe = 0.01 * rng.standard_normal((cloud.shape[0] * core.rate, core.channels))
-        freezer = geometry.GeometryFreeze()
+        rng = _rng(30)
+        n, c, cs = 8, 6, 4
+        core = UpsampleTransformer(rng, c, rate=2, k=3, seed_channels=cs, dtype=np.float64)
+        cloud = _cloud(rng, n)
+        seeds = SeedSet(
+            coords=ad.tensor(_cloud(rng, 5)),
+            features=ad.tensor(rng.standard_normal((5, cs))),
+        )
+        queries, keys = _leaf(rng, (n, c)), _leaf(rng, (n, c))
+        cloud_t = _leaf(rng, (n, 3))  # drawn, then given the cloud's data
+        cloud_t.data = cloud
+        params = [p.tensor for p in core.named_parameters()]
+        probe = 0.01 * rng.standard_normal((n * core.rate, c))
 
         def fn(q, k, cloud, *params):
-            freezer.begin_pass()
-            with geometry.freeze_geometry(freezer):
-                s = geometry.interpolate_seed_features(cloud.data, seeds, 2)
-                out = core(q, k, cloud, seed_features=s, mode=mode)
+            s = geometry.interpolate_seed_features(cloud.data, seeds, 2)
+            out = core(q, k, cloud, seed_features=s, mode=mode)
             return ad.reduce_sum(ad.mul(out, ad.constant(probe, like=q)))
 
-        return fn, [q, k, cloud, *params]
+        return fn, [queries, keys, cloud_t, *params]
 
     return build
 
@@ -327,12 +342,9 @@ def _case_upsample_layer():
     feats = _leaf(rng, (n, c))
     params = [p.tensor for p in stage.named_parameters()]
     probe = 0.01 * rng.standard_normal((n * 2, 3))
-    freezer = geometry.GeometryFreeze()
 
     def fn(cloud, feats, *params):
-        freezer.begin_pass()
-        with geometry.freeze_geometry(freezer):
-            out = stage(StageState(cloud=cloud, features=feats), seeds)
+        out = stage(StageState(cloud=cloud, features=feats), seeds)
         return ad.reduce_sum(ad.mul(out.cloud, ad.constant(probe, like=cloud)))
 
     return fn, [cloud, feats, *params]
@@ -344,13 +356,10 @@ def _case_full_forward():
     partial = _cloud(rng, model.config.input_points, spread=0.5)
     gt = _cloud(rng, 24, spread=0.5)
     params = [p.tensor for p in model.named_parameters()]
-    freezer = geometry.GeometryFreeze()
 
     def fn(*params):
-        freezer.begin_pass()
-        with geometry.freeze_geometry(freezer):
-            seeds, states = model.forward(partial)
-            total, _ = completion_loss(seeds.coords, [s.cloud for s in states], gt)
+        seeds, states = model.forward(partial)
+        total, _ = completion_loss(seeds.coords, [s.cloud for s in states], gt)
         return ad.mul(total, 0.01)
 
     return fn, params
@@ -358,11 +367,11 @@ def _case_full_forward():
 
 CASES = {
     "linear_relu": _case_linear_relu,
-    "attention_head_softmax": _case_attention_head("softmax", 3, 2),
-    "attention_head_scaled": _case_attention_head("scaled", 3, 15),
-    "attention_head_log": _case_attention_head("log", 3, 3),
-    "attention_head_none": _case_attention_head("none", 3, 16),
-    "attention_head_pointwise": _case_attention_head("softmax", 1, 17),
+    "attention_head_softmax": _case_attention_head("attention_head_softmax", "softmax", 3),
+    "attention_head_scaled": _case_attention_head("attention_head_scaled", "scaled", 3),
+    "attention_head_log": _case_attention_head("attention_head_log", "log", 3),
+    "attention_head_none": _case_attention_head("attention_head_none", "none", 3),
+    "attention_head_pointwise": _case_attention_head("attention_head_pointwise", "softmax", 1),
     "linear": _case_linear,
     "elementwise": _case_elementwise,
     "reductions": _case_reductions,
@@ -396,15 +405,27 @@ _SAMPLED = {"full_forward": 4, "upsample_layer": 16}
 
 
 def run_suite(names=None, tol=TOL, eps=EPS, report_fn=None):
-    """Run the named cases (all by default); returns [(name, report)]."""
+    """Run the named cases (all by default); returns [(name, report)].
+
+    Each case runs in one geometry freeze: its first, taped evaluation
+    records the neighbor selections and interpolation weights, and every
+    finite-difference evaluation replays them.
+    """
     selected = list(CASES) if not names else list(names)
     results = []
     for name in selected:
         if name not in CASES:
             raise KeyError(f"unknown gradcheck case {name!r}")
         fn, inputs = CASES[name]()
+        freezer = geometry.GeometryFreeze()
+
+        def replay(*args):
+            freezer.begin_pass()
+            with geometry.freeze_geometry(freezer):
+                return fn(*args)
+
         report = ad.grad_check(
-            fn, inputs, eps=eps, tol=tol,
+            replay, inputs, eps=eps, tol=tol,
             max_coords_per_input=_SAMPLED.get(name), seed=0,
         )
         results.append((name, report))

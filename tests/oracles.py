@@ -85,3 +85,9 @@ def mmd_oracle(pred, library):
     values = [chamfer_oracle(pred, ref, "l2") for ref in library]
     best = int(np.argmin(values))
     return values[best], best
+
+
+def softmax_over_neighbors(logits):
+    """Softmax of (n, k, W) logits over the k neighbors (axis 1)."""
+    shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return shifted / shifted.sum(axis=1, keepdims=True)

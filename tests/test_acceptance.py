@@ -25,6 +25,7 @@ from .oracles import (
     fscore_oracle,
     knn_oracle,
     mmd_oracle,
+    softmax_over_neighbors,
 )
 
 
@@ -154,12 +155,16 @@ def test_criterion_03_attention_invariants():
     out_scaled = core(queries, keys, cloud, mode=AttentionMode("scaled", lam=1.0))
     assert np.array_equal(out_soft.data, out_scaled.data)
 
+    # none keeps the logits that the softmax normalizes
     raw_capture = {}
     core(queries, keys, cloud, mode=AttentionMode("none"), capture=raw_capture)
-    for raw, weights in zip(raw_capture["raw"], raw_capture["weights"]):
-        assert raw is weights
+    assert len(raw_capture["weights"]) == len(capture["weights"]) == 3
+    for raw, weights in zip(raw_capture["weights"], capture["weights"]):
+        np.testing.assert_allclose(
+            softmax_over_neighbors(raw.data), weights.data, rtol=0, atol=1e-12
+        )
 
-    _ok(3, "attention invariants (sums, scaled@1 bitwise, none=raw)")
+    _ok(3, "attention invariants (sums, scaled@1 bitwise, softmax(none)=softmax)")
 
 
 # -- 4 ------------------------------------------------------------------------

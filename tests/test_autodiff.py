@@ -3,12 +3,12 @@
 import math
 import threading
 import tracemalloc
-import zlib
 
 import numpy as np
 import pytest
 
 from pointfill import autodiff as ad
+from pointfill import gradcheck
 from pointfill.errors import ContractError, NumericsError, ShapeError
 from pointfill.layers import Mlp2
 from pointfill.pipeline import Adam, CompletionModel, ModelConfig, train_step
@@ -681,170 +681,16 @@ def test_train_step_backward_frees_memory_as_it_goes(monkeypatch):
 # --- finite differences for every primitive ---------------------------------
 
 
-def _probed(op, probe_shape, rng):
-    """Scalarize ``op`` against a fixed random probe (drawn once)."""
-    probe = rng.standard_normal(probe_shape)
-    return lambda *args: ad.reduce_sum(
-        ad.mul(op(*args), ad.constant(probe, like=args[0]))
-    )
-
-
-def _case_add(rng):
-    return (lambda a, b: ad.reduce_sum(ad.add(a, b)),
-            [leaf(rng.standard_normal((3, 4))), leaf(rng.standard_normal((3, 4)))])
-
-
-def _case_sub_scalar(rng):
-    return (lambda a: ad.reduce_sum(ad.sub(1.5, ad.sub(a, 0.5))),
-            [leaf(rng.standard_normal(6))])
-
-
-def _case_mul(rng):
-    return (lambda a, b: ad.reduce_sum(ad.mul(a, b)),
-            [leaf(rng.standard_normal((2, 5))), leaf(rng.standard_normal((2, 5)))])
-
-
-def _case_linear_relu(rng):
-    w, b = rng.standard_normal((3, 3)), rng.standard_normal(3)
-    # pre-activations at least 0.05 away from the kink
-    z = np.sign(rng.standard_normal((4, 3))) * (0.05 + np.abs(rng.standard_normal((4, 3))))
-    x = np.linalg.solve(w.T, (z - b).T).T.copy()
-    return _probed(ad.linear_relu, (4, 3), rng), [leaf(x), leaf(w), leaf(b)]
-
-
-def _case_attention_head(variant, width):
-    def build(rng):
-        n, k, c = 3, 4, 3
-        sign = lambda shape: rng.choice([-1.0, 1.0], shape)
-        # no weight entry near 0, where it would scale a gradient row or
-        # column down to finite-difference roundoff. w0 is diagonally
-        # dominant (condition number under 13): x, solved from z below,
-        # stays near z's scale, where an ill-conditioned w0 made |x| reach
-        # hundreds
-        diagonal = np.eye(c, dtype=bool)
-        w0 = sign((c, c)) * np.where(
-            diagonal, rng.uniform(1.2, 1.5, (c, c)), rng.uniform(0.2, 0.5, (c, c)))
-        b0 = rng.uniform(-0.5, 0.5, c)
-        # pre-activations 0.05 to 0.5 away from the kink. Each hidden unit is
-        # active for one neighbor of some point and inactive for another: a
-        # unit active for all k neighbors of every point gives b0 a gradient
-        # that the softmax's shift invariance makes structurally zero
-        signs = sign((n, k, c))
-        point, unit = rng.integers(n, size=c), np.arange(c)
-        signs[point, 0, unit], signs[point, 1, unit] = 1.0, -1.0
-        z = (signs * rng.uniform(0.05, 0.5, (n, k, c))).reshape(n * k, c)
-        x = np.linalg.solve(w0.T, (z - b0).T).T
-        # |relu(z) @ w1| <= 1.8, so the logits lie in [0.2, 4.3] and spread
-        # by at most 3.6 over a point's neighbors: no softmax weight is near
-        # 0, nor a logit, which is the weight under none
-        w1 = sign((c, width)) * rng.uniform(0.4, 1.2, (c, width))
-        b1 = rng.uniform(2.0, 2.5, width)
-        inputs = [leaf(x), leaf(rng.standard_normal((n, k, c))), leaf(w0), leaf(b0), leaf(w1)]
-        # a logit bias shared by the k neighbors cancels in the softmax modes
-        # (a structurally zero gradient): it is checked under none only
-        if variant == "none":
-            op = lambda *args: ad.attention_head(*args, variant)
-            inputs.append(leaf(b1))
-        else:
-            op = lambda *args: ad.attention_head(*args, ad.tensor(b1), variant, 1.7)
-        return _probed(op, (n, c), rng), inputs
-
-    return build
-
-
-def _case_linear(rng):
-    inputs = [
-        leaf(rng.standard_normal((4, 2))),
-        leaf(rng.standard_normal((2, 3))),
-        leaf(rng.standard_normal(3)),
-    ]
-    return _probed(ad.linear, (4, 3), rng), inputs
-
-
-def _case_reduce_sum_axis(rng):
-    return (_probed(lambda a: ad.reduce_sum(a, axis=1), 3, rng),
-            [leaf(rng.standard_normal((3, 5)))])
-
-
-def _case_reduce_mean_axis(rng):
-    return (_probed(lambda a: ad.reduce_mean(a, axis=0), 5, rng),
-            [leaf(rng.standard_normal((3, 5)))])
-
-
-def _case_max_over_axis(rng):
-    return (_probed(lambda a: ad.max_over_axis(a, axis=1), 4, rng),
-            [leaf(rng.standard_normal((4, 6)))])
-
-
-def _case_concat(rng):
-    return (_probed(lambda a, b: ad.concat([a, b], axis=1), (3, 5), rng),
-            [leaf(rng.standard_normal((3, 2))), leaf(rng.standard_normal((3, 3)))])
-
-
-def _case_gather_rows(rng):
-    idx = np.array([1, 1, 0, 3])
-    return (_probed(lambda a: ad.gather_rows(a, idx), (4, 2), rng),
-            [leaf(rng.standard_normal((4, 2)))])
-
-
-def _case_neighbor_diff(rng):
-    idx = np.array([4, 0, 2, 2, 1, 3])
-    return (_probed(lambda a, b: ad.neighbor_diff(a, b, idx, 2), (6, 2), rng),
-            [leaf(rng.standard_normal((3, 2))), leaf(rng.standard_normal((5, 2)))])
-
-
-def _case_neighbor_diff_shared(rng):
-    idx = np.array([1, 0, 2, 2, 0, 1])
-    return (_probed(lambda a: ad.neighbor_diff(a, a, idx, 2), (6, 2), rng),
-            [leaf(rng.standard_normal((3, 2)))])
-
-
-def _case_reshape(rng):
-    op = lambda a: ad.reshape(a, (2, 3, 2))
-    return _probed(op, (2, 3, 2), rng), [leaf(rng.standard_normal((2, 6)))]
-
-
-def _case_sqrt(rng):
-    return (lambda a: ad.reduce_sum(ad.sqrt(ad.add(ad.mul(a, a), 0.5))),
-            [leaf(rng.standard_normal(8))])
-
-
-def _case_neighbor_sum(rng):
-    idx = np.array([2, 0, 2, 3, 1, 2])  # row 2 is picked three times
-    w = rng.standard_normal((3, 2))
-    return (_probed(lambda a: ad.neighbor_sum(a, idx, w), (3, 3), rng),
-            [leaf(rng.standard_normal((4, 3)))])
-
-
-_PRIMITIVE_CASES = {
-    "add": _case_add,
-    "sub_scalar": _case_sub_scalar,
-    "mul": _case_mul,
-    "linear_relu": _case_linear_relu,
-    "attention_head_softmax": _case_attention_head("softmax", 3),
-    "attention_head_scaled": _case_attention_head("scaled", 3),
-    "attention_head_log": _case_attention_head("log", 3),
-    "attention_head_none": _case_attention_head("none", 3),
-    "attention_head_pointwise": _case_attention_head("softmax", 1),
-    "linear": _case_linear,
-    "reduce_sum_axis": _case_reduce_sum_axis,
-    "reduce_mean_axis": _case_reduce_mean_axis,
-    "max_over_axis": _case_max_over_axis,
-    "concat": _case_concat,
-    "gather_rows": _case_gather_rows,
-    "neighbor_diff": _case_neighbor_diff,
-    "neighbor_diff_shared": _case_neighbor_diff_shared,
-    "reshape": _case_reshape,
-    "sqrt": _case_sqrt,
-    "neighbor_sum": _case_neighbor_sum,
-}
-
-
-@pytest.mark.parametrize("name", sorted(_PRIMITIVE_CASES))
+# the primitive cases of the shipped registry, one test id each; criterion 01
+# runs the whole registry, the composite cases included
+@pytest.mark.parametrize("name", [
+    "linear_relu", "attention_head_softmax", "attention_head_scaled",
+    "attention_head_log", "attention_head_none", "attention_head_pointwise",
+    "linear", "elementwise", "reductions", "max_over_axis", "concat_gather",
+    "reshape", "sqrt", "neighbor_sum", "neighbor_diff", "neighbor_diff_shared",
+])
 def test_primitive_adjoints_match_finite_differences(name):
-    # a digest of the name, not hash(): str hashes are salted per process
-    fn, inputs = _PRIMITIVE_CASES[name](np.random.default_rng(zlib.crc32(name.encode())))
-    report = ad.grad_check(fn, inputs, eps=1e-5, tol=1e-4)
+    [(_, report)] = gradcheck.run_suite([name], tol=1e-4, eps=1e-5)
     assert report.passed, f"{name}: {report.summary()}"
 
 

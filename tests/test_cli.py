@@ -6,7 +6,8 @@ import zlib
 import numpy as np
 import pytest
 
-from pointfill import data, pipeline
+from pointfill import autodiff as ad
+from pointfill import data, gradcheck, pipeline
 from pointfill.checkpoint import load_checkpoint, save_checkpoint
 from pointfill.cli import build_parser, main
 from pointfill.errors import ContractError, FormatError
@@ -222,11 +223,19 @@ def test_gradcheck_nan_tolerance_exits_two(capsys):
     assert "finite tol" in capsys.readouterr().err
 
 
-def test_gradcheck_full_suite_exits_zero(capsys):
+def test_gradcheck_full_suite_exits_zero(capsys, monkeypatch):
+    # without --op every registered case runs; a small registry stands in
+    def wrong_adjoint():  # a recorded adjoint 3/2 times too large
+        x = ad.tensor(np.linspace(1.0, 2.0, 3), requires_grad=True)
+        return lambda x: ad.reduce_sum(ad._emit(x.data * 2, [x], lambda g: (g * 3,))), [x]
+
+    monkeypatch.setattr(gradcheck, "CASES", {"sqrt": gradcheck.CASES["sqrt"]})
     assert main(["gradcheck"]) == 0
-    out = capsys.readouterr().out
-    assert "full_forward: pass" in out
-    assert "FAIL" not in out
+    gradcheck.CASES["wrong_adjoint"] = wrong_adjoint
+    assert main(["gradcheck"]) == 2
+    out, err = capsys.readouterr()
+    assert out.count("sqrt: pass") == 2 and out.count("FAIL") == 1
+    assert "wrong_adjoint: FAIL" in out and "1 case(s) failed: wrong_adjoint" in err
 
 
 def test_ablate_trains_variant(micro_dataset, capsys):
@@ -416,7 +425,9 @@ def test_negative_seed_exits_2(micro_dataset, capsys, command):
     }[command]
     code = main([command, "--ckpt", str(root / "fresh.ckpt"), *where, "--seed", "-1"])
     assert code == 2
-    assert "seed must be >= 0" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "seed must be >= 0" in captured.err
+    assert captured.out == ""
     assert not (root / "out.xyz").exists()
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pointfill import data
 from pointfill.errors import ContractError, ParseError
@@ -156,6 +158,108 @@ def test_ply_rejects_non_ply(tmp_path):
     path.write_text("hello\n")
     with pytest.raises(ParseError):
         data.read_ply(path)
+
+
+_XYZ = "property float x\nproperty float y\nproperty float z\n"
+
+
+def _ply(tmp_path, header, rows):
+    path = tmp_path / "cloud.ply"
+    path.write_text(f"ply\nformat ascii 1.0\n{header}end_header\n{rows}")
+    return path
+
+
+@pytest.mark.parametrize("header, rows", [
+    ("element vertex 2\nproperty list uchar int idx\n" + _XYZ, "1 5 0 0 0\n1 5 1 1 1\n"),
+    ("element face 1\nproperty list uchar int vertex_indices\nelement vertex 2\n" + _XYZ,
+     "3 0 1 2\n0 0 0\n1 1 1\n"),
+], ids=["list-before-x-y-z", "face-before-vertex"])
+def test_ply_reads_past_list_properties_and_earlier_elements(tmp_path, header, rows):
+    np.testing.assert_array_equal(data.read_ply(_ply(tmp_path, header, rows)),
+                                  [[0, 0, 0], [1, 1, 1]])
+
+
+@pytest.mark.parametrize("header, rows, line", [
+    ("element vertex 1\nproperty list uchar int idx\n" + _XYZ, "x 0 0 0\n", 9),
+    ("element vertex 1\nproperty list uchar int idx\n" + _XYZ, "2 5 0 0 0\n", 9),
+    ("element vertex 1\n" + _XYZ, "0 0\n", 8),
+    ("element vertex 1\nproperty list uchar float x\nproperty float y\n"
+     "property float z\n", "1 0 0 0\n", 3),
+    ("element vertex 1\nproperty float\n" + _XYZ, "0 0 0\n", 4),
+    ("element face 2\nproperty list uchar int idx\nelement vertex 1\n" + _XYZ,
+     "0\n0 0 0\n", 11),
+], ids=["list-count-not-a-number", "list-longer-than-the-row", "short-row", "listed-x",
+        "property-without-a-name", "a-face-row-short-of-the-vertices"])
+def test_ply_rejects_rows_that_do_not_fit_the_header(tmp_path, header, rows, line):
+    with pytest.raises(ParseError, match=f"line {line}:"):
+        data.read_ply(_ply(tmp_path, header, rows))
+
+
+def _filler(draw, listed):
+    """Tokens of a property the reader skips: an int, or a list of them."""
+    if not listed:
+        return str(draw(st.integers(-9, 9)))
+    items = draw(st.lists(st.integers(0, 9), max_size=3))
+    return " ".join(map(str, [len(items), *items]))
+
+
+@st.composite
+def ply_files(draw):
+    """A valid ascii PLY text and the vertex coordinates it holds."""
+    coord = st.floats(allow_nan=False, allow_infinity=False)
+    points = draw(st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=5))
+    kinds = st.lists(st.booleans(), min_size=1, max_size=3)  # True: a list property
+    extras = [(f"extra{i}", listed) for i, listed in enumerate(draw(kinds))]
+    vertex = draw(st.permutations([("x", False), ("y", False), ("z", False), *extras]))
+    elements = [
+        (f"other{i}", draw(st.integers(0, 3)), [(f"p{j}", l) for j, l in enumerate(draw(kinds))])
+        for i in range(draw(st.integers(0, 3)))
+    ]
+    elements.insert(draw(st.integers(0, len(elements))), ("vertex", len(points), vertex))
+    header, body = [], []
+    for name, count, props in elements:
+        header.append(f"element {name} {count}")
+        header += [f"property {'list uchar int' if listed else 'float'} {prop}"
+                   for prop, listed in props]
+        for i in range(count):
+            coords = dict(zip("xyz", map(repr, points[i]))) if name == "vertex" else {}
+            body.append(" ".join(coords.get(p) or _filler(draw, l) for p, l in props))
+    for text in draw(st.lists(st.sampled_from(["comment by hand", "obj_info v1"]), max_size=3)):
+        header.insert(draw(st.integers(0, len(header))), text)
+    lines = ["ply", "format ascii 1.0", *header, "end_header", *body]
+    return "\n".join(lines) + "\n", np.asarray(points)
+
+
+_PLY_FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@_PLY_FUZZ
+@given(ply_files())
+def test_ply_reads_back_any_element_order_and_extra_properties(tmp_path_factory, case):
+    text, points = case
+    path = tmp_path_factory.mktemp("ply") / "cloud.ply"
+    path.write_text(text)
+    np.testing.assert_array_equal(data.read_ply(path), points)
+
+
+@_PLY_FUZZ
+@given(ply_files(), st.data())
+def test_mutated_ply_and_xyz_read_or_raise_parse_error(tmp_path_factory, case, draw):
+    ply_text, points = case
+    folder = tmp_path_factory.mktemp("mutated")
+    data.write_xyz(folder / "cloud.xyz", points)
+    for path, text, reader in ((folder / "cloud.ply", ply_text, data.read_ply),
+                               (folder / "cloud.xyz", None, data.read_xyz)):
+        lines = (text or path.read_text()).splitlines()
+        at = draw.draw(st.integers(0, len(lines) - 1))
+        junk = draw.draw(st.sampled_from(["x", "-1", "3", "1e999"]))
+        lines[at:at + 1] = draw.draw(st.sampled_from(
+            [[], [lines[at]] * 2, [lines[at].rpartition(" ")[0]], [f"{lines[at]} {junk}"]]))
+        path.write_text("\n".join(lines) + "\n")
+        try:
+            reader(path)
+        except ParseError:
+            pass
 
 
 # --- dataset helpers ------------------------------------------------------------------

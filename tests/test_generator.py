@@ -24,6 +24,8 @@ from pointfill.generator import (
 )
 from pointfill.losses import chamfer
 
+from .oracles import softmax_over_neighbors
+
 
 def random_cloud(rng, n, spread=1.0):
     return spread * rng.standard_normal((n, 3))
@@ -107,10 +109,14 @@ def test_mode_none_passes_raw_logits_through():
     core = UpsampleTransformer(np.random.default_rng(7), 6, rate=2, k=3,
                                dtype=np.float64)
     q, k, cloud = uptrans_inputs(rng)
-    capture = {}
-    core(q, k, cloud, mode=AttentionMode("none"), capture=capture)
-    for raw, weights in zip(capture["raw"], capture["weights"]):
-        assert raw is weights
+    raw, soft = {}, {}
+    core(q, k, cloud, mode=AttentionMode("none"), capture=raw)
+    core(q, k, cloud, mode=AttentionMode("softmax"), capture=soft)
+    assert len(raw["weights"]) == len(soft["weights"]) == 2
+    for logits, weights in zip(raw["weights"], soft["weights"]):
+        np.testing.assert_allclose(
+            softmax_over_neighbors(logits.data), weights.data, rtol=0, atol=1e-12
+        )
 
 
 @pytest.mark.parametrize("pointwise", [False, True], ids=["channelwise", "pointwise"])
