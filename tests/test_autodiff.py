@@ -681,17 +681,42 @@ def test_train_step_backward_frees_memory_as_it_goes(monkeypatch):
 # --- finite differences for every primitive ---------------------------------
 
 
-# the primitive cases of the shipped registry, one test id each; criterion 01
-# runs the whole registry, the composite cases included
+# primitives checked inside a merged registry case: the case, the autodiff
+# function, and the call (args, kwargs) that the case must make of it
+_MERGED = {
+    "add": ("elementwise", "add", lambda a, kw: True),
+    "mul": ("elementwise", "mul", lambda a, kw: True),
+    "sub_scalar": ("elementwise", "sub", lambda a, kw: np.isscalar(a[0])),
+    "reduce_sum_axis": ("reductions", "reduce_sum", lambda a, kw: kw.get("axis") == 1),
+    "reduce_mean_axis": ("reductions", "reduce_mean", lambda a, kw: kw.get("axis") == 0),
+    "concat": ("concat_gather", "concat", lambda a, kw: kw.get("axis") == 1),
+    "gather_rows": ("concat_gather", "gather_rows", lambda a, kw: len(set(a[1])) < len(a[1])),
+}
+
+
+# one test id per primitive, each running the shipped registry case that
+# checks it; criterion 01 runs the whole registry, the composite cases included
 @pytest.mark.parametrize("name", [
     "linear_relu", "attention_head_softmax", "attention_head_scaled",
     "attention_head_log", "attention_head_none", "attention_head_pointwise",
-    "linear", "elementwise", "reductions", "max_over_axis", "concat_gather",
-    "reshape", "sqrt", "neighbor_sum", "neighbor_diff", "neighbor_diff_shared",
+    "linear", "max_over_axis", "reshape", "sqrt", "neighbor_sum",
+    "neighbor_diff", "neighbor_diff_shared", *_MERGED,
 ])
-def test_primitive_adjoints_match_finite_differences(name):
-    [(_, report)] = gradcheck.run_suite([name], tol=1e-4, eps=1e-5)
-    assert report.passed, f"{name}: {report.summary()}"
+def test_primitive_adjoints_match_finite_differences(name, monkeypatch):
+    case = name
+    if name in _MERGED:
+        case, op_name, wanted = _MERGED[name]
+        op, calls = getattr(ad, op_name), []
+
+        def counted(*args, **kwargs):
+            calls.append(wanted(args, kwargs))
+            return op(*args, **kwargs)
+
+        monkeypatch.setattr(ad, op_name, counted)
+    [(_, report)] = gradcheck.run_suite([case], tol=1e-4, eps=1e-5)
+    assert report.passed, f"{name} ({case}): {report.summary()}"
+    if name in _MERGED:
+        assert any(calls), f"{case} makes no {name} call of ad.{op_name}"
 
 
 # --- grad_check harness ------------------------------------------------------
