@@ -6,11 +6,10 @@ Run: python3 demos/05_seeds_and_upsampling.py
 import numpy as np
 
 from pointfill import autodiff as ad
-from pointfill.encoder import PatchFeatures
+from pointfill.geometry import PointSet
 from pointfill.generator import (
     AttentionMode,
     SeedGenerator,
-    StageState,
     UpsampleStage,
     UpsampleTransformer,
     seed_provenance,
@@ -41,15 +40,14 @@ for mode in ("softmax", "none", "scaled", "log"):
 
 # The seed generator expands patch features into a seed set; each patch
 # splits into `rate` seeds with a recorded provenance.
-patches = PatchFeatures(
-    centers=rng.standard_normal((16, 3)),
-    features=ad.tensor(rng.standard_normal((16, 32))),
+patches = PointSet(
+    ad.tensor(rng.standard_normal((16, 3))), ad.tensor(rng.standard_normal((16, 32)))
 )
 gen = SeedGenerator(np.random.default_rng(1), patch_channels=32, seed_channels=16,
                     rate=2, k=6, dtype=np.float64)
 seeds = gen(patches)
 table = seed_provenance(16, 2)
-print(f"\n{patches.centers.shape[0]} patches -> {seeds.coords.shape[0]} seeds")
+print(f"\n{patches.cloud.shape[0]} patches -> {seeds.cloud.shape[0]} seeds")
 print("provenance rows (seed, patch, kernel):", table[:4].tolist(), "...")
 
 # A refinement stage interpolates the seed features at its points, then
@@ -57,7 +55,7 @@ print("provenance rows (seed, patch, kernel):", table[:4].tolist(), "...")
 # start as exact duplication (zero-initialized offsets).
 stage = UpsampleStage(np.random.default_rng(2), channels=16, seed_channels=16,
                       rate=2, k=6, dtype=np.float64)
-state = StageState(cloud=cloud, features=feats, rate=1)
+state = PointSet(cloud, feats)
 refined = stage(state, seeds)
 drift = np.linalg.norm(refined.cloud.data - np.repeat(cloud.data, 2, axis=0), axis=1)
 print(f"\nfresh stage: {state.cloud.shape[0]} -> {refined.cloud.shape[0]} points, "

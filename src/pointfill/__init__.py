@@ -22,7 +22,7 @@ from .data import (
     write_ply,
     write_xyz,
 )
-from .encoder import Encoder, PatchFeatures, PointTransformerLayer, SetAbstraction
+from .encoder import Encoder, PointTransformerLayer, SetAbstraction
 from .errors import (
     ContractError,
     FormatError,
@@ -33,14 +33,13 @@ from .errors import (
 from .generator import (
     AttentionMode,
     SeedGenerator,
-    SeedSet,
-    StageState,
     UpsampleStage,
     UpsampleTransformer,
     seed_provenance,
 )
 from .geometry import (
     NeighborIndex,
+    PointSet,
     canonical_start_index,
     farthest_point_sample,
     fuse_and_resample,

@@ -9,7 +9,9 @@ inputs require gradients appends a record with an exact adjoint closure;
 
 Design rules kept deliberately strict so the adjoint code stays auditable:
 
-* elementwise ops accept equal shapes or a python scalar, nothing else;
+* elementwise ops take two Tensors of one shape and dtype, nothing else;
+  ``sub`` and ``mul`` also take a python scalar on either side, ``add``
+  does not;
 * only the linear ops (their bias, over rows), ``neighbor_sum`` (its
   weights, over channels) and ``attention_head`` (width-1 weights, over
   channels) broadcast, and each owns that adjoint;
@@ -203,6 +205,9 @@ def _as_scalar(x, dtype):
 
 
 def _check_same_shape(a, b, op):
+    if not (isinstance(a, Tensor) and isinstance(b, Tensor)):
+        names = f"{type(a).__name__}, {type(b).__name__}"
+        raise ContractError(f"{op}: operands {names} are not both Tensors")
     if a.shape != b.shape:
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
     if a.dtype != b.dtype:
@@ -214,11 +219,6 @@ def _check_same_shape(a, b, op):
 
 
 def add(a, b):
-    if not isinstance(a, Tensor):
-        a, b = b, a
-    s = _as_scalar(b, a.dtype)
-    if s is not None:
-        return _emit(a.data + s, [a], lambda g: (g if a.requires_grad else None,))
     _check_same_shape(a, b, "add")
 
     def back(g):
@@ -341,22 +341,18 @@ def linear_relu(x, weight, bias):
 
 
 def reduce_sum(x, axis=None):
-    if axis is None:
-        out = x.data.sum()
-
-        def back(g):
-            return (np.broadcast_to(g, x.shape).copy() if x.requires_grad else None,)
-
-        return _emit(out, [x], back)
-    axis = _check_axis(x, axis)
+    if axis is not None:
+        axis = _check_axis(x, axis)
     out = x.data.sum(axis=axis)
 
-    def back_axis(g):
+    def back(g):
         if not x.requires_grad:
             return (None,)
-        return (np.broadcast_to(np.expand_dims(g, axis), x.shape).copy(),)
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, x.shape).copy(),)
 
-    return _emit(out, [x], back_axis)
+    return _emit(out, [x], back)
 
 
 def reduce_mean(x, axis=None):

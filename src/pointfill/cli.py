@@ -118,7 +118,7 @@ def _cmd_complete(args):
     if args.export_seeds:
         seeds_path = Path(args.export_seeds)
         seeds_path.parent.mkdir(parents=True, exist_ok=True)
-        dataio.write_xyz(seeds_path, seeds.coords.data)
+        dataio.write_xyz(seeds_path, seeds.cloud.data)
         export_seed_provenance(
             str(seeds_path) + ".provenance.csv",
             model.config.patch_points, model.config.seed_rate,

@@ -9,8 +9,6 @@ while centers translate with the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
@@ -18,18 +16,6 @@ from . import geometry
 from .errors import ContractError
 from .generator import AttentionMode, UpsampleTransformer
 from .layers import Mlp2, Module
-
-
-@dataclass
-class PatchFeatures:
-    """Patch centers with one learned feature row per center."""
-
-    centers: np.ndarray  # (n_patches, 3)
-    features: ad.Tensor  # (n_patches, channels)
-
-    def __post_init__(self):
-        if self.centers.shape[0] != self.features.shape[0]:
-            raise ContractError("patch centers and features disagree on row count")
 
 
 class SetAbstraction(Module):
@@ -108,7 +94,8 @@ class Encoder(Module):
         self.min_points = max(stage1_n, k)
 
     def __call__(self, partial):
-        """Encode a partial cloud into PatchFeatures."""
+        """Encode a partial cloud into a PointSet of patch centers (a constant
+        Tensor in the features' dtype) and patch features."""
         partial = geometry.as_cloud(partial, "partial")
         if partial.shape[0] < self.min_points:
             raise ContractError(
@@ -118,4 +105,4 @@ class Encoder(Module):
         feats1 = self.refine1(centers1, feats1)
         centers2, feats2 = self.abstract2(centers1, feats1)
         feats2 = self.refine2(centers2, feats2)
-        return PatchFeatures(centers=centers2, features=feats2)
+        return geometry.PointSet(ad.constant(centers2, like=feats2), feats2)

@@ -52,34 +52,6 @@ class AttentionMode:
         ad.check_attention(self.variant, self.lam)
 
 
-@dataclass
-class SeedSet:
-    """Paired seed coordinates and per-seed feature rows."""
-
-    coords: ad.Tensor  # (n_seeds, 3)
-    features: ad.Tensor  # (n_seeds, channels)
-
-    def __post_init__(self):
-        if self.coords.shape[0] != self.features.shape[0]:
-            raise ContractError("seed coords and features disagree on row count")
-
-
-@dataclass
-class StageState:
-    """One decoder stage: its cloud, the features that act as the next
-    layer's keys, and the rate that produced it."""
-
-    cloud: ad.Tensor  # (n, 3)
-    features: ad.Tensor  # (n, channels)
-    rate: int = 1
-
-    def __post_init__(self):
-        if self.rate < 1:
-            raise ContractError("stage rate must be >= 1")
-        if self.features.shape[0] != self.cloud.shape[0]:
-            raise ContractError("stage features and cloud disagree on row count")
-
-
 def _neighbor_rows(cloud_np, k):
     """Flattened self-kNN indices; row i*k+j is the j-th neighbor of i."""
     n = cloud_np.shape[0]
@@ -307,20 +279,19 @@ class SeedGenerator(Module):
         self.patch_channels = patch_channels
 
     def __call__(self, patches):
-        """Args: patches: a PatchFeatures (centers + features).
+        """Args: patches: a PointSet of patch centers and features.
 
-        Returns a SeedSet with ``rate * n_patches`` rows.
+        Returns the seeds, a PointSet with ``rate * n_patches`` rows.
         """
-        centers = ad.constant(patches.centers, like=patches.features)
         q = self.query_proj(patches.features)
         keys = self.key_proj(patches.features)
-        feats = self.core(q, keys, centers, mode=self.mode)
+        feats = self.core(q, keys, patches.cloud, mode=self.mode)
         pooled = ad.reshape(
             ad.max_over_axis(patches.features, axis=0), (1, self.patch_channels)
         )
         tiled = ad.repeat_rows(pooled, feats.shape[0])
         coords = self.coord_map(ad.concat([feats, tiled], axis=1))
-        return SeedSet(coords=coords, features=feats)
+        return geometry.PointSet(coords, feats)
 
 
 def seed_provenance(n_patches, rate):
@@ -365,12 +336,14 @@ class UpsampleStage(Module):
         )
         self.offset_map = Mlp2(rng, channels, channels, 3, dtype=dtype, zero_last=True)
 
-    def __call__(self, state, seeds):
-        s = geometry.interpolate_seed_features(state.cloud.data, seeds, self.interp_k)
-        queries = self.query_builder(ad.concat([state.features, s], axis=1))
+    def __call__(self, points, seeds):
+        """Refine ``points`` (a PointSet) into ``rate`` times as many, guided
+        by the ``seeds`` PointSet; returns the new PointSet."""
+        s = geometry.interpolate_seed_features(points.cloud.data, seeds, self.interp_k)
+        queries = self.query_builder(ad.concat([points.features, s], axis=1))
         feats = self.core(
-            queries, state.features, state.cloud, seed_features=s, mode=self.mode
+            queries, points.features, points.cloud, seed_features=s, mode=self.mode
         )
         offsets = self.offset_map(feats)
-        new_cloud = ad.add(ad.repeat_rows(state.cloud, self.rate), offsets)
-        return StageState(cloud=new_cloud, features=feats, rate=self.rate)
+        new_cloud = ad.add(ad.repeat_rows(points.cloud, self.rate), offsets)
+        return geometry.PointSet(new_cloud, feats)

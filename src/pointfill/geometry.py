@@ -1,16 +1,17 @@
 """Geometric kernels: farthest point sampling, k nearest neighbors,
 inverse-distance feature interpolation and point set fusion.
 
-Point clouds are plain (n, 3) float arrays. The index-producing kernels are
-pure numpy; only the feature interpolation builds a differentiable graph,
-and its gradients flow through the interpolated features alone, never
-through the coordinates (the weights are constants of the geometry).
+The index-producing kernels take plain (n, 3) float arrays and are pure
+numpy. The feature interpolation and the fusion build differentiable
+graphs over :class:`PointSet` and cloud Tensors. Interpolation gradients
+flow through the seed features alone, never through the coordinates (the
+weights are constants of the geometry); fusion gradients reach the picked
+rows of both clouds.
 """
 
 from __future__ import annotations
 
 import contextvars
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,12 +37,29 @@ def as_cloud(points, name="cloud"):
 
 
 @dataclass
+class PointSet:
+    """Points that carry features: an (n, 3) cloud Tensor and (n, C) feature
+    rows. Patch centers, seeds and every stage's output are PointSets."""
+
+    cloud: ad.Tensor  # (n, 3)
+    features: ad.Tensor  # (n, channels)
+
+    def __post_init__(self):
+        if self.cloud.shape[0] != self.features.shape[0]:
+            raise ContractError("point set cloud and features disagree on row count")
+
+
+@dataclass
 class NeighborIndex:
     """Per-query neighbor table: indices into a reference cloud plus the
     matching Euclidean distances, each row sorted by increasing distance."""
 
     indices: np.ndarray  # (n, k) int
     distances: np.ndarray  # (n, k) float, nondecreasing along axis 1
+
+
+# per thread (and per asyncio task), like the active autodiff tape
+_FREEZE = contextvars.ContextVar("pointfill_geometry_freeze", default=None)
 
 
 class GeometryFreeze:
@@ -52,8 +70,13 @@ class GeometryFreeze:
     the geometry: the backward pass deliberately does not differentiate
     through them. A freezer records them on its first pass and replays them
     on later passes, so finite differences probe exactly the function the
-    adjoints differentiate. Call ``begin_pass`` before each evaluation and
-    run the evaluation inside ``freeze_geometry``.
+    adjoints differentiate. Each ``with freezer:`` block is one pass::
+
+        freezer = GeometryFreeze()
+        with freezer:
+            first = fn(x)  # records
+        with freezer:
+            again = fn(x + dx)  # replays the first pass's decisions
     """
 
     def __init__(self):
@@ -61,10 +84,17 @@ class GeometryFreeze:
         self._pos = 0
         self._recording = True
 
-    def begin_pass(self):
-        if self.tape:
-            self._recording = False
+    def __enter__(self):
+        if _FREEZE.get() is not None:
+            raise ContractError("geometry freezers do not nest")
+        self._recording = not self.tape
         self._pos = 0
+        _FREEZE.set(self)
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        _FREEZE.set(None)
+        return False
 
     def take(self, compute):
         if self._recording:
@@ -76,22 +106,6 @@ class GeometryFreeze:
         value = self.tape[self._pos]
         self._pos += 1
         return value
-
-
-# per thread (and per asyncio task), like the active autodiff tape
-_FREEZE = contextvars.ContextVar("pointfill_geometry_freeze", default=None)
-
-
-@contextmanager
-def freeze_geometry(freezer):
-    """Route geometric decisions through ``freezer`` within the block."""
-    if _FREEZE.get() is not None:
-        raise ContractError("geometry freezers do not nest")
-    _FREEZE.set(freezer)
-    try:
-        yield freezer
-    finally:
-        _FREEZE.set(None)
 
 
 def _decide(compute):
@@ -313,45 +327,47 @@ def interpolate_seed_features(queries, seeds, k=3):
     For query ``p_i`` with neighbor seeds ``j``, the output row is
     ``sum_j w_ij f_j / sum_j w_ij`` with ``w_ij = 1 / max(d_ij, 1e-8)``.
     Differentiable with respect to the seed features; the weights are
-    treated as constants of the geometry.
+    treated as constants of the geometry, so no gradient reaches the seed
+    cloud.
 
     Args:
         queries: (m, 3) array of query coordinates.
-        seeds: a SeedSet (coords + features).
+        seeds: a PointSet (seed cloud Tensor + seed features).
         k: neighborhood size over the seeds.
 
     Returns:
         Tensor of shape (m, seed_channels).
     """
     q = as_cloud(queries, "queries")
-    coords = seeds.coords.data if isinstance(seeds.coords, ad.Tensor) else seeds.coords
-    features = seeds.features
-    n_seeds = coords.shape[0]
+    n_seeds = seeds.cloud.shape[0]
     if n_seeds < 1:
         raise ContractError("interpolate_seed_features: empty seed set")
     if k > n_seeds:
         raise ContractError(f"interpolate_seed_features: k={k} exceeds {n_seeds} seeds")
-    nbr = knn(q, coords, k)
+    nbr = knn(q, seeds.cloud.data, k)
     w = 1.0 / np.maximum(nbr.distances, DISTANCE_FLOOR)
     w = w / w.sum(axis=1, keepdims=True)
-    return ad.neighbor_sum(features, nbr.indices.reshape(-1), w)
+    return ad.neighbor_sum(seeds.features, nbr.indices.reshape(-1), w)
 
 
-def fuse_and_resample(seeds, partial, n0, return_indices=False):
-    """Concatenate two clouds and farthest-point-sample ``n0`` points.
+def fuse_and_resample(seed_cloud, partial, n0):
+    """Concatenate two cloud Tensors and farthest-point-sample ``n0`` rows.
 
-    Sampling starts at index 0 of the concatenation (the first point of
-    ``seeds``). This builds the coarse cloud that the refinement stages
-    consume.
+    The result is one ``concat`` record followed by one ``gather_rows``
+    record, so under a tape the gradient of each picked row reaches the
+    row of ``seed_cloud`` or ``partial`` it came from. Sampling starts at
+    index 0 of the concatenation (the first seed). This builds the coarse
+    cloud that the refinement stages consume.
+
+    Args:
+        seed_cloud: (s, 3) Tensor of seed coordinates.
+        partial: (p, 3) Tensor of input coordinates, same dtype.
+        n0: number of rows to keep, at most ``s + p``.
+
+    Returns:
+        Tensor of shape (n0, 3).
     """
-    s = as_cloud(seeds, "seeds")
-    p = as_cloud(partial, "partial")
-    merged = np.concatenate([s, p], axis=0)
-    if n0 > merged.shape[0]:
-        raise ContractError(
-            f"fuse_and_resample: n0={n0} exceeds {merged.shape[0]} fused points"
-        )
-    idx = farthest_point_sample(merged, n0, start=0)
-    if return_indices:
-        return merged[idx], idx
-    return merged[idx]
+    as_cloud(seed_cloud.data, "seeds")
+    as_cloud(partial.data, "partial")
+    merged = ad.concat([seed_cloud, partial], axis=0)  # FPS refuses n0 > s + p
+    return ad.gather_rows(merged, farthest_point_sample(merged.data, n0, start=0))

@@ -23,14 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import geometry
-from .generator import (
-    AttentionMode,
-    SeedSet,
-    StageState,
-    UpsampleStage,
-    UpsampleTransformer,
-    make_core,
-)
+from .generator import AttentionMode, UpsampleStage, UpsampleTransformer, make_core
 from .losses import chamfer, completion_loss, partial_matching_loss
 from .pipeline import CompletionModel, ModelConfig
 
@@ -245,7 +238,7 @@ def _case_interpolation():
     probe = rng.standard_normal((10, 5))
 
     def fn(feats):
-        seeds = SeedSet(coords=ad.tensor(coords), features=feats)
+        seeds = geometry.PointSet(ad.tensor(coords), feats)
         out = geometry.interpolate_seed_features(queries, seeds, k=3)
         return ad.reduce_sum(ad.mul(out, ad.constant(probe, like=feats)))
 
@@ -258,9 +251,8 @@ def _case_uptrans(mode):
         n, c, cs = 8, 6, 4
         core = UpsampleTransformer(rng, c, rate=2, k=3, seed_channels=cs, dtype=np.float64)
         cloud = _cloud(rng, n)
-        seeds = SeedSet(
-            coords=ad.tensor(_cloud(rng, 5)),
-            features=ad.tensor(rng.standard_normal((5, cs))),
+        seeds = geometry.PointSet(
+            ad.tensor(_cloud(rng, 5)), ad.tensor(rng.standard_normal((5, cs)))
         )
         queries, keys = _leaf(rng, (n, c)), _leaf(rng, (n, c))
         cloud_t = _leaf(rng, (n, 3))  # drawn, then given the cloud's data
@@ -334,9 +326,8 @@ def _case_upsample_layer():
     stage.offset_map.lin1.w.data += 0.05 * rng.standard_normal(
         stage.offset_map.lin1.w.shape
     )
-    seeds = SeedSet(
-        coords=ad.tensor(_cloud(rng, 5)),
-        features=ad.tensor(rng.standard_normal((5, cs))),
+    seeds = geometry.PointSet(
+        ad.tensor(_cloud(rng, 5)), ad.tensor(rng.standard_normal((5, cs)))
     )
     cloud = _leaf(rng, (n, 3))
     feats = _leaf(rng, (n, c))
@@ -344,7 +335,7 @@ def _case_upsample_layer():
     probe = 0.01 * rng.standard_normal((n * 2, 3))
 
     def fn(cloud, feats, *params):
-        out = stage(StageState(cloud=cloud, features=feats), seeds)
+        out = stage(geometry.PointSet(cloud, feats), seeds)
         return ad.reduce_sum(ad.mul(out.cloud, ad.constant(probe, like=cloud)))
 
     return fn, [cloud, feats, *params]
@@ -359,7 +350,7 @@ def _case_full_forward():
 
     def fn(*params):
         seeds, states = model.forward(partial)
-        total, _ = completion_loss(seeds.coords, [s.cloud for s in states], gt)
+        total, _ = completion_loss(seeds.cloud, [s.cloud for s in states], gt)
         return ad.mul(total, 0.01)
 
     return fn, params
@@ -420,8 +411,7 @@ def run_suite(names=None, tol=TOL, eps=EPS, report_fn=None):
         freezer = geometry.GeometryFreeze()
 
         def replay(*args):
-            freezer.begin_pass()
-            with geometry.freeze_geometry(freezer):
+            with freezer:
                 return fn(*args)
 
         report = ad.grad_check(

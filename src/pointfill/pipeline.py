@@ -16,7 +16,7 @@ from . import autodiff as ad
 from . import geometry
 from .encoder import Encoder
 from .errors import ContractError, FormatError, NumericsError, ParseError
-from .generator import AttentionMode, SeedGenerator, StageState, UpsampleStage
+from .generator import AttentionMode, SeedGenerator, UpsampleStage
 from .layers import Mlp2, Module
 from .losses import (
     LossBreakdown,
@@ -242,31 +242,32 @@ class CompletionModel(Module):
     def forward(self, partial):
         """Complete a partial cloud.
 
+        The encoder's patches become seeds; ``geometry.fuse_and_resample``
+        fuses the seed cloud with the input into the coarse cloud, which
+        ``point_lift`` gives features, and each stage refines the previous
+        stage's PointSet.
+
         Args:
             partial: (n, 3) array with ``n >= config.input_points`` minimum
                 (resample beforehand if needed).
 
         Returns:
-            (seeds, states): the SeedSet and one StageState per rate, the
-            last state's cloud being the final prediction.
+            (seeds, stages): the seed PointSet and one PointSet per rate,
+            the last one's cloud being the final prediction.
         """
         cfg = self.config
         partial = geometry.as_cloud(partial, "partial").astype(cfg.dtype, copy=False)
         patches = self.encoder(partial)
         seeds = self.seed_generator(patches)
-
-        _, idx = geometry.fuse_and_resample(
-            seeds.coords.data, partial, cfg.coarse_points, return_indices=True
+        coarse = geometry.fuse_and_resample(
+            seeds.cloud, ad.tensor(partial), cfg.coarse_points
         )
-        coarse = ad.gather_rows(
-            ad.concat([seeds.coords, ad.tensor(partial)], axis=0), idx
-        )
-        state = StageState(cloud=coarse, features=self.point_lift(coarse))
-        states = []
+        points = geometry.PointSet(coarse, self.point_lift(coarse))
+        stages = []
         for stage in self.stages:
-            state = stage(state, seeds)
-            states.append(state)
-        return seeds, states
+            points = stage(points, seeds)
+            stages.append(points)
+        return seeds, stages
 
     def complete(self, partial):
         """Convenience: forward pass returning only the final cloud array."""
@@ -278,6 +279,9 @@ class Adam:
     """First-order adaptive-moment optimizer (beta1=0.9, beta2=0.999)."""
 
     def __init__(self, model, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        # a NaN or infinite rate poisons every parameter; a negative one ascends
+        if not (np.isfinite(lr) and lr >= 0):
+            raise ContractError(f"learning rate lr must be finite and >= 0, got {lr}")
         self._params = list(model.named_parameters())
         self.lr = lr
         self.beta1 = beta1
@@ -345,7 +349,7 @@ def _forward_loss(model, partial, gt, targets=None):
     dtype = model.config.dtype
     seeds, states = model.forward(partial)
     comp_total, terms = completion_loss(
-        seeds.coords, [s.cloud for s in states], np.asarray(gt, dtype=dtype),
+        seeds.cloud, [s.cloud for s in states], np.asarray(gt, dtype=dtype),
         targets=targets,
     )
     matching = partial_matching_loss(

@@ -86,6 +86,18 @@ def test_elementwise_shape_mismatch():
         ad.mul(ad.tensor(np.zeros(2)), ad.tensor(np.zeros(3)))
 
 
+def test_elementwise_rejects_operands_that_are_not_tensors():
+    # an array operand used to pass the forward and break backward with an
+    # AttributeError; add takes no scalar either
+    x = ad.tensor(np.ones(3), requires_grad=True)
+    with pytest.raises(ContractError, match="not both Tensors"):
+        ad.add(x, 1.0)
+    with ad.Tape():
+        for op in (ad.add, ad.sub, ad.mul):
+            with pytest.raises(ContractError, match="not both Tensors"):
+                op(x, np.ones(3))
+
+
 def test_dtype_mismatch_rejected():
     a = ad.tensor(np.zeros(3), dtype=np.float32)
     b = ad.tensor(np.zeros(3), dtype=np.float64)

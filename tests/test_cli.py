@@ -304,6 +304,22 @@ def test_train_steps_below_one_exits_2_and_writes_nothing(micro_dataset, capsys,
     assert not list(micro_dataset.glob("model.ckpt*"))
 
 
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("lr", ["nan", "inf", "-1"])
+def test_train_lr_not_finite_or_negative_exits_2_and_writes_nothing(micro_dataset, capsys,
+                                                                   command, lr):
+    # a NaN or infinite rate used to save a checkpoint of non-finite parameters
+    # and a negative one trained uphill
+    code = main([
+        command, "--config", str(micro_dataset / "micro.cfg"),
+        "--data", str(micro_dataset / "data" / "train"),
+        "--out", str(micro_dataset / "model.ckpt"), "--steps", "1", "--lr", lr,
+    ])
+    assert code == 2
+    assert "lr" in capsys.readouterr().err
+    assert not list(micro_dataset.glob("model.ckpt*"))
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [("--batch-clouds", "0"), ("--batch-clouds", "-2"),

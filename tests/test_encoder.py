@@ -104,7 +104,7 @@ def desk_encoder(seed=13, dtype=np.float64):
 def test_encode_desk_shapes():
     rng = np.random.default_rng(14)
     patches = desk_encoder()(random_cloud(rng, 512))
-    assert patches.centers.shape == (64, 3)
+    assert patches.cloud.shape == (64, 3)
     assert patches.features.shape == (64, 128)
 
 
@@ -112,7 +112,7 @@ def test_encode_benchmark_shapes():
     rng = np.random.default_rng(15)
     enc = Encoder(np.random.default_rng(16), 512, 128, 128, 256, k=16)
     patches = enc(random_cloud(rng, 2048).astype(np.float32))
-    assert patches.centers.shape == (128, 3)
+    assert patches.cloud.shape == (128, 3)
     assert patches.features.shape == (128, 256)
 
 
@@ -131,7 +131,7 @@ def test_encode_translation_moves_centers_and_fixes_features():
     enc = desk_encoder()
     base = enc(cloud)
     moved = enc(cloud + shift)
-    np.testing.assert_array_equal(moved.centers, base.centers + shift)
+    np.testing.assert_array_equal(moved.cloud.data, base.cloud.data + shift)
     np.testing.assert_array_equal(moved.features.data, base.features.data)
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from pointfill import autodiff as ad
 from pointfill import geometry
-from pointfill.encoder import PatchFeatures
 from pointfill.errors import ContractError
 from pointfill.generator import (
     AttentionMode,
@@ -15,8 +14,6 @@ from pointfill.generator import (
     FoldingCore,
     GraphConvCore,
     SeedGenerator,
-    SeedSet,
-    StageState,
     UpsampleStage,
     UpsampleTransformer,
     make_core,
@@ -32,9 +29,9 @@ def random_cloud(rng, n, spread=1.0):
 
 
 def make_seeds(rng, n, channels, dtype=np.float64):
-    return SeedSet(
-        coords=ad.tensor(random_cloud(rng, n).astype(dtype)),
-        features=ad.tensor(rng.standard_normal((n, channels)).astype(dtype)),
+    return geometry.PointSet(
+        ad.tensor(random_cloud(rng, n).astype(dtype)),
+        ad.tensor(rng.standard_normal((n, channels)).astype(dtype)),
     )
 
 
@@ -288,9 +285,9 @@ def test_deconv_replicas_are_independent_linear_maps():
 
 
 def make_patches(rng, n=64, c=128, dtype=np.float64):
-    return PatchFeatures(
-        centers=random_cloud(rng, n).astype(dtype),
-        features=ad.tensor(rng.standard_normal((n, c)).astype(dtype)),
+    return geometry.PointSet(
+        ad.tensor(random_cloud(rng, n).astype(dtype)),
+        ad.tensor(rng.standard_normal((n, c)).astype(dtype)),
     )
 
 
@@ -300,7 +297,7 @@ def test_seed_generator_benchmark_shapes():
                         dtype=np.float32)
     patches = make_patches(rng, n=128, c=256, dtype=np.float32)
     seeds = gen(patches)
-    assert seeds.coords.shape == (256, 3)
+    assert seeds.cloud.shape == (256, 3)
     assert seeds.features.shape == (256, 128)
 
 
@@ -323,10 +320,9 @@ def test_seed_generator_translation_snapshot():
     gen.coord_map.lin1.w.data = 0.2 * rng.standard_normal(gen.coord_map.lin1.w.shape)
     centers = rng.integers(-2048, 2049, size=(12, 3)).astype(np.float64) / 4096.0
     feats = ad.tensor(rng.standard_normal((12, 16)))
-    base = gen(PatchFeatures(centers=centers, features=feats))
-    moved = gen(PatchFeatures(centers=centers + np.array([1.0, -0.5, 2.0]),
-                              features=feats))
-    np.testing.assert_array_equal(base.coords.data, moved.coords.data)
+    base = gen(geometry.PointSet(ad.tensor(centers), feats))
+    moved = gen(geometry.PointSet(ad.tensor(centers + np.array([1.0, -0.5, 2.0])), feats))
+    np.testing.assert_array_equal(base.cloud.data, moved.cloud.data)
     np.testing.assert_array_equal(base.features.data, moved.features.data)
 
 
@@ -336,7 +332,7 @@ def test_seed_generator_translation_snapshot():
 def make_state(rng, n=8, c=6, dtype=np.float64):
     cloud = ad.tensor(random_cloud(rng, n).astype(dtype))
     feats = ad.tensor(rng.standard_normal((n, c)).astype(dtype))
-    return StageState(cloud=cloud, features=feats, rate=1)
+    return geometry.PointSet(cloud, feats)
 
 
 def test_stage_rate_one_preserves_count():
@@ -392,10 +388,8 @@ def test_stage_permutation_equivariance_by_chamfer():
     state = make_state(rng, n=10)
     base = stage(state, seeds)
     perm = rng.permutation(10)
-    permuted_state = StageState(
-        cloud=ad.tensor(state.cloud.data[perm]),
-        features=ad.tensor(state.features.data[perm]),
-        rate=1,
+    permuted_state = geometry.PointSet(
+        ad.tensor(state.cloud.data[perm]), ad.tensor(state.features.data[perm])
     )
     out_perm = stage(permuted_state, seeds)
     assert chamfer(base.cloud.data, out_perm.cloud.data, "l2").item() < 1e-12

@@ -8,7 +8,6 @@ import pytest
 from pointfill import autodiff as ad
 from pointfill import geometry
 from pointfill.errors import ContractError
-from pointfill.generator import SeedSet
 
 from .oracles import fps_oracle, knn_oracle
 
@@ -120,10 +119,15 @@ def test_knn_distance_ties_take_lowest_index():
 
 
 def make_seeds(coords, features):
-    return SeedSet(
-        coords=ad.tensor(np.asarray(coords, dtype=np.float64)),
-        features=ad.tensor(np.asarray(features, dtype=np.float64), requires_grad=True),
+    return geometry.PointSet(
+        ad.tensor(np.asarray(coords, dtype=np.float64)),
+        ad.tensor(np.asarray(features, dtype=np.float64), requires_grad=True),
     )
+
+
+def test_point_set_rejects_mismatched_row_counts():
+    with pytest.raises(ContractError, match="row count"):
+        geometry.PointSet(ad.tensor(np.zeros((4, 3))), ad.tensor(np.zeros((5, 2))))
 
 
 def test_interpolation_equidistant_average():
@@ -153,7 +157,7 @@ def test_interpolation_is_convex_combination():
     seeds = make_seeds(random_cloud(rng, 12), rng.standard_normal((12, 6)))
     queries = random_cloud(rng, 20)
     out = geometry.interpolate_seed_features(queries, seeds, k=3)
-    nbr = geometry.knn(queries, seeds.coords.data, 3)
+    nbr = geometry.knn(queries, seeds.cloud.data, 3)
     gathered = seeds.features.data[nbr.indices]  # (20, 3, 6)
     assert (out.data >= gathered.min(axis=1) - 1e-12).all()
     assert (out.data <= gathered.max(axis=1) + 1e-12).all()
@@ -176,7 +180,7 @@ def test_interpolation_gradients_reach_features_only():
     rng = np.random.default_rng(6)
     coords = ad.tensor(random_cloud(rng, 8), requires_grad=True)
     feats = ad.tensor(rng.standard_normal((8, 3)), requires_grad=True)
-    seeds = SeedSet(coords=coords, features=feats)
+    seeds = geometry.PointSet(coords, feats)
     with ad.Tape() as tape:
         out = geometry.interpolate_seed_features(random_cloud(rng, 5), seeds, k=3)
         loss = ad.reduce_sum(out)
@@ -198,9 +202,9 @@ def test_interpolation_rejects_bad_k():
 def test_fuse_identical_sets_covers_locations():
     rng = np.random.default_rng(8)
     pts = random_cloud(rng, 10)
-    fused = geometry.fuse_and_resample(pts, pts.copy(), 10)
+    fused = geometry.fuse_and_resample(ad.tensor(pts), ad.tensor(pts.copy()), 10)
     # every distinct location appears once in the selection
-    got = {tuple(np.round(row, 9)) for row in fused}
+    got = {tuple(np.round(row, 9)) for row in fused.data}
     want = {tuple(np.round(row, 9)) for row in pts}
     assert got == want
 
@@ -208,7 +212,7 @@ def test_fuse_identical_sets_covers_locations():
 def test_fuse_disjoint_clusters_picks_one_each():
     a = np.array([[0.0, 0, 0], [0.01, 0, 0], [0.02, 0, 0]])
     b = a + np.array([10.0, 0, 0])
-    fused = geometry.fuse_and_resample(a, b, 2)
+    fused = geometry.fuse_and_resample(ad.tensor(a), ad.tensor(b), 2).data
     assert (fused[:, 0] < 5).sum() == 1
     assert (fused[:, 0] > 5).sum() == 1
 
@@ -218,13 +222,28 @@ def test_fuse_matches_oracle():
     seeds = random_cloud(rng, 32)
     partial = random_cloud(rng, 48)
     merged = np.concatenate([seeds, partial], axis=0)
-    fused, idx = geometry.fuse_and_resample(seeds, partial, 40, return_indices=True)
-    np.testing.assert_array_equal(idx, fps_oracle(merged, 40, 0))
-    np.testing.assert_array_equal(fused, merged[idx])
+    fused = geometry.fuse_and_resample(ad.tensor(seeds), ad.tensor(partial), 40)
+    np.testing.assert_array_equal(fused.data, merged[fps_oracle(merged, 40, 0)])
+
+
+def test_fuse_gradient_reaches_exactly_the_picked_rows():
+    rng = np.random.default_rng(19)
+    seeds = ad.tensor(random_cloud(rng, 16), requires_grad=True)
+    partial = ad.tensor(random_cloud(rng, 24), requires_grad=True)
+    probe = rng.standard_normal((20, 3))
+    with ad.Tape() as tape:
+        fused = geometry.fuse_and_resample(seeds, partial, 20)
+        loss = ad.reduce_sum(ad.mul(fused, ad.constant(probe)))
+    tape.backward(loss)
+    merged = np.concatenate([seeds.data, partial.data], axis=0)
+    want = np.zeros_like(merged)
+    want[fps_oracle(merged, 20, 0)] = probe  # FPS picks distinct rows
+    np.testing.assert_array_equal(seeds.grad, want[:16])
+    np.testing.assert_array_equal(partial.grad, want[16:])
 
 
 def test_fuse_rejects_oversize():
-    pts = np.zeros((4, 3))
+    pts = ad.tensor(np.zeros((4, 3)))
     with pytest.raises(ContractError):
         geometry.fuse_and_resample(pts, pts, 9)
 
@@ -246,14 +265,13 @@ def test_canonical_start_is_permutation_invariant():
 def test_geometry_freeze_holds_only_its_own_thread():
     pts = random_cloud(np.random.default_rng(12), 12)
     freezer = geometry.GeometryFreeze()
-    freezer.begin_pass()
     found = []
-    with geometry.freeze_geometry(freezer):
+    with freezer:
         worker = threading.Thread(target=lambda: found.append(geometry.knn(pts, pts, 3)))
         worker.start()
         worker.join(timeout=60)
         with pytest.raises(ContractError, match="do not nest"):
-            with geometry.freeze_geometry(geometry.GeometryFreeze()):
+            with geometry.GeometryFreeze():
                 pass
     assert not worker.is_alive() and len(found) == 1
     assert freezer.tape == []
@@ -263,12 +281,10 @@ def test_geometry_freeze_replays_first_pass():
     rng = np.random.default_rng(11)
     pts = random_cloud(rng, 12)
     freezer = geometry.GeometryFreeze()
-    freezer.begin_pass()
-    with geometry.freeze_geometry(freezer):
+    with freezer:
         first = geometry.knn(pts, pts, 3).indices.copy()
     moved = pts + rng.standard_normal(pts.shape)
-    freezer.begin_pass()
-    with geometry.freeze_geometry(freezer):
+    with freezer:
         replayed = geometry.knn(moved, moved, 3).indices
     np.testing.assert_array_equal(first, replayed)
     assert not np.array_equal(geometry.knn(moved, moved, 3).indices, first)
@@ -394,11 +410,9 @@ def test_geometry_freeze_replays_grid_knn(monkeypatch):
     q, r = sphere(rng, 16_384), sphere(rng, 1_024)
     calls = spy_on_grid(monkeypatch)
     freezer = geometry.GeometryFreeze()
-    freezer.begin_pass()
-    with geometry.freeze_geometry(freezer):
+    with freezer:
         first = geometry.knn(q, r, 2)
-    freezer.begin_pass()
-    with geometry.freeze_geometry(freezer):
+    with freezer:
         replayed = geometry.knn(q[::-1] + 1.0, r, 2)
     assert replayed is first and len(calls) == 1
     assert_same_table(first, geometry._knn_compute(q, r, 2))

@@ -17,6 +17,8 @@ from pointfill.pipeline import (
     train_step,
 )
 
+from .oracles import fps_oracle
+
 
 def desk_config(**overrides):
     overrides.setdefault("precision", "float32")
@@ -80,9 +82,9 @@ def test_forward_desk_stage_counts():
     rng = np.random.default_rng(0)
     model = CompletionModel(desk_config())
     seeds, states = model.forward(random_cloud(rng, 512))
-    assert seeds.coords.shape == (128, 3)
+    assert seeds.cloud.shape == (128, 3)
     assert [s.cloud.shape[0] for s in states] == [128, 256, 512]
-    assert [s.rate for s in states] == [1, 2, 2]
+    assert [s.features.shape[0] for s in states] == [128, 256, 512]
 
 
 def test_fresh_model_outputs_duplicate_coarse_cloud():
@@ -91,13 +93,12 @@ def test_fresh_model_outputs_duplicate_coarse_cloud():
     model = CompletionModel(desk_config())
     partial = random_cloud(rng, 512)
     seeds, states = model.forward(partial)
-    coarse = geometry.fuse_and_resample(
-        seeds.coords.data, partial.astype(np.float32), 128
-    )
+    merged = np.concatenate([seeds.cloud.data, partial.astype(np.float32)], axis=0)
+    coarse = merged[fps_oracle(merged, 128, 0)]
     np.testing.assert_array_equal(states[0].cloud.data, coarse)
-    for prev, nxt in zip(states, states[1:]):
+    for prev, nxt, rate in zip(states, states[1:], model.config.rates[1:]):
         np.testing.assert_array_equal(
-            nxt.cloud.data, np.repeat(prev.cloud.data, nxt.rate, axis=0)
+            nxt.cloud.data, np.repeat(prev.cloud.data, rate, axis=0)
         )
 
 
@@ -178,6 +179,12 @@ def test_zero_learning_rate_keeps_parameters():
     train_step(model, partial, gt, Adam(model, lr=0.0))
     after = [p.tensor.data for p in model.named_parameters()]
     assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+
+@pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf, -1e-3])
+def test_adam_rejects_a_non_finite_or_negative_learning_rate(lr):
+    with pytest.raises(ContractError, match="learning rate"):
+        Adam(CompletionModel(ModelConfig.micro()), lr=lr)
 
 
 def test_short_training_reduces_loss():
