@@ -17,13 +17,23 @@ Design rules kept deliberately strict so the adjoint code stays auditable:
   channels) broadcast, and each owns that adjoint;
 * without an active tape the primitives just compute values (inference mode).
 
+A record keeps gradient nodes, not values. Its output, and each input that
+an earlier record on the same tape produced, is a small node holding a grad
+slot, the shape and the dtype; the caller's Tensor points to its node. Other
+inputs that need a gradient, the leaves, are kept as the Tensors themselves.
+An adjoint closure keeps only the arrays it reads (a linear's input, an
+activation, a head's hidden block and weights, indices), plus shapes, dtypes
+and ``requires_grad`` flags. So a forward value lives only while the caller
+holds it or an adjoint will read it.
+
 A tape is single-use: ``backward`` consumes it. Each record is dropped once
 its adjoint has run and each intermediate's gradient once it has been passed
 on, so backward frees memory as it goes instead of doubling the tape. Only
 leaves, the ``requires_grad`` tensors that no record on the tape produced
-(parameters, inputs), keep a gradient afterwards; leaf grads accumulate across
-backward passes until ``grad`` is cleared. To inspect the gradient of an
-intermediate value, make that value a leaf of its own tape.
+(parameters, inputs, and tensors made under an earlier tape), keep a gradient
+afterwards; leaf grads accumulate across backward passes until ``grad`` is
+cleared. To inspect the gradient of an intermediate value, make that value a
+leaf of its own tape.
 """
 
 from __future__ import annotations
@@ -44,10 +54,12 @@ class Tensor:
     Attributes:
         data: the numpy value array (float32 or float64).
         requires_grad: whether backward should populate ``grad``.
-        grad: numpy array of the same shape, filled by ``Tape.backward``.
+        grad: numpy array of the same shape, filled by ``Tape.backward``
+            for leaves.
+        node: the tape node of the record that produced this tensor, or None.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "node")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -56,6 +68,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
+        self.node = None  # set when a tape records the op that made this tensor
 
     @property
     def shape(self):
@@ -98,6 +111,27 @@ def constant(data, like=None):
 # Tape
 
 
+class _Node:
+    """What a tape keeps of a tensor one of its records produced: the grad
+    slot backward accumulates into, the shape and the dtype, not the value.
+
+    ``data`` is a zero-stride view of the tensor's shape and dtype, built on
+    demand, so ``data.nbytes`` still counts the bytes the op computed.
+    """
+
+    __slots__ = ("grad", "shape", "dtype", "key")
+
+    def __init__(self, shape, dtype, key):
+        self.grad = None
+        self.shape = shape
+        self.dtype = dtype
+        self.key = key  # the producing tape's key, not the tape: no cycle
+
+    @property
+    def data(self):
+        return np.broadcast_to(np.zeros((), self.dtype), self.shape)
+
+
 class _Record:
     __slots__ = ("output", "inputs", "backfn")
 
@@ -124,6 +158,7 @@ class Tape:
 
     def __init__(self):
         self.records = []
+        self.key = object()  # marks the nodes of this tape's records
 
     def __len__(self):
         return len(self.records)
@@ -154,15 +189,11 @@ class Tape:
         records = self.records
         if not records:
             raise ContractError("backward on an empty tape")
-        produced = set()
-        leaves = {}
-        for rec in records:  # in topological order: inputs before outputs
-            for t in rec.inputs:
-                if t.requires_grad and id(t) not in produced:
-                    leaves[id(t)] = t
-            rec.output.grad = None  # reset intermediates, keep leaf grads
-            produced.add(id(rec.output))
-        loss.grad = np.ones_like(loss.data)
+        # record inputs are this tape's nodes, leaf Tensors, or None for
+        # inputs that need no gradient
+        leaves = {id(t): t for rec in records for t in rec.inputs if isinstance(t, Tensor)}
+        seed = _ref(loss, self.key) or loss  # a loss no record produced is its own leaf
+        seed.grad = np.ones_like(loss.data)
         while records:
             rec = records.pop()
             gout = rec.output.grad
@@ -189,12 +220,27 @@ class Tape:
                 t.grad = np.zeros_like(t.data)
 
 
+def _ref(t, key):
+    """What a record of the tape with ``key`` keeps of input ``t``: its node
+    if that tape produced it, else the Tensor itself (a leaf), or None when
+    it needs no gradient."""
+    if t.node is not None and t.node.key is key:
+        return t.node
+    return t if t.requires_grad else None
+
+
 def _emit(out_data, inputs, backfn):
-    """Finalize a primitive: build the output tensor and record the adjoint."""
+    """Finalize a primitive: build the output tensor and record the adjoint.
+
+    The record keeps a node for the output and for each intermediate input,
+    so it holds no value; ``backfn`` holds the arrays its adjoint reads.
+    """
     needs = any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=needs)
     if needs and (tape := _ACTIVE_TAPE.get()) is not None:
-        tape.records.append(_Record(out, tuple(inputs), backfn))
+        key = tape.key
+        out.node = _Node(out.data.shape, out.data.dtype, key)
+        tape.records.append(_Record(out.node, tuple(_ref(t, key) for t in inputs), backfn))
     return out
 
 
@@ -218,27 +264,30 @@ def _check_same_shape(a, b, op):
 # Elementwise and scalar primitives
 
 
+# A single-input op is recorded only when its input needs a gradient, so its
+# adjoint need not check the flag.
+
+
 def add(a, b):
     _check_same_shape(a, b, "add")
+    needs_a, needs_b = a.requires_grad, b.requires_grad
 
     def back(g):
-        return (g if a.requires_grad else None, g if b.requires_grad else None)
+        return (g if needs_a else None, g if needs_b else None)
 
     return _emit(a.data + b.data, [a, b], back)
 
 
 def sub(a, b):
-    if isinstance(a, Tensor):
-        s = _as_scalar(b, a.dtype)
-        if s is not None:
-            return _emit(a.data - s, [a], lambda g: (g if a.requires_grad else None,))
-    else:
-        s = _as_scalar(a, b.dtype)
-        return _emit(s - b.data, [b], lambda g: (-g if b.requires_grad else None,))
+    if isinstance(a, Tensor) and (s := _as_scalar(b, a.dtype)) is not None:
+        return _emit(a.data - s, [a], lambda g: (g,))
+    if isinstance(b, Tensor) and (s := _as_scalar(a, b.dtype)) is not None:
+        return _emit(s - b.data, [b], lambda g: (-g,))
     _check_same_shape(a, b, "sub")
+    needs_a, needs_b = a.requires_grad, b.requires_grad
 
     def back(g):
-        return (g if a.requires_grad else None, -g if b.requires_grad else None)
+        return (g if needs_a else None, -g if needs_b else None)
 
     return _emit(a.data - b.data, [a, b], back)
 
@@ -248,15 +297,15 @@ def mul(a, b):
         a, b = b, a
     s = _as_scalar(b, a.dtype)
     if s is not None:
-        return _emit(a.data * s, [a], lambda g: (g * s if a.requires_grad else None,))
+        return _emit(a.data * s, [a], lambda g: (g * s,))
     _check_same_shape(a, b, "mul")
+    a_data, b_data = a.data, b.data
+    needs_a, needs_b = a.requires_grad, b.requires_grad
 
     def back(g):
-        ga = g * b.data if a.requires_grad else None
-        gb = g * a.data if b.requires_grad else None
-        return (ga, gb)
+        return (g * b_data if needs_a else None, g * a_data if needs_b else None)
 
-    return _emit(a.data * b.data, [a, b], back)
+    return _emit(a_data * b_data, [a, b], back)
 
 
 def sqrt(x):
@@ -268,11 +317,10 @@ def sqrt(x):
     if np.any(x.data < 0):
         raise NumericsError("sqrt of a negative value")
     y = np.sqrt(x.data)
+    floor = x.dtype.type(1e-12)
 
     def back(g):
-        if not x.requires_grad:
-            return (None,)
-        return (g * 0.5 / np.maximum(y, x.dtype.type(1e-12)),)
+        return (g * 0.5 / np.maximum(y, floor),)
 
     return _emit(y, [x], back)
 
@@ -296,13 +344,15 @@ def _check_affine(x, weight, bias, op):
 def _affine(x, weight, bias, op):
     """Checked ``x @ weight + bias`` and its adjoint, shared by the linear ops."""
     _check_affine(x, weight, bias, op)
-    out = x.data @ weight.data
+    xd, wd = x.data, weight.data
+    needs_x, needs_w, needs_b = x.requires_grad, weight.requires_grad, bias.requires_grad
+    out = xd @ wd
     out += bias.data
 
     def back(g):
-        gx = g @ weight.data.T if x.requires_grad else None
-        gw = x.data.T @ g if weight.requires_grad else None
-        gb = g.sum(axis=0) if bias.requires_grad else None
+        gx = g @ wd.T if needs_x else None
+        gw = xd.T @ g if needs_w else None
+        gb = g.sum(axis=0) if needs_b else None
         return (gx, gw, gb)
 
     return out, back
@@ -344,13 +394,12 @@ def reduce_sum(x, axis=None):
     if axis is not None:
         axis = _check_axis(x, axis)
     out = x.data.sum(axis=axis)
+    shape = x.shape
 
     def back(g):
-        if not x.requires_grad:
-            return (None,)
         if axis is not None:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, x.shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return _emit(out, [x], back)
 
@@ -385,12 +434,11 @@ def max_over_axis(x, axis):
     axis = _check_axis(x, axis)
     out = x.data.max(axis=axis)
     winner = x.data.argmax(axis=axis)
+    shape, dtype = x.shape, x.dtype
 
     def back(g):
-        if not x.requires_grad:
-            return (None,)
-        gx = np.zeros_like(x.data)
-        idx = list(np.indices(out.shape))
+        gx = np.zeros(shape, dtype)
+        idx = list(np.indices(winner.shape))
         idx.insert(axis, winner)
         gx[tuple(idx)] = g
         return (gx,)
@@ -423,12 +471,13 @@ def concat(xs, axis=0):
                 raise ShapeError(f"concat: shapes {x.shape} vs {xs[0].shape} on axis {d}")
     out = np.concatenate([x.data for x in xs], axis=axis)
     offsets = np.cumsum([0] + [x.shape[axis] for x in xs])
+    needs = [x.requires_grad for x in xs]
 
     def back(g):
         grads = []
         sl = [slice(None)] * g.ndim
-        for i, x in enumerate(xs):
-            if x.requires_grad:
+        for i, need in enumerate(needs):
+            if need:
                 sl[axis] = slice(offsets[i], offsets[i + 1])
                 grads.append(g[tuple(sl)])
             else:
@@ -448,14 +497,15 @@ def _row_index(index, x, op):
     return idx
 
 
-def _scatter_rows(g, idx, x):
-    """The adjoint of ``x.data[idx]``: row ``idx[i]`` accumulates ``g[i]``."""
+def _scatter_rows(g, idx, shape, dtype):
+    """The adjoint of ``x[idx]`` for an array x of ``shape`` and ``dtype``:
+    row ``idx[i]`` accumulates ``g[i]``."""
     # scatter-add via bincount over a flattened composite index; much
     # faster than np.add.at and deterministic (bin-order accumulation)
-    stride = int(np.prod(x.shape[1:], dtype=np.int64)) if x.ndim > 1 else 1
+    stride = math.prod(shape[1:])
     flat = (idx[:, None] * stride + np.arange(stride)).ravel() if stride > 1 else idx
-    gx = np.bincount(flat, weights=g.ravel(), minlength=x.size)
-    return gx.reshape(x.shape).astype(x.dtype, copy=False)
+    gx = np.bincount(flat, weights=g.ravel(), minlength=math.prod(shape))
+    return gx.reshape(shape).astype(dtype, copy=False)
 
 
 def gather_rows(x, index):
@@ -465,9 +515,10 @@ def gather_rows(x, index):
     scatter-adds, so repeated rows accumulate their gradients.
     """
     idx = _row_index(index, x, "gather_rows")
+    shape, dtype = x.shape, x.dtype
 
     def back(g):
-        return (_scatter_rows(g, idx, x) if x.requires_grad else None,)
+        return (_scatter_rows(g, idx, shape, dtype),)
 
     return _emit(x.data[idx], [x], back)
 
@@ -492,12 +543,14 @@ def neighbor_diff(center, other, index, k):
         raise ContractError(f"neighbor_diff: dtypes {center.dtype} and {other.dtype} differ")
     out = np.repeat(center.data, k, axis=0)
     out -= other.data[idx]
+    shape, dtype, rest = other.shape, other.dtype, center.shape[1:]
+    needs_other, needs_center = other.requires_grad, center.requires_grad
 
     def back(g):
         # other first: the order in which the unfused gather and repeat
         # records accumulated, so a shared input sums in the same order
-        go = _scatter_rows(-g, idx, other) if other.requires_grad else None
-        gc = g.reshape(n, k, *center.shape[1:]).sum(axis=1) if center.requires_grad else None
+        go = _scatter_rows(-g, idx, shape, dtype) if needs_other else None
+        gc = g.reshape(n, k, *rest).sum(axis=1) if needs_center else None
         return (go, gc)
 
     return _emit(out, [other, center], back)
@@ -522,9 +575,10 @@ def neighbor_sum(other, index, weights):
         raise ShapeError(f"neighbor_sum: {idx.size} indices do not fit weights {w.shape}")
     (m, k), c = w.shape, other.shape[1]
     w = w[:, :, None]  # one weight per neighbor, shared by every channel
+    shape, dtype = other.shape, other.dtype
 
     def back(g):
-        return (_scatter_rows((g[:, None, :] * w).reshape(m * k, c), idx, other),)
+        return (_scatter_rows((g[:, None, :] * w).reshape(m * k, c), idx, shape, dtype),)
 
     return _emit(_weighted_sum(w, other.data[idx].reshape(m, k, c)), [other], back)
 
@@ -533,9 +587,10 @@ def reshape(x, shape):
     shape = tuple(int(s) for s in shape)
     if math.prod(shape) != x.size:
         raise ShapeError(f"cannot reshape {x.shape} to {shape}")
+    before = x.shape
 
     def back(g):
-        return (g.reshape(x.shape) if x.requires_grad else None,)
+        return (g.reshape(before),)
 
     return _emit(x.data.reshape(shape), [x], back)
 
@@ -549,12 +604,10 @@ def repeat_rows(x, r):
     r = int(r)
     if r < 1:
         raise ShapeError("repeat_rows needs r >= 1")
-    n = x.shape[0]
+    n, rest = x.shape[0], x.shape[1:]
 
     def back(g):
-        if not x.requires_grad:
-            return (None,)
-        return (g.reshape(n, r, *x.shape[1:]).sum(axis=1),)
+        return (g.reshape(n, r, *rest).sum(axis=1),)
 
     return _emit(np.repeat(x.data, r, axis=0), [x], back)
 
@@ -672,16 +725,18 @@ def attention_head(x, values, w0, b0, w1, b1, variant="softmax", lam=1.0, captur
     inputs = [x, values, w0, b0, w1, b1]
     record = any(t.requires_grad for t in inputs) and _ACTIVE_TAPE.get() is not None
     xd, v, lam = x.data, values.data, x.dtype.type(lam)
+    w0d, w1d = w0.data, w1.data
+    needs_x, needs_v, needs_w0, needs_b0, needs_w1, needs_b1 = (t.requires_grad for t in inputs)
     out = np.empty((n, c), dtype=x.dtype)
     hidden = np.empty((n * k, w0.shape[1]), x.dtype) if record else None
     weights = np.empty((n, k, width), x.dtype) if record or capture is not None else None
     for a, b in _tiles(n, k):
         rows = slice(a * k, b * k)
-        h = np.matmul(xd[rows], w0.data, out=None if hidden is None else hidden[rows])
+        h = np.matmul(xd[rows], w0d, out=None if hidden is None else hidden[rows])
         h += b0.data
         _relu_(h)
         kept = None if weights is None else weights[a:b].reshape(-1, width)
-        r = np.matmul(h, w1.data, out=kept).reshape(b - a, k, width)
+        r = np.matmul(h, w1d, out=kept).reshape(b - a, k, width)
         r += b1.data
         out[a:b] = _weighted_sum(_normalize_(r, variant, lam), v[a:b])
     if capture is not None:
@@ -689,8 +744,8 @@ def attention_head(x, values, w0, b0, w1, b1, variant="softmax", lam=1.0, captur
 
     def back(g):
         nonlocal hidden, weights  # the tape is single-use: drop each block once read
-        gv = np.empty_like(v) if values.requires_grad else None
-        gr = np.empty((n, k, width), x.dtype)
+        gv = np.empty_like(v) if needs_v else None
+        gr = np.empty((n, k, width), xd.dtype)
         for a, b in _tiles(n, k):  # the weighted sum's and the normalization's adjoints
             s = weights[a:b]
             gs = _weighted_sum_back(g[a:b], s, v[a:b], gr[a:b], None if gv is None else gv[a:b])
@@ -699,20 +754,20 @@ def attention_head(x, values, w0, b0, w1, b1, variant="softmax", lam=1.0, captur
         gr = gr.reshape(n * k, width)
         # weight and bias gradients sum over all n*k rows: one full-size call
         # each, as the unfused linear adjoints make
-        gw1 = hidden.T @ gr if w1.requires_grad else None
-        gb1 = gr.sum(axis=0) if b1.requires_grad else None
+        gw1 = hidden.T @ gr if needs_w1 else None
+        gb1 = gr.sum(axis=0) if needs_b1 else None
         gx = gw0 = gb0 = None
-        if x.requires_grad or w0.requires_grad or b0.requires_grad:
+        if needs_x or needs_w0 or needs_b0:
             gz = gr if width == hidden.shape[1] else np.empty_like(hidden)  # gz takes gr's rows
-            gx = np.empty_like(xd) if x.requires_grad else None
+            gx = np.empty_like(xd) if needs_x else None
             for a, b in _tiles(n, k):  # the kernel's adjoints
                 rows = slice(a * k, b * k)
-                np.multiply(gr[rows] @ w1.data.T, hidden[rows] > 0, out=gz[rows])
+                np.multiply(gr[rows] @ w1d.T, hidden[rows] > 0, out=gz[rows])
                 if gx is not None:
-                    np.matmul(gz[rows], w0.data.T, out=gx[rows])
+                    np.matmul(gz[rows], w0d.T, out=gx[rows])
             hidden = None
-            gw0 = xd.T @ gz if w0.requires_grad else None
-            gb0 = gz.sum(axis=0) if b0.requires_grad else None
+            gw0 = xd.T @ gz if needs_w0 else None
+            gb0 = gz.sum(axis=0) if needs_b0 else None
         return (gx, gv, gw0, gb0, gw1, gb1)
 
     return _emit(out, inputs, back)

@@ -143,7 +143,7 @@ def test_taped_upsample_transformer_stacks_its_heads_with_one_concat_and_one_res
     first = ops.index("attention_head")
     stack = ["concat", "reshape"] if rate > 1 else []
     assert ops[first:] == ["attention_head"] * rate + stack
-    assert out is tape.records[-1].output
+    assert out.node is tape.records[-1].output
     assert out.shape == (8 * rate, 6)
 
 

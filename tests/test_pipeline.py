@@ -102,6 +102,21 @@ def test_fresh_model_outputs_duplicate_coarse_cloud():
         )
 
 
+def test_forward_fuses_spread_seeds_by_fps_from_the_first_seed():
+    # a fresh model's seeds all sit at the origin; random seed-head weights
+    # spread them, so the coarse cloud shows which seed the fuse starts from
+    rng = np.random.default_rng(3)
+    model = CompletionModel(desk_config())
+    w = dict(model.named_parameters())["seed_generator.coord_map.lin1.w"].data
+    w[...] = rng.standard_normal(w.shape)
+    partial = random_cloud(rng, 512)
+    seeds, states = model.forward(partial)
+    assert len(np.unique(seeds.cloud.data, axis=0)) == len(seeds.cloud.data)
+    merged = np.concatenate([seeds.cloud.data, partial.astype(np.float32)], axis=0)
+    coarse = merged[fps_oracle(merged, 128, 0)]
+    np.testing.assert_array_equal(states[0].cloud.data, coarse)  # rate 1, zero offsets
+
+
 def test_forward_interpolates_seed_features_once_per_stage(monkeypatch):
     # each stage interpolates at its input cloud and hands that one tensor
     # to both its query builder and its core; the final cloud gets none
