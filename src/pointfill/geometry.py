@@ -25,8 +25,14 @@ DISTANCE_FLOOR = 1e-8
 
 
 def as_cloud(points, name="cloud"):
-    """Validate and return points as an (n, 3) float array."""
+    """Validate and return points as an (n, 3) float array.
+
+    Integer and boolean coordinates come back as float64, so distances
+    computed from them are not truncated to integers.
+    """
     pts = np.asarray(points)
+    if pts.dtype.kind in "biu":
+        pts = pts.astype(np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ContractError(f"{name} must have shape (n, 3), got {pts.shape}")
     if pts.shape[0] < 1:
@@ -177,7 +183,9 @@ GRID_KNN_MIN_PAIRS = 2**22
 
 _GRID_CELL_POINTS = 8  # reference points per occupied cell, on a surface
 _GRID_BLOCK_POINTS = 128  # queries per block, on a surface
+_GRID_BOUND_POINTS = 4_096  # reference points, at least, behind the block bounds
 _GRID_MARGIN = 1e-4  # relative slack that covers the rounding of distances
+_KNN_CHUNK_PAIRS = 2**16  # pairs per distance block: 512 KB of float64, in cache
 
 
 def knn(queries, reference, k):
@@ -185,13 +193,13 @@ def knn(queries, reference, k):
 
     Ties are broken by lowest reference index; a reference point identical
     to the query is eligible. Distances are computed per pair from the raw
-    coordinate differences (chunked over queries to bound memory), summed
-    in the fixed order ``(dx*dx + dy*dy) + dz*dz``, so the result depends
-    neither on a factored distance expansion nor on the machine's SIMD
-    reduction order. From ``GRID_KNN_MIN_PAIRS`` (2**22) query-reference
-    pairs on, each block of nearby queries compares only the reference
-    points a spatial grid cannot rule out; the table is bitwise equal to
-    comparing every pair.
+    coordinate differences, in blocks of whole query rows sized to stay in
+    cache, and summed in the fixed order ``(dx*dx + dy*dy) + dz*dz``, so
+    the result depends neither on a factored distance expansion nor on the
+    machine's SIMD reduction order. From ``GRID_KNN_MIN_PAIRS`` (2**22)
+    query-reference pairs on, each block of nearby queries compares only
+    the reference points a spatial grid cannot rule out; the table is
+    bitwise equal to comparing every pair.
     """
     q = as_cloud(queries, "queries")
     r = as_cloud(reference, "reference")
@@ -228,12 +236,17 @@ def _knn_grid(q, r, k):
     """``_knn_compute`` with the reference cloud pruned per block of queries.
 
     Reference points are bucketed into grid cells, each with the tight box
-    of its points, and queries into coarser cells, the blocks. Each member
-    of a block has the k nearest reference points of the block's mean
-    within distance ``U``, the largest member-to-those-points distance, so
-    ``U`` bounds every member's k-th neighbor distance, and a cell whose
-    box lies farther than ``U`` from the block's box holds only points
-    strictly farther from each member than its k-th neighbor. Each block
+    of its points, and queries into coarser cells, the blocks. Any k
+    distinct reference points bound a query's k-th neighbor distance by the
+    largest distance from the query to them. Each block takes the k points
+    nearest its mean within a spread subset of the reference (every
+    ``m // 4096``-th point in cell order, at least ``min(m, 4096)``
+    points), and ``U``, the largest member-to-those-points distance, bounds
+    every member's k-th neighbor distance. The subset makes ``U`` looser
+    than the whole reference would, which widens the search but drops no
+    neighbor, and makes the bound far cheaper to find. A cell whose box
+    lies farther than ``U`` from the block's box holds only points strictly
+    farther from each member than its k-th neighbor. Each block
     runs ``_knn_compute`` on the points of the cells that pass, in
     ascending index order: distances come from the same per-pair formula
     and ties meet in the same order, so the table is bitwise equal to the
@@ -245,7 +258,7 @@ def _knn_grid(q, r, k):
     q64 = q.astype(np.float64)
     r64 = r.astype(np.float64)
     scale = max(np.abs(q64).max(), np.abs(r64).max())
-    if dtype.kind != "f" or 12.0 * scale * scale >= np.finfo(dtype).max:
+    if 12.0 * scale * scale >= np.finfo(dtype).max:
         return _knn_compute(q, r, k)  # squared distances could overflow
 
     r_order, r_starts = _group(_grid_cells(r64, _GRID_CELL_POINTS))
@@ -260,7 +273,8 @@ def _knn_grid(q, r, k):
     block_lo = np.minimum.reduceat(q_sorted, q_starts, axis=0)
     block_hi = np.maximum.reduceat(q_sorted, q_starts, axis=0)
     centers = np.add.reduceat(q_sorted, q_starts, axis=0) / q_counts[:, None]
-    near = _knn_compute(centers, r64, k).indices
+    subset = r_order[::max(1, m // _GRID_BOUND_POINTS)]
+    near = subset[_knn_compute(centers, r64[subset], k).indices]
 
     indices = np.empty((n, k), dtype=np.int64)
     distances = np.empty((n, k), dtype=q.dtype)
@@ -286,7 +300,7 @@ def _knn_compute(q, r, k):
     m = r.shape[0]
     indices = np.empty((n, k), dtype=np.int64)
     distances = np.empty((n, k), dtype=q.dtype)
-    chunk = max(1, int(2_000_000 // max(m, 1)))
+    chunk = max(1, _KNN_CHUNK_PAIRS // m)
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
         d2 = _sq_dist(q[lo:hi, None, :], r)

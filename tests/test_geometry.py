@@ -1,6 +1,7 @@
 """Geometric kernels against trivial cases and brute-force oracles."""
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,6 +114,22 @@ def test_knn_distance_ties_take_lowest_index():
     r = np.array([[0.0, 0, 1.0], [0.0, 0, -1.0], [1.0, 0, 0]])
     nbr = geometry.knn(q, r, 2)
     np.testing.assert_array_equal(nbr.indices, [[0, 1]])
+
+
+@pytest.mark.parametrize("path", ["brute", "grid"])
+def test_integer_clouds_match_their_float64_copies(monkeypatch, path):
+    if path == "grid":
+        monkeypatch.setattr(geometry, "GRID_KNN_MIN_PAIRS", 1)
+    rng = np.random.default_rng(13)
+    q, r = rng.integers(-9, 10, (60, 3)), rng.integers(-9, 10, (90, 3))
+    got = geometry.knn(q, r, 4)
+    want = geometry.knn(q.astype(np.float64), r.astype(np.float64), 4)
+    np.testing.assert_array_equal(got.indices, want.indices)
+    assert got.distances.dtype == want.distances.dtype
+    np.testing.assert_array_equal(got.distances, want.distances)
+    np.testing.assert_array_equal(
+        geometry.farthest_point_sample(r, 20), geometry.farthest_point_sample(r * 1.0, 20)
+    )
 
 
 # --- seed feature interpolation -----------------------------------------------
@@ -379,6 +396,62 @@ def test_grid_knn_compares_a_fraction_of_the_pairs(monkeypatch):
     assert sum(compared) < q.shape[0] * r.shape[0] // 4
     monkeypatch.undo()
     assert_same_table(got, geometry._knn_compute(q, r, 1))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", GRID_CASES)
+def test_knn_tables_do_not_depend_on_the_chunk_size(monkeypatch, name, dtype):
+    q, r, k = grid_case(name, np.random.default_rng(GRID_CASES.index(name)))
+    q, r = q.astype(dtype), r.astype(dtype)
+    with np.errstate(over="ignore"):
+        want = geometry._knn_compute(q, r, k)
+        for chunk in (1, 2**40):  # one query row per chunk; one chunk
+            monkeypatch.setattr(geometry, "_KNN_CHUNK_PAIRS", chunk)
+            assert_same_table(geometry._knn_compute(q, r, k), want)
+            assert_same_table(geometry._knn_grid(q, r, k), want)
+
+
+def subset_bound_case(name, rng):
+    """(queries, reference) with a 16,384-point reference, so the block
+    bounds come from every 4th reference point in cell order."""
+    if name == "blob":  # an untrained prediction: every query near the centre
+        return 0.02 * random_cloud(rng, 1_024), sphere(rng, 16_384)
+    if name == "copies":  # the stride lands on duplicates of one point
+        base = sphere(rng, 4_096)
+        return sphere(rng, 1_024), np.concatenate([base, base, base, base])
+    raise KeyError(name)
+
+
+@pytest.mark.parametrize("fine", [False, True], ids=["default_grid", "fine_grid"])
+@pytest.mark.parametrize("k", [1, 16])
+@pytest.mark.parametrize("name", ["blob", "copies"])
+def test_grid_knn_with_a_subset_bound_is_exact(monkeypatch, name, k, fine):
+    assert 16_384 // geometry._GRID_BOUND_POINTS == 4
+    if fine:  # small blocks, so each one's bound decides what it compares
+        monkeypatch.setattr(geometry, "_GRID_CELL_POINTS", 1)
+        monkeypatch.setattr(geometry, "_GRID_BLOCK_POINTS", 4)
+    q, r = subset_bound_case(name, np.random.default_rng(23))
+    q, r = q.astype(np.float32), r.astype(np.float32)
+    got = geometry._knn_grid(q, r, k)
+    assert_same_table(got, geometry._knn_compute(q, r, k))
+    rows = np.arange(0, q.shape[0], 128)  # the python oracle is slow
+    oracle_idx, oracle_dist = knn_oracle(q[rows], r, k)
+    np.testing.assert_array_equal(got.indices[rows], oracle_idx)
+    np.testing.assert_allclose(got.distances[rows], oracle_dist, rtol=1e-6)
+
+
+@pytest.mark.parametrize("sizes", [(8_192, 16_384), (16_384, 8_192)])
+def test_knn_working_memory_stays_small(sizes):
+    rng = np.random.default_rng(26)
+    q, r = (sphere(rng, n).astype(np.float32) for n in sizes)
+    tracemalloc.start()
+    try:
+        nbr = geometry.knn(q, r, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # float64 copies of both clouds and a few cache-sized distance blocks
+    assert peak - nbr.indices.nbytes - nbr.distances.nbytes < 6e6
 
 
 def spy_on_grid(monkeypatch):

@@ -222,6 +222,13 @@ def test_fscore_half_precision_full_recall():
     assert got == pytest.approx(fscore_oracle(pred, gt, 0.5))
 
 
+def test_fscore_of_integer_clouds_uses_true_distances():
+    # the points lie sqrt(2) apart: an integer distance of 1 would count a match
+    pred, gt = [[0, 0, 0]], [[1, 1, 0]]
+    assert losses.fscore(pred, gt, threshold=1.2) == 0.0
+    assert losses.fscore(pred, gt, threshold=1.5) == 1.0
+
+
 def test_fscore_rejects_nonpositive_threshold():
     pts = np.zeros((2, 3))
     with pytest.raises(ContractError):
