@@ -240,8 +240,8 @@ def _knn_grid(q, r, k):
     distinct reference points bound a query's k-th neighbor distance by the
     largest distance from the query to them. Each block takes the k points
     nearest its mean within a spread subset of the reference (every
-    ``m // 4096``-th point in cell order, at least ``min(m, 4096)``
-    points), and ``U``, the largest member-to-those-points distance, bounds
+    ``m // max(4096, k)``-th point in cell order, so at least
+    ``min(m, max(4096, k)) >= k`` points), and ``U``, the largest member-to-those-points distance, bounds
     every member's k-th neighbor distance. The subset makes ``U`` looser
     than the whole reference would, which widens the search but drops no
     neighbor, and makes the bound far cheaper to find. A cell whose box
@@ -273,7 +273,7 @@ def _knn_grid(q, r, k):
     block_lo = np.minimum.reduceat(q_sorted, q_starts, axis=0)
     block_hi = np.maximum.reduceat(q_sorted, q_starts, axis=0)
     centers = np.add.reduceat(q_sorted, q_starts, axis=0) / q_counts[:, None]
-    subset = r_order[::max(1, m // _GRID_BOUND_POINTS)]
+    subset = r_order[::max(1, m // max(_GRID_BOUND_POINTS, k))]
     near = subset[_knn_compute(centers, r64[subset], k).indices]
 
     indices = np.empty((n, k), dtype=np.int64)

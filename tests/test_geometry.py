@@ -440,6 +440,20 @@ def test_grid_knn_with_a_subset_bound_is_exact(monkeypatch, name, k, fine):
     np.testing.assert_allclose(got.distances[rows], oracle_dist, rtol=1e-6)
 
 
+def test_grid_knn_with_k_above_the_bound_subset_is_exact():
+    # k > 4096: the stride shrinks so the subset still holds k points
+    rng = np.random.default_rng(27)
+    q, r = sphere(rng, 256).astype(np.float32), sphere(rng, 16_384).astype(np.float32)
+    k = geometry._GRID_BOUND_POINTS + 4
+    assert q.shape[0] * r.shape[0] >= geometry.GRID_KNN_MIN_PAIRS
+    got = geometry.knn(q, r, k)
+    assert_same_table(got, geometry._knn_compute(q, r, k))
+    rows = [0, 255]  # the python oracle is slow
+    oracle_idx, oracle_dist = knn_oracle(q[rows], r, k)
+    np.testing.assert_array_equal(got.indices[rows], oracle_idx)
+    np.testing.assert_allclose(got.distances[rows], oracle_dist, rtol=1e-6)
+
+
 @pytest.mark.parametrize("sizes", [(8_192, 16_384), (16_384, 8_192)])
 def test_knn_working_memory_stays_small(sizes):
     rng = np.random.default_rng(26)
