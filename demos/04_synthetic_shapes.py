@@ -16,7 +16,7 @@ out.mkdir(parents=True, exist_ok=True)
 # One ground-truth sample per family.
 for family in data.FAMILIES:
     spec = data.SyntheticShapeSpec(
-        family=family, scale=1.0, seed=3, gt_points=1024, partial_points=512
+        family=family, seed=3, gt_points=1024, partial_points=512
     )
     gt = data.generate_shape(spec)
     span = gt.max(axis=0) - gt.min(axis=0)

@@ -59,9 +59,7 @@ from .pipeline import (
     Adam,
     CompletionModel,
     ModelConfig,
-    evaluate_loss,
     run_training,
-    train_step,
 )
 
 __version__ = "0.1.0"

@@ -1,6 +1,6 @@
 """Command line interface: train, complete, eval, gradcheck, ablate.
 
-Exit codes: 0 success, 1 usage error, 2 numeric or validation failure.
+Exit codes: 0 success, 1 usage error, 2 numeric, validation or I/O failure.
 Model settings come from a flat ``key = value`` config file; command line
 flags override file values, and the fully resolved config is echoed next to
 every output for provenance.
@@ -63,6 +63,8 @@ def _cmd_train(args, overrides=None):
                         ("--lr-decay-every", args.lr_decay_every)):
         if value is not None and value < 1:
             raise ContractError(f"{flag} must be >= 1, got {value}")
+    if Path(args.out).is_dir():
+        raise ContractError(f"--out {args.out} is a directory, not a checkpoint path")
     config = _resolve_config(args, overrides)
     seed = config.init_seed  # --seed if given, else the config's init_seed
     samples = [(p, g) for _, p, g in dataio.load_dataset(args.data)]
@@ -132,6 +134,8 @@ _METRICS = ("cd-l1", "cd-l2", "fscore", "fidelity", "mmd")
 
 def _cmd_eval(args):
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
+    if not metrics:
+        raise ContractError(f"--metrics {args.metrics!r} names no metric; choose from {_METRICS}")
     for m in metrics:
         if m not in _METRICS:
             raise ContractError(f"unknown metric {m!r}; choose from {_METRICS}")
@@ -270,7 +274,7 @@ def main(argv=None):
     try:
         return args.fn(args)
     except (ContractError, NumericsError, FormatError, ParseError, ShapeError,
-            UnicodeDecodeError, FileNotFoundError, IndexError) as exc:
+            UnicodeDecodeError, OSError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAILURE
 

@@ -25,6 +25,9 @@ from .geometry import as_cloud
 
 FAMILIES = ("sphere", "box", "cylinder", "table", "composite")
 
+#: Share of a ground truth's points that its occluded partial view keeps.
+_KEEP_FRACTION = 0.55
+
 #: The eight canonical view directions used when building datasets: the six
 #: axis directions plus the two main-diagonal directions.
 VIEWPOINTS = np.array(
@@ -39,10 +42,9 @@ VIEWPOINTS = np.array(
 
 @dataclass
 class SyntheticShapeSpec:
-    """Recipe for one ground-truth / partial pair."""
+    """Recipe for one ground-truth / partial pair; every shape is unit-sized."""
 
     family: str = "sphere"
-    scale: float = 1.0
     seed: int = 0
     gt_points: int = 512
     partial_points: int = 256
@@ -58,16 +60,15 @@ def generate_shape(spec):
     """Uniform surface samples of the requested parametric shape."""
     rng = np.random.default_rng(spec.seed)
     n = spec.gt_points
-    s = spec.scale
     if spec.family == "sphere":
-        return _sample_sphere(rng, n, radius=s)
+        return _sample_sphere(rng, n, radius=1.0)
     if spec.family == "box":
-        return _sample_boxes(rng, n, [(np.zeros(3), np.array([s, s, s]))])
+        return _sample_boxes(rng, n, [(np.zeros(3), np.ones(3))])
     if spec.family == "cylinder":
-        return _sample_cylinder(rng, n, radius=0.35 * s, height=s)
+        return _sample_cylinder(rng, n, radius=0.35, height=1.0)
     if spec.family == "table":
-        return _sample_table(rng, n, s)
-    return _sample_composite(rng, n, s)
+        return _sample_table(rng, n)
+    return _sample_composite(rng, n)
 
 
 def _sample_sphere(rng, n, radius, center=None):
@@ -121,25 +122,23 @@ def _sample_cylinder(rng, n, radius, height):
     return pts
 
 
-def _sample_table(rng, n, s):
-    top = (np.array([0.0, 0.0, 0.45 * s]), np.array([s, 0.7 * s, 0.1 * s]))
-    leg_ext = np.array([0.08 * s, 0.08 * s, 0.8 * s])
+def _sample_table(rng, n):
+    top = (np.array([0.0, 0.0, 0.45]), np.array([1.0, 0.7, 0.1]))
+    leg_ext = np.array([0.08, 0.08, 0.8])
     legs = [
-        (np.array([sx * 0.42 * s, sy * 0.27 * s, 0.0]), leg_ext)
+        (np.array([sx * 0.42, sy * 0.27, 0.0]), leg_ext)
         for sx in (-1, 1)
         for sy in (-1, 1)
     ]
     return _sample_boxes(rng, n, [top, *legs])
 
 
-def _sample_composite(rng, n, s):
+def _sample_composite(rng, n):
     n_sphere = n // 2
     n_box = n - n_sphere
-    center = rng.uniform(-0.2 * s, 0.2 * s, size=3)
-    sphere = _sample_sphere(rng, n_sphere, radius=0.45 * s, center=center)
-    box = _sample_boxes(
-        rng, n_box, [(-center, np.array([0.8 * s, 0.5 * s, 0.6 * s]))]
-    )
+    center = rng.uniform(-0.2, 0.2, size=3)
+    sphere = _sample_sphere(rng, n_sphere, radius=0.45, center=center)
+    box = _sample_boxes(rng, n_box, [(-center, np.array([0.8, 0.5, 0.6]))])
     return np.concatenate([sphere, box], axis=0)
 
 
@@ -317,7 +316,7 @@ def read_cloud(path):
 
 
 def build_synthetic_dataset(root, split, count, seed=0, gt_points=512,
-                            partial_points=512, scale=1.0, keep_fraction=0.55):
+                            partial_points=512):
     """Write ``count`` occluded shape pairs under ``<root>/<split>/``.
 
     Families cycle deterministically; the viewpoint for each sample is drawn
@@ -331,12 +330,12 @@ def build_synthetic_dataset(root, split, count, seed=0, gt_points=512,
     for i in range(count):
         family = FAMILIES[i % len(FAMILIES)]
         spec = SyntheticShapeSpec(
-            family=family, scale=scale, seed=int(rng.integers(0, 2**31)),
+            family=family, seed=int(rng.integers(0, 2**31)),
             gt_points=gt_points, partial_points=partial_points,
         )
         gt = generate_shape(spec)
         view = VIEWPOINTS[int(rng.integers(0, len(VIEWPOINTS)))]
-        keep = max(16, int(keep_fraction * gt_points))
+        keep = max(16, int(_KEEP_FRACTION * gt_points))
         partial = occlude_viewpoint(gt, view, keep)
         partial = resample_input(partial, partial_points, seed=int(rng.integers(0, 2**31)))
         sample_id = f"{i:04d}_{family}"

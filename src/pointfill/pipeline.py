@@ -2,8 +2,9 @@
 
 A :class:`CompletionModel` chains the encoder, the seed generator and a
 stack of refinement stages. ``forward`` returns the seed set plus every
-stage output; ``train_step`` adds the losses, runs one backward pass and
-one optimizer update, and reports a :class:`LossBreakdown`.
+stage output. ``run_training`` is the one training loop: per step it
+zeroes the gradients, runs each cloud's forward, loss and backward pass,
+applies one :class:`Adam` update and reports a :class:`LossBreakdown`.
 """
 
 from __future__ import annotations
@@ -26,6 +27,13 @@ from .losses import (
 )
 
 _PRECISIONS = {"float32": np.float32, "float64": np.float64}
+
+# Adam's moment decays and denominator guard, and the learning-rate factor
+# applied every ``lr_decay_every`` steps
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
+_LR_DECAY = 0.1
 
 
 @dataclass
@@ -132,7 +140,7 @@ class ModelConfig:
     @classmethod
     def benchmark_8k(cls, **overrides):
         """The medium-output layout: 2048 in, 8192 out (rates 1, 4, 4)."""
-        return cls.benchmark_16k(rates=(1, 4, 4), **overrides)
+        return cls.benchmark_16k(**{"rates": (1, 4, 4), **overrides})
 
     @classmethod
     def micro(cls, **overrides):
@@ -276,17 +284,14 @@ class CompletionModel(Module):
 
 
 class Adam:
-    """First-order adaptive-moment optimizer (beta1=0.9, beta2=0.999)."""
+    """First-order adaptive-moment optimizer (β1 = 0.9, β2 = 0.999, ε = 1e-8)."""
 
-    def __init__(self, model, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, model, lr=1e-3):
         # a NaN or infinite rate poisons every parameter; a negative one ascends
         if not (np.isfinite(lr) and lr >= 0):
             raise ContractError(f"learning rate lr must be finite and >= 0, got {lr}")
         self._params = list(model.named_parameters())
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.moment1 = {
             name: np.zeros_like(p.data) for name, p in self._params
@@ -297,22 +302,21 @@ class Adam:
 
     def step(self):
         self.step_count += 1
-        b1, b2 = self.beta1, self.beta2
-        correction1 = 1.0 - b1 ** self.step_count
-        correction2 = 1.0 - b2 ** self.step_count
+        correction1 = 1.0 - _BETA1 ** self.step_count
+        correction2 = 1.0 - _BETA2 ** self.step_count
         for name, p in self._params:
             g = p.grad
             if g is None:
                 continue
             m = self.moment1[name]
             v = self.moment2[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
+            m *= _BETA1
+            m += (1.0 - _BETA1) * g
+            v *= _BETA2
+            v += (1.0 - _BETA2) * g * g
             m_hat = m / correction1
             v_hat = v / correction2
-            p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(
+            p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + _EPS)).astype(
                 p.dtype, copy=False
             )
 
@@ -363,13 +367,14 @@ def _forward_loss(model, partial, gt, targets=None):
     )
 
 
-def _accumulate_loss(model, partial, gt, scale=1.0, targets=None):
+def _accumulate_loss(model, partial, gt, scale, targets):
     """Forward + loss + backward for one cloud, scaled for accumulation.
 
     Gradients add onto whatever is already in the parameter grads; the
-    caller owns zeroing and the optimizer update. ``targets`` optionally
-    carries precomputed per-output loss targets. Returns the (unscaled)
-    LossBreakdown for this pair.
+    caller owns zeroing and the optimizer update. ``targets`` carries the
+    precomputed per-output loss targets. Returns the (unscaled)
+    LossBreakdown for this pair. Raises NumericsError (with the per-term
+    values in the message) if any term is non-finite.
     """
     with ad.Tape() as tape:
         total, breakdown = _forward_loss(model, partial, gt, targets=targets)
@@ -383,23 +388,10 @@ def _accumulate_loss(model, partial, gt, scale=1.0, targets=None):
     return breakdown
 
 
-def evaluate_loss(model, partial, gt):
-    """Training-objective value on one pair, without gradients or updates."""
-    return _forward_loss(model, partial, gt)[1]
-
-
-def train_step(model, partial, gt, optimizer):
-    """One optimization step on a single (partial, gt) pair.
-
-    Runs the forward pass, sums the per-output Chamfer terms and the
-    partial-matching term, backpropagates and applies one optimizer
-    update. Returns the LossBreakdown. Raises NumericsError (with the
-    per-term values in the message) if any term is non-finite.
-    """
-    model.zero_grad()
-    breakdown = _accumulate_loss(model, partial, gt)
-    optimizer.step()
-    return breakdown
+def _sample_order(rng, n):
+    """Sample indices without end: one ``rng`` permutation of ``n`` per epoch."""
+    while True:
+        yield from rng.permutation(n)
 
 
 @dataclass
@@ -409,14 +401,14 @@ class TrainLogRow:
 
 
 def run_training(model, samples, steps, optimizer, seed=0, lr_decay_every=None,
-                 lr_decay=0.1, batch_clouds=1, on_step=None):
+                 batch_clouds=1, on_step=None):
     """Iterate training steps over a sample list.
 
     Each step processes ``batch_clouds`` single-cloud forward/backward
     passes with gradients accumulated (emulating a batch; the engine has no
     batch axis) and applies one optimizer update; the logged breakdown is
     the mean over the batch. Samples are visited in a per-epoch order
-    shuffled by ``seed``; the learning rate decays by ``lr_decay`` every
+    shuffled by ``seed``; the learning rate decays by 0.1 every
     ``lr_decay_every`` steps when configured. ``on_step(row)`` fires after
     every step.
     """
@@ -426,21 +418,18 @@ def run_training(model, samples, steps, optimizer, seed=0, lr_decay_every=None,
         raise ContractError("batch_clouds must be >= 1")
     if lr_decay_every is not None and lr_decay_every < 1:
         raise ContractError(f"lr_decay_every must be >= 1 or None, got {lr_decay_every}")
-    rng = np.random.default_rng(seed)
+    order = _sample_order(np.random.default_rng(seed), len(samples))
     base_lr = optimizer.lr
     sizes = [model.config.seed_count, *model.config.stage_sizes]
     target_cache = {}
     rows = []
-    order = []
     for step in range(1, steps + 1):
         if lr_decay_every:
-            optimizer.lr = base_lr * (lr_decay ** ((step - 1) // lr_decay_every))
+            optimizer.lr = base_lr * (_LR_DECAY ** ((step - 1) // lr_decay_every))
         model.zero_grad()
         parts = []
         for _ in range(batch_clouds):
-            if not order:
-                order = list(rng.permutation(len(samples)))
-            index = order.pop(0)
+            index = next(order)
             partial, gt = samples[index]
             if index not in target_cache:
                 target_cache[index] = downsample_targets(
@@ -448,8 +437,7 @@ def run_training(model, samples, steps, optimizer, seed=0, lr_decay_every=None,
                 )
             parts.append(
                 _accumulate_loss(
-                    model, partial, gt, scale=1.0 / batch_clouds,
-                    targets=target_cache[index],
+                    model, partial, gt, 1.0 / batch_clouds, target_cache[index]
                 )
             )
         optimizer.step()

@@ -12,7 +12,7 @@ from pointfill import autodiff as ad
 from pointfill import gradcheck
 from pointfill.errors import ContractError, NumericsError, ShapeError
 from pointfill.layers import Mlp2
-from pointfill.pipeline import Adam, CompletionModel, ModelConfig, _forward_loss, train_step
+from pointfill.pipeline import Adam, CompletionModel, ModelConfig, _forward_loss, run_training
 
 
 def leaf(data, dtype=np.float64):
@@ -702,7 +702,7 @@ def test_train_step_backward_frees_memory_as_it_goes(monkeypatch):
     monkeypatch.setattr(ad.Tape, "backward", measured_backward)
     tracemalloc.start()
     try:
-        train_step(model, partial, gt, optimizer)
+        run_training(model, [(partial, gt)], 1, optimizer)
     finally:
         tracemalloc.stop()
     assert traced["start"] <= 40e6, traced

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from pointfill.checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
 from pointfill.errors import FormatError
-from pointfill.pipeline import Adam, CompletionModel, ModelConfig, train_step
+from pointfill.pipeline import Adam, CompletionModel, ModelConfig, run_training
 
 CONFIGS = {
     "micro": lambda: ModelConfig.micro(init_seed=3),  # float64
@@ -28,7 +28,8 @@ def trained(config):
     model = CompletionModel(config)
     optimizer = Adam(model, lr=1e-3)
     n = config.input_points
-    train_step(model, rng.standard_normal((n, 3)), rng.standard_normal((n, 3)), optimizer)
+    pair = (rng.standard_normal((n, 3)), rng.standard_normal((n, 3)))
+    run_training(model, [pair], 1, optimizer)
     return model, optimizer
 
 

@@ -463,3 +463,59 @@ def test_complete_ply_with_a_bad_vertex_count_exits_2(micro_dataset, capsys, cou
     assert code == 2
     err = capsys.readouterr().err
     assert "line 3: vertex count is not a non-negative integer" in err
+
+
+@pytest.mark.parametrize("command", ["train", "complete", "eval"])
+def test_directory_where_a_file_is_expected_exits_2(micro_dataset, capsys, command):
+    # each of these used to escape main as IsADirectoryError, a traceback
+    root = micro_dataset
+    train = root / "data" / "train"
+    argv = {
+        "train": ["train", "--config", str(root), "--data", str(train),
+                  "--out", str(root / "model.ckpt"), "--steps", "1"],
+        "complete": ["complete", "--ckpt", str(root),
+                     "--input", str(train / "0000_sphere_partial.xyz"),
+                     "--output", str(root / "out.xyz")],
+        "eval": ["eval", "--ckpt", str(root), "--data", str(train)],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Is a directory" in captured.err
+    assert captured.out == ""
+    assert not list(root.glob("model.ckpt*")) and not (root / "out.xyz").exists()
+
+
+def test_train_out_existing_directory_exits_2_and_writes_nothing(micro_dataset, capsys,
+                                                                 monkeypatch):
+    # it used to train every step and write <out>.losses.csv before
+    # save_checkpoint failed on the directory
+    (micro_dataset / "run").mkdir()
+    before = sorted(micro_dataset.rglob("*"))
+
+    def no_load(directory):
+        raise AssertionError("dataset loaded before --out was checked")
+
+    monkeypatch.setattr(data, "load_dataset", no_load)
+    assert run_train(micro_dataset, "run") == 2
+    assert "--out" in capsys.readouterr().err
+    assert sorted(micro_dataset.rglob("*")) == before
+
+
+@pytest.mark.parametrize("metrics", [",", "", " , "])
+def test_eval_with_no_metric_exits_2_before_loading(micro_dataset, capsys, monkeypatch,
+                                                    metrics):
+    # "," used to print an empty sample/mean table and exit 0
+    save_checkpoint(micro_model(), micro_dataset / "fresh.ckpt")
+
+    def no_load(path):
+        raise AssertionError("checkpoint loaded before --metrics was checked")
+
+    monkeypatch.setattr("pointfill.cli.load_checkpoint", no_load)
+    code = main([
+        "eval", "--ckpt", str(micro_dataset / "fresh.ckpt"),
+        "--data", str(micro_dataset / "data" / "train"), "--metrics", metrics,
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "names no metric" in captured.err
+    assert captured.out == ""

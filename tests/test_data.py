@@ -10,7 +10,7 @@ from pointfill.errors import ContractError, ParseError
 
 
 def spec(**kw):
-    base = dict(family="sphere", scale=1.0, seed=0, gt_points=256, partial_points=128)
+    base = dict(family="sphere", seed=0, gt_points=256, partial_points=128)
     base.update(kw)
     return data.SyntheticShapeSpec(**base)
 

@@ -11,10 +11,9 @@ from pointfill.pipeline import (
     Adam,
     CompletionModel,
     ModelConfig,
-    evaluate_loss,
+    _forward_loss,
     parse_config_text,
     run_training,
-    train_step,
 )
 
 from .oracles import fps_oracle
@@ -39,6 +38,13 @@ def test_stage_sizes_desk():
 def test_stage_sizes_benchmark_layouts():
     assert ModelConfig.benchmark_16k().stage_sizes == [512, 2048, 16384]
     assert ModelConfig.benchmark_8k().stage_sizes == [512, 2048, 8192]
+
+
+def test_benchmark_8k_takes_a_rates_override():
+    # it raised TypeError: multiple values for keyword argument 'rates'
+    cfg = ModelConfig.benchmark_8k(rates=(1, 2), channels=64)
+    assert (cfg.rates, cfg.channels, cfg.stage_sizes) == ((1, 2), 64, [512, 1024])
+    assert ModelConfig.benchmark_8k() == ModelConfig.benchmark_16k(rates=(1, 4, 4))
 
 
 def test_config_rejects_empty_rates():
@@ -170,7 +176,7 @@ def test_train_step_deterministic_breakdown():
     for _ in range(2):
         model = CompletionModel(desk_config(init_seed=5))
         opt = Adam(model, lr=1e-3)
-        results.append(train_step(model, partial, gt, opt))
+        results.append(run_training(model, [(partial, gt)], 1, opt)[0].breakdown)
     assert results[0] == results[1]
     assert results[0].total == pytest.approx(
         sum(results[0].stage_cds) + results[0].partial_matching, abs=1e-6
@@ -182,8 +188,10 @@ def test_evaluate_loss_matches_train_step_bitwise():
     for seed in range(4):
         partial, gt = toy_pair(rng)
         model = CompletionModel(desk_config(init_seed=seed))
-        evaluated = evaluate_loss(model, partial, gt)
-        assert evaluated == train_step(model, partial, gt, Adam(model, lr=1e-3))
+        # untaped forward and loss, then the same pair as one training step
+        evaluated = _forward_loss(model, partial, gt)[1]
+        rows = run_training(model, [(partial, gt)], 1, Adam(model, lr=1e-3))
+        assert evaluated == rows[0].breakdown
 
 
 def test_zero_learning_rate_keeps_parameters():
@@ -191,7 +199,7 @@ def test_zero_learning_rate_keeps_parameters():
     partial, gt = toy_pair(rng)
     model = CompletionModel(desk_config())
     before = [p.tensor.data.copy() for p in model.named_parameters()]
-    train_step(model, partial, gt, Adam(model, lr=0.0))
+    run_training(model, [(partial, gt)], 1, Adam(model, lr=0.0))
     after = [p.tensor.data for p in model.named_parameters()]
     assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
@@ -220,7 +228,7 @@ def test_non_finite_loss_raises_numerics_error():
     bad = {p.name: p.tensor for p in model.named_parameters()}
     bad["seed_generator.coord_map.lin1.b"].data[0] = np.nan
     with pytest.raises(NumericsError):
-        train_step(model, partial, gt, Adam(model, lr=1e-3))
+        run_training(model, [(partial, gt)], 1, Adam(model, lr=1e-3))
 
 
 def test_learning_rate_decay_schedule():
@@ -351,7 +359,7 @@ def test_checkpoint_optimizer_state_resumes_deterministically(tmp_path):
         order_rng.permutation(2)
     )
     for idx in order[3:6]:
-        train_step(model_c, samples[idx][0], samples[idx][1], opt_c)
+        run_training(model_c, [samples[idx]], 1, opt_c)
 
     for pa, pc in zip(model_a.named_parameters(), model_c.named_parameters()):
         assert np.array_equal(pa.tensor.data, pc.tensor.data), pa.name
