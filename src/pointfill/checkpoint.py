@@ -21,6 +21,7 @@ training can resume deterministically.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
@@ -106,19 +107,30 @@ def _read_record(fh, size, version):
 
 
 def save_checkpoint(model, path, optimizer=None):
-    """Write model parameters (and optionally optimizer state) to ``path``."""
-    with open(path, "w+b") as fh:
-        fh.write(MAGIC)
-        _write_u32(fh, VERSION)
-        encoded = model.config.to_text().encode("utf-8")
-        _write_u32(fh, len(encoded))
-        fh.write(encoded)
-        for param in model.named_parameters():
-            _write_record(fh, param.name, param.tensor.data)
-        if optimizer is not None:
-            for name, array in optimizer.state_arrays().items():
-                _write_record(fh, name, array)
-        _write_u32(fh, _crc32(fh, fh.tell()))
+    """Write model parameters (and optionally optimizer state) to ``path``.
+
+    The file is written beside ``path`` and renamed over it when complete,
+    so a save that fails part way leaves any earlier checkpoint intact.
+    """
+    partial = f"{os.fspath(path)}.{os.getpid()}.partial"
+    try:
+        with open(partial, "w+b") as fh:
+            fh.write(MAGIC)
+            _write_u32(fh, VERSION)
+            encoded = model.config.to_text().encode("utf-8")
+            _write_u32(fh, len(encoded))
+            fh.write(encoded)
+            for param in model.named_parameters():
+                _write_record(fh, param.name, param.tensor.data)
+            if optimizer is not None:
+                for name, array in optimizer.state_arrays().items():
+                    _write_record(fh, name, array)
+            _write_u32(fh, _crc32(fh, fh.tell()))
+        os.replace(partial, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(partial)
+        raise
 
 
 def read_checkpoint(path):

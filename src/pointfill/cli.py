@@ -98,10 +98,10 @@ def _cmd_train(args, overrides=None):
 
 
 def _cmd_ablate(args):
-    overrides = {"generator": args.generator, "seed_attention": args.attention}
-    if args.lam is not None:
-        overrides["attention_scale"] = str(args.lam)
-    return _cmd_train(args, overrides)
+    # only the flags given override the config file
+    flags = {"generator": args.generator, "seed_attention": args.attention,
+             "attention_scale": args.lam}
+    return _cmd_train(args, {k: str(v) for k, v in flags.items() if v is not None})
 
 
 def _cmd_complete(args):
@@ -129,16 +129,25 @@ def _cmd_complete(args):
     return 0
 
 
-_METRICS = ("cd-l1", "cd-l2", "fscore", "fidelity", "mmd")
+# name -> value for one (partial, prediction, ground truth, mmd library)
+_METRICS = {
+    "cd-l1": lambda partial, pred, gt, library: 1000.0 * chamfer(pred, gt, "l1").item(),
+    "cd-l2": lambda partial, pred, gt, library: 1000.0 * chamfer(pred, gt, "l2").item(),
+    "fscore": lambda partial, pred, gt, library: fscore(pred, gt),
+    "fidelity": lambda partial, pred, gt, library: fidelity(partial, pred),
+    "mmd": lambda partial, pred, gt, library: mmd(pred, library)[0],
+}
 
 
 def _cmd_eval(args):
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
     if not metrics:
-        raise ContractError(f"--metrics {args.metrics!r} names no metric; choose from {_METRICS}")
+        raise ContractError(
+            f"--metrics {args.metrics!r} names no metric; choose from {tuple(_METRICS)}"
+        )
     for m in metrics:
         if m not in _METRICS:
-            raise ContractError(f"unknown metric {m!r}; choose from {_METRICS}")
+            raise ContractError(f"unknown metric {m!r}; choose from {tuple(_METRICS)}")
     if "mmd" in metrics and not args.mmd_library:
         raise ContractError("metric 'mmd' needs --mmd-library")
     model = None if args.predictions else load_checkpoint(args.ckpt)
@@ -160,18 +169,7 @@ def _cmd_eval(args):
             pred = model.complete(resampled).astype(np.float64)
         else:
             pred = dataio.read_xyz(Path(args.predictions) / f"{sample_id}_pred.xyz")
-        values = []
-        for m in metrics:
-            if m == "cd-l1":
-                values.append(1000.0 * chamfer(pred, gt, "l1").item())
-            elif m == "cd-l2":
-                values.append(1000.0 * chamfer(pred, gt, "l2").item())
-            elif m == "fscore":
-                values.append(fscore(pred, gt))
-            elif m == "fidelity":
-                values.append(fidelity(partial, pred))
-            else:
-                values.append(mmd(pred, library)[0])
+        values = [_METRICS[m](partial, pred, gt, library) for m in metrics]
         sums += np.asarray(values)
         if i == 0:  # not before: a first sample that fails prints nothing
             print(",".join(["sample", *metrics]))
@@ -252,14 +250,13 @@ def build_parser():
     p_grad.set_defaults(fn=_cmd_gradcheck)
 
     p_ablate = sub.add_parser("ablate", help="train a generator/attention variant")
+    # each defaults to the config file's value, else the ModelConfig default
+    p_ablate.add_argument("--generator", choices=GENERATOR_VARIANTS)
     p_ablate.add_argument(
-        "--generator", default="uptrans", choices=GENERATOR_VARIANTS,
-    )
-    p_ablate.add_argument(
-        "--attention", default="none", choices=ATTENTION_VARIANTS,
+        "--attention", choices=ATTENTION_VARIANTS,
         help="attention mode for the seed generator",
     )
-    p_ablate.add_argument("--lambda", dest="lam", type=float, default=None)
+    p_ablate.add_argument("--lambda", dest="lam", type=float)
     _add_training_flags(p_ablate)
     p_ablate.set_defaults(fn=_cmd_ablate)
     return parser

@@ -14,7 +14,7 @@ import numpy as np
 from . import autodiff as ad
 from . import geometry
 from .errors import ContractError
-from .generator import AttentionMode, UpsampleTransformer
+from .generator import UpsampleTransformer
 from .layers import Mlp2, Module
 
 
@@ -71,14 +71,13 @@ class PointTransformerLayer(Module):
         self.pre = Mlp2(rng, channels, channels, channels, dtype=dtype)
         self.core = UpsampleTransformer(rng, channels, rate=1, k=k, dtype=dtype)
         self.post = Mlp2(rng, channels, channels, channels, dtype=dtype)
-        self._mode = AttentionMode("softmax")
 
     def __call__(self, cloud, features):
         if features.shape[0] != cloud.shape[0]:
             raise ContractError("feature rows must match the cloud")
         x = self.pre(features)
         cloud_t = ad.constant(cloud, like=features)
-        h = self.core(x, x, cloud_t, mode=self._mode)
+        h = self.core(x, x, cloud_t)
         return ad.add(features, self.post(h))
 
 

@@ -11,7 +11,8 @@ produces channel-wise attention logits
 where ``delta_ij = pos_encoder(p_i - p_j) + seed_encoder(s_i - s_j)`` mixes
 a positional term with a regional term from the seed features interpolated
 at the points (positional only when none are supplied). The logits are
-normalized over the neighborhood by the configured attention mode and
+normalized over the neighborhood by the attention mode (the seed
+generator's is a config choice; refinement stages always use softmax) and
 combined with the per-point values:
 
     h[i, m] = sum_j a[i, j, m] * (value_map(v_j) + delta_ij)
@@ -320,14 +321,14 @@ class UpsampleStage(Module):
     from the previous stage's features concatenated with them, runs the
     generator core on the same tensor (keys are the previous stage's
     features), and moves duplicated points by predicted offsets. The offset
-    head is zero-initialized so a fresh stage is an exact duplication.
+    head is zero-initialized so a fresh stage is an exact duplication. An
+    attention core normalizes with softmax.
     """
 
     def __init__(self, rng, channels, seed_channels, rate, k=16, interp_k=3,
-                 mode=None, variant="uptrans", dtype=np.float32):
+                 variant="uptrans", dtype=np.float32):
         self.rate = rate
         self.interp_k = interp_k
-        self.mode = mode or AttentionMode("softmax")
         self.query_builder = Mlp2(
             rng, channels + seed_channels, channels, channels, dtype=dtype
         )
@@ -341,9 +342,7 @@ class UpsampleStage(Module):
         by the ``seeds`` PointSet; returns the new PointSet."""
         s = geometry.interpolate_seed_features(points.cloud.data, seeds, self.interp_k)
         queries = self.query_builder(ad.concat([points.features, s], axis=1))
-        feats = self.core(
-            queries, points.features, points.cloud, seed_features=s, mode=self.mode
-        )
+        feats = self.core(queries, points.features, points.cloud, seed_features=s)
         offsets = self.offset_map(feats)
         new_cloud = ad.add(ad.repeat_rows(points.cloud, self.rate), offsets)
         return geometry.PointSet(new_cloud, feats)

@@ -318,10 +318,7 @@ def _case_partial_matching():
 def _case_upsample_layer():
     rng = _rng(50)
     n, c, cs = 8, 6, 4
-    stage = UpsampleStage(
-        rng, c, cs, rate=2, k=3, interp_k=2, mode=AttentionMode("softmax"),
-        dtype=np.float64,
-    )
+    stage = UpsampleStage(rng, c, cs, rate=2, k=3, interp_k=2, dtype=np.float64)
     # the offset head is zero-initialized; nudge it so its gradient is generic
     stage.offset_map.lin1.w.data += 0.05 * rng.standard_normal(
         stage.offset_map.lin1.w.shape

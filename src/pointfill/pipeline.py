@@ -1,8 +1,10 @@
 """Model assembly, config text, training loop and losses.
 
-A :class:`CompletionModel` chains the encoder, the seed generator and a
-stack of refinement stages. ``forward`` returns the seed set plus every
-stage output. ``run_training`` is the one training loop: per step it
+:class:`ModelConfig` declares each model setting once: a field's default
+gives the type its ``key = value`` text parses to, and every int field but
+``init_seed`` is a size of at least 1. A :class:`CompletionModel` chains
+the encoder, the seed generator and a stack of refinement stages.
+``forward`` returns the seed set plus every stage output. ``run_training`` is the one training loop: per step it
 zeroes the gradients, runs each cloud's forward, loss and backward pass,
 applies one :class:`Adam` update and reports a :class:`LossBreakdown`.
 """
@@ -58,22 +60,21 @@ class ModelConfig:
     attention_k: int = 16
     interp_k: int = 3
     generator: str = "uptrans"
-    seed_attention: str = "none"
-    stage_attention: tuple = ()  # empty: softmax for every stage
+    seed_attention: str = "none"  # the stages always use softmax
     attention_scale: float = 1.0
     precision: str = "float32"
     init_seed: int = 0
 
     def __post_init__(self):
         self.rates = tuple(int(r) for r in self.rates)
-        if isinstance(self.stage_attention, str):
-            self.stage_attention = (self.stage_attention,) * len(self.rates)
-        else:
-            self.stage_attention = tuple(self.stage_attention)
         self.validate()
 
     def validate(self):
-        small = [name for name in sorted(_SIZE_FIELDS) if getattr(self, name) < 1]
+        # every int field but the seed is a count, width or k
+        small = sorted(
+            f.name for f in fields(self) if type(f.default) is int
+            and f.name != "init_seed" and getattr(self, f.name) < 1
+        )
         if small:
             raise ContractError(f"config sizes must be >= 1: {', '.join(small)}")
         if self.init_seed < 0:
@@ -90,8 +91,6 @@ class ModelConfig:
             raise ContractError("patch_points cannot exceed stage1_points")
         if self.coarse_points > self.seed_count + self.input_points:
             raise ContractError("coarse_points exceeds seeds + input")
-        if self.stage_attention and len(self.stage_attention) != len(self.rates):
-            raise ContractError("stage_attention length must match rates")
 
     @property
     def seed_count(self):
@@ -114,13 +113,6 @@ class ModelConfig:
     @property
     def dtype(self):
         return _PRECISIONS[self.precision]
-
-    def seed_mode(self):
-        return AttentionMode(self.seed_attention, lam=self.attention_scale)
-
-    def stage_mode(self, index):
-        variant = self.stage_attention[index] if self.stage_attention else "softmax"
-        return AttentionMode(variant, lam=self.attention_scale)
 
     @classmethod
     def desk(cls, **overrides):
@@ -165,13 +157,24 @@ class ModelConfig:
 
     @classmethod
     def from_mapping(cls, mapping):
+        """A config from ``key: text`` pairs, each parsed as its default's type.
+
+        Older files carry ``stage_attention``; it is accepted only when empty
+        or all ``softmax``, the model that gets built."""
         kwargs = {}
-        known = {f.name for f in fields(cls)}
+        defaults = {f.name: f.default for f in fields(cls)}
         for key, raw in mapping.items():
-            if key not in known:
+            if key == "stage_attention":
+                if {v.strip() for v in raw.split(",")} - {"", "softmax"}:
+                    raise ContractError(
+                        f"config key 'stage_attention' = {raw!r}: the stages "
+                        "always use softmax"
+                    )
+                continue
+            if key not in defaults:
                 raise ContractError(f"unknown config key {key!r}")
             try:
-                kwargs[key] = _parse_field(key, raw)
+                kwargs[key] = _parse_field(defaults[key], raw)
             except ValueError:
                 raise ParseError(f"config key {key!r}: bad value {raw!r}") from None
         return cls(**kwargs)
@@ -182,25 +185,12 @@ class ModelConfig:
         return "".join(f"{k} = {v}\n" for k, v in items.items())
 
 
-_SIZE_FIELDS = {
-    "input_points", "stage1_points", "stage1_channels", "patch_points",
-    "patch_channels", "encoder_k", "seed_rate", "seed_channels",
-    "coarse_points", "channels", "attention_k", "interp_k",
-}
-_INT_FIELDS = _SIZE_FIELDS | {"init_seed"}
-
-
-def _parse_field(name, raw):
+def _parse_field(default, raw):
+    """``raw`` as the type of ``default``: int, float, str, or an int tuple."""
     raw = raw.strip()
-    if name in _INT_FIELDS:
-        return int(raw)
-    if name == "attention_scale":
-        return float(raw)
-    if name == "rates":
+    if isinstance(default, tuple):
         return tuple(int(v) for v in raw.split(",") if v.strip())
-    if name == "stage_attention":
-        return tuple(v.strip() for v in raw.split(",") if v.strip())
-    return raw
+    return type(default)(raw)
 
 
 def parse_config_text(text, source="config"):
@@ -230,7 +220,8 @@ class CompletionModel(Module):
         )
         self.seed_generator = SeedGenerator(
             rng, config.patch_channels, config.seed_channels,
-            rate=config.seed_rate, k=config.attention_k, mode=config.seed_mode(),
+            rate=config.seed_rate, k=config.attention_k,
+            mode=AttentionMode(config.seed_attention, lam=config.attention_scale),
             variant=config.generator, dtype=dtype,
         )
         self.point_lift = Mlp2(rng, 3, config.channels, config.channels, dtype=dtype)
@@ -238,9 +229,9 @@ class CompletionModel(Module):
             UpsampleStage(
                 rng, config.channels, config.seed_channels, rate,
                 k=config.attention_k, interp_k=config.interp_k,
-                mode=config.stage_mode(i), variant=config.generator, dtype=dtype,
+                variant=config.generator, dtype=dtype,
             )
-            for i, rate in enumerate(config.rates)
+            for rate in config.rates
         ]
         self.config = config
         names = [p.name for p in self.named_parameters()]

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pointfill import checkpoint
 from pointfill.checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
 from pointfill.errors import FormatError
 from pointfill.pipeline import Adam, CompletionModel, ModelConfig, run_training
@@ -50,6 +51,16 @@ def sealed(body):
     """A version 3 file from everything before its checksum, so damage made on
     purpose reaches the parser check under test instead of the checksum."""
     return body + struct.pack("<I", zlib.crc32(body))
+
+
+def with_stage_attention(raw, value):
+    """Checkpoint bytes whose config block carries ``stage_attention = value``
+    where earlier writers put the key, before ``attention_scale``; resealed."""
+    (config_len,) = struct.unpack_from("<I", raw, 8)
+    config = raw[12: 12 + config_len]
+    at = config.index(b"attention_scale = ")
+    config = config[:at] + f"stage_attention = {value}\n".encode() + config[at:]
+    return sealed(raw[:8] + struct.pack("<I", len(config)) + config + raw[12 + config_len:-4])
 
 
 @pytest.mark.parametrize("scale", sorted(CONFIGS))
@@ -231,3 +242,47 @@ def test_resealed_bit_flip_loads_or_raises_format_error(data):
     at = data.draw(st.integers(8, limit - 1))  # past the magic and version
     raw[at] ^= 1 << data.draw(st.integers(0, 7))
     loads_or_format_error(sealed(bytes(raw)))
+
+
+@pytest.mark.parametrize("value", ["", "softmax,softmax"])
+def test_file_with_a_softmax_stage_attention_key_loads_bitwise(tmp_path, value):
+    # every file written while the stages' attention was a config key carries
+    # it, empty; the stages always use softmax, so those files still load
+    model, optimizer = trained(CONFIGS["micro"]())
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path, optimizer=optimizer)
+    path.write_bytes(with_stage_attention(path.read_bytes(), value))
+    assert f"stage_attention = {value}\n".encode() in path.read_bytes()
+    loaded = load_checkpoint(path)
+    assert loaded.config == model.config
+    for before, after in zip(model.named_parameters(), loaded.named_parameters()):
+        assert np.array_equal(before.tensor.data, after.tensor.data), before.name
+    partial = np.random.default_rng(1).standard_normal((model.config.input_points, 3))
+    assert np.array_equal(loaded.complete(partial), model.complete(partial))
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_interrupted_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch, error):
+    # the file used to be truncated first: a save that failed part way left a
+    # short file that no longer loaded
+    model, optimizer = trained(CONFIGS["micro"]())
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path, optimizer=optimizer)
+    before = path.read_bytes()
+    write_record = checkpoint._write_record
+    calls = []
+
+    def fail_on_the_fifth(fh, name, array):
+        calls.append(name)
+        if len(calls) == 5:
+            raise error("interrupted")
+        write_record(fh, name, array)
+
+    monkeypatch.setattr(checkpoint, "_write_record", fail_on_the_fifth)
+    with pytest.raises(error):
+        save_checkpoint(CompletionModel(ModelConfig.micro(init_seed=4)), path)
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == before
+    loaded = load_checkpoint(path)
+    for saved, got in zip(model.named_parameters(), loaded.named_parameters()):
+        assert np.array_equal(saved.tensor.data, got.tensor.data), saved.name

@@ -15,6 +15,8 @@ from pointfill.autodiff import ATTENTION_VARIANTS
 from pointfill.generator import GENERATOR_VARIANTS
 from pointfill.pipeline import CompletionModel, ModelConfig, parse_config_text
 
+from .test_checkpoint import with_stage_attention
+
 
 MICRO_CFG = (
     "input_points = 64\n"
@@ -256,6 +258,31 @@ def test_ablate_trains_variant(micro_dataset, capsys):
     assert all(np.isfinite(totals))
 
 
+@pytest.mark.parametrize(
+    "flags, expected",
+    [((), ("folding", "softmax", "2.5")),
+     (("--generator", "deconv"), ("deconv", "softmax", "2.5")),
+     (("--attention", "log", "--lambda", "0.5"), ("folding", "log", "0.5"))],
+    ids=["no_flags", "generator_flag", "attention_flags"],
+)
+def test_ablate_flags_not_given_keep_config_values(micro_dataset, flags, expected):
+    # the flags' defaults used to override the file: this trained uptrans/none
+    root = micro_dataset
+    (root / "micro.cfg").write_text(
+        MICRO_CFG + "generator = folding\nseed_attention = softmax\nattention_scale = 2.5\n"
+    )
+    code = main([
+        "ablate", *flags, "--config", str(root / "micro.cfg"),
+        "--data", str(root / "data" / "train"), "--out", str(root / "ablate.ckpt"),
+        "--steps", "1",
+    ])
+    assert code == 0
+    resolved = parse_config_text((root / "ablate.ckpt.config.txt").read_text())
+    keys = ("generator", "seed_attention", "attention_scale")
+    assert tuple(resolved[k] for k in keys) == expected
+    assert load_checkpoint(root / "ablate.ckpt").config.generator == expected[0]
+
+
 def test_ablate_infinite_lambda_exits_2(micro_dataset, capsys):
     code = main([
         "ablate", "--attention", "scaled", "--lambda", "inf",
@@ -427,6 +454,25 @@ def test_complete_corrupt_checkpoint_exits_2(micro_dataset, capsys, kind):
     assert code == 2
     err = capsys.readouterr().err
     assert "checkpoint" in err and "checksum" not in err
+
+
+@pytest.mark.parametrize("value", ["log,softmax", "log,softmax,softmax"])
+def test_complete_with_a_non_softmax_stage_attention_exits_2(micro_dataset, capsys,
+                                                             value):
+    # the stages always use softmax; a file asking for another normalization
+    # must not complete with a model it does not describe
+    root = micro_dataset
+    path = root / "log.ckpt"
+    save_checkpoint(micro_model(), path)
+    path.write_bytes(with_stage_attention(path.read_bytes(), value))
+    code = main([
+        "complete", "--ckpt", str(path),
+        "--input", str(root / "data" / "train" / "0000_sphere_partial.xyz"),
+        "--output", str(root / "out.xyz"),
+    ])
+    assert code == 2
+    assert "'stage_attention'" in capsys.readouterr().err
+    assert not (root / "out.xyz").exists()
 
 
 @pytest.mark.parametrize("command", ["complete", "eval"])

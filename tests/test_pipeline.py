@@ -1,5 +1,7 @@
 """Model assembly, training behavior, parameter accounting, persistence."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -52,10 +54,29 @@ def test_config_rejects_empty_rates():
         ModelConfig(rates=())
 
 
+# between them, the cases set every field to a non-default value of its type
+ROUND_TRIP_CASES = (
+    dict(rates=(1, 2, 4), generator="pointwise", attention_scale=2.5),
+    dict(
+        input_points=600, stage1_points=300, stage1_channels=48, patch_points=40,
+        patch_channels=96, encoder_k=12, seed_rate=3, seed_channels=32,
+        coarse_points=100, channels=40, rates=(2, 3), attention_k=8, interp_k=4,
+        generator="folding", seed_attention="scaled", attention_scale=0.25,
+        precision="float64", init_seed=7,
+    ),
+)
+
+
 def test_config_mapping_round_trip():
-    cfg = desk_config(rates=(1, 2, 4), generator="pointwise", attention_scale=2.5)
-    again = ModelConfig.from_mapping(cfg.to_mapping())
-    assert again == cfg
+    default = ModelConfig()
+    assert set().union(*ROUND_TRIP_CASES) == {f.name for f in fields(ModelConfig)}
+    for overrides in ROUND_TRIP_CASES:
+        cfg = desk_config(**overrides)
+        assert all(getattr(cfg, k) != getattr(default, k) for k in overrides)
+        again = ModelConfig.from_mapping(cfg.to_mapping())
+        assert again == cfg
+        for f in fields(ModelConfig):
+            assert type(getattr(again, f.name)) is type(f.default), f.name
 
 
 def test_config_rejects_unknown_key():
@@ -72,8 +93,9 @@ def test_config_rejects_malformed_value_naming_key_and_value(key, value):
 def test_config_text_strips_comments_and_round_trips():
     text = "# layout\nchannels = 32   # narrower\n\nrates = 1,2\n"
     assert parse_config_text(text) == {"channels": "32", "rates": "1,2"}
-    cfg = desk_config(rates=(1, 2, 4), generator="pointwise", attention_scale=2.5)
-    assert ModelConfig.from_mapping(parse_config_text(cfg.to_text())) == cfg
+    for overrides in ROUND_TRIP_CASES:
+        cfg = desk_config(**overrides)
+        assert ModelConfig.from_mapping(parse_config_text(cfg.to_text())) == cfg
 
 
 def test_config_text_rejects_line_without_equals():
