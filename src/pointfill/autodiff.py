@@ -293,8 +293,6 @@ def sub(a, b):
 
 
 def mul(a, b):
-    if not isinstance(a, Tensor):
-        a, b = b, a
     s = _as_scalar(b, a.dtype)
     if s is not None:
         return _emit(a.data * s, [a], lambda g: (g * s,))
@@ -803,14 +801,18 @@ class GradCheckReport:
             self.failures.append((input_index, coord, analytic, numeric, rel))
 
     def summary(self):
-        status = "ok" if self.passed else f"{len(self.failures)} coordinate(s) over tol"
+        status = "ok"
+        if not self.passed:
+            i, coord, analytic, numeric = self.worst
+            status = (f"{len(self.failures)} coordinate(s) over tol; worst input {i} "
+                      f"coordinate {coord}: analytic {analytic:.6g}, numeric {numeric:.6g}")
         return (
             f"checked {self.checked} coordinates, max rel err "
             f"{self.max_rel_error:.3e} (tol {self.tol:.1e}): {status}"
         )
 
 
-def grad_check(fn, inputs, eps=1e-5, tol=1e-4, max_coords_per_input=None, seed=0):
+def grad_check(fn, inputs, eps=1e-5, tol=1e-4, max_coords_per_input=None):
     """Compare analytic gradients of ``fn`` against central differences.
 
     Args:
@@ -819,7 +821,8 @@ def grad_check(fn, inputs, eps=1e-5, tol=1e-4, max_coords_per_input=None, seed=0
         eps: central-difference step.
         tol: relative-error threshold for flagging a coordinate.
         max_coords_per_input: if given, check only this many coordinates per
-            input, chosen by a seeded rng (still touching every input).
+            input, chosen by an rng seeded with 0 (still touching every
+            input).
 
     Returns a GradCheckReport. Raises NumericsError if ``fn`` produces a
     non-finite value and ContractError on misuse (non-scalar output, wrong
@@ -854,7 +857,7 @@ def grad_check(fn, inputs, eps=1e-5, tol=1e-4, max_coords_per_input=None, seed=0
             raise NumericsError("grad_check: fn returned a non-finite value")
         return v
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     report = GradCheckReport(tol)
     for i, t in enumerate(inputs):
         coords = np.arange(t.size)

@@ -14,9 +14,11 @@ damaged file is refused instead of loading as a different model. Version 2
 files have no checksum; version 1 files also have no ``dtype`` field and
 always hold float32 data. Both still load.
 
-Model parameters are written first in model order; optimizer state, when
-saved, follows as extra records under the reserved ``adam.`` name prefix so
-training can resume deterministically.
+Model parameters are written first in model order. Adam's state, when
+saved, follows under the reserved ``adam.`` prefix so training can resume
+deterministically: ``adam.step`` (the step count as one float32 value), then
+``adam.m.<name>`` and ``adam.v.<name>``, each parameter's moments in the
+optimizer's order. This module alone writes and checks those records.
 """
 
 from __future__ import annotations
@@ -123,8 +125,11 @@ def save_checkpoint(model, path, optimizer=None):
             for param in model.named_parameters():
                 _write_record(fh, param.name, param.tensor.data)
             if optimizer is not None:
-                for name, array in optimizer.state_arrays().items():
-                    _write_record(fh, name, array)
+                step = np.array([float(optimizer.step_count)], dtype=np.float32)
+                _write_record(fh, "adam.step", step)
+                for name in optimizer.moment1:
+                    _write_record(fh, f"adam.m.{name}", optimizer.moment1[name])
+                    _write_record(fh, f"adam.v.{name}", optimizer.moment2[name])
             _write_u32(fh, _crc32(fh, fh.tell()))
         os.replace(partial, path)
     except BaseException:
@@ -167,6 +172,18 @@ def read_checkpoint(path):
     return mapping, arrays
 
 
+def _stored(arrays, key, like, kind, missing):
+    """Record ``key``, present and of ``like``'s shape, cast to its dtype;
+    ``kind`` and ``missing`` word the errors."""
+    if key not in arrays:
+        raise FormatError(f"{missing} {key!r}")
+    stored = arrays[key]
+    if stored.shape != like.shape:
+        raise FormatError(f"{kind} {key!r} has shape {stored.shape} in the "
+                          f"checkpoint but {like.shape} in the model")
+    return stored.astype(like.dtype, copy=False)
+
+
 def load_checkpoint(path, into=None, optimizer=None):
     """Rebuild (or fill) a model from a checkpoint.
 
@@ -176,11 +193,14 @@ def load_checkpoint(path, into=None, optimizer=None):
             records by name and shape, otherwise FormatError names the first
             mismatch. When omitted the model is rebuilt from the embedded
             config.
-        optimizer: optional Adam whose state is restored from the ``adam.``
-            records (FormatError if the checkpoint carries none).
+        optimizer: optional Adam of ``into`` (ContractError without it,
+            before the file is read) whose step count and moments are
+            restored from the ``adam.`` records (FormatError if none).
 
     Returns the model.
     """
+    if optimizer is not None and into is None:
+        raise ContractError("load_checkpoint(optimizer=...) needs the model it updates as into=")
     mapping, arrays = read_checkpoint(path)
     if into is None:
         try:
@@ -190,18 +210,21 @@ def load_checkpoint(path, into=None, optimizer=None):
     else:
         model = into
     for param in model.named_parameters():
-        if param.name not in arrays:
-            raise FormatError(f"checkpoint is missing parameter {param.name!r}")
-        stored = arrays[param.name]
-        if stored.shape != param.tensor.shape:
-            raise FormatError(
-                f"parameter {param.name!r} has shape {stored.shape} in the "
-                f"checkpoint but {param.tensor.shape} in the model"
-            )
-        param.tensor.data = stored.astype(model.config.dtype, copy=False).copy()
+        param.tensor.data = _stored(
+            arrays, param.name, param.tensor.data, "parameter",
+            "checkpoint is missing parameter",
+        )
     if optimizer is not None:
-        state = {k: v for k, v in arrays.items() if k.startswith("adam.")}
-        if not state:
+        if not any(name.startswith("adam.") for name in arrays):
             raise FormatError("checkpoint carries no optimizer state")
-        optimizer.load_state_arrays(state)
+        step = arrays.get("adam.step")
+        if step is None or step.shape != (1,) or not np.isfinite(step[0]) or step[0] < 0:
+            raise FormatError(f"optimizer record 'adam.step' is not one step count: {step}")
+        optimizer.step_count = int(round(float(step[0])))
+        for name in optimizer.moment1:
+            for prefix, store in (("adam.m.", optimizer.moment1), ("adam.v.", optimizer.moment2)):
+                store[name] = _stored(
+                    arrays, prefix + name, store[name], "optimizer record",
+                    "optimizer state missing record",
+                )
     return model

@@ -34,7 +34,6 @@ class SetAbstraction(Module):
         self.out_c = out_c
         self.k = k
         self.lift = Mlp2(rng, 3 + in_channels, out_c, out_c, dtype=dtype)
-        self.in_channels = in_channels
 
     def __call__(self, cloud, features=None):
         cloud = geometry.as_cloud(cloud)

@@ -108,9 +108,9 @@ class UpsampleTransformer(Module):
             if seed_channels
             else None
         )
-        self.width = 1 if pointwise else channels
+        width = 1 if pointwise else channels
         self.kernels = [
-            Mlp2(rng, channels, channels, self.width, dtype=dtype, last_bias=False)
+            Mlp2(rng, channels, channels, width, dtype=dtype, last_bias=False)
             for _ in range(rate)
         ]
 
@@ -178,13 +178,10 @@ class FoldingCore(Module):
     """
 
     def __init__(self, rng, channels, rate, dtype=np.float32, **_):
-        self.channels = channels
-        self.rate = rate
         self.grid = _folding_grid(rate).astype(dtype)
         self.shared_map = Mlp2(rng, channels + 2, channels, channels, dtype=dtype)
 
-    def __call__(self, queries, keys=None, cloud=None, seed_features=None,
-                 mode=None, capture=None):
+    def __call__(self, queries, keys=None, cloud=None, seed_features=None, mode=None):
         n = queries.shape[0]
         grids = (ad.constant(np.tile(g, (n, 1)), like=queries) for g in self.grid)
         heads = (self.shared_map(ad.concat([queries, g], axis=1)) for g in grids)
@@ -202,12 +199,9 @@ class DeconvCore(Module):
     """Point-splitting: one learned linear map per replica."""
 
     def __init__(self, rng, channels, rate, dtype=np.float32, **_):
-        self.channels = channels
-        self.rate = rate
         self.splits = [Linear(rng, channels, channels, dtype=dtype) for _ in range(rate)]
 
-    def __call__(self, queries, keys=None, cloud=None, seed_features=None,
-                 mode=None, capture=None):
+    def __call__(self, queries, keys=None, cloud=None, seed_features=None, mode=None):
         return _stack_heads(split(queries) for split in self.splits)
 
 
@@ -216,14 +210,12 @@ class GraphConvCore(Module):
 
     def __init__(self, rng, channels, rate, k=16, dtype=np.float32, **_):
         self.channels = channels
-        self.rate = rate
         self.k = k
         self.kernels = [
             Mlp2(rng, channels, channels, channels, dtype=dtype) for _ in range(rate)
         ]
 
-    def __call__(self, queries, keys=None, cloud=None, seed_features=None,
-                 mode=None, capture=None):
+    def __call__(self, queries, keys=None, cloud=None, seed_features=None, mode=None):
         n = queries.shape[0]
         nbrs = _neighbor_rows(cloud.data, self.k)
         k, c = self.k, self.channels
@@ -242,6 +234,7 @@ _CORES = {
     "pointwise": functools.partial(UpsampleTransformer, pointwise=True),
 }
 GENERATOR_VARIANTS = tuple(_CORES)
+NEIGHBORHOOD_VARIANTS = ("uptrans", "graphconv", "pointwise")  # cores that search k
 
 
 def make_core(variant, rng, channels, rate, k=16, seed_channels=None,
@@ -266,7 +259,6 @@ class SeedGenerator(Module):
 
     def __init__(self, rng, patch_channels, seed_channels, rate=2, k=16,
                  mode=None, variant="uptrans", dtype=np.float32):
-        self.rate = rate
         self.mode = mode or AttentionMode("none")
         self.query_proj = Linear(rng, patch_channels, seed_channels, dtype=dtype)
         self.key_proj = Linear(rng, patch_channels, seed_channels, dtype=dtype)

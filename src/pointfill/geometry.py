@@ -317,11 +317,9 @@ def _smallest_k(d2, k):
     partition boundary so exact distance ties resolve to the lowest index,
     matching a stable full sort.
     """
-    rows, m = d2.shape
+    rows = d2.shape[0]
     if k == 1:
         return d2.argmin(axis=1)[:, None]  # argmin takes the first minimum
-    if k >= m:
-        return np.argsort(d2, axis=1, kind="stable")
     part = np.argpartition(d2, k - 1, axis=1)[:, :k]
     vstar = np.take_along_axis(d2, part, axis=1).max(axis=1, keepdims=True)
     below = d2 < vstar

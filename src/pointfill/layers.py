@@ -73,8 +73,6 @@ class Linear(Module):
             b = rng.uniform(-bound, bound, size=n_out).astype(dtype)
         self.w = ad.tensor(w, requires_grad=True)
         self.b = ad.tensor(b, requires_grad=trainable_bias)
-        self.n_in = n_in
-        self.n_out = n_out
 
     def __call__(self, x):
         return ad.linear(x, self.w, self.b)

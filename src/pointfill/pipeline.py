@@ -1,12 +1,15 @@
 """Model assembly, config text, training loop and losses.
 
 :class:`ModelConfig` declares each model setting once: a field's default
-gives the type its ``key = value`` text parses to, and every int field but
-``init_seed`` is a size of at least 1. A :class:`CompletionModel` chains
-the encoder, the seed generator and a stack of refinement stages.
-``forward`` returns the seed set plus every stage output. ``run_training`` is the one training loop: per step it
-zeroes the gradients, runs each cloud's forward, loss and backward pass,
-applies one :class:`Adam` update and reports a :class:`LossBreakdown`.
+gives the type its ``key = value`` text parses to, every int field but
+``init_seed`` is a size of at least 1, and no neighborhood size may exceed
+the points it searches. A :class:`CompletionModel` chains the encoder, the
+seed generator and a stack of refinement stages. ``forward`` returns the
+seed set plus every stage output. ``run_training`` is the one training
+loop: per step it zeroes the gradients, runs each cloud's forward, loss and
+backward pass, applies one :class:`Adam` update and reports a
+:class:`LossBreakdown`. :class:`Adam` is the update rule only; its
+checkpoint records are written and checked in ``checkpoint``.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ import numpy as np
 from . import autodiff as ad
 from . import geometry
 from .encoder import Encoder
-from .errors import ContractError, FormatError, NumericsError, ParseError
-from .generator import AttentionMode, SeedGenerator, UpsampleStage
+from .errors import ContractError, NumericsError, ParseError
+from .generator import NEIGHBORHOOD_VARIANTS, AttentionMode, SeedGenerator, UpsampleStage
 from .layers import Mlp2, Module
 from .losses import (
     LossBreakdown,
@@ -91,6 +94,14 @@ class ModelConfig:
             raise ContractError("patch_points cannot exceed stage1_points")
         if self.coarse_points > self.seed_count + self.input_points:
             raise ContractError("coarse_points exceeds seeds + input")
+        # each neighborhood size against the fewest points it is searched in
+        searched = {"encoder_k": self.patch_points, "interp_k": self.seed_count}
+        if self.generator in NEIGHBORHOOD_VARIANTS:
+            searched["attention_k"] = min(self.patch_points, self.coarse_points)
+        for name, n in searched.items():
+            k = getattr(self, name)
+            if k > n:
+                raise ContractError(f"{name}={k} exceeds the {n} points it searches")
 
     @property
     def seed_count(self):
@@ -310,33 +321,6 @@ class Adam:
             p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + _EPS)).astype(
                 p.dtype, copy=False
             )
-
-    def state_arrays(self):
-        """Flat view of the optimizer state for checkpointing."""
-        out = {"adam.step": np.array([float(self.step_count)], dtype=np.float32)}
-        for name, _ in self._params:
-            out[f"adam.m.{name}"] = self.moment1[name]
-            out[f"adam.v.{name}"] = self.moment2[name]
-        return out
-
-    def load_state_arrays(self, arrays):
-        if "adam.step" in arrays:
-            step = arrays["adam.step"]
-            if step.shape != (1,) or not np.isfinite(step[0]) or step[0] < 0:
-                raise FormatError(f"optimizer record 'adam.step' is not one step count: {step}")
-            self.step_count = int(round(float(step[0])))
-        for name, p in self._params:
-            for prefix, store in (("adam.m.", self.moment1), ("adam.v.", self.moment2)):
-                key = prefix + name
-                if key not in arrays:
-                    raise FormatError(f"optimizer state missing record {key!r}")
-                stored = arrays[key]
-                if stored.shape != p.shape:
-                    raise FormatError(
-                        f"optimizer record {key!r} has shape {stored.shape} in the "
-                        f"checkpoint but {p.shape} in the model"
-                    )
-                store[name] = stored.astype(p.dtype, copy=False).copy()
 
 
 def _forward_loss(model, partial, gt, targets=None):

@@ -868,6 +868,9 @@ def test_grad_check_fails_a_nan_adjoint():
     assert not report.passed and len(report.failures) == 4
     assert report.max_rel_error == math.inf
     assert report.worst[:2] == (0, 0) and math.isnan(report.worst[2])
+    assert report.summary().endswith(
+        "4 coordinate(s) over tol; worst input 0 coordinate 0: analytic nan, numeric 2"
+    )
 
 
 @pytest.mark.parametrize("bad", [

@@ -2,6 +2,7 @@
 and damaged files, which must load or fail with FormatError, nothing else."""
 
 import functools
+import io
 import struct
 import tempfile
 import zlib
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from pointfill import checkpoint
 from pointfill.checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
-from pointfill.errors import FormatError
+from pointfill.errors import ContractError, FormatError
 from pointfill.pipeline import Adam, CompletionModel, ModelConfig, run_training
 
 CONFIGS = {
@@ -75,10 +76,37 @@ def test_round_trip_is_bitwise_with_optimizer_state(tmp_path, scale):
     for before, after in zip(model.named_parameters(), loaded.named_parameters()):
         assert after.tensor.data.dtype == dtype
         assert np.array_equal(before.tensor.data, after.tensor.data), before.name
-    saved, got = optimizer.state_arrays(), restored.state_arrays()
-    assert saved.keys() == got.keys()
-    for name in saved:
-        assert np.array_equal(saved[name], got[name]), name
+    assert restored.step_count == optimizer.step_count == 1
+    for saved, got in ((optimizer.moment1, restored.moment1),
+                       (optimizer.moment2, restored.moment2)):
+        assert list(saved) == list(got)
+        for name in saved:
+            assert got[name].dtype == saved[name].dtype == dtype, name
+            assert np.array_equal(saved[name], got[name]), name
+
+
+def test_optimizer_records_follow_the_parameters_in_model_order(tmp_path):
+    model, optimizer = trained(CONFIGS["micro"]())
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path, optimizer=optimizer)
+    _, arrays = read_checkpoint(path)
+    params = [p.name for p in model.named_parameters()]
+    moments = [f"adam.{kind}.{name}" for name in params for kind in ("m", "v")]
+    assert list(arrays) == [*params, "adam.step", *moments]
+    step = arrays["adam.step"]
+    assert step.dtype == np.float32 and step.shape == (1,) and step[0] == 1.0
+
+
+def test_optimizer_without_the_model_it_updates_is_refused_before_reading(tmp_path):
+    model, optimizer = trained(CONFIGS["micro"]())
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path, optimizer=optimizer)
+    restored = Adam(model, lr=1e-3)
+    with pytest.raises(ContractError, match="into="):
+        load_checkpoint(path, optimizer=restored)
+    with pytest.raises(ContractError, match="into="):
+        load_checkpoint(tmp_path / "absent.ckpt", optimizer=restored)
+    assert restored.step_count == 0
 
 
 MOMENT = "adam.v.encoder.abstract1.lift.lin0.w"  # the parameter is (3, 6)
@@ -91,13 +119,19 @@ MISSHAPEN_STATE = {
 
 
 @pytest.mark.parametrize("case", sorted(MISSHAPEN_STATE))
-def test_misshapen_optimizer_record_is_format_error_naming_it(tmp_path, case, monkeypatch):
+def test_misshapen_optimizer_record_is_format_error_naming_it(tmp_path, case):
     model, optimizer = trained(CONFIGS["micro"]())
     key, bad = MISSHAPEN_STATE[case]
-    state = {**optimizer.state_arrays(), key: bad}
-    monkeypatch.setattr(optimizer, "state_arrays", lambda: state)
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, path, optimizer=optimizer)
+    _, arrays = read_checkpoint(path)
+    raw = path.read_bytes()
+    (config_len,) = struct.unpack_from("<I", raw, 8)
+    body = io.BytesIO()
+    body.write(raw[:12 + config_len])
+    for name, array in {**arrays, key: bad}.items():
+        checkpoint._write_record(body, name, array)
+    path.write_bytes(sealed(body.getvalue()))
     with pytest.raises(FormatError, match=f"'{key}'"):
         load_checkpoint(path, into=model, optimizer=Adam(model, lr=1e-3))
 

@@ -1,5 +1,6 @@
 """Command line surface: exit codes, files produced, determinism."""
 
+import dataclasses
 import struct
 import zlib
 
@@ -381,14 +382,48 @@ SIZE_FIELDS = (
 )
 
 
+def micro_layout(**changes):
+    """MICRO_CFG's fields with ``changes`` first, so the first key names the
+    field at fault. The layout has 8 patches, 16 seeds and 16 coarse points."""
+    layout = dataclasses.asdict(ModelConfig.from_mapping(parse_config_text(MICRO_CFG)))
+    return {**changes, **{k: v for k, v in layout.items() if k not in changes}}
+
+
+# neighborhoods larger than the points they search: each used to validate,
+# then fail the first forward pass
+OVER_SEARCHED = [
+    micro_layout(attention_k=12), micro_layout(encoder_k=12),
+    micro_layout(interp_k=20), micro_layout(attention_k=8, coarse_points=6),
+]
+
+
 @pytest.mark.parametrize(
     "overrides",
-    [{name: 0} for name in SIZE_FIELDS] + [{"channels": -3}, {"init_seed": -1}],
+    [{name: 0} for name in SIZE_FIELDS] + [{"channels": -3}, {"init_seed": -1}]
+    + OVER_SEARCHED,
     ids=lambda o: "{}={}".format(*next(iter(o.items()))),
 )
 def test_model_config_rejects_values_below_range(overrides):
     with pytest.raises(ContractError, match=next(iter(overrides))):
         ModelConfig(**overrides)
+
+
+@pytest.mark.parametrize("generator", ["folding", "deconv"])
+def test_cores_without_a_neighborhood_take_any_attention_k(generator):
+    ModelConfig(**micro_layout(generator=generator, attention_k=12))
+
+
+def test_train_with_an_over_searched_neighborhood_exits_2_and_writes_nothing(
+        micro_dataset, capsys):
+    (micro_dataset / "micro.cfg").write_text(MICRO_CFG + "interp_k = 20\n")
+    out = micro_dataset / "out"
+    assert main([
+        "train", "--config", str(micro_dataset / "micro.cfg"),
+        "--data", str(micro_dataset / "data" / "train"),
+        "--out", str(out / "model.ckpt"), "--steps", "1",
+    ]) == 2
+    assert "interp_k" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

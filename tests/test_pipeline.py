@@ -391,8 +391,8 @@ def test_checkpoint_without_optimizer_state_refuses_restore(tmp_path):
     model = CompletionModel(desk_config())
     path = tmp_path / "bare.ckpt"
     save_checkpoint(model, path)
-    with pytest.raises(FormatError):
-        load_checkpoint(path, optimizer=Adam(model, lr=1e-3))
+    with pytest.raises(FormatError, match="no optimizer state"):
+        load_checkpoint(path, into=model, optimizer=Adam(model, lr=1e-3))
 
 
 def test_read_checkpoint_exposes_config_and_arrays(tmp_path):
