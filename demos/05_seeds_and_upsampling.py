@@ -19,8 +19,7 @@ rng = np.random.default_rng(11)
 
 # The upsample transformer turns each point into `rate` feature rows by
 # attending over its neighborhood with one kernel per replica.
-core = UpsampleTransformer(np.random.default_rng(0), channels=16, rate=2, k=6,
-                           dtype=np.float64)
+core = UpsampleTransformer(np.random.default_rng(0), channels=16, rate=2, k=6)
 cloud = ad.tensor(rng.standard_normal((24, 3)))
 feats = ad.tensor(rng.standard_normal((24, 16)))
 capture = {}
@@ -44,7 +43,7 @@ patches = PointSet(
     ad.tensor(rng.standard_normal((16, 3))), ad.tensor(rng.standard_normal((16, 32)))
 )
 gen = SeedGenerator(np.random.default_rng(1), patch_channels=32, seed_channels=16,
-                    rate=2, k=6, dtype=np.float64)
+                    rate=2, k=6)
 seeds = gen(patches)
 table = seed_provenance(16, 2)
 print(f"\n{patches.cloud.shape[0]} patches -> {seeds.cloud.shape[0]} seeds")
@@ -54,7 +53,7 @@ print("provenance rows (seed, patch, kernel):", table[:4].tolist(), "...")
 # duplicates the points and moves them by learned offsets; fresh stages
 # start as exact duplication (zero-initialized offsets).
 stage = UpsampleStage(np.random.default_rng(2), channels=16, seed_channels=16,
-                      rate=2, k=6, dtype=np.float64)
+                      rate=2, k=6)
 state = PointSet(cloud, feats)
 refined = stage(state, seeds)
 drift = np.linalg.norm(refined.cloud.data - np.repeat(cloud.data, 2, axis=0), axis=1)

@@ -197,7 +197,8 @@ def load_checkpoint(path, into=None, optimizer=None):
             before the file is read) whose step count and moments are
             restored from the ``adam.`` records (FormatError if none).
 
-    Returns the model.
+    Every record is checked before any is assigned, so a refused load leaves
+    ``into`` and ``optimizer`` unchanged. Returns the model.
     """
     if optimizer is not None and into is None:
         raise ContractError("load_checkpoint(optimizer=...) needs the model it updates as into=")
@@ -209,22 +210,31 @@ def load_checkpoint(path, into=None, optimizer=None):
             raise FormatError(f"malformed checkpoint config: {exc}") from None
     else:
         model = into
-    for param in model.named_parameters():
-        param.tensor.data = _stored(
+    params = [
+        (param.tensor, _stored(
             arrays, param.name, param.tensor.data, "parameter",
             "checkpoint is missing parameter",
-        )
+        ))
+        for param in model.named_parameters()
+    ]
     if optimizer is not None:
         if not any(name.startswith("adam.") for name in arrays):
             raise FormatError("checkpoint carries no optimizer state")
         step = arrays.get("adam.step")
         if step is None or step.shape != (1,) or not np.isfinite(step[0]) or step[0] < 0:
             raise FormatError(f"optimizer record 'adam.step' is not one step count: {step}")
+        moments = [
+            (store, name, _stored(
+                arrays, prefix + name, store[name], "optimizer record",
+                "optimizer state missing record",
+            ))
+            for name in optimizer.moment1
+            for prefix, store in (("adam.m.", optimizer.moment1), ("adam.v.", optimizer.moment2))
+        ]
+    for tensor, data in params:
+        tensor.data = data
+    if optimizer is not None:
         optimizer.step_count = int(round(float(step[0])))
-        for name in optimizer.moment1:
-            for prefix, store in (("adam.m.", optimizer.moment1), ("adam.v.", optimizer.moment2)):
-                store[name] = _stored(
-                    arrays, prefix + name, store[name], "optimizer record",
-                    "optimizer state missing record",
-                )
+        for store, name, data in moments:
+            store[name] = data
     return model

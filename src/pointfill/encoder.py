@@ -29,11 +29,11 @@ class SetAbstraction(Module):
     reduced by a channel-wise max.
     """
 
-    def __init__(self, rng, in_channels, out_n, out_c, k=16, dtype=np.float32):
+    def __init__(self, rng, in_channels, out_n, out_c, k=16):
         self.out_n = out_n
         self.out_c = out_c
         self.k = k
-        self.lift = Mlp2(rng, 3 + in_channels, out_c, out_c, dtype=dtype)
+        self.lift = Mlp2(rng, 3 + in_channels, out_c, out_c)
 
     def __call__(self, cloud, features=None):
         cloud = geometry.as_cloud(cloud)
@@ -66,10 +66,10 @@ class PointTransformerLayer(Module):
     connection, refines per-point features in place.
     """
 
-    def __init__(self, rng, channels, k=16, dtype=np.float32):
-        self.pre = Mlp2(rng, channels, channels, channels, dtype=dtype)
-        self.core = UpsampleTransformer(rng, channels, rate=1, k=k, dtype=dtype)
-        self.post = Mlp2(rng, channels, channels, channels, dtype=dtype)
+    def __init__(self, rng, channels, k=16):
+        self.pre = Mlp2(rng, channels, channels, channels)
+        self.core = UpsampleTransformer(rng, channels, rate=1, k=k)
+        self.post = Mlp2(rng, channels, channels, channels)
 
     def __call__(self, cloud, features):
         if features.shape[0] != cloud.shape[0]:
@@ -83,12 +83,11 @@ class PointTransformerLayer(Module):
 class Encoder(Module):
     """abstract -> refine -> abstract -> refine, yielding patch features."""
 
-    def __init__(self, rng, stage1_n, stage1_c, patch_n, patch_c, k=16,
-                 dtype=np.float32):
-        self.abstract1 = SetAbstraction(rng, 0, stage1_n, stage1_c, k=k, dtype=dtype)
-        self.refine1 = PointTransformerLayer(rng, stage1_c, k=k, dtype=dtype)
-        self.abstract2 = SetAbstraction(rng, stage1_c, patch_n, patch_c, k=k, dtype=dtype)
-        self.refine2 = PointTransformerLayer(rng, patch_c, k=k, dtype=dtype)
+    def __init__(self, rng, stage1_n, stage1_c, patch_n, patch_c, k=16):
+        self.abstract1 = SetAbstraction(rng, 0, stage1_n, stage1_c, k=k)
+        self.refine1 = PointTransformerLayer(rng, stage1_c, k=k)
+        self.abstract2 = SetAbstraction(rng, stage1_c, patch_n, patch_c, k=k)
+        self.refine2 = PointTransformerLayer(rng, patch_c, k=k)
         self.min_points = max(stage1_n, k)
 
     def __call__(self, partial):

@@ -92,25 +92,25 @@ class UpsampleTransformer(Module):
     """
 
     def __init__(self, rng, channels, rate, k=16, seed_channels=None,
-                 dtype=np.float32, pointwise=False):
+                 pointwise=False):
         if rate < 1:
             raise ContractError("rate must be >= 1")
         self.channels = channels
         self.rate = rate
         self.k = k
-        self.value_mixer = Mlp2(rng, 2 * channels, channels, channels, dtype=dtype)
-        self.query_map = Linear(rng, channels, channels, dtype=dtype)
-        self.key_map = Linear(rng, channels, channels, dtype=dtype)
-        self.value_map = Linear(rng, channels, channels, dtype=dtype)
-        self.pos_encoder = Mlp2(rng, 3, channels, channels, dtype=dtype)
+        self.value_mixer = Mlp2(rng, 2 * channels, channels, channels)
+        self.query_map = Linear(rng, channels, channels)
+        self.key_map = Linear(rng, channels, channels)
+        self.value_map = Linear(rng, channels, channels)
+        self.pos_encoder = Mlp2(rng, 3, channels, channels)
         self.seed_encoder = (
-            Mlp2(rng, seed_channels, channels, channels, dtype=dtype)
+            Mlp2(rng, seed_channels, channels, channels)
             if seed_channels
             else None
         )
         width = 1 if pointwise else channels
         self.kernels = [
-            Mlp2(rng, channels, channels, width, dtype=dtype, last_bias=False)
+            Mlp2(rng, channels, channels, width, last_bias=False)
             for _ in range(rate)
         ]
 
@@ -177,9 +177,9 @@ class FoldingCore(Module):
     single shared map, so replicas differ only through the grid input.
     """
 
-    def __init__(self, rng, channels, rate, dtype=np.float32, **_):
-        self.grid = _folding_grid(rate).astype(dtype)
-        self.shared_map = Mlp2(rng, channels + 2, channels, channels, dtype=dtype)
+    def __init__(self, rng, channels, rate, **_):
+        self.grid = _folding_grid(rate)
+        self.shared_map = Mlp2(rng, channels + 2, channels, channels)
 
     def __call__(self, queries, keys=None, cloud=None, seed_features=None, mode=None):
         n = queries.shape[0]
@@ -198,8 +198,8 @@ def _folding_grid(rate):
 class DeconvCore(Module):
     """Point-splitting: one learned linear map per replica."""
 
-    def __init__(self, rng, channels, rate, dtype=np.float32, **_):
-        self.splits = [Linear(rng, channels, channels, dtype=dtype) for _ in range(rate)]
+    def __init__(self, rng, channels, rate, **_):
+        self.splits = [Linear(rng, channels, channels) for _ in range(rate)]
 
     def __call__(self, queries, keys=None, cloud=None, seed_features=None, mode=None):
         return _stack_heads(split(queries) for split in self.splits)
@@ -208,11 +208,11 @@ class DeconvCore(Module):
 class GraphConvCore(Module):
     """Channel-wise max over mapped neighbor features, one map per replica."""
 
-    def __init__(self, rng, channels, rate, k=16, dtype=np.float32, **_):
+    def __init__(self, rng, channels, rate, k=16, **_):
         self.channels = channels
         self.k = k
         self.kernels = [
-            Mlp2(rng, channels, channels, channels, dtype=dtype) for _ in range(rate)
+            Mlp2(rng, channels, channels, channels) for _ in range(rate)
         ]
 
     def __call__(self, queries, keys=None, cloud=None, seed_features=None, mode=None):
@@ -237,13 +237,10 @@ GENERATOR_VARIANTS = tuple(_CORES)
 NEIGHBORHOOD_VARIANTS = ("uptrans", "graphconv", "pointwise")  # cores that search k
 
 
-def make_core(variant, rng, channels, rate, k=16, seed_channels=None,
-              dtype=np.float32):
+def make_core(variant, rng, channels, rate, k=16, seed_channels=None):
     if variant not in _CORES:
         raise ContractError(f"unknown generator variant {variant!r}")
-    return _CORES[variant](
-        rng, channels, rate, k=k, seed_channels=seed_channels, dtype=dtype
-    )
+    return _CORES[variant](rng, channels, rate, k=k, seed_channels=seed_channels)
 
 
 class SeedGenerator(Module):
@@ -258,16 +255,13 @@ class SeedGenerator(Module):
     """
 
     def __init__(self, rng, patch_channels, seed_channels, rate=2, k=16,
-                 mode=None, variant="uptrans", dtype=np.float32):
+                 mode=None, variant="uptrans"):
         self.mode = mode or AttentionMode("none")
-        self.query_proj = Linear(rng, patch_channels, seed_channels, dtype=dtype)
-        self.key_proj = Linear(rng, patch_channels, seed_channels, dtype=dtype)
-        self.core = make_core(
-            variant, rng, seed_channels, rate, k=k, seed_channels=None, dtype=dtype
-        )
+        self.query_proj = Linear(rng, patch_channels, seed_channels)
+        self.key_proj = Linear(rng, patch_channels, seed_channels)
+        self.core = make_core(variant, rng, seed_channels, rate, k=k, seed_channels=None)
         self.coord_map = Mlp2(
-            rng, seed_channels + patch_channels, seed_channels, 3, dtype=dtype,
-            zero_last=True,
+            rng, seed_channels + patch_channels, seed_channels, 3, zero_last=True,
         )
         self.patch_channels = patch_channels
 
@@ -318,16 +312,14 @@ class UpsampleStage(Module):
     """
 
     def __init__(self, rng, channels, seed_channels, rate, k=16, interp_k=3,
-                 variant="uptrans", dtype=np.float32):
+                 variant="uptrans"):
         self.rate = rate
         self.interp_k = interp_k
-        self.query_builder = Mlp2(
-            rng, channels + seed_channels, channels, channels, dtype=dtype
-        )
+        self.query_builder = Mlp2(rng, channels + seed_channels, channels, channels)
         self.core = make_core(
-            variant, rng, channels, rate, k=k, seed_channels=seed_channels, dtype=dtype
+            variant, rng, channels, rate, k=k, seed_channels=seed_channels
         )
-        self.offset_map = Mlp2(rng, channels, channels, 3, dtype=dtype, zero_last=True)
+        self.offset_map = Mlp2(rng, channels, channels, 3, zero_last=True)
 
     def __call__(self, points, seeds):
         """Refine ``points`` (a PointSet) into ``rate`` times as many, guided

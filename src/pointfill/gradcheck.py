@@ -249,7 +249,7 @@ def _case_uptrans(mode):
     def build():
         rng = _rng(30)
         n, c, cs = 8, 6, 4
-        core = UpsampleTransformer(rng, c, rate=2, k=3, seed_channels=cs, dtype=np.float64)
+        core = UpsampleTransformer(rng, c, rate=2, k=3, seed_channels=cs)
         cloud = _cloud(rng, n)
         seeds = geometry.PointSet(
             ad.tensor(_cloud(rng, 5)), ad.tensor(rng.standard_normal((5, cs)))
@@ -274,7 +274,7 @@ def _ablation_case(variant, seed):
     def build():
         rng = _rng(seed)
         n, c = 8, 6
-        core = make_core(variant, rng, c, 2, k=3, seed_channels=None, dtype=np.float64)
+        core = make_core(variant, rng, c, 2, k=3, seed_channels=None)
         cloud = ad.tensor(_cloud(rng, n))
         q = _leaf(rng, (n, c))
         k = _leaf(rng, (n, c))
@@ -318,7 +318,7 @@ def _case_partial_matching():
 def _case_upsample_layer():
     rng = _rng(50)
     n, c, cs = 8, 6, 4
-    stage = UpsampleStage(rng, c, cs, rate=2, k=3, interp_k=2, dtype=np.float64)
+    stage = UpsampleStage(rng, c, cs, rate=2, k=3, interp_k=2)
     # the offset head is zero-initialized; nudge it so its gradient is generic
     stage.offset_map.lin1.w.data += 0.05 * rng.standard_normal(
         stage.offset_map.lin1.w.shape

@@ -1,4 +1,10 @@
-"""Small parameterized building blocks shared by the encoder and generators."""
+"""Small parameterized building blocks shared by the encoder and generators.
+
+Every module builds its tensors in float64, the precision the init draws
+come in. A model's precision is decided once, by casting the built module
+with :meth:`Module.astype`; ``CompletionModel`` does so with its config's
+dtype.
+"""
 
 from __future__ import annotations
 
@@ -10,33 +16,45 @@ from . import autodiff as ad
 
 
 class Parameter(NamedTuple):
-    """A named learnable tensor, e.g. ('encoder.abstract1.lift.w0', Tensor)."""
+    """A named tensor of a module, e.g. ('encoder.abstract1.lift.lin0.w', Tensor)."""
 
     name: str
     tensor: ad.Tensor
 
 
 class Module:
-    """Base with recursive parameter discovery over instance attributes.
+    """Base with recursive tensor discovery over instance attributes.
 
-    Attribute insertion order fixes the parameter order, so construction
+    Attribute insertion order fixes the tensor order, so construction
     order is the single source of determinism for init and optimizers.
+    ``named_tensors`` walks every Tensor a module holds, frozen ones
+    included; the parameters are those that require a gradient.
     """
 
-    def named_parameters(self, prefix="") -> Iterator[Parameter]:
+    def named_tensors(self, prefix="") -> Iterator[Parameter]:
         for attr, value in vars(self).items():
             name = f"{prefix}{attr}" if not prefix else f"{prefix}.{attr}"
-            if isinstance(value, ad.Tensor) and value.requires_grad:
+            if isinstance(value, ad.Tensor):
                 yield Parameter(name, value)
             elif isinstance(value, Module):
-                yield from value.named_parameters(name)
+                yield from value.named_tensors(name)
             elif isinstance(value, (list, tuple)):
                 for i, item in enumerate(value):
                     if isinstance(item, Module):
-                        yield from item.named_parameters(f"{name}{i}")
+                        yield from item.named_tensors(f"{name}{i}")
+
+    def named_parameters(self) -> Iterator[Parameter]:
+        return (p for p in self.named_tensors() if p.tensor.requires_grad)
 
     def parameters(self):
         return [p.tensor for p in self.named_parameters()]
+
+    def astype(self, dtype):
+        """Cast every Tensor this module holds to ``dtype`` in place; returns
+        the module."""
+        for _, t in self.named_tensors():
+            t.data = t.data.astype(dtype, copy=False)
+        return self
 
     def zero_grad(self):
         for p in self.parameters():
@@ -46,9 +64,9 @@ class Module:
         return sum(p.size for p in self.parameters())
 
 
-def _init_weight(rng, n_in, n_out, dtype):
+def _init_weight(rng, n_in, n_out):
     bound = 1.0 / np.sqrt(n_in)
-    return rng.uniform(-bound, bound, size=(n_in, n_out)).astype(dtype)
+    return rng.uniform(-bound, bound, size=(n_in, n_out))
 
 
 class Linear(Module):
@@ -60,17 +78,16 @@ class Linear(Module):
     which would leave a trainable bias permanently gradient-free.
     """
 
-    def __init__(self, rng, n_in, n_out, dtype=np.float32, zero_init=False,
-                 trainable_bias=True):
+    def __init__(self, rng, n_in, n_out, zero_init=False, trainable_bias=True):
         if zero_init:
-            w = np.zeros((n_in, n_out), dtype=dtype)
+            w = np.zeros((n_in, n_out))
         else:
-            w = _init_weight(rng, n_in, n_out, dtype)
+            w = _init_weight(rng, n_in, n_out)
         if zero_init or not trainable_bias:
-            b = np.zeros(n_out, dtype=dtype)
+            b = np.zeros(n_out)
         else:
             bound = 1.0 / np.sqrt(n_in)
-            b = rng.uniform(-bound, bound, size=n_out).astype(dtype)
+            b = rng.uniform(-bound, bound, size=n_out)
         self.w = ad.tensor(w, requires_grad=True)
         self.b = ad.tensor(b, requires_grad=trainable_bias)
 
@@ -85,12 +102,10 @@ class Mlp2(Module):
     taped call appends two records and keeps no pre-activation.
     """
 
-    def __init__(self, rng, n_in, n_hidden, n_out, dtype=np.float32, zero_last=False,
-                 last_bias=True):
-        self.lin0 = Linear(rng, n_in, n_hidden, dtype=dtype)
+    def __init__(self, rng, n_in, n_hidden, n_out, zero_last=False, last_bias=True):
+        self.lin0 = Linear(rng, n_in, n_hidden)
         self.lin1 = Linear(
-            rng, n_hidden, n_out, dtype=dtype, zero_init=zero_last,
-            trainable_bias=last_bias,
+            rng, n_hidden, n_out, zero_init=zero_last, trainable_bias=last_bias,
         )
 
     def __call__(self, x):

@@ -22,7 +22,13 @@ from . import autodiff as ad
 from . import geometry
 from .encoder import Encoder
 from .errors import ContractError, NumericsError, ParseError
-from .generator import NEIGHBORHOOD_VARIANTS, AttentionMode, SeedGenerator, UpsampleStage
+from .generator import (
+    GENERATOR_VARIANTS,
+    NEIGHBORHOOD_VARIANTS,
+    AttentionMode,
+    SeedGenerator,
+    UpsampleStage,
+)
 from .layers import Mlp2, Module
 from .losses import (
     LossBreakdown,
@@ -88,6 +94,17 @@ class ModelConfig:
             raise ContractError("upsample rates must be >= 1")
         if self.precision not in _PRECISIONS:
             raise ContractError(f"precision must be one of {sorted(_PRECISIONS)}")
+        if self.generator not in GENERATOR_VARIANTS:
+            raise ContractError(
+                f"generator must be one of {GENERATOR_VARIANTS}, got {self.generator!r}"
+            )
+        try:
+            ad.check_attention(self.seed_attention, self.attention_scale)
+        except ContractError as exc:
+            raise ContractError(
+                f"seed_attention={self.seed_attention!r}, "
+                f"attention_scale={self.attention_scale}: {exc}"
+            ) from None
         if self.stage1_points > self.input_points:
             raise ContractError("stage1_points cannot exceed input_points")
         if self.patch_points > self.stage1_points:
@@ -219,32 +236,35 @@ def parse_config_text(text, source="config"):
 
 
 class CompletionModel(Module):
-    """Encoder, seed generator and refinement stack behind one forward call."""
+    """Encoder, seed generator and refinement stack behind one forward call.
+
+    The parts build in float64 and the whole model is cast once to
+    ``config.dtype``, the one precision setting.
+    """
 
     def __init__(self, config):
         rng = np.random.default_rng(config.init_seed)
-        dtype = config.dtype
         self.encoder = Encoder(
             rng, config.stage1_points, config.stage1_channels,
             config.patch_points, config.patch_channels, k=config.encoder_k,
-            dtype=dtype,
         )
         self.seed_generator = SeedGenerator(
             rng, config.patch_channels, config.seed_channels,
             rate=config.seed_rate, k=config.attention_k,
             mode=AttentionMode(config.seed_attention, lam=config.attention_scale),
-            variant=config.generator, dtype=dtype,
+            variant=config.generator,
         )
-        self.point_lift = Mlp2(rng, 3, config.channels, config.channels, dtype=dtype)
+        self.point_lift = Mlp2(rng, 3, config.channels, config.channels)
         self.stages = [
             UpsampleStage(
                 rng, config.channels, config.seed_channels, rate,
                 k=config.attention_k, interp_k=config.interp_k,
-                variant=config.generator, dtype=dtype,
+                variant=config.generator,
             )
             for rate in config.rates
         ]
         self.config = config
+        self.astype(config.dtype)
         names = [p.name for p in self.named_parameters()]
         if len(names) != len(set(names)):
             raise ContractError("duplicate parameter names in model")

@@ -138,9 +138,7 @@ def test_criterion_02_oracle_equivalence():
 
 def test_criterion_03_attention_invariants():
     rng = np.random.default_rng(3)
-    core = UpsampleTransformer(
-        np.random.default_rng(4), 16, rate=3, k=8, dtype=np.float64
-    )
+    core = UpsampleTransformer(np.random.default_rng(4), 16, rate=3, k=8)
     queries = ad.tensor(rng.standard_normal((32, 16)))
     keys = ad.tensor(rng.standard_normal((32, 16)))
     cloud = ad.tensor(random_cloud(rng, 32))

@@ -287,7 +287,7 @@ def test_linear_relu_rejects_what_linear_rejects():
 
 
 def test_taped_mlp2_appends_two_records():
-    mlp = Mlp2(np.random.default_rng(0), 3, 5, 4)
+    mlp = Mlp2(np.random.default_rng(0), 3, 5, 4).astype(np.float32)
     with ad.Tape() as tape:
         mlp(ad.tensor(np.ones((6, 3)), dtype=np.float32))
     assert len(tape) == 2

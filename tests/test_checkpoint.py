@@ -110,9 +110,11 @@ def test_optimizer_without_the_model_it_updates_is_refused_before_reading(tmp_pa
 
 
 MOMENT = "adam.v.encoder.abstract1.lift.lin0.w"  # the parameter is (3, 6)
+LAST_MOMENT = "adam.v.stages1.offset_map.lin1.b"  # the last record of the file
 MISSHAPEN_STATE = {
     "transposed_moment": (MOMENT, np.zeros((6, 3))),
     "moment_of_19": (MOMENT, np.zeros(19)),
+    "last_moment_of_7": (LAST_MOMENT, np.zeros(7)),
     "empty_step": ("adam.step", np.zeros(0, dtype=np.float32)),
     "nan_step": ("adam.step", np.array([np.nan], dtype=np.float32)),
 }
@@ -132,8 +134,22 @@ def test_misshapen_optimizer_record_is_format_error_naming_it(tmp_path, case):
     for name, array in {**arrays, key: bad}.items():
         checkpoint._write_record(body, name, array)
     path.write_bytes(sealed(body.getvalue()))
+    # a fresh model of the same layout: a refused load must leave it and its
+    # optimizer as they were, not half-loaded
+    into = CompletionModel(ModelConfig.micro(init_seed=9))
+    restored = Adam(into, lr=1e-3)
+    params = [p.tensor.data.copy() for p in into.named_parameters()]
+    moments = [{n: m.copy() for n, m in store.items()}
+               for store in (restored.moment1, restored.moment2)]
     with pytest.raises(FormatError, match=f"'{key}'"):
-        load_checkpoint(path, into=model, optimizer=Adam(model, lr=1e-3))
+        load_checkpoint(path, into=into, optimizer=restored)
+    for before, after in zip(params, into.named_parameters()):
+        assert np.array_equal(before, after.tensor.data), after.name
+    assert restored.step_count == 0
+    for before, store in zip(moments, (restored.moment1, restored.moment2)):
+        assert list(before) == list(store)
+        for name in before:
+            assert np.array_equal(before[name], store[name]), name
 
 
 def test_records_keep_their_precision(tmp_path):

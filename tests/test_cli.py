@@ -397,10 +397,19 @@ OVER_SEARCHED = [
 ]
 
 
+# choices that are not a generator or attention the model can build: each
+# used to validate, then fail at model construction after the data was read
+BAD_CHOICES = [
+    {"generator": "bogus"}, {"seed_attention": "hardmax"},
+    {"attention_scale": 0.0, "seed_attention": "scaled"},
+    {"attention_scale": float("nan"), "seed_attention": "scaled"},
+]
+
+
 @pytest.mark.parametrize(
     "overrides",
     [{name: 0} for name in SIZE_FIELDS] + [{"channels": -3}, {"init_seed": -1}]
-    + OVER_SEARCHED,
+    + OVER_SEARCHED + BAD_CHOICES,
     ids=lambda o: "{}={}".format(*next(iter(o.items()))),
 )
 def test_model_config_rejects_values_below_range(overrides):
@@ -424,6 +433,23 @@ def test_train_with_an_over_searched_neighborhood_exits_2_and_writes_nothing(
     ]) == 2
     assert "interp_k" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config_lines, field",
+    [("generator = bogus\n", "generator"),
+     ("seed_attention = scaled\nattention_scale = 0\n", "attention_scale")],
+    ids=["generator", "attention_scale"],
+)
+def test_train_with_a_config_that_cannot_build_names_the_field_before_reading_data(
+        tmp_path, capsys, config_lines, field):
+    (tmp_path / "micro.cfg").write_text(MICRO_CFG + config_lines)
+    assert main([
+        "train", "--config", str(tmp_path / "micro.cfg"),
+        "--data", str(tmp_path / "absent"),
+        "--out", str(tmp_path / "model.ckpt"), "--steps", "1",
+    ]) == 2
+    assert field in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

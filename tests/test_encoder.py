@@ -24,8 +24,7 @@ def test_self_grouping_gives_constant_rows():
     # out_n = n with k = 1: every center groups only itself, so the lifted
     # input is the zero relative coordinate and all rows must agree
     rng = np.random.default_rng(0)
-    sa = SetAbstraction(np.random.default_rng(1), 0, out_n=8, out_c=5, k=1,
-                        dtype=np.float64)
+    sa = SetAbstraction(np.random.default_rng(1), 0, out_n=8, out_c=5, k=1)
     centers, feats = sa(random_cloud(rng, 8))
     assert feats.shape == (8, 5)
     np.testing.assert_allclose(feats.data, np.tile(feats.data[0], (8, 1)), atol=0)
@@ -34,6 +33,7 @@ def test_self_grouping_gives_constant_rows():
 def test_benchmark_stage_shapes():
     rng = np.random.default_rng(2)
     sa = SetAbstraction(np.random.default_rng(3), 0, out_n=512, out_c=128, k=16)
+    sa.astype(np.float32)
     centers, feats = sa(random_cloud(rng, 2048).astype(np.float32))
     assert centers.shape == (512, 3)
     assert feats.shape == (512, 128)
@@ -43,10 +43,8 @@ def test_max_pool_unchanged_by_duplicated_neighbors():
     rng = np.random.default_rng(4)
     base = random_cloud(rng, 3)
     doubled = np.concatenate([base, base], axis=0)
-    sa_base = SetAbstraction(np.random.default_rng(5), 0, out_n=1, out_c=6, k=3,
-                             dtype=np.float64)
-    sa_doubled = SetAbstraction(np.random.default_rng(5), 0, out_n=1, out_c=6, k=6,
-                                dtype=np.float64)
+    sa_base = SetAbstraction(np.random.default_rng(5), 0, out_n=1, out_c=6, k=3)
+    sa_doubled = SetAbstraction(np.random.default_rng(5), 0, out_n=1, out_c=6, k=6)
     _, feats_base = sa_base(base)
     _, feats_doubled = sa_doubled(doubled)
     np.testing.assert_array_equal(feats_base.data, feats_doubled.data)
@@ -64,6 +62,7 @@ def test_set_abstraction_needs_enough_points():
 def test_refinement_preserves_shape():
     rng = np.random.default_rng(7)
     layer = PointTransformerLayer(np.random.default_rng(8), channels=128, k=16)
+    layer.astype(np.float32)
     cloud = random_cloud(rng, 512).astype(np.float32)
     feats = ad.tensor(rng.standard_normal((512, 128)).astype(np.float32))
     out = layer(cloud, feats)
@@ -72,8 +71,7 @@ def test_refinement_preserves_shape():
 
 def test_refinement_single_neighbor_weights_are_one():
     rng = np.random.default_rng(9)
-    layer = PointTransformerLayer(np.random.default_rng(10), channels=6, k=1,
-                                  dtype=np.float64)
+    layer = PointTransformerLayer(np.random.default_rng(10), channels=6, k=1)
     cloud = random_cloud(rng, 5)
     feats = ad.tensor(rng.standard_normal((5, 6)))
     capture = {}
@@ -84,8 +82,7 @@ def test_refinement_single_neighbor_weights_are_one():
 
 def test_refinement_is_permutation_equivariant():
     rng = np.random.default_rng(11)
-    layer = PointTransformerLayer(np.random.default_rng(12), channels=7, k=4,
-                                  dtype=np.float64)
+    layer = PointTransformerLayer(np.random.default_rng(12), channels=7, k=4)
     cloud = random_cloud(rng, 20)
     feats = rng.standard_normal((20, 7))
     base = layer(cloud, ad.tensor(feats)).data
@@ -97,8 +94,8 @@ def test_refinement_is_permutation_equivariant():
 # --- full encoder ------------------------------------------------------------------
 
 
-def desk_encoder(seed=13, dtype=np.float64):
-    return Encoder(np.random.default_rng(seed), 256, 64, 64, 128, k=16, dtype=dtype)
+def desk_encoder(seed=13):
+    return Encoder(np.random.default_rng(seed), 256, 64, 64, 128, k=16)
 
 
 def test_encode_desk_shapes():
@@ -110,7 +107,7 @@ def test_encode_desk_shapes():
 
 def test_encode_benchmark_shapes():
     rng = np.random.default_rng(15)
-    enc = Encoder(np.random.default_rng(16), 512, 128, 128, 256, k=16)
+    enc = Encoder(np.random.default_rng(16), 512, 128, 128, 256, k=16).astype(np.float32)
     patches = enc(random_cloud(rng, 2048).astype(np.float32))
     assert patches.cloud.shape == (128, 3)
     assert patches.features.shape == (128, 256)

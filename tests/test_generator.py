@@ -64,8 +64,7 @@ def test_scaled_attention_needs_a_finite_positive_lam(lam):
 
 def test_output_shape_is_rate_times_points():
     rng = np.random.default_rng(0)
-    core = UpsampleTransformer(np.random.default_rng(1), 6, rate=2, k=3,
-                               dtype=np.float64)
+    core = UpsampleTransformer(np.random.default_rng(1), 6, rate=2, k=3)
     q, k, cloud = uptrans_inputs(rng)
     out = core(q, k, cloud, mode=AttentionMode("softmax"))
     assert out.shape == (16, 6)
@@ -75,8 +74,7 @@ def test_single_neighbor_softmax_reduces_to_value_plus_encoding():
     # with k = 1 the only neighbor is the point itself, the softmax weight
     # is exactly one, and each output row is value + pos_encoder(0)
     rng = np.random.default_rng(2)
-    core = UpsampleTransformer(np.random.default_rng(3), 5, rate=1, k=1,
-                               dtype=np.float64)
+    core = UpsampleTransformer(np.random.default_rng(3), 5, rate=1, k=1)
     q, k, cloud = uptrans_inputs(rng, n=6, c=5)
     out = core(q, k, cloud, mode=AttentionMode("softmax"))
     values = core.value_map(core.value_mixer(ad.concat([k, q], axis=1)))
@@ -88,7 +86,7 @@ def test_single_neighbor_softmax_reduces_to_value_plus_encoding():
 def test_softmax_weights_sum_to_one_per_point_kernel_channel():
     rng = np.random.default_rng(4)
     core = UpsampleTransformer(np.random.default_rng(5), 6, rate=3, k=4,
-                               seed_channels=4, dtype=np.float64)
+                               seed_channels=4)
     q, k, cloud = uptrans_inputs(rng)
     seeds = make_seeds(rng, 5, 4)
     s = geometry.interpolate_seed_features(cloud.data, seeds, 2)
@@ -103,8 +101,7 @@ def test_softmax_weights_sum_to_one_per_point_kernel_channel():
 
 def test_mode_none_passes_raw_logits_through():
     rng = np.random.default_rng(6)
-    core = UpsampleTransformer(np.random.default_rng(7), 6, rate=2, k=3,
-                               dtype=np.float64)
+    core = UpsampleTransformer(np.random.default_rng(7), 6, rate=2, k=3)
     q, k, cloud = uptrans_inputs(rng)
     raw, soft = {}, {}
     core(q, k, cloud, mode=AttentionMode("none"), capture=raw)
@@ -120,7 +117,7 @@ def test_mode_none_passes_raw_logits_through():
 def test_taped_upsample_transformer_appends_one_record_per_head(pointwise):
     rng = np.random.default_rng(26)
     core = UpsampleTransformer(np.random.default_rng(27), 6, rate=3, k=3,
-                               dtype=np.float64, pointwise=pointwise)
+                               pointwise=pointwise)
     q, k, cloud = uptrans_inputs(rng)
     with ad.Tape() as tape:
         core(q, k, cloud, mode=AttentionMode("scaled", lam=2.0))
@@ -134,8 +131,7 @@ def test_taped_upsample_transformer_appends_one_record_per_head(pointwise):
 @pytest.mark.parametrize("rate", [1, 3])
 def test_taped_upsample_transformer_stacks_its_heads_with_one_concat_and_one_reshape(rate):
     rng = np.random.default_rng(28)
-    core = UpsampleTransformer(np.random.default_rng(29), 6, rate=rate, k=3,
-                               dtype=np.float64)
+    core = UpsampleTransformer(np.random.default_rng(29), 6, rate=rate, k=3)
     q, k, cloud = uptrans_inputs(rng)
     with ad.Tape() as tape:
         out = core(q, k, cloud)
@@ -149,8 +145,7 @@ def test_taped_upsample_transformer_stacks_its_heads_with_one_concat_and_one_res
 
 def test_mode_none_differs_from_softmax():
     rng = np.random.default_rng(8)
-    core = UpsampleTransformer(np.random.default_rng(9), 6, rate=2, k=3,
-                               dtype=np.float64)
+    core = UpsampleTransformer(np.random.default_rng(9), 6, rate=2, k=3)
     q, k, cloud = uptrans_inputs(rng)
     out_soft = core(q, k, cloud, mode=AttentionMode("softmax"))
     out_none = core(q, k, cloud, mode=AttentionMode("none"))
@@ -159,8 +154,7 @@ def test_mode_none_differs_from_softmax():
 
 def test_scaled_softmax_at_unit_scale_is_bitwise_softmax():
     rng = np.random.default_rng(10)
-    core = UpsampleTransformer(np.random.default_rng(11), 7, rate=2, k=4,
-                               dtype=np.float64)
+    core = UpsampleTransformer(np.random.default_rng(11), 7, rate=2, k=4)
     q, k, cloud = uptrans_inputs(rng, c=7)
     out_soft = core(q, k, cloud, mode=AttentionMode("softmax"))
     out_scaled = core(q, k, cloud, mode=AttentionMode("scaled", lam=1.0))
@@ -169,8 +163,7 @@ def test_scaled_softmax_at_unit_scale_is_bitwise_softmax():
 
 def test_log_softmax_weights_are_nonpositive():
     rng = np.random.default_rng(12)
-    core = UpsampleTransformer(np.random.default_rng(13), 5, rate=1, k=3,
-                               dtype=np.float64)
+    core = UpsampleTransformer(np.random.default_rng(13), 5, rate=1, k=3)
     q, k, cloud = uptrans_inputs(rng, c=5)
     capture = {}
     core(q, k, cloud, mode=AttentionMode("log"), capture=capture)
@@ -182,7 +175,7 @@ def test_every_kernel_bank_parameter_gets_gradient():
     rng = np.random.default_rng(14)
     for mode in (AttentionMode("softmax"), AttentionMode("none")):
         core = UpsampleTransformer(np.random.default_rng(15), 6, rate=2, k=3,
-                                   seed_channels=4, dtype=np.float64)
+                                   seed_channels=4)
         q, k, cloud = uptrans_inputs(rng)
         seeds = make_seeds(rng, 5, 4)
         probe = rng.standard_normal((16, 6))
@@ -202,6 +195,22 @@ def test_every_kernel_bank_parameter_gets_gradient():
         assert not dead, f"{mode.variant}: dead parameters {dead}"
 
 
+def test_cast_reaches_the_frozen_kernel_biases_and_runs_in_float32():
+    core = UpsampleTransformer(np.random.default_rng(15), 6, rate=2, k=3,
+                               seed_channels=4)
+    assert not any(kernel.lin1.b.requires_grad for kernel in core.kernels)
+    assert core.astype(np.float32) is core
+    tensors = dict(core.named_tensors())
+    assert {"kernels0.lin1.b", "kernels1.lin1.b"} <= set(tensors)
+    assert {t.dtype for t in tensors.values()} == {np.dtype(np.float32)}
+    rng = np.random.default_rng(14)
+    q, k, cloud = uptrans_inputs(rng, dtype=np.float32)
+    seeds = make_seeds(rng, 5, 4, dtype=np.float32)
+    out = core(q, k, cloud,
+               seed_features=geometry.interpolate_seed_features(cloud.data, seeds, 2))
+    assert out.shape == (16, 6) and out.dtype == np.float32
+
+
 # --- generator variants ------------------------------------------------------------
 
 
@@ -211,8 +220,7 @@ VARIANTS = ("uptrans", "folding", "deconv", "graphconv", "pointwise")
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_variant_output_contract(variant):
     rng = np.random.default_rng(16)
-    core = make_core(variant, np.random.default_rng(17), 6, rate=2, k=3,
-                     dtype=np.float64)
+    core = make_core(variant, np.random.default_rng(17), 6, rate=2, k=3)
     q, k, cloud = uptrans_inputs(rng)
     out = core(q, k, cloud, mode=AttentionMode("softmax"))
     assert out.shape == (16, 6)
@@ -221,8 +229,7 @@ def test_variant_output_contract(variant):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_variant_permutation_equivariance(variant):
     rng = np.random.default_rng(18)
-    core = make_core(variant, np.random.default_rng(19), 6, rate=2, k=3,
-                     dtype=np.float64)
+    core = make_core(variant, np.random.default_rng(19), 6, rate=2, k=3)
     q, k, cloud = uptrans_inputs(rng, n=12)
     base = core(q, k, cloud, mode=AttentionMode("softmax"))
     perm = rng.permutation(12)
@@ -240,7 +247,7 @@ def test_variant_permutation_equivariance(variant):
 
 def test_graphconv_equal_neighbor_features_collapse_max():
     rng = np.random.default_rng(20)
-    core = GraphConvCore(np.random.default_rng(21), 5, rate=2, k=3, dtype=np.float64)
+    core = GraphConvCore(np.random.default_rng(21), 5, rate=2, k=3)
     cloud = ad.tensor(random_cloud(rng, 7))
     row = rng.standard_normal(5)
     feats = ad.tensor(np.tile(row, (7, 1)))
@@ -253,8 +260,7 @@ def test_graphconv_equal_neighbor_features_collapse_max():
 
 def test_pointwise_softmax_weights_sum_to_one_per_point_and_kernel():
     rng = np.random.default_rng(22)
-    core = make_core("pointwise", np.random.default_rng(23), 6, rate=2, k=4,
-                     dtype=np.float64)
+    core = make_core("pointwise", np.random.default_rng(23), 6, rate=2, k=4)
     q, k, cloud = uptrans_inputs(rng)
     capture = {}
     core(q, k, cloud, mode=AttentionMode("softmax"), capture=capture)
@@ -265,7 +271,7 @@ def test_pointwise_softmax_weights_sum_to_one_per_point_and_kernel():
 
 def test_folding_grid_distinguishes_replicas():
     rng = np.random.default_rng(24)
-    core = FoldingCore(np.random.default_rng(25), 5, rate=4, dtype=np.float64)
+    core = FoldingCore(np.random.default_rng(25), 5, rate=4)
     q = ad.tensor(rng.standard_normal((6, 5)))
     out = core(q)
     groups = out.data.reshape(6, 4, 5)
@@ -274,7 +280,7 @@ def test_folding_grid_distinguishes_replicas():
 
 def test_deconv_replicas_are_independent_linear_maps():
     rng = np.random.default_rng(26)
-    core = DeconvCore(np.random.default_rng(27), 4, rate=2, dtype=np.float64)
+    core = DeconvCore(np.random.default_rng(27), 4, rate=2)
     q = ad.tensor(rng.standard_normal((5, 4)))
     out = core(q)
     for m, split in enumerate(core.splits):
@@ -293,8 +299,8 @@ def make_patches(rng, n=64, c=128, dtype=np.float64):
 
 def test_seed_generator_benchmark_shapes():
     rng = np.random.default_rng(28)
-    gen = SeedGenerator(np.random.default_rng(29), 256, 128, rate=2, k=16,
-                        dtype=np.float32)
+    gen = SeedGenerator(np.random.default_rng(29), 256, 128, rate=2, k=16)
+    gen.astype(np.float32)
     patches = make_patches(rng, n=128, c=256, dtype=np.float32)
     seeds = gen(patches)
     assert seeds.cloud.shape == (256, 3)
@@ -314,8 +320,7 @@ def test_seed_generator_translation_snapshot():
     # dyadic translation of the patch centers leaves the seeds unchanged;
     # recorded here as a behavior snapshot
     rng = np.random.default_rng(30)
-    gen = SeedGenerator(np.random.default_rng(31), 16, 8, rate=2, k=4,
-                        dtype=np.float64)
+    gen = SeedGenerator(np.random.default_rng(31), 16, 8, rate=2, k=4)
     # free the zero-initialized coordinate head so the snapshot is nontrivial
     gen.coord_map.lin1.w.data = 0.2 * rng.standard_normal(gen.coord_map.lin1.w.shape)
     centers = rng.integers(-2048, 2049, size=(12, 3)).astype(np.float64) / 4096.0
@@ -338,8 +343,7 @@ def make_state(rng, n=8, c=6, dtype=np.float64):
 def test_stage_rate_one_preserves_count():
     rng = np.random.default_rng(32)
     seeds = make_seeds(rng, 5, 4)
-    stage = UpsampleStage(np.random.default_rng(33), 6, 4, rate=1, k=3, interp_k=2,
-                          dtype=np.float64)
+    stage = UpsampleStage(np.random.default_rng(33), 6, 4, rate=1, k=3, interp_k=2)
     state = make_state(rng)
     out = stage(state, seeds)
     assert out.cloud.shape == (8, 3)
@@ -350,8 +354,7 @@ def test_fresh_stage_is_exact_duplication():
     # the offset head is zero-initialized, so a fresh stage only duplicates
     rng = np.random.default_rng(34)
     seeds = make_seeds(rng, 5, 4)
-    stage = UpsampleStage(np.random.default_rng(35), 6, 4, rate=3, k=3, interp_k=2,
-                          dtype=np.float64)
+    stage = UpsampleStage(np.random.default_rng(35), 6, 4, rate=3, k=3, interp_k=2)
     state = make_state(rng)
     out = stage(state, seeds)
     np.testing.assert_array_equal(out.cloud.data, np.repeat(state.cloud.data, 3, axis=0))
@@ -360,8 +363,7 @@ def test_fresh_stage_is_exact_duplication():
 def test_stage_children_stay_within_offset_bound():
     rng = np.random.default_rng(36)
     seeds = make_seeds(rng, 6, 4)
-    stage = UpsampleStage(np.random.default_rng(37), 6, 4, rate=4, k=4, interp_k=2,
-                          dtype=np.float64)
+    stage = UpsampleStage(np.random.default_rng(37), 6, 4, rate=4, k=4, interp_k=2)
     # free the offset head so children actually move
     stage.offset_map.lin1.w.data = 0.1 * rng.standard_normal(
         stage.offset_map.lin1.w.shape
@@ -380,8 +382,7 @@ def test_stage_children_stay_within_offset_bound():
 def test_stage_permutation_equivariance_by_chamfer():
     rng = np.random.default_rng(40)
     seeds = make_seeds(rng, 6, 4)
-    stage = UpsampleStage(np.random.default_rng(41), 6, 4, rate=2, k=4, interp_k=2,
-                          dtype=np.float64)
+    stage = UpsampleStage(np.random.default_rng(41), 6, 4, rate=2, k=4, interp_k=2)
     stage.offset_map.lin1.w.data = 0.1 * rng.standard_normal(
         stage.offset_map.lin1.w.shape
     )

@@ -8,6 +8,7 @@ import pytest
 from pointfill import geometry
 from pointfill.checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
 from pointfill.errors import ContractError, FormatError, NumericsError, ParseError
+from pointfill.generator import GENERATOR_VARIANTS
 from pointfill.layers import Module
 from pointfill.pipeline import (
     Adam,
@@ -310,6 +311,18 @@ def test_parameter_names_unique_and_prefixed():
     assert any(n.startswith("encoder.") for n in names)
     assert any(n.startswith("seed_generator.") for n in names)
     assert any(n.startswith("stages0.") for n in names)
+
+
+@pytest.mark.parametrize("generator", GENERATOR_VARIANTS)
+def test_float32_model_is_its_float64_build_cast_once(generator):
+    single = CompletionModel(desk_config(generator=generator))
+    double = CompletionModel(desk_config(generator=generator, precision="float64"))
+    double.astype(np.float32)
+    for a, b in zip(single.named_tensors(), double.named_tensors(), strict=True):
+        assert a.name == b.name
+        assert a.tensor.requires_grad == b.tensor.requires_grad, a.name
+        assert a.tensor.dtype == b.tensor.dtype == np.float32, a.name
+        assert a.tensor.data.tobytes() == b.tensor.data.tobytes(), a.name
 
 
 # --- checkpointing ---------------------------------------------------------------------
