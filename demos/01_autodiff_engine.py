@@ -27,10 +27,10 @@ n, k, c = 4, 6, 3
 rows = ad.tensor(rng.standard_normal((n * k, c)), requires_grad=True)
 values = ad.tensor(rng.standard_normal((n, k, c)))
 w0, b0 = ad.tensor(rng.standard_normal((c, c))), ad.tensor(np.zeros(c))
-w1, b1 = ad.tensor(rng.standard_normal((c, c))), ad.tensor(np.zeros(c))
+w1 = ad.tensor(rng.standard_normal((c, c)))
 weights = []
 with ad.Tape() as tape:
-    head = ad.attention_head(rows, values, w0, b0, w1, b1, "softmax", capture=weights)
+    head = ad.attention_head(rows, values, w0, b0, w1, "softmax", capture=weights)
     score = ad.reduce_sum(ad.mul(head, ad.constant(rng.standard_normal((n, c)))))
 tape.backward(score)
 print("softmax weights sum over the neighbors to", weights[0].data.sum(axis=1)[0].round(12))

@@ -680,17 +680,20 @@ def _tiles(n, k):
     return zip(starts, starts[1:] + [n])
 
 
-def attention_head(x, values, w0, b0, w1, b1, variant="softmax", lam=1.0, capture=None):
+def attention_head(x, values, w0, b0, w1, variant="softmax", lam=1.0, capture=None):
     """One attention kernel head as one record, computed in point tiles.
 
     For (n*k, i) rows ``x`` (row ``i*k + j`` pairs point i with neighbor j)
     and (n, k, C) ``values``, the kernel's logits are
-    ``relu(x @ w0 + b0) @ w1 + b1`` reshaped to (n, k, W), with W = C (one
+    ``relu(x @ w0 + b0) @ w1`` reshaped to (n, k, W), with W = C (one
     weight per channel) or W = 1 (one weight per neighbor). They are
     normalized over the k neighbors by ``variant`` (``scaled`` multiplies
     by ``lam`` before the softmax; ``log`` gives log-weights; ``none`` keeps
     the logits), and the result is ``sum_j weights[i, j] * values[i, j]``,
-    (n, C).
+    (n, C). The output map ``w1`` has no bias: a logit shift that every
+    neighbor shares leaves softmax, scaled and log weights unchanged (so a
+    bias there would never receive a gradient), and under ``none`` the model
+    held that bias at a constant zero.
 
     Each tile of about _TILE_ROWS rows runs the whole chain while its blocks
     are in cache. Every step but the GEMMs works per point, and the weight
@@ -712,19 +715,17 @@ def attention_head(x, values, w0, b0, w1, b1, variant="softmax", lam=1.0, captur
         raise ShapeError(f"attention_head expects (n, k, C) values, got {values.shape}")
     n, k, c = values.shape
     _check_affine(x, w0, b0, "attention_head")
-    _check_affine(w0, w1, b1, "attention_head")  # the hidden width is w0's columns
+    if x.shape[0] != n * k or w1.ndim != 2 or w1.shape[0] != w0.shape[1] or w1.shape[1] not in (1, c):
+        raise ShapeError(f"attention_head: x {x.shape}, hidden width {w0.shape[1]} and "
+                         f"weight {w1.shape} do not fit values {values.shape}")
+    if not x.dtype == values.dtype == w1.dtype:
+        raise ContractError(f"attention_head: dtypes {x.dtype}, {values.dtype}, {w1.dtype} differ")
     width = w1.shape[1]
-    if x.shape[0] != n * k or width not in (1, c):
-        raise ShapeError(
-            f"attention_head: x {x.shape} and weight {w1.shape} do not fit values {values.shape}"
-        )
-    if values.dtype != x.dtype:
-        raise ContractError(f"attention_head: dtypes {x.dtype} and {values.dtype} differ")
-    inputs = [x, values, w0, b0, w1, b1]
+    inputs = [x, values, w0, b0, w1]
     record = any(t.requires_grad for t in inputs) and _ACTIVE_TAPE.get() is not None
     xd, v, lam = x.data, values.data, x.dtype.type(lam)
     w0d, w1d = w0.data, w1.data
-    needs_x, needs_v, needs_w0, needs_b0, needs_w1, needs_b1 = (t.requires_grad for t in inputs)
+    needs_x, needs_v, needs_w0, needs_b0, needs_w1 = (t.requires_grad for t in inputs)
     out = np.empty((n, c), dtype=x.dtype)
     hidden = np.empty((n * k, w0.shape[1]), x.dtype) if record else None
     weights = np.empty((n, k, width), x.dtype) if record or capture is not None else None
@@ -735,7 +736,6 @@ def attention_head(x, values, w0, b0, w1, b1, variant="softmax", lam=1.0, captur
         _relu_(h)
         kept = None if weights is None else weights[a:b].reshape(-1, width)
         r = np.matmul(h, w1d, out=kept).reshape(b - a, k, width)
-        r += b1.data
         out[a:b] = _weighted_sum(_normalize_(r, variant, lam), v[a:b])
     if capture is not None:
         capture.append(Tensor(weights))
@@ -753,7 +753,6 @@ def attention_head(x, values, w0, b0, w1, b1, variant="softmax", lam=1.0, captur
         # weight and bias gradients sum over all n*k rows: one full-size call
         # each, as the unfused linear adjoints make
         gw1 = hidden.T @ gr if needs_w1 else None
-        gb1 = gr.sum(axis=0) if needs_b1 else None
         gx = gw0 = gb0 = None
         if needs_x or needs_w0 or needs_b0:
             gz = gr if width == hidden.shape[1] else np.empty_like(hidden)  # gz takes gr's rows
@@ -766,7 +765,7 @@ def attention_head(x, values, w0, b0, w1, b1, variant="softmax", lam=1.0, captur
             hidden = None
             gw0 = xd.T @ gz if needs_w0 else None
             gb0 = gz.sum(axis=0) if needs_b0 else None
-        return (gx, gv, gw0, gb0, gw1, gb1)
+        return (gx, gv, gw0, gb0, gw1)
 
     return _emit(out, inputs, back)
 

@@ -163,7 +163,7 @@ class UpsampleTransformer(Module):
         heads = [
             ad.attention_head(
                 logits_in, value_term, kernel.lin0.w, kernel.lin0.b, kernel.lin1.w,
-                kernel.lin1.b, mode.variant, mode.lam, capture=weights,
+                mode.variant, mode.lam, capture=weights,
             )
             for kernel in self.kernels
         ]

@@ -68,31 +68,32 @@ def _case_attention_head(name, variant, width):
         # Data clear of finite-difference roundoff: no w0 or w1 entry near 0
         # (it would scale a gradient row or column down); a diagonally
         # dominant w0 (condition number under 13), so x stays near z's scale;
-        # pre-activations z 0.05 to 0.5 from the kink, each hidden unit active
-        # for one neighbor of some point and inactive for another (else the
-        # softmax's shift invariance zeroes b0's gradient); |relu(z) @ w1| <=
-        # 1.8, so the logits lie in [0.2, 4.3] and spread by at most 3.6 per
-        # point: no softmax weight is near 0, nor a logit (the none weight)
+        # pre-activations z 0.05 to 0.5 from the kink. Point i holds hidden
+        # unit i at z in [0.3, 0.5] for every neighbor but neighbor 1, where
+        # it is inactive and unit i + 1 is active instead: each unit is
+        # active for one neighbor of a point and inactive for another (else
+        # the softmax's shift invariance zeroes b0's gradient), and every row
+        # has a unit at z >= 0.3. With w1 positive, the logits relu(z) @ w1
+        # lie in [0.12, 1.8]: no softmax weight is near 0, nor a logit (the
+        # none weight)
         w0 = sign((c, c)) * np.where(
             np.eye(c, dtype=bool), rng.uniform(1.2, 1.5, (c, c)), rng.uniform(0.2, 0.5, (c, c)))
         b0 = rng.uniform(-0.5, 0.5, c)
-        signs = sign((n, k, c))
-        point, unit = rng.integers(n, size=c), np.arange(c)
-        signs[point, 0, unit], signs[point, 1, unit] = 1.0, -1.0
-        z = (signs * rng.uniform(0.05, 0.5, (n, k, c))).reshape(n * k, c)
-        x = np.linalg.solve(w0.T, (z - b0).T).T
-        w1 = sign((c, width)) * rng.uniform(0.4, 1.2, (c, width))
-        b1 = rng.uniform(2.0, 2.5, width)
-        inputs = [_param(a) for a in (x, rng.standard_normal((n, k, c)), w0, b0, w1, b1)]
+        z = sign((n, k, c)) * rng.uniform(0.05, 0.5, (n, k, c))
+        i = np.arange(n)  # n == c
+        z[i, :, i] = rng.uniform(0.3, 0.5, (n, k))
+        z[i, 1, i] *= -1.0
+        z[i, 1, (i + 1) % c] = rng.uniform(0.3, 0.5, n)
+        x = np.linalg.solve(w0.T, (z.reshape(n * k, c) - b0).T).T
+        w1 = rng.uniform(0.4, 1.2, (c, width))
+        inputs = [_param(a) for a in (x, rng.standard_normal((n, k, c)), w0, b0, w1)]
         probe = rng.standard_normal((n, c))
 
-        def fn(x, values, w0, b0, w1, b1=inputs[-1]):
-            out = ad.attention_head(x, values, w0, b0, w1, b1, variant, lam=1.7)
+        def fn(x, values, w0, b0, w1):
+            out = ad.attention_head(x, values, w0, b0, w1, variant, lam=1.7)
             return ad.reduce_sum(ad.mul(out, ad.constant(probe, like=x)))
 
-        # a logit bias shared by the k neighbors cancels in the softmax
-        # modes (a structurally zero gradient): it is checked under none only
-        return fn, inputs if variant == "none" else inputs[:-1]
+        return fn, inputs
 
     return build
 

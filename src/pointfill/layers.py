@@ -23,36 +23,31 @@ class Parameter(NamedTuple):
 
 
 class Module:
-    """Base with recursive tensor discovery over instance attributes.
+    """Base with recursive parameter discovery over instance attributes.
 
-    Attribute insertion order fixes the tensor order, so construction
-    order is the single source of determinism for init and optimizers.
-    ``named_tensors`` walks every Tensor a module holds, frozen ones
-    included; the parameters are those that require a gradient.
+    Every Tensor a module holds is a parameter. Attribute insertion order
+    fixes the parameter order, so construction order is the single source
+    of determinism for init, optimizers and checkpoints.
     """
 
-    def named_tensors(self, prefix="") -> Iterator[Parameter]:
+    def named_parameters(self, prefix="") -> Iterator[Parameter]:
         for attr, value in vars(self).items():
             name = f"{prefix}{attr}" if not prefix else f"{prefix}.{attr}"
             if isinstance(value, ad.Tensor):
                 yield Parameter(name, value)
             elif isinstance(value, Module):
-                yield from value.named_tensors(name)
+                yield from value.named_parameters(name)
             elif isinstance(value, (list, tuple)):
                 for i, item in enumerate(value):
                     if isinstance(item, Module):
-                        yield from item.named_tensors(f"{name}{i}")
-
-    def named_parameters(self) -> Iterator[Parameter]:
-        return (p for p in self.named_tensors() if p.tensor.requires_grad)
+                        yield from item.named_parameters(f"{name}{i}")
 
     def parameters(self):
         return [p.tensor for p in self.named_parameters()]
 
     def astype(self, dtype):
-        """Cast every Tensor this module holds to ``dtype`` in place; returns
-        the module."""
-        for _, t in self.named_tensors():
+        """Cast every parameter to ``dtype`` in place; returns the module."""
+        for t in self.parameters():
             t.data = t.data.astype(dtype, copy=False)
         return self
 
@@ -72,24 +67,19 @@ def _init_weight(rng, n_in, n_out):
 class Linear(Module):
     """Affine row map.
 
-    ``zero_init`` starts the layer at the zero function. ``trainable_bias``
-    set to False keeps a frozen zero bias; attention-logit kernels use this
-    because a softmax over the neighborhood is invariant to constant shifts,
-    which would leave a trainable bias permanently gradient-free.
+    ``zero_init`` starts the layer at the zero function. With ``bias=False``
+    the layer holds only ``w`` and is not callable: an attention kernel's
+    output map has no bias (see ``ad.attention_head``), and the head reads
+    that ``w`` itself, so ``ad.linear`` needs no bias-less path.
     """
 
-    def __init__(self, rng, n_in, n_out, zero_init=False, trainable_bias=True):
-        if zero_init:
-            w = np.zeros((n_in, n_out))
-        else:
-            w = _init_weight(rng, n_in, n_out)
-        if zero_init or not trainable_bias:
-            b = np.zeros(n_out)
-        else:
-            bound = 1.0 / np.sqrt(n_in)
-            b = rng.uniform(-bound, bound, size=n_out)
+    def __init__(self, rng, n_in, n_out, zero_init=False, bias=True):
+        w = np.zeros((n_in, n_out)) if zero_init else _init_weight(rng, n_in, n_out)
         self.w = ad.tensor(w, requires_grad=True)
-        self.b = ad.tensor(b, requires_grad=trainable_bias)
+        if bias:
+            bound = 1.0 / np.sqrt(n_in)
+            b = np.zeros(n_out) if zero_init else rng.uniform(-bound, bound, size=n_out)
+            self.b = ad.tensor(b, requires_grad=True)
 
     def __call__(self, x):
         return ad.linear(x, self.w, self.b)
@@ -105,7 +95,7 @@ class Mlp2(Module):
     def __init__(self, rng, n_in, n_hidden, n_out, zero_last=False, last_bias=True):
         self.lin0 = Linear(rng, n_in, n_hidden)
         self.lin1 = Linear(
-            rng, n_hidden, n_out, zero_init=zero_last, trainable_bias=last_bias,
+            rng, n_hidden, n_out, zero_init=zero_last, bias=last_bias,
         )
 
     def __call__(self, x):

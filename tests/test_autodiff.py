@@ -33,8 +33,8 @@ def _pass_through_head(logits, values, variant="softmax", capture=None):
     """An attention head over (n*k, 1) ``logits`` whose kernel passes them
     through exactly: relu(l) - relu(-l) = l."""
     w0, b0 = ad.tensor([[1.0, -1.0]]), ad.tensor(np.zeros(2))
-    w1, b1 = ad.tensor([[1.0], [-1.0]]), ad.tensor(np.zeros(1))
-    return ad.attention_head(logits, values, w0, b0, w1, b1, variant, capture=capture)
+    w1 = ad.tensor([[1.0], [-1.0]])
+    return ad.attention_head(logits, values, w0, b0, w1, variant, capture=capture)
 
 
 def _head_weights(logits, variant="softmax"):
@@ -347,18 +347,16 @@ def test_neighbor_diff_rejects_misfit_index_shape_and_dtype():
 # --- attention_head: one tiled record per kernel head --------------------------
 
 
-def _plain_attention_head(x, v, w0, b0, w1, b1, variant, lam, g):
+def _plain_attention_head(x, v, w0, b0, w1, variant, lam, g):
     """The unfused records in plain numpy: linear_relu, linear, reshape, the
     normalization (with its mul under ``scaled``) and neighbor_sum, each over
     all rows, and their adjoints of ``g``. Returns the weights, the output and
-    the gradients of x, v, w0, b0, w1 and b1."""
+    the gradients of x, v, w0, b0 and w1."""
     n, k, _ = v.shape
     z = x @ w0
     z += b0
     h = np.where(z > 0, z, z.dtype.type(0))
-    r = h @ w1
-    r += b1
-    r = r.reshape(n, k, -1)
+    r = (h @ w1).reshape(n, k, -1)
     lam = x.dtype.type(lam)
     if variant == "scaled":
         r = r * lam
@@ -387,12 +385,12 @@ def _plain_attention_head(x, v, w0, b0, w1, b1, variant, lam, g):
     gr = gr.reshape(n * k, -1)
     gz = (gr @ w1.T) * (h > 0)
     return (y, (y * v).sum(axis=1), gz @ w0.T, g3 * y, x.T @ gz, gz.sum(axis=0),
-            h.T @ gr, gr.sum(axis=0))
+            h.T @ gr)
 
 
 def _head_arrays(rng, n, k, c, width, dtype):
-    """x, values, w0, b0, w1, b1 for one head, hidden width C as in the model."""
-    shapes = [(n * k, c), (n, k, c), (c, c), (c,), (c, width), (width,)]
+    """x, values, w0, b0, w1 for one head, hidden width C as in the model."""
+    shapes = [(n * k, c), (n, k, c), (c, c), (c,), (c, width)]
     return [(0.5 * rng.standard_normal(s)).astype(dtype) for s in shapes]
 
 
@@ -500,31 +498,31 @@ def test_row_tiles_of_the_head_gemms_are_rows_of_the_full_gemms(c, dtype, k, wid
 
 
 def test_attention_head_rejects_misfit_shapes_dtypes_and_modes():
-    x, v, w0, b0, w1, b1 = (ad.tensor(a) for a in _head_arrays(
+    x, v, w0, b0, w1 = (ad.tensor(a) for a in _head_arrays(
         np.random.default_rng(48), 2, 3, 4, 4, np.float64))
-    ad.attention_head(x, v, w0, b0, w1, b1)  # fits
+    ad.attention_head(x, v, w0, b0, w1)  # fits
     misfits = [
-        (ad.tensor(np.zeros((5, 4))), v, w0, b0, w1, b1),  # not n * k rows
-        (x, ad.tensor(np.zeros((6, 4))), w0, b0, w1, b1),  # values not (n, k, C)
-        (x, v, ad.tensor(np.zeros((3, 4))), b0, w1, b1),  # w0 rows != x columns
-        (x, v, w0, ad.tensor(np.zeros(5)), w1, b1),  # b0 != hidden width
-        (x, v, w0, b0, ad.tensor(np.zeros((5, 4))), b1),  # w1 rows != hidden width
-        (x, v, w0, b0, ad.tensor(np.zeros((4, 2))), ad.tensor(np.zeros(2))),  # W not C or 1
-        (x, v, w0, b0, w1, ad.tensor(np.zeros(1))),  # b1 != W
+        (ad.tensor(np.zeros((5, 4))), v, w0, b0, w1),  # not n * k rows
+        (x, ad.tensor(np.zeros((6, 4))), w0, b0, w1),  # values not (n, k, C)
+        (x, v, ad.tensor(np.zeros((3, 4))), b0, w1),  # w0 rows != x columns
+        (x, v, w0, ad.tensor(np.zeros(5)), w1),  # b0 != hidden width
+        (x, v, w0, b0, ad.tensor(np.zeros((5, 4)))),  # w1 rows != hidden width
+        (x, v, w0, b0, ad.tensor(np.zeros(4))),  # w1 not a matrix
+        (x, v, w0, b0, ad.tensor(np.zeros((4, 2)))),  # W not C or 1
     ]
     for args in misfits:
         with pytest.raises(ShapeError, match="attention_head"):
             ad.attention_head(*args)
     f32 = ad.tensor(np.zeros((2, 3, 4)), dtype=np.float32)
     with pytest.raises(ContractError, match="dtypes"):
-        ad.attention_head(x, f32, w0, b0, w1, b1)
+        ad.attention_head(x, f32, w0, b0, w1)
     with pytest.raises(ContractError, match="dtypes"):
-        ad.attention_head(x, v, w0, b0, ad.tensor(np.zeros((4, 4)), dtype=np.float32), b1)
+        ad.attention_head(x, v, w0, b0, ad.tensor(np.zeros((4, 4)), dtype=np.float32))
     with pytest.raises(ContractError, match="variant"):
-        ad.attention_head(x, v, w0, b0, w1, b1, "hardmax")
+        ad.attention_head(x, v, w0, b0, w1, "hardmax")
     for lam in (math.inf, math.nan, 0.0):
         with pytest.raises(ContractError, match="finite lam"):
-            ad.attention_head(x, v, w0, b0, w1, b1, "scaled", lam)
+            ad.attention_head(x, v, w0, b0, w1, "scaled", lam)
 
 
 def test_taped_attention_head_keeps_only_the_hidden_activation_and_weights():
@@ -604,7 +602,7 @@ def test_backward_bitwise_deterministic():
         values = ad.tensor(np.linspace(-1.0, 1.0, 32).reshape(2, 4, 4))
         w1, zeros = ad.tensor(np.eye(4)), ad.tensor(np.zeros(4))
         run_backward(
-            lambda x, w: ad.reduce_sum(ad.attention_head(x, values, w, zeros, w1, zeros)),
+            lambda x, w: ad.reduce_sum(ad.attention_head(x, values, w, zeros, w1)),
             x,
             w,
         )
@@ -774,7 +772,7 @@ def test_arrays_an_adjoint_reads_live_until_it_has_run(op):
         x = ad.mul(base, 2.0)  # intermediates, held only by this frame
         if op == "attention_head":
             values = ad.reshape(ad.mul(base, 3.0), (n, k, c))
-            out = ad.attention_head(x, values, w, b, w, b)
+            out = ad.attention_head(x, values, w, b, w)
             kept = [weakref.ref(x.data), weakref.ref(values.data)]
             del values
         else:

@@ -9,6 +9,7 @@ from pointfill import autodiff as ad
 from pointfill import geometry
 from pointfill.errors import ContractError
 from pointfill.generator import (
+    GENERATOR_VARIANTS,
     AttentionMode,
     DeconvCore,
     FoldingCore,
@@ -20,6 +21,7 @@ from pointfill.generator import (
     seed_provenance,
 )
 from pointfill.losses import chamfer
+from pointfill.pipeline import CompletionModel, ModelConfig
 
 from .oracles import softmax_over_neighbors
 
@@ -195,20 +197,36 @@ def test_every_kernel_bank_parameter_gets_gradient():
         assert not dead, f"{mode.variant}: dead parameters {dead}"
 
 
-def test_cast_reaches_the_frozen_kernel_biases_and_runs_in_float32():
-    core = UpsampleTransformer(np.random.default_rng(15), 6, rate=2, k=3,
-                               seed_channels=4)
-    assert not any(kernel.lin1.b.requires_grad for kernel in core.kernels)
-    assert core.astype(np.float32) is core
-    tensors = dict(core.named_tensors())
-    assert {"kernels0.lin1.b", "kernels1.lin1.b"} <= set(tensors)
-    assert {t.dtype for t in tensors.values()} == {np.dtype(np.float32)}
-    rng = np.random.default_rng(14)
-    q, k, cloud = uptrans_inputs(rng, dtype=np.float32)
-    seeds = make_seeds(rng, 5, 4, dtype=np.float32)
-    out = core(q, k, cloud,
-               seed_features=geometry.interpolate_seed_features(cloud.data, seeds, 2))
-    assert out.shape == (16, 6) and out.dtype == np.float32
+def _held_tensors(obj, seen):
+    """Every ad.Tensor reachable from ``obj`` through instance attributes,
+    lists, tuples and dicts, found without Module's own walk."""
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, ad.Tensor):
+        return [obj]
+    if isinstance(obj, dict):
+        items = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        items = obj
+    elif hasattr(obj, "__dict__"):
+        items = vars(obj).values()
+    else:
+        return []
+    return [t for item in items for t in _held_tensors(item, seen)]
+
+
+@pytest.mark.parametrize("generator", GENERATOR_VARIANTS)
+@pytest.mark.parametrize("layout", ["desk", "benchmark_16k"])
+def test_every_tensor_a_model_holds_is_a_parameter(layout, generator):
+    # astype casts the parameters only, so a tensor outside them would keep
+    # float64 in a float32 model
+    model = CompletionModel(getattr(ModelConfig, layout)(generator=generator))
+    held = _held_tensors(model, set())
+    params = model.parameters()
+    assert len({id(t) for t in params}) == len(params) == len(held)
+    assert {id(t) for t in held} == {id(t) for t in params}
+    assert all(t.requires_grad and t.dtype == np.float32 for t in held)
 
 
 # --- generator variants ------------------------------------------------------------
