@@ -215,7 +215,21 @@ def read_xyz(path):
                 raise ParseError(f"{path}: line {lineno}: bad number") from None
     if not rows:
         raise ParseError(f"{path}: no points")
-    return np.asarray(rows)
+
+    def lineno_of(row):  # read again only for a file that fails
+        with open(path) as fh:
+            return [n for n, line in enumerate(fh, start=1) if line.strip()][row]
+
+    return _finite(path, np.asarray(rows), lineno_of)
+
+
+def _finite(path, points, lineno_of):
+    """``points``, or ParseError naming the line of the first row holding a
+    NaN or an infinity; ``lineno_of(row)`` gives a row's line number."""
+    if not np.isfinite(points).all():
+        row = int(np.argmin(np.isfinite(points).all(axis=1)))
+        raise ParseError(f"{path}: line {lineno_of(row)}: non-finite coordinate")
+    return points
 
 
 def write_ply(path, cloud):
@@ -285,7 +299,7 @@ def read_ply(path):
             points.append([float(row[axis]) for axis in "xyz"])
         except ValueError:
             fail(n, "bad number")
-    return np.asarray(points)
+    return _finite(path, np.asarray(points), lambda row: rows[row][0])
 
 
 def _ply_row(path, lineno, parts, props):

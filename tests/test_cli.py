@@ -608,6 +608,18 @@ def test_train_out_existing_directory_exits_2_and_writes_nothing(micro_dataset, 
     assert sorted(micro_dataset.rglob("*")) == before
 
 
+def test_train_non_finite_coordinate_exits_2_naming_the_file(micro_dataset, capsys):
+    # a NaN used to pass the reader, write an empty <out>.losses.csv and fail
+    # at step 1 without naming the file
+    gt = sorted((micro_dataset / "data" / "train").glob("*_gt.xyz"))[1]
+    lines = gt.read_text().splitlines()
+    lines[4] = "nan 0 0"
+    gt.write_text("\n".join(lines) + "\n")
+    assert run_train(micro_dataset, "model.ckpt") == 2
+    assert f"{gt}: line 5: non-finite coordinate" in capsys.readouterr().err
+    assert not list(micro_dataset.glob("model.ckpt*"))
+
+
 @pytest.mark.parametrize("metrics", [",", "", " , "])
 def test_eval_with_no_metric_exits_2_before_loading(micro_dataset, capsys, monkeypatch,
                                                     metrics):

@@ -131,6 +131,16 @@ def test_xyz_malformed_line_reports_number(tmp_path):
     assert "line 2" in str(err.value)
 
 
+@pytest.mark.parametrize("text, line", [("0 0 0\n\n1 nan 2\n", 3), ("-inf 0 0\n", 1)],
+                         ids=["nan-after-a-blank-line", "infinity"])
+def test_xyz_non_finite_coordinate_reports_file_and_line(tmp_path, text, line):
+    # NaN and infinite coordinates used to be read as points
+    path = tmp_path / "bad.xyz"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=f"line {line}: non-finite coordinate"):
+        data.read_xyz(path)
+
+
 def test_ply_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     pts = rng.standard_normal((20, 3))
@@ -188,8 +198,9 @@ def test_ply_reads_past_list_properties_and_earlier_elements(tmp_path, header, r
     ("element vertex 1\nproperty float\n" + _XYZ, "0 0 0\n", 4),
     ("element face 2\nproperty list uchar int idx\nelement vertex 1\n" + _XYZ,
      "0\n0 0 0\n", 11),
+    ("element vertex 2\n" + _XYZ, "0 0 0\n0 inf 0\n", 9),
 ], ids=["list-count-not-a-number", "list-longer-than-the-row", "short-row", "listed-x",
-        "property-without-a-name", "a-face-row-short-of-the-vertices"])
+        "property-without-a-name", "a-face-row-short-of-the-vertices", "non-finite"])
 def test_ply_rejects_rows_that_do_not_fit_the_header(tmp_path, header, rows, line):
     with pytest.raises(ParseError, match=f"line {line}:"):
         data.read_ply(_ply(tmp_path, header, rows))
