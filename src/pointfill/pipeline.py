@@ -1,9 +1,9 @@
 """Model assembly, config text, training loop and losses.
 
 :class:`ModelConfig` declares each model setting once: a field's default
-gives the type its ``key = value`` text parses to, every int field but
-``init_seed`` is a size of at least 1, and no neighborhood size may exceed
-the points it searches. A :class:`CompletionModel` chains the encoder, the
+gives the type a value must have and its ``key = value`` text parses to,
+every int field but ``init_seed`` is a size of at least 1, and no
+neighborhood size may exceed the points it searches. A :class:`CompletionModel` chains the encoder, the
 seed generator and a stack of refinement stages. ``forward`` returns the
 seed set plus every stage output. ``run_training`` is the one training
 loop: per step it zeroes the gradients, runs each cloud's forward, loss and
@@ -14,6 +14,7 @@ checkpoint records are written and checked in ``checkpoint``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -38,6 +39,11 @@ from .losses import (
 )
 
 _PRECISIONS = {"float32": np.float32, "float64": np.float64}
+
+# what a field whose default has this type accepts, and its name in errors
+_TYPES = {int: numbers.Integral, float: numbers.Real, str: str}
+_TYPE_NAMES = {int: "an integer", float: "a real number", str: "a string",
+               tuple: "a tuple of integers"}
 
 # Adam's moment decays and denominator guard, and the learning-rate factor
 # applied every ``lr_decay_every`` steps
@@ -75,10 +81,16 @@ class ModelConfig:
     init_seed: int = 0
 
     def __post_init__(self):
-        self.rates = tuple(int(r) for r in self.rates)
         self.validate()
 
     def validate(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _fits(f.default, value):
+                raise ContractError(
+                    f"config field {f.name} must be {_TYPE_NAMES[type(f.default)]}, "
+                    f"got {value!r}"
+                )
         # every int field but the seed is a count, width or k
         small = sorted(
             f.name for f in fields(self) if type(f.default) is int
@@ -211,6 +223,14 @@ class ModelConfig:
         """The config as ``key = value`` lines, ``extra`` pairs appended."""
         items = {**self.to_mapping(), **(extra or {})}
         return "".join(f"{k} = {v}\n" for k, v in items.items())
+
+
+def _fits(default, value):
+    """Whether ``value`` has the type of a field whose default is ``default``;
+    a bool is not an integer here, nor a real number."""
+    if isinstance(default, tuple):
+        return isinstance(value, tuple) and all(_fits(0, v) for v in value)
+    return isinstance(value, _TYPES[type(default)]) and not isinstance(value, bool)
 
 
 def _parse_field(default, raw):

@@ -406,10 +406,18 @@ BAD_CHOICES = [
 ]
 
 
+# values not of their field's type: a rate of 2.5 was truncated to 2, a
+# width of 64.5 failed at model construction, and the others validated
+WRONG_TYPES = [
+    {"rates": (1, 2.5)}, {"channels": 64.5}, {"init_seed": 1.5}, {"attention_k": True},
+    {"rates": [1, 2]}, {"attention_scale": "1.0"}, {"generator": None},
+]
+
+
 @pytest.mark.parametrize(
     "overrides",
     [{name: 0} for name in SIZE_FIELDS] + [{"channels": -3}, {"init_seed": -1}]
-    + OVER_SEARCHED + BAD_CHOICES,
+    + OVER_SEARCHED + BAD_CHOICES + WRONG_TYPES,
     ids=lambda o: "{}={}".format(*next(iter(o.items()))),
 )
 def test_model_config_rejects_values_below_range(overrides):
