@@ -1,4 +1,5 @@
-"""The demo scripts and the benchmark's smoke test run to completion.
+"""The demo scripts, the benchmark's smoke test and the protocol tool run
+to completion.
 
 Demo 06 trains a desk model for about half a minute and is left to manual
 runs: ``python3 demos/06_toy_training.py``.
@@ -19,15 +20,29 @@ def test_demo_set_is_complete():
     assert [p.name[:2] for p in DEMOS] == ["01", "02", "03", "04", "05"]
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
-def test_demo_exits_zero(demo, tmp_path):
+def _run_with_src(script, cwd, *args):
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    result = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
+    return subprocess.run(
+        [sys.executable, str(script), *args], cwd=cwd, env=env,
         capture_output=True, text=True, timeout=300,
     )
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_exits_zero(demo, tmp_path):
+    result = _run_with_src(demo, tmp_path)
     assert result.returncode == 0, result.stderr
+
+
+def test_protocol_digest_is_equal_across_processes(tmp_path):
+    runs = [_run_with_src(ROOT / "tools" / "protocol.py", tmp_path, "digest", "--micro")
+            for _ in range(2)]
+    for result in runs:
+        assert result.returncode == 0, result.stderr
+    lines = runs[0].stdout.splitlines()
+    assert len(lines) > 100 and all(len(line.split()[1]) == 64 for line in lines)
+    assert runs[0].stdout == runs[1].stdout
 
 
 def test_benchmark_smoke_exits_zero():
