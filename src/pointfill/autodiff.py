@@ -715,7 +715,8 @@ def attention_head(x, values, w0, b0, w1, variant="softmax", lam=1.0, capture=No
         raise ShapeError(f"attention_head expects (n, k, C) values, got {values.shape}")
     n, k, c = values.shape
     _check_affine(x, w0, b0, "attention_head")
-    if x.shape[0] != n * k or w1.ndim != 2 or w1.shape[0] != w0.shape[1] or w1.shape[1] not in (1, c):
+    if (x.shape[0] != n * k or w1.ndim != 2 or w1.shape[0] != w0.shape[1]
+            or w1.shape[1] not in (1, c)):
         raise ShapeError(f"attention_head: x {x.shape}, hidden width {w0.shape[1]} and "
                          f"weight {w1.shape} do not fit values {values.shape}")
     if not x.dtype == values.dtype == w1.dtype:

@@ -1,9 +1,9 @@
 """Model assembly, config text, training loop and losses.
 
 :class:`ModelConfig` declares each model setting once: a field's default
-gives the type a value must have and its ``key = value`` text parses to,
-every int field but ``init_seed`` is a size of at least 1, and no
-neighborhood size may exceed the points it searches. A :class:`CompletionModel` chains the encoder, the
+gives the type its ``key = value`` text parses to, every int field but
+``init_seed`` is a size of at least 1, and no neighborhood size may exceed
+the points it searches. A :class:`CompletionModel` chains the encoder, the
 seed generator and a stack of refinement stages. ``forward`` returns the
 seed set plus every stage output. ``run_training`` is the one training
 loop: per step it zeroes the gradients, runs each cloud's forward, loss and
