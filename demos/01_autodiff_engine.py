@@ -19,9 +19,10 @@ print(f"loss = {loss.item():.1f} (tape holds {len(tape)} primitive records)")
 tape.backward(loss)
 print("d(sum x^2)/dx =", x.grad, "(expected 2x)")
 
-# A less trivial composite: one attention head. A two-layer kernel turns
-# each (point, neighbor) row into logits, a softmax over the 6 neighbors of
-# each of 4 points makes them weights, and the weights sum the values.
+# A less trivial composite: upsample attention with one kernel. A two-layer
+# kernel turns each (point, neighbor) row into logits, a softmax over the 6
+# neighbors of each of 4 points makes them weights, and the weights sum the
+# values. With more kernels, each gives its own output row per point.
 rng = np.random.default_rng(0)
 n, k, c = 4, 6, 3
 rows = ad.tensor(rng.standard_normal((n * k, c)), requires_grad=True)
@@ -30,7 +31,7 @@ w0, b0 = ad.tensor(rng.standard_normal((c, c))), ad.tensor(np.zeros(c))
 w1 = ad.tensor(rng.standard_normal((c, c)))
 weights = []
 with ad.Tape() as tape:
-    head = ad.attention_head(rows, values, w0, b0, w1, "softmax", capture=weights)
+    head = ad.upsample_attention(rows, values, [(w0, b0, w1)], "softmax", capture=weights)
     score = ad.reduce_sum(ad.mul(head, ad.constant(rng.standard_normal((n, c)))))
 tape.backward(score)
 print("softmax weights sum over the neighbors to", weights[0].data.sum(axis=1)[0].round(12))

@@ -1,4 +1,4 @@
-"""Inside the generator: seed creation, attention modes, upsampling stages.
+"""Inside the generator: seed creation, attention settings, upsampling stages.
 
 Run: python3 demos/05_seeds_and_upsampling.py
 """
@@ -8,7 +8,6 @@ import numpy as np
 from pointfill import autodiff as ad
 from pointfill.geometry import PointSet
 from pointfill.generator import (
-    AttentionMode,
     SeedGenerator,
     UpsampleStage,
     UpsampleTransformer,
@@ -23,17 +22,20 @@ core = UpsampleTransformer(np.random.default_rng(0), channels=16, rate=2, k=6)
 cloud = ad.tensor(rng.standard_normal((24, 3)))
 feats = ad.tensor(rng.standard_normal((24, 16)))
 capture = {}
-out = core(feats, feats, cloud, mode=AttentionMode("softmax"), capture=capture)
+out = core(feats, feats, cloud, capture=capture)
 print(f"upsampled {cloud.shape[0]} points -> {out.shape[0]} feature rows")
 w = capture["weights"][0].data
 print("softmax weight sums (first 3 points, first 2 channels):")
 print(w.sum(axis=1)[:3, :2].round(6))
 
-# Attention modes change the normalization; without softmax the weights
-# are free to leave (0, 1), which helps generate points beyond the input.
+# The attention setting, fixed when a transformer is built, changes the
+# normalization; without softmax the weights are free to leave (0, 1), which
+# helps generate points beyond the input. It draws nothing from the rng, so
+# each core below holds the same weights as the one above.
 for mode in ("softmax", "none", "scaled", "log"):
     c = {}
-    core(feats, feats, cloud, mode=AttentionMode(mode, lam=2.0), capture=c)
+    UpsampleTransformer(np.random.default_rng(0), channels=16, rate=2, k=6,
+                        attention=mode, lam=2.0)(feats, feats, cloud, capture=c)
     vals = c["weights"][0].data
     print(f"mode {mode:8s} weight range [{vals.min():+.2f}, {vals.max():+.2f}]")
 

@@ -31,7 +31,6 @@ from .errors import (
     ShapeError,
 )
 from .generator import (
-    AttentionMode,
     SeedGenerator,
     UpsampleStage,
     UpsampleTransformer,

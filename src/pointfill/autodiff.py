@@ -13,8 +13,8 @@ Design rules kept deliberately strict so the adjoint code stays auditable:
   ``sub`` and ``mul`` also take a python scalar on either side, ``add``
   does not;
 * only the linear ops (their bias, over rows), ``neighbor_sum`` (its
-  weights, over channels) and ``attention_head`` (width-1 weights, over
-  channels) broadcast, and each owns that adjoint;
+  weights, over channels) and ``upsample_attention`` (width-1 weights,
+  over channels) broadcast, and each owns that adjoint;
 * without an active tape the primitives just compute values (inference mode).
 
 A record keeps gradient nodes, not values. Its output, and each input that
@@ -22,7 +22,7 @@ an earlier record on the same tape produced, is a small node holding a grad
 slot, the shape and the dtype; the caller's Tensor points to its node. Other
 inputs that need a gradient, the leaves, are kept as the Tensors themselves.
 An adjoint closure keeps only the arrays it reads (a linear's input, an
-activation, a head's hidden block and weights, indices), plus shapes, dtypes
+activation, each attention kernel's hidden block and weights, indices), plus shapes, dtypes
 and ``requires_grad`` flags. So a forward value lives only while the caller
 holds it or an adjoint will read it.
 
@@ -613,10 +613,10 @@ def repeat_rows(x, r):
 # ---------------------------------------------------------------------------
 # Neighbor attention
 
-#: How a head normalizes its logits over the k neighbors of each point.
+#: How an attention kernel normalizes its logits over the k neighbors of each point.
 ATTENTION_VARIANTS = ("softmax", "none", "scaled", "log")
 
-# Rows per attention_head tile. A (2048, 128) float32 block is 1 MB, so each
+# Rows per upsample_attention tile. A (2048, 128) float32 block is 1 MB, so each
 # block a tile makes (hidden activation, logits, weighted values) is still in
 # a 2 MB per-core L2 when the next step reads it; full (n*k, C) blocks at
 # 16k points are 16.8 MB and go through memory between steps.
@@ -680,95 +680,114 @@ def _tiles(n, k):
     return zip(starts, starts[1:] + [n])
 
 
-def attention_head(x, values, w0, b0, w1, variant="softmax", lam=1.0, capture=None):
-    """One attention kernel head as one record, computed in point tiles.
+def upsample_attention(x, values, kernels, variant="softmax", lam=1.0, capture=None):
+    """The ``rate`` attention kernels of an upsample transformer as one
+    record, computed in point tiles.
 
     For (n*k, i) rows ``x`` (row ``i*k + j`` pairs point i with neighbor j)
-    and (n, k, C) ``values``, the kernel's logits are
-    ``relu(x @ w0 + b0) @ w1`` reshaped to (n, k, W), with W = C (one
-    weight per channel) or W = 1 (one weight per neighbor). They are
-    normalized over the k neighbors by ``variant`` (``scaled`` multiplies
-    by ``lam`` before the softmax; ``log`` gives log-weights; ``none`` keeps
-    the logits), and the result is ``sum_j weights[i, j] * values[i, j]``,
-    (n, C). The output map ``w1`` has no bias: a logit shift that every
-    neighbor shares leaves softmax, scaled and log weights unchanged (so a
-    bias there would never receive a gradient), and under ``none`` the model
-    held that bias at a constant zero.
+    and (n, k, C) ``values``, kernel m, the m-th ``(w0, b0, w1)`` of
+    ``kernels``, has the logits ``relu(x @ w0 + b0) @ w1`` reshaped to
+    (n, k, W), with W = C (one weight per channel) or W = 1 (one weight per
+    neighbor). They are normalized over the k neighbors by ``variant``
+    (``scaled`` multiplies by ``lam`` before the softmax; ``log`` gives
+    log-weights; ``none`` keeps the logits), and row ``i*rate + m`` of the
+    (n*rate, C) output is ``sum_j weights[i, j] * values[i, j]``. ``w1`` has
+    no bias: a logit shift that every neighbor shares leaves softmax, scaled
+    and log weights unchanged, so it would get no gradient, and under
+    ``none`` the model held it at zero.
 
-    Each tile of about _TILE_ROWS rows runs the whole chain while its blocks
-    are in cache. Every step but the GEMMs works per point, and the weight
-    and bias gradients are full-size GEMMs and sums, so the op gives the bits
-    of ``linear_relu``, ``linear``, a reshape, the normalization and the
-    weighted sum over all rows, gradients included, wherever a GEMM over
-    a tile's rows gives the bits of those rows of the full GEMM. OpenBLAS
-    does at the model's shapes (hidden width C), not at every shape: with
-    float64 and an 18-wide hidden layer, a 2,048-row tile rounds differently
-    from the same rows of a product over 4,096 rows.
+    Each tile of about _TILE_ROWS rows runs every kernel's whole chain while
+    its blocks are in cache. Every step but the GEMMs works per point, and
+    the weight and bias gradients are full-size GEMMs and sums, so each
+    kernel gives the bits of ``linear_relu``, ``linear``, a reshape, the
+    normalization and the weighted sum over all rows, gradients included,
+    wherever a GEMM over a tile's rows gives the bits of those rows of the
+    full GEMM. OpenBLAS does at the model's shapes (hidden width C), not at
+    every shape (float64 with an 18-wide hidden layer, for one). The adjoint
+    sums the kernels' ``x`` and ``values`` gradients from the last to the first.
 
-    Recorded, the op keeps only the hidden activation (n*k, hidden) and the
-    weights (n, k, W), and its adjoint recomputes nothing; unrecorded, it
-    keeps nothing. ``capture``, an optional list, receives the weights as a
-    constant Tensor.
+    Recorded, the op keeps only each kernel's hidden activation (n*k, hidden)
+    and weights (n, k, W), and its adjoint recomputes nothing; unrecorded, it
+    keeps nothing. ``capture``, an optional list, receives each kernel's
+    weights as a constant Tensor.
     """
     check_attention(variant, lam)
     if values.ndim != 3:
-        raise ShapeError(f"attention_head expects (n, k, C) values, got {values.shape}")
+        raise ShapeError(f"upsample_attention expects (n, k, C) values, got {values.shape}")
     n, k, c = values.shape
-    _check_affine(x, w0, b0, "attention_head")
-    if (x.shape[0] != n * k or w1.ndim != 2 or w1.shape[0] != w0.shape[1]
-            or w1.shape[1] not in (1, c)):
-        raise ShapeError(f"attention_head: x {x.shape}, hidden width {w0.shape[1]} and "
-                         f"weight {w1.shape} do not fit values {values.shape}")
-    if not x.dtype == values.dtype == w1.dtype:
-        raise ContractError(f"attention_head: dtypes {x.dtype}, {values.dtype}, {w1.dtype} differ")
-    width = w1.shape[1]
-    inputs = [x, values, w0, b0, w1]
-    record = any(t.requires_grad for t in inputs) and _ACTIVE_TAPE.get() is not None
+    for w0, b0, w1 in kernels:
+        _check_affine(x, w0, b0, "upsample_attention")
+        if (x.shape[0] != n * k or w1.ndim != 2 or w1.shape[0] != w0.shape[1]
+                or w1.shape[1] not in (1, c)):
+            raise ShapeError(f"upsample_attention: x {x.shape}, hidden width {w0.shape[1]} "
+                             f"and weight {w1.shape} do not fit values {values.shape}")
+        if not x.dtype == values.dtype == w1.dtype:
+            raise ContractError(
+                f"upsample_attention: dtypes {x.dtype}, {values.dtype}, {w1.dtype} differ")
+    inputs = [x, values, *(t for kernel in kernels for t in kernel)]
+    needs = [t.requires_grad for t in inputs]
+    record = any(needs) and _ACTIVE_TAPE.get() is not None
     xd, v, lam = x.data, values.data, x.dtype.type(lam)
-    w0d, w1d = w0.data, w1.data
-    needs_x, needs_v, needs_w0, needs_b0, needs_w1 = (t.requires_grad for t in inputs)
-    out = np.empty((n, c), dtype=x.dtype)
-    hidden = np.empty((n * k, w0.shape[1]), x.dtype) if record else None
-    weights = np.empty((n, k, width), x.dtype) if record or capture is not None else None
+    arrays = [[t.data for t in kernel] for kernel in kernels]  # each kernel's w0, b0, w1
+    rate = len(arrays)
+    out = np.empty((n, rate, c), dtype=x.dtype)
+    hidden = [np.empty((n * k, w0.shape[1]), x.dtype) if record else None for w0, _, _ in arrays]
+    weights = [np.empty((n, k, w1.shape[1]), x.dtype) if record or capture is not None
+               else None for _, _, w1 in arrays]
     for a, b in _tiles(n, k):
         rows = slice(a * k, b * k)
-        h = np.matmul(xd[rows], w0d, out=None if hidden is None else hidden[rows])
-        h += b0.data
-        _relu_(h)
-        kept = None if weights is None else weights[a:b].reshape(-1, width)
-        r = np.matmul(h, w1d, out=kept).reshape(b - a, k, width)
-        out[a:b] = _weighted_sum(_normalize_(r, variant, lam), v[a:b])
+        for m, (w0d, b0d, w1d) in enumerate(arrays):
+            h = np.matmul(xd[rows], w0d, out=None if hidden[m] is None else hidden[m][rows])
+            h += b0d
+            _relu_(h)
+            kept = None if weights[m] is None else weights[m][a:b].reshape(len(h), -1)
+            r = np.matmul(h, w1d, out=kept).reshape(b - a, k, -1)
+            out[a:b, m] = _weighted_sum(_normalize_(r, variant, lam), v[a:b])
     if capture is not None:
-        capture.append(Tensor(weights))
+        capture.extend(Tensor(w) for w in weights)
 
     def back(g):
-        nonlocal hidden, weights  # the tape is single-use: drop each block once read
-        gv = np.empty_like(v) if needs_v else None
-        gr = np.empty((n, k, width), xd.dtype)
-        for a, b in _tiles(n, k):  # the weighted sum's and the normalization's adjoints
-            s = weights[a:b]
-            gs = _weighted_sum_back(g[a:b], s, v[a:b], gr[a:b], None if gv is None else gv[a:b])
-            _normalize_back_(gs, s, variant, lam)
-        weights = None
-        gr = gr.reshape(n * k, width)
-        # weight and bias gradients sum over all n*k rows: one full-size call
-        # each, as the unfused linear adjoints make
-        gw1 = hidden.T @ gr if needs_w1 else None
-        gx = gw0 = gb0 = None
-        if needs_x or needs_w0 or needs_b0:
-            gz = gr if width == hidden.shape[1] else np.empty_like(hidden)  # gz takes gr's rows
-            gx = np.empty_like(xd) if needs_x else None
-            for a, b in _tiles(n, k):  # the kernel's adjoints
-                rows = slice(a * k, b * k)
-                np.multiply(gr[rows] @ w1d.T, hidden[rows] > 0, out=gz[rows])
-                if gx is not None:
-                    np.matmul(gz[rows], w0d.T, out=gx[rows])
-            hidden = None
-            gw0 = xd.T @ gz if needs_w0 else None
-            gb0 = gz.sum(axis=0) if needs_b0 else None
-        return (gx, gv, gw0, gb0, gw1)
+        def kernel_back(m, g):
+            # the adjoint of kernel m's (n, C) output; a function of its own so
+            # its tile views die before the next kernel's blocks are made
+            (w0d, _, w1d), width = arrays[m], arrays[m][2].shape[1]
+            needs_w0, needs_b0, needs_w1 = needs[2 + 3 * m: 5 + 3 * m]
+            gv = np.empty_like(v) if needs[1] else None
+            gr = np.empty((n, k, width), xd.dtype)
+            for a, b in _tiles(n, k):  # the weighted sum's and the normalization's adjoints
+                s = weights[m][a:b]
+                gs = _weighted_sum_back(g[a:b], s, v[a:b], gr[a:b],
+                                        None if gv is None else gv[a:b])
+                _normalize_back_(gs, s, variant, lam)
+            weights[m] = None  # the tape is single-use: drop each block once read
+            gr = gr.reshape(n * k, width)
+            # weight and bias gradients sum over all n*k rows: one full-size
+            # call each, as the unfused linear adjoints make
+            gw1 = hidden[m].T @ gr if needs_w1 else None
+            gx = gw0 = gb0 = None
+            if needs[0] or needs_w0 or needs_b0:
+                # gz takes gr's rows
+                gz = gr if width == hidden[m].shape[1] else np.empty_like(hidden[m])
+                gx = np.empty_like(xd) if needs[0] else None
+                for a, b in _tiles(n, k):  # the kernel's adjoints
+                    rows = slice(a * k, b * k)
+                    np.multiply(gr[rows] @ w1d.T, hidden[m][rows] > 0, out=gz[rows])
+                    if gx is not None:
+                        np.matmul(gz[rows], w0d.T, out=gx[rows])
+                gw0 = xd.T @ gz if needs_w0 else None
+                gb0 = gz.sum(axis=0) if needs_b0 else None
+            hidden[m] = None
+            return gx, gv, gw0, gb0, gw1
 
-    return _emit(out, inputs, back)
+        g = g.reshape(n, rate, c)
+        grads = [None] * (2 + 3 * rate)
+        for m in reversed(range(rate)):  # the x and values sums run last kernel first
+            gx, gv, *grads[2 + 3 * m: 5 + 3 * m] = kernel_back(m, g[:, m])
+            for i, gin in ((0, gx), (1, gv)):  # None for every kernel or for none
+                grads[i] = gin if grads[i] is None else np.add(grads[i], gin, out=grads[i])
+        return grads
+
+    return _emit(out.reshape(n * rate, c), inputs, back)
 
 
 # ---------------------------------------------------------------------------

@@ -11,22 +11,21 @@ produces channel-wise attention logits
 where ``delta_ij = pos_encoder(p_i - p_j) + seed_encoder(s_i - s_j)`` mixes
 a positional term with a regional term from the seed features interpolated
 at the points (positional only when none are supplied). The logits are
-normalized over the neighborhood by the attention mode (the seed
-generator's is a config choice; refinement stages always use softmax) and
-combined with the per-point values:
+normalized over the neighborhood by the transformer's attention setting
+(the seed generator's is a config choice; refinement stages always use
+softmax) and combined with the per-point values:
 
     h[i, m] = sum_j a[i, j, m] * (value_map(v_j) + delta_ij)
 
-Each kernel, its normalization and that sum are one ``ad.attention_head``
-record. Output rows are stacked kernel-fastest: row ``i * rate + m`` belongs to
-source point ``i`` and kernel ``m``, matching plain row duplication of the
-source cloud.
+All ``rate`` kernels, their normalization and those sums are one
+``ad.upsample_attention`` record. Output rows are stacked kernel-fastest: row
+``i * rate + m`` belongs to source point ``i`` and kernel ``m``, matching
+plain row duplication of the source cloud.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,23 +33,6 @@ from . import autodiff as ad
 from . import geometry
 from .errors import ContractError, ShapeError
 from .layers import Linear, Mlp2, Module
-
-@dataclass
-class AttentionMode:
-    """How raw attention logits are normalized over a neighborhood.
-
-    ``softmax`` is the standard choice, ``none`` passes the logits through
-    unchanged (weights may leave (0, 1), useful when generating points
-    outside the seen region), ``scaled`` applies softmax to ``lam * logits``
-    (``lam`` finite and > 0) and ``log`` uses log-softmax (weights are
-    nonpositive by construction).
-    """
-
-    variant: str = "softmax"
-    lam: float = 1.0
-
-    def __post_init__(self):
-        ad.check_attention(self.variant, self.lam)
 
 
 def _neighbor_rows(cloud_np, k):
@@ -89,12 +71,21 @@ class UpsampleTransformer(Module):
         seed_channels: width of interpolated seed features, or None to run
             without the regional encoding term.
         pointwise: one scalar weight per neighbor instead of per channel.
+        attention: how the logits are normalized over a neighborhood, one of
+            ``ad.ATTENTION_VARIANTS``. ``softmax`` is the standard choice,
+            ``none`` passes the logits through unchanged (weights may leave
+            (0, 1), useful when generating points outside the seen region),
+            ``scaled`` applies softmax to ``lam * logits`` and ``log`` uses
+            log-softmax (weights are nonpositive by construction).
+        lam: the ``scaled`` factor, finite and > 0.
     """
 
     def __init__(self, rng, channels, rate, k=16, seed_channels=None,
-                 pointwise=False):
+                 pointwise=False, attention="softmax", lam=1.0):
         if rate < 1:
             raise ContractError("rate must be >= 1")
+        ad.check_attention(attention, lam)
+        self.attention, self.lam = attention, lam
         self.channels = channels
         self.rate = rate
         self.k = k
@@ -114,8 +105,7 @@ class UpsampleTransformer(Module):
             for _ in range(rate)
         ]
 
-    def __call__(self, queries, keys, cloud, seed_features=None, mode=None,
-                 capture=None):
+    def __call__(self, queries, keys, cloud, seed_features=None, capture=None):
         """Run the attention upsampling.
 
         Args:
@@ -124,7 +114,6 @@ class UpsampleTransformer(Module):
             cloud: (n, 3) Tensor of point coordinates.
             seed_features: optional (n, seed_channels) seed features
                 interpolated at ``cloud``, for the regional encoding term.
-            mode: AttentionMode; defaults to softmax.
             capture: optional dict for inspection in tests and demos.
                 ``capture["weights"]`` receives each kernel's normalized
                 weights, shaped (n, k, channels), or (n, k, 1) when
@@ -136,7 +125,6 @@ class UpsampleTransformer(Module):
         n = cloud.shape[0]
         if queries.shape[0] != n or keys.shape[0] != n:
             raise ShapeError("queries, keys and cloud must agree on row count")
-        mode = mode or AttentionMode("softmax")
         k, c = self.k, self.channels
         nbrs = _neighbor_rows(cloud.data, k)
 
@@ -160,14 +148,11 @@ class UpsampleTransformer(Module):
         weights = None
         if capture is not None:
             weights = capture["weights"] = []
-        heads = [
-            ad.attention_head(
-                logits_in, value_term, kernel.lin0.w, kernel.lin0.b, kernel.lin1.w,
-                mode.variant, mode.lam, capture=weights,
-            )
-            for kernel in self.kernels
-        ]
-        return _stack_heads(heads)
+        return ad.upsample_attention(
+            logits_in, value_term,
+            [(kernel.lin0.w, kernel.lin0.b, kernel.lin1.w) for kernel in self.kernels],
+            self.attention, self.lam, capture=weights,
+        )
 
 
 class FoldingCore(Module):
@@ -181,7 +166,7 @@ class FoldingCore(Module):
         self.grid = _folding_grid(rate)
         self.shared_map = Mlp2(rng, channels + 2, channels, channels)
 
-    def __call__(self, queries, keys=None, cloud=None, seed_features=None, mode=None):
+    def __call__(self, queries, keys=None, cloud=None, seed_features=None):
         n = queries.shape[0]
         grids = (ad.constant(np.tile(g, (n, 1)), like=queries) for g in self.grid)
         heads = (self.shared_map(ad.concat([queries, g], axis=1)) for g in grids)
@@ -201,7 +186,7 @@ class DeconvCore(Module):
     def __init__(self, rng, channels, rate, **_):
         self.splits = [Linear(rng, channels, channels) for _ in range(rate)]
 
-    def __call__(self, queries, keys=None, cloud=None, seed_features=None, mode=None):
+    def __call__(self, queries, keys=None, cloud=None, seed_features=None):
         return _stack_heads(split(queries) for split in self.splits)
 
 
@@ -215,7 +200,7 @@ class GraphConvCore(Module):
             Mlp2(rng, channels, channels, channels) for _ in range(rate)
         ]
 
-    def __call__(self, queries, keys=None, cloud=None, seed_features=None, mode=None):
+    def __call__(self, queries, keys=None, cloud=None, seed_features=None):
         n = queries.shape[0]
         nbrs = _neighbor_rows(cloud.data, self.k)
         k, c = self.k, self.channels
@@ -237,10 +222,10 @@ GENERATOR_VARIANTS = tuple(_CORES)
 NEIGHBORHOOD_VARIANTS = ("uptrans", "graphconv", "pointwise")  # cores that search k
 
 
-def make_core(variant, rng, channels, rate, k=16, seed_channels=None):
+def make_core(variant, rng, channels, rate, **options):
     if variant not in _CORES:
         raise ContractError(f"unknown generator variant {variant!r}")
-    return _CORES[variant](rng, channels, rate, k=k, seed_channels=seed_channels)
+    return _CORES[variant](rng, channels, rate, **options)
 
 
 class SeedGenerator(Module):
@@ -255,11 +240,10 @@ class SeedGenerator(Module):
     """
 
     def __init__(self, rng, patch_channels, seed_channels, rate=2, k=16,
-                 mode=None, variant="uptrans"):
-        self.mode = mode or AttentionMode("none")
+                 variant="uptrans", attention="none", lam=1.0):
         self.query_proj = Linear(rng, patch_channels, seed_channels)
         self.key_proj = Linear(rng, patch_channels, seed_channels)
-        self.core = make_core(variant, rng, seed_channels, rate, k=k, seed_channels=None)
+        self.core = make_core(variant, rng, seed_channels, rate, k=k, attention=attention, lam=lam)
         self.coord_map = Mlp2(
             rng, seed_channels + patch_channels, seed_channels, 3, zero_last=True,
         )
@@ -272,7 +256,7 @@ class SeedGenerator(Module):
         """
         q = self.query_proj(patches.features)
         keys = self.key_proj(patches.features)
-        feats = self.core(q, keys, patches.cloud, mode=self.mode)
+        feats = self.core(q, keys, patches.cloud)
         pooled = ad.reshape(
             ad.max_over_axis(patches.features, axis=0), (1, self.patch_channels)
         )

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import geometry
-from .generator import AttentionMode, UpsampleStage, UpsampleTransformer, make_core
+from .generator import UpsampleStage, UpsampleTransformer, make_core
 from .losses import chamfer, completion_loss, partial_matching_loss
 from .pipeline import CompletionModel, ModelConfig
 
@@ -90,7 +90,7 @@ def _case_attention_head(name, variant, width):
         probe = rng.standard_normal((n, c))
 
         def fn(x, values, w0, b0, w1):
-            out = ad.attention_head(x, values, w0, b0, w1, variant, lam=1.7)
+            out = ad.upsample_attention(x, values, [(w0, b0, w1)], variant, lam=1.7)
             return ad.reduce_sum(ad.mul(out, ad.constant(probe, like=x)))
 
         return fn, inputs
@@ -246,11 +246,11 @@ def _case_interpolation():
     return fn, [feats]
 
 
-def _case_uptrans(mode):
+def _case_uptrans(attention, lam=1.0):
     def build():
         rng = _rng(30)
         n, c, cs = 8, 6, 4
-        core = UpsampleTransformer(rng, c, rate=2, k=3, seed_channels=cs)
+        core = UpsampleTransformer(rng, c, 2, k=3, seed_channels=cs, attention=attention, lam=lam)
         cloud = _cloud(rng, n)
         seeds = geometry.PointSet(
             ad.tensor(_cloud(rng, 5)), ad.tensor(rng.standard_normal((5, cs)))
@@ -263,7 +263,7 @@ def _case_uptrans(mode):
 
         def fn(q, k, cloud, *params):
             s = geometry.interpolate_seed_features(cloud.data, seeds, 2)
-            out = core(q, k, cloud, seed_features=s, mode=mode)
+            out = core(q, k, cloud, seed_features=s)
             return ad.reduce_sum(ad.mul(out, ad.constant(probe, like=q)))
 
         return fn, [queries, keys, cloud_t, *params]
@@ -283,7 +283,7 @@ def _ablation_case(variant, seed):
         probe = 0.01 * rng.standard_normal((n * 2, c))
 
         def fn(q, k, *params):
-            out = core(q, k, cloud, mode=AttentionMode("softmax"))
+            out = core(q, k, cloud)
             return ad.reduce_sum(ad.mul(out, ad.constant(probe, like=q)))
 
         return fn, [q, k, *params]
@@ -372,10 +372,10 @@ CASES = {
     "neighbor_diff": _case_neighbor_diff(False, 13),
     "neighbor_diff_shared": _case_neighbor_diff(True, 14),
     "interpolation": _case_interpolation,
-    "uptrans_softmax": _case_uptrans(AttentionMode("softmax")),
-    "uptrans_none": _case_uptrans(AttentionMode("none")),
-    "uptrans_scaled": _case_uptrans(AttentionMode("scaled", lam=1.7)),
-    "uptrans_log": _case_uptrans(AttentionMode("log")),
+    "uptrans_softmax": _case_uptrans("softmax"),
+    "uptrans_none": _case_uptrans("none"),
+    "uptrans_scaled": _case_uptrans("scaled", lam=1.7),
+    "uptrans_log": _case_uptrans("log"),
     "generator_folding": _ablation_case("folding", 31),
     "generator_deconv": _ablation_case("deconv", 32),
     "generator_graphconv": _ablation_case("graphconv", 33),

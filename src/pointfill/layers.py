@@ -69,7 +69,7 @@ class Linear(Module):
 
     ``zero_init`` starts the layer at the zero function. With ``bias=False``
     the layer holds only ``w`` and is not callable: an attention kernel's
-    output map has no bias (see ``ad.attention_head``), and the head reads
+    output map has no bias (see ``ad.upsample_attention``), which reads
     that ``w`` itself, so ``ad.linear`` needs no bias-less path.
     """
 

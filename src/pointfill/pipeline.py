@@ -26,7 +26,6 @@ from .errors import ContractError, NumericsError, ParseError
 from .generator import (
     GENERATOR_VARIANTS,
     NEIGHBORHOOD_VARIANTS,
-    AttentionMode,
     SeedGenerator,
     UpsampleStage,
 )
@@ -270,9 +269,8 @@ class CompletionModel(Module):
         )
         self.seed_generator = SeedGenerator(
             rng, config.patch_channels, config.seed_channels,
-            rate=config.seed_rate, k=config.attention_k,
-            mode=AttentionMode(config.seed_attention, lam=config.attention_scale),
-            variant=config.generator,
+            rate=config.seed_rate, k=config.attention_k, variant=config.generator,
+            attention=config.seed_attention, lam=config.attention_scale,
         )
         self.point_lift = Mlp2(rng, 3, config.channels, config.channels)
         self.stages = [

@@ -14,7 +14,7 @@ import pointfill as pf
 from pointfill import autodiff as ad
 from pointfill import data, gradcheck
 from pointfill.cli import main as cli_main
-from pointfill.generator import AttentionMode, UpsampleTransformer
+from pointfill.generator import UpsampleTransformer
 from pointfill.losses import chamfer, fscore, mmd, partial_matching_loss
 from pointfill.pipeline import Adam, CompletionModel, ModelConfig, run_training
 
@@ -138,24 +138,29 @@ def test_criterion_02_oracle_equivalence():
 
 def test_criterion_03_attention_invariants():
     rng = np.random.default_rng(3)
-    core = UpsampleTransformer(np.random.default_rng(4), 16, rate=3, k=8)
+    # one core per attention setting from the same rng seed: the setting
+    # draws nothing, so all three hold the same weights
+    softmax, scaled, none = (
+        UpsampleTransformer(np.random.default_rng(4), 16, rate=3, k=8, attention=a, lam=1.0)
+        for a in ("softmax", "scaled", "none")
+    )
     queries = ad.tensor(rng.standard_normal((32, 16)))
     keys = ad.tensor(rng.standard_normal((32, 16)))
     cloud = ad.tensor(random_cloud(rng, 32))
 
     capture = {}
-    out_soft = core(queries, keys, cloud, mode=AttentionMode("softmax"), capture=capture)
+    out_soft = softmax(queries, keys, cloud, capture=capture)
     for weights in capture["weights"]:
         np.testing.assert_allclose(
             weights.data.sum(axis=1), np.ones((32, 16)), atol=1e-6
         )
 
-    out_scaled = core(queries, keys, cloud, mode=AttentionMode("scaled", lam=1.0))
+    out_scaled = scaled(queries, keys, cloud)
     assert np.array_equal(out_soft.data, out_scaled.data)
 
     # none keeps the logits that the softmax normalizes
     raw_capture = {}
-    core(queries, keys, cloud, mode=AttentionMode("none"), capture=raw_capture)
+    none(queries, keys, cloud, capture=raw_capture)
     assert len(raw_capture["weights"]) == len(capture["weights"]) == 3
     for raw, weights in zip(raw_capture["weights"], capture["weights"]):
         np.testing.assert_allclose(

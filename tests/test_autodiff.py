@@ -30,11 +30,11 @@ def run_backward(fn, *inputs):
 
 
 def _pass_through_head(logits, values, variant="softmax", capture=None):
-    """An attention head over (n*k, 1) ``logits`` whose kernel passes them
+    """One attention kernel over (n*k, 1) ``logits`` that passes them
     through exactly: relu(l) - relu(-l) = l."""
     w0, b0 = ad.tensor([[1.0, -1.0]]), ad.tensor(np.zeros(2))
     w1 = ad.tensor([[1.0], [-1.0]])
-    return ad.attention_head(logits, values, w0, b0, w1, variant, capture=capture)
+    return ad.upsample_attention(logits, values, [(w0, b0, w1)], variant, capture=capture)
 
 
 def _head_weights(logits, variant="softmax"):
@@ -149,7 +149,7 @@ def _numpy_softmax_over_k(a, g, log):
 @pytest.mark.parametrize("width", [1, 8])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_softmax_over_neighbors_is_bitwise_plain_numpy(dtype, width, log):
-    # attention_head's normalization and its adjoint, on their own
+    # upsample_attention's normalization and its adjoint, on their own
     rng = np.random.default_rng(40)
     a = (3.0 * rng.standard_normal((5, 16, width))).astype(dtype)
     g = rng.standard_normal((5, 16, width)).astype(dtype)
@@ -344,7 +344,7 @@ def test_neighbor_diff_rejects_misfit_index_shape_and_dtype():
         ad.neighbor_diff(center, ad.tensor(np.zeros((5, 2)), dtype=np.float32), idx, 2)
 
 
-# --- attention_head: one tiled record per kernel head --------------------------
+# --- upsample_attention: one tiled record for all of a transformer's kernels ---
 
 
 def _plain_attention_head(x, v, w0, b0, w1, variant, lam, g):
@@ -397,64 +397,90 @@ def _head_arrays(rng, n, k, c, width, dtype):
 _TILINGS = {"real": (330, 16, 16), "small": (50, 3, 5)}  # n, k, C
 
 
+def _kernel_arrays(rng, rate, n, k, c, width, dtype):
+    """x and values, then w0, b0 and w1 of each of ``rate`` kernels."""
+    x, v, *kernel = _head_arrays(rng, n, k, c, width, dtype)
+    for _ in range(rate - 1):
+        kernel += _head_arrays(rng, n, k, c, width, dtype)[2:]
+    return [x, v, *kernel]
+
+
 @pytest.mark.parametrize("tiling", sorted(_TILINGS))
 @pytest.mark.parametrize("width", ["channel", "point"])
 @pytest.mark.parametrize("variant", ad.ATTENTION_VARIANTS)
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_attention_head_is_bitwise_the_unfused_records(dtype, variant, width, tiling,
                                                        monkeypatch):
+    # each kernel of upsample_attention, at rate 1 and 3: output rows are the
+    # unfused per-kernel records stacked kernel-fastest, and the x and values
+    # gradients their plain adjoints summed from the last kernel to the first
     n, k, c = _TILINGS[tiling]
     if tiling == "small":
         monkeypatch.setattr(ad, "_TILE_ROWS", 48)
     tiles = [b - a for a, b in ad._tiles(n, k)]
     assert len(tiles) >= 3 and tiles[-1] != tiles[0]  # several tiles, the last ragged
-    rng = np.random.default_rng(45)
-    arrays = _head_arrays(rng, n, k, c, c if width == "channel" else 1, dtype)
-    g = rng.standard_normal((n, c)).astype(dtype)
-    want = _plain_attention_head(*arrays, variant, 1.7, g)
-    leaves = [leaf(a, dtype) for a in arrays]
-    captured = []
-    with ad.Tape() as tape:
-        out = ad.attention_head(*leaves, variant, 1.7, capture=captured)
-        loss = ad.reduce_sum(ad.mul(out, ad.constant(g)))
-    tape.backward(loss)
-    got = [captured[0].data, out.data] + [t.grad for t in leaves]
-    assert _bits(*got) == _bits(*want)
-    untaped = ad.attention_head(*[ad.tensor(a) for a in arrays], variant, 1.7)
-    assert _bits(untaped.data) == _bits(want[1])
+    for rate in (1, 3):
+        rng = np.random.default_rng(45)
+        x, v, *params = _kernel_arrays(rng, rate, n, k, c, c if width == "channel" else 1,
+                                       dtype)
+        g = rng.standard_normal((n * rate, c)).astype(dtype)
+        plain = [_plain_attention_head(x, v, *params[3 * m: 3 * m + 3], variant, 1.7,
+                                       g[m::rate])
+                 for m in range(rate)]
+        want_out = np.stack([p[1] for p in plain], axis=1).reshape(n * rate, c)
+        want_grads = []
+        for i in (2, 3):  # x, values
+            total = plain[-1][i]
+            for p in plain[-2::-1]:
+                total = total + p[i]
+            want_grads.append(total)
+        want_grads += [p[i] for p in plain for i in (4, 5, 6)]
+        leaves = [leaf(a, dtype) for a in (x, v, *params)]
+        kernels = [leaves[2 + 3 * m: 5 + 3 * m] for m in range(rate)]
+        captured = []
+        with ad.Tape() as tape:
+            out = ad.upsample_attention(*leaves[:2], kernels, variant, 1.7, capture=captured)
+            assert len(tape) == 1
+            loss = ad.reduce_sum(ad.mul(out, ad.constant(g)))
+        tape.backward(loss)
+        got = [w.data for w in captured] + [out.data] + [t.grad for t in leaves]
+        assert _bits(*got) == _bits(*[p[0] for p in plain], want_out, *want_grads)
+        untaped = ad.upsample_attention(
+            ad.tensor(x), ad.tensor(v),
+            [[ad.tensor(a) for a in params[3 * m: 3 * m + 3]] for m in range(rate)],
+            variant, 1.7,
+        )
+        assert _bits(untaped.data) == _bits(want_out)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_attention_heads_sharing_inputs_accumulate_in_reverse_order(dtype, monkeypatch):
-    # two heads read the same x and values, which carry gradients from an
-    # earlier pass; magnitudes over six decades make the order of the sums show
+    # three kernels of one record read the same x and values, which carry
+    # gradients from an earlier pass; magnitudes over six decades make the
+    # order of the sums show. The record sums its kernels' gradients from the
+    # last to the first, and the tape adds that sum to the earlier gradient
     monkeypatch.setattr(ad, "_TILE_ROWS", 48)
     rng = np.random.default_rng(46)
-    n, k, c = 50, 3, 5
+    n, k, c, rate = 50, 3, 5, 3
     scale = 10.0 ** rng.uniform(-3, 3, c)
-    heads = [_head_arrays(rng, n, k, c, c, dtype) for _ in range(2)]
-    x, v = heads[0][:2]
-    gs = [(scale * rng.standard_normal((n, c))).astype(dtype) for _ in heads]
+    x, v, *params = _kernel_arrays(rng, rate, n, k, c, c, dtype)
+    g = (scale * rng.standard_normal((n * rate, c))).astype(dtype)
     prior = [(scale * rng.standard_normal(a.shape)).astype(dtype) for a in (x, v)]
     xt, vt = leaf(x, dtype), leaf(v, dtype)
     xt.grad, vt.grad = prior[0].copy(), prior[1].copy()
+    kernels = [[leaf(a, dtype) for a in params[3 * m: 3 * m + 3]] for m in range(rate)]
     with ad.Tape() as tape:
-        terms = [
-            ad.reduce_sum(ad.mul(
-                ad.attention_head(xt, vt, *[leaf(a, dtype) for a in arrays[2:]], "softmax"),
-                ad.constant(g),
-            ))
-            for arrays, g in zip(heads, gs)
-        ]
-        loss = ad.add(*terms)
+        out = ad.upsample_attention(xt, vt, kernels, "softmax")
+        loss = ad.reduce_sum(ad.mul(out, ad.constant(g)))
     tape.backward(loss)
-    plain = [_plain_attention_head(x, v, *arrays[2:], "softmax", 1.0, g)[2:4]
-             for arrays, g in zip(heads, gs)]
+    plain = [_plain_attention_head(x, v, *params[3 * m: 3 * m + 3], "softmax", 1.0,
+                                   g[m::rate])[2:4]
+             for m in range(rate)]
     for i, t in enumerate((xt, vt)):
-        reverse = (prior[i] + plain[1][i]) + plain[0][i]  # the last head's record runs first
-        forward = (prior[i] + plain[0][i]) + plain[1][i]
+        reverse = (plain[2][i] + plain[1][i]) + plain[0][i]  # the last kernel runs first
+        forward = (plain[0][i] + plain[1][i]) + plain[2][i]
         assert not np.array_equal(reverse, forward)
-        assert _bits(t.grad) == _bits(reverse)
+        assert _bits(t.grad) == _bits(prior[i] + reverse)
 
 
 @pytest.mark.parametrize("tile_rows", [2048, 48])
@@ -477,7 +503,7 @@ def test_attention_tiles_cover_the_points_on_16_row_boundaries(k, tile_rows, mon
     (128, np.float32), (64, np.float32), (64, np.float64), (6, np.float64),
 ], ids=["16k", "desk", "desk-float64", "micro"])
 def test_row_tiles_of_the_head_gemms_are_rows_of_the_full_gemms(c, dtype, k, width):
-    # what makes attention_head bitwise: each GEMM it runs per tile gives
+    # what makes upsample_attention bitwise: each GEMM it runs per tile gives
     # the bits of the same rows of the GEMM over all n*k rows
     rng = np.random.default_rng(47)
     n = 4800 // k
@@ -500,7 +526,12 @@ def test_row_tiles_of_the_head_gemms_are_rows_of_the_full_gemms(c, dtype, k, wid
 def test_attention_head_rejects_misfit_shapes_dtypes_and_modes():
     x, v, w0, b0, w1 = (ad.tensor(a) for a in _head_arrays(
         np.random.default_rng(48), 2, 3, 4, 4, np.float64))
-    ad.attention_head(x, v, w0, b0, w1)  # fits
+
+    def call(x, v, *kernel, variant="softmax", lam=1.0):
+        # the misfit kernel second, after one that fits
+        return ad.upsample_attention(x, v, [(w0, b0, w1), kernel], variant, lam)
+
+    call(x, v, w0, b0, w1)  # fits
     misfits = [
         (ad.tensor(np.zeros((5, 4))), v, w0, b0, w1),  # not n * k rows
         (x, ad.tensor(np.zeros((6, 4))), w0, b0, w1),  # values not (n, k, C)
@@ -511,34 +542,42 @@ def test_attention_head_rejects_misfit_shapes_dtypes_and_modes():
         (x, v, w0, b0, ad.tensor(np.zeros((4, 2)))),  # W not C or 1
     ]
     for args in misfits:
-        with pytest.raises(ShapeError, match="attention_head"):
-            ad.attention_head(*args)
+        with pytest.raises(ShapeError, match="upsample_attention"):
+            call(*args)
     f32 = ad.tensor(np.zeros((2, 3, 4)), dtype=np.float32)
     with pytest.raises(ContractError, match="dtypes"):
-        ad.attention_head(x, f32, w0, b0, w1)
+        call(x, f32, w0, b0, w1)
     with pytest.raises(ContractError, match="dtypes"):
-        ad.attention_head(x, v, w0, b0, ad.tensor(np.zeros((4, 4)), dtype=np.float32))
+        call(x, v, w0, b0, ad.tensor(np.zeros((4, 4)), dtype=np.float32))
     with pytest.raises(ContractError, match="variant"):
-        ad.attention_head(x, v, w0, b0, w1, "hardmax")
+        call(x, v, w0, b0, w1, variant="hardmax")
     for lam in (math.inf, math.nan, 0.0):
         with pytest.raises(ContractError, match="finite lam"):
-            ad.attention_head(x, v, w0, b0, w1, "scaled", lam)
+            call(x, v, w0, b0, w1, variant="scaled", lam=lam)
 
 
 def test_taped_attention_head_keeps_only_the_hidden_activation_and_weights():
-    arrays = _head_arrays(np.random.default_rng(49), 40, 16, 8, 8, np.float32)
+    rate = 2
+    x, v, *params = _kernel_arrays(np.random.default_rng(49), rate, 40, 16, 8, 8, np.float32)
+    leaves = [leaf(a, np.float32) for a in params]
     with ad.Tape() as tape:
-        ad.attention_head(*[leaf(a, np.float32) for a in arrays], "scaled", 2.0)
+        ad.upsample_attention(leaf(x, np.float32), leaf(v, np.float32),
+                              [leaves[3 * m: 3 * m + 3] for m in range(rate)], "scaled", 2.0)
     (record,) = tape.records
     kept = dict(zip(record.backfn.__code__.co_freevars,
                     (cell.cell_contents for cell in record.backfn.__closure__)))
     blocks = {name for name, a in kept.items() if isinstance(a, np.ndarray) and a.ndim > 1}
-    # xd, v, w0d and w1d are the inputs' data; no Tensor is kept
-    assert blocks == {"hidden", "weights", "xd", "v", "w0d", "w1d"}
-    assert kept["xd"] is arrays[0] and kept["v"] is arrays[1]
-    assert kept["w0d"] is arrays[2] and kept["w1d"] is arrays[4]
-    assert not any(isinstance(a, ad.Tensor) for a in kept.values())
-    assert kept["hidden"].shape == (40 * 16, 8) and kept["weights"].shape == (40, 16, 8)
+    lists = {name for name, a in kept.items() if isinstance(a, list)}
+    # xd and v are the inputs' data, arrays each kernel's w0, b0 and w1 data;
+    # no Tensor is kept
+    assert blocks == {"xd", "v"} and lists == {"hidden", "weights", "arrays", "needs"}
+    assert kept["xd"] is x and kept["v"] is v
+    held = [a for kernel in kept["arrays"] for a in kernel]
+    assert len(held) == len(params) and all(a is b for a, b in zip(held, params))
+    held += [a for name in lists for a in kept[name]] + list(kept.values())
+    assert not any(isinstance(a, ad.Tensor) for a in held)
+    assert [h.shape for h in kept["hidden"]] == [(40 * 16, 8)] * rate
+    assert [w.shape for w in kept["weights"]] == [(40, 16, 8)] * rate
 
 
 # --- backward --------------------------------------------------------------
@@ -602,7 +641,7 @@ def test_backward_bitwise_deterministic():
         values = ad.tensor(np.linspace(-1.0, 1.0, 32).reshape(2, 4, 4))
         w1, zeros = ad.tensor(np.eye(4)), ad.tensor(np.zeros(4))
         run_backward(
-            lambda x, w: ad.reduce_sum(ad.attention_head(x, values, w, zeros, w1)),
+            lambda x, w: ad.reduce_sum(ad.upsample_attention(x, values, [(w, zeros, w1)])),
             x,
             w,
         )
@@ -718,8 +757,8 @@ def test_desk_tape_counts_the_records_and_bytes_it_computed():
     gt = rng.standard_normal((config.final_points, 3))
     with ad.Tape() as tape:
         _forward_loss(CompletionModel(config), partial, gt)
-    assert len(tape.records) == 230
-    assert sum(r.output.data.nbytes for r in tape.records) == 45_702_264
+    assert len(tape.records) == 221
+    assert sum(r.output.data.nbytes for r in tape.records) == 45_243_512
 
 
 # --- what a record keeps ------------------------------------------------------
@@ -763,7 +802,7 @@ def test_an_intermediate_no_adjoint_reads_dies_when_the_caller_drops_it(producer
 @pytest.mark.parametrize("op", ["linear", "linear_relu", "attention_head"])
 def test_arrays_an_adjoint_reads_live_until_it_has_run(op):
     # linear keeps its input, linear_relu its input and activation, and
-    # attention_head its x and values; what no adjoint reads dies at once
+    # upsample_attention its x and values; what no adjoint reads dies at once
     rng = np.random.default_rng(51)
     n, k, c = 5, 4, 3
     base = leaf(rng.standard_normal((n * k, c)))
@@ -772,7 +811,7 @@ def test_arrays_an_adjoint_reads_live_until_it_has_run(op):
         x = ad.mul(base, 2.0)  # intermediates, held only by this frame
         if op == "attention_head":
             values = ad.reshape(ad.mul(base, 3.0), (n, k, c))
-            out = ad.attention_head(x, values, w, b, w)
+            out = ad.upsample_attention(x, values, [(w, b, w)])
             kept = [weakref.ref(x.data), weakref.ref(values.data)]
             del values
         else:

@@ -76,7 +76,7 @@ def test_refinement_single_neighbor_weights_are_one():
     feats = ad.tensor(rng.standard_normal((5, 6)))
     capture = {}
     x = layer.pre(feats)
-    layer.core(x, x, ad.constant(cloud, like=feats), mode=None, capture=capture)
+    layer.core(x, x, ad.constant(cloud, like=feats), capture=capture)
     np.testing.assert_allclose(capture["weights"][0].data, np.ones((5, 1, 6)), atol=0)
 
 

@@ -10,7 +10,6 @@ from pointfill import geometry
 from pointfill.errors import ContractError
 from pointfill.generator import (
     GENERATOR_VARIANTS,
-    AttentionMode,
     DeconvCore,
     FoldingCore,
     GraphConvCore,
@@ -49,16 +48,18 @@ def uptrans_inputs(rng, n=8, c=6, dtype=np.float64):
 
 def test_attention_mode_validation():
     with pytest.raises(ContractError):
-        AttentionMode("hardmax")
+        UpsampleTransformer(np.random.default_rng(0), 6, rate=2, k=3, attention="hardmax")
     with pytest.raises(ContractError):
-        AttentionMode("scaled", lam=0.0)
+        UpsampleTransformer(np.random.default_rng(0), 6, rate=2, k=3, attention="scaled",
+                            lam=0.0)
 
 
 @pytest.mark.parametrize("lam", [math.inf, math.nan])
 def test_scaled_attention_needs_a_finite_positive_lam(lam):
     # an infinite scale turns every weight into NaN, which a later relu hides
     with pytest.raises(ContractError, match="finite lam"):
-        AttentionMode("scaled", lam=lam)
+        UpsampleTransformer(np.random.default_rng(0), 6, rate=2, k=3, attention="scaled",
+                            lam=lam)
 
 
 # --- upsample transformer --------------------------------------------------------
@@ -68,7 +69,7 @@ def test_output_shape_is_rate_times_points():
     rng = np.random.default_rng(0)
     core = UpsampleTransformer(np.random.default_rng(1), 6, rate=2, k=3)
     q, k, cloud = uptrans_inputs(rng)
-    out = core(q, k, cloud, mode=AttentionMode("softmax"))
+    out = core(q, k, cloud)
     assert out.shape == (16, 6)
 
 
@@ -78,7 +79,7 @@ def test_single_neighbor_softmax_reduces_to_value_plus_encoding():
     rng = np.random.default_rng(2)
     core = UpsampleTransformer(np.random.default_rng(3), 5, rate=1, k=1)
     q, k, cloud = uptrans_inputs(rng, n=6, c=5)
-    out = core(q, k, cloud, mode=AttentionMode("softmax"))
+    out = core(q, k, cloud)
     values = core.value_map(core.value_mixer(ad.concat([k, q], axis=1)))
     zero = ad.tensor(np.zeros((6, 3)))
     expected = ad.add(values, core.pos_encoder(zero))
@@ -93,7 +94,7 @@ def test_softmax_weights_sum_to_one_per_point_kernel_channel():
     seeds = make_seeds(rng, 5, 4)
     s = geometry.interpolate_seed_features(cloud.data, seeds, 2)
     capture = {}
-    core(q, k, cloud, seed_features=s, mode=AttentionMode("softmax"), capture=capture)
+    core(q, k, cloud, seed_features=s, capture=capture)
     assert len(capture["weights"]) == 3
     for w in capture["weights"]:
         assert w.shape == (8, 4, 6)
@@ -101,13 +102,20 @@ def test_softmax_weights_sum_to_one_per_point_kernel_channel():
         assert (w.data >= 0).all()
 
 
+def _cores(seed, *attentions, **kwargs):
+    """One UpsampleTransformer per attention setting, each built from an rng
+    of ``seed``: the setting draws nothing, so their weights are equal."""
+    return [UpsampleTransformer(np.random.default_rng(seed), attention=a, **kwargs)
+            for a in attentions]
+
+
 def test_mode_none_passes_raw_logits_through():
     rng = np.random.default_rng(6)
-    core = UpsampleTransformer(np.random.default_rng(7), 6, rate=2, k=3)
+    none, softmax = _cores(7, "none", "softmax", channels=6, rate=2, k=3)
     q, k, cloud = uptrans_inputs(rng)
     raw, soft = {}, {}
-    core(q, k, cloud, mode=AttentionMode("none"), capture=raw)
-    core(q, k, cloud, mode=AttentionMode("softmax"), capture=soft)
+    none(q, k, cloud, capture=raw)
+    softmax(q, k, cloud, capture=soft)
     assert len(raw["weights"]) == len(soft["weights"]) == 2
     for logits, weights in zip(raw["weights"], soft["weights"]):
         np.testing.assert_allclose(
@@ -115,69 +123,57 @@ def test_mode_none_passes_raw_logits_through():
         )
 
 
-@pytest.mark.parametrize("pointwise", [False, True], ids=["channelwise", "pointwise"])
-def test_taped_upsample_transformer_appends_one_record_per_head(pointwise):
-    rng = np.random.default_rng(26)
-    core = UpsampleTransformer(np.random.default_rng(27), 6, rate=3, k=3,
-                               pointwise=pointwise)
-    q, k, cloud = uptrans_inputs(rng)
-    with ad.Tape() as tape:
-        core(q, k, cloud, mode=AttentionMode("scaled", lam=2.0))
-    ops = [rec.backfn.__qualname__.split(".")[0] for rec in tape.records]
-    first = ops.index("attention_head")
-    # one record per kernel, holding its MLP, normalization and weighted sum
-    assert ops[first:first + 3] == ["attention_head"] * 3
-    assert ops.count("attention_head") == 3
-
-
 @pytest.mark.parametrize("rate", [1, 3])
-def test_taped_upsample_transformer_stacks_its_heads_with_one_concat_and_one_reshape(rate):
-    rng = np.random.default_rng(28)
-    core = UpsampleTransformer(np.random.default_rng(29), 6, rate=rate, k=3)
+@pytest.mark.parametrize("pointwise", [False, True], ids=["channelwise", "pointwise"])
+def test_taped_upsample_transformer_appends_one_record_per_call(pointwise, rate):
+    rng = np.random.default_rng(26)
+    core = UpsampleTransformer(np.random.default_rng(27), 6, rate=rate, k=3,
+                               pointwise=pointwise, attention="scaled", lam=2.0)
     q, k, cloud = uptrans_inputs(rng)
     with ad.Tape() as tape:
         out = core(q, k, cloud)
     ops = [rec.backfn.__qualname__.split(".")[0] for rec in tape.records]
-    first = ops.index("attention_head")
-    stack = ["concat", "reshape"] if rate > 1 else []
-    assert ops[first:] == ["attention_head"] * rate + stack
+    # one record for every kernel's MLP, normalization and weighted sum, and
+    # nothing recorded after it: the rows come out stacked
+    assert ops.count("upsample_attention") == 1
+    assert ops[-1] == "upsample_attention"
     assert out.node is tape.records[-1].output
     assert out.shape == (8 * rate, 6)
 
 
 def test_mode_none_differs_from_softmax():
     rng = np.random.default_rng(8)
-    core = UpsampleTransformer(np.random.default_rng(9), 6, rate=2, k=3)
+    softmax, none = _cores(9, "softmax", "none", channels=6, rate=2, k=3)
     q, k, cloud = uptrans_inputs(rng)
-    out_soft = core(q, k, cloud, mode=AttentionMode("softmax"))
-    out_none = core(q, k, cloud, mode=AttentionMode("none"))
+    out_soft = softmax(q, k, cloud)
+    out_none = none(q, k, cloud)
     assert np.abs(out_soft.data - out_none.data).max() > 1e-6
 
 
 def test_scaled_softmax_at_unit_scale_is_bitwise_softmax():
     rng = np.random.default_rng(10)
-    core = UpsampleTransformer(np.random.default_rng(11), 7, rate=2, k=4)
+    softmax, scaled = _cores(11, "softmax", "scaled", channels=7, rate=2, k=4)
     q, k, cloud = uptrans_inputs(rng, c=7)
-    out_soft = core(q, k, cloud, mode=AttentionMode("softmax"))
-    out_scaled = core(q, k, cloud, mode=AttentionMode("scaled", lam=1.0))
+    out_soft = softmax(q, k, cloud)
+    out_scaled = scaled(q, k, cloud)
     assert np.array_equal(out_soft.data, out_scaled.data)
 
 
 def test_log_softmax_weights_are_nonpositive():
     rng = np.random.default_rng(12)
-    core = UpsampleTransformer(np.random.default_rng(13), 5, rate=1, k=3)
+    core = UpsampleTransformer(np.random.default_rng(13), 5, rate=1, k=3, attention="log")
     q, k, cloud = uptrans_inputs(rng, c=5)
     capture = {}
-    core(q, k, cloud, mode=AttentionMode("log"), capture=capture)
+    core(q, k, cloud, capture=capture)
     assert (capture["weights"][0].data <= 0).all()
     assert (capture["weights"][0].data < 0).any()
 
 
 def test_every_kernel_bank_parameter_gets_gradient():
     rng = np.random.default_rng(14)
-    for mode in (AttentionMode("softmax"), AttentionMode("none")):
+    for attention in ("softmax", "none"):
         core = UpsampleTransformer(np.random.default_rng(15), 6, rate=2, k=3,
-                                   seed_channels=4)
+                                   seed_channels=4, attention=attention)
         q, k, cloud = uptrans_inputs(rng)
         seeds = make_seeds(rng, 5, 4)
         probe = rng.standard_normal((16, 6))
@@ -185,7 +181,6 @@ def test_every_kernel_bank_parameter_gets_gradient():
             out = core(
                 q, k, cloud,
                 seed_features=geometry.interpolate_seed_features(cloud.data, seeds, 2),
-                mode=mode,
             )
             loss = ad.reduce_sum(ad.mul(out, ad.constant(probe)))
         tape.backward(loss)
@@ -194,7 +189,7 @@ def test_every_kernel_bank_parameter_gets_gradient():
             for p in core.named_parameters()
             if p.tensor.grad is None or not np.abs(p.tensor.grad).sum() > 0
         ]
-        assert not dead, f"{mode.variant}: dead parameters {dead}"
+        assert not dead, f"{attention}: dead parameters {dead}"
 
 
 def _held_tensors(obj, seen):
@@ -240,7 +235,7 @@ def test_variant_output_contract(variant):
     rng = np.random.default_rng(16)
     core = make_core(variant, np.random.default_rng(17), 6, rate=2, k=3)
     q, k, cloud = uptrans_inputs(rng)
-    out = core(q, k, cloud, mode=AttentionMode("softmax"))
+    out = core(q, k, cloud)
     assert out.shape == (16, 6)
 
 
@@ -249,11 +244,10 @@ def test_variant_permutation_equivariance(variant):
     rng = np.random.default_rng(18)
     core = make_core(variant, np.random.default_rng(19), 6, rate=2, k=3)
     q, k, cloud = uptrans_inputs(rng, n=12)
-    base = core(q, k, cloud, mode=AttentionMode("softmax"))
+    base = core(q, k, cloud)
     perm = rng.permutation(12)
     out_perm = core(
         ad.tensor(q.data[perm]), ad.tensor(k.data[perm]), ad.tensor(cloud.data[perm]),
-        mode=AttentionMode("softmax"),
     )
     # rows permute in kernel groups; compare the feature sets geometrically
     # by pairing them with the duplicated output coordinates
@@ -269,7 +263,7 @@ def test_graphconv_equal_neighbor_features_collapse_max():
     cloud = ad.tensor(random_cloud(rng, 7))
     row = rng.standard_normal(5)
     feats = ad.tensor(np.tile(row, (7, 1)))
-    out = core(feats, feats, cloud, mode=None)
+    out = core(feats, feats, cloud)
     single = ad.tensor(row.reshape(1, 5))
     for m, kernel in enumerate(core.kernels):
         expected = kernel(single).data[0]
@@ -281,7 +275,7 @@ def test_pointwise_softmax_weights_sum_to_one_per_point_and_kernel():
     core = make_core("pointwise", np.random.default_rng(23), 6, rate=2, k=4)
     q, k, cloud = uptrans_inputs(rng)
     capture = {}
-    core(q, k, cloud, mode=AttentionMode("softmax"), capture=capture)
+    core(q, k, cloud, capture=capture)
     for w in capture["weights"]:
         assert w.shape == (8, 4, 1)
         np.testing.assert_allclose(w.data.sum(axis=1), np.ones((8, 1)), atol=1e-6)
