@@ -24,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from . import geometry
 from .generator import UpsampleStage, UpsampleTransformer, make_core
-from .losses import chamfer, completion_loss, partial_matching_loss
+from .losses import chamfer, completion_loss, downsample_targets, partial_matching_loss
 from .pipeline import CompletionModel, ModelConfig
 
 EPS = 1e-5
@@ -344,11 +344,13 @@ def _case_full_forward():
     model = CompletionModel(ModelConfig.micro(init_seed=3))
     partial = _cloud(rng, model.config.input_points, spread=0.5)
     gt = _cloud(rng, 24, spread=0.5)
+    sizes = [model.config.seed_count, *model.config.stage_sizes]
     params = [p.tensor for p in model.named_parameters()]
 
     def fn(*params):
         seeds, states = model.forward(partial)
-        total, _ = completion_loss(seeds.cloud, [s.cloud for s in states], gt)
+        targets = downsample_targets(gt, sizes)
+        total, _ = completion_loss(seeds.cloud, [s.cloud for s in states], targets)
         return ad.mul(total, 0.01)
 
     return fn, params

@@ -98,25 +98,20 @@ def downsample_targets(gt, sizes):
     return targets
 
 
-def completion_loss(seed_coords, stage_clouds, gt, targets=None):
+def completion_loss(seed_coords, stage_clouds, targets):
     """Sum of per-output Chamfer-L1 terms against the ground truth.
 
-    The ground truth is farthest-point downsampled to each output's size
-    whenever it is larger, so coarse outputs are compared against an
-    equally coarse but coverage-preserving target. ``targets`` may carry
-    the precomputed downsampled clouds (one per output, seeds first) to
-    avoid recomputing them every step.
+    ``targets`` holds one cloud per output, seeds first: the ground truth
+    farthest-point downsampled to each output's size whenever it is larger
+    (``downsample_targets``), so coarse outputs are compared against an
+    equally coarse but coverage-preserving target.
 
     Returns ``(total, terms)`` where ``terms`` lists the per-output scalar
     Tensors (seeds first, then each stage).
     """
     outputs = [seed_coords, *stage_clouds]
-    if targets is None:
-        sizes = [
-            (o.data if isinstance(o, ad.Tensor) else np.asarray(o)).shape[0]
-            for o in outputs
-        ]
-        targets = downsample_targets(gt, sizes)
+    if len(targets) != len(outputs):
+        raise ContractError(f"completion_loss: {len(targets)} targets for {len(outputs)} outputs")
     terms = []
     for cloud, target in zip(outputs, targets):
         t = _cloud_tensor(cloud, "output")

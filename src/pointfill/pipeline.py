@@ -361,16 +361,13 @@ class Adam:
             )
 
 
-def _forward_loss(model, partial, gt, targets=None):
-    """Forward pass and training loss on one pair: ``(total, LossBreakdown)``."""
-    dtype = model.config.dtype
+def _forward_loss(model, partial, targets):
+    """Forward pass and training loss on one input against its per-output
+    loss targets (``downsample_targets``): ``(total, LossBreakdown)``."""
     seeds, states = model.forward(partial)
-    comp_total, terms = completion_loss(
-        seeds.cloud, [s.cloud for s in states], np.asarray(gt, dtype=dtype),
-        targets=targets,
-    )
+    comp_total, terms = completion_loss(seeds.cloud, [s.cloud for s in states], targets)
     matching = partial_matching_loss(
-        ad.tensor(np.asarray(partial, dtype=dtype)), states[-1].cloud
+        ad.tensor(np.asarray(partial, dtype=model.config.dtype)), states[-1].cloud
     )
     total = ad.add(comp_total, matching)
     return total, LossBreakdown(
@@ -380,7 +377,7 @@ def _forward_loss(model, partial, gt, targets=None):
     )
 
 
-def _accumulate_loss(model, partial, gt, scale, targets):
+def _accumulate_loss(model, partial, scale, targets):
     """Forward + loss + backward for one cloud, scaled for accumulation.
 
     Gradients add onto whatever is already in the parameter grads; the
@@ -390,7 +387,7 @@ def _accumulate_loss(model, partial, gt, scale, targets):
     values in the message) if any term is non-finite.
     """
     with ad.Tape() as tape:
-        total, breakdown = _forward_loss(model, partial, gt, targets=targets)
+        total, breakdown = _forward_loss(model, partial, targets)
         scaled = total if scale == 1.0 else ad.mul(total, float(scale))
     if not np.isfinite(breakdown.total):
         raise NumericsError(
@@ -449,9 +446,7 @@ def run_training(model, samples, steps, optimizer, seed=0, lr_decay_every=None,
                     np.asarray(gt, dtype=model.config.dtype), sizes
                 )
             parts.append(
-                _accumulate_loss(
-                    model, partial, gt, 1.0 / batch_clouds, target_cache[index]
-                )
+                _accumulate_loss(model, partial, 1.0 / batch_clouds, target_cache[index])
             )
         optimizer.step()
         breakdown = LossBreakdown(

@@ -12,6 +12,7 @@ from pointfill import autodiff as ad
 from pointfill import gradcheck
 from pointfill.errors import ContractError, NumericsError, ShapeError
 from pointfill.layers import Mlp2
+from pointfill.losses import downsample_targets
 from pointfill.pipeline import Adam, CompletionModel, ModelConfig, _forward_loss, run_training
 
 
@@ -755,8 +756,9 @@ def test_desk_tape_counts_the_records_and_bytes_it_computed():
     rng = np.random.default_rng(0)
     partial = rng.standard_normal((config.input_points, 3))
     gt = rng.standard_normal((config.final_points, 3))
+    targets = downsample_targets(gt.astype(config.dtype), [config.seed_count, *config.stage_sizes])
     with ad.Tape() as tape:
-        _forward_loss(CompletionModel(config), partial, gt)
+        _forward_loss(CompletionModel(config), partial, targets)
     assert len(tape.records) == 221
     assert sum(r.output.data.nbytes for r in tape.records) == 45_243_512
 

@@ -161,15 +161,23 @@ def test_completion_loss_zero_when_outputs_equal_downsampled_gt():
     gt = random_cloud(rng, 64)
     seed_cloud = gt[farthest_point_sample(gt, 16, start=0)]
     stage = gt[farthest_point_sample(gt, 32, start=0)]
-    total, terms = losses.completion_loss(seed_cloud, [stage, gt.copy()], gt)
+    targets = losses.downsample_targets(gt, [16, 32, 64])
+    total, terms = losses.completion_loss(seed_cloud, [stage, gt.copy()], targets)
     assert total.item() == pytest.approx(0.0, abs=1e-12)
     assert len(terms) == 3
+
+
+def test_completion_loss_needs_one_target_per_output():
+    cloud = np.zeros((4, 3))
+    for targets in ([cloud], [cloud] * 3):
+        with pytest.raises(ContractError, match="2 outputs"):
+            losses.completion_loss(cloud, [cloud], targets)
 
 
 def test_completion_loss_single_point_shift():
     gt = np.array([[0.0, 0, 0]])
     stage = np.array([[1.0, 0, 0]])
-    total, _ = losses.completion_loss(stage, [], gt)
+    total, _ = losses.completion_loss(stage, [], losses.downsample_targets(gt, [1]))
     assert total.item() == pytest.approx(1.0)
 
 
@@ -178,7 +186,8 @@ def test_completion_loss_composes_individual_chamfers():
     gt = random_cloud(rng, 48)
     seed_cloud = random_cloud(rng, 12)
     stages = [random_cloud(rng, 24), random_cloud(rng, 48)]
-    total, terms = losses.completion_loss(seed_cloud, stages, gt)
+    targets = losses.downsample_targets(gt, [12, 24, 48])
+    total, terms = losses.completion_loss(seed_cloud, stages, targets)
     expect = 0.0
     for cloud in [seed_cloud, *stages]:
         target = gt

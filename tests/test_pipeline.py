@@ -10,6 +10,7 @@ from pointfill.checkpoint import load_checkpoint, read_checkpoint, save_checkpoi
 from pointfill.errors import ContractError, FormatError, NumericsError, ParseError
 from pointfill.generator import GENERATOR_VARIANTS
 from pointfill.layers import Module
+from pointfill.losses import downsample_targets
 from pointfill.pipeline import (
     Adam,
     CompletionModel,
@@ -212,7 +213,9 @@ def test_evaluate_loss_matches_train_step_bitwise():
         partial, gt = toy_pair(rng)
         model = CompletionModel(desk_config(init_seed=seed))
         # untaped forward and loss, then the same pair as one training step
-        evaluated = _forward_loss(model, partial, gt)[1]
+        cfg = model.config
+        targets = downsample_targets(gt.astype(cfg.dtype), [cfg.seed_count, *cfg.stage_sizes])
+        evaluated = _forward_loss(model, partial, targets)[1]
         rows = run_training(model, [(partial, gt)], 1, Adam(model, lr=1e-3))
         assert evaluated == rows[0].breakdown
 
