@@ -197,7 +197,11 @@ def load_checkpoint(path, into=None, optimizer=None):
             before the file is read) whose step count and moments are
             restored from the ``adam.`` records (FormatError if none).
 
-    Every record is checked before any is assigned, so a refused load leaves
+    A record outside the ``adam.`` prefix that names no parameter of the
+    model, or, with ``optimizer``, an ``adam.m.`` or ``adam.v.`` record that
+    names none of its parameters, belongs to another model: FormatError names
+    the first. Without ``optimizer`` the ``adam.`` records are skipped. Every
+    record is checked before any is assigned, so a refused load leaves
     ``into`` and ``optimizer`` unchanged. Returns the model.
     """
     if optimizer is not None and into is None:
@@ -210,6 +214,13 @@ def load_checkpoint(path, into=None, optimizer=None):
             raise FormatError(f"malformed checkpoint config: {exc}") from None
     else:
         model = into
+    owned = {param.name for param in model.named_parameters()}
+    if optimizer is not None:
+        owned.update(f"adam.{kind}.{name}" for name in optimizer.moment1 for kind in "mv")
+    for key in arrays:
+        moment = optimizer is not None and key.startswith(("adam.m.", "adam.v."))
+        if key not in owned and (moment or not key.startswith("adam.")):
+            raise FormatError(f"checkpoint record {key!r} names no parameter of this model")
     params = [
         (param.tensor, _stored(
             arrays, param.name, param.tensor.data, "parameter",

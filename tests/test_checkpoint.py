@@ -54,6 +54,18 @@ def sealed(body):
     return body + struct.pack("<I", zlib.crc32(body))
 
 
+def with_records(path, arrays):
+    """Rewrite the checkpoint at ``path`` to hold ``arrays`` after its config
+    block, resealed."""
+    raw = path.read_bytes()
+    (config_len,) = struct.unpack_from("<I", raw, 8)
+    body = io.BytesIO()
+    body.write(raw[:12 + config_len])
+    for name, array in arrays.items():
+        checkpoint._write_record(body, name, array)
+    path.write_bytes(sealed(body.getvalue()))
+
+
 def with_stage_attention(raw, value):
     """Checkpoint bytes whose config block carries ``stage_attention = value``
     where earlier writers put the key, before ``attention_scale``; resealed."""
@@ -127,13 +139,7 @@ def test_misshapen_optimizer_record_is_format_error_naming_it(tmp_path, case):
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, path, optimizer=optimizer)
     _, arrays = read_checkpoint(path)
-    raw = path.read_bytes()
-    (config_len,) = struct.unpack_from("<I", raw, 8)
-    body = io.BytesIO()
-    body.write(raw[:12 + config_len])
-    for name, array in {**arrays, key: bad}.items():
-        checkpoint._write_record(body, name, array)
-    path.write_bytes(sealed(body.getvalue()))
+    with_records(path, {**arrays, key: bad})
     # a fresh model of the same layout: a refused load must leave it and its
     # optimizer as they were, not half-loaded
     into = CompletionModel(ModelConfig.micro(init_seed=9))
@@ -152,7 +158,40 @@ def test_misshapen_optimizer_record_is_format_error_naming_it(tmp_path, case):
             assert np.array_equal(before[name], store[name]), name
 
 
-def test_records_keep_their_precision(tmp_path):
+@pytest.mark.parametrize("with_optimizer", [False, True], ids=["model", "model_and_adam"])
+def test_record_of_another_model_is_format_error_naming_it(tmp_path, with_optimizer):
+    # a file of three stages into a model of two: the third stage's records
+    # name no parameter of the model
+    model, optimizer = trained(ModelConfig.micro(init_seed=3, rates=(1, 2, 2)))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path, optimizer=optimizer)
+    into = CompletionModel(ModelConfig.micro(init_seed=9))
+    restored = Adam(into, lr=1e-3) if with_optimizer else None
+    params = [p.tensor.data.copy() for p in into.named_parameters()]
+    first = next(p.name for p in model.named_parameters() if p.name.startswith("stages2."))
+    with pytest.raises(FormatError, match=f"'{first}'"):
+        load_checkpoint(path, into=into, optimizer=restored)
+    for before, after in zip(params, into.named_parameters()):
+        assert np.array_equal(before, after.tensor.data), after.name
+
+
+def test_moment_of_a_parameter_the_optimizer_lacks_is_format_error_naming_it(tmp_path):
+    model, optimizer = trained(CONFIGS["micro"]())
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path, optimizer=optimizer)
+    _, arrays = read_checkpoint(path)
+    key = "adam.m.stages2.offset_map.lin1.b"  # micro has stages 0 and 1
+    with_records(path, {**arrays, key: np.zeros(3), "adam.v.stages2.offset_map.lin1.b": np.zeros(3)})
+    into = CompletionModel(ModelConfig.micro(init_seed=9))
+    restored = Adam(into, lr=1e-3)
+    with pytest.raises(FormatError, match=f"'{key}'"):
+        load_checkpoint(path, into=into, optimizer=restored)
+    assert restored.step_count == 0
+    # without an optimizer the adam. records are skipped
+    load_checkpoint(path, into=into)
+    for before, after in zip(model.named_parameters(), into.named_parameters()):
+        assert np.array_equal(before.tensor.data, after.tensor.data), after.name
+
     path = tmp_path / "model.ckpt"
     save_checkpoint(CompletionModel(CONFIGS["micro"]()), path)
     _, arrays = read_checkpoint(path)
