@@ -1,8 +1,8 @@
 """The demo scripts, the benchmark's smoke test and the protocol tool run
 to completion.
 
-Demo 06 trains a desk model for about half a minute and is left to manual
-runs: ``python3 demos/06_toy_training.py``.
+Demo 06 trains a desk model for about 20 s and is left to manual runs and
+CI: ``python3 demos/06_toy_training.py``.
 """
 
 import os
@@ -43,6 +43,22 @@ def test_protocol_digest_is_equal_across_processes(tmp_path):
     lines = runs[0].stdout.splitlines()
     assert len(lines) > 100 and all(len(line.split()[1]) == 64 for line in lines)
     assert runs[0].stdout == runs[1].stdout
+
+
+def test_protocol_save_is_equal_across_processes(tmp_path):
+    # float64 micro outputs and gradients, saved twice and compared: every
+    # array's largest relative difference is 0
+    tool = ROOT / "tools" / "protocol.py"
+    for name in ("a.npz", "b.npz"):
+        result = _run_with_src(tool, tmp_path, "save", name)
+        assert result.returncode == 0, result.stderr
+    result = _run_with_src(tool, tmp_path, "compare", "a.npz", "b.npz")
+    assert result.returncode == 0, result.stdout + result.stderr
+    rows = [line.split() for line in result.stdout.splitlines()]
+    names = {name for name, _ in rows}
+    assert {"complete", "losses"} <= names and len(names) == len(rows) > 10
+    assert all(name.startswith("grad.") for name in names - {"complete", "losses"})
+    assert all(float(diff) == 0.0 for _, diff in rows)
 
 
 def test_benchmark_smoke_exits_zero():

@@ -1,8 +1,12 @@
-"""Reproducibility protocols for pointfill: ``digest``.
+"""Reproducibility protocols for pointfill: ``digest``, ``save``/``compare``
+and ``sweep``.
 
 Usage, from any directory, against the tree whose ``src`` is on the path::
 
     PYTHONPATH=<tree>/src python tools/protocol.py digest [--micro]
+    PYTHONPATH=<tree>/src python tools/protocol.py save <file.npz>
+    PYTHONPATH=<tree>/src python tools/protocol.py compare <a.npz> <b.npz>
+    PYTHONPATH=<tree>/src python tools/protocol.py sweep
 
 ``digest`` prints one ``name sha256`` line per item. Two trees are bitwise
 equal on everything it covers when ``diff`` of their outputs is empty. To
@@ -31,6 +35,23 @@ log; desk float64; and micro (``init_seed=3``). Then come
 precision flip is float32) and skips ``benchmark_16k`` and the gradcheck
 suite: a check of run determinism that takes seconds.
 
+``save`` writes, for the float64 micro model (``init_seed=3``), the fresh
+``complete()`` output of a fixed partial cloud, the loss terms of one
+``run_training`` step and every parameter's gradient after it to an
+``.npz``. ``compare`` prints one ``name difference`` line per array: the
+largest absolute difference divided by the largest magnitude in the first
+file (0 when both are zero), or ``missing`` or the two shapes. It exits 1
+when an array is missing or misshapen. Two trees within 1e-12 on every line
+meet the re-reference protocol's output clause.
+
+``sweep`` runs acceptance criterion 06's recipe at init seeds 0-4 (about
+9 minutes): desk float32, 64 training shapes built at seed 11 and 16
+held-out shapes at seed 111, 200 steps of ``batch_clouds=2`` with
+``lr_decay_every=150``. Per seed it prints the loss ratio (last step over
+first), the held-out wins (a lower Chamfer-L2 than the input resampled to
+the output size) and the mean held-out Chamfer-L2; then the mean and the
+spread (largest minus smallest) of each over the five seeds.
+
 Only numpy and the ``pointfill`` API that has stood since commit ``d0dbd9f``
 are used, so the script runs on every tree from there on. BLAS runs on one
 thread, as in the benchmark.
@@ -51,6 +72,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402  (after the thread pinning)
 
 from pointfill import data, gradcheck  # noqa: E402
+from pointfill.losses import chamfer  # noqa: E402
 from pointfill.checkpoint import load_checkpoint, save_checkpoint  # noqa: E402
 from pointfill.generator import GENERATOR_VARIANTS  # noqa: E402
 from pointfill.pipeline import Adam, CompletionModel, ModelConfig, run_training  # noqa: E402
@@ -159,14 +181,100 @@ def digest(micro=False, out=sys.stdout):
     gradcheck.run_suite(report_fn=report)
 
 
+def save(path):
+    config = ModelConfig.micro(init_seed=3)
+    samples = _samples(config, 1)
+    model = CompletionModel(config)
+    arrays = {"complete": model.complete(samples[0][0])}
+    (row,) = run_training(model, samples, 1, Adam(model, lr=1e-3))
+    b = row.breakdown
+    arrays["losses"] = np.array([*b.stage_cds, b.partial_matching, b.total])
+    for p in model.named_parameters():
+        arrays[f"grad.{p.name}"] = p.tensor.grad
+    with open(path, "wb") as fh:  # np.savez would append .npz to a bare name
+        np.savez(fh, **arrays)
+
+
+def compare(path_a, path_b, out=sys.stdout):
+    with np.load(path_a) as a, np.load(path_b) as b:
+        first, second = dict(a), dict(b)
+    status = 0
+    for name in [*first, *(n for n in second if n not in first)]:
+        if name not in first or name not in second:
+            print(f"{name} missing", file=out)
+            status = 1
+        elif first[name].shape != second[name].shape:
+            print(f"{name} shapes {first[name].shape} {second[name].shape}", file=out)
+            status = 1
+        else:
+            x, y = first[name].astype(np.float64), second[name].astype(np.float64)
+            scale = np.abs(x).max(initial=0.0)
+            diff = np.abs(x - y).max(initial=0.0)
+            print(f"{name} {diff / scale if scale else diff:.3e}", file=out)
+    return status
+
+
+# acceptance criterion 06's recipe; tests/test_acceptance.py keeps its own copy
+SWEEP_SEEDS = range(5)
+SWEEP_TRAIN = dict(count=64, seed=11)
+SWEEP_TEST = dict(count=16, seed=111)
+SWEEP_RUN = dict(steps=200, seed=0, lr_decay_every=150, batch_clouds=2)
+
+
+def _sweep_seed(init_seed, train, test):
+    model = CompletionModel(ModelConfig.desk(precision="float32", init_seed=init_seed))
+    rows = run_training(model, train, optimizer=Adam(model, lr=1e-3), **SWEEP_RUN)
+    ratio = rows[-1].breakdown.total / rows[0].breakdown.total
+    wins, cds = 0, []
+    for partial, gt in test:
+        pred = model.complete(partial).astype(np.float64)
+        cds.append(chamfer(pred, gt, "l2").item())
+        baseline = data.resample_input(partial, pred.shape[0], seed=0)
+        wins += cds[-1] < chamfer(baseline, gt, "l2").item()
+    return ratio, wins, float(np.mean(cds))
+
+
+def sweep(out=sys.stdout):
+    with tempfile.TemporaryDirectory() as tmp:
+        sets = []
+        for split, spec in (("train", SWEEP_TRAIN), ("test", SWEEP_TEST)):
+            data.build_synthetic_dataset(tmp, split, spec["count"], seed=spec["seed"],
+                                         gt_points=512, partial_points=512)
+            sets.append([(p, g) for _, p, g in data.load_dataset(Path(tmp) / split)])
+    results = []
+    for init_seed in SWEEP_SEEDS:
+        results.append(_sweep_seed(init_seed, *sets))
+        ratio, wins, cd = results[-1]
+        print(f"seed {init_seed}: loss ratio {ratio:.3f}, held-out wins {wins}/"
+              f"{SWEEP_TEST['count']}, mean held-out CD-L2 {cd:.4f}", file=out, flush=True)
+    for label, column, fmt in (("loss ratio", 0, ".3f"), ("held-out wins", 1, ".1f"),
+                               ("mean held-out CD-L2", 2, ".4f")):
+        values = [r[column] for r in results]
+        print(f"{label}: mean {np.mean(values):{fmt}}, spread "
+              f"{max(values) - min(values):{fmt}}", file=out)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
     run = commands.add_parser("digest", help="print one 'name sha256' line per item")
     run.add_argument("--micro", action="store_true",
                      help="micro layout only; no benchmark_16k and no gradcheck")
+    one = commands.add_parser("save", help="write micro outputs and gradients to an .npz")
+    one.add_argument("file")
+    pair = commands.add_parser("compare", help="largest relative difference per array")
+    pair.add_argument("a")
+    pair.add_argument("b")
+    commands.add_parser("sweep", help="criterion 06's recipe at init seeds 0-4")
     args = parser.parse_args(argv)
-    digest(micro=args.micro)
+    if args.command == "digest":
+        digest(micro=args.micro)
+    elif args.command == "save":
+        save(args.file)
+    elif args.command == "compare":
+        return compare(args.a, args.b)
+    else:
+        sweep()
     return 0
 
 
