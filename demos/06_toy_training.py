@@ -1,6 +1,6 @@
 """End-to-end: train a small model on occluded shapes and evaluate it.
 
-Run: python3 demos/06_toy_training.py          (about a minute)
+Run: python3 demos/06_toy_training.py          (about 20 s)
 Writes completions under ./demo_output/training/.
 """
 

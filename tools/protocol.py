@@ -40,13 +40,14 @@ suite: a check of run determinism that takes seconds.
 ``run_training`` step and every parameter's gradient after it to an
 ``.npz``. ``compare`` prints one ``name difference`` line per array: the
 largest absolute difference divided by the largest magnitude in the first
-file (0 when both are zero), or ``missing`` or the two shapes. It exits 1
-when an array is missing or misshapen. Two trees within 1e-12 on every line
-meet the re-reference protocol's output clause.
+file (the absolute difference where that array is all zero), or
+``missing`` or the two shapes. It exits 1 when an array is missing or
+misshapen. Two trees within 1e-12 on every line meet the re-reference
+protocol's output clause.
 
-``sweep`` runs acceptance criterion 06's recipe at init seeds 0-4 (about
-9 minutes): desk float32, 64 training shapes built at seed 11 and 16
-held-out shapes at seed 111, 200 steps of ``batch_clouds=2`` with
+``sweep`` runs acceptance criterion 06's recipe at init seeds 0-4 (4.4
+minutes on a 2-vCPU Xeon): desk float32, 64 training shapes built at seed
+11 and 16 held-out shapes at seed 111, 200 steps of ``batch_clouds=2`` with
 ``lr_decay_every=150``. Per seed it prints the loss ratio (last step over
 first), the held-out wins (a lower Chamfer-L2 than the input resampled to
 the output size) and the mean held-out Chamfer-L2; then the mean and the
