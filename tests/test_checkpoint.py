@@ -192,6 +192,8 @@ def test_moment_of_a_parameter_the_optimizer_lacks_is_format_error_naming_it(tmp
     for before, after in zip(model.named_parameters(), into.named_parameters()):
         assert np.array_equal(before.tensor.data, after.tensor.data), after.name
 
+
+def test_records_keep_their_precision(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(CompletionModel(CONFIGS["micro"]()), path)
     _, arrays = read_checkpoint(path)
