@@ -9,7 +9,7 @@ from pointfill import autodiff as ad
 
 # Tensors wrap numpy arrays; leaves that should receive gradients are
 # created with requires_grad=True.
-x = ad.tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+x = ad.Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
 
 # While a Tape is active, primitives record their adjoints.
 with ad.Tape() as tape:
@@ -25,10 +25,10 @@ print("d(sum x^2)/dx =", x.grad, "(expected 2x)")
 # values. With more kernels, each gives its own output row per point.
 rng = np.random.default_rng(0)
 n, k, c = 4, 6, 3
-rows = ad.tensor(rng.standard_normal((n * k, c)), requires_grad=True)
-values = ad.tensor(rng.standard_normal((n, k, c)))
-w0, b0 = ad.tensor(rng.standard_normal((c, c))), ad.tensor(np.zeros(c))
-w1 = ad.tensor(rng.standard_normal((c, c)))
+rows = ad.Tensor(rng.standard_normal((n * k, c)), requires_grad=True)
+values = ad.Tensor(rng.standard_normal((n, k, c)))
+w0, b0 = ad.Tensor(rng.standard_normal((c, c))), ad.Tensor(np.zeros(c))
+w1 = ad.Tensor(rng.standard_normal((c, c)))
 weights = []
 with ad.Tape() as tape:
     head = ad.upsample_attention(rows, values, [(w0, b0, w1)], "softmax", capture=weights)
@@ -45,8 +45,8 @@ def fn(a):
     return ad.reduce_sum(ad.mul(ad.linear_relu(a, w, b), ad.constant(probe)))
 
 
-w = ad.tensor(rng.standard_normal((4, 3)), requires_grad=True)
-b = ad.tensor(rng.standard_normal(3), requires_grad=True)
-a = ad.tensor(rng.standard_normal((5, 4)) + 0.5, requires_grad=True)
+w = ad.Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+b = ad.Tensor(rng.standard_normal(3), requires_grad=True)
+a = ad.Tensor(rng.standard_normal((5, 4)) + 0.5, requires_grad=True)
 report = ad.grad_check(fn, [a], eps=1e-5, tol=1e-4)
 print("grad_check:", report.summary())

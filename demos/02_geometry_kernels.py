@@ -28,8 +28,8 @@ for i in range(4):
 # Inverse-distance interpolation propagates seed features to arbitrary
 # query points; gradients flow into the seed features only.
 seeds = geometry.PointSet(
-    ad.tensor(np.array([[1.0, 0, 0], [2.0, 0, 0], [4.0, 0, 0]])),
-    ad.tensor(np.array([[1.0], [2.0], [3.0]]), requires_grad=True),
+    ad.Tensor(np.array([[1.0, 0, 0], [2.0, 0, 0], [4.0, 0, 0]])),
+    ad.Tensor(np.array([[1.0], [2.0], [3.0]]), requires_grad=True),
 )
 with ad.Tape() as tape:
     value = geometry.interpolate_seed_features(np.array([[0.0, 0, 0]]), seeds, k=3)
@@ -41,5 +41,5 @@ print("d value / d seed features:", seeds.features.grad.ravel().round(4))
 # Fusing two clouds and resampling keeps coverage of both.
 left = rng.standard_normal((30, 3)) * 0.2 + [-2, 0, 0]
 right = rng.standard_normal((30, 3)) * 0.2 + [2, 0, 0]
-fused = geometry.fuse_and_resample(ad.tensor(left), ad.tensor(right), 10)
+fused = geometry.fuse_and_resample(ad.Tensor(left), ad.Tensor(right), 10)
 print("\nfused sample x-signs:", np.sign(fused.data[:, 0]).astype(int))

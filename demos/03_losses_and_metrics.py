@@ -35,8 +35,8 @@ value, index = losses.mmd(cube, library)
 print(f"\nclosest library entry: index {index} at chamfer-L2 {value:.6f}")
 
 # Losses are differentiable through the coordinates of both clouds.
-a = ad.tensor(rng.standard_normal((12, 3)), requires_grad=True)
-b = ad.tensor(rng.standard_normal((9, 3)), requires_grad=True)
+a = ad.Tensor(rng.standard_normal((12, 3)), requires_grad=True)
+b = ad.Tensor(rng.standard_normal((9, 3)), requires_grad=True)
 with ad.Tape() as tape:
     loss = losses.chamfer(a, b, "l1")
 tape.backward(loss)

@@ -19,8 +19,8 @@ rng = np.random.default_rng(11)
 # The upsample transformer turns each point into `rate` feature rows by
 # attending over its neighborhood with one kernel per replica.
 core = UpsampleTransformer(np.random.default_rng(0), channels=16, rate=2, k=6)
-cloud = ad.tensor(rng.standard_normal((24, 3)))
-feats = ad.tensor(rng.standard_normal((24, 16)))
+cloud = ad.Tensor(rng.standard_normal((24, 3)))
+feats = ad.Tensor(rng.standard_normal((24, 16)))
 capture = {}
 out = core(feats, feats, cloud, capture=capture)
 print(f"upsampled {cloud.shape[0]} points -> {out.shape[0]} feature rows")
@@ -42,7 +42,7 @@ for mode in ("softmax", "none", "scaled", "log"):
 # The seed generator expands patch features into a seed set; each patch
 # splits into `rate` seeds with a recorded provenance.
 patches = PointSet(
-    ad.tensor(rng.standard_normal((16, 3))), ad.tensor(rng.standard_normal((16, 32)))
+    ad.Tensor(rng.standard_normal((16, 3))), ad.Tensor(rng.standard_normal((16, 32)))
 )
 gen = SeedGenerator(np.random.default_rng(1), patch_channels=32, seed_channels=16,
                     rate=2, k=6)

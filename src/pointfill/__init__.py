@@ -7,7 +7,7 @@ numpy reverse-mode autodiff core with a finite-difference audit suite.
 """
 
 from . import autodiff
-from .autodiff import Tape, Tensor, grad_check, tensor
+from .autodiff import Tape, Tensor, grad_check
 from .checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
 from .data import (
     SyntheticShapeSpec,

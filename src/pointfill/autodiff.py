@@ -10,8 +10,7 @@ inputs require gradients appends a record with an exact adjoint closure;
 Design rules kept deliberately strict so the adjoint code stays auditable:
 
 * elementwise ops take two Tensors of one shape and dtype, nothing else;
-  ``sub`` and ``mul`` also take a python scalar on either side, ``add``
-  does not;
+  only ``mul`` also takes a real scalar, not a bool, on the right;
 * only the linear ops (their bias, over rows), ``neighbor_sum`` (its
   weights, over channels) and ``upsample_attention`` (width-1 weights,
   over channels) broadcast, and each owns that adjoint;
@@ -94,11 +93,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, requires_grad={self.requires_grad})"
-
-
-def tensor(data, requires_grad=False, dtype=None):
-    """Wrap ``data`` in a Tensor (convenience constructor)."""
-    return Tensor(data, requires_grad=requires_grad, dtype=dtype)
 
 
 def constant(data, like=None):
@@ -245,7 +239,7 @@ def _emit(out_data, inputs, backfn):
 
 
 def _as_scalar(x, dtype):
-    if isinstance(x, (int, float, np.floating, np.integer)):
+    if isinstance(x, (int, float, np.floating, np.integer)) and not isinstance(x, bool):
         return dtype.type(x)
     return None
 
@@ -279,10 +273,6 @@ def add(a, b):
 
 
 def sub(a, b):
-    if isinstance(a, Tensor) and (s := _as_scalar(b, a.dtype)) is not None:
-        return _emit(a.data - s, [a], lambda g: (g,))
-    if isinstance(b, Tensor) and (s := _as_scalar(a, b.dtype)) is not None:
-        return _emit(s - b.data, [b], lambda g: (-g,))
     _check_same_shape(a, b, "sub")
     needs_a, needs_b = a.requires_grad, b.requires_grad
 
@@ -293,8 +283,7 @@ def sub(a, b):
 
 
 def mul(a, b):
-    s = _as_scalar(b, a.dtype)
-    if s is not None:
+    if isinstance(a, Tensor) and (s := _as_scalar(b, a.dtype)) is not None:
         return _emit(a.data * s, [a], lambda g: (g * s,))
     _check_same_shape(a, b, "mul")
     a_data, b_data = a.data, b.data

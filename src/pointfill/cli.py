@@ -1,9 +1,11 @@
-"""Command line interface: train, complete, eval, gradcheck, ablate.
+"""Command line interface: train, complete, eval, gradcheck.
 
 Exit codes: 0 success, 1 usage error, 2 numeric, validation or I/O failure.
 Model settings come from a flat ``key = value`` config file; command line
 flags override file values, and the fully resolved config is echoed next to
-every output for provenance.
+every output for provenance. ``train --generator/--attention/--lambda``
+trains the generator and seed-attention variants the paper ablates.
+BLAS threads are left to the environment (``OMP_NUM_THREADS`` and the like).
 """
 
 from __future__ import annotations
@@ -34,14 +36,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def _resolve_config(args, overrides=None):
+def _resolve_config(args):
     mapping = {}
-    if getattr(args, "config", None):
+    if args.config:
         mapping.update(parse_config_text(Path(args.config).read_text(), source=args.config))
-    if getattr(args, "seed", None) is not None:
-        mapping["init_seed"] = str(args.seed)
-    if overrides:
-        mapping.update(overrides)
+    # only the flags given override the config file
+    flags = {"init_seed": args.seed, "generator": args.generator,
+             "seed_attention": args.attention, "attention_scale": args.lam}
+    mapping.update({k: str(v) for k, v in flags.items() if v is not None})
     return ModelConfig.from_mapping(mapping)
 
 
@@ -57,7 +59,7 @@ def _loss_log_lines(row):
     return line
 
 
-def _cmd_train(args, overrides=None):
+def _cmd_train(args):
     # refused here, before any file is written
     for flag, value in (("--steps", args.steps), ("--batch-clouds", args.batch_clouds),
                         ("--lr-decay-every", args.lr_decay_every)):
@@ -65,7 +67,7 @@ def _cmd_train(args, overrides=None):
             raise ContractError(f"{flag} must be >= 1, got {value}")
     if Path(args.out).is_dir():
         raise ContractError(f"--out {args.out} is a directory, not a checkpoint path")
-    config = _resolve_config(args, overrides)
+    config = _resolve_config(args)
     seed = config.init_seed  # --seed if given, else the config's init_seed
     samples = [(p, g) for _, p, g in dataio.load_dataset(args.data)]
     samples = [
@@ -95,13 +97,6 @@ def _cmd_train(args, overrides=None):
     print(f"trained {args.steps} steps; final loss {rows[-1].breakdown.total:.6g}")
     print(f"checkpoint written to {out}")
     return 0
-
-
-def _cmd_ablate(args):
-    # only the flags given override the config file
-    flags = {"generator": args.generator, "seed_attention": args.attention,
-             "attention_scale": args.lam}
-    return _cmd_train(args, {k: str(v) for k, v in flags.items() if v is not None})
 
 
 def _cmd_complete(args):
@@ -200,29 +195,32 @@ def _cmd_gradcheck(args):
     return 0
 
 
-def _add_training_flags(parser):
-    parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--data", required=True, help="directory of *_partial/_gt.xyz")
-    parser.add_argument("--out", required=True, help="checkpoint output path")
-    parser.add_argument("--steps", type=int, default=200)
-    parser.add_argument(
-        "--seed", type=int, default=None,
-        help="run seed; overrides the config's init_seed (default 0)",
-    )
-    parser.add_argument("--lr", type=float, default=1e-3)
-    parser.add_argument("--lr-decay-every", type=int, default=None)
-    parser.add_argument(
-        "--batch-clouds", type=int, default=1,
-        help="clouds accumulated per optimizer step (emulated batching)",
-    )
-
-
 def build_parser():
     parser = _Parser(prog="pointfill", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="train a model on a dataset directory")
-    _add_training_flags(p_train)
+    p_train.add_argument("--config", help="flat key = value config file")
+    p_train.add_argument("--data", required=True, help="directory of *_partial/_gt.xyz")
+    p_train.add_argument("--out", required=True, help="checkpoint output path")
+    p_train.add_argument("--steps", type=int, default=200)
+    p_train.add_argument(
+        "--seed", type=int, default=None,
+        help="run seed; overrides the config's init_seed (default 0)",
+    )
+    p_train.add_argument("--lr", type=float, default=1e-3)
+    p_train.add_argument("--lr-decay-every", type=int, default=None)
+    p_train.add_argument(
+        "--batch-clouds", type=int, default=1,
+        help="clouds accumulated per optimizer step (emulated batching)",
+    )
+    # each defaults to the config file's value, else the ModelConfig default
+    p_train.add_argument("--generator", choices=GENERATOR_VARIANTS)
+    p_train.add_argument(
+        "--attention", choices=ATTENTION_VARIANTS,
+        help="attention mode for the seed generator",
+    )
+    p_train.add_argument("--lambda", dest="lam", type=float)
     p_train.set_defaults(fn=_cmd_train)
 
     p_complete = sub.add_parser("complete", help="complete one partial cloud")
@@ -248,17 +246,6 @@ def build_parser():
     p_grad.add_argument("--op", help="run a single named case")
     p_grad.add_argument("--tol", type=float, default=gradsuite.TOL)
     p_grad.set_defaults(fn=_cmd_gradcheck)
-
-    p_ablate = sub.add_parser("ablate", help="train a generator/attention variant")
-    # each defaults to the config file's value, else the ModelConfig default
-    p_ablate.add_argument("--generator", choices=GENERATOR_VARIANTS)
-    p_ablate.add_argument(
-        "--attention", choices=ATTENTION_VARIANTS,
-        help="attention mode for the seed generator",
-    )
-    p_ablate.add_argument("--lambda", dest="lam", type=float)
-    _add_training_flags(p_ablate)
-    p_ablate.set_defaults(fn=_cmd_ablate)
     return parser
 
 

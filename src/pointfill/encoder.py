@@ -49,7 +49,7 @@ class SetAbstraction(Module):
         nbr = geometry.knn(centers, cloud, self.k).indices
         rel = cloud[nbr.reshape(-1)] - np.repeat(centers, self.k, axis=0)
         dtype = features.dtype if features is not None else self.lift.lin0.w.dtype
-        rows = ad.tensor(rel.astype(dtype, copy=False))
+        rows = ad.Tensor(rel.astype(dtype, copy=False))
         if features is not None:
             if features.shape[0] != n:
                 raise ContractError("features row count must match the cloud")

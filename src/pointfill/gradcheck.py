@@ -36,7 +36,7 @@ def _rng(seed=0):
 
 
 def _param(data):
-    return ad.tensor(data, requires_grad=True, dtype=np.float64)
+    return ad.Tensor(data, requires_grad=True, dtype=np.float64)
 
 
 def _leaf(rng, shape, scale=1.0, offset=0.0):
@@ -56,7 +56,7 @@ def _case_linear_relu():
     b = _leaf(rng, (4,))
     z = rng.standard_normal((5, 4))
     z += np.sign(z) * 0.05  # keep the pre-activations clear of the kink
-    x = ad.tensor(np.linalg.solve(w.data.T, (z - b.data).T).T.copy(), requires_grad=True)
+    x = ad.Tensor(np.linalg.solve(w.data.T, (z - b.data).T).T.copy(), requires_grad=True)
     return lambda x, w, b: ad.reduce_sum(ad.linear_relu(x, w, b)), [x, w, b]
 
 
@@ -118,8 +118,8 @@ def _case_elementwise():
 
     def fn(a, b):
         mixed = ad.mul(ad.add(a, b), ad.sub(a, ad.mul(b, 0.5)))
-        # a scalar on either side of sub
-        return ad.reduce_sum(ad.sub(1.5, ad.sub(mixed, 0.5)))
+        # mul takes a scalar on the right, the one scalar form
+        return ad.reduce_sum(ad.mul(ad.sub(mixed, a), 1.5))
 
     return fn, [a, b]
 
@@ -239,7 +239,7 @@ def _case_interpolation():
     probe = rng.standard_normal((10, 5))
 
     def fn(feats):
-        seeds = geometry.PointSet(ad.tensor(coords), feats)
+        seeds = geometry.PointSet(ad.Tensor(coords), feats)
         out = geometry.interpolate_seed_features(queries, seeds, k=3)
         return ad.reduce_sum(ad.mul(out, ad.constant(probe, like=feats)))
 
@@ -253,7 +253,7 @@ def _case_uptrans(attention, lam=1.0):
         core = UpsampleTransformer(rng, c, 2, k=3, seed_channels=cs, attention=attention, lam=lam)
         cloud = _cloud(rng, n)
         seeds = geometry.PointSet(
-            ad.tensor(_cloud(rng, 5)), ad.tensor(rng.standard_normal((5, cs)))
+            ad.Tensor(_cloud(rng, 5)), ad.Tensor(rng.standard_normal((5, cs)))
         )
         queries, keys = _leaf(rng, (n, c)), _leaf(rng, (n, c))
         cloud_t = _leaf(rng, (n, 3))  # drawn, then given the cloud's data
@@ -276,7 +276,7 @@ def _ablation_case(variant, seed):
         rng = _rng(seed)
         n, c = 8, 6
         core = make_core(variant, rng, c, 2, k=3, seed_channels=None)
-        cloud = ad.tensor(_cloud(rng, n))
+        cloud = ad.Tensor(_cloud(rng, n))
         q = _leaf(rng, (n, c))
         k = _leaf(rng, (n, c))
         params = [p.tensor for p in core.named_parameters()]
@@ -325,7 +325,7 @@ def _case_upsample_layer():
         stage.offset_map.lin1.w.shape
     )
     seeds = geometry.PointSet(
-        ad.tensor(_cloud(rng, 5)), ad.tensor(rng.standard_normal((5, cs)))
+        ad.Tensor(_cloud(rng, 5)), ad.Tensor(rng.standard_normal((5, cs)))
     )
     cloud = _leaf(rng, (n, 3))
     feats = _leaf(rng, (n, c))

@@ -75,11 +75,11 @@ class Linear(Module):
 
     def __init__(self, rng, n_in, n_out, zero_init=False, bias=True):
         w = np.zeros((n_in, n_out)) if zero_init else _init_weight(rng, n_in, n_out)
-        self.w = ad.tensor(w, requires_grad=True)
+        self.w = ad.Tensor(w, requires_grad=True)
         if bias:
             bound = 1.0 / np.sqrt(n_in)
             b = np.zeros(n_out) if zero_init else rng.uniform(-bound, bound, size=n_out)
-            self.b = ad.tensor(b, requires_grad=True)
+            self.b = ad.Tensor(b, requires_grad=True)
 
     def __call__(self, x):
         return ad.linear(x, self.w, self.b)

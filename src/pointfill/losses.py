@@ -43,7 +43,7 @@ def _cloud_tensor(x, name):
     if isinstance(x, ad.Tensor):
         geometry.as_cloud(x.data, name)
         return x
-    return ad.tensor(geometry.as_cloud(x, name))
+    return ad.Tensor(geometry.as_cloud(x, name))
 
 
 def _nearest_sq_dist(src, dst):

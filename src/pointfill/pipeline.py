@@ -308,7 +308,7 @@ class CompletionModel(Module):
         patches = self.encoder(partial)
         seeds = self.seed_generator(patches)
         coarse = geometry.fuse_and_resample(
-            seeds.cloud, ad.tensor(partial), cfg.coarse_points
+            seeds.cloud, ad.Tensor(partial), cfg.coarse_points
         )
         points = geometry.PointSet(coarse, self.point_lift(coarse))
         stages = []
@@ -367,7 +367,7 @@ def _forward_loss(model, partial, targets):
     seeds, states = model.forward(partial)
     comp_total, terms = completion_loss(seeds.cloud, [s.cloud for s in states], targets)
     matching = partial_matching_loss(
-        ad.tensor(np.asarray(partial, dtype=model.config.dtype)), states[-1].cloud
+        ad.Tensor(np.asarray(partial, dtype=model.config.dtype)), states[-1].cloud
     )
     total = ad.add(comp_total, matching)
     return total, LossBreakdown(

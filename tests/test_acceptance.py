@@ -144,9 +144,9 @@ def test_criterion_03_attention_invariants():
         UpsampleTransformer(np.random.default_rng(4), 16, rate=3, k=8, attention=a, lam=1.0)
         for a in ("softmax", "scaled", "none")
     )
-    queries = ad.tensor(rng.standard_normal((32, 16)))
-    keys = ad.tensor(rng.standard_normal((32, 16)))
-    cloud = ad.tensor(random_cloud(rng, 32))
+    queries = ad.Tensor(rng.standard_normal((32, 16)))
+    keys = ad.Tensor(rng.standard_normal((32, 16)))
+    cloud = ad.Tensor(random_cloud(rng, 32))
 
     capture = {}
     out_soft = softmax(queries, keys, cloud, capture=capture)

@@ -17,7 +17,7 @@ from pointfill.pipeline import Adam, CompletionModel, ModelConfig, _forward_loss
 
 
 def leaf(data, dtype=np.float64):
-    return ad.tensor(np.asarray(data, dtype=dtype), requires_grad=True)
+    return ad.Tensor(np.asarray(data, dtype=dtype), requires_grad=True)
 
 
 def run_backward(fn, *inputs):
@@ -33,8 +33,8 @@ def run_backward(fn, *inputs):
 def _pass_through_head(logits, values, variant="softmax", capture=None):
     """One attention kernel over (n*k, 1) ``logits`` that passes them
     through exactly: relu(l) - relu(-l) = l."""
-    w0, b0 = ad.tensor([[1.0, -1.0]]), ad.tensor(np.zeros(2))
-    w1 = ad.tensor([[1.0], [-1.0]])
+    w0, b0 = ad.Tensor([[1.0, -1.0]]), ad.Tensor(np.zeros(2))
+    w1 = ad.Tensor([[1.0], [-1.0]])
     return ad.upsample_attention(logits, values, [(w0, b0, w1)], variant, capture=capture)
 
 
@@ -44,7 +44,7 @@ def _head_weights(logits, variant="softmax"):
     n, k, _ = logits.shape
     weights = []
     out = _pass_through_head(
-        ad.tensor(logits.reshape(n * k, 1)), ad.tensor(np.ones((n, k, 2))), variant, weights
+        ad.Tensor(logits.reshape(n * k, 1)), ad.Tensor(np.ones((n, k, 2))), variant, weights
     )
     return weights[0].data, out.data
 
@@ -63,35 +63,35 @@ def test_softmax_rows_sum_to_one():
 
 
 def test_linear_identity():
-    x = ad.tensor([[1.0, 2.0], [3.0, 4.0]], dtype=np.float64)
-    w = ad.tensor(np.eye(2))
-    b = ad.tensor(np.zeros(2))
+    x = ad.Tensor([[1.0, 2.0], [3.0, 4.0]], dtype=np.float64)
+    w = ad.Tensor(np.eye(2))
+    b = ad.Tensor(np.zeros(2))
     np.testing.assert_array_equal(ad.linear(x, w, b).data, x.data)
 
 
 def test_gather_rows_lookup():
-    x = ad.tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    x = ad.Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
     out = ad.gather_rows(x, np.array([2, 0]))
     np.testing.assert_array_equal(out.data, [[5.0, 6.0], [1.0, 2.0]])
 
 
 def test_gather_rows_out_of_range():
-    x = ad.tensor(np.zeros((3, 2)))
+    x = ad.Tensor(np.zeros((3, 2)))
     with pytest.raises(IndexError):
         ad.gather_rows(x, np.array([3]))
 
 
 def test_elementwise_shape_mismatch():
     with pytest.raises(ShapeError):
-        ad.add(ad.tensor(np.zeros((2, 3))), ad.tensor(np.zeros((3, 2))))
+        ad.add(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((3, 2))))
     with pytest.raises(ShapeError):
-        ad.mul(ad.tensor(np.zeros(2)), ad.tensor(np.zeros(3)))
+        ad.mul(ad.Tensor(np.zeros(2)), ad.Tensor(np.zeros(3)))
 
 
 def test_elementwise_rejects_operands_that_are_not_tensors():
     # an array operand used to pass the forward and break backward with an
     # AttributeError; add takes no scalar either
-    x = ad.tensor(np.ones(3), requires_grad=True)
+    x = ad.Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ContractError, match="not both Tensors"):
         ad.add(x, 1.0)
     with ad.Tape():
@@ -103,19 +103,30 @@ def test_elementwise_rejects_operands_that_are_not_tensors():
             ad.sub(np.ones(3), x)
 
 
+@pytest.mark.parametrize("op, a, b", [
+    ("mul", 2.0, "x"), ("mul", "x", True), ("sub", "x", 1.0), ("sub", 1.0, "x"),
+])
+def test_only_mul_takes_a_scalar_and_only_a_real_one_on_the_right(op, a, b):
+    # mul(2.0, x) used to raise AttributeError, mul(x, True) scaled by 1 and
+    # sub took a scalar on either side
+    x = ad.Tensor(np.ones(3), requires_grad=True)
+    with pytest.raises(ContractError, match="not both Tensors"):
+        getattr(ad, op)(x if a == "x" else a, x if b == "x" else b)
+
+
 def test_dtype_mismatch_rejected():
-    a = ad.tensor(np.zeros(3), dtype=np.float32)
-    b = ad.tensor(np.zeros(3), dtype=np.float64)
+    a = ad.Tensor(np.zeros(3), dtype=np.float32)
+    b = ad.Tensor(np.zeros(3), dtype=np.float64)
     with pytest.raises(ContractError):
         ad.add(a, b)
     with pytest.raises(ContractError, match="dtypes"):
-        ad.linear(ad.tensor(np.zeros((2, 3)), dtype=np.float32),
-                  ad.tensor(np.zeros((3, 3)), dtype=np.float32), b)
+        ad.linear(ad.Tensor(np.zeros((2, 3)), dtype=np.float32),
+                  ad.Tensor(np.zeros((3, 3)), dtype=np.float32), b)
 
 
 def test_sqrt_negative_raises():
     with pytest.raises(NumericsError):
-        ad.sqrt(ad.tensor([-1.0]))
+        ad.sqrt(ad.Tensor([-1.0]))
 
 
 def test_log_softmax_is_log_of_softmax():
@@ -187,10 +198,10 @@ def test_neighbor_sum_is_bitwise_plain_numpy(dtype):
 
 
 def test_neighbor_sum_rejects_misfit_rows_index_and_weights():
-    other, idx, w = ad.tensor(np.zeros((5, 2))), np.arange(6) % 5, np.ones((3, 2))
+    other, idx, w = ad.Tensor(np.zeros((5, 2))), np.arange(6) % 5, np.ones((3, 2))
     with pytest.raises(ContractError, match="constants"):
-        ad.neighbor_sum(other, idx, ad.tensor(w))
-    for rows, weights in ((ad.tensor(np.zeros(5)), w), (other, np.ones(6))):
+        ad.neighbor_sum(other, idx, ad.Tensor(w))
+    for rows, weights in ((ad.Tensor(np.zeros(5)), w), (other, np.ones(6))):
         with pytest.raises(ShapeError, match="neighbor_sum"):
             ad.neighbor_sum(rows, idx, weights)
     with pytest.raises(ShapeError, match="neighbor_sum"):
@@ -277,20 +288,20 @@ def test_linear_relu_relu_step_is_bitwise_np_where(dtype, monkeypatch):
 
 
 def test_linear_relu_rejects_what_linear_rejects():
-    x = ad.tensor(np.zeros((2, 3)))
+    x = ad.Tensor(np.zeros((2, 3)))
     with pytest.raises(ShapeError, match="linear_relu"):
-        ad.linear_relu(x, ad.tensor(np.zeros((4, 3))), ad.tensor(np.zeros(3)))
+        ad.linear_relu(x, ad.Tensor(np.zeros((4, 3))), ad.Tensor(np.zeros(3)))
     with pytest.raises(ShapeError, match="linear_relu"):
-        ad.linear_relu(x, ad.tensor(np.zeros((3, 3))), ad.tensor(np.zeros(2)))
+        ad.linear_relu(x, ad.Tensor(np.zeros((3, 3))), ad.Tensor(np.zeros(2)))
     with pytest.raises(ContractError, match="dtypes"):
-        ad.linear_relu(x, ad.tensor(np.zeros((3, 3)), dtype=np.float32),
-                       ad.tensor(np.zeros(3)))
+        ad.linear_relu(x, ad.Tensor(np.zeros((3, 3)), dtype=np.float32),
+                       ad.Tensor(np.zeros(3)))
 
 
 def test_taped_mlp2_appends_two_records():
     mlp = Mlp2(np.random.default_rng(0), 3, 5, 4).astype(np.float32)
     with ad.Tape() as tape:
-        mlp(ad.tensor(np.ones((6, 3)), dtype=np.float32))
+        mlp(ad.Tensor(np.ones((6, 3)), dtype=np.float32))
     assert len(tape) == 2
 
 
@@ -327,7 +338,7 @@ def test_neighbor_diff_is_bitwise_the_unfused_composition(dtype, shared):
 
 
 def test_neighbor_diff_rejects_misfit_index_shape_and_dtype():
-    center, other = ad.tensor(np.zeros((3, 2))), ad.tensor(np.zeros((5, 2)))
+    center, other = ad.Tensor(np.zeros((3, 2))), ad.Tensor(np.zeros((5, 2)))
     idx = np.arange(6) % 5
     for bad in (np.full(6, 5), np.full(6, -1)):
         with pytest.raises(IndexError, match="neighbor_diff"):
@@ -340,9 +351,9 @@ def test_neighbor_diff_rejects_misfit_index_shape_and_dtype():
     with pytest.raises(ShapeError):
         ad.neighbor_diff(center, other, idx, 0)
     with pytest.raises(ShapeError):
-        ad.neighbor_diff(center, ad.tensor(np.zeros((5, 3))), idx, 2)
+        ad.neighbor_diff(center, ad.Tensor(np.zeros((5, 3))), idx, 2)
     with pytest.raises(ContractError, match="dtypes"):
-        ad.neighbor_diff(center, ad.tensor(np.zeros((5, 2)), dtype=np.float32), idx, 2)
+        ad.neighbor_diff(center, ad.Tensor(np.zeros((5, 2)), dtype=np.float32), idx, 2)
 
 
 # --- upsample_attention: one tiled record for all of a transformer's kernels ---
@@ -447,8 +458,8 @@ def test_attention_head_is_bitwise_the_unfused_records(dtype, variant, width, ti
         got = [w.data for w in captured] + [out.data] + [t.grad for t in leaves]
         assert _bits(*got) == _bits(*[p[0] for p in plain], want_out, *want_grads)
         untaped = ad.upsample_attention(
-            ad.tensor(x), ad.tensor(v),
-            [[ad.tensor(a) for a in params[3 * m: 3 * m + 3]] for m in range(rate)],
+            ad.Tensor(x), ad.Tensor(v),
+            [[ad.Tensor(a) for a in params[3 * m: 3 * m + 3]] for m in range(rate)],
             variant, 1.7,
         )
         assert _bits(untaped.data) == _bits(want_out)
@@ -525,7 +536,7 @@ def test_row_tiles_of_the_head_gemms_are_rows_of_the_full_gemms(c, dtype, k, wid
 
 
 def test_attention_head_rejects_misfit_shapes_dtypes_and_modes():
-    x, v, w0, b0, w1 = (ad.tensor(a) for a in _head_arrays(
+    x, v, w0, b0, w1 = (ad.Tensor(a) for a in _head_arrays(
         np.random.default_rng(48), 2, 3, 4, 4, np.float64))
 
     def call(x, v, *kernel, variant="softmax", lam=1.0):
@@ -534,22 +545,22 @@ def test_attention_head_rejects_misfit_shapes_dtypes_and_modes():
 
     call(x, v, w0, b0, w1)  # fits
     misfits = [
-        (ad.tensor(np.zeros((5, 4))), v, w0, b0, w1),  # not n * k rows
-        (x, ad.tensor(np.zeros((6, 4))), w0, b0, w1),  # values not (n, k, C)
-        (x, v, ad.tensor(np.zeros((3, 4))), b0, w1),  # w0 rows != x columns
-        (x, v, w0, ad.tensor(np.zeros(5)), w1),  # b0 != hidden width
-        (x, v, w0, b0, ad.tensor(np.zeros((5, 4)))),  # w1 rows != hidden width
-        (x, v, w0, b0, ad.tensor(np.zeros(4))),  # w1 not a matrix
-        (x, v, w0, b0, ad.tensor(np.zeros((4, 2)))),  # W not C or 1
+        (ad.Tensor(np.zeros((5, 4))), v, w0, b0, w1),  # not n * k rows
+        (x, ad.Tensor(np.zeros((6, 4))), w0, b0, w1),  # values not (n, k, C)
+        (x, v, ad.Tensor(np.zeros((3, 4))), b0, w1),  # w0 rows != x columns
+        (x, v, w0, ad.Tensor(np.zeros(5)), w1),  # b0 != hidden width
+        (x, v, w0, b0, ad.Tensor(np.zeros((5, 4)))),  # w1 rows != hidden width
+        (x, v, w0, b0, ad.Tensor(np.zeros(4))),  # w1 not a matrix
+        (x, v, w0, b0, ad.Tensor(np.zeros((4, 2)))),  # W not C or 1
     ]
     for args in misfits:
         with pytest.raises(ShapeError, match="upsample_attention"):
             call(*args)
-    f32 = ad.tensor(np.zeros((2, 3, 4)), dtype=np.float32)
+    f32 = ad.Tensor(np.zeros((2, 3, 4)), dtype=np.float32)
     with pytest.raises(ContractError, match="dtypes"):
         call(x, f32, w0, b0, w1)
     with pytest.raises(ContractError, match="dtypes"):
-        call(x, v, w0, b0, ad.tensor(np.zeros((4, 4)), dtype=np.float32))
+        call(x, v, w0, b0, ad.Tensor(np.zeros((4, 4)), dtype=np.float32))
     with pytest.raises(ContractError, match="variant"):
         call(x, v, w0, b0, w1, variant="hardmax")
     for lam in (math.inf, math.nan, 0.0):
@@ -639,8 +650,8 @@ def test_backward_bitwise_deterministic():
         w = leaf(rng.standard_normal((5, 4)))  # same stream restart below
         rng = np.random.default_rng(7)
         rng.standard_normal((8, 5))
-        values = ad.tensor(np.linspace(-1.0, 1.0, 32).reshape(2, 4, 4))
-        w1, zeros = ad.tensor(np.eye(4)), ad.tensor(np.zeros(4))
+        values = ad.Tensor(np.linspace(-1.0, 1.0, 32).reshape(2, 4, 4))
+        w1, zeros = ad.Tensor(np.eye(4)), ad.Tensor(np.zeros(4))
         run_backward(
             lambda x, w: ad.reduce_sum(ad.upsample_attention(x, values, [(w, zeros, w1)])),
             x,
@@ -696,8 +707,8 @@ def test_view_adjoints_accumulate_exactly_over_two_passes():
     # reshape and concat both hand back views: x's first grad is a slice of
     # the gradient of the joined tensor, which the second pass adds into
     x = leaf(np.arange(6.0).reshape(2, 3))
-    pad = ad.tensor(np.zeros((1, 2)))
-    weights = ad.tensor(np.linspace(-1.0, 1.5, 8).reshape(4, 2))
+    pad = ad.Tensor(np.zeros((1, 2)))
+    weights = ad.Tensor(np.linspace(-1.0, 1.5, 8).reshape(4, 2))
     expected = weights.data[:3].reshape(2, 3)
     for passes in (1, 2):
         with ad.Tape() as tape:
@@ -851,8 +862,9 @@ def test_a_tensor_made_under_a_closed_tape_is_a_leaf_of_the_next():
 # function, and the call (args, kwargs) that the case must make of it
 _MERGED = {
     "add": ("elementwise", "add", lambda a, kw: True),
-    "mul": ("elementwise", "mul", lambda a, kw: True),
-    "sub_scalar": ("elementwise", "sub", lambda a, kw: np.isscalar(a[0])),
+    "sub": ("elementwise", "sub", lambda a, kw: True),
+    "mul": ("elementwise", "mul", lambda a, kw: isinstance(a[1], ad.Tensor)),
+    "mul_scalar": ("elementwise", "mul", lambda a, kw: np.isscalar(a[1])),
     "reduce_sum_axis": ("reductions", "reduce_sum", lambda a, kw: kw.get("axis") == 1),
     "reduce_mean_axis": ("reductions", "reduce_mean", lambda a, kw: kw.get("axis") == 0),
     "concat": ("concat_gather", "concat", lambda a, kw: kw.get("axis") == 1),
@@ -926,7 +938,7 @@ def test_grad_check_softmax_sum_is_constant():
     # softmax weights sum to one, so a head over all-ones values outputs
     # ones: both the analytic and the numeric gradient vanish (to roundoff)
     x = leaf(np.random.default_rng(3).standard_normal((12, 1)) * 0.1)
-    values = ad.tensor(np.ones((3, 4, 1)))
+    values = ad.Tensor(np.ones((3, 4, 1)))
     with ad.Tape() as tape:
         out = ad.reduce_sum(_pass_through_head(x, values))
     tape.backward(out)
@@ -939,7 +951,7 @@ def test_grad_check_softmax_sum_is_constant():
 def test_grad_check_perturbs_a_non_contiguous_leaf_in_place():
     # a transposed leaf: reshaping it copies, so the perturbation must go
     # through an index into the leaf itself to reach fn
-    x = ad.tensor(np.random.default_rng(4).standard_normal((4, 3)).T, requires_grad=True)
+    x = ad.Tensor(np.random.default_rng(4).standard_normal((4, 3)).T, requires_grad=True)
     assert not x.data.flags.c_contiguous
     probe = ad.constant(np.arange(12.0).reshape(3, 4) - 5.5)
     report = ad.grad_check(lambda x: ad.reduce_sum(ad.mul(ad.mul(x, x), probe)), [x])
@@ -954,7 +966,7 @@ def test_grad_check_flags_with_zero_tolerance():
 
 
 def test_grad_check_rejects_float32():
-    x = ad.tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+    x = ad.Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
     with pytest.raises(ContractError):
         ad.grad_check(lambda x: ad.reduce_sum(x), [x])
 

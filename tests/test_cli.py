@@ -229,7 +229,7 @@ def test_gradcheck_nan_tolerance_exits_two(capsys):
 def test_gradcheck_full_suite_exits_zero(capsys, monkeypatch):
     # without --op every registered case runs; a small registry stands in
     def wrong_adjoint():  # a recorded adjoint 3/2 times too large
-        x = ad.tensor(np.linspace(1.0, 2.0, 3), requires_grad=True)
+        x = ad.Tensor(np.linspace(1.0, 2.0, 3), requires_grad=True)
         return lambda x: ad.reduce_sum(ad._emit(x.data * 2, [x], lambda g: (g * 3,))), [x]
 
     monkeypatch.setattr(gradcheck, "CASES", {"sqrt": gradcheck.CASES["sqrt"]})
@@ -241,10 +241,13 @@ def test_gradcheck_full_suite_exits_zero(capsys, monkeypatch):
     assert "wrong_adjoint: FAIL" in out and "1 case(s) failed: wrong_adjoint" in err
 
 
+# the ablation flags of train: --generator, --attention and --lambda
+
+
 def test_ablate_trains_variant(micro_dataset, capsys):
     root = micro_dataset
     code = main([
-        "ablate", "--generator", "graphconv", "--attention", "softmax",
+        "train", "--generator", "graphconv", "--attention", "softmax",
         "--config", str(root / "micro.cfg"),
         "--data", str(root / "data" / "train"),
         "--out", str(root / "ablate.ckpt"),
@@ -273,7 +276,7 @@ def test_ablate_flags_not_given_keep_config_values(micro_dataset, flags, expecte
         MICRO_CFG + "generator = folding\nseed_attention = softmax\nattention_scale = 2.5\n"
     )
     code = main([
-        "ablate", *flags, "--config", str(root / "micro.cfg"),
+        "train", *flags, "--config", str(root / "micro.cfg"),
         "--data", str(root / "data" / "train"), "--out", str(root / "ablate.ckpt"),
         "--steps", "1",
     ])
@@ -286,7 +289,7 @@ def test_ablate_flags_not_given_keep_config_values(micro_dataset, flags, expecte
 
 def test_ablate_infinite_lambda_exits_2(micro_dataset, capsys):
     code = main([
-        "ablate", "--attention", "scaled", "--lambda", "inf",
+        "train", "--attention", "scaled", "--lambda", "inf",
         "--config", str(micro_dataset / "micro.cfg"),
         "--data", str(micro_dataset / "data" / "train"),
         "--out", str(micro_dataset / "inf.ckpt"),
@@ -302,10 +305,21 @@ def test_ablate_offers_every_variant():
     for generator in GENERATOR_VARIANTS:
         for attention in ATTENTION_VARIANTS:
             args = parser.parse_args([
-                "ablate", "--generator", generator, "--attention", attention,
+                "train", "--generator", generator, "--attention", attention,
                 "--data", "d", "--out", "o",
             ])
             assert (args.generator, args.attention) == (generator, attention)
+
+
+def test_ablate_command_is_gone_and_exits_1(micro_dataset, capsys):
+    code = main([
+        "ablate", "--generator", "graphconv",
+        "--data", str(micro_dataset / "data" / "train"),
+        "--out", str(micro_dataset / "model.ckpt"),
+    ])
+    assert code == 1
+    assert "invalid choice: 'ablate'" in capsys.readouterr().err
+    assert not list(micro_dataset.glob("model.ckpt*"))
 
 
 @pytest.mark.parametrize("line", ["channels = abc", "rates = 1,x"])
@@ -332,14 +346,13 @@ def test_train_steps_below_one_exits_2_and_writes_nothing(micro_dataset, capsys,
     assert not list(micro_dataset.glob("model.ckpt*"))
 
 
-@pytest.mark.parametrize("command", ["train", "ablate"])
 @pytest.mark.parametrize("lr", ["nan", "inf", "-1"])
 def test_train_lr_not_finite_or_negative_exits_2_and_writes_nothing(micro_dataset, capsys,
-                                                                   command, lr):
+                                                                   lr):
     # a NaN or infinite rate used to save a checkpoint of non-finite parameters
     # and a negative one trained uphill
     code = main([
-        command, "--config", str(micro_dataset / "micro.cfg"),
+        "train", "--config", str(micro_dataset / "micro.cfg"),
         "--data", str(micro_dataset / "data" / "train"),
         "--out", str(micro_dataset / "model.ckpt"), "--steps", "1", "--lr", lr,
     ])

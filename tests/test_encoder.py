@@ -64,7 +64,7 @@ def test_refinement_preserves_shape():
     layer = PointTransformerLayer(np.random.default_rng(8), channels=128, k=16)
     layer.astype(np.float32)
     cloud = random_cloud(rng, 512).astype(np.float32)
-    feats = ad.tensor(rng.standard_normal((512, 128)).astype(np.float32))
+    feats = ad.Tensor(rng.standard_normal((512, 128)).astype(np.float32))
     out = layer(cloud, feats)
     assert out.shape == (512, 128)
 
@@ -73,7 +73,7 @@ def test_refinement_single_neighbor_weights_are_one():
     rng = np.random.default_rng(9)
     layer = PointTransformerLayer(np.random.default_rng(10), channels=6, k=1)
     cloud = random_cloud(rng, 5)
-    feats = ad.tensor(rng.standard_normal((5, 6)))
+    feats = ad.Tensor(rng.standard_normal((5, 6)))
     capture = {}
     x = layer.pre(feats)
     layer.core(x, x, ad.constant(cloud, like=feats), capture=capture)
@@ -85,9 +85,9 @@ def test_refinement_is_permutation_equivariant():
     layer = PointTransformerLayer(np.random.default_rng(12), channels=7, k=4)
     cloud = random_cloud(rng, 20)
     feats = rng.standard_normal((20, 7))
-    base = layer(cloud, ad.tensor(feats)).data
+    base = layer(cloud, ad.Tensor(feats)).data
     perm = rng.permutation(20)
-    permuted = layer(cloud[perm], ad.tensor(feats[perm])).data
+    permuted = layer(cloud[perm], ad.Tensor(feats[perm])).data
     np.testing.assert_allclose(permuted, base[perm], atol=1e-12)
 
 

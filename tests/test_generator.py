@@ -31,15 +31,15 @@ def random_cloud(rng, n, spread=1.0):
 
 def make_seeds(rng, n, channels, dtype=np.float64):
     return geometry.PointSet(
-        ad.tensor(random_cloud(rng, n).astype(dtype)),
-        ad.tensor(rng.standard_normal((n, channels)).astype(dtype)),
+        ad.Tensor(random_cloud(rng, n).astype(dtype)),
+        ad.Tensor(rng.standard_normal((n, channels)).astype(dtype)),
     )
 
 
 def uptrans_inputs(rng, n=8, c=6, dtype=np.float64):
-    queries = ad.tensor(rng.standard_normal((n, c)).astype(dtype))
-    keys = ad.tensor(rng.standard_normal((n, c)).astype(dtype))
-    cloud = ad.tensor(random_cloud(rng, n).astype(dtype))
+    queries = ad.Tensor(rng.standard_normal((n, c)).astype(dtype))
+    keys = ad.Tensor(rng.standard_normal((n, c)).astype(dtype))
+    cloud = ad.Tensor(random_cloud(rng, n).astype(dtype))
     return queries, keys, cloud
 
 
@@ -81,7 +81,7 @@ def test_single_neighbor_softmax_reduces_to_value_plus_encoding():
     q, k, cloud = uptrans_inputs(rng, n=6, c=5)
     out = core(q, k, cloud)
     values = core.value_map(core.value_mixer(ad.concat([k, q], axis=1)))
-    zero = ad.tensor(np.zeros((6, 3)))
+    zero = ad.Tensor(np.zeros((6, 3)))
     expected = ad.add(values, core.pos_encoder(zero))
     np.testing.assert_allclose(out.data, expected.data, atol=1e-12)
 
@@ -247,7 +247,7 @@ def test_variant_permutation_equivariance(variant):
     base = core(q, k, cloud)
     perm = rng.permutation(12)
     out_perm = core(
-        ad.tensor(q.data[perm]), ad.tensor(k.data[perm]), ad.tensor(cloud.data[perm]),
+        ad.Tensor(q.data[perm]), ad.Tensor(k.data[perm]), ad.Tensor(cloud.data[perm]),
     )
     # rows permute in kernel groups; compare the feature sets geometrically
     # by pairing them with the duplicated output coordinates
@@ -260,11 +260,11 @@ def test_variant_permutation_equivariance(variant):
 def test_graphconv_equal_neighbor_features_collapse_max():
     rng = np.random.default_rng(20)
     core = GraphConvCore(np.random.default_rng(21), 5, rate=2, k=3)
-    cloud = ad.tensor(random_cloud(rng, 7))
+    cloud = ad.Tensor(random_cloud(rng, 7))
     row = rng.standard_normal(5)
-    feats = ad.tensor(np.tile(row, (7, 1)))
+    feats = ad.Tensor(np.tile(row, (7, 1)))
     out = core(feats, feats, cloud)
-    single = ad.tensor(row.reshape(1, 5))
+    single = ad.Tensor(row.reshape(1, 5))
     for m, kernel in enumerate(core.kernels):
         expected = kernel(single).data[0]
         np.testing.assert_allclose(out.data[m::2], np.tile(expected, (7, 1)), atol=1e-12)
@@ -284,7 +284,7 @@ def test_pointwise_softmax_weights_sum_to_one_per_point_and_kernel():
 def test_folding_grid_distinguishes_replicas():
     rng = np.random.default_rng(24)
     core = FoldingCore(np.random.default_rng(25), 5, rate=4)
-    q = ad.tensor(rng.standard_normal((6, 5)))
+    q = ad.Tensor(rng.standard_normal((6, 5)))
     out = core(q)
     groups = out.data.reshape(6, 4, 5)
     assert np.abs(groups[:, 0, :] - groups[:, 1, :]).max() > 1e-9
@@ -293,7 +293,7 @@ def test_folding_grid_distinguishes_replicas():
 def test_deconv_replicas_are_independent_linear_maps():
     rng = np.random.default_rng(26)
     core = DeconvCore(np.random.default_rng(27), 4, rate=2)
-    q = ad.tensor(rng.standard_normal((5, 4)))
+    q = ad.Tensor(rng.standard_normal((5, 4)))
     out = core(q)
     for m, split in enumerate(core.splits):
         np.testing.assert_allclose(out.data[m::2], split(q).data, atol=1e-12)
@@ -304,8 +304,8 @@ def test_deconv_replicas_are_independent_linear_maps():
 
 def make_patches(rng, n=64, c=128, dtype=np.float64):
     return geometry.PointSet(
-        ad.tensor(random_cloud(rng, n).astype(dtype)),
-        ad.tensor(rng.standard_normal((n, c)).astype(dtype)),
+        ad.Tensor(random_cloud(rng, n).astype(dtype)),
+        ad.Tensor(rng.standard_normal((n, c)).astype(dtype)),
     )
 
 
@@ -336,9 +336,9 @@ def test_seed_generator_translation_snapshot():
     # free the zero-initialized coordinate head so the snapshot is nontrivial
     gen.coord_map.lin1.w.data = 0.2 * rng.standard_normal(gen.coord_map.lin1.w.shape)
     centers = rng.integers(-2048, 2049, size=(12, 3)).astype(np.float64) / 4096.0
-    feats = ad.tensor(rng.standard_normal((12, 16)))
-    base = gen(geometry.PointSet(ad.tensor(centers), feats))
-    moved = gen(geometry.PointSet(ad.tensor(centers + np.array([1.0, -0.5, 2.0])), feats))
+    feats = ad.Tensor(rng.standard_normal((12, 16)))
+    base = gen(geometry.PointSet(ad.Tensor(centers), feats))
+    moved = gen(geometry.PointSet(ad.Tensor(centers + np.array([1.0, -0.5, 2.0])), feats))
     np.testing.assert_array_equal(base.cloud.data, moved.cloud.data)
     np.testing.assert_array_equal(base.features.data, moved.features.data)
 
@@ -347,8 +347,8 @@ def test_seed_generator_translation_snapshot():
 
 
 def make_state(rng, n=8, c=6, dtype=np.float64):
-    cloud = ad.tensor(random_cloud(rng, n).astype(dtype))
-    feats = ad.tensor(rng.standard_normal((n, c)).astype(dtype))
+    cloud = ad.Tensor(random_cloud(rng, n).astype(dtype))
+    feats = ad.Tensor(rng.standard_normal((n, c)).astype(dtype))
     return geometry.PointSet(cloud, feats)
 
 
@@ -402,7 +402,7 @@ def test_stage_permutation_equivariance_by_chamfer():
     base = stage(state, seeds)
     perm = rng.permutation(10)
     permuted_state = geometry.PointSet(
-        ad.tensor(state.cloud.data[perm]), ad.tensor(state.features.data[perm])
+        ad.Tensor(state.cloud.data[perm]), ad.Tensor(state.features.data[perm])
     )
     out_perm = stage(permuted_state, seeds)
     assert chamfer(base.cloud.data, out_perm.cloud.data, "l2").item() < 1e-12

@@ -137,14 +137,14 @@ def test_integer_clouds_match_their_float64_copies(monkeypatch, path):
 
 def make_seeds(coords, features):
     return geometry.PointSet(
-        ad.tensor(np.asarray(coords, dtype=np.float64)),
-        ad.tensor(np.asarray(features, dtype=np.float64), requires_grad=True),
+        ad.Tensor(np.asarray(coords, dtype=np.float64)),
+        ad.Tensor(np.asarray(features, dtype=np.float64), requires_grad=True),
     )
 
 
 def test_point_set_rejects_mismatched_row_counts():
     with pytest.raises(ContractError, match="row count"):
-        geometry.PointSet(ad.tensor(np.zeros((4, 3))), ad.tensor(np.zeros((5, 2))))
+        geometry.PointSet(ad.Tensor(np.zeros((4, 3))), ad.Tensor(np.zeros((5, 2))))
 
 
 def test_interpolation_equidistant_average():
@@ -195,8 +195,8 @@ def test_interpolation_permutation_invariant_in_seed_order():
 
 def test_interpolation_gradients_reach_features_only():
     rng = np.random.default_rng(6)
-    coords = ad.tensor(random_cloud(rng, 8), requires_grad=True)
-    feats = ad.tensor(rng.standard_normal((8, 3)), requires_grad=True)
+    coords = ad.Tensor(random_cloud(rng, 8), requires_grad=True)
+    feats = ad.Tensor(rng.standard_normal((8, 3)), requires_grad=True)
     seeds = geometry.PointSet(coords, feats)
     with ad.Tape() as tape:
         out = geometry.interpolate_seed_features(random_cloud(rng, 5), seeds, k=3)
@@ -219,7 +219,7 @@ def test_interpolation_rejects_bad_k():
 def test_fuse_identical_sets_covers_locations():
     rng = np.random.default_rng(8)
     pts = random_cloud(rng, 10)
-    fused = geometry.fuse_and_resample(ad.tensor(pts), ad.tensor(pts.copy()), 10)
+    fused = geometry.fuse_and_resample(ad.Tensor(pts), ad.Tensor(pts.copy()), 10)
     # every distinct location appears once in the selection
     got = {tuple(np.round(row, 9)) for row in fused.data}
     want = {tuple(np.round(row, 9)) for row in pts}
@@ -229,7 +229,7 @@ def test_fuse_identical_sets_covers_locations():
 def test_fuse_disjoint_clusters_picks_one_each():
     a = np.array([[0.0, 0, 0], [0.01, 0, 0], [0.02, 0, 0]])
     b = a + np.array([10.0, 0, 0])
-    fused = geometry.fuse_and_resample(ad.tensor(a), ad.tensor(b), 2).data
+    fused = geometry.fuse_and_resample(ad.Tensor(a), ad.Tensor(b), 2).data
     assert (fused[:, 0] < 5).sum() == 1
     assert (fused[:, 0] > 5).sum() == 1
 
@@ -239,14 +239,14 @@ def test_fuse_matches_oracle():
     seeds = random_cloud(rng, 32)
     partial = random_cloud(rng, 48)
     merged = np.concatenate([seeds, partial], axis=0)
-    fused = geometry.fuse_and_resample(ad.tensor(seeds), ad.tensor(partial), 40)
+    fused = geometry.fuse_and_resample(ad.Tensor(seeds), ad.Tensor(partial), 40)
     np.testing.assert_array_equal(fused.data, merged[fps_oracle(merged, 40, 0)])
 
 
 def test_fuse_gradient_reaches_exactly_the_picked_rows():
     rng = np.random.default_rng(19)
-    seeds = ad.tensor(random_cloud(rng, 16), requires_grad=True)
-    partial = ad.tensor(random_cloud(rng, 24), requires_grad=True)
+    seeds = ad.Tensor(random_cloud(rng, 16), requires_grad=True)
+    partial = ad.Tensor(random_cloud(rng, 24), requires_grad=True)
     probe = rng.standard_normal((20, 3))
     with ad.Tape() as tape:
         fused = geometry.fuse_and_resample(seeds, partial, 20)
@@ -260,7 +260,7 @@ def test_fuse_gradient_reaches_exactly_the_picked_rows():
 
 
 def test_fuse_rejects_oversize():
-    pts = ad.tensor(np.zeros((4, 3)))
+    pts = ad.Tensor(np.zeros((4, 3)))
     with pytest.raises(ContractError):
         geometry.fuse_and_resample(pts, pts, 9)
 

@@ -72,8 +72,8 @@ def test_chamfer_nonnegative_and_zero_iff_mutual_subsets():
 
 def test_chamfer_gradient_matches_finite_differences():
     rng = np.random.default_rng(3)
-    a = ad.tensor(random_cloud(rng, 9), requires_grad=True)
-    b = ad.tensor(random_cloud(rng, 7), requires_grad=True)
+    a = ad.Tensor(random_cloud(rng, 9), requires_grad=True)
+    b = ad.Tensor(random_cloud(rng, 7), requires_grad=True)
     for norm in ("l1", "l2"):
         report = ad.grad_check(lambda a, b: losses.chamfer(a, b, norm), [a, b])
         assert report.passed, report.summary()
@@ -102,7 +102,7 @@ def test_loss_terms_are_bitwise_the_sub_gather_composition(dtype, monkeypatch):
             monkeypatch.setattr(losses, "_nearest_sq_dist", _sub_gather_sq_dist)
         bits = []
         for term in terms:
-            a, b = (ad.tensor(c, requires_grad=True) for c in clouds)
+            a, b = (ad.Tensor(c, requires_grad=True) for c in clouds)
             with ad.Tape() as tape:
                 value = term(a, b)
             ops = {rec.backfn.__qualname__.split(".")[0] for rec in tape.records}
