@@ -27,6 +27,7 @@ import contextlib
 import math
 import os
 import struct
+import threading
 import zlib
 
 import numpy as np
@@ -114,7 +115,8 @@ def save_checkpoint(model, path, optimizer=None):
     The file is written beside ``path`` and renamed over it when complete,
     so a save that fails part way leaves any earlier checkpoint intact.
     """
-    partial = f"{os.fspath(path)}.{os.getpid()}.partial"
+    # one sibling per thread: two saves to one path must not share a file
+    partial = f"{os.fspath(path)}.{os.getpid()}.{threading.get_ident()}.partial"
     try:
         with open(partial, "w+b") as fh:
             fh.write(MAGIC)

@@ -433,33 +433,35 @@ def run_training(model, samples, steps, optimizer, seed=0, lr_decay_every=None,
     sizes = [model.config.seed_count, *model.config.stage_sizes]
     target_cache = {}
     rows = []
-    for step in range(1, steps + 1):
-        if lr_decay_every:
-            optimizer.lr = base_lr * (_LR_DECAY ** ((step - 1) // lr_decay_every))
-        model.zero_grad()
-        parts = []
-        for _ in range(batch_clouds):
-            index = next(order)
-            partial, gt = samples[index]
-            if index not in target_cache:
-                target_cache[index] = downsample_targets(
-                    np.asarray(gt, dtype=model.config.dtype), sizes
+    try:
+        for step in range(1, steps + 1):
+            if lr_decay_every:
+                optimizer.lr = base_lr * (_LR_DECAY ** ((step - 1) // lr_decay_every))
+            model.zero_grad()
+            parts = []
+            for _ in range(batch_clouds):
+                index = next(order)
+                partial, gt = samples[index]
+                if index not in target_cache:
+                    target_cache[index] = downsample_targets(
+                        np.asarray(gt, dtype=model.config.dtype), sizes
+                    )
+                parts.append(
+                    _accumulate_loss(model, partial, 1.0 / batch_clouds, target_cache[index])
                 )
-            parts.append(
-                _accumulate_loss(model, partial, 1.0 / batch_clouds, target_cache[index])
+            optimizer.step()
+            breakdown = LossBreakdown(
+                stage_cds=tuple(
+                    float(np.mean([p.stage_cds[i] for p in parts]))
+                    for i in range(len(parts[0].stage_cds))
+                ),
+                partial_matching=float(np.mean([p.partial_matching for p in parts])),
+                total=float(np.mean([p.total for p in parts])),
             )
-        optimizer.step()
-        breakdown = LossBreakdown(
-            stage_cds=tuple(
-                float(np.mean([p.stage_cds[i] for p in parts]))
-                for i in range(len(parts[0].stage_cds))
-            ),
-            partial_matching=float(np.mean([p.partial_matching for p in parts])),
-            total=float(np.mean([p.total for p in parts])),
-        )
-        row = TrainLogRow(step=step, breakdown=breakdown)
-        rows.append(row)
-        if on_step is not None:
-            on_step(row)
-    optimizer.lr = base_lr
+            row = TrainLogRow(step=step, breakdown=breakdown)
+            rows.append(row)
+            if on_step is not None:
+                on_step(row)
+    finally:  # also when a step or on_step raises
+        optimizer.lr = base_lr
     return rows

@@ -274,6 +274,24 @@ def test_learning_rate_decay_schedule():
     assert seen == [1e-3, 1e-3, 1e-4, 1e-4]
 
 
+def test_learning_rate_is_restored_when_a_step_raises():
+    # the base rate used to come back only after the last step: a raising
+    # on_step left it decayed to 1e-5
+    config = ModelConfig.micro()
+    rng = np.random.default_rng(10)
+    model = CompletionModel(config)
+    opt = Adam(model, lr=1e-3)
+
+    def stop_at_three(row):
+        if row.step == 3:
+            raise RuntimeError("stop")
+
+    with pytest.raises(RuntimeError, match="stop"):
+        run_training(model, [toy_pair(rng, n=config.input_points)], steps=5,
+                     optimizer=opt, lr_decay_every=1, on_step=stop_at_three)
+    assert opt.lr == 1e-3
+
+
 @pytest.mark.parametrize("every", [0, -1])
 def test_learning_rate_decay_interval_below_one_is_refused(every):
     # -1 used to multiply the rate by 10 every step; 0 silently meant no decay
