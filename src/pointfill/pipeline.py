@@ -462,6 +462,6 @@ def run_training(model, samples, steps, optimizer, seed=0, lr_decay_every=None,
             rows.append(row)
             if on_step is not None:
                 on_step(row)
-    finally:  # also when a step or on_step raises
+    finally:
         optimizer.lr = base_lr
     return rows

@@ -400,14 +400,15 @@ def test_threads_saving_one_path_leave_one_whole_model(tmp_path, monkeypatch):
     def save(model):
         try:
             save_checkpoint(model, path)
-        except BaseException as exc:  # reported below, not lost in the thread
+        except Exception as exc:  # reported below, not lost in the thread
             errors.append(exc)
 
     threads = [threading.Thread(target=save, args=(m,)) for m in models]
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert list(tmp_path.iterdir()) == [path]
     loaded = list(load_checkpoint(path).named_parameters())

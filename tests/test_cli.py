@@ -311,15 +311,9 @@ def test_ablate_offers_every_variant():
             assert (args.generator, args.attention) == (generator, attention)
 
 
-def test_ablate_command_is_gone_and_exits_1(micro_dataset, capsys):
-    code = main([
-        "ablate", "--generator", "graphconv",
-        "--data", str(micro_dataset / "data" / "train"),
-        "--out", str(micro_dataset / "model.ckpt"),
-    ])
-    assert code == 1
+def test_ablate_command_is_gone_and_exits_1(capsys):
+    assert main(["ablate", "--generator", "graphconv", "--data", "d", "--out", "o"]) == 1
     assert "invalid choice: 'ablate'" in capsys.readouterr().err
-    assert not list(micro_dataset.glob("model.ckpt*"))
 
 
 @pytest.mark.parametrize("line", ["channels = abc", "rates = 1,x"])
@@ -347,8 +341,7 @@ def test_train_steps_below_one_exits_2_and_writes_nothing(micro_dataset, capsys,
 
 
 @pytest.mark.parametrize("lr", ["nan", "inf", "-1"])
-def test_train_lr_not_finite_or_negative_exits_2_and_writes_nothing(micro_dataset, capsys,
-                                                                   lr):
+def test_train_lr_not_finite_or_negative_exits_2_and_writes_nothing(micro_dataset, capsys, lr):
     # a NaN or infinite rate used to save a checkpoint of non-finite parameters
     # and a negative one trained uphill
     code = main([
