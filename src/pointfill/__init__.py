@@ -7,7 +7,7 @@ numpy reverse-mode autodiff core with a finite-difference audit suite.
 """
 
 from . import autodiff
-from .autodiff import Tape, Tensor, grad_check
+from .autodiff import Tape, Tensor
 from .checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
 from .data import (
     SyntheticShapeSpec,
@@ -45,6 +45,7 @@ from .geometry import (
     interpolate_seed_features,
     knn,
 )
+from .gradcheck import grad_check
 from .losses import (
     LossBreakdown,
     chamfer,

@@ -1,6 +1,7 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-The engine provides exactly the primitives the completion model needs.
+The engine provides exactly the primitives the completion model needs; the
+finite-difference audit of their adjoints is :mod:`pointfill.gradcheck`.
 A :class:`Tensor` wraps a float32 or float64 numpy array. While a
 :class:`Tape` is active (used as a context manager), every primitive whose
 inputs require gradients appends a record with an exact adjoint closure;
@@ -777,111 +778,3 @@ def upsample_attention(x, values, kernels, variant="softmax", lam=1.0, capture=N
         return grads
 
     return _emit(out.reshape(n * rate, c), inputs, back)
-
-
-# ---------------------------------------------------------------------------
-# Gradient checking
-
-
-class GradCheckReport:
-    """Per-coordinate comparison of analytic and central-difference gradients."""
-
-    def __init__(self, tol):
-        self.tol = tol
-        self.checked = 0
-        self.max_rel_error = 0.0
-        self.worst = None  # (input_index, flat_coord, analytic, numeric)
-        self.failures = []
-
-    @property
-    def passed(self):
-        return not self.failures
-
-    def record(self, input_index, coord, analytic, numeric):
-        rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
-        if not (math.isfinite(analytic) and math.isfinite(rel)):
-            rel = math.inf  # a NaN would pass every ``rel > bound`` test
-        self.checked += 1
-        if rel > self.max_rel_error:
-            self.max_rel_error = rel
-            self.worst = (input_index, coord, analytic, numeric)
-        if rel > self.tol:
-            self.failures.append((input_index, coord, analytic, numeric, rel))
-
-    def summary(self):
-        status = "ok"
-        if not self.passed:
-            i, coord, analytic, numeric = self.worst
-            status = (f"{len(self.failures)} coordinate(s) over tol; worst input {i} "
-                      f"coordinate {coord}: analytic {analytic:.6g}, numeric {numeric:.6g}")
-        return (
-            f"checked {self.checked} coordinates, max rel err "
-            f"{self.max_rel_error:.3e} (tol {self.tol:.1e}): {status}"
-        )
-
-
-def grad_check(fn, inputs, eps=1e-5, tol=1e-4, max_coords_per_input=None):
-    """Compare analytic gradients of ``fn`` against central differences.
-
-    Args:
-        fn: callable mapping the given Tensors to a scalar Tensor.
-        inputs: sequence of float64 leaf Tensors with requires_grad set.
-        eps: central-difference step.
-        tol: relative-error threshold for flagging a coordinate.
-        max_coords_per_input: if given, check only this many coordinates per
-            input, chosen by an rng seeded with 0 (still touching every
-            input).
-
-    Returns a GradCheckReport. Raises NumericsError if ``fn`` produces a
-    non-finite value and ContractError on misuse (non-scalar output, wrong
-    precision, an eps that is not finite and > 0, a tol that is not finite
-    and >= 0).
-    """
-    if not (math.isfinite(eps) and eps > 0):
-        raise ContractError(f"grad_check needs a finite eps > 0, got {eps}")
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ContractError(f"grad_check needs a finite tol >= 0, got {tol}")
-    inputs = list(inputs)
-    for t in inputs:
-        if t.dtype != np.float64:
-            raise ContractError("grad_check requires float64 inputs")
-        t.zero_grad()
-
-    with Tape() as tape:
-        out = fn(*inputs)
-    if not isinstance(out, Tensor) or out.size != 1:
-        raise ContractError("grad_check expects fn to return a scalar Tensor")
-    if not np.isfinite(out.data).all():
-        raise NumericsError("grad_check: fn returned a non-finite value")
-    tape.backward(out)
-    analytic = [
-        t.grad.copy() if t.grad is not None else np.zeros_like(t.data) for t in inputs
-    ]
-
-    def evaluate():
-        val = fn(*inputs)
-        v = float(val.data.reshape(-1)[0])
-        if not np.isfinite(v):
-            raise NumericsError("grad_check: fn returned a non-finite value")
-        return v
-
-    rng = np.random.default_rng(0)
-    report = GradCheckReport(tol)
-    for i, t in enumerate(inputs):
-        coords = np.arange(t.size)
-        if max_coords_per_input is not None and t.size > max_coords_per_input:
-            coords = rng.choice(t.size, size=max_coords_per_input, replace=False)
-            coords.sort()
-        ga = analytic[i].reshape(-1)
-        for c in coords:
-            # an index into the leaf itself: reshaping a non-contiguous
-            # leaf would perturb a copy that fn never reads
-            at = np.unravel_index(c, t.shape)
-            keep = t.data[at]
-            t.data[at] = keep + eps
-            up = evaluate()
-            t.data[at] = keep - eps
-            down = evaluate()
-            t.data[at] = keep
-            report.record(i, int(c), float(ga[c]), (up - down) / (2.0 * eps))
-    return report

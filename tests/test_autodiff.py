@@ -903,7 +903,7 @@ def test_primitive_adjoints_match_finite_differences(name, monkeypatch):
 def test_grad_check_linear_relu_positive_inputs():
     x = leaf(np.linspace(0.5, 2.0, 8).reshape(8, 1))
     w, b = leaf([[1.0]]), leaf([0.0])
-    report = ad.grad_check(
+    report = gradcheck.grad_check(
         lambda x, w, b: ad.reduce_sum(ad.linear_relu(x, w, b)), [x, w, b], tol=1e-6
     )
     assert report.passed
@@ -915,7 +915,7 @@ def test_grad_check_fails_a_nan_adjoint():
         return ad._emit(x.data * 2.0, [x], lambda g: (g * np.nan,))
 
     x = leaf(np.linspace(1.0, 2.0, 4))
-    report = ad.grad_check(lambda x: ad.reduce_sum(nan_adjoint(x)), [x])
+    report = gradcheck.grad_check(lambda x: ad.reduce_sum(nan_adjoint(x)), [x])
     assert not report.passed and len(report.failures) == 4
     assert report.max_rel_error == math.inf
     assert report.worst[:2] == (0, 0) and math.isnan(report.worst[2])
@@ -931,7 +931,7 @@ def test_grad_check_fails_a_nan_adjoint():
 def test_grad_check_needs_finite_tol_and_eps(bad):
     x = leaf(np.ones(3))
     with pytest.raises(ContractError, match="finite"):
-        ad.grad_check(lambda x: ad.reduce_sum(ad.mul(x, x)), [x], **bad)
+        gradcheck.grad_check(lambda x: ad.reduce_sum(ad.mul(x, x)), [x], **bad)
 
 
 def test_grad_check_softmax_sum_is_constant():
@@ -943,7 +943,7 @@ def test_grad_check_softmax_sum_is_constant():
         out = ad.reduce_sum(_pass_through_head(x, values))
     tape.backward(out)
     assert np.abs(x.grad).max() < 1e-12
-    report = ad.grad_check(lambda x: ad.reduce_sum(_pass_through_head(x, values)), [x])
+    report = gradcheck.grad_check(lambda x: ad.reduce_sum(_pass_through_head(x, values)), [x])
     for _, _, analytic, numeric, _ in report.failures:
         assert abs(analytic) < 1e-9 and abs(numeric) < 1e-9
 
@@ -954,21 +954,21 @@ def test_grad_check_perturbs_a_non_contiguous_leaf_in_place():
     x = ad.Tensor(np.random.default_rng(4).standard_normal((4, 3)).T, requires_grad=True)
     assert not x.data.flags.c_contiguous
     probe = ad.constant(np.arange(12.0).reshape(3, 4) - 5.5)
-    report = ad.grad_check(lambda x: ad.reduce_sum(ad.mul(ad.mul(x, x), probe)), [x])
+    report = gradcheck.grad_check(lambda x: ad.reduce_sum(ad.mul(ad.mul(x, x), probe)), [x])
     assert report.passed and report.checked == 12
     assert report.max_rel_error < 1e-6
 
 
 def test_grad_check_flags_with_zero_tolerance():
     x = leaf(np.linspace(1.0, 2.0, 5))
-    report = ad.grad_check(lambda x: ad.reduce_sum(ad.mul(x, x)), [x], tol=0.0)
+    report = gradcheck.grad_check(lambda x: ad.reduce_sum(ad.mul(x, x)), [x], tol=0.0)
     assert not report.passed and report.failures
 
 
 def test_grad_check_rejects_float32():
     x = ad.Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
     with pytest.raises(ContractError):
-        ad.grad_check(lambda x: ad.reduce_sum(x), [x])
+        gradcheck.grad_check(lambda x: ad.reduce_sum(x), [x])
 
 
 def test_grad_check_nonfinite_raises():
@@ -980,7 +980,7 @@ def test_grad_check_nonfinite_raises():
         return out
 
     with pytest.raises(NumericsError):
-        ad.grad_check(fn, [x])
+        gradcheck.grad_check(fn, [x])
 
 
 def test_tape_records_only_its_own_thread():
