@@ -94,12 +94,15 @@ def grad_check(fn, inputs, eps=EPS, tol=TOL, max_coords_per_input=None):
     Returns a GradCheckReport. Raises NumericsError if ``fn`` produces a
     non-finite value and ContractError on misuse (non-scalar output, wrong
     precision, an eps that is not finite and > 0, a tol that is not finite
-    and >= 0).
+    and >= 0, a max_coords_per_input below 1).
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ContractError(f"grad_check needs a finite eps > 0, got {eps}")
     if not (math.isfinite(tol) and tol >= 0):
         raise ContractError(f"grad_check needs a finite tol >= 0, got {tol}")
+    count = max_coords_per_input
+    if count is not None and count < 1:
+        raise ContractError(f"grad_check needs max_coords_per_input >= 1, got {count}")
     inputs = list(inputs)
     for t in inputs:
         if t.dtype != np.float64:
@@ -130,8 +133,8 @@ def grad_check(fn, inputs, eps=EPS, tol=TOL, max_coords_per_input=None):
     report = GradCheckReport(tol)
     for i, t in enumerate(inputs):
         coords = np.arange(t.size)
-        if max_coords_per_input is not None and t.size > max_coords_per_input:
-            coords = rng.choice(t.size, size=max_coords_per_input, replace=False)
+        if count is not None and t.size > count:
+            coords = rng.choice(t.size, size=count, replace=False)
             coords.sort()
         ga = analytic[i].reshape(-1)
         for c in coords:

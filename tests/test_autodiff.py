@@ -934,6 +934,16 @@ def test_grad_check_needs_finite_tol_and_eps(bad):
         gradcheck.grad_check(lambda x: ad.reduce_sum(ad.mul(x, x)), [x], **bad)
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_grad_check_needs_at_least_one_coordinate_per_input(count):
+    # 0 checked nothing and passed any adjoint; -1 died inside numpy
+    x = leaf(np.ones(3))
+    with pytest.raises(ContractError, match=f"max_coords_per_input >= 1, got {count}"):
+        gradcheck.grad_check(
+            lambda x: ad.reduce_sum(ad.mul(x, x)), [x], max_coords_per_input=count
+        )
+
+
 def test_grad_check_softmax_sum_is_constant():
     # softmax weights sum to one, so a head over all-ones values outputs
     # ones: both the analytic and the numeric gradient vanish (to roundoff)
