@@ -87,6 +87,8 @@ class Tensor:
         return self.data.dtype
 
     def item(self):
+        if self.data.size != 1:
+            raise ContractError(f"item() needs a one-element Tensor, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
     def zero_grad(self):

@@ -516,8 +516,8 @@ _SAMPLED = {"full_forward": 4, "upsample_layer": 16}
 
 
 def run_suite(names=None, tol=TOL, eps=EPS, report_fn=None):
-    """Run the named cases (all by default); returns [(name, report)]."""
-    selected = list(CASES) if not names else list(names)
+    """Run the named cases (all when ``names`` is None); returns [(name, report)]."""
+    selected = list(CASES) if names is None else list(names)
     results = []
     for name in selected:
         if name not in CASES:

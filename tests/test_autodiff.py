@@ -114,6 +114,13 @@ def test_only_mul_takes_a_scalar_and_only_a_real_one_on_the_right(op, a, b):
         getattr(ad, op)(x if a == "x" else a, x if b == "x" else b)
 
 
+def test_item_needs_exactly_one_element():
+    # a 3-element tensor used to give its first element
+    assert ad.Tensor(np.full((1, 1), 5.0)).item() == 5.0
+    with pytest.raises(ContractError, match=r"one-element Tensor, got shape \(3,\)"):
+        ad.Tensor(np.arange(3.0) + 5).item()
+
+
 def test_dtype_mismatch_rejected():
     a = ad.Tensor(np.zeros(3), dtype=np.float32)
     b = ad.Tensor(np.zeros(3), dtype=np.float64)
@@ -991,6 +998,11 @@ def test_grad_check_nonfinite_raises():
 
     with pytest.raises(NumericsError):
         gradcheck.grad_check(fn, [x])
+
+
+def test_run_suite_of_no_names_runs_no_case():
+    # an empty selection used to run every case
+    assert gradcheck.run_suite([]) == []
 
 
 def test_tape_records_only_its_own_thread():

@@ -79,6 +79,15 @@ def test_chamfer_gradient_matches_finite_differences():
         assert report.passed, report.summary()
 
 
+def test_chamfer_gradient_check_holds_at_a_nearest_point_tie():
+    # the query sits halfway between two reference points, so a perturbation
+    # of either flips its nearest point; grad_check replays the taped choice
+    a = ad.Tensor(np.zeros((1, 3)), requires_grad=True)
+    b = ad.Tensor(np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]), requires_grad=True)
+    report = gradcheck.grad_check(lambda a, b: losses.chamfer(a, b, "l1"), [a, b])
+    assert report.passed, report.summary()
+
+
 def _sub_gather_sq_dist(src, dst):
     """The nearest-point difference as ``sub(src, gather_rows(dst, idx))``."""
     idx = geometry.knn(src.data, dst.data, 1).indices[:, 0]
