@@ -1,21 +1,19 @@
 """Finite-difference audit of every differentiable operation.
 
 ``grad_check`` compares the adjoints a Tape records for a scalar function
-with central differences. It runs the function inside one geometry freeze
-(see GeometryFreeze): neighbor selections and interpolation weights are
-constants of the geometry by contract, so the taped evaluation records them
-and every finite-difference evaluation replays them, and the differences
-probe the same function the adjoints differentiate.
+with central differences, inside one geometry freeze (see GeometryFreeze):
+neighbor selections and interpolation weights are constants of the geometry
+by contract, so the taped evaluation records them and every
+finite-difference evaluation replays them.
 
-Each registered case in ``CASES`` builds a scalar-valued function and its
-float64 leaf inputs; ``run_suite`` checks them with ``grad_check``. The full
-forward case uses a micro model and samples a handful of coordinates per
-parameter tensor (every tensor is still touched), which keeps the suite
-fast without skipping any operation. The composite cases' scalarization
-probes are scaled to ~1e-2 so that coordinates with structurally zero
-gradients (softmax shift invariance, occasionally inactive relu units) keep
-their finite-difference noise below the 1e-8 absolute floor of the
-relative-error formula.
+``CASES`` registers one case per operation, a scalar function and its
+float64 leaf inputs, and ``run_suite`` checks them. The full forward case
+uses a micro model and samples a handful of coordinates per parameter
+tensor (every tensor is still touched), which keeps the suite fast without
+skipping any operation. The composite cases' scalarization probes are scaled
+to ~1e-2 so that coordinates with structurally zero gradients (softmax shift
+invariance, occasionally inactive relu units) keep their finite-difference
+noise below the 1e-8 absolute floor of the relative-error formula.
 """
 
 from __future__ import annotations
@@ -76,11 +74,9 @@ class GradCheckReport:
 def grad_check(fn, inputs, eps=EPS, tol=TOL, max_coords_per_input=None):
     """Compare analytic gradients of ``fn`` against central differences.
 
-    Every evaluation of ``fn`` runs in one geometry freeze: the taped one
-    records the neighbor selections and interpolation weights, and each
-    finite-difference evaluation replays them. So ``fn`` must make the same
-    geometric decisions in the same order on every call, and must not open
-    a freeze of its own (freezers do not nest).
+    ``fn`` runs in one geometry freeze: the taped evaluation records its
+    geometric decisions and every finite-difference evaluation replays them,
+    so ``fn`` must not open a freeze of its own.
 
     Args:
         fn: callable mapping the given Tensors to a scalar Tensor.
