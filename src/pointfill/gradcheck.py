@@ -119,9 +119,8 @@ def grad_check(fn, inputs, eps=EPS, tol=TOL, max_coords_per_input=None):
 
     def evaluate():
         with freezer:
-            val = fn(*inputs)
-        v = float(val.data.reshape(-1)[0])
-        if not np.isfinite(v):
+            v = fn(*inputs).item()
+        if not math.isfinite(v):
             raise NumericsError("grad_check: fn returned a non-finite value")
         return v
 
