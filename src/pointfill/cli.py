@@ -21,7 +21,7 @@ from . import gradcheck as gradsuite
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ContractError, FormatError, NumericsError, ParseError, ShapeError
 from .autodiff import ATTENTION_VARIANTS
-from .generator import GENERATOR_VARIANTS, export_seed_provenance
+from .generator import GENERATOR_VARIANTS, seed_provenance
 from .losses import chamfer, fidelity, fscore, mmd
 from .pipeline import Adam, CompletionModel, ModelConfig, parse_config_text, run_training
 
@@ -116,9 +116,11 @@ def _cmd_complete(args):
         seeds_path = Path(args.export_seeds)
         seeds_path.parent.mkdir(parents=True, exist_ok=True)
         dataio.write_xyz(seeds_path, seeds.cloud.data)
-        export_seed_provenance(
+        np.savetxt(
             str(seeds_path) + ".provenance.csv",
-            model.config.patch_points, model.config.seed_rate,
+            seed_provenance(model.config.patch_points, model.config.seed_rate),
+            fmt="%d", delimiter=",", header="seed_index,source_patch_index,kernel",
+            comments="",
         )
     print(f"completion written to {out} ({states[-1].cloud.shape[0]} points)")
     return 0

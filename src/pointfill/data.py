@@ -6,9 +6,13 @@ from the shape centroid) agrees best with the view direction. The heuristic
 approximates hidden-point removal well for convex-ish shapes and only
 roughly for concave ones (table legs may survive a view they would not
 survive under true depth-buffer culling). Everything is deterministic under
-its seed.
+its seed. The samplers work on whole arrays, with the draws, draw order and
+per-point arithmetic of the per-point loops in ``tests/oracles.py``, so a
+seed gives the same bytes as those loops.
 
-On-disk formats: plain ``x y z`` lines (.xyz) and minimal ascii PLY.
+On-disk formats: plain ``x y z`` lines (.xyz) and minimal ascii PLY, each
+coordinate written as ``%.9g`` by one ``np.savetxt``; the readers check
+each line and name the first bad one.
 Dataset layout: ``<root>/<split>/<id>_partial.xyz`` plus ``<id>_gt.xyz``.
 """
 
@@ -82,25 +86,20 @@ def _sample_sphere(rng, n, radius, center=None):
 
 def _sample_boxes(rng, n, boxes):
     """Area-weighted face sampling over a list of (center, extents) boxes."""
-    faces = []
-    areas = []
-    for center, ext in boxes:
-        for axis in range(3):
-            for sign in (-1.0, 1.0):
-                other = [a for a in range(3) if a != axis]
-                faces.append((center, ext, axis, sign, other))
-                areas.append(ext[other[0]] * ext[other[1]])
-    areas = np.asarray(areas)
-    choice = rng.choice(len(faces), size=n, p=areas / areas.sum())
+    # one row per face: box by box, axis by axis, the -1 face before the +1
+    center, ext = (np.repeat(np.asarray(a, dtype=float), 6, axis=0) for a in zip(*boxes))
+    axis = np.tile(np.repeat(np.arange(3), 2), len(boxes))
+    sign = np.tile([-1.0, 1.0], 3 * len(boxes))
+    other = np.array([[1, 2], [0, 2], [0, 1]])[axis]
+    faces = np.arange(len(axis))
+    areas = ext[faces, other[:, 0]] * ext[faces, other[:, 1]]
+    choice = rng.choice(len(areas), size=n, p=areas / areas.sum())
     u = rng.uniform(-0.5, 0.5, size=(n, 2))
-    pts = np.empty((n, 3))
-    for i, f in enumerate(choice):
-        center, ext, axis, sign, other = faces[f]
-        p = np.array(center, dtype=float)
-        p[axis] += sign * ext[axis] / 2.0
-        p[other[0]] += u[i, 0] * ext[other[0]]
-        p[other[1]] += u[i, 1] * ext[other[1]]
-        pts[i] = p
+    pts, ext, a, o = center[choice], ext[choice], axis[choice], other[choice]
+    i = np.arange(n)
+    pts[i, a] += sign[choice] * ext[i, a] / 2.0
+    pts[i, o[:, 0]] += u[:, 0] * ext[i, o[:, 0]]
+    pts[i, o[:, 1]] += u[:, 1] * ext[i, o[:, 1]]
     return pts
 
 
@@ -110,16 +109,14 @@ def _sample_cylinder(rng, n, radius, height):
     total = lateral + 2.0 * cap
     which = rng.uniform(size=n)
     theta = rng.uniform(0.0, 2.0 * math.pi, size=n)
-    pts = np.empty((n, 3))
-    for i in range(n):
-        if which[i] < lateral / total:
-            z = rng.uniform(-height / 2.0, height / 2.0)
-            pts[i] = (radius * math.cos(theta[i]), radius * math.sin(theta[i]), z)
-        else:
-            r = radius * math.sqrt(rng.uniform())
-            z = height / 2.0 if which[i] < (lateral + cap) / total else -height / 2.0
-            pts[i] = (r * math.cos(theta[i]), r * math.sin(theta[i]), z)
-    return pts
+    # each point's own draw: uniform(-height/2, height/2) on the side,
+    # uniform() on a cap; both are low + (high - low) * u of one double u
+    u = rng.random(n)
+    side = which < lateral / total
+    top = which < (lateral + cap) / total
+    r = np.where(side, radius, radius * np.sqrt(u))
+    z = np.where(side, -height / 2.0 + height * u, np.where(top, height / 2.0, -height / 2.0))
+    return np.stack([r * np.cos(theta), r * np.sin(theta), z], axis=1)
 
 
 def _sample_table(rng, n):
@@ -193,10 +190,10 @@ def resample_input(cloud, n, seed=0):
 
 
 def write_xyz(path, cloud):
+    """One ``x y z`` line per point, each coordinate ``%.9g``."""
     pts = as_cloud(cloud)
-    with open(path, "w") as fh:
-        for x, y, z in pts:
-            fh.write(f"{x:.9g} {y:.9g} {z:.9g}\n")
+    with open(path, "w") as fh:  # a handle: savetxt would gzip a path ending .gz
+        np.savetxt(fh, pts, fmt="%.9g")
 
 
 def read_xyz(path):
@@ -239,8 +236,7 @@ def write_ply(path, cloud):
         fh.write(f"element vertex {pts.shape[0]}\n")
         fh.write("property float x\nproperty float y\nproperty float z\n")
         fh.write("end_header\n")
-        for x, y, z in pts:
-            fh.write(f"{x:.9g} {y:.9g} {z:.9g}\n")
+        np.savetxt(fh, pts, fmt="%.9g")
 
 
 def read_ply(path):

@@ -20,7 +20,8 @@ softmax) and combined with the per-point values:
 All ``rate`` kernels, their normalization and those sums are one
 ``ad.upsample_attention`` record. Output rows are stacked kernel-fastest: row
 ``i * rate + m`` belongs to source point ``i`` and kernel ``m``, matching
-plain row duplication of the source cloud.
+plain row duplication of the source cloud; ``seed_provenance`` returns that
+grouping as a table. The module reads and writes no files.
 """
 
 from __future__ import annotations
@@ -273,15 +274,6 @@ def seed_provenance(n_patches, rate):
     """
     seed_idx = np.arange(n_patches * rate, dtype=np.int64)
     return np.stack([seed_idx, seed_idx // rate, seed_idx % rate], axis=1)
-
-
-def export_seed_provenance(path, n_patches, rate):
-    """Write the provenance table as a comma-delimited text file."""
-    table = seed_provenance(n_patches, rate)
-    with open(path, "w") as fh:
-        fh.write("seed_index,source_patch_index,kernel\n")
-        for row in table:
-            fh.write(f"{row[0]},{row[1]},{row[2]}\n")
 
 
 class UpsampleStage(Module):

@@ -1,10 +1,13 @@
 """Brute-force reference implementations used to validate the kernels.
 
-These are deliberately naive (full distance matrices, python sorts and
-double loops) and independent of the library's chunking, incremental
-updates or vectorization choices. Distance comparisons use squared
-Euclidean distance, like the definitions they mirror.
+These are deliberately naive (full distance matrices, python sorts, double
+loops, one loop step per sampled point) and independent of the library's
+chunking, incremental updates or vectorization choices. Distance
+comparisons use squared Euclidean distance, like the definitions they
+mirror.
 """
+
+import math
 
 import numpy as np
 
@@ -91,3 +94,48 @@ def softmax_over_neighbors(logits):
     """Softmax of (n, k, W) logits over the k neighbors (axis 1)."""
     shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
     return shifted / shifted.sum(axis=1, keepdims=True)
+
+
+def boxes_oracle(rng, n, boxes):
+    """Area-weighted face sampling, one python loop step per point: the
+    referee of ``data._sample_boxes`` (same draws, same arithmetic)."""
+    faces = []
+    areas = []
+    for center, ext in boxes:
+        for axis in range(3):
+            for sign in (-1.0, 1.0):
+                other = [a for a in range(3) if a != axis]
+                faces.append((center, ext, axis, sign, other))
+                areas.append(ext[other[0]] * ext[other[1]])
+    areas = np.asarray(areas)
+    choice = rng.choice(len(faces), size=n, p=areas / areas.sum())
+    u = rng.uniform(-0.5, 0.5, size=(n, 2))
+    pts = np.empty((n, 3))
+    for i, f in enumerate(choice):
+        center, ext, axis, sign, other = faces[f]
+        p = np.array(center, dtype=float)
+        p[axis] += sign * ext[axis] / 2.0
+        p[other[0]] += u[i, 0] * ext[other[0]]
+        p[other[1]] += u[i, 1] * ext[other[1]]
+        pts[i] = p
+    return pts
+
+
+def cylinder_oracle(rng, n, radius, height):
+    """Area-weighted cylinder surface sampling with one scalar draw per point:
+    the referee of ``data._sample_cylinder`` (same draws, same arithmetic)."""
+    lateral = 2.0 * math.pi * radius * height
+    cap = math.pi * radius * radius
+    total = lateral + 2.0 * cap
+    which = rng.uniform(size=n)
+    theta = rng.uniform(0.0, 2.0 * math.pi, size=n)
+    pts = np.empty((n, 3))
+    for i in range(n):
+        if which[i] < lateral / total:
+            z = rng.uniform(-height / 2.0, height / 2.0)
+            pts[i] = (radius * math.cos(theta[i]), radius * math.sin(theta[i]), z)
+        else:
+            r = radius * math.sqrt(rng.uniform())
+            z = height / 2.0 if which[i] < (lateral + cap) / total else -height / 2.0
+            pts[i] = (r * math.cos(theta[i]), r * math.sin(theta[i]), z)
+    return pts

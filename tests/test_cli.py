@@ -143,10 +143,10 @@ def test_complete_fresh_model_duplicates_coarse_cloud(micro_dataset, capsys):
     np.testing.assert_allclose(out, np.repeat(stage1, 2, axis=0), atol=1e-5)
     seeds = data.read_xyz(root / "seeds.xyz")
     assert seeds.shape == (16, 3)
-    prov = (root / "seeds.xyz.provenance.csv").read_text().splitlines()
-    assert prov[0] == "seed_index,source_patch_index,kernel"
-    assert len(prov) == 17
-    assert prov[1] == "0,0,0" and prov[2] == "1,0,1"
+    # 8 patches at seed_rate 2: seed i descends from patch i // 2, kernel i % 2
+    rows = "".join(f"{i},{i // 2},{i % 2}\n" for i in range(16))
+    expected = "seed_index,source_patch_index,kernel\n" + rows
+    assert (root / "seeds.xyz.provenance.csv").read_bytes() == expected.encode()
 
 
 def test_complete_reads_ply_input(micro_dataset, tmp_path):

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from pointfill import data
 from pointfill.errors import ContractError, ParseError
 
+from . import oracles
+
 
 def spec(**kw):
     base = dict(family="sphere", seed=0, gt_points=256, partial_points=128)
@@ -44,6 +46,20 @@ def test_all_families_produce_requested_counts(family):
     pts = data.generate_shape(spec(family=family))
     assert pts.shape == (256, 3)
     assert np.isfinite(pts).all()
+
+
+@pytest.mark.parametrize("family", data.FAMILIES)
+def test_generate_shape_is_byte_equal_to_the_loop_samplers(family, monkeypatch):
+    # the array samplers must draw the same numbers and do the same
+    # arithmetic per point as the loops they replaced
+    specs = [spec(family=family, seed=seed, gt_points=n, partial_points=16)
+             for seed in (0, 1, 7, 123) for n in (16, 17, 513, 2048)]
+    shapes = [data.generate_shape(s) for s in specs]
+    monkeypatch.setattr(data, "_sample_boxes", oracles.boxes_oracle)
+    monkeypatch.setattr(data, "_sample_cylinder", oracles.cylinder_oracle)
+    expected = [data.generate_shape(s) for s in specs]
+    for got, want in zip(shapes, expected):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_spec_validates_point_counts():
@@ -114,6 +130,38 @@ def test_xyz_round_trip(tmp_path):
     back = data.read_xyz(path)
     assert back.shape == pts.shape
     assert np.abs(back - pts).max() < 1e-6
+
+
+def _fstring_rows(pts):
+    return "".join(f"{x:.9g} {y:.9g} {z:.9g}\n" for x, y, z in pts)
+
+
+EXTREMES = {
+    np.float32: [-0.0, 0.0, 1e-45, -1.2e-38, 3.4028235e38, -1.0, 0.1, 123456.789],
+    np.float64: [-0.0, 0.0, 5e-324, -2.2e-308, 1e300, -1.7976931348623157e308, 0.1, 1 / 3],
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_writers_write_the_per_row_format_strings(tmp_path, dtype):
+    extremes = np.asarray(EXTREMES[dtype], dtype=dtype)
+    pts = np.concatenate([
+        np.stack([extremes, -extremes, extremes[::-1]], axis=1),
+        np.random.default_rng(6).standard_normal((40, 3)).astype(dtype),
+    ])
+    rows = _fstring_rows(pts)
+    data.write_xyz(tmp_path / "cloud.xyz", pts)
+    data.write_ply(tmp_path / "cloud.ply", pts)
+    assert (tmp_path / "cloud.xyz").read_bytes() == rows.encode()
+    header = ("ply\nformat ascii 1.0\nelement vertex 48\nproperty float x\n"
+              "property float y\nproperty float z\nend_header\n")
+    assert (tmp_path / "cloud.ply").read_bytes() == (header + rows).encode()
+
+
+def test_xyz_writes_plain_text_to_a_name_ending_gz(tmp_path):
+    pts = np.arange(6.0).reshape(2, 3)
+    data.write_xyz(tmp_path / "cloud.xyz.gz", pts)
+    assert (tmp_path / "cloud.xyz.gz").read_text() == "0 1 2\n3 4 5\n"
 
 
 def test_xyz_empty_file_raises(tmp_path):
