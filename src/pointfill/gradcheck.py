@@ -88,7 +88,8 @@ def grad_check(fn, inputs, eps=EPS, tol=TOL, max_coords_per_input=None):
             input).
 
     Returns a GradCheckReport. Raises NumericsError if ``fn`` produces a
-    non-finite value and ContractError on misuse (non-scalar output, wrong
+    non-finite value (each input keeps its values, also when ``fn`` itself
+    raises) and ContractError on misuse (non-scalar output, wrong
     precision, an eps that is not finite and > 0, a tol that is not finite
     and >= 0, a max_coords_per_input below 1).
     """
@@ -137,11 +138,13 @@ def grad_check(fn, inputs, eps=EPS, tol=TOL, max_coords_per_input=None):
             # leaf would perturb a copy that fn never reads
             at = np.unravel_index(c, t.shape)
             keep = t.data[at]
-            t.data[at] = keep + eps
-            up = evaluate()
-            t.data[at] = keep - eps
-            down = evaluate()
-            t.data[at] = keep
+            try:
+                t.data[at] = keep + eps
+                up = evaluate()
+                t.data[at] = keep - eps
+                down = evaluate()
+            finally:  # a raising fn must not leave the leaf perturbed
+                t.data[at] = keep
             report.record(i, int(c), float(ga[c]), (up - down) / (2.0 * eps))
     return report
 

@@ -1000,6 +1000,15 @@ def test_grad_check_nonfinite_raises():
         gradcheck.grad_check(fn, [x])
 
 
+def test_grad_check_restores_the_leaf_when_fn_raises():
+    # keep - eps makes the first coordinate negative and sqrt raises; the
+    # leaf used to keep the perturbed value
+    x = leaf(np.array([2e-6, 1.0]))
+    with pytest.raises(NumericsError):
+        gradcheck.grad_check(lambda x: ad.reduce_sum(ad.sqrt(x)), [x])
+    assert x.data.tolist() == [2e-6, 1.0]
+
+
 def test_run_suite_of_no_names_runs_no_case():
     # an empty selection used to run every case
     assert gradcheck.run_suite([]) == []
