@@ -151,6 +151,8 @@ def occlude_viewpoint(gt, viewpoint, keep):
     if not 1 <= keep <= n:
         raise ContractError(f"occlude_viewpoint: keep={keep} outside [1, {n}]")
     view = np.asarray(viewpoint, dtype=float)
+    if not np.isfinite(view).all():
+        raise ContractError(f"occlude_viewpoint: non-finite view direction {view}")
     norm = np.linalg.norm(view)
     if norm == 0:
         raise ContractError("occlude_viewpoint: zero view direction")

@@ -133,8 +133,8 @@ def fscore(pred, gt, threshold=None):
     g = geometry.as_cloud(gt, "gt")
     if threshold is None:
         threshold = 0.01 * float(np.linalg.norm(g.max(axis=0) - g.min(axis=0)))
-    if threshold <= 0:
-        raise ContractError("fscore: threshold must be positive")
+    if not (np.isfinite(threshold) and threshold > 0):
+        raise ContractError(f"fscore: threshold must be finite and positive, got {threshold}")
     d_pg = geometry.knn(p, g, 1).distances[:, 0]
     d_gp = geometry.knn(g, p, 1).distances[:, 0]
     precision = float(np.mean(d_pg <= threshold))

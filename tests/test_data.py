@@ -88,6 +88,14 @@ def test_box_from_plus_x_drops_far_face():
     assert not np.isclose(kept[:, 0], -0.5, atol=1e-9).any()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_occlusion_refuses_a_non_finite_view_direction(bad):
+    # NaN used to keep the first points in index order, inf gave garbage
+    gt = data.generate_shape(spec())
+    with pytest.raises(ContractError, match=str(bad)):
+        data.occlude_viewpoint(gt, [bad, 0.0, 0.0], 100)
+
+
 def test_occlusion_output_is_subset():
     gt = data.generate_shape(spec(family="cylinder"))
     kept = data.occlude_viewpoint(gt, [1.0, 1.0, 0.0], 100)

@@ -253,6 +253,14 @@ def test_fscore_rejects_nonpositive_threshold():
         losses.fscore(pts, pts, threshold=0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fscore_refuses_a_non_finite_threshold(bad):
+    # NaN used to give 0.0 and inf 1.0
+    pts = np.zeros((2, 3))
+    with pytest.raises(ContractError, match=str(bad)):
+        losses.fscore(pts, pts + 1.0, threshold=bad)
+
+
 # --- mmd ------------------------------------------------------------------------
 
 
