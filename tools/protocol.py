@@ -14,6 +14,10 @@ compare with an earlier commit, check that commit out into a second
 directory (``git clone``, then ``git checkout <commit>``) and run the same
 command with that directory's ``src``.
 
+The first line, ``data.corpus``, hashes the name and bytes of each file
+that ``data.build_synthetic_dataset`` writes for 5 shapes (one per family)
+of 64 ground-truth and 32 partial points at seed 0.
+
 For each configuration, ``<config>.<item>`` covers:
 
 - ``names``, ``params``: parameter names and values of the fresh model;
@@ -31,9 +35,10 @@ log; desk float64; and micro (``init_seed=3``). Then come
 ``benchmark_16k.complete`` and one ``gradcheck.<case>`` line per case of
 ``pointfill gradcheck``, hashing the line the command prints.
 
-``--micro`` builds the same configuration list on the micro layout (its
-precision flip is float32) and skips ``benchmark_16k`` and the gradcheck
-suite: a check of run determinism that takes seconds.
+``--micro`` prints the same ``data.corpus`` line, then builds the same
+configuration list on the micro layout (its precision flip is float32) and
+skips ``benchmark_16k`` and the gradcheck suite: a check of run determinism
+that takes seconds.
 
 ``save`` writes, for the float64 micro model (``init_seed=3``), the fresh
 ``complete()`` output of a fixed partial cloud, the loss terms of one
@@ -167,6 +172,10 @@ def digest(micro=False, out=sys.stdout):
         print(f"{name} {value}", file=out, flush=True)
 
     with tempfile.TemporaryDirectory() as tmp:
+        data.build_synthetic_dataset(tmp, "corpus", 5, seed=0, gt_points=64,
+                                     partial_points=32)
+        files = sorted((Path(tmp) / "corpus").iterdir())
+        emit("data.corpus", _sha(*(item for f in files for item in (f.name, f.read_bytes()))))
         for name, config, batch in _configs(micro):
             _digest_config(name, config, batch, tmp, emit)
     if micro:
