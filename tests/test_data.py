@@ -140,10 +140,6 @@ def test_xyz_round_trip(tmp_path):
     assert np.abs(back - pts).max() < 1e-6
 
 
-def _fstring_rows(pts):
-    return "".join(f"{x:.9g} {y:.9g} {z:.9g}\n" for x, y, z in pts)
-
-
 EXTREMES = {
     np.float32: [-0.0, 0.0, 1e-45, -1.2e-38, 3.4028235e38, -1.0, 0.1, 123456.789],
     np.float64: [-0.0, 0.0, 5e-324, -2.2e-308, 1e300, -1.7976931348623157e308, 0.1, 1 / 3],
@@ -157,7 +153,7 @@ def test_writers_write_the_per_row_format_strings(tmp_path, dtype):
         np.stack([extremes, -extremes, extremes[::-1]], axis=1),
         np.random.default_rng(6).standard_normal((40, 3)).astype(dtype),
     ])
-    rows = _fstring_rows(pts)
+    rows = "".join(f"{x:.9g} {y:.9g} {z:.9g}\n" for x, y, z in pts)  # the old writer loop
     data.write_xyz(tmp_path / "cloud.xyz", pts)
     data.write_ply(tmp_path / "cloud.ply", pts)
     assert (tmp_path / "cloud.xyz").read_bytes() == rows.encode()
