@@ -22,8 +22,8 @@ an earlier record on the same tape produced, is a small node holding a grad
 slot, the shape and the dtype; the caller's Tensor points to its node. Other
 inputs that need a gradient, the leaves, are kept as the Tensors themselves.
 An adjoint closure keeps only the arrays it reads (a linear's input, an
-activation, each attention kernel's hidden block and weights, indices), plus shapes, dtypes
-and ``requires_grad`` flags. So a forward value lives only while the caller
+activation, each attention kernel's hidden block and softmax statistics,
+indices), plus shapes, dtypes and ``requires_grad`` flags. So a forward value lives only while the caller
 holds it or an adjoint will read it.
 
 A tape is single-use: ``backward`` consumes it. Each record is dropped once
@@ -609,9 +609,10 @@ def repeat_rows(x, r):
 ATTENTION_VARIANTS = ("softmax", "none", "scaled", "log")
 
 # Rows per upsample_attention tile. A (2048, 128) float32 block is 1 MB, so each
-# block a tile makes (hidden activation, logits, weighted values) is still in
-# a 2 MB per-core L2 when the next step reads it; full (n*k, C) blocks at
-# 16k points are 16.8 MB and go through memory between steps.
+# block a tile makes (hidden activation, logits, weighted values, and in the
+# adjoint the rebuilt weights) is still in a 2 MB per-core L2 when the next
+# step reads it; full (n*k, C) blocks at 16k points are 16.8 MB and go
+# through memory between steps.
 _TILE_ROWS = 2048
 
 
@@ -626,19 +627,32 @@ def check_attention(variant, lam):
         raise ContractError(f"scaled attention needs a finite lam > 0, got {lam}")
 
 
-def _normalize_(r, variant, lam):
+def _normalize_(r, variant, lam, stats=None, rebuild=False):
     """Normalize (p, k, W) logits over axis 1 in place and return the weights
-    (log-weights for ``log``); ``lam`` is the ``scaled`` factor, of r's dtype."""
+    (log-weights for ``log``); ``lam`` is the ``scaled`` factor, of r's dtype.
+
+    ``stats``, a pair of (p, 1, W) arrays, receives the max and the sum (the
+    log-sum for ``log``) the weights divide by; ``none`` has none. With
+    ``rebuild`` it supplies them instead, and the same logits give the same
+    weights bit for bit.
+    """
     if variant == "none":
         return r
     if variant == "scaled":
         r *= lam
-    r -= r.max(axis=1, keepdims=True)
+    top, total = stats or (None, None)
+    if not rebuild:
+        top = np.max(r, axis=1, keepdims=True, out=top)
+    r -= top
     if variant == "log":
-        r -= np.log(np.exp(r).sum(axis=1, keepdims=True))
+        if not rebuild:
+            total = np.log(np.exp(r).sum(axis=1, keepdims=True), out=total)
+        r -= total
     else:
         np.exp(r, out=r)
-        r /= r.sum(axis=1, keepdims=True)
+        if not rebuild:
+            total = np.sum(r, axis=1, keepdims=True, out=total)
+        r /= total
     return r
 
 
@@ -699,9 +713,14 @@ def upsample_attention(x, values, kernels, variant="softmax", lam=1.0, capture=N
     sums the kernels' ``x`` and ``values`` gradients from the last to the first.
 
     Recorded, the op keeps only each kernel's hidden activation (n*k, hidden)
-    and weights (n, k, W), and its adjoint recomputes nothing; unrecorded, it
-    keeps nothing. ``capture``, an optional list, receives each kernel's
-    weights as a constant Tensor.
+    and the (n, 1, W) max and sum of its normalization (the max and log-sum
+    for ``log``, nothing for ``none``), not its (n, k, W) weights: the
+    adjoint rebuilds each tile's weights from the kept hidden rows just before
+    it reads them, by the forward's GEMM and in-place steps, so they are the
+    forward's bits (as FlashAttention keeps softmax statistics, Dao et al.,
+    arXiv 2205.14135). The x and values gradients build up in one block each,
+    tile by tile. Unrecorded, the op keeps nothing. ``capture``, an optional
+    list, receives each kernel's weights as a constant Tensor.
     """
     check_attention(variant, lam)
     if values.ndim != 3:
@@ -724,8 +743,11 @@ def upsample_attention(x, values, kernels, variant="softmax", lam=1.0, capture=N
     rate = len(arrays)
     out = np.empty((n, rate, c), dtype=x.dtype)
     hidden = [np.empty((n * k, w0.shape[1]), x.dtype) if record else None for w0, _, _ in arrays]
-    weights = [np.empty((n, k, w1.shape[1]), x.dtype) if record or capture is not None
-               else None for _, _, w1 in arrays]
+    # each kernel's max and sum (log-sum for log) over the neighbors
+    stats = [[np.empty((n, 1, w1.shape[1]), x.dtype) for _ in range(2)]
+             if record and variant != "none" else [] for _, _, w1 in arrays]
+    weights = [None if capture is None else np.empty((n, k, w1.shape[1]), x.dtype)
+               for _, _, w1 in arrays]
     for a, b in _tiles(n, k):
         rows = slice(a * k, b * k)
         for m, (w0d, b0d, w1d) in enumerate(arrays):
@@ -734,49 +756,57 @@ def upsample_attention(x, values, kernels, variant="softmax", lam=1.0, capture=N
             _relu_(h)
             kept = None if weights[m] is None else weights[m][a:b].reshape(len(h), -1)
             r = np.matmul(h, w1d, out=kept).reshape(b - a, k, -1)
-            out[a:b, m] = _weighted_sum(_normalize_(r, variant, lam), v[a:b])
+            s = _normalize_(r, variant, lam, [t[a:b] for t in stats[m]])
+            out[a:b, m] = _weighted_sum(s, v[a:b])
     if capture is not None:
         capture.extend(Tensor(w) for w in weights)
 
     def back(g):
-        def kernel_back(m, g):
-            # the adjoint of kernel m's (n, C) output; a function of its own so
-            # its tile views die before the next kernel's blocks are made
+        def kernel_back(m, g, first):
+            # the adjoint of kernel m's (n, C) output, which writes its x and
+            # values gradients into gx and gv when it runs first and adds them
+            # after; a function of its own so its blocks die before the next
+            # kernel's are made
             (w0d, _, w1d), width = arrays[m], arrays[m][2].shape[1]
             needs_w0, needs_b0, needs_w1 = needs[2 + 3 * m: 5 + 3 * m]
-            gv = np.empty_like(v) if needs[1] else None
             gr = np.empty((n, k, width), xd.dtype)
             for a, b in _tiles(n, k):  # the weighted sum's and the normalization's adjoints
-                s = weights[m][a:b]
-                gs = _weighted_sum_back(g[a:b], s, v[a:b], gr[a:b],
-                                        None if gv is None else gv[a:b])
+                rows = slice(a * k, b * k)
+                # the forward's weights again: the same GEMM and in-place steps
+                s = _normalize_((hidden[m][rows] @ w1d).reshape(b - a, k, -1), variant, lam,
+                                [t[a:b] for t in stats[m]], rebuild=True)
+                gvt = None if gv is None else gv[a:b] if first else np.empty_like(v[a:b])
+                gs = _weighted_sum_back(g[a:b], s, v[a:b], gr[a:b], gvt)
+                if gvt is not None and not first:
+                    gv[a:b] += gvt
                 _normalize_back_(gs, s, variant, lam)
-            weights[m] = None  # the tape is single-use: drop each block once read
+            stats[m] = None  # the tape is single-use: drop each array once read
             gr = gr.reshape(n * k, width)
             # weight and bias gradients sum over all n*k rows: one full-size
             # call each, as the unfused linear adjoints make
             gw1 = hidden[m].T @ gr if needs_w1 else None
-            gx = gw0 = gb0 = None
+            gw0 = gb0 = None
             if needs[0] or needs_w0 or needs_b0:
                 # gz takes gr's rows
                 gz = gr if width == hidden[m].shape[1] else np.empty_like(hidden[m])
-                gx = np.empty_like(xd) if needs[0] else None
                 for a, b in _tiles(n, k):  # the kernel's adjoints
                     rows = slice(a * k, b * k)
                     np.multiply(gr[rows] @ w1d.T, hidden[m][rows] > 0, out=gz[rows])
                     if gx is not None:
-                        np.matmul(gz[rows], w0d.T, out=gx[rows])
+                        gxt = np.matmul(gz[rows], w0d.T, out=gx[rows] if first else None)
+                        if not first:
+                            gx[rows] += gxt
                 gw0 = xd.T @ gz if needs_w0 else None
                 gb0 = gz.sum(axis=0) if needs_b0 else None
             hidden[m] = None
-            return gx, gv, gw0, gb0, gw1
+            return gw0, gb0, gw1
 
         g = g.reshape(n, rate, c)
-        grads = [None] * (2 + 3 * rate)
+        gx = np.empty_like(xd) if needs[0] else None
+        gv = np.empty_like(v) if needs[1] else None
+        grads = [gx, gv] + [None] * (3 * rate)
         for m in reversed(range(rate)):  # the x and values sums run last kernel first
-            gx, gv, *grads[2 + 3 * m: 5 + 3 * m] = kernel_back(m, g[:, m])
-            for i, gin in ((0, gx), (1, gv)):  # None for every kernel or for none
-                grads[i] = gin if grads[i] is None else np.add(grads[i], gin, out=grads[i])
+            grads[2 + 3 * m: 5 + 3 * m] = kernel_back(m, g[:, m], m == rate - 1)
         return grads
 
     return _emit(out.reshape(n * rate, c), inputs, back)

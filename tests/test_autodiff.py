@@ -1,5 +1,6 @@
 """Engine tests: primitive values, exact adjoints, tape semantics."""
 
+import itertools
 import math
 import threading
 import tracemalloc
@@ -413,32 +414,37 @@ def _head_arrays(rng, n, k, c, width, dtype):
     return [(0.5 * rng.standard_normal(s)).astype(dtype) for s in shapes]
 
 
-_TILINGS = {"real": (330, 16, 16), "small": (50, 3, 5)}  # n, k, C
+# n, k, C and the rates run; "stage3" is benchmark_16k's last stage, 16 tiles
+_TILINGS = {"real": (330, 16, 16, (1, 3)), "small": (50, 3, 5, (1, 3)),
+            "stage3": (2048, 16, 128, (2,))}
 
 
 def _kernel_arrays(rng, rate, n, k, c, width, dtype):
     """x and values, then w0, b0 and w1 of each of ``rate`` kernels."""
     x, v, *kernel = _head_arrays(rng, n, k, c, width, dtype)
     for _ in range(rate - 1):
-        kernel += _head_arrays(rng, n, k, c, width, dtype)[2:]
+        kernel += _head_arrays(rng, 0, k, c, width, dtype)[2:]  # no points: no x, values
     return [x, v, *kernel]
 
 
-@pytest.mark.parametrize("tiling", sorted(_TILINGS))
-@pytest.mark.parametrize("width", ["channel", "point"])
-@pytest.mark.parametrize("variant", ad.ATTENTION_VARIANTS)
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dtype, variant, width, tiling", [
+    *itertools.product([np.float32, np.float64], ad.ATTENTION_VARIANTS,
+                       ["channel", "point"], ["real", "small"]),
+    (np.float32, "softmax", "channel", "stage3"),
+])
 def test_attention_head_is_bitwise_the_unfused_records(dtype, variant, width, tiling,
                                                        monkeypatch):
-    # each kernel of upsample_attention, at rate 1 and 3: output rows are the
-    # unfused per-kernel records stacked kernel-fastest, and the x and values
-    # gradients their plain adjoints summed from the last kernel to the first
-    n, k, c = _TILINGS[tiling]
+    # each kernel of upsample_attention, at rate 1 and 3 (2 at the stage-3
+    # shape): output rows are the unfused per-kernel records stacked
+    # kernel-fastest, and the x and values gradients their plain adjoints
+    # summed from the last kernel to the first
+    n, k, c, rates = _TILINGS[tiling]
     if tiling == "small":
         monkeypatch.setattr(ad, "_TILE_ROWS", 48)
     tiles = [b - a for a, b in ad._tiles(n, k)]
-    assert len(tiles) >= 3 and tiles[-1] != tiles[0]  # several tiles, the last ragged
-    for rate in (1, 3):
+    assert len(tiles) >= 3  # several tiles, the last ragged but at the stage-3 shape
+    assert tiles[-1] != tiles[0] or tiling == "stage3"
+    for rate in rates:
         rng = np.random.default_rng(45)
         x, v, *params = _kernel_arrays(rng, rate, n, k, c, c if width == "channel" else 1,
                                        dtype)
@@ -575,13 +581,16 @@ def test_attention_head_rejects_misfit_shapes_dtypes_and_modes():
             call(x, v, w0, b0, w1, variant="scaled", lam=lam)
 
 
-def test_taped_attention_head_keeps_only_the_hidden_activation_and_weights():
-    rate = 2
-    x, v, *params = _kernel_arrays(np.random.default_rng(49), rate, 40, 16, 8, 8, np.float32)
+@pytest.mark.parametrize("variant", ad.ATTENTION_VARIANTS)
+def test_taped_attention_head_keeps_only_the_hidden_activation_and_statistics(variant):
+    # the adjoint rebuilds the (n, k, W) weights from the hidden rows, so it
+    # keeps each kernel's max and sum (log-sum for log) over the neighbors
+    rate, n, k, c = 2, 40, 16, 8
+    x, v, *params = _kernel_arrays(np.random.default_rng(49), rate, n, k, c, c, np.float32)
     leaves = [leaf(a, np.float32) for a in params]
     with ad.Tape() as tape:
         ad.upsample_attention(leaf(x, np.float32), leaf(v, np.float32),
-                              [leaves[3 * m: 3 * m + 3] for m in range(rate)], "scaled", 2.0)
+                              [leaves[3 * m: 3 * m + 3] for m in range(rate)], variant, 2.0)
     (record,) = tape.records
     kept = dict(zip(record.backfn.__code__.co_freevars,
                     (cell.cell_contents for cell in record.backfn.__closure__)))
@@ -589,14 +598,25 @@ def test_taped_attention_head_keeps_only_the_hidden_activation_and_weights():
     lists = {name for name, a in kept.items() if isinstance(a, list)}
     # xd and v are the inputs' data, arrays each kernel's w0, b0 and w1 data;
     # no Tensor is kept
-    assert blocks == {"xd", "v"} and lists == {"hidden", "weights", "arrays", "needs"}
+    assert blocks == {"xd", "v"} and lists == {"hidden", "stats", "arrays", "needs"}
     assert kept["xd"] is x and kept["v"] is v
     held = [a for kernel in kept["arrays"] for a in kernel]
     assert len(held) == len(params) and all(a is b for a, b in zip(held, params))
     held += [a for name in lists for a in kept[name]] + list(kept.values())
     assert not any(isinstance(a, ad.Tensor) for a in held)
-    assert [h.shape for h in kept["hidden"]] == [(40 * 16, 8)] * rate
-    assert [w.shape for w in kept["weights"]] == [(40, 16, 8)] * rate
+    assert [h.shape for h in kept["hidden"]] == [(n * k, c)] * rate
+    per_kernel = [] if variant == "none" else [(n, 1, c)] * 2
+    assert [[a.shape for a in s] for s in kept["stats"]] == [per_kernel] * rate
+    assert all(a.size != n * k * c for s in kept["stats"] for a in s)  # no weight block
+    for m, (h, s) in enumerate(zip(kept["hidden"], kept["stats"])):
+        if variant == "none":
+            continue
+        r = (h @ params[3 * m + 2]).reshape(n, k, c) * (2.0 if variant == "scaled" else 1.0)
+        top = r.max(axis=1, keepdims=True)
+        total = np.exp(r - top).sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(s[0], top, rtol=1e-6)
+        np.testing.assert_allclose(s[1], np.log(total) if variant == "log" else total,
+                                   rtol=1e-5, atol=1e-6)
 
 
 # --- backward --------------------------------------------------------------
@@ -729,8 +749,9 @@ def test_view_adjoints_accumulate_exactly_over_two_passes():
 def test_train_step_backward_frees_memory_as_it_goes(monkeypatch):
     # tracemalloc bytes on a desk step. The start is what the tape keeps of
     # the forward pass: 52.2 MB when records held every output and closures
-    # their input Tensors, 32.9 MB now. Backward's own overhead, its peak
-    # above the start, stays within 5 MB (3.7 MB now). When its last adjoint
+    # their input Tensors, 32.9 MB when attention kept its weights, 27.9 MB
+    # now. Backward's own overhead, its peak above the start, stays within
+    # 5 MB (4.1 MB now). When its last adjoint
     # has run, it holds little more than the leaf grads (4.6 MB); keeping
     # every record or every intermediate grad to the end holds 25-33 MB.
     config = ModelConfig.desk()
