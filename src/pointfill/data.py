@@ -11,8 +11,8 @@ per-point arithmetic of the per-point loops in ``tests/oracles.py``, so a
 seed gives the same bytes as those loops.
 
 On-disk formats: plain ``x y z`` lines (.xyz) and minimal ascii PLY, each
-coordinate written as ``%.9g`` by one ``np.savetxt``; the readers check
-each line and name the first bad one.
+coordinate written as ``%.9g`` (the bytes of ``np.savetxt``) by one string
+format over all rows; the readers check each line and name the first bad one.
 Dataset layout: ``<root>/<split>/<id>_partial.xyz`` plus ``<id>_gt.xyz``.
 """
 
@@ -191,11 +191,17 @@ def resample_input(cloud, n, seed=0):
 # File formats
 
 
+def _write_rows(fh, pts):
+    """One ``x y z`` line per point, each coordinate ``%.9g``: the bytes of
+    ``np.savetxt(fh, pts, fmt="%.9g")``, from one format call, not one per row."""
+    fh.write(("%.9g %.9g %.9g\n" * len(pts)) % tuple(pts.ravel().tolist()))
+
+
 def write_xyz(path, cloud):
     """One ``x y z`` line per point, each coordinate ``%.9g``."""
     pts = as_cloud(cloud)
-    with open(path, "w") as fh:  # a handle: savetxt would gzip a path ending .gz
-        np.savetxt(fh, pts, fmt="%.9g")
+    with open(path, "w") as fh:
+        _write_rows(fh, pts)
 
 
 def read_xyz(path):
@@ -238,7 +244,7 @@ def write_ply(path, cloud):
         fh.write(f"element vertex {pts.shape[0]}\n")
         fh.write("property float x\nproperty float y\nproperty float z\n")
         fh.write("end_header\n")
-        np.savetxt(fh, pts, fmt="%.9g")
+        _write_rows(fh, pts)
 
 
 def read_ply(path):
