@@ -32,8 +32,12 @@ For each configuration, ``<config>.<item>`` covers:
 The configurations are desk float32 with each generator at ``batch_clouds``
 1 and 2; desk float32 with ``seed_attention`` softmax, scaled (lam 1.7) and
 log; desk float64; and micro (``init_seed=3``). Then come
-``benchmark_16k.complete`` and one ``gradcheck.<case>`` line per case of
-``pointfill gradcheck``, hashing the line the command prints.
+``benchmark_16k.complete`` of the fresh model, ``benchmark_16k.trained.params``
+and ``benchmark_16k.trained.losses`` after 2 ``run_training`` steps (the
+only lines over the 16k backward, whose stage-3 attention runs 16 tiles a
+kernel against 2 at desk scale; they take about 6 s), and one
+``gradcheck.<case>`` line per case of ``pointfill gradcheck``, hashing the
+line the command prints.
 
 ``--micro`` prints the same ``data.corpus`` line, then builds the same
 configuration list on the micro layout (its precision flip is float32) and
@@ -84,6 +88,7 @@ from pointfill.generator import GENERATOR_VARIANTS  # noqa: E402
 from pointfill.pipeline import Adam, CompletionModel, ModelConfig, run_training  # noqa: E402
 
 STEPS = 3
+STEPS_16K = 2
 
 
 def _sha(*items):
@@ -140,6 +145,13 @@ def _params(model):
     return [p.tensor.data for p in model.named_parameters()]
 
 
+def _losses_sha(rows):
+    return _sha(*(
+        np.array([r.step, *r.breakdown.stage_cds, r.breakdown.partial_matching,
+                  r.breakdown.total]) for r in rows
+    ))
+
+
 def _digest_config(name, config, batch, tmp, emit):
     samples = _samples(config)
     probe = samples[0][0]
@@ -154,10 +166,7 @@ def _digest_config(name, config, batch, tmp, emit):
     moments = [store[key] for key in optimizer.moment1
                for store in (optimizer.moment1, optimizer.moment2)]
     emit(f"{name}.trained.adam", _sha(np.array([optimizer.step_count]), *moments))
-    emit(f"{name}.trained.losses", _sha(*(
-        np.array([r.step, *r.breakdown.stage_cds, r.breakdown.partial_matching,
-                  r.breakdown.total]) for r in rows
-    )))
+    emit(f"{name}.trained.losses", _losses_sha(rows))
     emit(f"{name}.trained.complete", _sha(model.complete(probe)))
     plain, with_adam = Path(tmp) / f"{name}.ckpt", Path(tmp) / f"{name}.adam.ckpt"
     save_checkpoint(model, plain)
@@ -181,8 +190,12 @@ def digest(micro=False, out=sys.stdout):
     if micro:
         return
     config = ModelConfig.benchmark_16k()
-    emit("benchmark_16k.complete",
-         _sha(CompletionModel(config).complete(_samples(config, 1)[0][0])))
+    samples = _samples(config, 1)
+    model = CompletionModel(config)
+    emit("benchmark_16k.complete", _sha(model.complete(samples[0][0])))
+    rows = run_training(model, samples, STEPS_16K, Adam(model, lr=1e-3), seed=0)
+    emit("benchmark_16k.trained.params", _sha(*_params(model)))
+    emit("benchmark_16k.trained.losses", _losses_sha(rows))
 
     def report(case, rep):
         status = "pass" if rep.passed else "FAIL"
