@@ -609,14 +609,13 @@ def test_taped_attention_head_keeps_only_the_hidden_activation_and_statistics(va
     assert [[a.shape for a in s] for s in kept["stats"]] == [per_kernel] * rate
     assert all(a.size != n * k * c for s in kept["stats"] for a in s)  # no weight block
     for m, (h, s) in enumerate(zip(kept["hidden"], kept["stats"])):
-        if variant == "none":
-            continue
-        r = (h @ params[3 * m + 2]).reshape(n, k, c) * (2.0 if variant == "scaled" else 1.0)
-        top = r.max(axis=1, keepdims=True)
-        total = np.exp(r - top).sum(axis=1, keepdims=True)
-        np.testing.assert_allclose(s[0], top, rtol=1e-6)
-        np.testing.assert_allclose(s[1], np.log(total) if variant == "log" else total,
-                                   rtol=1e-5, atol=1e-6)
+        if variant != "none":
+            r = (h @ params[3 * m + 2]).reshape(n, k, c) * (2.0 if variant == "scaled" else 1.0)
+            top = r.max(axis=1, keepdims=True)
+            total = np.exp(r - top).sum(axis=1, keepdims=True)
+            np.testing.assert_allclose(s[0], top, rtol=1e-6)
+            np.testing.assert_allclose(s[1], np.log(total) if variant == "log" else total,
+                                       rtol=1e-5, atol=1e-6)
 
 
 # --- backward --------------------------------------------------------------
@@ -751,9 +750,9 @@ def test_train_step_backward_frees_memory_as_it_goes(monkeypatch):
     # the forward pass: 52.2 MB when records held every output and closures
     # their input Tensors, 32.9 MB when attention kept its weights, 27.9 MB
     # now. Backward's own overhead, its peak above the start, stays within
-    # 5 MB (4.1 MB now). When its last adjoint
-    # has run, it holds little more than the leaf grads (4.6 MB); keeping
-    # every record or every intermediate grad to the end holds 25-33 MB.
+    # 5 MB (4.1 MB now). When its last adjoint has run, it holds little more
+    # than the leaf grads (4.6 MB); keeping every record or every
+    # intermediate grad to the end holds 25-33 MB.
     config = ModelConfig.desk()
     rng = np.random.default_rng(0)
     partial = rng.standard_normal((config.input_points, 3))
