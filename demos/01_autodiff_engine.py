@@ -20,19 +20,20 @@ print(f"loss = {loss.item():.1f} (tape holds {len(tape)} primitive records)")
 tape.backward(loss)
 print("d(sum x^2)/dx =", x.grad, "(expected 2x)")
 
-# A less trivial composite: upsample attention with one kernel. A two-layer
-# kernel turns each (point, neighbor) row into logits, a softmax over the 6
-# neighbors of each of 4 points makes them weights, and the weights sum the
-# values. With more kernels, each gives its own output row per point.
+# A less trivial composite: upsample attention with one head. A hidden layer
+# turns each (point, neighbor) row into hidden features and the head maps
+# them to logits, a softmax over the 6 neighbors of each of 4 points makes
+# them weights, and the weights sum the values. With more heads, each maps
+# the same hidden rows to its own output row per point.
 rng = np.random.default_rng(0)
 n, k, c = 4, 6, 3
 rows = ad.Tensor(rng.standard_normal((n * k, c)), requires_grad=True)
 values = ad.Tensor(rng.standard_normal((n, k, c)))
 w0, b0 = ad.Tensor(rng.standard_normal((c, c))), ad.Tensor(np.zeros(c))
-w1 = ad.Tensor(rng.standard_normal((c, c)))
+head_w = ad.Tensor(rng.standard_normal((c, c)))
 weights = []
 with ad.Tape() as tape:
-    head = ad.upsample_attention(rows, values, [(w0, b0, w1)], "softmax", capture=weights)
+    head = ad.upsample_attention(rows, values, w0, b0, [head_w], "softmax", capture=weights)
     score = ad.reduce_sum(ad.mul(head, ad.constant(rng.standard_normal((n, c)))))
 tape.backward(score)
 print("softmax weights sum over the neighbors to", weights[0].data.sum(axis=1)[0].round(12))

@@ -22,9 +22,10 @@ an earlier record on the same tape produced, is a small node holding a grad
 slot, the shape and the dtype; the caller's Tensor points to its node. Other
 inputs that need a gradient, the leaves, are kept as the Tensors themselves.
 An adjoint closure keeps only the arrays it reads (a linear's input, an
-activation, each attention kernel's hidden block and softmax statistics,
-indices), plus shapes, dtypes and ``requires_grad`` flags. So a forward value lives only while the caller
-holds it or an adjoint will read it.
+activation, an upsample transformer's one hidden block and its heads'
+softmax statistics, indices), plus shapes, dtypes and ``requires_grad``
+flags. So a forward value lives only while the caller holds it or an
+adjoint will read it.
 
 A tape is single-use: ``backward`` consumes it. Each record is dropped once
 its adjoint has run and each intermediate's gradient once it has been passed
@@ -406,16 +407,14 @@ def _weighted_sum(w, v):
     return (w * v).sum(axis=1)
 
 
-def _weighted_sum_back(g, w, v, gw_out, gv_out=None):
-    """The adjoint of ``_weighted_sum``, written into ``gw_out`` and, when
-    given, ``gv_out``; returns ``gw_out``."""
+def _weighted_sum_back(g, w, v, gw_out):
+    """The weights' adjoint of ``_weighted_sum``, written into ``gw_out``,
+    which it returns; the values' is ``g[:, None, :] * w``."""
     g = g[:, None, :]  # broadcast over the neighbors, no copy
     if w.shape[2] == 1:
         np.sum(g * v, axis=2, keepdims=True, out=gw_out)
     else:
         np.multiply(g, v, out=gw_out)
-    if gv_out is not None:
-        np.multiply(g, w, out=gv_out)
     return gw_out
 
 
@@ -605,7 +604,7 @@ def repeat_rows(x, r):
 # ---------------------------------------------------------------------------
 # Neighbor attention
 
-#: How an attention kernel normalizes its logits over the k neighbors of each point.
+#: How an attention head normalizes its logits over the k neighbors of each point.
 ATTENTION_VARIANTS = ("softmax", "none", "scaled", "log")
 
 # Rows per upsample_attention tile. A (2048, 128) float32 block is 1 MB, so each
@@ -686,127 +685,133 @@ def _tiles(n, k):
     return zip(starts, starts[1:] + [n])
 
 
-def upsample_attention(x, values, kernels, variant="softmax", lam=1.0, capture=None):
-    """The ``rate`` attention kernels of an upsample transformer as one
-    record, computed in point tiles.
+def upsample_attention(x, values, w0, b0, heads, variant="softmax", lam=1.0, capture=None):
+    """An upsample transformer's ``rate`` attention heads as one record,
+    computed in point tiles.
 
     For (n*k, i) rows ``x`` (row ``i*k + j`` pairs point i with neighbor j)
-    and (n, k, C) ``values``, kernel m, the m-th ``(w0, b0, w1)`` of
-    ``kernels``, has the logits ``relu(x @ w0 + b0) @ w1`` reshaped to
-    (n, k, W), with W = C (one weight per channel) or W = 1 (one weight per
-    neighbor). They are normalized over the k neighbors by ``variant``
-    (``scaled`` multiplies by ``lam`` before the softmax; ``log`` gives
-    log-weights; ``none`` keeps the logits), and row ``i*rate + m`` of the
-    (n*rate, C) output is ``sum_j weights[i, j] * values[i, j]``. ``w1`` has
-    no bias: a logit shift that every neighbor shares leaves softmax, scaled
-    and log weights unchanged, so it would get no gradient, and under
-    ``none`` the model held it at zero.
+    and (n, k, C) ``values``, the heads share one hidden layer
+    ``h = relu(x @ w0 + b0)``. Head m, the m-th (hidden, W) matrix of
+    ``heads``, has the logits ``h @ heads[m]`` reshaped to (n, k, W), with
+    W = C (one weight per channel) or W = 1 (one weight per neighbor). They
+    are normalized over the k neighbors by ``variant`` (``scaled`` multiplies
+    by ``lam`` before the softmax; ``log`` gives log-weights; ``none`` keeps
+    the logits), and row ``i*rate + m`` of the (n*rate, C) output is
+    ``sum_j weights[i, j] * values[i, j]``. The heads have no bias: a logit
+    shift that every neighbor shares leaves softmax, scaled and log weights
+    unchanged, so it would get no gradient, and under ``none`` the model held
+    it at zero.
 
-    Each tile of about _TILE_ROWS rows runs every kernel's whole chain while
-    its blocks are in cache. Every step but the GEMMs works per point, and
-    the weight and bias gradients are full-size GEMMs and sums, so each
-    kernel gives the bits of ``linear_relu``, ``linear``, a reshape, the
-    normalization and the weighted sum over all rows, gradients included,
-    wherever a GEMM over a tile's rows gives the bits of those rows of the
-    full GEMM. OpenBLAS does at the model's shapes (hidden width C), not at
-    every shape (float64 with an 18-wide hidden layer, for one). The adjoint
-    sums the kernels' ``x`` and ``values`` gradients from the last to the first.
+    Each tile of about _TILE_ROWS rows computes its hidden rows once and runs
+    every head on them while its blocks are in cache. Recorded, the op keeps
+    the one (n*k, hidden) activation and each head's (n, 1, W) max and sum
+    (the max and log-sum for ``log``, nothing for ``none``), not its
+    (n, k, W) weights: the adjoint rebuilds each tile's weights from the kept
+    hidden rows just before it reads them, by the forward's GEMM and in-place
+    steps, so they are the forward's bits (as FlashAttention keeps softmax
+    statistics, Dao et al., arXiv 2205.14135). Unrecorded, the op keeps
+    nothing. ``capture``, an optional list, receives each head's weights as a
+    constant Tensor.
 
-    Recorded, the op keeps only each kernel's hidden activation (n*k, hidden)
-    and the (n, 1, W) max and sum of its normalization (the max and log-sum
-    for ``log``, nothing for ``none``), not its (n, k, W) weights: the
-    adjoint rebuilds each tile's weights from the kept hidden rows just before
-    it reads them, by the forward's GEMM and in-place steps, so they are the
-    forward's bits (as FlashAttention keeps softmax statistics, Dao et al.,
-    arXiv 2205.14135). The x and values gradients build up in one block each,
-    tile by tile. Unrecorded, the op keeps nothing. ``capture``, an optional
-    list, receives each kernel's weights as a constant Tensor.
+    The adjoint works tile by tile, tiles in order, so it holds no full-size
+    block but the x and values gradients. In each tile it runs the heads from
+    the last to the first: the values gradient and the hidden gradient
+    ``gr_m @ heads[m].T`` sum in that order. One relu mask and one
+    ``@ w0.T`` then give the tile's x gradient. A weight or bias gradient is
+    the sum of its per-tile GEMMs or column sums, first tile first.
     """
     check_attention(variant, lam)
     if values.ndim != 3:
         raise ShapeError(f"upsample_attention expects (n, k, C) values, got {values.shape}")
     n, k, c = values.shape
-    for w0, b0, w1 in kernels:
-        _check_affine(x, w0, b0, "upsample_attention")
-        if (x.shape[0] != n * k or w1.ndim != 2 or w1.shape[0] != w0.shape[1]
-                or w1.shape[1] not in (1, c)):
-            raise ShapeError(f"upsample_attention: x {x.shape}, hidden width {w0.shape[1]} "
-                             f"and weight {w1.shape} do not fit values {values.shape}")
+    _check_affine(x, w0, b0, "upsample_attention")
+    if x.shape[0] != n * k or not heads:
+        raise ShapeError(f"upsample_attention: x {x.shape} and {len(heads)} heads do not "
+                         f"fit values {values.shape}")
+    for w1 in heads:
+        if w1.ndim != 2 or w1.shape[0] != w0.shape[1] or w1.shape[1] not in (1, c):
+            raise ShapeError(f"upsample_attention: hidden width {w0.shape[1]} and head "
+                             f"{w1.shape} do not fit values {values.shape}")
         if not x.dtype == values.dtype == w1.dtype:
             raise ContractError(
                 f"upsample_attention: dtypes {x.dtype}, {values.dtype}, {w1.dtype} differ")
-    inputs = [x, values, *(t for kernel in kernels for t in kernel)]
+    inputs = [x, values, w0, b0, *heads]
     needs = [t.requires_grad for t in inputs]
     record = any(needs) and _ACTIVE_TAPE.get() is not None
-    xd, v, lam = x.data, values.data, x.dtype.type(lam)
-    arrays = [[t.data for t in kernel] for kernel in kernels]  # each kernel's w0, b0, w1
-    rate = len(arrays)
+    xd, v, w0d, b0d, lam = x.data, values.data, w0.data, b0.data, x.dtype.type(lam)
+    heads = [w1.data for w1 in heads]
+    rate = len(heads)
     out = np.empty((n, rate, c), dtype=x.dtype)
-    hidden = [np.empty((n * k, w0.shape[1]), x.dtype) if record else None for w0, _, _ in arrays]
-    # each kernel's max and sum (log-sum for log) over the neighbors
+    hidden = np.empty((n * k, w0.shape[1]), x.dtype) if record else None
+    # each head's max and sum (log-sum for log) over the neighbors
     stats = [[np.empty((n, 1, w1.shape[1]), x.dtype) for _ in range(2)]
-             if record and variant != "none" else [] for _, _, w1 in arrays]
+             if record and variant != "none" else [] for w1 in heads]
     weights = [None if capture is None else np.empty((n, k, w1.shape[1]), x.dtype)
-               for _, _, w1 in arrays]
+               for w1 in heads]
     for a, b in _tiles(n, k):
         rows = slice(a * k, b * k)
-        for m, (w0d, b0d, w1d) in enumerate(arrays):
-            h = np.matmul(xd[rows], w0d, out=None if hidden[m] is None else hidden[m][rows])
-            h += b0d
-            _relu_(h)
+        h = np.matmul(xd[rows], w0d, out=None if hidden is None else hidden[rows])
+        h += b0d
+        _relu_(h)
+        for m, w1 in enumerate(heads):
             kept = None if weights[m] is None else weights[m][a:b].reshape(len(h), -1)
-            r = np.matmul(h, w1d, out=kept).reshape(b - a, k, -1)
+            r = np.matmul(h, w1, out=kept).reshape(b - a, k, -1)
             s = _normalize_(r, variant, lam, [t[a:b] for t in stats[m]])
             out[a:b, m] = _weighted_sum(s, v[a:b])
     if capture is not None:
         capture.extend(Tensor(w) for w in weights)
 
     def back(g):
-        def kernel_back(m, g, first):
-            # the adjoint of kernel m's (n, C) output, which writes its x and
-            # values gradients into gx and gv when it runs first and adds them
-            # after; a function of its own so its blocks die before the next
-            # kernel's are made
-            (w0d, _, w1d), width = arrays[m], arrays[m][2].shape[1]
-            needs_w0, needs_b0, needs_w1 = needs[2 + 3 * m: 5 + 3 * m]
-            gr = np.empty((n, k, width), xd.dtype)
-            for a, b in _tiles(n, k):  # the weighted sum's and the normalization's adjoints
-                rows = slice(a * k, b * k)
-                # the forward's weights again: the same GEMM and in-place steps
-                s = _normalize_((hidden[m][rows] @ w1d).reshape(b - a, k, -1), variant, lam,
-                                [t[a:b] for t in stats[m]], rebuild=True)
-                gvt = None if gv is None else gv[a:b] if first else np.empty_like(v[a:b])
-                gs = _weighted_sum_back(g[a:b], s, v[a:b], gr[a:b], gvt)
-                if gvt is not None and not first:
-                    gv[a:b] += gvt
-                _normalize_back_(gs, s, variant, lam)
-            stats[m] = None  # the tape is single-use: drop each array once read
-            gr = gr.reshape(n * k, width)
-            # weight and bias gradients sum over all n*k rows: one full-size
-            # call each, as the unfused linear adjoints make
-            gw1 = hidden[m].T @ gr if needs_w1 else None
-            gw0 = gb0 = None
-            if needs[0] or needs_w0 or needs_b0:
-                # gz takes gr's rows
-                gz = gr if width == hidden[m].shape[1] else np.empty_like(hidden[m])
-                for a, b in _tiles(n, k):  # the kernel's adjoints
-                    rows = slice(a * k, b * k)
-                    np.multiply(gr[rows] @ w1d.T, hidden[m][rows] > 0, out=gz[rows])
-                    if gx is not None:
-                        gxt = np.matmul(gz[rows], w0d.T, out=gx[rows] if first else None)
-                        if not first:
-                            gx[rows] += gxt
-                gw0 = xd.T @ gz if needs_w0 else None
-                gb0 = gz.sum(axis=0) if needs_b0 else None
-            hidden[m] = None
-            return gw0, gb0, gw1
-
+        nonlocal hidden, stats
         g = g.reshape(n, rate, c)
         gx = np.empty_like(xd) if needs[0] else None
         gv = np.empty_like(v) if needs[1] else None
-        grads = [gx, gv] + [None] * (3 * rate)
-        for m in reversed(range(rate)):  # the x and values sums run last kernel first
-            grads[2 + 3 * m: 5 + 3 * m] = kernel_back(m, g[:, m], m == rate - 1)
+        grads = [gx, gv] + [None] * (2 + rate)
+        through_hidden = needs[0] or needs[2] or needs[3]
+
+        def add_tile(i, part):  # a weight or bias gradient sums its tiles' parts
+            if grads[i] is None:
+                grads[i] = part
+            else:
+                grads[i] += part
+
+        def head_back(m, a, b, h):
+            # head m's adjoint on the tile of points a..b: writes its values
+            # gradient (the last head) or adds it, adds its head gradient and
+            # returns its hidden gradient; a function of its own so its blocks
+            # die before the next head's are made
+            gm = g[a:b, m]
+            # the forward's weights again: the same GEMM and in-place steps
+            s = _normalize_((h @ heads[m]).reshape(b - a, k, -1), variant, lam,
+                            [t[a:b] for t in stats[m]], rebuild=True)
+            if gv is not None:
+                if m == rate - 1:
+                    np.multiply(gm[:, None, :], s, out=gv[a:b])
+                else:
+                    gv[a:b] += gm[:, None, :] * s
+            gs = _weighted_sum_back(gm, s, v[a:b], np.empty_like(s))
+            gr = _normalize_back_(gs, s, variant, lam).reshape(len(h), -1)
+            if needs[4 + m]:
+                add_tile(4 + m, h.T @ gr)
+            return gr @ heads[m].T if through_hidden else None
+
+        for a, b in _tiles(n, k):
+            rows = slice(a * k, b * k)
+            h = hidden[rows]
+            gh = head_back(rate - 1, a, b, h)
+            for m in reversed(range(rate - 1)):  # the last head first
+                part = head_back(m, a, b, h)
+                if gh is not None:
+                    gh += part
+            if gh is not None:
+                gh *= h > 0  # the one relu mask
+                if gx is not None:
+                    np.matmul(gh, w0d.T, out=gx[rows])
+                if needs[2]:
+                    add_tile(2, xd[rows].T @ gh)
+                if needs[3]:
+                    add_tile(3, gh.sum(axis=0))
+        hidden = stats = None  # the tape is single-use: drop what it kept
         return grads
 
     return _emit(out.reshape(n * rate, c), inputs, back)

@@ -12,7 +12,16 @@ Layout (all integers unsigned 32-bit little-endian):
 checksum is verified before anything after the version is parsed, so a
 damaged file is refused instead of loading as a different model. Version 2
 files have no checksum; version 1 files also have no ``dtype`` field and
-always hold float32 data. Both still load.
+always hold float32 data.
+
+Version 4 has version 3's layout; it marks the parameter layout in which an
+upsample transformer's heads share one hidden layer. Up to version 3 each
+attention kernel had a first layer of its own, so a version 1-3 file of an
+``uptrans`` or ``pointwise`` model is refused with a FormatError that says
+so. Version 1-3 files of the other generators still load: their only
+transformers are the encoder's, at rate 1, whose one kernel is the shared
+layer and the one head, read under their new names (``kernels0.lin0`` is
+``hidden``, ``kernels0.lin1`` is ``heads0``).
 
 Model parameters are written first in model order. Adam's state, when
 saved, follows under the reserved ``adam.`` prefix so training can resume
@@ -26,6 +35,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import re
 import struct
 import threading
 import zlib
@@ -36,7 +46,11 @@ from .errors import ContractError, FormatError, ParseError
 from .pipeline import CompletionModel, ModelConfig, parse_config_text
 
 MAGIC = b"SDCP"
-VERSION = 3
+VERSION = 4
+# the generators whose parameters changed layout at version 4
+_SHARED_HIDDEN_LAYER = ("uptrans", "pointwise")
+# a record of an encoder transformer's one kernel before version 4, or of its moments
+_ENCODER_KERNEL = re.compile(r"((?:adam\.[mv]\.)?encoder\.refine\d+\.core)\.kernels0\.lin([01])\.")
 _DTYPES = {4: np.dtype("<f4"), 8: np.dtype("<f8")}  # by the dtype field
 _MAX_RANK = 32  # numpy's dimension limit before 2.0
 _CRC_CHUNK = 1 << 16  # checksum read size; large reads would move glibc's mmap threshold
@@ -141,14 +155,17 @@ def save_checkpoint(model, path, optimizer=None):
 
 
 def read_checkpoint(path):
-    """Parse a checkpoint into ``(config_mapping, {name: float array})``."""
+    """Parse a checkpoint into ``(config_mapping, {name: float array})``.
+
+    Refuses a version 1-3 file of a model whose attention layout changed at
+    version 4 (module docstring)."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
         if magic != MAGIC:
             raise FormatError(f"bad checkpoint magic {magic!r}")
         version = _read_u32(fh, size, "version")
-        if version not in (1, 2, VERSION):
+        if version not in (1, 2, 3, VERSION):
             raise FormatError(f"unsupported checkpoint version {version}")
         if version >= 3:
             size -= 4  # the trailing checksum is not payload
@@ -165,12 +182,22 @@ def read_checkpoint(path):
             mapping = parse_config_text(raw.decode("utf-8"), source="checkpoint config")
         except (UnicodeDecodeError, ParseError) as exc:
             raise FormatError(f"malformed checkpoint config: {exc}") from None
+        generator = mapping.get("generator", ModelConfig.generator)
+        if version < 4 and generator in _SHARED_HIDDEN_LAYER:
+            raise FormatError(
+                f"checkpoint version {version} holds the per-kernel attention layout of a "
+                f"{generator!r} model, one first layer per kernel; since version 4 a "
+                "transformer's heads share one hidden layer, so it cannot load")
         arrays = {}
         while True:
             record = _read_record(fh, size, version)
             if record is None:
                 break
-            arrays[record[0]] = record[1]
+            name = record[0]
+            if version < 4:
+                name = _ENCODER_KERNEL.sub(
+                    lambda m: f"{m[1]}.{'hidden' if m[2] == '0' else 'heads0'}.", name, count=1)
+            arrays[name] = record[1]
     return mapping, arrays
 
 

@@ -3,25 +3,30 @@ point-wise), the seed generator built on it, the refinement stage wrapper,
 and the alternative generator cores used for ablation runs.
 
 The central operation turns each point into ``rate`` new feature rows. For
-point ``i`` with neighborhood ``N(i)`` (k nearest neighbors), kernel ``m``
-produces channel-wise attention logits
+point ``i`` with neighborhood ``N(i)`` (k nearest neighbors), one hidden
+layer ``(W0, b0)`` that all heads share, and head ``m``'s bias-free output
+map ``H_m``, the channel-wise attention logits are
 
-    a_hat[i, j, m] = kernel_m(query_map(q_i) - key_map(k_j) + delta_ij)
+    x_ij = query_map(q_i) - key_map(k_j) + delta_ij
+    a_hat[i, j, m] = relu(x_ij W0 + b0) H_m
 
 where ``delta_ij = pos_encoder(p_i - p_j) + seed_encoder(s_i - s_j)`` mixes
 a positional term with a regional term from the seed features interpolated
-at the points (positional only when none are supplied). The logits are
-normalized over the neighborhood by the transformer's attention setting
-(the seed generator's is a config choice; refinement stages always use
-softmax) and combined with the per-point values:
+at the points (positional only when none are supplied). One MLP computes
+the weights, as in Point Transformer's vector attention that SeedFormer's
+Upsample Transformer builds on; its last layer has ``rate`` outputs. The
+logits are normalized over the neighborhood by the transformer's attention
+setting (the seed generator's is a config choice; refinement stages always
+use softmax) and combined with the per-point values:
 
     h[i, m] = sum_j a[i, j, m] * (value_map(v_j) + delta_ij)
 
-All ``rate`` kernels, their normalization and those sums are one
-``ad.upsample_attention`` record. Output rows are stacked kernel-fastest: row
-``i * rate + m`` belongs to source point ``i`` and kernel ``m``, matching
-plain row duplication of the source cloud; ``seed_provenance`` returns that
-grouping as a table. The module reads and writes no files.
+The hidden layer, all ``rate`` heads, their normalization and those sums
+are one ``ad.upsample_attention`` record. Output rows are stacked
+head-fastest: row ``i * rate + m`` belongs to source point ``i`` and head
+``m``, matching plain row duplication of the source cloud;
+``seed_provenance`` returns that grouping as a table. The module reads and
+writes no files.
 """
 
 from __future__ import annotations
@@ -59,15 +64,19 @@ def _stack_heads(heads):
 class UpsampleTransformer(Module):
     """Neighborhood attention producing ``rate`` rows per point.
 
-    Channel-wise by default: every kernel emits one weight per neighbor and
-    channel. With ``pointwise=True`` the kernels end in a single column, so
-    each neighbor gets one scalar weight, normalized over the neighborhood
-    and shared by all channels (the ``pointwise`` generator variant).
+    Channel-wise by default: every head emits one weight per neighbor and
+    channel. With ``pointwise=True`` each head is a single column, so each
+    neighbor gets one scalar weight, normalized over the neighborhood and
+    shared by all channels (the ``pointwise`` generator variant). The heads
+    share the hidden layer ``hidden`` that turns each (point, neighbor) row
+    into their input.
 
     Args:
         rng: numpy Generator used for weight init.
         channels: feature width shared by queries, keys and outputs.
-        rate: number of kernels, i.e. generated rows per input point.
+        rate: number of attention heads, i.e. generated rows per input
+            point. Each head is a bias-free (channels, W) map on the shared
+            hidden layer.
         k: neighborhood size for the attention.
         seed_channels: width of interpolated seed features, or None to run
             without the regional encoding term.
@@ -101,10 +110,15 @@ class UpsampleTransformer(Module):
             else None
         )
         width = 1 if pointwise else channels
-        self.kernels = [
-            Mlp2(rng, channels, channels, width, last_bias=False)
-            for _ in range(rate)
-        ]
+        self.hidden = Linear(rng, channels, channels)
+        self.heads = []
+        for m in range(rate):
+            if m:
+                # drawn and dropped: the init stream of checkpoint version
+                # 3's layout, one first layer per head, so each parameter
+                # starts at the value it had there
+                Linear(rng, channels, channels)
+            self.heads.append(Linear(rng, channels, width, bias=False))
 
     def __call__(self, queries, keys, cloud, seed_features=None, capture=None):
         """Run the attention upsampling.
@@ -116,7 +130,7 @@ class UpsampleTransformer(Module):
             seed_features: optional (n, seed_channels) seed features
                 interpolated at ``cloud``, for the regional encoding term.
             capture: optional dict for inspection in tests and demos.
-                ``capture["weights"]`` receives each kernel's normalized
+                ``capture["weights"]`` receives each head's normalized
                 weights, shaped (n, k, channels), or (n, k, 1) when
                 point-wise; under ``none`` they are the raw logits.
 
@@ -138,7 +152,7 @@ class UpsampleTransformer(Module):
             if self.seed_encoder is None:
                 raise ContractError("this transformer was built without seed encoding")
             # no local name: without a tape the (n*k, seed_channels) difference
-            # is freed before the kernel loop, which sets inference peak memory
+            # is freed before the attention record, which sets inference peak memory
             delta = ad.add(delta, self.seed_encoder(
                 ad.neighbor_diff(seed_features, seed_features, nbrs, k)
             ))
@@ -150,9 +164,8 @@ class UpsampleTransformer(Module):
         if capture is not None:
             weights = capture["weights"] = []
         return ad.upsample_attention(
-            logits_in, value_term,
-            [(kernel.lin0.w, kernel.lin0.b, kernel.lin1.w) for kernel in self.kernels],
-            self.attention, self.lam, capture=weights,
+            logits_in, value_term, self.hidden.w, self.hidden.b,
+            [head.w for head in self.heads], self.attention, self.lam, capture=weights,
         )
 
 

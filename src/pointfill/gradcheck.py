@@ -181,19 +181,20 @@ def _case_linear_relu():
 def _case_attention_head(name, variant, width):
     def build():
         rng = _rng(zlib.crc32(name.encode()))  # not hash(): salted per process
-        n, k, c = 3, 4, 3
+        n, k, c, rate = 3, 4, 3, 2
         sign = lambda shape: rng.choice([-1.0, 1.0], shape)
-        # Data clear of finite-difference roundoff: no w0 or w1 entry near 0
-        # (it would scale a gradient row or column down); a diagonally
+        # Data clear of finite-difference roundoff: no w0 or head entry near
+        # 0 (it would scale a gradient row or column down); a diagonally
         # dominant w0 (condition number under 13), so x stays near z's scale;
         # pre-activations z 0.05 to 0.5 from the kink. Point i holds hidden
         # unit i at z in [0.3, 0.5] for every neighbor but neighbor 1, where
         # it is inactive and unit i + 1 is active instead: each unit is
         # active for one neighbor of a point and inactive for another (else
         # the softmax's shift invariance zeroes b0's gradient), and every row
-        # has a unit at z >= 0.3. With w1 positive, the logits relu(z) @ w1
-        # lie in [0.12, 1.8]: no softmax weight is near 0, nor a logit (the
-        # none weight)
+        # has a unit at z >= 0.3. With both heads positive, the logits
+        # relu(z) @ head lie in [0.12, 1.8]: no softmax weight is near 0, nor
+        # a logit (the none weight). Two heads share the hidden layer, so
+        # w0, b0 and x get the sum of their hidden gradients
         w0 = sign((c, c)) * np.where(
             np.eye(c, dtype=bool), rng.uniform(1.2, 1.5, (c, c)), rng.uniform(0.2, 0.5, (c, c)))
         b0 = rng.uniform(-0.5, 0.5, c)
@@ -203,12 +204,12 @@ def _case_attention_head(name, variant, width):
         z[i, 1, i] *= -1.0
         z[i, 1, (i + 1) % c] = rng.uniform(0.3, 0.5, n)
         x = np.linalg.solve(w0.T, (z.reshape(n * k, c) - b0).T).T
-        w1 = rng.uniform(0.4, 1.2, (c, width))
-        inputs = [_param(a) for a in (x, rng.standard_normal((n, k, c)), w0, b0, w1)]
-        probe = rng.standard_normal((n, c))
+        heads = [rng.uniform(0.4, 1.2, (c, width)) for _ in range(rate)]
+        inputs = [_param(a) for a in (x, rng.standard_normal((n, k, c)), w0, b0, *heads)]
+        probe = rng.standard_normal((n * rate, c))
 
-        def fn(x, values, w0, b0, w1):
-            out = ad.upsample_attention(x, values, [(w0, b0, w1)], variant, lam=1.7)
+        def fn(x, values, w0, b0, *heads):
+            out = ad.upsample_attention(x, values, w0, b0, heads, variant, lam=1.7)
             return ad.reduce_sum(ad.mul(out, ad.constant(probe, like=x)))
 
         return fn, inputs

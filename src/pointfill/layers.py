@@ -68,9 +68,9 @@ class Linear(Module):
     """Affine row map.
 
     ``zero_init`` starts the layer at the zero function. With ``bias=False``
-    the layer holds only ``w`` and is not callable: an attention kernel's
-    output map has no bias (see ``ad.upsample_attention``), which reads
-    that ``w`` itself, so ``ad.linear`` needs no bias-less path.
+    the layer holds only ``w`` and is not callable: an upsample transformer's
+    attention heads have no bias (see ``ad.upsample_attention``), which reads
+    each head's ``w`` itself, so ``ad.linear`` needs no bias-less path.
     """
 
     def __init__(self, rng, n_in, n_out, zero_init=False, bias=True):
@@ -92,11 +92,9 @@ class Mlp2(Module):
     taped call appends two records and keeps no pre-activation.
     """
 
-    def __init__(self, rng, n_in, n_hidden, n_out, zero_last=False, last_bias=True):
+    def __init__(self, rng, n_in, n_hidden, n_out, zero_last=False):
         self.lin0 = Linear(rng, n_in, n_hidden)
-        self.lin1 = Linear(
-            rng, n_hidden, n_out, zero_init=zero_last, bias=last_bias,
-        )
+        self.lin1 = Linear(rng, n_hidden, n_out, zero_init=zero_last)
 
     def __call__(self, x):
         return self.lin1(ad.linear_relu(x, self.lin0.w, self.lin0.b))

@@ -1,5 +1,6 @@
 """Engine tests: primitive values, exact adjoints, tape semantics."""
 
+import functools
 import itertools
 import math
 import threading
@@ -32,11 +33,11 @@ def run_backward(fn, *inputs):
 
 
 def _pass_through_head(logits, values, variant="softmax", capture=None):
-    """One attention kernel over (n*k, 1) ``logits`` that passes them
+    """One attention head over (n*k, 1) ``logits`` that passes them
     through exactly: relu(l) - relu(-l) = l."""
     w0, b0 = ad.Tensor([[1.0, -1.0]]), ad.Tensor(np.zeros(2))
-    w1 = ad.Tensor([[1.0], [-1.0]])
-    return ad.upsample_attention(logits, values, [(w0, b0, w1)], variant, capture=capture)
+    head = ad.Tensor([[1.0], [-1.0]])
+    return ad.upsample_attention(logits, values, w0, b0, [head], variant, capture=capture)
 
 
 def _head_weights(logits, variant="softmax"):
@@ -364,67 +365,87 @@ def test_neighbor_diff_rejects_misfit_index_shape_and_dtype():
         ad.neighbor_diff(center, ad.Tensor(np.zeros((5, 2)), dtype=np.float32), idx, 2)
 
 
-# --- upsample_attention: one tiled record for all of a transformer's kernels ---
+# --- upsample_attention: one tiled record for all of a transformer's heads ---
 
 
-def _plain_attention_head(x, v, w0, b0, w1, variant, lam, g):
-    """The unfused records in plain numpy: linear_relu, linear, reshape, the
-    normalization (with its mul under ``scaled``) and neighbor_sum, each over
-    all rows, and their adjoints of ``g``. Returns the weights, the output and
-    the gradients of x, v, w0, b0 and w1."""
-    n, k, _ = v.shape
+def _plain_attention(x, v, w0, b0, heads, variant, lam, g, order=None):
+    """The shared-layer attention in plain numpy, and its adjoint of ``g``.
+
+    Full-size GEMMs stand for the primitive's row tiles, which give the same
+    rows (test_row_tiles_of_the_head_gemms_are_rows_of_the_full_gemms). The
+    sums run in the primitive's order: the heads' values and hidden
+    gradients over ``order`` (last head first by default), and each weight
+    and bias gradient over ad._tiles, first tile first. Returns each head's
+    weights, the (n*rate, C) output and the gradients of x, v, w0, b0 and
+    each head."""
+    n, k, c = v.shape
+    rate = len(heads)
     z = x @ w0
     z += b0
     h = np.where(z > 0, z, z.dtype.type(0))
-    r = (h @ w1).reshape(n, k, -1)
     lam = x.dtype.type(lam)
-    if variant == "scaled":
-        r = r * lam
-    if variant == "none":
-        y = s = r
-    elif variant == "log":
-        y = r - r.max(axis=1, keepdims=True)
-        y -= np.log(np.exp(y).sum(axis=1, keepdims=True))
-        s = np.exp(y)
-    else:
-        e = r - r.max(axis=1, keepdims=True)
-        np.exp(e, out=e)
-        y = s = e / e.sum(axis=1, keepdims=True)
-    g3 = g[:, None, :]
-    gy = g3 * v
-    if y.shape[2] == 1:
-        gy = gy.sum(axis=2, keepdims=True)
-    if variant == "none":
-        gr = gy
-    elif variant == "log":
-        gr = gy - s * gy.sum(axis=1, keepdims=True)
-    else:
-        gr = s * (gy - (gy * s).sum(axis=1, keepdims=True))
+    g = g.reshape(n, rate, c)
+    weights, outs, grs = [None] * rate, [None] * rate, [None] * rate
+    gv = gh = None
+    for m in reversed(range(rate)) if order is None else order:
+        r = (h @ heads[m]).reshape(n, k, -1)
         if variant == "scaled":
-            gr = gr * lam
-    gr = gr.reshape(n * k, -1)
-    gz = (gr @ w1.T) * (h > 0)
-    return (y, (y * v).sum(axis=1), gz @ w0.T, g3 * y, x.T @ gz, gz.sum(axis=0),
-            h.T @ gr)
+            r = r * lam
+        if variant == "none":
+            y = s = r
+        elif variant == "log":
+            y = r - r.max(axis=1, keepdims=True)
+            y -= np.log(np.exp(y).sum(axis=1, keepdims=True))
+            s = np.exp(y)
+        else:
+            e = r - r.max(axis=1, keepdims=True)
+            np.exp(e, out=e)
+            y = s = e / e.sum(axis=1, keepdims=True)
+        g3 = g[:, m, None, :]
+        gy = g3 * v
+        if y.shape[2] == 1:
+            gy = gy.sum(axis=2, keepdims=True)
+        if variant == "none":
+            gr = gy
+        elif variant == "log":
+            gr = gy - s * gy.sum(axis=1, keepdims=True)
+        else:
+            gr = s * (gy - (gy * s).sum(axis=1, keepdims=True))
+            if variant == "scaled":
+                gr = gr * lam
+        weights[m], outs[m], grs[m] = y, (y * v).sum(axis=1), gr.reshape(n * k, -1)
+        gv = g3 * y if gv is None else gv + g3 * y
+        gh = grs[m] @ heads[m].T if gh is None else gh + grs[m] @ heads[m].T
+    gz = gh * (h > 0)
+    tiles = [slice(a * k, b * k) for a, b in ad._tiles(n, k)]
+
+    def over_tiles(part):
+        total = part(tiles[0])
+        for rows in tiles[1:]:
+            total = total + part(rows)
+        return total
+
+    grads = [gz @ w0.T, gv, over_tiles(lambda t: x[t].T @ gz[t]),
+             over_tiles(lambda t: gz[t].sum(axis=0))]
+    grads += [over_tiles(lambda t: h[t].T @ gr[t]) for gr in grs]
+    return weights, np.stack(outs, axis=1).reshape(n * rate, c), grads
 
 
-def _head_arrays(rng, n, k, c, width, dtype):
-    """x, values, w0, b0, w1 for one head, hidden width C as in the model."""
-    shapes = [(n * k, c), (n, k, c), (c, c), (c,), (c, width)]
+def _attention_arrays(rng, rate, n, k, c, width, dtype):
+    """x, values, w0 and b0, then ``rate`` heads; hidden width C as in the model."""
+    shapes = [(n * k, c), (n, k, c), (c, c), (c,), *[(c, width)] * rate]
     return [(0.5 * rng.standard_normal(s)).astype(dtype) for s in shapes]
+
+
+def _attention(leaves, variant, lam=1.0, capture=None):
+    """upsample_attention of x, values, w0, b0 and the heads, in that order."""
+    x, v, w0, b0, *heads = leaves
+    return ad.upsample_attention(x, v, w0, b0, heads, variant, lam, capture=capture)
 
 
 # n, k, C and the rates run; "stage3" is benchmark_16k's last stage, 16 tiles
 _TILINGS = {"real": (330, 16, 16, (1, 3)), "small": (50, 3, 5, (1, 3)),
             "stage3": (2048, 16, 128, (2,))}
-
-
-def _kernel_arrays(rng, rate, n, k, c, width, dtype):
-    """x and values, then w0, b0 and w1 of each of ``rate`` kernels."""
-    x, v, *kernel = _head_arrays(rng, n, k, c, width, dtype)
-    for _ in range(rate - 1):
-        kernel += _head_arrays(rng, 0, k, c, width, dtype)[2:]  # no points: no x, values
-    return [x, v, *kernel]
 
 
 @pytest.mark.parametrize("dtype, variant, width, tiling", [
@@ -434,10 +455,9 @@ def _kernel_arrays(rng, rate, n, k, c, width, dtype):
 ])
 def test_attention_head_is_bitwise_the_unfused_records(dtype, variant, width, tiling,
                                                        monkeypatch):
-    # each kernel of upsample_attention, at rate 1 and 3 (2 at the stage-3
-    # shape): output rows are the unfused per-kernel records stacked
-    # kernel-fastest, and the x and values gradients their plain adjoints
-    # summed from the last kernel to the first
+    # upsample_attention at rate 1 and 3 (2 at the stage-3 shape) against the
+    # plain shared-layer math: the weights, the output rows stacked
+    # head-fastest and every gradient, bit for bit, taped and untaped
     n, k, c, rates = _TILINGS[tiling]
     if tiling == "small":
         monkeypatch.setattr(ad, "_TILE_ROWS", 48)
@@ -446,66 +466,49 @@ def test_attention_head_is_bitwise_the_unfused_records(dtype, variant, width, ti
     assert tiles[-1] != tiles[0] or tiling == "stage3"
     for rate in rates:
         rng = np.random.default_rng(45)
-        x, v, *params = _kernel_arrays(rng, rate, n, k, c, c if width == "channel" else 1,
-                                       dtype)
+        arrays = _attention_arrays(rng, rate, n, k, c, c if width == "channel" else 1, dtype)
         g = rng.standard_normal((n * rate, c)).astype(dtype)
-        plain = [_plain_attention_head(x, v, *params[3 * m: 3 * m + 3], variant, 1.7,
-                                       g[m::rate])
-                 for m in range(rate)]
-        want_out = np.stack([p[1] for p in plain], axis=1).reshape(n * rate, c)
-        want_grads = []
-        for i in (2, 3):  # x, values
-            total = plain[-1][i]
-            for p in plain[-2::-1]:
-                total = total + p[i]
-            want_grads.append(total)
-        want_grads += [p[i] for p in plain for i in (4, 5, 6)]
-        leaves = [leaf(a, dtype) for a in (x, v, *params)]
-        kernels = [leaves[2 + 3 * m: 5 + 3 * m] for m in range(rate)]
+        want_weights, want_out, want_grads = _plain_attention(*arrays[:4], arrays[4:],
+                                                              variant, 1.7, g)
+        leaves = [leaf(a, dtype) for a in arrays]
         captured = []
         with ad.Tape() as tape:
-            out = ad.upsample_attention(*leaves[:2], kernels, variant, 1.7, capture=captured)
+            out = _attention(leaves, variant, 1.7, captured)
             assert len(tape) == 1
             loss = ad.reduce_sum(ad.mul(out, ad.constant(g)))
         tape.backward(loss)
         got = [w.data for w in captured] + [out.data] + [t.grad for t in leaves]
-        assert _bits(*got) == _bits(*[p[0] for p in plain], want_out, *want_grads)
-        untaped = ad.upsample_attention(
-            ad.Tensor(x), ad.Tensor(v),
-            [[ad.Tensor(a) for a in params[3 * m: 3 * m + 3]] for m in range(rate)],
-            variant, 1.7,
-        )
+        assert _bits(*got) == _bits(*want_weights, want_out, *want_grads)
+        untaped = _attention([ad.Tensor(a) for a in arrays], variant, 1.7)
         assert _bits(untaped.data) == _bits(want_out)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_attention_heads_sharing_inputs_accumulate_in_reverse_order(dtype, monkeypatch):
-    # three kernels of one record read the same x and values, which carry
-    # gradients from an earlier pass; magnitudes over six decades make the
-    # order of the sums show. The record sums its kernels' gradients from the
-    # last to the first, and the tape adds that sum to the earlier gradient
+    # three heads of one record read the same x, values and hidden rows, and
+    # x and values carry gradients from an earlier pass; magnitudes over six
+    # decades make the order of the sums show. The record sums its heads'
+    # values and hidden gradients from the last head to the first, and the
+    # tape adds the x and values gradients to the earlier ones
     monkeypatch.setattr(ad, "_TILE_ROWS", 48)
     rng = np.random.default_rng(46)
     n, k, c, rate = 50, 3, 5, 3
     scale = 10.0 ** rng.uniform(-3, 3, c)
-    x, v, *params = _kernel_arrays(rng, rate, n, k, c, c, dtype)
+    arrays = _attention_arrays(rng, rate, n, k, c, c, dtype)
     g = (scale * rng.standard_normal((n * rate, c))).astype(dtype)
-    prior = [(scale * rng.standard_normal(a.shape)).astype(dtype) for a in (x, v)]
-    xt, vt = leaf(x, dtype), leaf(v, dtype)
-    xt.grad, vt.grad = prior[0].copy(), prior[1].copy()
-    kernels = [[leaf(a, dtype) for a in params[3 * m: 3 * m + 3]] for m in range(rate)]
+    prior = [(scale * rng.standard_normal(a.shape)).astype(dtype) for a in arrays[:2]]
+    leaves = [leaf(a, dtype) for a in arrays]
+    for t, p in zip(leaves, prior):
+        t.grad = p.copy()
     with ad.Tape() as tape:
-        out = ad.upsample_attention(xt, vt, kernels, "softmax")
-        loss = ad.reduce_sum(ad.mul(out, ad.constant(g)))
+        loss = ad.reduce_sum(ad.mul(_attention(leaves, "softmax"), ad.constant(g)))
     tape.backward(loss)
-    plain = [_plain_attention_head(x, v, *params[3 * m: 3 * m + 3], "softmax", 1.0,
-                                   g[m::rate])[2:4]
-             for m in range(rate)]
-    for i, t in enumerate((xt, vt)):
-        reverse = (plain[2][i] + plain[1][i]) + plain[0][i]  # the last kernel runs first
-        forward = (plain[0][i] + plain[1][i]) + plain[2][i]
-        assert not np.array_equal(reverse, forward)
-        assert _bits(t.grad) == _bits(prior[i] + reverse)
+    plain = functools.partial(_plain_attention, *arrays[:4], arrays[4:], "softmax", 1.0, g)
+    reverse = plain()[2]
+    forward = plain(order=range(rate))[2]
+    for i in (0, 1):  # x, values
+        assert not np.array_equal(reverse[i], forward[i])
+        assert _bits(leaves[i].grad) == _bits(prior[i] + reverse[i])
 
 
 @pytest.mark.parametrize("tile_rows", [2048, 48])
@@ -549,12 +552,12 @@ def test_row_tiles_of_the_head_gemms_are_rows_of_the_full_gemms(c, dtype, k, wid
 
 
 def test_attention_head_rejects_misfit_shapes_dtypes_and_modes():
-    x, v, w0, b0, w1 = (ad.Tensor(a) for a in _head_arrays(
-        np.random.default_rng(48), 2, 3, 4, 4, np.float64))
+    x, v, w0, b0, w1 = (ad.Tensor(a) for a in _attention_arrays(
+        np.random.default_rng(48), 1, 2, 3, 4, 4, np.float64))
 
-    def call(x, v, *kernel, variant="softmax", lam=1.0):
-        # the misfit kernel second, after one that fits
-        return ad.upsample_attention(x, v, [(w0, b0, w1), kernel], variant, lam)
+    def call(x, v, w0, b0, head, variant="softmax", lam=1.0):
+        # the misfit head second, after one that fits
+        return ad.upsample_attention(x, v, w0, b0, [w1, head], variant, lam)
 
     call(x, v, w0, b0, w1)  # fits
     misfits = [
@@ -562,13 +565,15 @@ def test_attention_head_rejects_misfit_shapes_dtypes_and_modes():
         (x, ad.Tensor(np.zeros((6, 4))), w0, b0, w1),  # values not (n, k, C)
         (x, v, ad.Tensor(np.zeros((3, 4))), b0, w1),  # w0 rows != x columns
         (x, v, w0, ad.Tensor(np.zeros(5)), w1),  # b0 != hidden width
-        (x, v, w0, b0, ad.Tensor(np.zeros((5, 4)))),  # w1 rows != hidden width
-        (x, v, w0, b0, ad.Tensor(np.zeros(4))),  # w1 not a matrix
+        (x, v, w0, b0, ad.Tensor(np.zeros((5, 4)))),  # head rows != hidden width
+        (x, v, w0, b0, ad.Tensor(np.zeros(4))),  # head not a matrix
         (x, v, w0, b0, ad.Tensor(np.zeros((4, 2)))),  # W not C or 1
     ]
     for args in misfits:
         with pytest.raises(ShapeError, match="upsample_attention"):
             call(*args)
+    with pytest.raises(ShapeError, match="0 heads"):
+        ad.upsample_attention(x, v, w0, b0, [])
     f32 = ad.Tensor(np.zeros((2, 3, 4)), dtype=np.float32)
     with pytest.raises(ContractError, match="dtypes"):
         call(x, f32, w0, b0, w1)
@@ -583,34 +588,35 @@ def test_attention_head_rejects_misfit_shapes_dtypes_and_modes():
 
 @pytest.mark.parametrize("variant", ad.ATTENTION_VARIANTS)
 def test_taped_attention_head_keeps_only_the_hidden_activation_and_statistics(variant):
-    # the adjoint rebuilds the (n, k, W) weights from the hidden rows, so it
-    # keeps each kernel's max and sum (log-sum for log) over the neighbors
+    # the heads share one hidden layer, and the adjoint rebuilds their
+    # (n, k, W) weights from its rows: the record keeps one (n*k, C) hidden
+    # block and each head's max and sum (log-sum for log) over the neighbors
     rate, n, k, c = 2, 40, 16, 8
-    x, v, *params = _kernel_arrays(np.random.default_rng(49), rate, n, k, c, c, np.float32)
-    leaves = [leaf(a, np.float32) for a in params]
+    x, v, w0, b0, *heads = _attention_arrays(np.random.default_rng(49), rate, n, k, c, c,
+                                             np.float32)
+    leaves = [leaf(a, np.float32) for a in (x, v, w0, b0, *heads)]
     with ad.Tape() as tape:
-        ad.upsample_attention(leaf(x, np.float32), leaf(v, np.float32),
-                              [leaves[3 * m: 3 * m + 3] for m in range(rate)], variant, 2.0)
+        _attention(leaves, variant, 2.0)
     (record,) = tape.records
     kept = dict(zip(record.backfn.__code__.co_freevars,
                     (cell.cell_contents for cell in record.backfn.__closure__)))
     blocks = {name for name, a in kept.items() if isinstance(a, np.ndarray) and a.ndim > 1}
     lists = {name for name, a in kept.items() if isinstance(a, list)}
-    # xd and v are the inputs' data, arrays each kernel's w0, b0 and w1 data;
-    # no Tensor is kept
-    assert blocks == {"xd", "v"} and lists == {"hidden", "stats", "arrays", "needs"}
-    assert kept["xd"] is x and kept["v"] is v
-    held = [a for kernel in kept["arrays"] for a in kernel]
-    assert len(held) == len(params) and all(a is b for a, b in zip(held, params))
-    held += [a for name in lists for a in kept[name]] + list(kept.values())
+    # xd and v are the inputs' data, w0d and heads the weights' data; b0's
+    # gradient needs no b0, and no Tensor is kept
+    assert blocks == {"xd", "v", "w0d", "hidden"} and lists == {"heads", "stats", "needs"}
+    assert kept["xd"] is x and kept["v"] is v and kept["w0d"] is w0
+    assert len(kept["heads"]) == rate and all(a is b for a, b in zip(kept["heads"], heads))
+    held = [a for name in lists for a in kept[name]] + list(kept.values())
     assert not any(isinstance(a, ad.Tensor) for a in held)
-    assert [h.shape for h in kept["hidden"]] == [(n * k, c)] * rate
-    per_kernel = [] if variant == "none" else [(n, 1, c)] * 2
-    assert [[a.shape for a in s] for s in kept["stats"]] == [per_kernel] * rate
+    hidden = kept["hidden"]
+    np.testing.assert_allclose(hidden, np.maximum(x @ w0 + b0, 0), rtol=1e-5, atol=1e-6)
+    per_head = [] if variant == "none" else [(n, 1, c)] * 2
+    assert [[a.shape for a in s] for s in kept["stats"]] == [per_head] * rate
     assert all(a.size != n * k * c for s in kept["stats"] for a in s)  # no weight block
-    for m, (h, s) in enumerate(zip(kept["hidden"], kept["stats"])):
+    for head, s in zip(heads, kept["stats"]):
         if variant != "none":
-            r = (h @ params[3 * m + 2]).reshape(n, k, c) * (2.0 if variant == "scaled" else 1.0)
+            r = (hidden @ head).reshape(n, k, c) * (2.0 if variant == "scaled" else 1.0)
             top = r.max(axis=1, keepdims=True)
             total = np.exp(r - top).sum(axis=1, keepdims=True)
             np.testing.assert_allclose(s[0], top, rtol=1e-6)
@@ -679,7 +685,7 @@ def test_backward_bitwise_deterministic():
         values = ad.Tensor(np.linspace(-1.0, 1.0, 32).reshape(2, 4, 4))
         w1, zeros = ad.Tensor(np.eye(4)), ad.Tensor(np.zeros(4))
         run_backward(
-            lambda x, w: ad.reduce_sum(ad.upsample_attention(x, values, [(w, zeros, w1)])),
+            lambda x, w: ad.reduce_sum(ad.upsample_attention(x, values, w, zeros, [w1])),
             x,
             w,
         )
@@ -749,10 +755,13 @@ def test_train_step_backward_frees_memory_as_it_goes(monkeypatch):
     # tracemalloc bytes on a desk step. The start is what the tape keeps of
     # the forward pass: 52.2 MB when records held every output and closures
     # their input Tensors, 32.9 MB when attention kept its weights, 27.9 MB
-    # now. Backward's own overhead, its peak above the start, stays within
-    # 5 MB (4.1 MB now). When its last adjoint has run, it holds little more
-    # than the leaf grads (4.6 MB); keeping every record or every
-    # intermediate grad to the end holds 25-33 MB.
+    # with a hidden block per head, 26.0 MB now. Backward's own overhead,
+    # its peak above the start, stays within 5 MB (4.6 MB now, 4.1 MB with a
+    # hidden block per head: the shared layer's adjoint holds a tile's
+    # summed hidden gradient beside each head's tile blocks). When its last
+    # adjoint has run, it holds little more than the leaf grads (4.5 MB);
+    # keeping every record or every intermediate grad to the end holds
+    # 25-33 MB.
     config = ModelConfig.desk()
     rng = np.random.default_rng(0)
     partial = rng.standard_normal((config.input_points, 3))
@@ -851,7 +860,7 @@ def test_arrays_an_adjoint_reads_live_until_it_has_run(op):
         x = ad.mul(base, 2.0)  # intermediates, held only by this frame
         if op == "attention_head":
             values = ad.reshape(ad.mul(base, 3.0), (n, k, c))
-            out = ad.upsample_attention(x, values, [(w, b, w)])
+            out = ad.upsample_attention(x, values, w, b, [w])
             kept = [weakref.ref(x.data), weakref.ref(values.data)]
             del values
         else:

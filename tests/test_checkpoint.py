@@ -3,6 +3,7 @@ and damaged files, which must load or fail with FormatError, nothing else."""
 
 import functools
 import io
+import re
 import struct
 import tempfile
 import threading
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from pointfill import checkpoint
 from pointfill.checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
 from pointfill.errors import ContractError, FormatError
+from pointfill.generator import GENERATOR_VARIANTS
 from pointfill.pipeline import Adam, CompletionModel, ModelConfig, run_training
 
 CONFIGS = {
@@ -36,23 +38,32 @@ def trained(config):
     return model, optimizer
 
 
-def write_version_1(path, model):
-    """The version 1 layout: no dtype code, float32 data."""
-    with open(path, "wb") as fh:
-        text = model.config.to_text().encode("utf-8")
-        fh.write(b"SDCP" + struct.pack("<II", 1, len(text)) + text)
-        for param in model.named_parameters():
-            name = param.name.encode("utf-8")
-            arr = np.ascontiguousarray(param.tensor.data, dtype="<f4")
-            fh.write(struct.pack("<I", len(name)) + name)
-            fh.write(struct.pack(f"<{1 + arr.ndim}I", arr.ndim, *arr.shape))
-            fh.write(arr.tobytes())
-
-
 def sealed(body):
-    """A version 3 file from everything before its checksum, so damage made on
-    purpose reaches the parser check under test instead of the checksum."""
+    """A checksummed file from everything before its checksum, so damage made
+    on purpose reaches the parser check under test instead of the checksum."""
     return body + struct.pack("<I", zlib.crc32(body))
+
+
+def write_version(path, model, version):
+    """``model`` saved as a version 1, 2 or 3 file, whose encoder transformers
+    are named as then: a kernel ``kernels0`` of two layers, not ``hidden``
+    and ``heads0``. Version 3 is version 4's layout; version 2 has no
+    checksum; version 1 has no dtype codes either and float32 data."""
+    body = io.BytesIO()
+    text = model.config.to_text().encode("utf-8")
+    body.write(b"SDCP" + struct.pack("<II", version, len(text)) + text)
+    for param in model.named_parameters():
+        name = re.sub(r"(encoder\.refine\d\.core)\.(hidden|heads0)\.",
+                      lambda m: f"{m[1]}.kernels0.lin{int(m[2] == 'heads0')}.", param.name)
+        if version > 1:
+            checkpoint._write_record(body, name, param.tensor.data)
+            continue
+        arr = np.ascontiguousarray(param.tensor.data, dtype="<f4")
+        body.write(struct.pack("<I", len(name)) + name.encode("utf-8"))
+        body.write(struct.pack(f"<{1 + arr.ndim}I", arr.ndim, *arr.shape))
+        body.write(arr.tobytes())
+    raw = body.getvalue()
+    path.write_bytes(sealed(raw) if version == 3 else raw)
 
 
 def with_records(path, arrays):
@@ -202,10 +213,12 @@ def test_records_keep_their_precision(tmp_path):
 
 
 def test_version_1_file_still_loads(tmp_path):
-    model = CompletionModel(CONFIGS["desk"]())
-    old, new = tmp_path / "v1.ckpt", tmp_path / "v2.ckpt"
-    write_version_1(old, model)
-    save_checkpoint(model, new)
+    # a generator without attention: an attention model's file of version 1
+    # is refused (test_files_before_version_4_load_unless_attention_changed)
+    model = CompletionModel(ModelConfig.desk(init_seed=3, generator="folding"))
+    old, new = tmp_path / "v1.ckpt", tmp_path / "v3.ckpt"
+    write_version(old, model, 1)
+    write_version(new, model, 3)
     loaded = load_checkpoint(old)
     for before, after in zip(model.named_parameters(), loaded.named_parameters()):
         assert np.array_equal(before.tensor.data, after.tensor.data), before.name
@@ -293,15 +306,32 @@ def test_bit_flipped_checkpoint_loads_or_raises_format_error(data):
 
 
 def test_version_2_file_still_loads(tmp_path):
-    model = CompletionModel(CONFIGS["micro"]())
+    model = CompletionModel(ModelConfig.micro(init_seed=3, generator="deconv"))
     path = tmp_path / "model.ckpt"
-    save_checkpoint(model, path)
-    raw = path.read_bytes()
-    # version 2 is the version 3 layout without the trailing checksum
-    path.write_bytes(raw[:4] + struct.pack("<I", 2) + raw[8:-4])
+    write_version(path, model, 2)
     loaded = load_checkpoint(path)
     for before, after in zip(model.named_parameters(), loaded.named_parameters()):
         assert np.array_equal(before.tensor.data, after.tensor.data), before.name
+
+
+@pytest.mark.parametrize("generator", GENERATOR_VARIANTS)
+@pytest.mark.parametrize("version", [1, 2, 3])
+def test_files_before_version_4_load_unless_attention_changed(tmp_path, version, generator):
+    # up to version 3 an upsample transformer had one first layer per
+    # kernel; its heads now share one, so such a file must not load as a
+    # model it does not describe. The other generators' layouts are unchanged
+    model = CompletionModel(ModelConfig.micro(init_seed=3, generator=generator))
+    path = tmp_path / "old.ckpt"
+    write_version(path, model, version)
+    if generator in ("uptrans", "pointwise"):
+        with pytest.raises(FormatError, match=f"version {version} holds the per-kernel "
+                                              f"attention layout of a '{generator}' model"):
+            load_checkpoint(path)
+        return
+    loaded = load_checkpoint(path)
+    dtype = np.float32 if version == 1 else np.float64  # version 1 holds float32 data
+    for before, after in zip(model.named_parameters(), loaded.named_parameters()):
+        assert np.array_equal(before.tensor.data.astype(dtype), after.tensor.data), after.name
 
 
 def test_every_bit_flip_of_the_config_block_is_format_error(tmp_path):
@@ -389,12 +419,12 @@ def test_threads_saving_one_path_leave_one_whole_model(tmp_path, monkeypatch):
     write_record = checkpoint._write_record
     barrier = threading.Barrier(2, timeout=60)
 
-    def meet_after_a_kernel(fh, name, array):
+    def meet_after_the_hidden_layer(fh, name, array):
         write_record(fh, name, array)
-        if name == "stages0.core.kernels0.lin0.w":
+        if name == "stages0.core.hidden.w":
             barrier.wait()
 
-    monkeypatch.setattr(checkpoint, "_write_record", meet_after_a_kernel)
+    monkeypatch.setattr(checkpoint, "_write_record", meet_after_the_hidden_layer)
     errors = []
 
     def save(model):
@@ -412,7 +442,7 @@ def test_threads_saving_one_path_leave_one_whole_model(tmp_path, monkeypatch):
     assert errors == []
     assert list(tmp_path.iterdir()) == [path]
     loaded = list(load_checkpoint(path).named_parameters())
-    assert len(loaded) == 151
+    assert len(loaded) == 147
     assert any(
         all(np.array_equal(got.tensor.data, want.tensor.data)
             for got, want in zip(loaded, model.named_parameters()))

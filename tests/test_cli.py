@@ -16,7 +16,7 @@ from pointfill.autodiff import ATTENTION_VARIANTS
 from pointfill.generator import GENERATOR_VARIANTS
 from pointfill.pipeline import CompletionModel, ModelConfig, parse_config_text
 
-from .test_checkpoint import with_stage_attention
+from .test_checkpoint import with_stage_attention, write_version
 
 
 MICRO_CFG = (
@@ -547,6 +547,24 @@ def test_complete_with_a_non_softmax_stage_attention_exits_2(micro_dataset, caps
     ])
     assert code == 2
     assert "'stage_attention'" in capsys.readouterr().err
+    assert not (root / "out.xyz").exists()
+
+
+@pytest.mark.parametrize("command", ["complete", "eval"])
+def test_attention_checkpoint_before_version_4_exits_2(micro_dataset, capsys, command):
+    # its transformers had one first layer per kernel, not one shared layer
+    root = micro_dataset
+    write_version(root / "old.ckpt", micro_model(), 3)
+    train = root / "data" / "train"
+    where = {
+        "complete": ["--input", str(train / "0000_sphere_partial.xyz"),
+                     "--output", str(root / "out.xyz")],
+        "eval": ["--data", str(train)],
+    }[command]
+    assert main([command, "--ckpt", str(root / "old.ckpt"), *where]) == 2
+    captured = capsys.readouterr()
+    assert "per-kernel attention layout" in captured.err
+    assert captured.out == ""
     assert not (root / "out.xyz").exists()
 
 
