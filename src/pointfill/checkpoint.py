@@ -49,8 +49,9 @@ MAGIC = b"SDCP"
 VERSION = 4
 # the generators whose parameters changed layout at version 4
 _SHARED_HIDDEN_LAYER = ("uptrans", "pointwise")
-# a record of an encoder transformer's one kernel before version 4, or of its moments
-_ENCODER_KERNEL = re.compile(r"((?:adam\.[mv]\.)?encoder\.refine\d+\.core)\.kernels0\.lin([01])\.")
+# an encoder transformer's one kernel in the name of a record before version
+# 4, a parameter or its moment
+_ENCODER_KERNEL = re.compile(r"(encoder\.refine\d+\.core)\.kernels0\.lin([01])\.")
 _DTYPES = {4: np.dtype("<f4"), 8: np.dtype("<f8")}  # by the dtype field
 _MAX_RANK = 32  # numpy's dimension limit before 2.0
 _CRC_CHUNK = 1 << 16  # checksum read size; large reads would move glibc's mmap threshold

@@ -44,21 +44,27 @@ def sealed(body):
     return body + struct.pack("<I", zlib.crc32(body))
 
 
-def write_version(path, model, version):
-    """``model`` saved as a version 1, 2 or 3 file, whose encoder transformers
-    are named as then: a kernel ``kernels0`` of two layers, not ``hidden``
-    and ``heads0``. Version 3 is version 4's layout; version 2 has no
-    checksum; version 1 has no dtype codes either and float32 data."""
+def write_version(path, model, version, optimizer=None):
+    """``model``, and ``optimizer``'s state when given, saved as a version 1,
+    2 or 3 file whose encoder transformers are named as then: a kernel
+    ``kernels0`` of two layers, not ``hidden`` and ``heads0``. Version 3 is
+    version 4's layout; version 2 has no checksum; version 1 has no dtype
+    codes either and float32 data."""
     body = io.BytesIO()
     text = model.config.to_text().encode("utf-8")
     body.write(b"SDCP" + struct.pack("<II", version, len(text)) + text)
-    for param in model.named_parameters():
+    records = [(p.name, p.tensor.data) for p in model.named_parameters()]
+    if optimizer is not None:
+        records.append(("adam.step", np.array([float(optimizer.step_count)], np.float32)))
+        records += [(f"adam.{kind}.{name}", store[name]) for name in optimizer.moment1
+                    for kind, store in (("m", optimizer.moment1), ("v", optimizer.moment2))]
+    for name, data in records:
         name = re.sub(r"(encoder\.refine\d\.core)\.(hidden|heads0)\.",
-                      lambda m: f"{m[1]}.kernels0.lin{int(m[2] == 'heads0')}.", param.name)
+                      lambda m: f"{m[1]}.kernels0.lin{int(m[2] == 'heads0')}.", name)
         if version > 1:
-            checkpoint._write_record(body, name, param.tensor.data)
+            checkpoint._write_record(body, name, data)
             continue
-        arr = np.ascontiguousarray(param.tensor.data, dtype="<f4")
+        arr = np.ascontiguousarray(data, dtype="<f4")
         body.write(struct.pack("<I", len(name)) + name.encode("utf-8"))
         body.write(struct.pack(f"<{1 + arr.ndim}I", arr.ndim, *arr.shape))
         body.write(arr.tobytes())
@@ -319,19 +325,27 @@ def test_version_2_file_still_loads(tmp_path):
 def test_files_before_version_4_load_unless_attention_changed(tmp_path, version, generator):
     # up to version 3 an upsample transformer had one first layer per
     # kernel; its heads now share one, so such a file must not load as a
-    # model it does not describe. The other generators' layouts are unchanged
-    model = CompletionModel(ModelConfig.micro(init_seed=3, generator=generator))
+    # model it does not describe. The other generators' only transformers
+    # are the encoder's, at rate 1: their records and moments load renamed
+    model, optimizer = trained(ModelConfig.micro(init_seed=3, generator=generator))
     path = tmp_path / "old.ckpt"
-    write_version(path, model, version)
+    write_version(path, model, version, optimizer)
     if generator in ("uptrans", "pointwise"):
         with pytest.raises(FormatError, match=f"version {version} holds the per-kernel "
                                               f"attention layout of a '{generator}' model"):
             load_checkpoint(path)
         return
     loaded = load_checkpoint(path)
+    restored = Adam(loaded, lr=1e-3)
+    load_checkpoint(path, into=loaded, optimizer=restored)
     dtype = np.float32 if version == 1 else np.float64  # version 1 holds float32 data
     for before, after in zip(model.named_parameters(), loaded.named_parameters()):
         assert np.array_equal(before.tensor.data.astype(dtype), after.tensor.data), after.name
+    assert restored.step_count == 1
+    for saved, got in ((optimizer.moment1, restored.moment1),
+                       (optimizer.moment2, restored.moment2)):
+        for name in saved:
+            assert np.array_equal(saved[name].astype(dtype), got[name]), name
 
 
 def test_every_bit_flip_of_the_config_block_is_format_error(tmp_path):
