@@ -6,7 +6,7 @@ Usage, from any directory, against the tree whose ``src`` is on the path::
     PYTHONPATH=<tree>/src python tools/protocol.py digest [--micro]
     PYTHONPATH=<tree>/src python tools/protocol.py save <file.npz>
     PYTHONPATH=<tree>/src python tools/protocol.py compare <a.npz> <b.npz>
-    PYTHONPATH=<tree>/src python tools/protocol.py sweep
+    PYTHONPATH=<tree>/src python tools/protocol.py sweep [--generator <variant>]
 
 ``digest`` prints one ``name sha256`` line per item. Two trees are bitwise
 equal on everything it covers when ``diff`` of their outputs is empty. To
@@ -60,7 +60,9 @@ minutes on a 2-vCPU Xeon): desk float32, 64 training shapes built at seed
 ``lr_decay_every=150``. Per seed it prints the loss ratio (last step over
 first), the held-out wins (a lower Chamfer-L2 than the input resampled to
 the output size) and the mean held-out Chamfer-L2; then the mean and the
-spread (largest minus smallest) of each over the five seeds.
+spread (largest minus smallest) of each over the five seeds. The model is
+the desk layout's, ``uptrans``; ``--generator <variant>`` runs the same
+recipe with another of ``GENERATOR_VARIANTS`` and prints the same lines.
 
 Only numpy and the ``pointfill`` API that has stood since commit ``d0dbd9f``
 are used, so the script runs on every tree from there on. BLAS runs on one
@@ -244,8 +246,9 @@ SWEEP_TEST = dict(count=16, seed=111)
 SWEEP_RUN = dict(steps=200, seed=0, lr_decay_every=150, batch_clouds=2)
 
 
-def _sweep_seed(init_seed, train, test):
-    model = CompletionModel(ModelConfig.desk(precision="float32", init_seed=init_seed))
+def _sweep_seed(init_seed, train, test, generator):
+    model = CompletionModel(ModelConfig.desk(precision="float32", init_seed=init_seed,
+                                             generator=generator))
     rows = run_training(model, train, optimizer=Adam(model, lr=1e-3), **SWEEP_RUN)
     ratio = rows[-1].breakdown.total / rows[0].breakdown.total
     wins, cds = 0, []
@@ -257,7 +260,7 @@ def _sweep_seed(init_seed, train, test):
     return ratio, wins, float(np.mean(cds))
 
 
-def sweep(out=sys.stdout):
+def sweep(generator="uptrans", out=sys.stdout):
     with tempfile.TemporaryDirectory() as tmp:
         sets = []
         for split, spec in (("train", SWEEP_TRAIN), ("test", SWEEP_TEST)):
@@ -266,7 +269,7 @@ def sweep(out=sys.stdout):
             sets.append([(p, g) for _, p, g in data.load_dataset(Path(tmp) / split)])
     results = []
     for init_seed in SWEEP_SEEDS:
-        results.append(_sweep_seed(init_seed, *sets))
+        results.append(_sweep_seed(init_seed, *sets, generator))
         ratio, wins, cd = results[-1]
         print(f"seed {init_seed}: loss ratio {ratio:.3f}, held-out wins {wins}/"
               f"{SWEEP_TEST['count']}, mean held-out CD-L2 {cd:.4f}", file=out, flush=True)
@@ -288,7 +291,9 @@ def main(argv=None):
     pair = commands.add_parser("compare", help="largest relative difference per array")
     pair.add_argument("a")
     pair.add_argument("b")
-    commands.add_parser("sweep", help="criterion 06's recipe at init seeds 0-4")
+    recipe = commands.add_parser("sweep", help="criterion 06's recipe at init seeds 0-4")
+    recipe.add_argument("--generator", choices=GENERATOR_VARIANTS, default="uptrans",
+                        help="the generator core of the model trained (default uptrans)")
     args = parser.parse_args(argv)
     if args.command == "digest":
         digest(micro=args.micro)
@@ -297,7 +302,7 @@ def main(argv=None):
     elif args.command == "compare":
         return compare(args.a, args.b)
     else:
-        sweep()
+        sweep(args.generator)
     return 0
 
 
