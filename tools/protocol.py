@@ -34,8 +34,8 @@ The configurations are desk float32 with each generator at ``batch_clouds``
 log; desk float64; and micro (``init_seed=3``). Then come
 ``benchmark_16k.complete`` of the fresh model, ``benchmark_16k.trained.params``
 and ``benchmark_16k.trained.losses`` after 2 ``run_training`` steps (the
-only lines over the 16k backward, whose stage-3 attention runs 16 tiles a
-kernel against 2 at desk scale; they take about 7 s), and one
+only lines over the 16k backward, whose stage-3 attention runs 16 tiles
+against 2 at desk scale; they take about 7 s), and one
 ``gradcheck.<case>`` line per case of ``pointfill gradcheck``, hashing the
 line the command prints.
 
