@@ -13,8 +13,9 @@ Design rules kept deliberately strict so the adjoint code stays auditable:
 * elementwise ops take two Tensors of one shape and dtype, nothing else;
   only ``mul`` also takes a real scalar, not a bool, on the right;
 * only the linear ops (their bias, over rows), ``neighbor_sum`` (its
-  weights, over channels) and ``upsample_attention`` (width-1 weights,
-  over channels) broadcast, and each owns that adjoint;
+  weights, over channels) and ``upsample_attention`` (its biases, over
+  rows; width-1 weights, over channels) broadcast, and each owns that
+  adjoint;
 * without an active tape the primitives just compute values (inference mode).
 
 A record keeps gradient nodes, not values. Its output, and each input that
@@ -22,7 +23,7 @@ an earlier record on the same tape produced, is a small node holding a grad
 slot, the shape and the dtype; the caller's Tensor points to its node. Other
 inputs that need a gradient, the leaves, are kept as the Tensors themselves.
 An adjoint closure keeps only the arrays it reads (a linear's input, an
-activation, an upsample transformer's one hidden block and its heads'
+activation, an upsample transformer's per-point inputs and its heads'
 softmax statistics, indices), plus shapes, dtypes and ``requires_grad``
 flags. So a forward value lives only while the caller holds it or an
 adjoint will read it.
@@ -276,16 +277,6 @@ def add(a, b):
     return _emit(a.data + b.data, [a, b], back)
 
 
-def sub(a, b):
-    _check_same_shape(a, b, "sub")
-    needs_a, needs_b = a.requires_grad, b.requires_grad
-
-    def back(g):
-        return (g if needs_a else None, -g if needs_b else None)
-
-    return _emit(a.data - b.data, [a, b], back)
-
-
 def mul(a, b):
     if isinstance(a, Tensor) and (s := _as_scalar(b, a.dtype)) is not None:
         return _emit(a.data * s, [a], lambda g: (g * s,))
@@ -320,31 +311,44 @@ def sqrt(x):
 # Linear algebra
 
 
-def _check_affine(x, weight, bias, op):
-    """Shapes and dtypes of ``x @ weight + bias``: x:(n,i), weight:(i,o), bias:(o,)."""
-    if x.ndim != 2 or weight.ndim != 2 or bias.ndim != 1:
+def _check_layer(n_in, weight, bias, dtype, op):
+    """A weight:(n_in, o) and bias:(o,) (or None) of ``dtype``; returns o."""
+    biases = () if bias is None else (bias,)
+    if weight.ndim != 2 or any(b.ndim != 1 for b in biases):
         raise ShapeError(f"{op} expects x:(n,i), weight:(i,o), bias:(o,)")
-    if x.shape[1] != weight.shape[0] or weight.shape[1] != bias.shape[0]:
-        raise ShapeError(
-            f"{op}: x {x.shape} incompatible with weight {weight.shape}, bias {bias.shape}"
-        )
-    if not x.dtype == weight.dtype == bias.dtype:  # the in-place bias add would cast
-        raise ContractError(f"{op}: dtypes {x.dtype}, {weight.dtype}, {bias.dtype} differ")
+    if weight.shape[0] != n_in or any(b.shape[0] != weight.shape[1] for b in biases):
+        raise ShapeError(f"{op}: {n_in} inputs do not fit weight {weight.shape}"
+                         + "".join(f", bias {b.shape}" for b in biases))
+    if any(t.dtype != dtype for t in (weight, *biases)):  # the in-place bias add would cast
+        raise ContractError(f"{op}: dtypes {dtype}, "
+                            + ", ".join(str(t.dtype) for t in (weight, *biases)) + " differ")
+    return weight.shape[1]
+
+
+def _check_affine(x, weight, bias, op):
+    """Shapes and dtypes of ``x @ weight + bias``: x:(n,i), weight:(i,o), bias:(o,) or None."""
+    if x.ndim != 2:
+        raise ShapeError(f"{op} expects x:(n,i), weight:(i,o), bias:(o,)")
+    _check_layer(x.shape[1], weight, bias, x.dtype, op)
 
 
 def _affine(x, weight, bias, op):
-    """Checked ``x @ weight + bias`` and its adjoint, shared by the linear ops."""
+    """Checked ``x @ weight + bias`` and its adjoint, shared by the linear ops;
+    without a bias the adjoint returns two gradients."""
     _check_affine(x, weight, bias, op)
     xd, wd = x.data, weight.data
-    needs_x, needs_w, needs_b = x.requires_grad, weight.requires_grad, bias.requires_grad
+    needs_x, needs_w = x.requires_grad, weight.requires_grad
+    needs_b = bias is not None and bias.requires_grad
     out = xd @ wd
-    out += bias.data
+    if bias is not None:
+        out += bias.data
 
     def back(g):
         gx = g @ wd.T if needs_x else None
         gw = xd.T @ g if needs_w else None
-        gb = g.sum(axis=0) if needs_b else None
-        return (gx, gw, gb)
+        if bias is None:
+            return (gx, gw)
+        return (gx, gw, g.sum(axis=0) if needs_b else None)
 
     return out, back
 
@@ -356,10 +360,11 @@ def _relu_(out):
     return out
 
 
-def linear(x, weight, bias):
-    """Affine map ``x @ weight + bias`` over rows of a rank-2 input."""
+def linear(x, weight, bias=None):
+    """Affine map ``x @ weight + bias`` over rows of a rank-2 input; with no
+    bias, the product ``x @ weight``."""
     out, back = _affine(x, weight, bias, "linear")
-    return _emit(out, [x, weight, bias], back)
+    return _emit(out, [x, weight] if bias is None else [x, weight, bias], back)
 
 
 def linear_relu(x, weight, bias):
@@ -515,8 +520,8 @@ def gather_rows(x, index):
 def neighbor_diff(center, other, index, k):
     """Neighbor differences ``out[i*k + j] = center[i] - other[index[i*k + j]]``.
 
-    Equals ``sub(repeat_rows(center, k), gather_rows(other, index))`` as one
-    record, which keeps neither the repeated nor the gathered rows.
+    Equals ``add(repeat_rows(center, k), mul(gather_rows(other, index), -1.0))``
+    as one record, which keeps neither the repeated nor the gathered rows.
     """
     if center.ndim < 1:
         raise ShapeError("neighbor_diff expects at least one axis")
@@ -607,12 +612,16 @@ def repeat_rows(x, r):
 #: How an attention head normalizes its logits over the k neighbors of each point.
 ATTENTION_VARIANTS = ("softmax", "none", "scaled", "log")
 
-# Rows per upsample_attention tile. A (2048, 128) float32 block is 1 MB, so each
-# block a tile makes (hidden activation, logits, weighted values, and in the
-# adjoint the rebuilt weights) is still in a 2 MB per-core L2 when the next
-# step reads it; full (n*k, C) blocks at 16k points are 16.8 MB and go
-# through memory between steps.
-_TILE_ROWS = 2048
+# (Point, neighbor) rows per upsample_attention tile. A tile builds its pair
+# rows from the per-point arrays: relative coordinates, position and seed
+# hidden rows, x, value rows, hidden rows and each head's logits, and in
+# the adjoint their gradients and a flat scatter index. A (1024, 128)
+# float32 block is 0.5 MB, so a block is still in a 2 MB per-core L2 when
+# the next step reads it, and the adjoint's dozen or so live tile blocks
+# stay a few MB; full (n*k, C) blocks at 16k points are 16.8 MB. 2048-row
+# tiles ran a stage-3 call no faster and left a desk step's backward 6.4 MB
+# above the tape it started from.
+_TILE_ROWS = 1024
 
 
 def check_attention(variant, lam):
@@ -685,133 +694,267 @@ def _tiles(n, k):
     return zip(starts, starts[1:] + [n])
 
 
-def upsample_attention(x, values, w0, b0, heads, variant="softmax", lam=1.0, capture=None):
-    """An upsample transformer's ``rate`` attention heads as one record,
-    computed in point tiles.
+def upsample_attention(cloud, q, keys, values, index, pos, hidden, heads, seed=None,
+                       variant="softmax", lam=1.0, capture=None):
+    """An upsample transformer's neighbourhood terms, shared hidden layer and
+    ``rate`` attention heads as one record, computed in point tiles.
 
-    For (n*k, i) rows ``x`` (row ``i*k + j`` pairs point i with neighbor j)
-    and (n, k, C) ``values``, the heads share one hidden layer
-    ``h = relu(x @ w0 + b0)``. Head m, the m-th (hidden, W) matrix of
-    ``heads``, has the logits ``h @ heads[m]`` reshaped to (n, k, W), with
-    W = C (one weight per channel) or W = 1 (one weight per neighbor). They
-    are normalized over the k neighbors by ``variant`` (``scaled`` multiplies
-    by ``lam`` before the softmax; ``log`` gives log-weights; ``none`` keeps
-    the logits), and row ``i*rate + m`` of the (n*rate, C) output is
-    ``sum_j weights[i, j] * values[i, j]``. The heads have no bias: a logit
-    shift that every neighbor shares leaves softmax, scaled and log weights
-    unchanged, so it would get no gradient, and under ``none`` the model held
-    it at zero.
+    Point i has row p_i of the (n, 3) ``cloud`` and rows q_i, key_i and v_i
+    of the (n, C) ``q``, ``keys`` and ``values``; row i of the (n, k)
+    integer table ``index`` holds its k neighbours. For a neighbour j of i,
 
-    Each tile of about _TILE_ROWS rows computes its hidden rows once and runs
-    every head on them while its blocks are in cache. Recorded, the op keeps
-    the one (n*k, hidden) activation and each head's (n, 1, W) max and sum
-    (the max and log-sum for ``log``, nothing for ``none``), not its
-    (n, k, W) weights: the adjoint rebuilds each tile's weights from the kept
-    hidden rows just before it reads them, by the forward's GEMM and in-place
-    steps, so they are the forward's bits (as FlashAttention keeps softmax
-    statistics, Dao et al., arXiv 2205.14135). Unrecorded, the op keeps
-    nothing. ``capture``, an optional list, receives each head's weights as a
-    constant Tensor.
+        delta_ij = relu((p_i - p_j) P0 + c0) P1 + c1 + relu(u_i - u_j + d0) S1 + d1
+        x_ij = q_i - key_j + delta_ij
+        a_hat[i, j, m] = relu(x_ij W0 + b0) H_m
 
-    The adjoint works tile by tile, tiles in order, so it holds no full-size
-    block but the x and values gradients. In each tile it runs the heads from
-    the last to the first: the values gradient and the hidden gradient
-    ``gr_m @ heads[m].T`` sum in that order. One relu mask and one
-    ``@ w0.T`` then give the tile's x gradient. A weight or bias gradient is
-    the sum of its per-tile GEMMs or column sums, first tile first.
+    and row ``i * rate + m`` of the (n * rate, C) output is
+    ``sum_j a[i, j, m] * (v_j + delta_ij)``. ``pos = (P0, c0, P1, c1)`` is the
+    position encoder, on relative coordinates. ``seed = (u, d0, S1, d1)`` is
+    the seed encoder with its first layer hoisted: ``u = s S0`` holds (n, ·)
+    rows of the seed features s, as (s_i - s_j) S0 = s_i S0 - s_j S0; without
+    ``seed`` there is no seed term. ``hidden = (W0, b0)`` is the layer all
+    heads share, and H_m, the m-th (hidden, W) matrix of ``heads``, has
+    W = C (one weight per channel) or W = 1 (one per neighbour). Head m's
+    logits are normalized over the k neighbours by ``variant`` (``scaled``
+    multiplies by ``lam`` before the softmax; ``log`` gives log-weights;
+    ``none`` keeps the logits). The heads have no bias: a logit shift that
+    every neighbour shares leaves softmax, scaled and log weights unchanged,
+    so it would get no gradient, and under ``none`` the model held it at zero.
+
+    Each tile of about _TILE_ROWS (point, neighbour) rows builds its delta,
+    x, value and hidden rows from the per-point arrays and runs every head
+    on them while they are in cache. Recorded, the op keeps the per-point
+    inputs, the neighbour table and each head's (n, 1, W) max and sum (the
+    max and log-sum for ``log``, nothing for ``none``), and no (n * k, ·)
+    block: the adjoint rebuilds each tile's rows and weights just before it
+    reads them, by the forward's GEMMs and in-place steps, so they are the
+    forward's bits (as FlashAttention keeps softmax statistics, Dao et al.,
+    arXiv 2205.14135). Unrecorded, the op keeps nothing. ``capture``, an
+    optional list, receives each head's (n, k, W) weights as a constant Tensor.
+
+    The adjoint works tile by tile, tiles in order. In a tile it runs the
+    heads from the last to the first, so the value-row and hidden gradients
+    sum in that order; one relu mask and one ``@ W0.T`` give the x gradient
+    gx, and delta's is ``gx + gv``. A weight or bias gradient is the sum of
+    its per-tile GEMMs or column sums, first tile first. So is each scatter
+    of row gradients into the key, value, u and cloud rows: a float64
+    ``np.bincount`` per tile, over one flat index per tile and row width.
+    A scattered sum is then cast to the dtype, negated for keys, u and the
+    cloud, and u and the cloud add the sums over each point's own rows.
     """
     check_attention(variant, lam)
-    if values.ndim != 3:
-        raise ShapeError(f"upsample_attention expects (n, k, C) values, got {values.shape}")
-    n, k, c = values.shape
-    _check_affine(x, w0, b0, "upsample_attention")
-    if x.shape[0] != n * k or not heads:
-        raise ShapeError(f"upsample_attention: x {x.shape} and {len(heads)} heads do not "
-                         f"fit values {values.shape}")
+    op = "upsample_attention"
+    idx = np.asarray(index)
+    if q.ndim != 2 or idx.ndim != 2 or idx.dtype.kind not in "iu" or idx.shape[1] < 1:
+        raise ShapeError(f"{op} expects (n, C) queries and an (n, k) integer index, "
+                         f"got {q.shape} and {idx.shape}")
+    (n, c), k = q.shape, idx.shape[1]
+    u = None if seed is None else seed[0]
+    shapes = [cloud.shape, keys.shape, values.shape, idx.shape[:1]]
+    if shapes != [(n, 3), (n, c), (n, c), (n,)] or (u is not None and u.shape[:1] != (n,)):
+        raise ShapeError(f"{op}: cloud, keys, values, index and u rows {shapes} do not "
+                         f"fit (n, C) = {(n, c)} queries")
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise IndexError(f"{op} index out of range for {n} rows")
+    dtype = q.dtype
+    if any(t.dtype != dtype for t in (cloud, keys, values, *(seed or ())[:2])):
+        raise ContractError(f"{op}: dtypes of the point rows and seed bias differ")
+    widths = [_check_layer(3, *pos[:2], dtype, op), _check_layer(c, *hidden, dtype, op)]
+    if seed is not None:
+        if u.ndim != 2 or seed[1].shape != u.shape[1:]:
+            raise ShapeError(f"{op} expects (n, i) seed rows and an (i,) bias, "
+                             f"got {u.shape} and {seed[1].shape}")
+        widths.append(_check_layer(u.shape[1], seed[2], seed[3], dtype, op))
+    if _check_layer(widths[0], *pos[2:], dtype, op) != c or widths[2:] not in ([], [c]):
+        raise ShapeError(f"{op}: the position and seed terms are not {c} wide")
+    if not heads:
+        raise ShapeError(f"{op}: 0 heads")
     for w1 in heads:
-        if w1.ndim != 2 or w1.shape[0] != w0.shape[1] or w1.shape[1] not in (1, c):
-            raise ShapeError(f"upsample_attention: hidden width {w0.shape[1]} and head "
-                             f"{w1.shape} do not fit values {values.shape}")
-        if not x.dtype == values.dtype == w1.dtype:
-            raise ContractError(
-                f"upsample_attention: dtypes {x.dtype}, {values.dtype}, {w1.dtype} differ")
-    inputs = [x, values, w0, b0, *heads]
+        if _check_layer(widths[1], w1, None, dtype, op) not in (1, c):
+            raise ShapeError(f"{op}: head {w1.shape} does not fit {c} channels")
+    inputs = [cloud, q, keys, values, *pos, *hidden, *heads, *(seed or ())]
     needs = [t.requires_grad for t in inputs]
     record = any(needs) and _ACTIVE_TAPE.get() is not None
-    xd, v, w0d, b0d, lam = x.data, values.data, w0.data, b0.data, x.dtype.type(lam)
+    p, qd, kd, vd = cloud.data, q.data, keys.data, values.data
+    p0, c0, p1, c1, w0, b0 = (t.data for t in (*pos, *hidden))
+    u, d0, s1, d1 = (None,) * 4 if seed is None else (t.data for t in seed)
     heads = [w1.data for w1 in heads]
-    rate = len(heads)
-    out = np.empty((n, rate, c), dtype=x.dtype)
-    hidden = np.empty((n * k, w0.shape[1]), x.dtype) if record else None
-    # each head's max and sum (log-sum for log) over the neighbors
-    stats = [[np.empty((n, 1, w1.shape[1]), x.dtype) for _ in range(2)]
+    rate, nbrs, lam = len(heads), idx.reshape(-1), dtype.type(lam)
+
+    def tile_rows(a, b):
+        """The neighbour indices of points a..b and their (point, neighbour)
+        rows: relative coordinates, position and seed hidden rows (after the
+        relu), x, the value rows as (b - a, k, C) and the shared hidden rows."""
+        nb = nbrs[a * k:b * k]
+        rel = np.repeat(p[a:b], k, axis=0)
+        rel -= p[nb]
+        hp = rel @ p0
+        hp += c0
+        delta = _relu_(hp) @ p1
+        delta += c1
+        hs = None
+        if u is not None:
+            hs = np.repeat(u[a:b], k, axis=0)
+            hs -= u[nb]
+            hs += d0
+            term = _relu_(hs) @ s1
+            term += d1
+            delta += term
+        x = np.repeat(qd[a:b], k, axis=0)
+        x -= kd[nb]
+        x += delta
+        v = vd[nb]
+        v += delta
+        h = x @ w0
+        h += b0
+        return nb, rel, hp, hs, x, v.reshape(b - a, k, c), _relu_(h)
+
+    out = np.empty((n, rate, c), dtype)
+    # each head's max and sum (log-sum for log) over the neighbours
+    stats = [[np.empty((n, 1, w1.shape[1]), dtype) for _ in range(2)]
              if record and variant != "none" else [] for w1 in heads]
-    weights = [None if capture is None else np.empty((n, k, w1.shape[1]), x.dtype)
+    weights = [None if capture is None else np.empty((n, k, w1.shape[1]), dtype)
                for w1 in heads]
     for a, b in _tiles(n, k):
-        rows = slice(a * k, b * k)
-        h = np.matmul(xd[rows], w0d, out=None if hidden is None else hidden[rows])
-        h += b0d
-        _relu_(h)
+        v, h = tile_rows(a, b)[-2:]
         for m, w1 in enumerate(heads):
             kept = None if weights[m] is None else weights[m][a:b].reshape(len(h), -1)
             r = np.matmul(h, w1, out=kept).reshape(b - a, k, -1)
             s = _normalize_(r, variant, lam, [t[a:b] for t in stats[m]])
-            out[a:b, m] = _weighted_sum(s, v[a:b])
+            out[a:b, m] = _weighted_sum(s, v)
     if capture is not None:
         capture.extend(Tensor(w) for w in weights)
 
-    def back(g):
-        nonlocal hidden, stats
-        g = g.reshape(n, rate, c)
-        gx = np.empty_like(xd) if needs[0] else None
-        gv = np.empty_like(v) if needs[1] else None
-        grads = [gx, gv] + [None] * (2 + rate)
-        through_hidden = needs[0] or needs[2] or needs[3]
+    # input positions: cloud 0, q 1, keys 2, values 3, pos 4-7, hidden 8-9,
+    # heads from 10, then u, d0, S1 and d1
+    heads_at, u_at = 10, 10 + rate
+    seed_needs = needs[u_at:]
+    through_pos = needs[0] or needs[4] or needs[5]
+    through_delta = through_pos or needs[6] or needs[7] or any(seed_needs)
+    through_x = needs[1] or needs[2] or through_delta
+    through_hidden = through_x or needs[8] or needs[9]
 
-        def add_tile(i, part):  # a weight or bias gradient sums its tiles' parts
+    def back(g):
+        nonlocal stats
+        g = g.reshape(n, rate, c)
+        grads = [None] * len(needs)
+        scattered, own = {}, {}  # float64 scatter sums; per-point sums of cloud and u
+        if needs[1]:
+            grads[1] = np.empty_like(qd)
+
+        def add(i, part):  # a weight or bias gradient sums its tiles' parts
             if grads[i] is None:
                 grads[i] = part
             else:
                 grads[i] += part
 
-        def head_back(m, a, b, h):
-            # head m's adjoint on the tile of points a..b: writes its values
+        def head_back(m, a, b, h, v, gv):
+            # head m's adjoint on the tile of points a..b: writes its value-row
             # gradient (the last head) or adds it, adds its head gradient and
             # returns its hidden gradient; a function of its own so its blocks
             # die before the next head's are made
             gm = g[a:b, m]
-            # the forward's weights again: the same GEMM and in-place steps
             s = _normalize_((h @ heads[m]).reshape(b - a, k, -1), variant, lam,
                             [t[a:b] for t in stats[m]], rebuild=True)
             if gv is not None:
                 if m == rate - 1:
-                    np.multiply(gm[:, None, :], s, out=gv[a:b])
+                    np.multiply(gm[:, None, :], s, out=gv)
                 else:
-                    gv[a:b] += gm[:, None, :] * s
-            gs = _weighted_sum_back(gm, s, v[a:b], np.empty_like(s))
+                    gv += gm[:, None, :] * s
+            gs = _weighted_sum_back(gm, s, v, np.empty_like(s))
             gr = _normalize_back_(gs, s, variant, lam).reshape(len(h), -1)
-            if needs[4 + m]:
-                add_tile(4 + m, h.T @ gr)
+            if needs[heads_at + m]:
+                add(heads_at + m, h.T @ gr)
             return gr @ heads[m].T if through_hidden else None
 
-        for a, b in _tiles(n, k):
-            rows = slice(a * k, b * k)
-            h = hidden[rows]
-            gh = head_back(rate - 1, a, b, h)
+        def tile_back(a, b):
+            nb, rel, hp, hs, x, v, h = tile_rows(a, b)
+            flat = {}
+
+            def scatter(i, rows, center=False):
+                # row nb[r] of input i gets row r of ``rows``; for the cloud
+                # and u, point a + r // k also gets it, as the pair's centre
+                width = rows.shape[1]
+                if width not in flat:
+                    flat[width] = (nb[:, None] * width + np.arange(width)).ravel()
+                part = np.bincount(flat[width], weights=rows.ravel(), minlength=n * width)
+                if i in scattered:
+                    scattered[i] += part
+                else:
+                    scattered[i] = part
+                if center:
+                    if i not in own:
+                        own[i] = np.empty((n, width), dtype)
+                    np.sum(rows.reshape(b - a, k, width), axis=1, out=own[i][a:b])
+
+            gv = np.empty_like(v) if needs[3] or through_delta else None
+            gh = head_back(rate - 1, a, b, h, v, gv)
             for m in reversed(range(rate - 1)):  # the last head first
-                part = head_back(m, a, b, h)
+                part = head_back(m, a, b, h, v, gv)
                 if gh is not None:
                     gh += part
-            if gh is not None:
-                gh *= h > 0  # the one relu mask
-                if gx is not None:
-                    np.matmul(gh, w0d.T, out=gx[rows])
-                if needs[2]:
-                    add_tile(2, xd[rows].T @ gh)
+            del v
+            if gv is not None:
+                gv = gv.reshape(len(nb), c)
                 if needs[3]:
-                    add_tile(3, gh.sum(axis=0))
-        hidden = stats = None  # the tape is single-use: drop what it kept
+                    scatter(3, gv)
+            if gh is None:
+                return
+            gh *= h > 0  # the one relu mask
+            del h
+            if needs[8]:
+                add(8, x.T @ gh)
+            if needs[9]:
+                add(9, gh.sum(axis=0))
+            del x
+            if not through_x:
+                return
+            gx = gh @ w0.T
+            del gh
+            if needs[1]:
+                np.sum(gx.reshape(b - a, k, c), axis=1, out=grads[1][a:b])
+            if needs[2]:
+                scatter(2, gx)
+            if not through_delta:
+                return
+            gd = gx
+            gd += gv
+            del gv
+            if needs[6]:
+                add(6, hp.T @ gd)
+            if needs[7]:
+                add(7, gd.sum(axis=0))
+            if through_pos:
+                ghp = gd @ p1.T
+                ghp *= hp > 0
+                if needs[4]:
+                    add(4, rel.T @ ghp)
+                if needs[5]:
+                    add(5, ghp.sum(axis=0))
+                if needs[0]:
+                    scatter(0, ghp @ p0.T, center=True)
+                del ghp
+            if not any(seed_needs):
+                return
+            if needs[u_at + 2]:
+                add(u_at + 2, hs.T @ gd)
+            if needs[u_at + 3]:
+                add(u_at + 3, gd.sum(axis=0))
+            if needs[u_at] or needs[u_at + 1]:
+                ghs = gd @ s1.T
+                ghs *= hs > 0
+                if needs[u_at + 1]:
+                    add(u_at + 1, ghs.sum(axis=0))
+                if needs[u_at]:
+                    scatter(u_at, ghs, center=True)
+
+        for a, b in _tiles(n, k):
+            tile_back(a, b)
+        for i, total in scattered.items():
+            grads[i] = (total if i == 3 else -total).reshape(n, -1).astype(dtype, copy=False)
+            if i in own:
+                grads[i] += own[i]
+        stats = None  # the tape is single-use: drop what it kept
         return grads
 
     return _emit(out.reshape(n * rate, c), inputs, back)

@@ -2,31 +2,21 @@
 point-wise), the seed generator built on it, the refinement stage wrapper,
 and the alternative generator cores used for ablation runs.
 
-The central operation turns each point into ``rate`` new feature rows. For
-point ``i`` with neighborhood ``N(i)`` (k nearest neighbors), one hidden
-layer ``(W0, b0)`` that all heads share, and head ``m``'s bias-free output
-map ``H_m``, the channel-wise attention logits are
-
-    x_ij = query_map(q_i) - key_map(k_j) + delta_ij
-    a_hat[i, j, m] = relu(x_ij W0 + b0) H_m
-
-where ``delta_ij = pos_encoder(p_i - p_j) + seed_encoder(s_i - s_j)`` mixes
-a positional term with a regional term from the seed features interpolated
-at the points (positional only when none are supplied). One MLP computes
-the weights, as in Point Transformer's vector attention that SeedFormer's
-Upsample Transformer builds on; its last layer has ``rate`` outputs. The
-logits are normalized over the neighborhood by the transformer's attention
-setting (the seed generator's is a config choice; refinement stages always
-use softmax) and combined with the per-point values:
-
-    h[i, m] = sum_j a[i, j, m] * (value_map(v_j) + delta_ij)
-
-The hidden layer, all ``rate`` heads, their normalization and those sums
-are one ``ad.upsample_attention`` record. Output rows are stacked
-head-fastest: row ``i * rate + m`` belongs to source point ``i`` and head
-``m``, matching plain row duplication of the source cloud;
-``seed_provenance`` returns that grouping as a table. The module reads and
-writes no files.
+The central operation turns each point into ``rate`` new feature rows by
+attention over its k nearest neighbors. Each (point, neighbor) pair mixes
+a positional term on the relative coordinates with a regional term from
+the seed features interpolated at the points (positional only when none
+are supplied). One MLP computes the weights, as in Point Transformer's
+vector attention that SeedFormer's Upsample Transformer builds on; its
+last layer has ``rate`` outputs. The logits are normalized over the
+neighborhood by the transformer's attention setting (the seed generator's
+is a config choice; refinement stages always use softmax). The pair terms,
+the MLP, all ``rate`` heads and the weighted sums are one
+``ad.upsample_attention`` record, whose docstring gives the equations.
+Output rows are stacked head-fastest: row ``i * rate + m`` belongs to
+source point ``i`` and head ``m``, matching plain row duplication of the
+source cloud; ``seed_provenance`` returns that grouping as a table. The
+module reads and writes no files.
 """
 
 from __future__ import annotations
@@ -140,32 +130,26 @@ class UpsampleTransformer(Module):
         n = cloud.shape[0]
         if queries.shape[0] != n or keys.shape[0] != n:
             raise ShapeError("queries, keys and cloud must agree on row count")
-        k, c = self.k, self.channels
-        nbrs = _neighbor_rows(cloud.data, k)
-
+        nbrs = _neighbor_rows(cloud.data, self.k).reshape(n, self.k)
         values = self.value_map(self.value_mixer(ad.concat([keys, queries], axis=1)))
         q = self.query_map(queries)
         key_feats = self.key_map(keys)
-
-        delta = self.pos_encoder(ad.neighbor_diff(cloud, cloud, nbrs, k))
+        seed = None
         if seed_features is not None:
             if self.seed_encoder is None:
                 raise ContractError("this transformer was built without seed encoding")
-            # no local name: without a tape the (n*k, seed_channels) difference
-            # is freed before the attention record, which sets inference peak memory
-            delta = ad.add(delta, self.seed_encoder(
-                ad.neighbor_diff(seed_features, seed_features, nbrs, k)
-            ))
-
-        logits_in = ad.add(ad.neighbor_diff(q, key_feats, nbrs, k), delta)
-        value_term = ad.reshape(ad.add(ad.gather_rows(values, nbrs), delta), (n, k, c))
-
+            # the first layer commutes with the pair difference, so it runs
+            # on the n seed rows, not on the n * k pairs
+            enc = self.seed_encoder
+            seed = (ad.linear(seed_features, enc.lin0.w), enc.lin0.b, enc.lin1.w, enc.lin1.b)
+        pos = self.pos_encoder
         weights = None
         if capture is not None:
             weights = capture["weights"] = []
         return ad.upsample_attention(
-            logits_in, value_term, self.hidden.w, self.hidden.b,
-            [head.w for head in self.heads], self.attention, self.lam, capture=weights,
+            cloud, q, key_feats, values, nbrs,
+            (pos.lin0.w, pos.lin0.b, pos.lin1.w, pos.lin1.b), (self.hidden.w, self.hidden.b),
+            [head.w for head in self.heads], seed, self.attention, self.lam, capture=weights,
         )
 
 

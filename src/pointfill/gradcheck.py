@@ -181,36 +181,49 @@ def _case_linear_relu():
 def _case_attention_head(name, variant, width):
     def build():
         rng = _rng(zlib.crc32(name.encode()))  # not hash(): salted per process
-        n, k, c, rate = 3, 4, 3, 2
+        n, c, rate = 3, 3, 2
+        # every point's neighbors are all three points, one twice
+        index = np.array([[0, 1, 2, 1], [1, 2, 0, 0], [2, 0, 1, 2]])
         sign = lambda shape: rng.choice([-1.0, 1.0], shape)
-        # Data clear of finite-difference roundoff: no w0 or head entry near
-        # 0 (it would scale a gradient row or column down); a diagonally
-        # dominant w0 (condition number under 13), so x stays near z's scale;
-        # pre-activations z 0.05 to 0.5 from the kink. Point i holds hidden
-        # unit i at z in [0.3, 0.5] for every neighbor but neighbor 1, where
-        # it is inactive and unit i + 1 is active instead: each unit is
-        # active for one neighbor of a point and inactive for another (else
-        # the softmax's shift invariance zeroes b0's gradient), and every row
-        # has a unit at z >= 0.3. With both heads positive, the logits
-        # relu(z) @ head lie in [0.12, 1.8]: no softmax weight is near 0, nor
-        # a logit (the none weight). Two heads share the hidden layer, so
-        # w0, b0 and x get the sum of their hidden gradients
+        mags = lambda lo, hi, shape: sign(shape) * rng.uniform(lo, hi, shape)
+        # Data clear of finite-difference roundoff: no weight entry near 0
+        # (it would scale a gradient row or column down); a diagonally
+        # dominant w0 (condition number under 13); every pre-activation at
+        # least 0.05 from its relu kink. The position and seed terms have
+        # hidden pre-activations 0.2 or more from the kink (small coordinates
+        # and u rows, biases of 0.5 to 0.8) and small second layers, so the
+        # pair term delta moves the shared layer's pre-activations z by
+        # under 0.06. Without it, q and keys give z_ij = A_i - B_j + b0 with
+        # unit u inactive (z in [-0.7, -0.3]) exactly at neighbor point
+        # u + 1 and active (z in [0.2, 0.6]) elsewhere: each unit is active
+        # for one neighbor of a point and inactive for another (else the
+        # softmax's shift invariance zeroes b0's gradient), and every row
+        # has two active units. With both heads positive, no softmax weight
+        # is near 0, nor a logit (the none weight). Two heads share the
+        # hidden layer, so everything before it gets the sum of two hidden
+        # gradients
+        cloud = rng.uniform(-0.05, 0.05, (n, 3))
+        pos = [mags(0.5, 1.0, (3, c)), mags(0.5, 0.8, c), mags(0.001, 0.003, (c, c)),
+               mags(0.001, 0.002, c)]
+        seed = [rng.uniform(-0.1, 0.1, (n, c)), mags(0.5, 0.8, c),
+                mags(0.001, 0.003, (c, c)), mags(0.001, 0.002, c)]
         w0 = sign((c, c)) * np.where(
             np.eye(c, dtype=bool), rng.uniform(1.2, 1.5, (c, c)), rng.uniform(0.2, 0.5, (c, c)))
         b0 = rng.uniform(-0.5, 0.5, c)
-        z = sign((n, k, c)) * rng.uniform(0.05, 0.5, (n, k, c))
-        i = np.arange(n)  # n == c
-        z[i, :, i] = rng.uniform(0.3, 0.5, (n, k))
-        z[i, 1, i] *= -1.0
-        z[i, 1, (i + 1) % c] = rng.uniform(0.3, 0.5, n)
-        x = np.linalg.solve(w0.T, (z.reshape(n * k, c) - b0).T).T
+        off = (np.arange(n)[:, None] == (np.arange(c) + 1) % n)  # point j switches unit j - 1 off
+        a_rows = rng.uniform(0.3, 0.5, (n, c)) - b0
+        b_rows = np.where(off, rng.uniform(0.8, 1.0, (n, c)), rng.uniform(-0.1, 0.1, (n, c)))
+        q, keys = (np.linalg.solve(w0.T, rows.T).T for rows in (a_rows, b_rows))
         heads = [rng.uniform(0.4, 1.2, (c, width)) for _ in range(rate)]
-        inputs = [_param(a) for a in (x, rng.standard_normal((n, k, c)), w0, b0, *heads)]
+        inputs = [_param(a) for a in (cloud, q, keys, rng.standard_normal((n, c)), *pos,
+                                      w0, b0, *heads, *seed)]
         probe = rng.standard_normal((n * rate, c))
 
-        def fn(x, values, w0, b0, *heads):
-            out = ad.upsample_attention(x, values, w0, b0, heads, variant, lam=1.7)
-            return ad.reduce_sum(ad.mul(out, ad.constant(probe, like=x)))
+        def fn(cloud, q, keys, values, *weights):
+            out = ad.upsample_attention(cloud, q, keys, values, index, weights[:4],
+                                        weights[4:6], weights[6:6 + rate], weights[6 + rate:],
+                                        variant, lam=1.7)
+            return ad.reduce_sum(ad.mul(out, ad.constant(probe, like=q)))
 
         return fn, inputs
 
@@ -236,9 +249,9 @@ def _case_elementwise():
     b = _leaf(rng, (4, 3))
 
     def fn(a, b):
-        mixed = ad.mul(ad.add(a, b), ad.sub(a, ad.mul(b, 0.5)))
+        mixed = ad.mul(ad.add(a, b), ad.add(a, ad.mul(b, -0.5)))
         # mul takes a scalar on the right, the one scalar form
-        return ad.reduce_sum(ad.mul(ad.sub(mixed, a), 1.5))
+        return ad.reduce_sum(ad.mul(ad.add(mixed, ad.mul(a, -1.0)), 1.5))
 
     return fn, [a, b]
 
@@ -365,27 +378,27 @@ def _case_interpolation():
     return fn, [feats]
 
 
-def _case_uptrans(attention, lam=1.0):
+def _case_uptrans(attention, lam=1.0, pointwise=False):
     def build():
         rng = _rng(30)
         n, c, cs = 8, 6, 4
-        core = UpsampleTransformer(rng, c, 2, k=3, seed_channels=cs, attention=attention, lam=lam)
+        core = UpsampleTransformer(rng, c, 2, k=3, seed_channels=cs, attention=attention,
+                                   lam=lam, pointwise=pointwise)
         cloud = _cloud(rng, n)
-        seeds = geometry.PointSet(
-            ad.Tensor(_cloud(rng, 5)), ad.Tensor(rng.standard_normal((5, cs)))
-        )
+        seed_cloud, seed_feats = ad.Tensor(_cloud(rng, 5)), _leaf(rng, (5, cs))
         queries, keys = _leaf(rng, (n, c)), _leaf(rng, (n, c))
         cloud_t = _leaf(rng, (n, 3))  # drawn, then given the cloud's data
         cloud_t.data = cloud
         params = [p.tensor for p in core.named_parameters()]
         probe = 0.01 * rng.standard_normal((n * core.rate, c))
 
-        def fn(q, k, cloud, *params):
+        def fn(q, k, cloud, seed_feats, *params):
+            seeds = geometry.PointSet(seed_cloud, seed_feats)
             s = geometry.interpolate_seed_features(cloud.data, seeds, 2)
             out = core(q, k, cloud, seed_features=s)
             return ad.reduce_sum(ad.mul(out, ad.constant(probe, like=q)))
 
-        return fn, [queries, keys, cloud_t, *params]
+        return fn, [queries, keys, cloud_t, seed_feats, *params]
 
     return build
 
@@ -443,19 +456,17 @@ def _case_upsample_layer():
     stage.offset_map.lin1.w.data += 0.05 * rng.standard_normal(
         stage.offset_map.lin1.w.shape
     )
-    seeds = geometry.PointSet(
-        ad.Tensor(_cloud(rng, 5)), ad.Tensor(rng.standard_normal((5, cs)))
-    )
+    seed_cloud, seed_feats = ad.Tensor(_cloud(rng, 5)), _leaf(rng, (5, cs))
     cloud = _leaf(rng, (n, 3))
     feats = _leaf(rng, (n, c))
     params = [p.tensor for p in stage.named_parameters()]
     probe = 0.01 * rng.standard_normal((n * 2, 3))
 
-    def fn(cloud, feats, *params):
-        out = stage(geometry.PointSet(cloud, feats), seeds)
+    def fn(cloud, feats, seed_feats, *params):
+        out = stage(geometry.PointSet(cloud, feats), geometry.PointSet(seed_cloud, seed_feats))
         return ad.reduce_sum(ad.mul(out.cloud, ad.constant(probe, like=cloud)))
 
-    return fn, [cloud, feats, *params]
+    return fn, [cloud, feats, seed_feats, *params]
 
 
 def _case_full_forward():
@@ -497,6 +508,7 @@ CASES = {
     "uptrans_none": _case_uptrans("none"),
     "uptrans_scaled": _case_uptrans("scaled", lam=1.7),
     "uptrans_log": _case_uptrans("log"),
+    "uptrans_pointwise": _case_uptrans("softmax", pointwise=True),
     "generator_folding": _ablation_case("folding", 31),
     "generator_deconv": _ablation_case("deconv", 32),
     "generator_graphconv": _ablation_case("graphconv", 33),

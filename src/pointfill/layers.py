@@ -69,8 +69,8 @@ class Linear(Module):
 
     ``zero_init`` starts the layer at the zero function. With ``bias=False``
     the layer holds only ``w`` and is not callable: an upsample transformer's
-    attention heads have no bias (see ``ad.upsample_attention``), which reads
-    each head's ``w`` itself, so ``ad.linear`` needs no bias-less path.
+    attention heads have no bias, and ``ad.upsample_attention`` reads each
+    head's ``w`` itself.
     """
 
     def __init__(self, rng, n_in, n_out, zero_init=False, bias=True):
@@ -89,7 +89,9 @@ class Mlp2(Module):
     """Two affine layers with a relu between (the shared per-point map).
 
     The first layer and the relu run as one ``linear_relu`` record, so a
-    taped call appends two records and keeps no pre-activation.
+    taped call appends two records and keeps no pre-activation. An upsample
+    transformer's position and seed encoders are not called: their weights
+    go into its ``ad.upsample_attention`` record, which runs them per tile.
     """
 
     def __init__(self, rng, n_in, n_hidden, n_out, zero_last=False):

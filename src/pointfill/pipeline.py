@@ -169,11 +169,6 @@ class ModelConfig:
         return cls(**base)
 
     @classmethod
-    def benchmark_8k(cls, **overrides):
-        """The medium-output layout: 2048 in, 8192 out (rates 1, 4, 4)."""
-        return cls.benchmark_16k(**{"rates": (1, 4, 4), **overrides})
-
-    @classmethod
     def micro(cls, **overrides):
         """Tiny layout for finite-difference audits of the full model."""
         base = dict(

@@ -176,12 +176,10 @@ def test_criterion_03_attention_invariants():
 def test_criterion_04_stage_size_contract():
     desk_widths = dict(stage1_channels=64, patch_channels=128, seed_channels=64,
                        channels=64)
-    for build, want in (
-        (ModelConfig.benchmark_16k, [512, 2048, 16384]),
-        (ModelConfig.benchmark_8k, [512, 2048, 8192]),
-    ):
-        assert build().stage_sizes == want
-        assert build(**desk_widths).stage_sizes == want
+    # the 8k layout is the 16k one at rates (1, 4, 4)
+    for overrides, want in (({}, [512, 2048, 16384]), ({"rates": (1, 4, 4)}, [512, 2048, 8192])):
+        assert ModelConfig.benchmark_16k(**overrides).stage_sizes == want
+        assert ModelConfig.benchmark_16k(**overrides, **desk_widths).stage_sizes == want
     _ok(4, "stage size contract (512/2048/16384 and 512/2048/8192)")
 
 

@@ -61,6 +61,16 @@ def test_protocol_save_is_equal_across_processes(tmp_path):
     assert all(float(diff) == 0.0 for _, diff in rows)
 
 
+def test_protocol_tape_reports_the_micro_tape(tmp_path):
+    result = _run_with_src(ROOT / "tools" / "protocol.py", tmp_path, "tape", "--config", "micro")
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0].startswith("config micro: ") and lines[0].endswith(" records")
+    assert [line.split()[0] for line in lines[1:4]] == ["live", "backward", "kept"]
+    assert any(line.startswith("  upsample_attention ") for line in lines)
+    assert lines[-1].startswith("ru_maxrss ") and lines[-1].endswith(" MB")
+
+
 def test_benchmark_smoke_exits_zero():
     # the tracer wraps callables by module and attribute name, so a rename
     # such as UpsampleStage.__call__ or geometry.interpolate_seed_features

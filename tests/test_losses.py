@@ -89,9 +89,9 @@ def test_chamfer_gradient_check_holds_at_a_nearest_point_tie():
 
 
 def _sub_gather_sq_dist(src, dst):
-    """The nearest-point difference as ``sub(src, gather_rows(dst, idx))``."""
+    """The nearest-point difference as ``src + (-1) * gather_rows(dst, idx)``."""
     idx = geometry.knn(src.data, dst.data, 1).indices[:, 0]
-    diff = ad.sub(src, ad.gather_rows(dst, idx))
+    diff = ad.add(src, ad.mul(ad.gather_rows(dst, idx), -1.0))
     return ad.reduce_sum(ad.mul(diff, diff), axis=1)
 
 

@@ -41,14 +41,6 @@ def test_stage_sizes_desk():
 
 def test_stage_sizes_benchmark_layouts():
     assert ModelConfig.benchmark_16k().stage_sizes == [512, 2048, 16384]
-    assert ModelConfig.benchmark_8k().stage_sizes == [512, 2048, 8192]
-
-
-def test_benchmark_8k_takes_a_rates_override():
-    # it raised TypeError: multiple values for keyword argument 'rates'
-    cfg = ModelConfig.benchmark_8k(rates=(1, 2), channels=64)
-    assert (cfg.rates, cfg.channels, cfg.stage_sizes) == ((1, 2), 64, [512, 1024])
-    assert ModelConfig.benchmark_8k() == ModelConfig.benchmark_16k(rates=(1, 4, 4))
 
 
 def test_config_rejects_empty_rates():

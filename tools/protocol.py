@@ -1,5 +1,5 @@
-"""Reproducibility protocols for pointfill: ``digest``, ``save``/``compare``
-and ``sweep``.
+"""Reproducibility protocols for pointfill: ``digest``, ``save``/``compare``,
+``sweep`` and ``tape``.
 
 Usage, from any directory, against the tree whose ``src`` is on the path::
 
@@ -7,6 +7,7 @@ Usage, from any directory, against the tree whose ``src`` is on the path::
     PYTHONPATH=<tree>/src python tools/protocol.py save <file.npz>
     PYTHONPATH=<tree>/src python tools/protocol.py compare <a.npz> <b.npz>
     PYTHONPATH=<tree>/src python tools/protocol.py sweep [--generator <variant>]
+    PYTHONPATH=<tree>/src python tools/protocol.py tape [--config desk|benchmark_16k|micro]
 
 ``digest`` prints one ``name sha256`` line per item. Two trees are bitwise
 equal on everything it covers when ``diff`` of their outputs is empty. To
@@ -64,9 +65,21 @@ spread (largest minus smallest) of each over the five seeds. The model is
 the desk layout's, ``uptrans``; ``--generator <variant>`` runs the same
 recipe with another of ``GENERATOR_VARIANTS`` and prints the same lines.
 
+``tape`` measures what one training step's tape holds, with tracemalloc
+started after the model and its loss targets are built. It runs one
+forward pass and loss of the config's model (desk by default) on one
+synthetic shape at seed 21, then one backward pass, and prints: the
+records on the tape; the bytes live when backward starts and the peak
+during it; the bytes the records' adjoint closures keep at backward start,
+each distinct array (by the memory it views) counted once under the first
+record that holds it, in total and per op; and the process's ``ru_maxrss``
+at the end, in MB as perfbench reports it (``ru_maxrss / 1024``, which
+includes tracemalloc's own bookkeeping). A 16k run takes about 10 s.
+
 Only numpy and the ``pointfill`` API that has stood since commit ``d0dbd9f``
-are used, so the script runs on every tree from there on. BLAS runs on one
-thread, as in the benchmark.
+are used, so the script runs on every tree from there on (``tape`` also
+reads ``pipeline._forward_loss``, there since ``57e5e40``). BLAS runs on
+one thread, as in the benchmark.
 """
 
 from __future__ import annotations
@@ -74,8 +87,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import resource
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -83,8 +98,9 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402  (after the thread pinning)
 
-from pointfill import data, gradcheck  # noqa: E402
-from pointfill.losses import chamfer  # noqa: E402
+from pointfill import autodiff as ad  # noqa: E402
+from pointfill import data, gradcheck, pipeline  # noqa: E402
+from pointfill.losses import chamfer, downsample_targets  # noqa: E402
 from pointfill.checkpoint import load_checkpoint, save_checkpoint  # noqa: E402
 from pointfill.generator import GENERATOR_VARIANTS  # noqa: E402
 from pointfill.pipeline import Adam, CompletionModel, ModelConfig, run_training  # noqa: E402
@@ -280,6 +296,81 @@ def sweep(generator="uptrans", out=sys.stdout):
               f"{max(values) - min(values):{fmt}}", file=out)
 
 
+TAPE_CONFIGS = {"desk": ModelConfig.desk, "benchmark_16k": ModelConfig.benchmark_16k,
+                "micro": ModelConfig.micro}
+MIB = 2**20
+
+
+def _closure_arrays(fn):
+    """The distinct memory blocks an adjoint closure keeps, as {id: bytes}:
+    the arrays in its cells, in the closures of the functions it holds, in
+    the lists, tuples and dicts it holds and in the Tensors it holds, each
+    counted by the array it views."""
+    found, seen, todo = {}, set(), [fn]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            found[id(obj)] = obj.nbytes
+        elif isinstance(obj, ad.Tensor):
+            todo.append(obj.data)
+        elif isinstance(obj, (list, tuple)):
+            todo.extend(obj)
+        elif isinstance(obj, dict):
+            todo.extend(obj.values())
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            todo.extend(cell.cell_contents for cell in obj.__closure__)
+    return found
+
+
+def _op(record):
+    name = record.backfn.__qualname__.split(".")[0]
+    return "linear" if name == "_affine" else name
+
+
+def tape(config_name="desk", out=sys.stdout):
+    config = TAPE_CONFIGS[config_name]()
+    spec = data.SyntheticShapeSpec(family=data.FAMILIES[0], seed=21,
+                                   gt_points=config.final_points, partial_points=16)
+    gt = data.generate_shape(spec)
+    seen = data.occlude_viewpoint(gt, data.VIEWPOINTS[0], config.final_points // 2)
+    partial = data.resample_input(seen, config.input_points, seed=21)
+    model = CompletionModel(config)
+    targets = downsample_targets(gt.astype(config.dtype),
+                                 [config.seed_count, *config.stage_sizes])
+    tracemalloc.start()
+    try:
+        with ad.Tape() as recorded:
+            total, _ = pipeline._forward_loss(model, partial, targets)
+        kept, per_op, counts = set(), {}, {}
+        for record in recorded.records:
+            op = _op(record)
+            counts[op] = counts.get(op, 0) + 1
+            for key, nbytes in _closure_arrays(record.backfn).items():
+                if key not in kept:
+                    kept.add(key)
+                    per_op[op] = per_op.get(op, 0) + nbytes
+        records = len(recorded.records)
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        recorded.backward(total)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"config {config_name}: {records} records", file=out)
+    print(f"live at backward start {start / MIB:.1f} MiB", file=out)
+    print(f"backward peak {peak / MIB:.1f} MiB", file=out)
+    print(f"kept by closures {sum(per_op.values()) / MIB:.1f} MiB", file=out)
+    for op, nbytes in sorted(per_op.items(), key=lambda item: -item[1]):
+        print(f"  {op} {nbytes / MIB:.1f} MiB ({counts[op]} records)", file=out)
+    print(f"ru_maxrss {rss:.1f} MB", file=out)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
@@ -294,6 +385,9 @@ def main(argv=None):
     recipe = commands.add_parser("sweep", help="criterion 06's recipe at init seeds 0-4")
     recipe.add_argument("--generator", choices=GENERATOR_VARIANTS, default="uptrans",
                         help="the generator core of the model trained (default uptrans)")
+    held = commands.add_parser("tape", help="what one training step's tape holds")
+    held.add_argument("--config", choices=TAPE_CONFIGS, default="desk",
+                      help="the model layout (default desk)")
     args = parser.parse_args(argv)
     if args.command == "digest":
         digest(micro=args.micro)
@@ -301,6 +395,8 @@ def main(argv=None):
         save(args.file)
     elif args.command == "compare":
         return compare(args.a, args.b)
+    elif args.command == "tape":
+        tape(args.config)
     else:
         sweep(args.generator)
     return 0
