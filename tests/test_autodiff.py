@@ -738,7 +738,7 @@ def test_stage3_attention_record_keeps_no_pair_rows():
     # the memory property at benchmark_16k's stage 3 (n 2,048, k 16, C 128,
     # rate 8): no float array the record keeps has n*k rows, and the only
     # array with n*k entries is the integer neighbor table. What it keeps,
-    # 21.3 MiB (five (n, ·) inputs, 16 (n, 1, C) statistics, the table and
+    # 21.0 MiB (five (n, ·) inputs, 16 (n, 1, C) statistics, the table and
     # the weights), is less than two (n*k, C) float32 blocks
     rate, n, k, c = 8, 2048, 16, 128
     index, arrays = _attention_arrays(np.random.default_rng(52), rate, n, k, c, c, np.float32)
