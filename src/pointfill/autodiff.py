@@ -16,6 +16,10 @@ Design rules kept deliberately strict so the adjoint code stays auditable:
   weights, over channels) and ``upsample_attention`` (its biases, over
   rows; width-1 weights, over channels) broadcast, and each owns that
   adjoint;
+* an adjoint returns a gradient for every input it was given and reads no
+  ``requires_grad`` flag; ``Tape.backward`` drops the gradients of inputs
+  that need none. Only recording checks the flag: a primitive is recorded
+  when some input needs a gradient;
 * without an active tape the primitives just compute values (inference mode).
 
 A record keeps gradient nodes, not values. Its output, and each input that
@@ -24,9 +28,8 @@ slot, the shape and the dtype; the caller's Tensor points to its node. Other
 inputs that need a gradient, the leaves, are kept as the Tensors themselves.
 An adjoint closure keeps only the arrays it reads (a linear's input, an
 activation, an upsample transformer's per-point inputs and its heads'
-softmax statistics, indices), plus shapes, dtypes and ``requires_grad``
-flags. So a forward value lives only while the caller holds it or an
-adjoint will read it.
+softmax statistics, indices), plus shapes and dtypes. So a forward value
+lives only while the caller holds it or an adjoint will read it.
 
 A tape is single-use: ``backward`` consumes it. Each record is dropped once
 its adjoint has run and each intermediate's gradient once it has been passed
@@ -177,8 +180,10 @@ class Tape:
 
         A leaf is a requires_grad tensor that no record on this tape produced.
         Leaves recorded here but not reachable from ``loss`` get zero grads;
-        leaf grads accumulate across backward passes. Records are popped as
-        their adjoints run and intermediate grads are released once passed on:
+        leaf grads accumulate across backward passes. Each adjoint returns a
+        gradient for every input of its record; that of an input which needs
+        none (a None input) is dropped. Records are popped as their adjoints
+        run and intermediate grads are released once passed on:
         afterwards the tape is empty, intermediates have ``grad is None``, and
         a second backward on this tape raises ContractError. Also raises
         ContractError if ``loss`` is not scalar.
@@ -201,8 +206,8 @@ class Tape:
             rec.output.grad = None  # gout now has no owner but this loop
             handed_over = False
             for inp, gin in zip(rec.inputs, rec.backfn(gout)):
-                if gin is None:
-                    continue
+                if inp is None:
+                    continue  # needs no gradient: computed, dropped
                 if inp.grad is not None:
                     inp.grad += gin
                 elif np.may_share_memory(gin, gout):
@@ -263,18 +268,9 @@ def _check_same_shape(a, b, op):
 # Elementwise and scalar primitives
 
 
-# A single-input op is recorded only when its input needs a gradient, so its
-# adjoint need not check the flag.
-
-
 def add(a, b):
     _check_same_shape(a, b, "add")
-    needs_a, needs_b = a.requires_grad, b.requires_grad
-
-    def back(g):
-        return (g if needs_a else None, g if needs_b else None)
-
-    return _emit(a.data + b.data, [a, b], back)
+    return _emit(a.data + b.data, [a, b], lambda g: (g, g))
 
 
 def mul(a, b):
@@ -282,10 +278,9 @@ def mul(a, b):
         return _emit(a.data * s, [a], lambda g: (g * s,))
     _check_same_shape(a, b, "mul")
     a_data, b_data = a.data, b.data
-    needs_a, needs_b = a.requires_grad, b.requires_grad
 
     def back(g):
-        return (g * b_data if needs_a else None, g * a_data if needs_b else None)
+        return (g * b_data, g * a_data)
 
     return _emit(a_data * b_data, [a, b], back)
 
@@ -337,18 +332,13 @@ def _affine(x, weight, bias, op):
     without a bias the adjoint returns two gradients."""
     _check_affine(x, weight, bias, op)
     xd, wd = x.data, weight.data
-    needs_x, needs_w = x.requires_grad, weight.requires_grad
-    needs_b = bias is not None and bias.requires_grad
     out = xd @ wd
     if bias is not None:
         out += bias.data
 
     def back(g):
-        gx = g @ wd.T if needs_x else None
-        gw = xd.T @ g if needs_w else None
-        if bias is None:
-            return (gx, gw)
-        return (gx, gw, g.sum(axis=0) if needs_b else None)
+        grads = (g @ wd.T, xd.T @ g)
+        return grads if bias is None else (*grads, g.sum(axis=0))
 
     return out, back
 
@@ -412,17 +402,6 @@ def _weighted_sum(w, v):
     return (w * v).sum(axis=1)
 
 
-def _weighted_sum_back(g, w, v, gw_out):
-    """The weights' adjoint of ``_weighted_sum``, written into ``gw_out``,
-    which it returns; the values' is ``g[:, None, :] * w``."""
-    g = g[:, None, :]  # broadcast over the neighbors, no copy
-    if w.shape[2] == 1:
-        np.sum(g * v, axis=2, keepdims=True, out=gw_out)
-    else:
-        np.multiply(g, v, out=gw_out)
-    return gw_out
-
-
 def max_over_axis(x, axis):
     """Max reduction over one axis; ties route the gradient to the first max."""
     axis = _check_axis(x, axis)
@@ -465,18 +444,10 @@ def concat(xs, axis=0):
                 raise ShapeError(f"concat: shapes {x.shape} vs {xs[0].shape} on axis {d}")
     out = np.concatenate([x.data for x in xs], axis=axis)
     offsets = np.cumsum([0] + [x.shape[axis] for x in xs])
-    needs = [x.requires_grad for x in xs]
+    lead = (slice(None),) * axis
 
     def back(g):
-        grads = []
-        sl = [slice(None)] * g.ndim
-        for i, need in enumerate(needs):
-            if need:
-                sl[axis] = slice(offsets[i], offsets[i + 1])
-                grads.append(g[tuple(sl)])
-            else:
-                grads.append(None)
-        return tuple(grads)
+        return [g[(*lead, slice(a, b))] for a, b in zip(offsets, offsets[1:])]
 
     return _emit(out, xs, back)
 
@@ -538,14 +509,11 @@ def neighbor_diff(center, other, index, k):
     out = np.repeat(center.data, k, axis=0)
     out -= other.data[idx]
     shape, dtype, rest = other.shape, other.dtype, center.shape[1:]
-    needs_other, needs_center = other.requires_grad, center.requires_grad
 
     def back(g):
         # other first: the order in which the unfused gather and repeat
         # records accumulated, so a shared input sums in the same order
-        go = _scatter_rows(-g, idx, shape, dtype) if needs_other else None
-        gc = g.reshape(n, k, *rest).sum(axis=1) if needs_center else None
-        return (go, gc)
+        return (_scatter_rows(-g, idx, shape, dtype), g.reshape(n, k, *rest).sum(axis=1))
 
     return _emit(out, [other, center], back)
 
@@ -773,8 +741,7 @@ def upsample_attention(cloud, q, keys, values, index, pos, hidden, heads, seed=N
         if _check_layer(widths[1], w1, None, dtype, op) not in (1, c):
             raise ShapeError(f"{op}: head {w1.shape} does not fit {c} channels")
     inputs = [cloud, q, keys, values, *pos, *hidden, *heads, *(seed or ())]
-    needs = [t.requires_grad for t in inputs]
-    record = any(needs) and _ACTIVE_TAPE.get() is not None
+    record = any(t.requires_grad for t in inputs) and _ACTIVE_TAPE.get() is not None
     p, qd, kd, vd = cloud.data, q.data, keys.data, values.data
     p0, c0, p1, c1, w0, b0 = (t.data for t in (*pos, *hidden))
     u, d0, s1, d1 = (None,) * 4 if seed is None else (t.data for t in seed)
@@ -827,20 +794,14 @@ def upsample_attention(cloud, q, keys, values, index, pos, hidden, heads, seed=N
 
     # input positions: cloud 0, q 1, keys 2, values 3, pos 4-7, hidden 8-9,
     # heads from 10, then u, d0, S1 and d1
-    heads_at, u_at = 10, 10 + rate
-    seed_needs = needs[u_at:]
-    through_pos = needs[0] or needs[4] or needs[5]
-    through_delta = through_pos or needs[6] or needs[7] or any(seed_needs)
-    through_x = needs[1] or needs[2] or through_delta
-    through_hidden = through_x or needs[8] or needs[9]
+    heads_at, u_at, count = 10, 10 + rate, len(inputs)  # the closure keeps no input
 
     def back(g):
         nonlocal stats
         g = g.reshape(n, rate, c)
-        grads = [None] * len(needs)
+        grads = [None] * count
+        grads[1] = np.empty_like(qd)
         scattered, own = {}, {}  # float64 scatter sums; per-point sums of cloud and u
-        if needs[1]:
-            grads[1] = np.empty_like(qd)
 
         def add(i, part):  # a weight or bias gradient sums its tiles' parts
             if grads[i] is None:
@@ -853,19 +814,19 @@ def upsample_attention(cloud, q, keys, values, index, pos, hidden, heads, seed=N
             # gradient (the last head) or adds it, adds its head gradient and
             # returns its hidden gradient; a function of its own so its blocks
             # die before the next head's are made
-            gm = g[a:b, m]
+            gm = g[a:b, m][:, None, :]  # broadcast over the neighbours, no copy
             s = _normalize_((h @ heads[m]).reshape(b - a, k, -1), variant, lam,
                             [t[a:b] for t in stats[m]], rebuild=True)
-            if gv is not None:
-                if m == rate - 1:
-                    np.multiply(gm[:, None, :], s, out=gv)
-                else:
-                    gv += gm[:, None, :] * s
-            gs = _weighted_sum_back(gm, s, v, np.empty_like(s))
+            if m == rate - 1:
+                np.multiply(gm, s, out=gv)
+            else:
+                gv += gm * s
+            gs = gm * v  # the weights' gradient; one weight per neighbour sums it
+            if s.shape[2] == 1:
+                gs = gs.sum(axis=2, keepdims=True)
             gr = _normalize_back_(gs, s, variant, lam).reshape(len(h), -1)
-            if needs[heads_at + m]:
-                add(heads_at + m, h.T @ gr)
-            return gr @ heads[m].T if through_hidden else None
+            add(heads_at + m, h.T @ gr)
+            return gr @ heads[m].T
 
         def tile_back(a, b):
             nb, rel, hp, hs, x, v, h = tile_rows(a, b)
@@ -887,66 +848,41 @@ def upsample_attention(cloud, q, keys, values, index, pos, hidden, heads, seed=N
                         own[i] = np.empty((n, width), dtype)
                     np.sum(rows.reshape(b - a, k, width), axis=1, out=own[i][a:b])
 
-            gv = np.empty_like(v) if needs[3] or through_delta else None
+            gv = np.empty_like(v)
             gh = head_back(rate - 1, a, b, h, v, gv)
             for m in reversed(range(rate - 1)):  # the last head first
-                part = head_back(m, a, b, h, v, gv)
-                if gh is not None:
-                    gh += part
+                gh += head_back(m, a, b, h, v, gv)
             del v
-            if gv is not None:
-                gv = gv.reshape(len(nb), c)
-                if needs[3]:
-                    scatter(3, gv)
-            if gh is None:
-                return
+            gv = gv.reshape(len(nb), c)
+            scatter(3, gv)
             gh *= h > 0  # the one relu mask
             del h
-            if needs[8]:
-                add(8, x.T @ gh)
-            if needs[9]:
-                add(9, gh.sum(axis=0))
+            add(8, x.T @ gh)
+            add(9, gh.sum(axis=0))
             del x
-            if not through_x:
-                return
             gx = gh @ w0.T
             del gh
-            if needs[1]:
-                np.sum(gx.reshape(b - a, k, c), axis=1, out=grads[1][a:b])
-            if needs[2]:
-                scatter(2, gx)
-            if not through_delta:
-                return
+            np.sum(gx.reshape(b - a, k, c), axis=1, out=grads[1][a:b])
+            scatter(2, gx)
             gd = gx
             gd += gv
             del gv
-            if needs[6]:
-                add(6, hp.T @ gd)
-            if needs[7]:
-                add(7, gd.sum(axis=0))
-            if through_pos:
-                ghp = gd @ p1.T
-                ghp *= hp > 0
-                if needs[4]:
-                    add(4, rel.T @ ghp)
-                if needs[5]:
-                    add(5, ghp.sum(axis=0))
-                if needs[0]:
-                    scatter(0, ghp @ p0.T, center=True)
-                del ghp
-            if not any(seed_needs):
+            add(6, hp.T @ gd)
+            add(7, gd.sum(axis=0))
+            ghp = gd @ p1.T
+            ghp *= hp > 0
+            add(4, rel.T @ ghp)
+            add(5, ghp.sum(axis=0))
+            scatter(0, ghp @ p0.T, center=True)
+            del ghp
+            if u is None:
                 return
-            if needs[u_at + 2]:
-                add(u_at + 2, hs.T @ gd)
-            if needs[u_at + 3]:
-                add(u_at + 3, gd.sum(axis=0))
-            if needs[u_at] or needs[u_at + 1]:
-                ghs = gd @ s1.T
-                ghs *= hs > 0
-                if needs[u_at + 1]:
-                    add(u_at + 1, ghs.sum(axis=0))
-                if needs[u_at]:
-                    scatter(u_at, ghs, center=True)
+            add(u_at + 2, hs.T @ gd)
+            add(u_at + 3, gd.sum(axis=0))
+            ghs = gd @ s1.T
+            ghs *= hs > 0
+            add(u_at + 1, ghs.sum(axis=0))
+            scatter(u_at, ghs, center=True)
 
         for a, b in _tiles(n, k):
             tile_back(a, b)

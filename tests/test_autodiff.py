@@ -865,6 +865,53 @@ def test_add_of_a_tensor_to_itself_gives_exactly_two():
     np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
 
 
+def _rule_case(name, rng):
+    """The op of case ``name`` as a function of its inputs, the input arrays
+    and the positions of the inputs made constants."""
+    if name.startswith("attention"):
+        rate, seeded, constants = {
+            "attention_cloud": (1, False, {0}),  # the encoder's constant cloud
+            "attention_q": (2, True, {1}),
+            "attention_unseeded": (2, False, {3}),
+        }[name]
+        index, arrays = _attention_arrays(rng, rate, 40, 3, 4, 4, np.float64, seeded)
+        return (lambda *xs: _attention(index, xs, rate, "softmax")), arrays, constants
+    x, y, z = (rng.standard_normal(shape) for shape in ((6, 4), (6, 4), (6, 2)))
+    w, b, index = rng.standard_normal((4, 3)), rng.standard_normal(3), rng.integers(0, 6, 12)
+    return {
+        "add": (ad.add, [x, y], {1}),
+        "mul": (ad.mul, [x, y], {0}),
+        "linear": (ad.linear, [x, w, b], {0}),  # set abstraction 1's constant rows
+        "linear_relu": (ad.linear_relu, [x, w, b], {0}),
+        "concat": (lambda *xs: ad.concat(xs, axis=1), [x, y, z], {1}),
+        "neighbor_diff": (lambda c, o: ad.neighbor_diff(c, o, index, 2), [x, y], {1}),
+    }[name]
+
+
+@pytest.mark.parametrize("name", [
+    "add", "mul", "linear", "linear_relu", "concat", "neighbor_diff",
+    "attention_cloud", "attention_q", "attention_unseeded",
+])
+def test_a_constant_input_gets_no_grad_and_changes_no_other(name):
+    # every adjoint returns a gradient for every input; backward drops a
+    # constant's, and the other inputs get the bits of an all-leaf run
+    fn, arrays, constants = _rule_case(name, np.random.default_rng(7))
+    runs = []
+    for made_constant in (set(), constants):
+        inputs = [ad.Tensor(a) if i in made_constant else leaf(a) for i, a in enumerate(arrays)]
+        with ad.Tape() as tape:
+            out = fn(*inputs)
+            probe = ad.constant(np.random.default_rng(8).standard_normal(out.shape))
+            loss = ad.reduce_sum(ad.mul(out, probe))
+        tape.backward(loss)
+        runs.append([t.grad for t in inputs])
+    for i, (want, got) in enumerate(zip(*runs)):
+        if i in constants:
+            assert got is None
+        else:
+            assert _bits(got) == _bits(want)
+
+
 def test_view_adjoints_accumulate_exactly_over_two_passes():
     # reshape and concat both hand back views: x's first grad is a slice of
     # the gradient of the joined tensor, which the second pass adds into

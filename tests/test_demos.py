@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -59,6 +60,27 @@ def test_protocol_save_is_equal_across_processes(tmp_path):
     assert {"complete", "losses"} <= names and len(names) == len(rows) > 10
     assert all(name.startswith("grad.") for name in names - {"complete", "losses"})
     assert all(float(diff) == 0.0 for _, diff in rows)
+
+
+def test_protocol_save_sees_the_whole_model(tmp_path):
+    # the zero-initialized heads are nudged, so gradients reach every layer
+    result = _run_with_src(ROOT / "tools" / "protocol.py", tmp_path, "save", "a.npz")
+    assert result.returncode == 0, result.stderr
+    with np.load(tmp_path / "a.npz") as saved:
+        grads = [saved[name] for name in saved.files if name.startswith("grad.")]
+    assert len(grads) > 140 and sum(bool(np.any(g)) for g in grads) >= 140
+
+
+def test_protocol_compare_exits_1_above_the_protocol_bound(tmp_path):
+    # the re-reference protocol allows a relative difference of 1e-12
+    x = np.linspace(-1.0, 2.0, 7)
+    for name, y in (("a", x), ("same", x.copy()), ("near", x * (1 + 1e-13)),
+                    ("far", x * (1 + 1e-9))):
+        np.savez(tmp_path / f"{name}.npz", complete=y, losses=x[:3])
+    status = {name: _run_with_src(ROOT / "tools" / "protocol.py", tmp_path, "compare",
+                                  "a.npz", f"{name}.npz").returncode
+              for name in ("same", "near", "far")}
+    assert status == {"same": 0, "near": 0, "far": 1}
 
 
 def test_protocol_tape_reports_the_micro_tape(tmp_path):

@@ -45,15 +45,18 @@ configuration list on the micro layout (its precision flip is float32) and
 skips ``benchmark_16k`` and the gradcheck suite: a check of run determinism
 that takes seconds.
 
-``save`` writes, for the float64 micro model (``init_seed=3``), the fresh
-``complete()`` output of a fixed partial cloud, the loss terms of one
-``run_training`` step and every parameter's gradient after it to an
-``.npz``. ``compare`` prints one ``name difference`` line per array: the
-largest absolute difference divided by the largest magnitude in the first
-file (the absolute difference where that array is all zero), or
-``missing`` or the two shapes. It exits 1 when an array is missing or
-misshapen. Two trees within 1e-12 on every line meet the re-reference
-protocol's output clause.
+``save`` builds the float64 micro model (``init_seed=3``) and adds a fixed
+0.05·N(0, 1) draw (seed 0) to each parameter that starts at zero: the last
+layers of its coarse-point and offset heads, which would otherwise zero
+every gradient behind them and make ``complete()`` a copy of the coarse
+cloud. It writes the ``complete()`` output of a fixed partial cloud, the
+loss terms of one ``run_training`` step and every parameter's gradient
+after it to an ``.npz``. ``compare`` prints one ``name difference`` line
+per array: the largest absolute difference divided by the largest
+magnitude in the first file (the absolute difference where that array is
+all zero), or ``missing`` or the two shapes. It exits 1 when an array is
+missing or misshapen or differs by more than ``BOUND`` (1e-12), the
+re-reference protocol's output clause.
 
 ``sweep`` runs acceptance criterion 06's recipe at init seeds 0-4 (4.4
 minutes on a 2-vCPU Xeon): desk float32, 64 training shapes built at seed
@@ -108,6 +111,7 @@ from pointfill.pipeline import Adam, CompletionModel, ModelConfig, run_training 
 
 STEPS = 3
 STEPS_16K = 2
+BOUND = 1e-12  # the re-reference protocol's largest relative difference
 
 
 def _sha(*items):
@@ -227,6 +231,10 @@ def save(path):
     config = ModelConfig.micro(init_seed=3)
     samples = _samples(config, 1)
     model = CompletionModel(config)
+    rng = np.random.default_rng(0)
+    for p in model.named_parameters():
+        if not np.any(p.tensor.data):  # the zero-initialized last layers
+            p.tensor.data += 0.05 * rng.standard_normal(p.tensor.data.shape)
     arrays = {"complete": model.complete(samples[0][0])}
     (row,) = run_training(model, samples, 1, Adam(model, lr=1e-3))
     b = row.breakdown
@@ -252,7 +260,10 @@ def compare(path_a, path_b, out=sys.stdout):
             x, y = first[name].astype(np.float64), second[name].astype(np.float64)
             scale = np.abs(x).max(initial=0.0)
             diff = np.abs(x - y).max(initial=0.0)
-            print(f"{name} {diff / scale if scale else diff:.3e}", file=out)
+            rel = diff / scale if scale else diff
+            print(f"{name} {rel:.3e}", file=out)
+            if not rel <= BOUND:  # NaN fails too
+                status = 1
     return status
 
 
@@ -378,7 +389,8 @@ def main(argv=None):
                      help="micro layout only; no benchmark_16k and no gradcheck")
     one = commands.add_parser("save", help="write micro outputs and gradients to an .npz")
     one.add_argument("file")
-    pair = commands.add_parser("compare", help="largest relative difference per array")
+    pair = commands.add_parser("compare", help="largest relative difference per array; "
+                               f"exit 1 above {BOUND:g}")
     pair.add_argument("a")
     pair.add_argument("b")
     recipe = commands.add_parser("sweep", help="criterion 06's recipe at init seeds 0-4")
