@@ -43,8 +43,12 @@ leaf of its own tape.
 
 from __future__ import annotations
 
+import collections
 import contextvars
 import math
+import os
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -583,13 +587,22 @@ ATTENTION_VARIANTS = ("softmax", "none", "scaled", "log")
 # (Point, neighbor) rows per upsample_attention tile. A tile builds its pair
 # rows from the per-point arrays: relative coordinates, position and seed
 # hidden rows, x, value rows, hidden rows and each head's logits, and in
-# the adjoint their gradients and a flat scatter index. A (1024, 128)
-# float32 block is 0.5 MB, so a block is still in a 2 MB per-core L2 when
-# the next step reads it, and the adjoint's dozen or so live tile blocks
-# stay a few MB; full (n*k, C) blocks at 16k points are 16.8 MB. 2048-row
-# tiles ran a stage-3 call no faster and left a desk step's backward 6.4 MB
-# above the tape it started from.
-_TILE_ROWS = 1024
+# the adjoint their gradients and a flat scatter index. A (512, 128)
+# float32 block is 0.25 MB, so a block is still in a per-core L2 when the
+# next step reads it; full (n*k, C) blocks at 16k points are 16.8 MB. Up to
+# _tile_workers() tiles run at once, and two 512-row tiles hold what one
+# 1024-row tile did: with two 1024-row tiles at once a desk step's backward
+# peaked 5.8-6.6 MB above the tape it started from, over the 5 MB that
+# test_train_step_backward_frees_memory_as_it_goes allows.
+_TILE_ROWS = 512
+
+# the variables that set numpy's BLAS threads, whichever BLAS it was built on
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# Each tile in flight holds its own blocks: a desk step's backward peaked
+# 1.8 MB above its start at one tile at once, 3.2-3.5 MB at two, 3.6 MB at
+# three, 4.5 MB at four and 8.2 MB at eight, against the 5 MB bound.
+_MAX_TILES_IN_FLIGHT = 2
 
 
 def check_attention(variant, lam):
@@ -662,6 +675,86 @@ def _tiles(n, k):
     return zip(starts, starts[1:] + [n])
 
 
+def _tile_workers():
+    """How many tiles upsample_attention runs at once: the usable CPUs over
+    the BLAS threads that _BLAS_THREAD_VARIABLES set (the largest value set),
+    at most _MAX_TILES_IN_FLIGHT, or 1 when none is set, as BLAS may then use
+    every CPU itself."""
+    values = [os.environ.get(name, "").strip() for name in _BLAS_THREAD_VARIABLES]
+    try:
+        threads = max(int(v) for v in values if v)
+    except ValueError:  # none set, or a value that is not a number
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(_MAX_TILES_IN_FLIGHT, max(1, cpus // threads)) if threads > 0 else 1
+
+
+_POOL_LOCK = threading.Lock()
+_pool = None  # (threads, executor) that run tiles beside their caller
+
+
+def _tile_pool(threads):
+    """The process's executor of ``threads`` threads, made on first use and
+    remade when the count changes."""
+    global _pool
+    with _POOL_LOCK:
+        if _pool is None or _pool[0] != threads:
+            # an earlier pool's threads end once no caller holds it
+            _pool = (threads, ThreadPoolExecutor(threads, thread_name_prefix="pointfill-tile"))
+        return _pool[1]
+
+
+def _forget_pool():
+    # a forked child has none of its parent's threads: it makes its own pool
+    global _pool, _POOL_LOCK
+    _pool, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _each_tile(n, k, run, merge=None):
+    """Call ``run(a, b)`` on each tile of ``_tiles(n, k)`` and pass each
+    result to ``merge``, first tile first.
+
+    Up to _tile_workers() tiles run at once. The pool's threads stay busy,
+    with one more tile queued; between its own tiles the calling thread
+    merges the tiles that have finished. Results are merged in tile order
+    whatever order the tiles finish in, so the sums ``merge`` forms have the
+    same bits at any worker count. A pool tile runs in a copy of the
+    caller's context, so the caller's ``np.errstate`` holds there. If a tile
+    raises, the call raises once every tile in flight has finished. At one
+    worker this is a plain loop.
+    """
+    merge = merge or (lambda part: None)
+    tiles = collections.deque(_tiles(n, k))
+    workers = _tile_workers()
+    if workers < 2 or len(tiles) < 2:
+        for a, b in tiles:
+            merge(run(a, b))
+        return
+    pool = _tile_pool(workers - 1)
+    flight = collections.deque()  # futures of the unmerged tiles, in tile order
+    try:
+        while tiles or flight:
+            while tiles and sum(not f.done() for f in flight) < workers:
+                flight.append(pool.submit(contextvars.copy_context().run, run, *tiles.popleft()))
+            # the finished front; everything at the end; and at most
+            # ``workers`` tiles unmerged, which bounds what results hold
+            while flight and (flight[0].done() or not tiles or len(flight) > workers):
+                merge(flight.popleft().result())
+            if tiles:
+                own = Future()
+                own.set_result(run(*tiles.popleft()))
+                flight.append(own)
+    finally:
+        wait(flight)
+
+
 def upsample_attention(cloud, q, keys, values, index, pos, hidden, heads, seed=None,
                        variant="softmax", lam=1.0, capture=None):
     """An upsample transformer's neighbourhood terms, shared hidden layer and
@@ -700,15 +793,20 @@ def upsample_attention(cloud, q, keys, values, index, pos, hidden, heads, seed=N
     arXiv 2205.14135). Unrecorded, the op keeps nothing. ``capture``, an
     optional list, receives each head's (n, k, W) weights as a constant Tensor.
 
-    The adjoint works tile by tile, tiles in order. In a tile it runs the
-    heads from the last to the first, so the value-row and hidden gradients
-    sum in that order; one relu mask and one ``@ W0.T`` give the x gradient
-    gx, and delta's is ``gx + gv``. A weight or bias gradient is the sum of
-    its per-tile GEMMs or column sums, first tile first. So is each scatter
-    of row gradients into the key, value, u and cloud rows: a float64
+    The adjoint works tile by tile. In a tile it runs the heads from the
+    last to the first, so the value-row and hidden gradients sum in that
+    order; one relu mask and one ``@ W0.T`` give the x gradient gx, and
+    delta's is ``gx + gv``. A weight or bias gradient is the sum of its
+    per-tile GEMMs or column sums, first tile first. So is each scatter of
+    row gradients into the key, value, u and cloud rows: a float64
     ``np.bincount`` per tile, over one flat index per tile and row width.
     A scattered sum is then cast to the dtype, negated for keys, u and the
     cloud, and u and the cloud add the sums over each point's own rows.
+
+    Forward and adjoint tiles may run on several threads (``_each_tile``):
+    each tile writes only its own rows, and its sums are merged in tile
+    order, so every output and gradient has the same bits at any thread
+    count.
     """
     check_attention(variant, lam)
     op = "upsample_attention"
@@ -782,13 +880,16 @@ def upsample_attention(cloud, q, keys, values, index, pos, hidden, heads, seed=N
              if record and variant != "none" else [] for w1 in heads]
     weights = [None if capture is None else np.empty((n, k, w1.shape[1]), dtype)
                for w1 in heads]
-    for a, b in _tiles(n, k):
+
+    def tile_forward(a, b):  # writes rows a..b of out, stats and weights
         v, h = tile_rows(a, b)[-2:]
         for m, w1 in enumerate(heads):
             kept = None if weights[m] is None else weights[m][a:b].reshape(len(h), -1)
             r = np.matmul(h, w1, out=kept).reshape(b - a, k, -1)
             s = _normalize_(r, variant, lam, [t[a:b] for t in stats[m]])
             out[a:b, m] = _weighted_sum(s, v)
+
+    _each_tile(n, k, tile_forward)
     if capture is not None:
         capture.extend(Tensor(w) for w in weights)
 
@@ -801,7 +902,9 @@ def upsample_attention(cloud, q, keys, values, index, pos, hidden, heads, seed=N
         g = g.reshape(n, rate, c)
         grads = [None] * count
         grads[1] = np.empty_like(qd)
-        scattered, own = {}, {}  # float64 scatter sums; per-point sums of cloud and u
+        scattered = {}  # float64 scatter sums
+        # the sums over each point's own rows, for the cloud and u
+        own = {0: np.empty((n, 3), dtype)} | ({} if u is None else {u_at: np.empty_like(u)})
 
         def add(i, part):  # a weight or bias gradient sums its tiles' parts
             if grads[i] is None:
@@ -809,11 +912,30 @@ def upsample_attention(cloud, q, keys, values, index, pos, hidden, heads, seed=N
             else:
                 grads[i] += part
 
-        def head_back(m, a, b, h, v, gv):
+        def merge(tile):
+            # row nb[r] of a scattered input i gets row r of its rows: one
+            # float64 bincount per input over one flat index per row width.
+            # Run here, not in the tile, as a pool thread's malloc arena
+            # would keep the (n, width) partials' pages
+            nb, parts, rows_of = tile
+            flat = {}
+            for i, rows in rows_of.items():
+                width = rows.shape[1]
+                if width not in flat:
+                    flat[width] = (nb[:, None] * width + np.arange(width)).ravel()
+                part = np.bincount(flat[width], weights=rows.ravel(), minlength=n * width)
+                if i in scattered:
+                    scattered[i] += part
+                else:
+                    scattered[i] = part
+            for i, part in parts.items():
+                add(i, part)
+
+        def head_back(m, a, b, h, v, gv, parts):
             # head m's adjoint on the tile of points a..b: writes its value-row
-            # gradient (the last head) or adds it, adds its head gradient and
-            # returns its hidden gradient; a function of its own so its blocks
-            # die before the next head's are made
+            # gradient (the last head) or adds it, puts its head gradient in
+            # ``parts`` and returns its hidden gradient; a function of its own
+            # so its blocks die before the next head's are made
             gm = g[a:b, m][:, None, :]  # broadcast over the neighbours, no copy
             s = _normalize_((h @ heads[m]).reshape(b - a, k, -1), variant, lam,
                             [t[a:b] for t in stats[m]], rebuild=True)
@@ -825,67 +947,56 @@ def upsample_attention(cloud, q, keys, values, index, pos, hidden, heads, seed=N
             if s.shape[2] == 1:
                 gs = gs.sum(axis=2, keepdims=True)
             gr = _normalize_back_(gs, s, variant, lam).reshape(len(h), -1)
-            add(heads_at + m, h.T @ gr)
+            parts[heads_at + m] = h.T @ gr
             return gr @ heads[m].T
 
         def tile_back(a, b):
+            # the tile's neighbour indices, its weight and bias gradients and
+            # the row gradients merge scatters, by input position; a sum over
+            # the tile's own rows goes straight to rows a..b
             nb, rel, hp, hs, x, v, h = tile_rows(a, b)
-            flat = {}
+            parts, rows_of = {}, {}
 
-            def scatter(i, rows, center=False):
-                # row nb[r] of input i gets row r of ``rows``; for the cloud
-                # and u, point a + r // k also gets it, as the pair's centre
-                width = rows.shape[1]
-                if width not in flat:
-                    flat[width] = (nb[:, None] * width + np.arange(width)).ravel()
-                part = np.bincount(flat[width], weights=rows.ravel(), minlength=n * width)
-                if i in scattered:
-                    scattered[i] += part
-                else:
-                    scattered[i] = part
-                if center:
-                    if i not in own:
-                        own[i] = np.empty((n, width), dtype)
-                    np.sum(rows.reshape(b - a, k, width), axis=1, out=own[i][a:b])
+            def scatter(i, rows):  # the cloud and u: point a + r // k gets row r too
+                rows_of[i] = rows
+                if i in own:
+                    np.sum(rows.reshape(b - a, k, -1), axis=1, out=own[i][a:b])
 
             gv = np.empty_like(v)
-            gh = head_back(rate - 1, a, b, h, v, gv)
+            gh = head_back(rate - 1, a, b, h, v, gv, parts)
             for m in reversed(range(rate - 1)):  # the last head first
-                gh += head_back(m, a, b, h, v, gv)
+                gh += head_back(m, a, b, h, v, gv, parts)
             del v
             gv = gv.reshape(len(nb), c)
             scatter(3, gv)
             gh *= h > 0  # the one relu mask
             del h
-            add(8, x.T @ gh)
-            add(9, gh.sum(axis=0))
+            parts[8] = x.T @ gh
+            parts[9] = gh.sum(axis=0)
             del x
             gx = gh @ w0.T
             del gh
             np.sum(gx.reshape(b - a, k, c), axis=1, out=grads[1][a:b])
             scatter(2, gx)
-            gd = gx
-            gd += gv
-            del gv
-            add(6, hp.T @ gd)
-            add(7, gd.sum(axis=0))
+            gd = gx + gv  # not in place: merge scatters gx
+            parts[6] = hp.T @ gd
+            parts[7] = gd.sum(axis=0)
             ghp = gd @ p1.T
             ghp *= hp > 0
-            add(4, rel.T @ ghp)
-            add(5, ghp.sum(axis=0))
-            scatter(0, ghp @ p0.T, center=True)
+            parts[4] = rel.T @ ghp
+            parts[5] = ghp.sum(axis=0)
+            scatter(0, ghp @ p0.T)
             del ghp
-            if u is None:
-                return
-            add(u_at + 2, hs.T @ gd)
-            add(u_at + 3, gd.sum(axis=0))
-            ghs = gd @ s1.T
-            ghs *= hs > 0
-            add(u_at + 1, ghs.sum(axis=0))
-            scatter(u_at, ghs, center=True)
+            if u is not None:
+                parts[u_at + 2] = hs.T @ gd
+                parts[u_at + 3] = gd.sum(axis=0)
+                ghs = gd @ s1.T
+                ghs *= hs > 0
+                parts[u_at + 1] = ghs.sum(axis=0)
+                scatter(u_at, ghs)
+            return nb, parts, rows_of
 
-        for a, b in _tiles(n, k):
-            tile_back(a, b)
+        _each_tile(n, k, tile_back, merge)
         for i, total in scattered.items():
             grads[i] = (total if i == 3 else -total).reshape(n, -1).astype(dtype, copy=False)
             if i in own:

@@ -5,7 +5,9 @@ Model settings come from a flat ``key = value`` config file; command line
 flags override file values, and the fully resolved config is echoed next to
 every output for provenance. ``train --generator/--attention/--lambda``
 trains the generator and seed-attention variants the paper ablates.
-BLAS threads are left to the environment (``OMP_NUM_THREADS`` and the like).
+BLAS threads are left to the environment (``OMP_NUM_THREADS`` and the like);
+with one of those set, ``upsample_attention`` also runs its point tiles on
+the CPUs the BLAS threads leave idle, with the same bits.
 """
 
 from __future__ import annotations

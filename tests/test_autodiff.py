@@ -3,8 +3,13 @@
 import functools
 import itertools
 import math
+import os
+import signal
+import sys
 import threading
+import time
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -518,7 +523,7 @@ def _attention(index, leaves, rate, variant, lam=1.0, capture=None):
                                  seed, variant, lam, capture=capture)
 
 
-# n, k, C and the rates run; "stage3" is benchmark_16k's last stage, 16 tiles
+# n, k, C and the rates run; "stage3" is benchmark_16k's last stage, 64 tiles
 _TILINGS = {"real": (330, 16, 16, (1, 3)), "small": (50, 3, 5, (1, 3)),
             "stage3": (2048, 16, 128, (2,))}
 
@@ -629,6 +634,197 @@ def test_row_tiles_of_the_head_gemms_are_rows_of_the_full_gemms(c, dtype, k, wid
     for rows, weight in pairs:
         tiles = [rows[a * k:b * k] @ weight for a, b in bounds]
         assert _bits(np.concatenate(tiles)) == _bits(rows @ weight)
+
+
+# --- upsample_attention's tiles on several threads ----------------------------
+
+
+def _slow_pool_tiles(monkeypatch):
+    """Make every tile that a pool thread runs finish after the caller's
+    next one, so merging tiles as they finish would change the sums' order."""
+    relu = ad._relu_
+
+    def slow_relu_(out):
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.002)
+        return relu(out)
+
+    monkeypatch.setattr(ad, "_relu_", slow_relu_)
+
+
+def _attention_run(index, arrays, rate, variant, g):
+    """The captured weights, output and every input gradient of one taped
+    upsample_attention call and its backward."""
+    leaves = [leaf(a, a.dtype) for a in arrays]
+    captured = []
+    with ad.Tape() as tape:
+        out = _attention(index, leaves, rate, variant, 1.7, captured)
+        loss = ad.reduce_sum(ad.mul(out, ad.constant(g)))
+    tape.backward(loss)
+    return _bits(*[w.data for w in captured], out.data, *[t.grad for t in leaves])
+
+
+def test_tile_workers_are_the_cpus_blas_threads_leave(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    for name in ad._BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    assert ad._tile_workers() == 1  # BLAS unpinned may use every CPU itself
+    for settings, workers in [
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2),  # 4 CPUs, at most _MAX_TILES_IN_FLIGHT
+        ({"OMP_NUM_THREADS": "2"}, 2),
+        ({"OMP_NUM_THREADS": "3"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "4"}, 1),  # the largest
+        ({"OPENBLAS_NUM_THREADS": "0"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "many"}, 1),
+    ]:
+        for name in ad._BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        for name, value in settings.items():
+            monkeypatch.setenv(name, value)
+        assert ad._tile_workers() == workers, settings
+
+
+def test_one_tile_worker_runs_every_tile_on_the_caller(monkeypatch):
+    monkeypatch.setattr(ad, "_tile_workers", lambda: 1)
+    before = set(threading.enumerate())
+    seen = []
+    ad._each_tile(330, 16, lambda a, b: threading.current_thread(), seen.append)
+    assert len(seen) >= 6 and set(seen) == {threading.current_thread()}
+    assert set(threading.enumerate()) <= before
+
+
+@pytest.mark.parametrize("variant", ad.ATTENTION_VARIANTS)
+@pytest.mark.parametrize("width", ["channel", "point"])
+def test_attention_bits_do_not_depend_on_the_tile_workers(variant, width, monkeypatch):
+    # pool tiles finish after the caller's, and magnitudes over six decades
+    # make the order of the per-tile sums show: the tiles' parts are merged
+    # first tile first at any worker count, so every bit is as at one worker
+    _slow_pool_tiles(monkeypatch)
+    rng = np.random.default_rng(53)
+    rate, n, k, c = 3, 330, 16, 16
+    assert len(list(ad._tiles(n, k))) >= 6
+    index, arrays = _attention_arrays(rng, rate, n, k, c, c if width == "channel" else 1,
+                                      np.float32)
+    scale = (10.0 ** rng.uniform(-3, 3, c)).astype(np.float32)
+    g = (scale * rng.standard_normal((n * rate, c))).astype(np.float32)
+    runs = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(ad, "_tile_workers", lambda: workers)
+        runs[workers] = _attention_run(index, arrays, rate, variant, g)
+    assert runs[2] == runs[1] and runs[3] == runs[1]
+
+
+def test_desk_training_bits_do_not_depend_on_the_tile_workers(monkeypatch):
+    _slow_pool_tiles(monkeypatch)
+    config = ModelConfig.desk()
+    rng = np.random.default_rng(54)
+    samples = [(rng.standard_normal((config.input_points, 3)),
+                rng.standard_normal((config.final_points, 3))) for _ in range(2)]
+    params = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(ad, "_tile_workers", lambda: workers)
+        model = CompletionModel(config)
+        run_training(model, samples, 2, Adam(model))
+        params[workers] = _bits(*[p.data for _, p in model.named_parameters()])
+    assert params[2] == params[1] and params[3] == params[1]
+
+
+def test_a_failing_tile_raises_once_every_tile_in_flight_has_finished(monkeypatch):
+    monkeypatch.setattr(ad, "_tile_workers", lambda: 2)
+    started, finished = [], []
+
+    def run(a, b):
+        started.append(a)
+        time.sleep(0.02)
+        finished.append(a)
+        if threading.current_thread() is not threading.main_thread():
+            raise ValueError(f"tile {a}")
+        return a
+
+    with pytest.raises(ValueError, match="tile 0"):
+        ad._each_tile(330, 16, run)
+    assert len(started) >= 2 and sorted(finished) == sorted(started)
+    # the pool still works, and a plain call gives the one-worker bits
+    rng = np.random.default_rng(55)
+    index, arrays = _attention_arrays(rng, 2, 330, 16, 8, 8, np.float32)
+    g = rng.standard_normal((660, 8)).astype(np.float32)
+    got = _attention_run(index, arrays, 2, "softmax", g)
+    monkeypatch.setattr(ad, "_tile_workers", lambda: 1)
+    assert got == _attention_run(index, arrays, 2, "softmax", g)
+
+
+def test_pool_tiles_run_under_the_callers_errstate(monkeypatch):
+    monkeypatch.setattr(ad, "_tile_workers", lambda: 2)
+    seen = []
+    with np.errstate(over="raise", under="warn"):
+        ad._each_tile(330, 16, lambda a, b: (threading.current_thread().name, np.geterr()),
+                      seen.append)
+    assert any(name.startswith("pointfill-tile") for name, _ in seen)
+    assert all(err["over"] == "raise" and err["under"] == "warn" for _, err in seen)
+    # q - key overflows float32 in every tile, whichever thread runs it
+    n, k, c = 330, 16, 4
+    index = np.random.default_rng(56).integers(0, n, (n, k))
+    _, arrays = _attention_arrays(np.random.default_rng(56), 1, n, k, c, c, np.float32,
+                                  seeded=False)
+    arrays[1] = np.full((n, c), 3e38, np.float32)
+    arrays[2] = np.full((n, c), -3e38, np.float32)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        _attention(index, [ad.Tensor(a) for a in arrays], 1, "softmax")
+
+
+def test_a_child_forked_after_a_threaded_call_completes(monkeypatch):
+    # the child has none of its parent's pool threads and makes its own pool
+    monkeypatch.setattr(ad, "_tile_workers", lambda: 2)
+    model = CompletionModel(ModelConfig.desk())
+    partial = np.random.default_rng(57).standard_normal((model.config.input_points, 3))
+    want = model.complete(partial)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork beside threads
+        pid = os.fork()
+    if pid == 0:
+        try:
+            os._exit(0 if np.array_equal(model.complete(partial), want) else 1)
+        finally:
+            os._exit(2)
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child hung in complete()")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+def test_two_caller_threads_get_the_single_thread_bits(monkeypatch):
+    rng = np.random.default_rng(58)
+    cases = []
+    for rate in (1, 3):
+        index, arrays = _attention_arrays(rng, rate, 330, 16, 8, 8, np.float32, rate > 1)
+        cases.append((index, arrays, rate, rng.standard_normal((330 * rate, 8)).astype(np.float32)))
+    monkeypatch.setattr(ad, "_tile_workers", lambda: 1)
+    want = [_attention_run(index, arrays, rate, "softmax", g) for index, arrays, rate, g in cases]
+    # more tile threads than CPUs, switching threads often
+    monkeypatch.setattr(ad, "_tile_workers", lambda: 3)
+    got = [[] for _ in cases]
+
+    def caller(i):
+        for _ in range(3):
+            index, arrays, rate, g = cases[i]
+            got[i].append(_attention_run(index, arrays, rate, "softmax", g))
+
+    threads = [threading.Thread(target=caller, args=(i,)) for i in range(len(cases))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[w] * 3 for w in want]
 
 
 def test_attention_head_rejects_misfit_shapes_dtypes_and_modes():

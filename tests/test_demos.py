@@ -90,6 +90,7 @@ def test_protocol_tape_reports_the_micro_tape(tmp_path):
     assert lines[0].startswith("config micro: ") and lines[0].endswith(" records")
     assert [line.split()[0] for line in lines[1:4]] == ["live", "backward", "kept"]
     assert any(line.startswith("  upsample_attention ") for line in lines)
+    assert lines[-2].startswith("tile workers ")
     assert lines[-1].startswith("ru_maxrss ") and lines[-1].endswith(" MB")
 
 

@@ -35,8 +35,8 @@ The configurations are desk float32 with each generator at ``batch_clouds``
 log; desk float64; and micro (``init_seed=3``). Then come
 ``benchmark_16k.complete`` of the fresh model, ``benchmark_16k.trained.params``
 and ``benchmark_16k.trained.losses`` after 2 ``run_training`` steps (the
-only lines over the 16k backward, whose stage-3 attention runs 16 tiles
-against 2 at desk scale; they take about 7 s), and one
+only lines over the 16k backward, whose stage-3 attention runs 64 tiles
+against 8 at desk scale; they take about 7 s), and one
 ``gradcheck.<case>`` line per case of ``pointfill gradcheck``, hashing the
 line the command prints.
 
@@ -75,9 +75,12 @@ synthetic shape at seed 21, then one backward pass, and prints: the
 records on the tape; the bytes live when backward starts and the peak
 during it; the bytes the records' adjoint closures keep at backward start,
 each distinct array (by the memory it views) counted once under the first
-record that holds it, in total and per op; and the process's ``ru_maxrss``
-at the end, in MB as perfbench reports it (``ru_maxrss / 1024``, which
-includes tracemalloc's own bookkeeping). A 16k run takes about 3 s on a
+record that holds it, in total and per op; the number of tiles
+``upsample_attention`` runs at once (``autodiff._tile_workers()``: 2 on a
+2-vCPU machine with BLAS pinned to one thread), which the next figure
+depends on and the tracemalloc bytes do not; and the process's
+``ru_maxrss`` at the end, in MB as perfbench reports it (``ru_maxrss /
+1024``, which includes tracemalloc's own bookkeeping). A 16k run takes about 3 s on a
 2-vCPU Xeon.
 
 Only numpy and the ``pointfill`` API that has stood since commit ``d0dbd9f``
@@ -378,6 +381,9 @@ def tape(config_name="desk", out=sys.stdout):
     print(f"kept by closures {sum(per_op.values()) / MIB:.1f} MiB", file=out)
     for op, nbytes in sorted(per_op.items(), key=lambda item: -item[1]):
         print(f"  {op} {nbytes / MIB:.1f} MiB ({counts[op]} records)", file=out)
+    # RSS grows with the tiles upsample_attention runs at once; tracemalloc
+    # bytes do not (trees before the tile pool run one)
+    print(f"tile workers {getattr(ad, '_tile_workers', lambda: 1)()}", file=out)
     print(f"ru_maxrss {rss:.1f} MB", file=out)
 
 
