@@ -43,12 +43,11 @@ leaf of its own tape.
 
 from __future__ import annotations
 
-import collections
 import contextvars
 import math
 import os
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -600,8 +599,9 @@ _TILE_ROWS = 512
 _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # Each tile in flight holds its own blocks: a desk step's backward peaked
-# 1.8 MB above its start at one tile at once, 3.2-3.5 MB at two, 3.6 MB at
-# three, 4.5 MB at four and 8.2 MB at eight, against the 5 MB bound.
+# 1.8 MB above its start at one tile at once, 3.3-3.5 MB at two, 3.8-4.3 MB
+# at three, 4.6-5.4 MB at four and 8.0-9.9 MB at eight, against the 5 MB
+# bound.
 _MAX_TILES_IN_FLIGHT = 2
 
 
@@ -717,42 +717,114 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
+class _TileQueue:
+    """The tiles of one ``_each_tile`` call. The calling thread and the pool
+    threads that help it claim them first come, first served; only the
+    caller merges, in tile order. At most ``window`` tiles are claimed and
+    not yet merged."""
+
+    def __init__(self, tiles, run, window):
+        self.tiles, self.run, self.window = tiles, run, window
+        self.claimed = self.merged = 0
+        self.results = {}  # tile number -> (raised, value) until merged
+        self.stopped = False  # a tile raised, or the caller left
+        self.lock = threading.Condition()
+
+    def _claim(self):
+        # under the lock: the next tile's number, or None if none may start
+        if self.stopped or self.claimed == len(self.tiles) or \
+                self.claimed >= self.merged + self.window:
+            return None
+        self.claimed += 1
+        return self.claimed - 1
+
+    def _run(self, i):
+        try:
+            result = (False, self.run(*self.tiles[i]))
+        except BaseException as exc:  # raised by the caller, in tile order
+            result = (True, exc)
+        with self.lock:
+            self.results[i] = result
+            self.stopped = self.stopped or result[0]
+            self.lock.notify_all()
+
+    def help(self):
+        """A pool thread's part: run tiles until none is left to claim."""
+        while True:
+            with self.lock:
+                while (i := self._claim()) is None:
+                    if self.stopped or self.claimed == len(self.tiles):
+                        return
+                    self.lock.wait()  # the window is full until the caller merges
+            self._run(i)
+
+    def drain(self, merge):
+        """The caller's part: merge the front tile once it is done, else run
+        the next tile, else wait for the front tile to be done."""
+        while self.merged < len(self.tiles):
+            with self.lock:
+                if self.merged in self.results:
+                    i = None
+                elif (i := self._claim()) is None:
+                    self.lock.wait()
+                    continue
+            if i is None:
+                self._merge_front(merge)
+            else:
+                self._run(i)
+
+    def _merge_front(self, merge):
+        # a method of its own, so the merged result dies when it returns
+        with self.lock:
+            raised, value = self.results.pop(self.merged)
+        if raised:
+            raise value
+        merge(value)
+        with self.lock:
+            self.merged += 1
+            self.lock.notify_all()
+
+    def stop(self):
+        with self.lock:
+            self.stopped = True
+            self.lock.notify_all()
+
+
 def _each_tile(n, k, run, merge=None):
     """Call ``run(a, b)`` on each tile of ``_tiles(n, k)`` and pass each
     result to ``merge``, first tile first.
 
-    Up to _tile_workers() tiles run at once. The pool's threads stay busy,
-    with one more tile queued; between its own tiles the calling thread
-    merges the tiles that have finished. Results are merged in tile order
-    whatever order the tiles finish in, so the sums ``merge`` forms have the
-    same bits at any worker count. A pool tile runs in a copy of the
-    caller's context, so the caller's ``np.errstate`` holds there. If a tile
-    raises, the call raises once every tile in flight has finished. At one
-    worker this is a plain loop.
+    Up to _tile_workers() tiles run at once: the calling thread and
+    _tile_workers() - 1 pool threads each claim the next tile whenever they
+    are free, so a pool thread that starts late or runs slowly leaves its
+    share to the caller, and the caller waits only for a tile that is
+    running. Results are merged in tile order whatever order the tiles
+    finish in, so the sums ``merge`` forms have the same bits at any worker
+    count. A pool thread runs in a copy of the caller's context, so the
+    caller's ``np.errstate`` holds there. If a tile raises, the call raises
+    once every tile in flight has finished. At one worker this is a plain
+    loop.
     """
     merge = merge or (lambda part: None)
-    tiles = collections.deque(_tiles(n, k))
+    tiles = list(_tiles(n, k))
     workers = _tile_workers()
     if workers < 2 or len(tiles) < 2:
         for a, b in tiles:
             merge(run(a, b))
         return
+    # one tile of slack: a thread that finishes before the front tile has
+    # can start another
+    queue = _TileQueue(tiles, run, workers + 1)
     pool = _tile_pool(workers - 1)
-    flight = collections.deque()  # futures of the unmerged tiles, in tile order
+    helpers = [pool.submit(contextvars.copy_context().run, queue.help)
+               for _ in range(workers - 1)]
     try:
-        while tiles or flight:
-            while tiles and sum(not f.done() for f in flight) < workers:
-                flight.append(pool.submit(contextvars.copy_context().run, run, *tiles.popleft()))
-            # the finished front; everything at the end; and at most
-            # ``workers`` tiles unmerged, which bounds what results hold
-            while flight and (flight[0].done() or not tiles or len(flight) > workers):
-                merge(flight.popleft().result())
-            if tiles:
-                own = Future()
-                own.set_result(run(*tiles.popleft()))
-                flight.append(own)
+        queue.drain(merge)
     finally:
-        wait(flight)
+        queue.stop()
+        for helper in helpers:
+            helper.cancel()  # one that has not started yet never will
+        wait(helpers)
 
 
 def upsample_attention(cloud, q, keys, values, index, pos, hidden, heads, seed=None,

@@ -729,21 +729,44 @@ def test_desk_training_bits_do_not_depend_on_the_tile_workers(monkeypatch):
     assert params[2] == params[1] and params[3] == params[1]
 
 
+def _caller_waits_for_the_pool(run):
+    """``run``, but the caller's first tile waits until a pool thread has
+    started a tile, so a pool thread runs at least one however slowly the
+    pool wakes."""
+    pool_started = threading.Event()
+
+    def wrapped(a, b):
+        if threading.current_thread() is threading.main_thread():
+            pool_started.wait(10)
+        else:
+            pool_started.set()
+        return run(a, b)
+
+    return wrapped
+
+
 def test_a_failing_tile_raises_once_every_tile_in_flight_has_finished(monkeypatch):
-    monkeypatch.setattr(ad, "_tile_workers", lambda: 2)
-    started, finished = [], []
+    # two pool threads: the second one's tile is still running when the
+    # first one's has failed
+    monkeypatch.setattr(ad, "_tile_workers", lambda: 3)
+    started, finished, failed = [], [], []
 
     def run(a, b):
         started.append(a)
-        time.sleep(0.02)
+        if threading.current_thread() is threading.main_thread():
+            time.sleep(0.02)
+            finished.append(a)
+            return a
+        failed.append(a)
+        # the first pool tile fails soon; the other pool thread's is running then
+        time.sleep(0.02 if len(failed) == 1 else 0.2)
         finished.append(a)
-        if threading.current_thread() is not threading.main_thread():
-            raise ValueError(f"tile {a}")
-        return a
+        raise ValueError(f"tile {a}")
 
-    with pytest.raises(ValueError, match="tile 0"):
-        ad._each_tile(330, 16, run)
-    assert len(started) >= 2 and sorted(finished) == sorted(started)
+    with pytest.raises(ValueError) as raised:
+        ad._each_tile(330, 16, _caller_waits_for_the_pool(run))
+    assert str(raised.value) == f"tile {min(failed)}"  # the first in tile order
+    assert len(failed) >= 2 and sorted(finished) == sorted(started)
     # the pool still works, and a plain call gives the one-worker bits
     rng = np.random.default_rng(55)
     index, arrays = _attention_arrays(rng, 2, 330, 16, 8, 8, np.float32)
@@ -757,8 +780,8 @@ def test_pool_tiles_run_under_the_callers_errstate(monkeypatch):
     monkeypatch.setattr(ad, "_tile_workers", lambda: 2)
     seen = []
     with np.errstate(over="raise", under="warn"):
-        ad._each_tile(330, 16, lambda a, b: (threading.current_thread().name, np.geterr()),
-                      seen.append)
+        ad._each_tile(330, 16, _caller_waits_for_the_pool(
+            lambda a, b: (threading.current_thread().name, np.geterr())), seen.append)
     assert any(name.startswith("pointfill-tile") for name, _ in seen)
     assert all(err["over"] == "raise" and err["under"] == "warn" for _, err in seen)
     # q - key overflows float32 in every tile, whichever thread runs it
@@ -773,7 +796,8 @@ def test_pool_tiles_run_under_the_callers_errstate(monkeypatch):
 
 
 def test_a_child_forked_after_a_threaded_call_completes(monkeypatch):
-    # the child has none of its parent's pool threads and makes its own pool
+    # the child has none of its parent's pool threads and makes its own pool,
+    # whose threads run tiles there
     monkeypatch.setattr(ad, "_tile_workers", lambda: 2)
     model = CompletionModel(ModelConfig.desk())
     partial = np.random.default_rng(57).standard_normal((model.config.input_points, 3))
@@ -783,7 +807,11 @@ def test_a_child_forked_after_a_threaded_call_completes(monkeypatch):
         pid = os.fork()
     if pid == 0:
         try:
-            os._exit(0 if np.array_equal(model.complete(partial), want) else 1)
+            seen = []
+            ad._each_tile(330, 16, _caller_waits_for_the_pool(
+                lambda a, b: threading.current_thread().name), seen.append)
+            pooled = any(name.startswith("pointfill-tile") for name in seen)
+            os._exit(0 if pooled and np.array_equal(model.complete(partial), want) else 1)
         finally:
             os._exit(2)
     deadline = time.monotonic() + 60
