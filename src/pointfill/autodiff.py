@@ -46,7 +46,9 @@ from __future__ import annotations
 import contextvars
 import math
 import os
+import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
@@ -601,7 +603,8 @@ _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_TH
 # Each tile in flight holds its own blocks: a desk step's backward peaked
 # 1.8 MB above its start at one tile at once, 3.3-3.5 MB at two, 3.8-4.3 MB
 # at three, 4.6-5.4 MB at four and 8.0-9.9 MB at eight, against the 5 MB
-# bound.
+# bound. While the caller runs a copy of a stalled pool tile (_TileQueue),
+# one more tile is in flight.
 _MAX_TILES_IN_FLIGHT = 2
 
 
@@ -721,7 +724,17 @@ class _TileQueue:
     """The tiles of one ``_each_tile`` call. The calling thread and the pool
     threads that help it claim them first come, first served; only the
     caller merges, in tile order. At most ``window`` tiles are claimed and
-    not yet merged."""
+    not yet merged.
+
+    When the caller can claim no tile and the front one, running on a pool
+    thread, has not ended after as long as the caller's last tile took, the
+    caller runs that tile too and the first copy to end is kept: a pool
+    thread that stops, its CPU taken by the host or a busier process, holds
+    the call up for about one tile, not for as long as it is stopped. A run
+    gives the same result on any thread, so either copy will do. The wait
+    is at least a switch interval, the longest a thread that has finished
+    its tile may wait for the GIL to hand the result over.
+    """
 
     def __init__(self, tiles, run, window):
         self.tiles, self.run, self.window = tiles, run, window
@@ -729,6 +742,7 @@ class _TileQueue:
         self.results = {}  # tile number -> (raised, value) until merged
         self.stopped = False  # a tile raised, or the caller left
         self.lock = threading.Condition()
+        self.patience = sys.getswitchinterval()  # how long the caller waits for a tile
 
     def _claim(self):
         # under the lock: the next tile's number, or None if none may start
@@ -744,9 +758,10 @@ class _TileQueue:
         except BaseException as exc:  # raised by the caller, in tile order
             result = (True, exc)
         with self.lock:
-            self.results[i] = result
-            self.stopped = self.stopped or result[0]
-            self.lock.notify_all()
+            if i >= self.merged and i not in self.results:  # the first copy to end
+                self.results[i] = result
+                self.stopped = self.stopped or result[0]
+                self.lock.notify_all()
 
     def help(self):
         """A pool thread's part: run tiles until none is left to claim."""
@@ -760,27 +775,36 @@ class _TileQueue:
 
     def drain(self, merge):
         """The caller's part: merge the front tile once it is done, else run
-        the next tile, else wait for the front tile to be done."""
-        while self.merged < len(self.tiles):
+        the next tile, else wait for the front tile to be done and, if it
+        is not done in time, run it too."""
+        while (front := self.merged) < len(self.tiles):
             with self.lock:
-                if self.merged in self.results:
+                if front in self.results:
                     i = None
                 elif (i := self._claim()) is None:
-                    self.lock.wait()
-                    continue
+                    if self.stopped:  # a tile raised: no copies, wait for the front
+                        self.lock.wait()
+                        continue
+                    if self.lock.wait_for(lambda: front in self.results, self.patience):
+                        continue
+                    i = front
             if i is None:
                 self._merge_front(merge)
             else:
+                start = time.perf_counter()
                 self._run(i)
+                self.patience = max(time.perf_counter() - start, sys.getswitchinterval())
 
     def _merge_front(self, merge):
-        # a method of its own, so the merged result dies when it returns
+        # a method of its own, so the merged result dies when it returns; it
+        # stays in results until merged, so a late copy finds it there
         with self.lock:
-            raised, value = self.results.pop(self.merged)
+            raised, value = self.results[self.merged]
         if raised:
             raise value
         merge(value)
         with self.lock:
+            del self.results[self.merged]
             self.merged += 1
             self.lock.notify_all()
 
@@ -798,12 +822,15 @@ def _each_tile(n, k, run, merge=None):
     _tile_workers() - 1 pool threads each claim the next tile whenever they
     are free, so a pool thread that starts late or runs slowly leaves its
     share to the caller, and the caller waits only for a tile that is
-    running. Results are merged in tile order whatever order the tiles
-    finish in, so the sums ``merge`` forms have the same bits at any worker
-    count. A pool thread runs in a copy of the caller's context, so the
-    caller's ``np.errstate`` holds there. If a tile raises, the call raises
-    once every tile in flight has finished. At one worker this is a plain
-    loop.
+    running, and for a stalled one about as long as a tile takes before it
+    runs a copy (``_TileQueue``). So ``run`` must write nothing that it
+    does not return, and give the same result on any thread; ``merge``
+    runs on the calling thread. Results are merged in tile order whatever
+    order the tiles finish in, so the sums ``merge`` forms have the same
+    bits at any worker count. A pool thread runs in a copy of the caller's
+    context, so the caller's ``np.errstate`` holds there. If a tile raises,
+    the call raises once every tile in flight has finished. At one worker
+    this is a plain loop.
     """
     merge = merge or (lambda part: None)
     tiles = list(_tiles(n, k))
@@ -820,11 +847,19 @@ def _each_tile(n, k, run, merge=None):
                for _ in range(workers - 1)]
     try:
         queue.drain(merge)
-    finally:
-        queue.stop()
-        for helper in helpers:
-            helper.cancel()  # one that has not started yet never will
-        wait(helpers)
+    except BaseException:
+        _stop(queue, helpers)
+        wait(helpers)  # a call that raises returns once none of its tiles runs
+        raise
+    # every tile is merged, so a pool thread that still runs one runs a
+    # copy, which writes only what it returns and whose result is dropped
+    _stop(queue, helpers)
+
+
+def _stop(queue, helpers):
+    queue.stop()
+    for helper in helpers:
+        helper.cancel()  # one that has not started yet never will
 
 
 def upsample_attention(cloud, q, keys, values, index, pos, hidden, heads, seed=None,
@@ -871,14 +906,16 @@ def upsample_attention(cloud, q, keys, values, index, pos, hidden, heads, seed=N
     delta's is ``gx + gv``. A weight or bias gradient is the sum of its
     per-tile GEMMs or column sums, first tile first. So is each scatter of
     row gradients into the key, value, u and cloud rows: a float64
-    ``np.bincount`` per tile, over one flat index per tile and row width.
-    A scattered sum is then cast to the dtype, negated for keys, u and the
-    cloud, and u and the cloud add the sums over each point's own rows.
+    ``np.bincount`` per tile over the tile's distinct neighbours, one flat
+    index per tile and row width, added to those rows only, so a tile's
+    merge costs its rows, not n. A scattered sum is then cast to the dtype,
+    negated for keys, u and the cloud, and u and the cloud add the sums
+    over each point's own rows.
 
     Forward and adjoint tiles may run on several threads (``_each_tile``):
-    each tile writes only its own rows, and its sums are merged in tile
-    order, so every output and gradient has the same bits at any thread
-    count.
+    each tile returns its rows and sums, and the calling thread puts the
+    rows in place and merges the sums in tile order, so every output and
+    gradient has the same bits at any thread count.
     """
     check_attention(variant, lam)
     op = "upsample_attention"
@@ -953,15 +990,28 @@ def upsample_attention(cloud, q, keys, values, index, pos, hidden, heads, seed=N
     weights = [None if capture is None else np.empty((n, k, w1.shape[1]), dtype)
                for w1 in heads]
 
-    def tile_forward(a, b):  # writes rows a..b of out, stats and weights
+    def tile_forward(a, b):
+        # rows a..b of out and, per head, of stats and weights, for place()
         v, h = tile_rows(a, b)[-2:]
+        rows, per_head = np.empty((b - a, rate, c), dtype), []
         for m, w1 in enumerate(heads):
-            kept = None if weights[m] is None else weights[m][a:b].reshape(len(h), -1)
-            r = np.matmul(h, w1, out=kept).reshape(b - a, k, -1)
-            s = _normalize_(r, variant, lam, [t[a:b] for t in stats[m]])
-            out[a:b, m] = _weighted_sum(s, v)
+            r = (h @ w1).reshape(b - a, k, -1)
+            head_stats = [np.empty((b - a, 1, w1.shape[1]), dtype) for _ in stats[m]]
+            s = _normalize_(r, variant, lam, head_stats)
+            rows[:, m] = _weighted_sum(s, v)
+            per_head.append((head_stats, None if weights[m] is None else s))
+        return a, b, rows, per_head
 
-    _each_tile(n, k, tile_forward)
+    def place(tile):
+        a, b, rows, per_head = tile
+        out[a:b] = rows
+        for m, (head_stats, s) in enumerate(per_head):
+            for whole, part in zip(stats[m], head_stats):
+                whole[a:b] = part
+            if s is not None:
+                weights[m][a:b] = s
+
+    _each_tile(n, k, tile_forward, place)
     if capture is not None:
         capture.extend(Tensor(w) for w in weights)
 
@@ -986,20 +1036,26 @@ def upsample_attention(cloud, q, keys, values, index, pos, hidden, heads, seed=N
 
         def merge(tile):
             # row nb[r] of a scattered input i gets row r of its rows: one
-            # float64 bincount per input over one flat index per row width.
-            # Run here, not in the tile, as a pool thread's malloc arena
-            # would keep the (n, width) partials' pages
-            nb, parts, rows_of = tile
+            # float64 bincount per input over the tile's distinct neighbours
+            # (nb[r] is touched[inverse[r]]), added to their rows of the
+            # (n, width) sum. A bincount over all n rows would add 0.0 to
+            # the others, and x + 0.0 is x for any sum a bincount forms (it
+            # is never -0.0), so the bits are the same and the cost is the
+            # tile's, not n's
+            a, b, q_rows, own_rows, touched, inverse, parts, rows_of = tile
+            grads[1][a:b] = q_rows
+            for i, rows in own_rows.items():
+                own[i][a:b] = rows
             flat = {}
             for i, rows in rows_of.items():
                 width = rows.shape[1]
                 if width not in flat:
-                    flat[width] = (nb[:, None] * width + np.arange(width)).ravel()
-                part = np.bincount(flat[width], weights=rows.ravel(), minlength=n * width)
-                if i in scattered:
-                    scattered[i] += part
-                else:
-                    scattered[i] = part
+                    flat[width] = (inverse[:, None] * width + np.arange(width)).ravel()
+                part = np.bincount(flat[width], weights=rows.ravel(),
+                                   minlength=len(touched) * width)
+                if i not in scattered:
+                    scattered[i] = np.zeros((n, width))
+                scattered[i][touched] += part.reshape(-1, width)
             for i, part in parts.items():
                 add(i, part)
 
@@ -1023,16 +1079,17 @@ def upsample_attention(cloud, q, keys, values, index, pos, hidden, heads, seed=N
             return gr @ heads[m].T
 
         def tile_back(a, b):
-            # the tile's neighbour indices, its weight and bias gradients and
-            # the row gradients merge scatters, by input position; a sum over
-            # the tile's own rows goes straight to rows a..b
+            # for merge: rows a..b of q's gradient and of the sums over each
+            # point's own rows, the tile's distinct neighbour indices and
+            # each row's place among them, its weight and bias gradients and
+            # the row gradients merge scatters, by input position
             nb, rel, hp, hs, x, v, h = tile_rows(a, b)
-            parts, rows_of = {}, {}
+            parts, rows_of, own_rows = {}, {}, {}
 
             def scatter(i, rows):  # the cloud and u: point a + r // k gets row r too
                 rows_of[i] = rows
                 if i in own:
-                    np.sum(rows.reshape(b - a, k, -1), axis=1, out=own[i][a:b])
+                    own_rows[i] = rows.reshape(b - a, k, -1).sum(axis=1)
 
             gv = np.empty_like(v)
             gh = head_back(rate - 1, a, b, h, v, gv, parts)
@@ -1048,7 +1105,7 @@ def upsample_attention(cloud, q, keys, values, index, pos, hidden, heads, seed=N
             del x
             gx = gh @ w0.T
             del gh
-            np.sum(gx.reshape(b - a, k, c), axis=1, out=grads[1][a:b])
+            q_rows = gx.reshape(b - a, k, c).sum(axis=1)
             scatter(2, gx)
             gd = gx + gv  # not in place: merge scatters gx
             parts[6] = hp.T @ gd
@@ -1066,11 +1123,12 @@ def upsample_attention(cloud, q, keys, values, index, pos, hidden, heads, seed=N
                 ghs *= hs > 0
                 parts[u_at + 1] = ghs.sum(axis=0)
                 scatter(u_at, ghs)
-            return nb, parts, rows_of
+            return (a, b, q_rows, own_rows, *np.unique(nb, return_inverse=True), parts,
+                    rows_of)
 
         _each_tile(n, k, tile_back, merge)
         for i, total in scattered.items():
-            grads[i] = (total if i == 3 else -total).reshape(n, -1).astype(dtype, copy=False)
+            grads[i] = (total if i == 3 else -total).astype(dtype, copy=False)
             if i in own:
                 grads[i] += own[i]
         stats = None  # the tape is single-use: drop what it kept

@@ -824,6 +824,29 @@ def test_a_child_forked_after_a_threaded_call_completes(monkeypatch):
     assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
+def test_a_stalled_pool_tile_holds_the_call_up_for_about_one_tile(monkeypatch):
+    # a pool thread stops in its first tile, as when the host takes its CPU
+    # away: the caller runs a copy of that tile, merges every tile in order
+    # and returns without waiting for the stopped copy
+    monkeypatch.setattr(ad, "_tile_workers", lambda: 2)
+    release, stalled, seen = threading.Event(), [], []
+
+    def run(a, b):
+        if threading.current_thread() is not threading.main_thread() and not stalled:
+            stalled.append(a)
+            release.wait(10)
+        return a
+
+    start = time.monotonic()
+    try:
+        ad._each_tile(330, 16, _caller_waits_for_the_pool(run), seen.append)
+        elapsed = time.monotonic() - start
+    finally:
+        release.set()
+    assert stalled and elapsed < 5
+    assert seen == [a for a, _ in ad._tiles(330, 16)]
+
+
 def test_two_caller_threads_get_the_single_thread_bits(monkeypatch):
     rng = np.random.default_rng(58)
     cases = []
