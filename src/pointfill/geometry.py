@@ -120,20 +120,21 @@ def _decide(compute):
     return compute() if freezer is None else freezer.take(compute)
 
 
-def _sq_dist(a, b):
-    """Squared Euclidean distances between broadcast (..., 3) arrays.
+def _sq_dist(a, b, diff=None, out=None):
+    """Squared Euclidean distances between broadcast coordinate-first
+    (3, ...) arrays, written into ``out`` with ``diff`` as the (3, ...)
+    scratch when given.
 
-    Summed in the fixed order ``(dx*dx + dy*dy) + dz*dz``, in place over one
-    broadcast array, so the rounding does not depend on how numpy vectorizes
-    a reduction on the machine at hand.
+    Summed in the fixed order ``(dx*dx + dy*dy) + dz*dz``, one elementwise
+    pass at a time, so the rounding does not depend on how numpy vectorizes
+    a reduction on the machine at hand. Each coordinate plane is contiguous
+    when the inputs' are.
     """
-    d2 = a[..., 0] - b[..., 0]
-    d2 *= d2
-    for axis in (1, 2):
-        d = a[..., axis] - b[..., axis]
-        d *= d
-        d2 += d
-    return d2
+    d = np.subtract(a, b, out=diff)
+    d *= d
+    out = np.add(d[0], d[1], out=out)
+    out += d[2]
+    return out
 
 
 def canonical_start_index(points):
@@ -164,14 +165,16 @@ def farthest_point_sample(points, k, start=0):
 
 
 def _fps_compute(pts, k, start):
+    cols = np.ascontiguousarray(pts.T)  # (3, n): each plane contiguous
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = start
-    min_d2 = _sq_dist(pts, pts[start])
+    min_d2 = _sq_dist(cols, cols[:, start, None])
     min_d2[start] = -np.inf
+    diff, d2 = np.empty_like(cols), np.empty_like(min_d2)
     for i in range(1, k):
         nxt = int(np.argmax(min_d2))  # argmax takes the first max: lowest index
         chosen[i] = nxt
-        np.minimum(min_d2, _sq_dist(pts, pts[nxt]), out=min_d2)
+        np.minimum(min_d2, _sq_dist(cols, cols[:, nxt, None], diff, d2), out=min_d2)
         min_d2[nxt] = -np.inf
     return chosen
 
@@ -185,7 +188,9 @@ _GRID_CELL_POINTS = 8  # reference points per occupied cell, on a surface
 _GRID_BLOCK_POINTS = 128  # queries per block, on a surface
 _GRID_BOUND_POINTS = 4_096  # reference points, at least, behind the block bounds
 _GRID_MARGIN = 1e-4  # relative slack that covers the rounding of distances
-_KNN_CHUNK_PAIRS = 2**16  # pairs per distance block: 512 KB of float64, in cache
+# pairs per distance block: its (3, rows, m) differences and (rows, m) sums
+# are 2 MB of float64, in cache; 2**15 and 2**17 measured the same
+_KNN_CHUNK_PAIRS = 2**16
 
 
 def knn(queries, reference, k):
@@ -263,33 +268,35 @@ def _knn_grid(q, r, k):
 
     r_order, r_starts = _group(_grid_cells(r64, _GRID_CELL_POINTS))
     r_counts = np.diff(np.r_[r_starts, m])
-    r_sorted = r64[r_order]
-    cell_lo = np.minimum.reduceat(r_sorted, r_starts, axis=0)
-    cell_hi = np.maximum.reduceat(r_sorted, r_starts, axis=0)
+    r_sorted = r64.T[:, r_order]  # (3, m) coordinate columns, like every box below
+    cell_lo = np.minimum.reduceat(r_sorted, r_starts, axis=1)
+    cell_hi = np.maximum.reduceat(r_sorted, r_starts, axis=1)
 
     q_order, q_starts = _group(_grid_cells(q64, _GRID_BLOCK_POINTS))
     q_counts = np.diff(np.r_[q_starts, n])
-    q_sorted = q64[q_order]
-    block_lo = np.minimum.reduceat(q_sorted, q_starts, axis=0)
-    block_hi = np.maximum.reduceat(q_sorted, q_starts, axis=0)
-    centers = np.add.reduceat(q_sorted, q_starts, axis=0) / q_counts[:, None]
-    subset = r_order[::max(1, m // max(_GRID_BOUND_POINTS, k))]
-    near = subset[_knn_compute(centers, r64[subset], k).indices]
+    q_sorted = q64.T[:, q_order]
+    block_lo = np.minimum.reduceat(q_sorted, q_starts, axis=1)
+    block_hi = np.maximum.reduceat(q_sorted, q_starts, axis=1)
+    centers = np.add.reduceat(q_sorted, q_starts, axis=1) / q_counts
+    stride = max(1, m // max(_GRID_BOUND_POINTS, k))
+    near = r_order[::stride][_knn_compute(centers.T, r_sorted[:, ::stride].T, k).indices]
 
     indices = np.empty((n, k), dtype=np.int64)
     distances = np.empty((n, k), dtype=q.dtype)
     for b, (lo, count) in enumerate(zip(q_starts, q_counts)):
-        reach = np.sqrt(_sq_dist(q_sorted[lo:lo + count, None, :], r64[near[b]]).max())
+        block = q_sorted[:, lo:lo + count, None]
+        reach = np.sqrt(_sq_dist(block, r64[near[b]].T[:, None]).max())
         reach = (1.0 + _GRID_MARGIN) * reach + _GRID_MARGIN * scale
         # per axis, at most one of the two one-sided box gaps is nonzero
-        above = np.maximum(cell_lo - block_hi[b], 0.0)
-        below = np.maximum(block_lo[b] - cell_hi, 0.0)
+        above = np.maximum(cell_lo - block_hi[:, b, None], 0.0)
+        below = np.maximum(block_lo[:, b, None] - cell_hi, 0.0)
         keep = np.flatnonzero(_sq_dist(above, below) <= reach * reach)
         counts = r_counts[keep]
         within = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
         cand = np.sort(r_order[np.repeat(r_starts[keep], counts) + within])
         members = q_order[lo:lo + count]
-        sub = _knn_compute(q[members], r[cand], k)
+        # gathered as (3, c) columns: _knn_compute reads their transpose uncopied
+        sub = _knn_compute(q[members], r.T[:, cand].T, k)
         indices[members] = cand[sub.indices]
         distances[members] = sub.distances
     return NeighborIndex(indices=indices, distances=distances)
@@ -298,12 +305,14 @@ def _knn_grid(q, r, k):
 def _knn_compute(q, r, k):
     n = q.shape[0]
     m = r.shape[0]
+    q_cols = q.T[:, :, None]
+    r_cols = np.ascontiguousarray(r.T)[:, None, :]  # one copy unless r is a transpose
     indices = np.empty((n, k), dtype=np.int64)
     distances = np.empty((n, k), dtype=q.dtype)
     chunk = max(1, _KNN_CHUNK_PAIRS // m)
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
-        d2 = _sq_dist(q[lo:hi, None, :], r)
+        d2 = _sq_dist(q_cols[:, lo:hi], r_cols)
         order = _smallest_k(d2, k)
         indices[lo:hi] = order
         distances[lo:hi] = np.sqrt(np.take_along_axis(d2, order, axis=1))
@@ -313,20 +322,30 @@ def _knn_compute(q, r, k):
 def _smallest_k(d2, k):
     """Per-row indices of the k smallest values, ordered by (value, index).
 
-    Selection goes through argpartition for speed, then repairs the
-    partition boundary so exact distance ties resolve to the lowest index,
-    matching a stable full sort.
+    The k-th smallest value ``v`` comes from a partition. A row with exactly
+    k values ``<= v`` takes them in index order. Only a row with more, a tie
+    at ``v``, ranks its values (those below ``v`` first, then the ties by
+    index, then the rest) and takes its k lowest ranks with a second
+    partition, so the lowest indices win the tie, as in a stable full sort.
     """
-    rows = d2.shape[0]
+    rows, m = d2.shape
     if k == 1:
         return d2.argmin(axis=1)[:, None]  # argmin takes the first minimum
-    part = np.argpartition(d2, k - 1, axis=1)[:, :k]
-    vstar = np.take_along_axis(d2, part, axis=1).max(axis=1, keepdims=True)
-    below = d2 < vstar
-    quota = k - below.sum(axis=1, keepdims=True)
-    at_boundary = d2 == vstar
-    fill = at_boundary & (np.cumsum(at_boundary, axis=1) <= quota)
-    winners = np.nonzero(below | fill)[1].reshape(rows, k)  # index-ascending
+    vstar = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+    within = d2 <= vstar
+    exact = np.count_nonzero(within, axis=1) == k
+    winners = np.empty((rows, k), dtype=np.int64)
+    # flat positions are index-ascending within each row; a 2-d nonzero is slower
+    winners[exact] = (np.flatnonzero(within[exact]) % m).reshape(-1, k)
+    tied = np.flatnonzero(~exact)
+    if tied.size:
+        # fewer than k values lie below v, so the k lowest ranks are all of
+        # them and then the lowest-index ties; the rank type holds -1 and m
+        sub, v = d2[tied], vstar[tied]
+        rank = np.where(sub == v, np.arange(m, dtype=np.min_scalar_type(-m - 1)), m)
+        rank[sub < v] = -1
+        kth = np.partition(rank, k - 1, axis=1)[:, k - 1:k]
+        winners[tied] = (np.flatnonzero(rank <= kth) % m).reshape(-1, k)
     by_value = np.argsort(
         np.take_along_axis(d2, winners, axis=1), axis=1, kind="stable"
     )

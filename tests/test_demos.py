@@ -13,6 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pointfill import autodiff as ad
+from pointfill.pipeline import ModelConfig
+
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("0[1-5]_*.py"))
 
@@ -47,8 +50,8 @@ def test_protocol_digest_is_equal_across_processes(tmp_path):
 
 
 def test_protocol_save_is_equal_across_processes(tmp_path):
-    # float64 micro outputs and gradients, saved twice and compared: every
-    # array's largest relative difference is 0
+    # float64 micro and desk outputs and gradients, saved twice and compared:
+    # every array's largest relative difference is 0
     tool = ROOT / "tools" / "protocol.py"
     for name in ("a.npz", "b.npz"):
         result = _run_with_src(tool, tmp_path, "save", name)
@@ -57,8 +60,12 @@ def test_protocol_save_is_equal_across_processes(tmp_path):
     assert result.returncode == 0, result.stdout + result.stderr
     rows = [line.split() for line in result.stdout.splitlines()]
     names = {name for name, _ in rows}
-    assert {"complete", "losses"} <= names and len(names) == len(rows) > 10
-    assert all(name.startswith("grad.") for name in names - {"complete", "losses"})
+    assert len(names) == len(rows) > 20
+    desk = {name for name in names if name.startswith("desk64.")}
+    for prefix, group in (("", names - desk), ("desk64.", desk)):
+        assert {f"{prefix}complete", f"{prefix}losses"} <= group and len(group) > 10
+        assert all(name.startswith(f"{prefix}grad.")
+                   for name in group - {f"{prefix}complete", f"{prefix}losses"})
     assert all(float(diff) == 0.0 for _, diff in rows)
 
 
@@ -68,7 +75,14 @@ def test_protocol_save_sees_the_whole_model(tmp_path):
     assert result.returncode == 0, result.stderr
     with np.load(tmp_path / "a.npz") as saved:
         grads = [saved[name] for name in saved.files if name.startswith("grad.")]
+        desk = [saved[name] for name in saved.files if name.startswith("desk64.grad.")]
+        desk_points = saved["desk64.complete"].shape[0]
     assert len(grads) > 140 and sum(bool(np.any(g)) for g in grads) >= 140
+    assert len(desk) > 140 and all(np.any(g) for g in desk)
+    # the desk model's attention calls span several tiles, so these arrays
+    # see the order in which tile sums are added
+    stage_points = desk_points // ModelConfig.desk().rates[-1]
+    assert len(list(ad._tiles(stage_points, ModelConfig.desk().attention_k))) > 1
 
 
 def test_protocol_compare_exits_1_above_the_protocol_bound(tmp_path):

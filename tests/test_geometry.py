@@ -132,6 +132,46 @@ def test_integer_clouds_match_their_float64_copies(monkeypatch, path):
     )
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_smallest_k_matches_a_stable_sort_for_every_k(dtype):
+    # one block of rows: for each k, some tie across the k-th value and some
+    # do not, so the exact-count rows and the tie repair meet in one call
+    rng = np.random.default_rng(28)
+    m = 12
+    d2 = np.stack([
+        rng.permutation(m),  # distinct: never a tie
+        rng.integers(0, 4, m),  # ties at every k
+        rng.integers(0, 12, m),
+        np.full(m, 3),  # all equal
+        np.full(m, np.inf),  # squared distances that overflowed
+        np.r_[rng.integers(0, 3, m - 4), np.full(4, np.inf)],
+        np.arange(m)[::-1],
+    ]).astype(dtype)
+    want = np.argsort(d2, axis=1, kind="stable")
+    for k in range(1, m + 1):
+        np.testing.assert_array_equal(geometry._smallest_k(d2, k), want[:, :k])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layout", ["strided", "fortran"])
+@pytest.mark.parametrize("path", ["brute", "grid"])
+def test_knn_and_fps_do_not_depend_on_the_memory_layout(monkeypatch, path, layout, dtype):
+    if path == "grid":
+        monkeypatch.setattr(geometry, "GRID_KNN_MIN_PAIRS", 1)
+    rng = np.random.default_rng(29)
+    q, r = random_cloud(rng, 120).astype(dtype)[::2], random_cloud(rng, 180).astype(dtype)[::2]
+    if layout == "fortran":
+        q, r = np.asfortranarray(q), np.asfortranarray(r)
+    assert not (q.flags.c_contiguous or r.flags.c_contiguous)
+    qc, rc = np.ascontiguousarray(q), np.ascontiguousarray(r)
+    for k in (1, 4):
+        assert_same_table(geometry.knn(q, r, k), geometry.knn(qc, rc, k))
+    np.testing.assert_array_equal(
+        geometry.farthest_point_sample(r, 40, start=3),
+        geometry.farthest_point_sample(rc, 40, start=3),
+    )
+
+
 # --- seed feature interpolation -----------------------------------------------
 
 
