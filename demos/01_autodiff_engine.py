@@ -5,6 +5,7 @@ Run: python3 demos/01_autodiff_engine.py
 
 import numpy as np
 
+from pointfill import attention
 from pointfill import autodiff as ad
 from pointfill import gradcheck
 
@@ -21,7 +22,7 @@ tape.backward(loss)
 print("d(sum x^2)/dx =", x.grad, "(expected 2x)")
 
 # A less trivial composite: an upsample transformer's attention with one
-# head, as one record. Each of 4 points has 6 neighbors (rows of the index
+# head, as one record (pointfill.attention). Each of 4 points has 6 neighbors (rows of the index
 # table); a (point, neighbor) row is q_i - key_j plus a term of the pair's
 # relative position. A hidden layer turns each row into hidden features and
 # the head maps them to logits, a softmax over the 6 neighbors of each point
@@ -39,8 +40,8 @@ w0, b0 = ad.Tensor(rng.standard_normal((c, c))), ad.Tensor(np.zeros(c))
 head_w = ad.Tensor(rng.standard_normal((c, c)))
 weights = []
 with ad.Tape() as tape:
-    head = ad.upsample_attention(cloud, q, keys, values, index, pos, (w0, b0), [head_w],
-                                 capture=weights)
+    head = attention.upsample_attention(cloud, q, keys, values, index, pos, (w0, b0),
+                                        [head_w], capture=weights)
     score = ad.reduce_sum(ad.mul(head, ad.constant(rng.standard_normal((n, c)))))
 tape.backward(score)
 print("softmax weights sum over the neighbors to", weights[0].data.sum(axis=1)[0].round(12))

@@ -13,14 +13,17 @@ Design rules kept deliberately strict so the adjoint code stays auditable:
 * elementwise ops take two Tensors of one shape and dtype, nothing else;
   only ``mul`` also takes a real scalar, not a bool, on the right;
 * only the linear ops (their bias, over rows), ``neighbor_sum`` (its
-  weights, over channels) and ``upsample_attention`` (its biases, over
-  rows; width-1 weights, over channels) broadcast, and each owns that
-  adjoint;
+  weights, over channels) and :func:`pointfill.attention.upsample_attention`
+  (its biases, over rows; width-1 weights, over channels) broadcast, and
+  each owns that adjoint;
 * an adjoint returns a gradient for every input it was given and reads no
   ``requires_grad`` flag; ``Tape.backward`` drops the gradients of inputs
   that need none. Only recording checks the flag: a primitive is recorded
   when some input needs a gradient;
 * without an active tape the primitives just compute values (inference mode).
+
+The attention op lives in :mod:`pointfill.attention` and its tile runner in
+:mod:`pointfill.tiles`; both keep these rules.
 
 A record keeps gradient nodes, not values. Its output, and each input that
 an earlier record on the same tape produced, is a small node holding a grad
@@ -45,11 +48,6 @@ from __future__ import annotations
 
 import contextvars
 import math
-import os
-import sys
-import threading
-import time
-from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -238,15 +236,21 @@ def _ref(t, key):
     return t if t.requires_grad else None
 
 
+def _recording(inputs):
+    """The active tape when some of ``inputs`` needs a gradient, else None:
+    the one test of whether a primitive is recorded. A primitive that only
+    keeps something for its record (an index, statistics) asks it too."""
+    return _ACTIVE_TAPE.get() if any(t.requires_grad for t in inputs) else None
+
+
 def _emit(out_data, inputs, backfn):
     """Finalize a primitive: build the output tensor and record the adjoint.
 
     The record keeps a node for the output and for each intermediate input,
     so it holds no value; ``backfn`` holds the arrays its adjoint reads.
     """
-    needs = any(t.requires_grad for t in inputs)
-    out = Tensor(out_data, requires_grad=needs)
-    if needs and (tape := _ACTIVE_TAPE.get()) is not None:
+    out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
+    if (tape := _recording(inputs)) is not None:
         key = tape.key
         out.node = _Node(out.data.shape, out.data.dtype, key)
         tape.records.append(_Record(out.node, tuple(_ref(t, key) for t in inputs), backfn))
@@ -411,8 +415,7 @@ def max_over_axis(x, axis):
     """Max reduction over one axis; ties route the gradient to the first max."""
     axis = _check_axis(x, axis)
     out = x.data.max(axis=axis)
-    # the winners only serve a record, which _emit keeps under the same test
-    if x.requires_grad and _ACTIVE_TAPE.get() is not None:
+    if _recording([x]) is not None:  # the winners only serve a record
         winner = x.data.argmax(axis=axis)
     shape, dtype = x.shape, x.dtype
 
@@ -579,561 +582,3 @@ def repeat_rows(x, r):
         return (g.reshape(n, r, *rest).sum(axis=1),)
 
     return _emit(np.repeat(x.data, r, axis=0), [x], back)
-
-
-# ---------------------------------------------------------------------------
-# Neighbor attention
-
-#: How an attention head normalizes its logits over the k neighbors of each point.
-ATTENTION_VARIANTS = ("softmax", "none", "scaled", "log")
-
-# (Point, neighbor) rows per upsample_attention tile. A tile builds its pair
-# rows from the per-point arrays: relative coordinates, position and seed
-# hidden rows, x, value rows, hidden rows and each head's logits, and in
-# the adjoint their gradients and a flat scatter index. A (512, 128)
-# float32 block is 0.25 MB, so a block is still in a per-core L2 when the
-# next step reads it; full (n*k, C) blocks at 16k points are 16.8 MB. Up to
-# _tile_workers() tiles run at once, and two 512-row tiles hold what one
-# 1024-row tile did: with two 1024-row tiles at once a desk step's backward
-# peaked 5.8-6.6 MB above the tape it started from, over the 5 MB that
-# test_train_step_backward_frees_memory_as_it_goes allows.
-_TILE_ROWS = 512
-
-# the variables that set numpy's BLAS threads, whichever BLAS it was built on
-_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-# Each tile in flight holds its own blocks: a desk step's backward peaked
-# 1.8 MB above its start at one tile at once, 3.3-3.5 MB at two, 3.8-4.3 MB
-# at three, 4.6-5.4 MB at four and 8.0-9.9 MB at eight, against the 5 MB
-# bound. While the caller runs a copy of a stalled pool tile (_TileQueue),
-# one more tile is in flight.
-_MAX_TILES_IN_FLIGHT = 2
-
-
-def check_attention(variant, lam):
-    """Raise ContractError unless ``variant`` is one of ATTENTION_VARIANTS and,
-    for ``scaled``, ``lam`` is finite and > 0."""
-    if variant not in ATTENTION_VARIANTS:
-        raise ContractError(
-            f"attention variant must be one of {ATTENTION_VARIANTS}, got {variant!r}"
-        )
-    if variant == "scaled" and not (math.isfinite(lam) and lam > 0):
-        raise ContractError(f"scaled attention needs a finite lam > 0, got {lam}")
-
-
-def _normalize_(r, variant, lam, stats=None, rebuild=False):
-    """Normalize (p, k, W) logits over axis 1 in place and return the weights
-    (log-weights for ``log``); ``lam`` is the ``scaled`` factor, of r's dtype.
-
-    ``stats``, a pair of (p, 1, W) arrays, receives the max and the sum (the
-    log-sum for ``log``) the weights divide by; ``none`` has none. With
-    ``rebuild`` it supplies them instead, and the same logits give the same
-    weights bit for bit.
-    """
-    if variant == "none":
-        return r
-    if variant == "scaled":
-        r *= lam
-    top, total = stats or (None, None)
-    if not rebuild:
-        top = np.max(r, axis=1, keepdims=True, out=top)
-    r -= top
-    if variant == "log":
-        if not rebuild:
-            total = np.log(np.exp(r).sum(axis=1, keepdims=True), out=total)
-        r -= total
-    else:
-        np.exp(r, out=r)
-        if not rebuild:
-            total = np.sum(r, axis=1, keepdims=True, out=total)
-        r /= total
-    return r
-
-
-def _normalize_back_(g, s, variant, lam):
-    """The adjoint of ``_normalize_`` at the weights ``s`` it returned, in
-    place in the weights' gradient ``g``."""
-    if variant == "log":
-        g -= np.exp(s) * g.sum(axis=1, keepdims=True)
-    elif variant != "none":
-        g -= (g * s).sum(axis=1, keepdims=True)
-        g *= s
-        if variant == "scaled":
-            g *= lam
-    return g
-
-
-def _tiles(n, k):
-    """``(start, stop)`` point ranges covering n points of k rows each.
-
-    A tile holds about _TILE_ROWS rows and starts on a 16-row boundary. On
-    OpenBLAS, a GEMM over such a row range gives the same bits as those rows
-    of the GEMM over all rows; from a 4-row boundary, width-1 products (which
-    numpy runs as a gemv) did not. A last tile under half a tile joins the
-    one before, so no tile is a one-row GEMM, also a gemv.
-    """
-    step = 16 // math.gcd(k, 16)
-    size = max(1, _TILE_ROWS // (k * step)) * step
-    starts = list(range(0, n, size))
-    if len(starts) > 1 and n - starts[-1] < size // 2:
-        starts.pop()
-    return zip(starts, starts[1:] + [n])
-
-
-def _tile_workers():
-    """How many tiles upsample_attention runs at once: the usable CPUs over
-    the BLAS threads that _BLAS_THREAD_VARIABLES set (the largest value set),
-    at most _MAX_TILES_IN_FLIGHT, or 1 when none is set, as BLAS may then use
-    every CPU itself."""
-    values = [os.environ.get(name, "").strip() for name in _BLAS_THREAD_VARIABLES]
-    try:
-        threads = max(int(v) for v in values if v)
-    except ValueError:  # none set, or a value that is not a number
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(_MAX_TILES_IN_FLIGHT, max(1, cpus // threads)) if threads > 0 else 1
-
-
-_POOL_LOCK = threading.Lock()
-_pool = None  # (threads, executor) that run tiles beside their caller
-
-
-def _tile_pool(threads):
-    """The process's executor of ``threads`` threads, made on first use and
-    remade when the count changes."""
-    global _pool
-    with _POOL_LOCK:
-        if _pool is None or _pool[0] != threads:
-            # an earlier pool's threads end once no caller holds it
-            _pool = (threads, ThreadPoolExecutor(threads, thread_name_prefix="pointfill-tile"))
-        return _pool[1]
-
-
-def _forget_pool():
-    # a forked child has none of its parent's threads: it makes its own pool
-    global _pool, _POOL_LOCK
-    _pool, _POOL_LOCK = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-class _TileQueue:
-    """The tiles of one ``_each_tile`` call. The calling thread and the pool
-    threads that help it claim them first come, first served; only the
-    caller merges, in tile order. At most ``window`` tiles are claimed and
-    not yet merged.
-
-    When the caller can claim no tile and the front one, running on a pool
-    thread, has not ended after as long as the caller's last tile took, the
-    caller runs that tile too and the first copy to end is kept: a pool
-    thread that stops, its CPU taken by the host or a busier process, holds
-    the call up for about one tile, not for as long as it is stopped. A run
-    gives the same result on any thread, so either copy will do. The wait
-    is at least a switch interval, the longest a thread that has finished
-    its tile may wait for the GIL to hand the result over.
-    """
-
-    def __init__(self, tiles, run, window):
-        self.tiles, self.run, self.window = tiles, run, window
-        self.claimed = self.merged = 0
-        self.results = {}  # tile number -> (raised, value) until merged
-        self.stopped = False  # a tile raised, or the caller left
-        self.lock = threading.Condition()
-        self.patience = sys.getswitchinterval()  # how long the caller waits for a tile
-
-    def _claim(self):
-        # under the lock: the next tile's number, or None if none may start
-        if self.stopped or self.claimed == len(self.tiles) or \
-                self.claimed >= self.merged + self.window:
-            return None
-        self.claimed += 1
-        return self.claimed - 1
-
-    def _run(self, i):
-        try:
-            result = (False, self.run(*self.tiles[i]))
-        except BaseException as exc:  # raised by the caller, in tile order
-            result = (True, exc)
-        with self.lock:
-            if i >= self.merged and i not in self.results:  # the first copy to end
-                self.results[i] = result
-                self.stopped = self.stopped or result[0]
-                self.lock.notify_all()
-
-    def help(self):
-        """A pool thread's part: run tiles until none is left to claim."""
-        while True:
-            with self.lock:
-                while (i := self._claim()) is None:
-                    if self.stopped or self.claimed == len(self.tiles):
-                        return
-                    self.lock.wait()  # the window is full until the caller merges
-            self._run(i)
-
-    def drain(self, merge):
-        """The caller's part: merge the front tile once it is done, else run
-        the next tile, else wait for the front tile to be done and, if it
-        is not done in time, run it too."""
-        while (front := self.merged) < len(self.tiles):
-            with self.lock:
-                if front in self.results:
-                    i = None
-                elif (i := self._claim()) is None:
-                    if self.stopped:  # a tile raised: no copies, wait for the front
-                        self.lock.wait()
-                        continue
-                    if self.lock.wait_for(lambda: front in self.results, self.patience):
-                        continue
-                    i = front
-            if i is None:
-                self._merge_front(merge)
-            else:
-                start = time.perf_counter()
-                self._run(i)
-                self.patience = max(time.perf_counter() - start, sys.getswitchinterval())
-
-    def _merge_front(self, merge):
-        # a method of its own, so the merged result dies when it returns; it
-        # stays in results until merged, so a late copy finds it there
-        with self.lock:
-            raised, value = self.results[self.merged]
-        if raised:
-            raise value
-        merge(value)
-        with self.lock:
-            del self.results[self.merged]
-            self.merged += 1
-            self.lock.notify_all()
-
-    def stop(self):
-        with self.lock:
-            self.stopped = True
-            self.lock.notify_all()
-
-
-def _each_tile(n, k, run, merge=None):
-    """Call ``run(a, b)`` on each tile of ``_tiles(n, k)`` and pass each
-    result to ``merge``, first tile first.
-
-    Up to _tile_workers() tiles run at once: the calling thread and
-    _tile_workers() - 1 pool threads each claim the next tile whenever they
-    are free, so a pool thread that starts late or runs slowly leaves its
-    share to the caller, and the caller waits only for a tile that is
-    running, and for a stalled one about as long as a tile takes before it
-    runs a copy (``_TileQueue``). So ``run`` must write nothing that it
-    does not return, and give the same result on any thread; ``merge``
-    runs on the calling thread. Results are merged in tile order whatever
-    order the tiles finish in, so the sums ``merge`` forms have the same
-    bits at any worker count. A pool thread runs in a copy of the caller's
-    context, so the caller's ``np.errstate`` holds there. If a tile raises,
-    the call raises once every tile in flight has finished. At one worker
-    this is a plain loop.
-    """
-    merge = merge or (lambda part: None)
-    tiles = list(_tiles(n, k))
-    workers = _tile_workers()
-    if workers < 2 or len(tiles) < 2:
-        for a, b in tiles:
-            merge(run(a, b))
-        return
-    # one tile of slack: a thread that finishes before the front tile has
-    # can start another
-    queue = _TileQueue(tiles, run, workers + 1)
-    pool = _tile_pool(workers - 1)
-    helpers = [pool.submit(contextvars.copy_context().run, queue.help)
-               for _ in range(workers - 1)]
-    try:
-        queue.drain(merge)
-    except BaseException:
-        _stop(queue, helpers)
-        wait(helpers)  # a call that raises returns once none of its tiles runs
-        raise
-    # every tile is merged, so a pool thread that still runs one runs a
-    # copy, which writes only what it returns and whose result is dropped
-    _stop(queue, helpers)
-
-
-def _stop(queue, helpers):
-    queue.stop()
-    for helper in helpers:
-        helper.cancel()  # one that has not started yet never will
-
-
-def upsample_attention(cloud, q, keys, values, index, pos, hidden, heads, seed=None,
-                       variant="softmax", lam=1.0, capture=None):
-    """An upsample transformer's neighbourhood terms, shared hidden layer and
-    ``rate`` attention heads as one record, computed in point tiles.
-
-    Point i has row p_i of the (n, 3) ``cloud`` and rows q_i, key_i and v_i
-    of the (n, C) ``q``, ``keys`` and ``values``; row i of the (n, k)
-    integer table ``index`` holds its k neighbours. For a neighbour j of i,
-
-        delta_ij = relu((p_i - p_j) P0 + c0) P1 + c1 + relu(u_i - u_j + d0) S1 + d1
-        x_ij = q_i - key_j + delta_ij
-        a_hat[i, j, m] = relu(x_ij W0 + b0) H_m
-
-    and row ``i * rate + m`` of the (n * rate, C) output is
-    ``sum_j a[i, j, m] * (v_j + delta_ij)``. ``pos = (P0, c0, P1, c1)`` is the
-    position encoder, on relative coordinates. ``seed = (u, d0, S1, d1)`` is
-    the seed encoder with its first layer hoisted: ``u = s S0`` holds (n, ·)
-    rows of the seed features s, as (s_i - s_j) S0 = s_i S0 - s_j S0; without
-    ``seed`` there is no seed term. ``hidden = (W0, b0)`` is the layer all
-    heads share, and H_m, the m-th (hidden, W) matrix of ``heads``, has
-    W = C (one weight per channel) or W = 1 (one per neighbour). Head m's
-    logits are normalized over the k neighbours by ``variant`` (``scaled``
-    multiplies by ``lam`` before the softmax; ``log`` gives log-weights;
-    ``none`` keeps the logits). The heads have no bias: a logit shift that
-    every neighbour shares leaves softmax, scaled and log weights unchanged,
-    so it would get no gradient, and under ``none`` the model held it at zero.
-
-    Each tile of about _TILE_ROWS (point, neighbour) rows builds its delta,
-    x, value and hidden rows from the per-point arrays and runs every head
-    on them while they are in cache. Recorded, the op keeps the per-point
-    inputs, the neighbour table and each head's (n, 1, W) max and sum (the
-    max and log-sum for ``log``, nothing for ``none``), and no (n * k, ·)
-    block: the adjoint rebuilds each tile's rows and weights just before it
-    reads them, by the forward's GEMMs and in-place steps, so they are the
-    forward's bits (as FlashAttention keeps softmax statistics, Dao et al.,
-    arXiv 2205.14135). Unrecorded, the op keeps nothing. ``capture``, an
-    optional list, receives each head's (n, k, W) weights as a constant Tensor.
-
-    The adjoint works tile by tile. In a tile it runs the heads from the
-    last to the first, so the value-row and hidden gradients sum in that
-    order; one relu mask and one ``@ W0.T`` give the x gradient gx, and
-    delta's is ``gx + gv``. A weight or bias gradient is the sum of its
-    per-tile GEMMs or column sums, first tile first. So is each scatter of
-    row gradients into the key, value, u and cloud rows: a float64
-    ``np.bincount`` per tile over the tile's distinct neighbours, one flat
-    index per tile and row width, added to those rows only, so a tile's
-    merge costs its rows, not n. A scattered sum is then cast to the dtype,
-    negated for keys, u and the cloud, and u and the cloud add the sums
-    over each point's own rows.
-
-    Forward and adjoint tiles may run on several threads (``_each_tile``):
-    each tile returns its rows and sums, and the calling thread puts the
-    rows in place and merges the sums in tile order, so every output and
-    gradient has the same bits at any thread count.
-    """
-    check_attention(variant, lam)
-    op = "upsample_attention"
-    idx = np.asarray(index)
-    if q.ndim != 2 or idx.ndim != 2 or idx.dtype.kind not in "iu" or idx.shape[1] < 1:
-        raise ShapeError(f"{op} expects (n, C) queries and an (n, k) integer index, "
-                         f"got {q.shape} and {idx.shape}")
-    (n, c), k = q.shape, idx.shape[1]
-    u = None if seed is None else seed[0]
-    shapes = [cloud.shape, keys.shape, values.shape, idx.shape[:1]]
-    if shapes != [(n, 3), (n, c), (n, c), (n,)] or (u is not None and u.shape[:1] != (n,)):
-        raise ShapeError(f"{op}: cloud, keys, values, index and u rows {shapes} do not "
-                         f"fit (n, C) = {(n, c)} queries")
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise IndexError(f"{op} index out of range for {n} rows")
-    dtype = q.dtype
-    if any(t.dtype != dtype for t in (cloud, keys, values, *(seed or ())[:2])):
-        raise ContractError(f"{op}: dtypes of the point rows and seed bias differ")
-    widths = [_check_layer(3, *pos[:2], dtype, op), _check_layer(c, *hidden, dtype, op)]
-    if seed is not None:
-        if u.ndim != 2 or seed[1].shape != u.shape[1:]:
-            raise ShapeError(f"{op} expects (n, i) seed rows and an (i,) bias, "
-                             f"got {u.shape} and {seed[1].shape}")
-        widths.append(_check_layer(u.shape[1], seed[2], seed[3], dtype, op))
-    if _check_layer(widths[0], *pos[2:], dtype, op) != c or widths[2:] not in ([], [c]):
-        raise ShapeError(f"{op}: the position and seed terms are not {c} wide")
-    if not heads:
-        raise ShapeError(f"{op}: 0 heads")
-    for w1 in heads:
-        if _check_layer(widths[1], w1, None, dtype, op) not in (1, c):
-            raise ShapeError(f"{op}: head {w1.shape} does not fit {c} channels")
-    inputs = [cloud, q, keys, values, *pos, *hidden, *heads, *(seed or ())]
-    record = any(t.requires_grad for t in inputs) and _ACTIVE_TAPE.get() is not None
-    p, qd, kd, vd = cloud.data, q.data, keys.data, values.data
-    p0, c0, p1, c1, w0, b0 = (t.data for t in (*pos, *hidden))
-    u, d0, s1, d1 = (None,) * 4 if seed is None else (t.data for t in seed)
-    heads = [w1.data for w1 in heads]
-    rate, nbrs, lam = len(heads), idx.reshape(-1), dtype.type(lam)
-
-    def tile_rows(a, b):
-        """The neighbour indices of points a..b and their (point, neighbour)
-        rows: relative coordinates, position and seed hidden rows (after the
-        relu), x, the value rows as (b - a, k, C) and the shared hidden rows."""
-        nb = nbrs[a * k:b * k]
-        rel = np.repeat(p[a:b], k, axis=0)
-        rel -= p[nb]
-        hp = rel @ p0
-        hp += c0
-        delta = _relu_(hp) @ p1
-        delta += c1
-        hs = None
-        if u is not None:
-            hs = np.repeat(u[a:b], k, axis=0)
-            hs -= u[nb]
-            hs += d0
-            term = _relu_(hs) @ s1
-            term += d1
-            delta += term
-        x = np.repeat(qd[a:b], k, axis=0)
-        x -= kd[nb]
-        x += delta
-        v = vd[nb]
-        v += delta
-        h = x @ w0
-        h += b0
-        return nb, rel, hp, hs, x, v.reshape(b - a, k, c), _relu_(h)
-
-    out = np.empty((n, rate, c), dtype)
-    # each head's max and sum (log-sum for log) over the neighbours
-    stats = [[np.empty((n, 1, w1.shape[1]), dtype) for _ in range(2)]
-             if record and variant != "none" else [] for w1 in heads]
-    weights = [None if capture is None else np.empty((n, k, w1.shape[1]), dtype)
-               for w1 in heads]
-
-    def tile_forward(a, b):
-        # rows a..b of out and, per head, of stats and weights, for place()
-        v, h = tile_rows(a, b)[-2:]
-        rows, per_head = np.empty((b - a, rate, c), dtype), []
-        for m, w1 in enumerate(heads):
-            r = (h @ w1).reshape(b - a, k, -1)
-            head_stats = [np.empty((b - a, 1, w1.shape[1]), dtype) for _ in stats[m]]
-            s = _normalize_(r, variant, lam, head_stats)
-            rows[:, m] = _weighted_sum(s, v)
-            per_head.append((head_stats, None if weights[m] is None else s))
-        return a, b, rows, per_head
-
-    def place(tile):
-        a, b, rows, per_head = tile
-        out[a:b] = rows
-        for m, (head_stats, s) in enumerate(per_head):
-            for whole, part in zip(stats[m], head_stats):
-                whole[a:b] = part
-            if s is not None:
-                weights[m][a:b] = s
-
-    _each_tile(n, k, tile_forward, place)
-    if capture is not None:
-        capture.extend(Tensor(w) for w in weights)
-
-    # input positions: cloud 0, q 1, keys 2, values 3, pos 4-7, hidden 8-9,
-    # heads from 10, then u, d0, S1 and d1
-    heads_at, u_at, count = 10, 10 + rate, len(inputs)  # the closure keeps no input
-
-    def back(g):
-        nonlocal stats
-        g = g.reshape(n, rate, c)
-        grads = [None] * count
-        grads[1] = np.empty_like(qd)
-        scattered = {}  # float64 scatter sums
-        # the sums over each point's own rows, for the cloud and u
-        own = {0: np.empty((n, 3), dtype)} | ({} if u is None else {u_at: np.empty_like(u)})
-
-        def add(i, part):  # a weight or bias gradient sums its tiles' parts
-            if grads[i] is None:
-                grads[i] = part
-            else:
-                grads[i] += part
-
-        def merge(tile):
-            # row nb[r] of a scattered input i gets row r of its rows: one
-            # float64 bincount per input over the tile's distinct neighbours
-            # (nb[r] is touched[inverse[r]]), added to their rows of the
-            # (n, width) sum. A bincount over all n rows would add 0.0 to
-            # the others, and x + 0.0 is x for any sum a bincount forms (it
-            # is never -0.0), so the bits are the same and the cost is the
-            # tile's, not n's
-            a, b, q_rows, own_rows, touched, inverse, parts, rows_of = tile
-            grads[1][a:b] = q_rows
-            for i, rows in own_rows.items():
-                own[i][a:b] = rows
-            flat = {}
-            for i, rows in rows_of.items():
-                width = rows.shape[1]
-                if width not in flat:
-                    flat[width] = (inverse[:, None] * width + np.arange(width)).ravel()
-                part = np.bincount(flat[width], weights=rows.ravel(),
-                                   minlength=len(touched) * width)
-                if i not in scattered:
-                    scattered[i] = np.zeros((n, width))
-                scattered[i][touched] += part.reshape(-1, width)
-            for i, part in parts.items():
-                add(i, part)
-
-        def head_back(m, a, b, h, v, gv, parts):
-            # head m's adjoint on the tile of points a..b: writes its value-row
-            # gradient (the last head) or adds it, puts its head gradient in
-            # ``parts`` and returns its hidden gradient; a function of its own
-            # so its blocks die before the next head's are made
-            gm = g[a:b, m][:, None, :]  # broadcast over the neighbours, no copy
-            s = _normalize_((h @ heads[m]).reshape(b - a, k, -1), variant, lam,
-                            [t[a:b] for t in stats[m]], rebuild=True)
-            if m == rate - 1:
-                np.multiply(gm, s, out=gv)
-            else:
-                gv += gm * s
-            gs = gm * v  # the weights' gradient; one weight per neighbour sums it
-            if s.shape[2] == 1:
-                gs = gs.sum(axis=2, keepdims=True)
-            gr = _normalize_back_(gs, s, variant, lam).reshape(len(h), -1)
-            parts[heads_at + m] = h.T @ gr
-            return gr @ heads[m].T
-
-        def tile_back(a, b):
-            # for merge: rows a..b of q's gradient and of the sums over each
-            # point's own rows, the tile's distinct neighbour indices and
-            # each row's place among them, its weight and bias gradients and
-            # the row gradients merge scatters, by input position
-            nb, rel, hp, hs, x, v, h = tile_rows(a, b)
-            parts, rows_of, own_rows = {}, {}, {}
-
-            def scatter(i, rows):  # the cloud and u: point a + r // k gets row r too
-                rows_of[i] = rows
-                if i in own:
-                    own_rows[i] = rows.reshape(b - a, k, -1).sum(axis=1)
-
-            gv = np.empty_like(v)
-            gh = head_back(rate - 1, a, b, h, v, gv, parts)
-            for m in reversed(range(rate - 1)):  # the last head first
-                gh += head_back(m, a, b, h, v, gv, parts)
-            del v
-            gv = gv.reshape(len(nb), c)
-            scatter(3, gv)
-            gh *= h > 0  # the one relu mask
-            del h
-            parts[8] = x.T @ gh
-            parts[9] = gh.sum(axis=0)
-            del x
-            gx = gh @ w0.T
-            del gh
-            q_rows = gx.reshape(b - a, k, c).sum(axis=1)
-            scatter(2, gx)
-            gd = gx + gv  # not in place: merge scatters gx
-            parts[6] = hp.T @ gd
-            parts[7] = gd.sum(axis=0)
-            ghp = gd @ p1.T
-            ghp *= hp > 0
-            parts[4] = rel.T @ ghp
-            parts[5] = ghp.sum(axis=0)
-            scatter(0, ghp @ p0.T)
-            del ghp
-            if u is not None:
-                parts[u_at + 2] = hs.T @ gd
-                parts[u_at + 3] = gd.sum(axis=0)
-                ghs = gd @ s1.T
-                ghs *= hs > 0
-                parts[u_at + 1] = ghs.sum(axis=0)
-                scatter(u_at, ghs)
-            return (a, b, q_rows, own_rows, *np.unique(nb, return_inverse=True), parts,
-                    rows_of)
-
-        _each_tile(n, k, tile_back, merge)
-        for i, total in scattered.items():
-            grads[i] = (total if i == 3 else -total).astype(dtype, copy=False)
-            if i in own:
-                grads[i] += own[i]
-        stats = None  # the tape is single-use: drop what it kept
-        return grads
-
-    return _emit(out.reshape(n * rate, c), inputs, back)

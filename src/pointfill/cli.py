@@ -6,8 +6,8 @@ flags override file values, and the fully resolved config is echoed next to
 every output for provenance. ``train --generator/--attention/--lambda``
 trains the generator and seed-attention variants the paper ablates.
 BLAS threads are left to the environment (``OMP_NUM_THREADS`` and the like);
-with one of those set, ``upsample_attention`` also runs its point tiles on
-the CPUs the BLAS threads leave idle, with the same bits.
+with one of those set, ``attention.upsample_attention`` also runs its point
+tiles on the CPUs the BLAS threads leave idle (``tiles``), with the same bits.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ import numpy as np
 
 from . import data as dataio
 from . import gradcheck as gradsuite
+from .attention import ATTENTION_VARIANTS
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ContractError, FormatError, NumericsError, ParseError, ShapeError
-from .autodiff import ATTENTION_VARIANTS
 from .generator import GENERATOR_VARIANTS, seed_provenance
 from .losses import chamfer, fidelity, fscore, mmd
 from .pipeline import Adam, CompletionModel, ModelConfig, parse_config_text, run_training

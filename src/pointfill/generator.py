@@ -12,7 +12,7 @@ last layer has ``rate`` outputs. The logits are normalized over the
 neighborhood by the transformer's attention setting (the seed generator's
 is a config choice; refinement stages always use softmax). The pair terms,
 the MLP, all ``rate`` heads and the weighted sums are one
-``ad.upsample_attention`` record, whose docstring gives the equations.
+``attention.upsample_attention`` record, whose docstring gives the equations.
 Output rows are stacked head-fastest: row ``i * rate + m`` belongs to
 source point ``i`` and head ``m``, matching plain row duplication of the
 source cloud; ``seed_provenance`` returns that grouping as a table. The
@@ -27,6 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import geometry
+from .attention import check_attention, upsample_attention
 from .errors import ContractError, ShapeError
 from .layers import Linear, Mlp2, Module
 
@@ -72,7 +73,7 @@ class UpsampleTransformer(Module):
             without the regional encoding term.
         pointwise: one scalar weight per neighbor instead of per channel.
         attention: how the logits are normalized over a neighborhood, one of
-            ``ad.ATTENTION_VARIANTS``. ``softmax`` is the standard choice,
+            ``attention.ATTENTION_VARIANTS``. ``softmax`` is the standard choice,
             ``none`` passes the logits through unchanged (weights may leave
             (0, 1), useful when generating points outside the seen region),
             ``scaled`` applies softmax to ``lam * logits`` and ``log`` uses
@@ -84,7 +85,7 @@ class UpsampleTransformer(Module):
                  pointwise=False, attention="softmax", lam=1.0):
         if rate < 1:
             raise ContractError("rate must be >= 1")
-        ad.check_attention(attention, lam)
+        check_attention(attention, lam)
         self.attention, self.lam = attention, lam
         self.channels = channels
         self.rate = rate
@@ -146,7 +147,7 @@ class UpsampleTransformer(Module):
         weights = None
         if capture is not None:
             weights = capture["weights"] = []
-        return ad.upsample_attention(
+        return upsample_attention(
             cloud, q, key_feats, values, nbrs,
             (pos.lin0.w, pos.lin0.b, pos.lin1.w, pos.lin1.b), (self.hidden.w, self.hidden.b),
             [head.w for head in self.heads], seed, self.attention, self.lam, capture=weights,

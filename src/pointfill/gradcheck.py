@@ -25,6 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import geometry
+from .attention import upsample_attention
 from .errors import ContractError, NumericsError
 from .generator import UpsampleStage, UpsampleTransformer, make_core
 from .losses import chamfer, completion_loss, downsample_targets, partial_matching_loss
@@ -220,9 +221,9 @@ def _case_attention_head(name, variant, width):
         probe = rng.standard_normal((n * rate, c))
 
         def fn(cloud, q, keys, values, *weights):
-            out = ad.upsample_attention(cloud, q, keys, values, index, weights[:4],
-                                        weights[4:6], weights[6:6 + rate], weights[6 + rate:],
-                                        variant, lam=1.7)
+            out = upsample_attention(cloud, q, keys, values, index, weights[:4],
+                                     weights[4:6], weights[6:6 + rate], weights[6 + rate:],
+                                     variant, lam=1.7)
             return ad.reduce_sum(ad.mul(out, ad.constant(probe, like=q)))
 
         return fn, inputs

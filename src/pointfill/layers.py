@@ -69,8 +69,8 @@ class Linear(Module):
 
     ``zero_init`` starts the layer at the zero function. With ``bias=False``
     the layer holds only ``w`` and is not callable: an upsample transformer's
-    attention heads have no bias, and ``ad.upsample_attention`` reads each
-    head's ``w`` itself.
+    attention heads have no bias, and ``attention.upsample_attention`` reads
+    each head's ``w`` itself.
     """
 
     def __init__(self, rng, n_in, n_out, zero_init=False, bias=True):
@@ -91,7 +91,8 @@ class Mlp2(Module):
     The first layer and the relu run as one ``linear_relu`` record, so a
     taped call appends two records and keeps no pre-activation. An upsample
     transformer's position and seed encoders are not called: their weights
-    go into its ``ad.upsample_attention`` record, which runs them per tile.
+    go into its ``attention.upsample_attention`` record, which runs them per
+    tile.
     """
 
     def __init__(self, rng, n_in, n_hidden, n_out, zero_last=False):

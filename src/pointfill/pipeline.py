@@ -21,6 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import geometry
+from .attention import check_attention
 from .encoder import Encoder
 from .errors import ContractError, NumericsError, ParseError
 from .generator import (
@@ -110,7 +111,7 @@ class ModelConfig:
                 f"generator must be one of {GENERATOR_VARIANTS}, got {self.generator!r}"
             )
         try:
-            ad.check_attention(self.seed_attention, self.attention_scale)
+            check_attention(self.seed_attention, self.attention_scale)
         except ContractError as exc:
             raise ContractError(
                 f"seed_attention={self.seed_attention!r}, "

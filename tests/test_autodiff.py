@@ -15,8 +15,10 @@ import weakref
 import numpy as np
 import pytest
 
+from pointfill import attention
 from pointfill import autodiff as ad
 from pointfill import gradcheck
+from pointfill import tiles as tl
 from pointfill.errors import ContractError, NumericsError, ShapeError
 from pointfill.layers import Mlp2
 from pointfill.losses import downsample_targets
@@ -45,7 +47,7 @@ def _pass_through_head(keys, k, variant="softmax", capture=None):
     n = keys.shape[0]
     index = np.arange(n)[:, None] % (n // k) * k + np.arange(k)
     zeros = lambda *shape: ad.Tensor(np.zeros(shape))
-    return ad.upsample_attention(
+    return attention.upsample_attention(
         zeros(n, 3), zeros(n, 2), keys, ad.Tensor(np.ones((n, 2))), index,
         (zeros(3, 1), zeros(1), zeros(1, 2), zeros(2)),
         (ad.Tensor([[1.0, -1.0], [0.0, 0.0]]), zeros(2)), [ad.Tensor([[1.0], [-1.0]])],
@@ -186,8 +188,8 @@ def test_softmax_over_neighbors_is_bitwise_plain_numpy(dtype, width, log):
     a = (3.0 * rng.standard_normal((5, 16, width))).astype(dtype)
     g = rng.standard_normal((5, 16, width)).astype(dtype)
     variant = "log" if log else "softmax"
-    y = ad._normalize_(a.copy(), variant, dtype(1))
-    gx = ad._normalize_back_(g.copy(), y, variant, dtype(1))
+    y = attention._normalize_(a.copy(), variant, dtype(1))
+    gx = attention._normalize_back_(g.copy(), y, variant, dtype(1))
     want_y, want_gx = _numpy_softmax_over_k(a, g, log)
     assert y.dtype == dtype and gx.dtype == dtype
     assert np.array_equal(y, want_y)
@@ -425,7 +427,7 @@ def _plain_attention(arrays, index, rate, variant, lam, g, order=None):
     rows (test_row_tiles_of_the_head_gemms_are_rows_of_the_full_gemms). The
     sums run in the primitive's order: the heads' value-row and hidden
     gradients over ``order`` (last head first by default); each weight and
-    bias gradient over ad._tiles, first tile first; each scatter as one
+    bias gradient over tl._tiles, first tile first; each scatter as one
     float64 bincount per tile, first tile first. Returns each head's
     weights, the (n*rate, C) output and the gradient of each array."""
     cloud, q, keys, values, p0, c0, p1, c1, w0, b0, *_ = arrays
@@ -469,7 +471,7 @@ def _plain_attention(arrays, index, rate, variant, lam, g, order=None):
     gx = gz @ w0.T
     gv = gv.reshape(n * k, c)
     gd = gx + gv
-    tiles = [slice(a * k, b * k) for a, b in ad._tiles(n, k)]
+    tiles = [slice(a * k, b * k) for a, b in tl._tiles(n, k)]
 
     def over_tiles(part):
         total = part(tiles[0])
@@ -519,8 +521,8 @@ def _attention(index, leaves, rate, variant, lam=1.0, capture=None):
     """upsample_attention of the _attention_arrays layout."""
     cloud, q, keys, values, *rest = leaves
     heads, seed = rest[6:6 + rate], rest[6 + rate:] or None
-    return ad.upsample_attention(cloud, q, keys, values, index, rest[:4], rest[4:6], heads,
-                                 seed, variant, lam, capture=capture)
+    return attention.upsample_attention(cloud, q, keys, values, index, rest[:4], rest[4:6],
+                                        heads, seed, variant, lam, capture=capture)
 
 
 # n, k, C and the rates run; "stage3" is benchmark_16k's last stage, 64 tiles
@@ -529,7 +531,7 @@ _TILINGS = {"real": (330, 16, 16, (1, 3)), "small": (50, 3, 5, (1, 3)),
 
 
 @pytest.mark.parametrize("dtype, variant, width, tiling", [
-    *itertools.product([np.float32, np.float64], ad.ATTENTION_VARIANTS,
+    *itertools.product([np.float32, np.float64], attention.ATTENTION_VARIANTS,
                        ["channel", "point"], ["real", "small"]),
     (np.float32, "softmax", "channel", "stage3"),
 ])
@@ -541,8 +543,8 @@ def test_attention_head_is_bitwise_the_unfused_records(dtype, variant, width, ti
     # every gradient, bit for bit, taped and untaped
     n, k, c, rates = _TILINGS[tiling]
     if tiling == "small":
-        monkeypatch.setattr(ad, "_TILE_ROWS", 48)
-    tiles = [b - a for a, b in ad._tiles(n, k)]
+        monkeypatch.setattr(tl, "_TILE_ROWS", 48)
+    tiles = [b - a for a, b in tl._tiles(n, k)]
     assert len(tiles) >= 3  # several tiles, the last ragged but at the stage-3 shape
     assert tiles[-1] != tiles[0] or tiling == "stage3"
     for rate in rates:
@@ -572,7 +574,7 @@ def test_attention_heads_sharing_inputs_accumulate_in_reverse_order(dtype, monke
     # decades make the order of the sums show. The record sums its heads'
     # value-row and hidden gradients from the last head to the first, and
     # the tape adds the q and values gradients to the earlier ones
-    monkeypatch.setattr(ad, "_TILE_ROWS", 48)
+    monkeypatch.setattr(tl, "_TILE_ROWS", 48)
     rng = np.random.default_rng(46)
     n, k, c, rate = 50, 3, 5, 3
     scale = 10.0 ** rng.uniform(-3, 3, c)
@@ -596,11 +598,11 @@ def test_attention_heads_sharing_inputs_accumulate_in_reverse_order(dtype, monke
 @pytest.mark.parametrize("tile_rows", [2048, 48])
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 16, 17, 40])
 def test_attention_tiles_cover_the_points_on_16_row_boundaries(k, tile_rows, monkeypatch):
-    monkeypatch.setattr(ad, "_TILE_ROWS", tile_rows)
-    (_, size), *_ = ad._tiles(10**6, k)
+    monkeypatch.setattr(tl, "_TILE_ROWS", tile_rows)
+    (_, size), *_ = tl._tiles(10**6, k)
     assert size * k <= max(tile_rows, 16 * k)
     for n in (1, 5, size - 1, size, size + 1, 3 * size + 1, 3 * size + size // 2):
-        bounds = list(ad._tiles(n, k))
+        bounds = list(tl._tiles(n, k))
         assert [a for a, _ in bounds[1:]] == [b for _, b in bounds[:-1]]
         assert bounds[0][0] == 0 and bounds[-1][1] == n
         assert all(a * k % 16 == 0 for a, _ in bounds)
@@ -629,7 +631,7 @@ def test_row_tiles_of_the_head_gemms_are_rows_of_the_full_gemms(c, dtype, k, wid
         (rng.standard_normal((n * k, 3)).astype(dtype), p0),  # rel @ p0
         (rng.standard_normal((n * k, c)).astype(dtype), p0.T),  # ghp @ p0.T
     ]
-    bounds = list(ad._tiles(n, k))
+    bounds = list(tl._tiles(n, k))
     assert len(bounds) >= 2
     for rows, weight in pairs:
         tiles = [rows[a * k:b * k] @ weight for a, b in bounds]
@@ -642,14 +644,14 @@ def test_row_tiles_of_the_head_gemms_are_rows_of_the_full_gemms(c, dtype, k, wid
 def _slow_pool_tiles(monkeypatch):
     """Make every tile that a pool thread runs finish after the caller's
     next one, so merging tiles as they finish would change the sums' order."""
-    relu = ad._relu_
+    relu = attention._relu_
 
     def slow_relu_(out):
         if threading.current_thread() is not threading.main_thread():
             time.sleep(0.002)
         return relu(out)
 
-    monkeypatch.setattr(ad, "_relu_", slow_relu_)
+    monkeypatch.setattr(attention, "_relu_", slow_relu_)
 
 
 def _attention_run(index, arrays, rate, variant, g):
@@ -666,9 +668,9 @@ def _attention_run(index, arrays, rate, variant, g):
 
 def test_tile_workers_are_the_cpus_blas_threads_leave(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    for name in ad._BLAS_THREAD_VARIABLES:
+    for name in tl._BLAS_THREAD_VARIABLES:
         monkeypatch.delenv(name, raising=False)
-    assert ad._tile_workers() == 1  # BLAS unpinned may use every CPU itself
+    assert tl._tile_workers() == 1  # BLAS unpinned may use every CPU itself
     for settings, workers in [
         ({"OPENBLAS_NUM_THREADS": "1"}, 2),  # 4 CPUs, at most _MAX_TILES_IN_FLIGHT
         ({"OMP_NUM_THREADS": "2"}, 2),
@@ -677,23 +679,23 @@ def test_tile_workers_are_the_cpus_blas_threads_leave(monkeypatch):
         ({"OPENBLAS_NUM_THREADS": "0"}, 1),
         ({"OPENBLAS_NUM_THREADS": "many"}, 1),
     ]:
-        for name in ad._BLAS_THREAD_VARIABLES:
+        for name in tl._BLAS_THREAD_VARIABLES:
             monkeypatch.delenv(name, raising=False)
         for name, value in settings.items():
             monkeypatch.setenv(name, value)
-        assert ad._tile_workers() == workers, settings
+        assert tl._tile_workers() == workers, settings
 
 
 def test_one_tile_worker_runs_every_tile_on_the_caller(monkeypatch):
-    monkeypatch.setattr(ad, "_tile_workers", lambda: 1)
+    monkeypatch.setattr(tl, "_tile_workers", lambda: 1)
     before = set(threading.enumerate())
     seen = []
-    ad._each_tile(330, 16, lambda a, b: threading.current_thread(), seen.append)
+    tl._each_tile(330, 16, lambda a, b: threading.current_thread(), seen.append)
     assert len(seen) >= 6 and set(seen) == {threading.current_thread()}
     assert set(threading.enumerate()) <= before
 
 
-@pytest.mark.parametrize("variant", ad.ATTENTION_VARIANTS)
+@pytest.mark.parametrize("variant", attention.ATTENTION_VARIANTS)
 @pytest.mark.parametrize("width", ["channel", "point"])
 def test_attention_bits_do_not_depend_on_the_tile_workers(variant, width, monkeypatch):
     # pool tiles finish after the caller's, and magnitudes over six decades
@@ -702,14 +704,14 @@ def test_attention_bits_do_not_depend_on_the_tile_workers(variant, width, monkey
     _slow_pool_tiles(monkeypatch)
     rng = np.random.default_rng(53)
     rate, n, k, c = 3, 330, 16, 16
-    assert len(list(ad._tiles(n, k))) >= 6
+    assert len(list(tl._tiles(n, k))) >= 6
     index, arrays = _attention_arrays(rng, rate, n, k, c, c if width == "channel" else 1,
                                       np.float32)
     scale = (10.0 ** rng.uniform(-3, 3, c)).astype(np.float32)
     g = (scale * rng.standard_normal((n * rate, c))).astype(np.float32)
     runs = {}
     for workers in (1, 2, 3):
-        monkeypatch.setattr(ad, "_tile_workers", lambda: workers)
+        monkeypatch.setattr(tl, "_tile_workers", lambda: workers)
         runs[workers] = _attention_run(index, arrays, rate, variant, g)
     assert runs[2] == runs[1] and runs[3] == runs[1]
 
@@ -722,7 +724,7 @@ def test_desk_training_bits_do_not_depend_on_the_tile_workers(monkeypatch):
                 rng.standard_normal((config.final_points, 3))) for _ in range(2)]
     params = {}
     for workers in (1, 2, 3):
-        monkeypatch.setattr(ad, "_tile_workers", lambda: workers)
+        monkeypatch.setattr(tl, "_tile_workers", lambda: workers)
         model = CompletionModel(config)
         run_training(model, samples, 2, Adam(model))
         params[workers] = _bits(*[p.data for _, p in model.named_parameters()])
@@ -748,7 +750,7 @@ def _caller_waits_for_the_pool(run):
 def test_a_failing_tile_raises_once_every_tile_in_flight_has_finished(monkeypatch):
     # two pool threads: the second one's tile is still running when the
     # first one's has failed
-    monkeypatch.setattr(ad, "_tile_workers", lambda: 3)
+    monkeypatch.setattr(tl, "_tile_workers", lambda: 3)
     started, finished, failed = [], [], []
 
     def run(a, b):
@@ -764,7 +766,7 @@ def test_a_failing_tile_raises_once_every_tile_in_flight_has_finished(monkeypatc
         raise ValueError(f"tile {a}")
 
     with pytest.raises(ValueError) as raised:
-        ad._each_tile(330, 16, _caller_waits_for_the_pool(run))
+        tl._each_tile(330, 16, _caller_waits_for_the_pool(run))
     assert str(raised.value) == f"tile {min(failed)}"  # the first in tile order
     assert len(failed) >= 2 and sorted(finished) == sorted(started)
     # the pool still works, and a plain call gives the one-worker bits
@@ -772,15 +774,15 @@ def test_a_failing_tile_raises_once_every_tile_in_flight_has_finished(monkeypatc
     index, arrays = _attention_arrays(rng, 2, 330, 16, 8, 8, np.float32)
     g = rng.standard_normal((660, 8)).astype(np.float32)
     got = _attention_run(index, arrays, 2, "softmax", g)
-    monkeypatch.setattr(ad, "_tile_workers", lambda: 1)
+    monkeypatch.setattr(tl, "_tile_workers", lambda: 1)
     assert got == _attention_run(index, arrays, 2, "softmax", g)
 
 
 def test_pool_tiles_run_under_the_callers_errstate(monkeypatch):
-    monkeypatch.setattr(ad, "_tile_workers", lambda: 2)
+    monkeypatch.setattr(tl, "_tile_workers", lambda: 2)
     seen = []
     with np.errstate(over="raise", under="warn"):
-        ad._each_tile(330, 16, _caller_waits_for_the_pool(
+        tl._each_tile(330, 16, _caller_waits_for_the_pool(
             lambda a, b: (threading.current_thread().name, np.geterr())), seen.append)
     assert any(name.startswith("pointfill-tile") for name, _ in seen)
     assert all(err["over"] == "raise" and err["under"] == "warn" for _, err in seen)
@@ -798,7 +800,7 @@ def test_pool_tiles_run_under_the_callers_errstate(monkeypatch):
 def test_a_child_forked_after_a_threaded_call_completes(monkeypatch):
     # the child has none of its parent's pool threads and makes its own pool,
     # whose threads run tiles there
-    monkeypatch.setattr(ad, "_tile_workers", lambda: 2)
+    monkeypatch.setattr(tl, "_tile_workers", lambda: 2)
     model = CompletionModel(ModelConfig.desk())
     partial = np.random.default_rng(57).standard_normal((model.config.input_points, 3))
     want = model.complete(partial)
@@ -808,7 +810,7 @@ def test_a_child_forked_after_a_threaded_call_completes(monkeypatch):
     if pid == 0:
         try:
             seen = []
-            ad._each_tile(330, 16, _caller_waits_for_the_pool(
+            tl._each_tile(330, 16, _caller_waits_for_the_pool(
                 lambda a, b: threading.current_thread().name), seen.append)
             pooled = any(name.startswith("pointfill-tile") for name in seen)
             os._exit(0 if pooled and np.array_equal(model.complete(partial), want) else 1)
@@ -828,7 +830,7 @@ def test_a_stalled_pool_tile_holds_the_call_up_for_about_one_tile(monkeypatch):
     # a pool thread stops in its first tile, as when the host takes its CPU
     # away: the caller runs a copy of that tile, merges every tile in order
     # and returns without waiting for the stopped copy
-    monkeypatch.setattr(ad, "_tile_workers", lambda: 2)
+    monkeypatch.setattr(tl, "_tile_workers", lambda: 2)
     release, stalled, seen = threading.Event(), [], []
 
     def run(a, b):
@@ -839,12 +841,12 @@ def test_a_stalled_pool_tile_holds_the_call_up_for_about_one_tile(monkeypatch):
 
     start = time.monotonic()
     try:
-        ad._each_tile(330, 16, _caller_waits_for_the_pool(run), seen.append)
+        tl._each_tile(330, 16, _caller_waits_for_the_pool(run), seen.append)
         elapsed = time.monotonic() - start
     finally:
         release.set()
     assert stalled and elapsed < 5
-    assert seen == [a for a, _ in ad._tiles(330, 16)]
+    assert seen == [a for a, _ in tl._tiles(330, 16)]
 
 
 def test_two_caller_threads_get_the_single_thread_bits(monkeypatch):
@@ -853,10 +855,10 @@ def test_two_caller_threads_get_the_single_thread_bits(monkeypatch):
     for rate in (1, 3):
         index, arrays = _attention_arrays(rng, rate, 330, 16, 8, 8, np.float32, rate > 1)
         cases.append((index, arrays, rate, rng.standard_normal((330 * rate, 8)).astype(np.float32)))
-    monkeypatch.setattr(ad, "_tile_workers", lambda: 1)
+    monkeypatch.setattr(tl, "_tile_workers", lambda: 1)
     want = [_attention_run(index, arrays, rate, "softmax", g) for index, arrays, rate, g in cases]
     # more tile threads than CPUs, switching threads often
-    monkeypatch.setattr(ad, "_tile_workers", lambda: 3)
+    monkeypatch.setattr(tl, "_tile_workers", lambda: 3)
     got = [[] for _ in cases]
 
     def caller(i):
@@ -888,8 +890,8 @@ def test_attention_head_rejects_misfit_shapes_dtypes_and_modes():
         t = list(fits)
         if at is not None:
             t[at] = misfit
-        return ad.upsample_attention(*t[:4], table, t[4:8], t[8:10], [head, t[10]], t[11:],
-                                     variant, lam)
+        return attention.upsample_attention(*t[:4], table, t[4:8], t[8:10], [head, t[10]],
+                                            t[11:], variant, lam)
 
     call()  # fits
     zeros = lambda *shape: ad.Tensor(np.zeros(shape))
@@ -919,7 +921,7 @@ def test_attention_head_rejects_misfit_shapes_dtypes_and_modes():
         with pytest.raises(IndexError, match="upsample_attention"):
             call(table=np.full_like(index, bad))
     with pytest.raises(ShapeError, match="0 heads"):
-        ad.upsample_attention(*fits[:4], index, fits[4:8], fits[8:10], [])
+        attention.upsample_attention(*fits[:4], index, fits[4:8], fits[8:10], [])
     for at in (0, 3, 4, 9, 10, 11, 12, 13):
         f32 = ad.Tensor(fits[at].data, dtype=np.float32)
         with pytest.raises(ContractError, match="dtypes"):
@@ -950,7 +952,7 @@ def _kept_arrays(fn):
     return list(kept.values())
 
 
-@pytest.mark.parametrize("variant", ad.ATTENTION_VARIANTS)
+@pytest.mark.parametrize("variant", attention.ATTENTION_VARIANTS)
 def test_taped_attention_keeps_point_rows_and_statistics(variant):
     # the record keeps what its adjoint rebuilds the pair rows from: the
     # inputs' own (n, ·) and weight arrays, the neighbor table, and each
@@ -1062,8 +1064,8 @@ def test_backward_bitwise_deterministic():
 
         def attend(x, w):
             q = ad.linear(x, w)
-            return ad.upsample_attention(ad.Tensor(np.zeros((8, 3))), q, q, values, index,
-                                         pos, (eye, zeros), [eye])
+            return attention.upsample_attention(ad.Tensor(np.zeros((8, 3))), q, q, values,
+                                                index, pos, (eye, zeros), [eye])
 
         run_backward(lambda x, w: ad.reduce_sum(attend(x, w)), x, w)
         grads.append(x.grad.copy())
@@ -1289,8 +1291,8 @@ def test_arrays_an_adjoint_reads_live_until_it_has_run(op):
         if op == "attention_head":
             keys, values = ad.mul(base, 3.0), ad.mul(base, 5.0)
             index = rng.integers(0, n * k, (n * k, k))
-            out = ad.upsample_attention(ad.Tensor(np.zeros((n * k, 3))), x, keys, values,
-                                        index, (w, b, w, b), (w, b), [w])
+            out = attention.upsample_attention(ad.Tensor(np.zeros((n * k, 3))), x, keys,
+                                               values, index, (w, b, w, b), (w, b), [w])
             kept = [weakref.ref(t.data) for t in (x, keys, values)]
             del keys, values
         else:
@@ -1319,6 +1321,25 @@ def test_a_tensor_made_under_a_closed_tape_is_a_leaf_of_the_next():
     tape.backward(out)
     np.testing.assert_array_equal(y.grad, 2.0 * y.data)
     assert x.grad is None
+
+
+def test_an_open_tape_records_no_op_whose_inputs_need_no_gradient():
+    # max_over_axis keeps its winners and upsample_attention its head
+    # statistics only for a record, under the same test as every primitive
+    index, arrays = _attention_arrays(np.random.default_rng(47), 2, 50, 3, 5, 5, np.float64)
+    constants = [ad.Tensor(a) for a in arrays]
+
+    def run():
+        return [ad.max_over_axis(constants[3], 1),
+                *[_attention(index, constants, 2, variant, 1.7)
+                  for variant in attention.ATTENTION_VARIANTS]]
+
+    untaped = run()
+    with ad.Tape() as tape:
+        taped = run()
+    assert len(tape) == 0
+    assert all(not t.requires_grad and t.node is None for t in taped)
+    assert _bits(*[t.data for t in taped]) == _bits(*[t.data for t in untaped])
 
 
 # --- finite differences for every primitive ---------------------------------

@@ -9,10 +9,10 @@ import pytest
 
 from pointfill import autodiff as ad
 from pointfill import data, gradcheck, pipeline
+from pointfill.attention import ATTENTION_VARIANTS
 from pointfill.checkpoint import load_checkpoint, save_checkpoint
 from pointfill.cli import build_parser, main
 from pointfill.errors import ContractError, FormatError
-from pointfill.autodiff import ATTENTION_VARIANTS
 from pointfill.generator import GENERATOR_VARIANTS
 from pointfill.pipeline import CompletionModel, ModelConfig, parse_config_text
 

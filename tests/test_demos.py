@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pointfill import autodiff as ad
+from pointfill import tiles
 from pointfill.pipeline import ModelConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -82,7 +82,7 @@ def test_protocol_save_sees_the_whole_model(tmp_path):
     # the desk model's attention calls span several tiles, so these arrays
     # see the order in which tile sums are added
     stage_points = desk_points // ModelConfig.desk().rates[-1]
-    assert len(list(ad._tiles(stage_points, ModelConfig.desk().attention_k))) > 1
+    assert len(list(tiles._tiles(stage_points, ModelConfig.desk().attention_k))) > 1
 
 
 def test_protocol_compare_exits_1_above_the_protocol_bound(tmp_path):
@@ -97,14 +97,16 @@ def test_protocol_compare_exits_1_above_the_protocol_bound(tmp_path):
     assert status == {"same": 0, "near": 0, "far": 1}
 
 
-def test_protocol_tape_reports_the_micro_tape(tmp_path):
+def test_protocol_tape_reports_the_micro_tape(tmp_path, monkeypatch):
     result = _run_with_src(ROOT / "tools" / "protocol.py", tmp_path, "tape", "--config", "micro")
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
     assert lines[0].startswith("config micro: ") and lines[0].endswith(" records")
     assert [line.split()[0] for line in lines[1:4]] == ["live", "backward", "kept"]
     assert any(line.startswith("  upsample_attention ") for line in lines)
-    assert lines[-2].startswith("tile workers ")
+    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(name, "1")  # as the tool pins them
+    assert lines[-2] == f"tile workers {tiles._tile_workers()}"
     assert lines[-1].startswith("ru_maxrss ") and lines[-1].endswith(" MB")
 
 

@@ -80,12 +80,12 @@ records on the tape; the bytes live when backward starts and the peak
 during it; the bytes the records' adjoint closures keep at backward start,
 each distinct array (by the memory it views) counted once under the first
 record that holds it, in total and per op; the number of tiles
-``upsample_attention`` runs at once (``autodiff._tile_workers()``: 2 on a
-2-vCPU machine with BLAS pinned to one thread), which the next figure
-depends on and the tracemalloc bytes do not; and the process's
-``ru_maxrss`` at the end, in MB as perfbench reports it (``ru_maxrss /
-1024``, which includes tracemalloc's own bookkeeping). A 16k run takes about 3 s on a
-2-vCPU Xeon.
+``upsample_attention`` runs at once (``tiles._tile_workers()``, read from
+``autodiff`` on older trees: 2 on a 2-vCPU machine with BLAS pinned to one
+thread), which the next figure depends on and the tracemalloc bytes do not;
+and the process's ``ru_maxrss`` at the end, in MB as perfbench reports it
+(``ru_maxrss / 1024``, which includes tracemalloc's own bookkeeping). A 16k
+run takes about 3 s on a 2-vCPU Xeon.
 
 Only numpy and the ``pointfill`` API that has stood since commit ``d0dbd9f``
 are used, so the script runs on every tree from there on (``tape`` also
@@ -349,6 +349,17 @@ def _closure_arrays(fn):
     return found
 
 
+def _tile_workers():
+    """The tiles upsample_attention runs at once: ``tiles._tile_workers()``;
+    on trees from ``7b17e86`` that have no ``tiles`` module, the function of
+    that name in ``autodiff``; and 1 on older trees, which run one."""
+    try:
+        from pointfill import tiles
+    except ImportError:
+        tiles = ad
+    return getattr(tiles, "_tile_workers", lambda: 1)()
+
+
 def _op(record):
     name = record.backfn.__qualname__.split(".")[0]
     return "linear" if name == "_affine" else name
@@ -391,8 +402,8 @@ def tape(config_name="desk", out=sys.stdout):
     for op, nbytes in sorted(per_op.items(), key=lambda item: -item[1]):
         print(f"  {op} {nbytes / MIB:.1f} MiB ({counts[op]} records)", file=out)
     # RSS grows with the tiles upsample_attention runs at once; tracemalloc
-    # bytes do not (trees before the tile pool run one)
-    print(f"tile workers {getattr(ad, '_tile_workers', lambda: 1)()}", file=out)
+    # bytes do not
+    print(f"tile workers {_tile_workers()}", file=out)
     print(f"ru_maxrss {rss:.1f} MB", file=out)
 
 
