@@ -73,11 +73,12 @@ class UpsampleTransformer(Module):
             without the regional encoding term.
         pointwise: one scalar weight per neighbor instead of per channel.
         attention: how the logits are normalized over a neighborhood, one of
-            ``attention.ATTENTION_VARIANTS``. ``softmax`` is the standard choice,
-            ``none`` passes the logits through unchanged (weights may leave
-            (0, 1), useful when generating points outside the seen region),
-            ``scaled`` applies softmax to ``lam * logits`` and ``log`` uses
-            log-softmax (weights are nonpositive by construction).
+            ``pointfill.attention.ATTENTION_VARIANTS``. ``softmax`` is the
+            standard choice, ``none`` passes the logits through unchanged
+            (weights may leave (0, 1), useful when generating points outside
+            the seen region), ``scaled`` applies softmax to ``lam * logits``
+            and ``log`` uses log-softmax (weights are nonpositive by
+            construction).
         lam: the ``scaled`` factor, finite and > 0.
     """
 
