@@ -329,17 +329,13 @@ def _check_layer(n_in, weight, bias, dtype, op):
     return weight.shape[1]
 
 
-def _check_affine(x, weight, bias, op):
-    """Shapes and dtypes of ``x @ weight + bias``: x:(n,i), weight:(i,o), bias:(o,) or None."""
+def _affine(x, weight, bias, op):
+    """Checked ``x @ weight + bias`` and its adjoint, shared by the linear ops:
+    x:(n,i), weight:(i,o), bias:(o,) or None; without a bias the adjoint
+    returns two gradients."""
     if x.ndim != 2:
         raise ShapeError(f"{op} expects x:(n,i), weight:(i,o), bias:(o,)")
     _check_layer(x.shape[1], weight, bias, x.dtype, op)
-
-
-def _affine(x, weight, bias, op):
-    """Checked ``x @ weight + bias`` and its adjoint, shared by the linear ops;
-    without a bias the adjoint returns two gradients."""
-    _check_affine(x, weight, bias, op)
     xd, wd = x.data, weight.data
     out = xd @ wd
     if bias is not None:
@@ -496,36 +492,6 @@ def gather_rows(x, index):
         return (_scatter_rows(g, idx, shape, dtype),)
 
     return _emit(x.data[idx], [x], back)
-
-
-def neighbor_diff(center, other, index, k):
-    """Neighbor differences ``out[i*k + j] = center[i] - other[index[i*k + j]]``.
-
-    Equals ``add(repeat_rows(center, k), mul(gather_rows(other, index), -1.0))``
-    as one record, which keeps neither the repeated nor the gathered rows.
-    """
-    if center.ndim < 1:
-        raise ShapeError("neighbor_diff expects at least one axis")
-    k = int(k)
-    if k < 1:
-        raise ShapeError("neighbor_diff needs k >= 1")
-    idx = _row_index(index, other, "neighbor_diff")
-    n = center.shape[0]
-    rows, picked = (n * k, *center.shape[1:]), (idx.size, *other.shape[1:])
-    if rows != picked:
-        raise ShapeError(f"neighbor_diff: shapes {rows} and {picked} differ")
-    if center.dtype != other.dtype:
-        raise ContractError(f"neighbor_diff: dtypes {center.dtype} and {other.dtype} differ")
-    out = np.repeat(center.data, k, axis=0)
-    out -= other.data[idx]
-    shape, dtype, rest = other.shape, other.dtype, center.shape[1:]
-
-    def back(g):
-        # other first: the order in which the unfused gather and repeat
-        # records accumulated, so a shared input sums in the same order
-        return (_scatter_rows(-g, idx, shape, dtype), g.reshape(n, k, *rest).sum(axis=1))
-
-    return _emit(out, [other, center], back)
 
 
 def neighbor_sum(other, index, weights):

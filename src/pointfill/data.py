@@ -12,7 +12,9 @@ seed gives the same bytes as those loops.
 
 On-disk formats: plain ``x y z`` lines (.xyz) and minimal ascii PLY, each
 coordinate written as ``%.9g`` (the bytes of ``np.savetxt``) by one string
-format over all rows; the readers check each line and name the first bad one.
+format over all rows. Both readers hand their ``(line number, [x, y, z]
+tokens)`` rows to one converter: one numpy call makes the array, and only
+when it fails are the rows walked to name the first bad line.
 Dataset layout: ``<root>/<split>/<id>_partial.xyz`` plus ``<id>_gt.xyz``.
 """
 
@@ -205,35 +207,34 @@ def write_xyz(path, cloud):
 
 
 def read_xyz(path):
-    rows = []
+    """The first three numbers of each non-blank line, as an (n, 3) array."""
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) < 3:
-                raise ParseError(f"{path}: line {lineno}: expected 3 coordinates")
-            try:
-                rows.append([float(v) for v in parts[:3]])
-            except ValueError:
-                raise ParseError(f"{path}: line {lineno}: bad number") from None
+        rows = [(n, parts[:3]) for n, line in enumerate(fh, start=1) if (parts := line.split())]
     if not rows:
         raise ParseError(f"{path}: no points")
-
-    def lineno_of(row):  # read again only for a file that fails
-        with open(path) as fh:
-            return [n for n, line in enumerate(fh, start=1) if line.strip()][row]
-
-    return _finite(path, np.asarray(rows), lineno_of)
+    return _points(path, rows)
 
 
-def _finite(path, points, lineno_of):
-    """``points``, or ParseError naming the line of the first row holding a
-    NaN or an infinity; ``lineno_of(row)`` gives a row's line number."""
+def _points(path, rows):
+    """The array of ``rows``, ``(line number, [x, y, z] tokens)`` pairs in
+    file order, converted by one numpy call. Only when that fails are the
+    rows walked: ParseError names the first line that is short or holds a
+    bad number. Else a NaN or an infinity names the first line holding one."""
+    try:
+        points = np.array([xyz for _, xyz in rows], dtype=np.float64)
+    except ValueError:  # a ragged row or a bad number
+        points = None
+    if points is None or points.size != 3 * len(rows):
+        for lineno, xyz in rows:
+            if len(xyz) < 3:
+                raise ParseError(f"{path}: line {lineno}: expected 3 coordinates")
+            try:
+                [float(v) for v in xyz]
+            except ValueError:
+                raise ParseError(f"{path}: line {lineno}: bad number") from None
     if not np.isfinite(points).all():
         row = int(np.argmin(np.isfinite(points).all(axis=1)))
-        raise ParseError(f"{path}: line {lineno_of(row)}: non-finite coordinate")
+        raise ParseError(f"{path}: line {rows[row][0]}: non-finite coordinate")
     return points
 
 
@@ -297,13 +298,7 @@ def read_ply(path):
         if len(rows) != count:
             raise ParseError(f"{path}: expected {count} {name} rows, found {len(rows)}")
         scalars = [_ply_row(path, n, parts, props) for n, parts in rows]
-    points = []
-    for (n, _), row in zip(rows, scalars):
-        try:
-            points.append([float(row[axis]) for axis in "xyz"])
-        except ValueError:
-            fail(n, "bad number")
-    return _finite(path, np.asarray(points), lambda row: rows[row][0])
+    return _points(path, [(n, [row[axis] for axis in "xyz"]) for (n, _), row in zip(rows, scalars)])
 
 
 def _ply_row(path, lineno, parts, props):

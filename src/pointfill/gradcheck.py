@@ -342,25 +342,6 @@ def _case_neighbor_sum():
     return fn, [other]
 
 
-def _case_neighbor_diff(shared, seed):
-    def build():
-        rng = _rng(seed)
-        center = _leaf(rng, (3, 4))
-        other = center if shared else _leaf(rng, (5, 4))
-        idx = rng.integers(0, other.shape[0], size=6)
-        probe = rng.standard_normal((6, 4))
-
-        def fn(center, other):
-            diff = ad.neighbor_diff(center, other, idx, 2)
-            return ad.reduce_sum(ad.mul(diff, ad.constant(probe, like=center)))
-
-        if shared:
-            return (lambda center: fn(center, center)), [center]
-        return fn, [center, other]
-
-    return build
-
-
 # --- model-level cases -----------------------------------------------------
 
 
@@ -502,8 +483,6 @@ CASES = {
     "reshape": _case_reshape,
     "sqrt": _case_sqrt,
     "neighbor_sum": _case_neighbor_sum,
-    "neighbor_diff": _case_neighbor_diff(False, 13),
-    "neighbor_diff_shared": _case_neighbor_diff(True, 14),
     "interpolation": _case_interpolation,
     "uptrans_softmax": _case_uptrans("softmax"),
     "uptrans_none": _case_uptrans("none"),

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from pointfill.errors import ParseError
+
 
 def fps_oracle(points, k, start):
     """O(n^2 k) greedy max-min selection over a full distance matrix."""
@@ -139,3 +141,47 @@ def cylinder_oracle(rng, n, radius, height):
             z = height / 2.0 if which[i] < (lateral + cap) / total else -height / 2.0
             pts[i] = (r * math.cos(theta[i]), r * math.sin(theta[i]), z)
     return pts
+
+
+def read_xyz_oracle(path):
+    """The per-line .xyz reader that ``data.read_xyz`` replaced: each line is
+    checked as it is read, then the first row holding a NaN or an infinity
+    is named. The referee of its values and of every error text."""
+    rows = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) < 3:
+                raise ParseError(f"{path}: line {lineno}: expected 3 coordinates")
+            try:
+                rows.append([float(v) for v in parts[:3]])
+            except ValueError:
+                raise ParseError(f"{path}: line {lineno}: bad number") from None
+    if not rows:
+        raise ParseError(f"{path}: no points")
+    with open(path) as fh:
+        linenos = [n for n, line in enumerate(fh, start=1) if line.strip()]
+    return _finite_oracle(path, np.asarray(rows), linenos)
+
+
+def ply_points_oracle(path, rows):
+    """The per-row loop that turned PLY vertex rows, ``(line number, [x, y,
+    z] tokens)`` pairs, into points before ``data._points``: the first row
+    with a bad number is named, then the first holding a NaN or an infinity."""
+    points = []
+    for lineno, xyz in rows:
+        try:
+            points.append([float(v) for v in xyz])
+        except ValueError:
+            raise ParseError(f"{path}: line {lineno}: bad number") from None
+    return _finite_oracle(path, np.asarray(points), [lineno for lineno, _ in rows])
+
+
+def _finite_oracle(path, points, linenos):
+    if not np.isfinite(points).all():
+        row = int(np.argmin(np.isfinite(points).all(axis=1)))
+        raise ParseError(f"{path}: line {linenos[row]}: non-finite coordinate")
+    return points

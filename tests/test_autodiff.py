@@ -233,7 +233,7 @@ def test_neighbor_sum_rejects_misfit_rows_index_and_weights():
             ad.neighbor_sum(other, bad, w)
 
 
-# --- fused records: linear_relu and neighbor_diff ----------------------------
+# --- fused record: linear_relu ----------------------------------------------
 
 
 def _special_values(dtype):
@@ -327,58 +327,6 @@ def test_taped_mlp2_appends_two_records():
     assert len(tape) == 2
 
 
-@pytest.mark.parametrize("shared", [False, True], ids=["distinct", "shared"])
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_neighbor_diff_is_bitwise_the_unfused_composition(dtype, shared):
-    # magnitudes spread over six decades, so the order in which the gradient
-    # contributions reach a shared input shows in the low bits
-    rng = np.random.default_rng(44)
-    n, m, k, c = 6, 9, 4, 5
-    scale = 10.0 ** rng.uniform(-3, 3, (1, c))
-    a = (scale * rng.standard_normal((n, c))).astype(dtype)
-    b = a if shared else (scale * rng.standard_normal((m, c))).astype(dtype)
-    idx = rng.integers(0, b.shape[0], size=n * k)
-    g = (scale * rng.standard_normal((n * k, c))).astype(dtype)
-    prior = (scale * rng.standard_normal((n, c))).astype(dtype)
-    runs = []
-    for fused in (True, False):
-        center = leaf(a, dtype)
-        center.grad = prior.copy()  # a gradient from an earlier pass
-        other = center if shared else leaf(b, dtype)
-        with ad.Tape() as tape:
-            if fused:
-                diff = ad.neighbor_diff(center, other, idx, k)
-            else:
-                diff = ad.add(ad.repeat_rows(center, k),
-                              ad.mul(ad.gather_rows(other, idx), -1.0))
-            out = ad.add(
-                ad.reduce_sum(ad.mul(diff, ad.constant(g))),
-                ad.reduce_sum(ad.mul(center, center)),
-            )
-        tape.backward(out)
-        runs.append(_bits(diff.data, center.grad, other.grad))
-    assert runs[0] == runs[1]
-
-
-def test_neighbor_diff_rejects_misfit_index_shape_and_dtype():
-    center, other = ad.Tensor(np.zeros((3, 2))), ad.Tensor(np.zeros((5, 2)))
-    idx = np.arange(6) % 5
-    for bad in (np.full(6, 5), np.full(6, -1)):
-        with pytest.raises(IndexError, match="neighbor_diff"):
-            ad.neighbor_diff(center, other, bad, 2)
-    for bad in (idx.reshape(3, 2), idx.astype(np.float64)):
-        with pytest.raises(ShapeError, match="neighbor_diff"):
-            ad.neighbor_diff(center, other, bad, 2)
-    with pytest.raises(ShapeError):
-        ad.neighbor_diff(center, other, idx[:5], 2)  # not n * k rows
-    with pytest.raises(ShapeError):
-        ad.neighbor_diff(center, other, idx, 0)
-    with pytest.raises(ShapeError):
-        ad.neighbor_diff(center, ad.Tensor(np.zeros((5, 3))), idx, 2)
-    with pytest.raises(ContractError, match="dtypes"):
-        ad.neighbor_diff(center, ad.Tensor(np.zeros((5, 2)), dtype=np.float32), idx, 2)
-
-
 # --- upsample_attention: one tiled record per upsample transformer ---------
 
 
@@ -388,9 +336,9 @@ def _relu(z):
 
 def _plain_pair_rows(arrays, index, rate):
     """Today's unfused forward chain in plain numpy, with the seed layer
-    hoisted, up to the shared hidden rows: neighbor_diff, linear_relu and
-    linear for the position term; u's neighbor_diff, its bias and relu, and
-    linear for the seed term; add; neighbor_diff and add for x; gather_rows
+    hoisted, up to the shared hidden rows: the pair difference, linear_relu
+    and linear for the position term; u's pair difference, its bias and relu,
+    and linear for the seed term; add; the pair difference and add for x; gather_rows
     and add for the value rows; linear_relu for the hidden rows. ``arrays``
     is what _attention_arrays returns, with or without the seed term.
     Returns the named blocks."""
@@ -595,20 +543,6 @@ def test_attention_heads_sharing_inputs_accumulate_in_reverse_order(dtype, monke
         assert _bits(leaves[i].grad) == _bits(prior[i] + reverse[i])
 
 
-@pytest.mark.parametrize("tile_rows", [2048, 48])
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 16, 17, 40])
-def test_attention_tiles_cover_the_points_on_16_row_boundaries(k, tile_rows, monkeypatch):
-    monkeypatch.setattr(tl, "_TILE_ROWS", tile_rows)
-    (_, size), *_ = tl._tiles(10**6, k)
-    assert size * k <= max(tile_rows, 16 * k)
-    for n in (1, 5, size - 1, size, size + 1, 3 * size + 1, 3 * size + size // 2):
-        bounds = list(tl._tiles(n, k))
-        assert [a for a, _ in bounds[1:]] == [b for _, b in bounds[:-1]]
-        assert bounds[0][0] == 0 and bounds[-1][1] == n
-        assert all(a * k % 16 == 0 for a, _ in bounds)
-        assert len(bounds) == 1 or all((b - a) * k > 1 for a, b in bounds)  # no one-row GEMM
-
-
 @pytest.mark.parametrize("width", ["channel", "point"])
 @pytest.mark.parametrize("k", [16, 4])
 @pytest.mark.parametrize("c, dtype", [
@@ -643,15 +577,19 @@ def test_row_tiles_of_the_head_gemms_are_rows_of_the_full_gemms(c, dtype, k, wid
 
 def _slow_pool_tiles(monkeypatch):
     """Make every tile that a pool thread runs finish after the caller's
-    next one, so merging tiles as they finish would change the sums' order."""
-    relu = attention._relu_
+    next one, so merging tiles as they finish would change the sums' order.
+    Returns a list that gains an entry per slowed call, so a test can check
+    that the patch still reaches the tiles."""
+    relu, slowed = attention._relu_, []
 
     def slow_relu_(out):
         if threading.current_thread() is not threading.main_thread():
+            slowed.append(None)
             time.sleep(0.002)
         return relu(out)
 
     monkeypatch.setattr(attention, "_relu_", slow_relu_)
+    return slowed
 
 
 def _attention_run(index, arrays, rate, variant, g):
@@ -666,42 +604,13 @@ def _attention_run(index, arrays, rate, variant, g):
     return _bits(*[w.data for w in captured], out.data, *[t.grad for t in leaves])
 
 
-def test_tile_workers_are_the_cpus_blas_threads_leave(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    for name in tl._BLAS_THREAD_VARIABLES:
-        monkeypatch.delenv(name, raising=False)
-    assert tl._tile_workers() == 1  # BLAS unpinned may use every CPU itself
-    for settings, workers in [
-        ({"OPENBLAS_NUM_THREADS": "1"}, 2),  # 4 CPUs, at most _MAX_TILES_IN_FLIGHT
-        ({"OMP_NUM_THREADS": "2"}, 2),
-        ({"OMP_NUM_THREADS": "3"}, 1),
-        ({"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "4"}, 1),  # the largest
-        ({"OPENBLAS_NUM_THREADS": "0"}, 1),
-        ({"OPENBLAS_NUM_THREADS": "many"}, 1),
-    ]:
-        for name in tl._BLAS_THREAD_VARIABLES:
-            monkeypatch.delenv(name, raising=False)
-        for name, value in settings.items():
-            monkeypatch.setenv(name, value)
-        assert tl._tile_workers() == workers, settings
-
-
-def test_one_tile_worker_runs_every_tile_on_the_caller(monkeypatch):
-    monkeypatch.setattr(tl, "_tile_workers", lambda: 1)
-    before = set(threading.enumerate())
-    seen = []
-    tl._each_tile(330, 16, lambda a, b: threading.current_thread(), seen.append)
-    assert len(seen) >= 6 and set(seen) == {threading.current_thread()}
-    assert set(threading.enumerate()) <= before
-
-
 @pytest.mark.parametrize("variant", attention.ATTENTION_VARIANTS)
 @pytest.mark.parametrize("width", ["channel", "point"])
 def test_attention_bits_do_not_depend_on_the_tile_workers(variant, width, monkeypatch):
     # pool tiles finish after the caller's, and magnitudes over six decades
     # make the order of the per-tile sums show: the tiles' parts are merged
     # first tile first at any worker count, so every bit is as at one worker
-    _slow_pool_tiles(monkeypatch)
+    slowed = _slow_pool_tiles(monkeypatch)
     rng = np.random.default_rng(53)
     rate, n, k, c = 3, 330, 16, 16
     assert len(list(tl._tiles(n, k))) >= 6
@@ -713,11 +622,12 @@ def test_attention_bits_do_not_depend_on_the_tile_workers(variant, width, monkey
     for workers in (1, 2, 3):
         monkeypatch.setattr(tl, "_tile_workers", lambda: workers)
         runs[workers] = _attention_run(index, arrays, rate, variant, g)
+    assert slowed
     assert runs[2] == runs[1] and runs[3] == runs[1]
 
 
 def test_desk_training_bits_do_not_depend_on_the_tile_workers(monkeypatch):
-    _slow_pool_tiles(monkeypatch)
+    slowed = _slow_pool_tiles(monkeypatch)
     config = ModelConfig.desk()
     rng = np.random.default_rng(54)
     samples = [(rng.standard_normal((config.input_points, 3)),
@@ -728,6 +638,7 @@ def test_desk_training_bits_do_not_depend_on_the_tile_workers(monkeypatch):
         model = CompletionModel(config)
         run_training(model, samples, 2, Adam(model))
         params[workers] = _bits(*[p.data for _, p in model.named_parameters()])
+    assert slowed
     assert params[2] == params[1] and params[3] == params[1]
 
 
@@ -1126,19 +1037,18 @@ def _rule_case(name, rng):
         index, arrays = _attention_arrays(rng, rate, 40, 3, 4, 4, np.float64, seeded)
         return (lambda *xs: _attention(index, xs, rate, "softmax")), arrays, constants
     x, y, z = (rng.standard_normal(shape) for shape in ((6, 4), (6, 4), (6, 2)))
-    w, b, index = rng.standard_normal((4, 3)), rng.standard_normal(3), rng.integers(0, 6, 12)
+    w, b = rng.standard_normal((4, 3)), rng.standard_normal(3)
     return {
         "add": (ad.add, [x, y], {1}),
         "mul": (ad.mul, [x, y], {0}),
         "linear": (ad.linear, [x, w, b], {0}),  # set abstraction 1's constant rows
         "linear_relu": (ad.linear_relu, [x, w, b], {0}),
         "concat": (lambda *xs: ad.concat(xs, axis=1), [x, y, z], {1}),
-        "neighbor_diff": (lambda c, o: ad.neighbor_diff(c, o, index, 2), [x, y], {1}),
     }[name]
 
 
 @pytest.mark.parametrize("name", [
-    "add", "mul", "linear", "linear_relu", "concat", "neighbor_diff",
+    "add", "mul", "linear", "linear_relu", "concat",
     "attention_cloud", "attention_q", "attention_unseeded",
 ])
 def test_a_constant_input_gets_no_grad_and_changes_no_other(name):
@@ -1235,8 +1145,8 @@ def test_desk_tape_counts_the_records_and_bytes_it_computed():
     targets = downsample_targets(gt.astype(config.dtype), [config.seed_count, *config.stage_sizes])
     with ad.Tape() as tape:
         _forward_loss(CompletionModel(config), partial, targets)
-    assert len(tape.records) == 167
-    assert sum(r.output.data.nbytes for r in tape.records) == 9_362_552
+    assert len(tape.records) == 177
+    assert sum(r.output.data.nbytes for r in tape.records) == 9_399_416
 
 
 # --- what a record keeps ------------------------------------------------------
@@ -1258,23 +1168,20 @@ def _watch_adjoint(tape, refs):
     return seen
 
 
-@pytest.mark.parametrize("producer", ["neighbor_diff", "gather_rows"])
+@pytest.mark.parametrize("producer", ["gather_rows"])
 def test_an_intermediate_no_adjoint_reads_dies_when_the_caller_drops_it(producer):
     rng = np.random.default_rng(50)
-    center, other = leaf(rng.standard_normal((4, 3))), leaf(rng.standard_normal((6, 3)))
+    other = leaf(rng.standard_normal((6, 3)))
     index = rng.integers(0, 6, 8)
     with ad.Tape() as tape:
-        if producer == "neighbor_diff":
-            made = ad.neighbor_diff(center, other, index, 2)
-        else:
-            made = ad.gather_rows(other, index)
+        made = getattr(ad, producer)(other, index)
         ref = weakref.ref(made.data)
         out = ad.reduce_sum(ad.add(made, made))  # neither adjoint reads made
         del made
         assert ref() is None
     tape.backward(out)
     # 8 rows of 3 channels, each with gradient 2 from the add
-    assert other.grad.sum() == (-48.0 if producer == "neighbor_diff" else 48.0)
+    assert other.grad.sum() == 48.0
 
 
 @pytest.mark.parametrize("op", ["linear", "linear_relu", "attention_head"])
@@ -1364,7 +1271,7 @@ _MERGED = {
     "linear_relu", "attention_head_softmax", "attention_head_scaled",
     "attention_head_log", "attention_head_none", "attention_head_pointwise",
     "linear", "max_over_axis", "reshape", "sqrt", "neighbor_sum",
-    "neighbor_diff", "neighbor_diff_shared", *_MERGED,
+    *_MERGED,
 ])
 def test_primitive_adjoints_match_finite_differences(name, monkeypatch):
     case = name

@@ -1,5 +1,7 @@
 """Synthetic shapes, occlusion, resampling and file round-trips."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -251,8 +253,10 @@ def test_ply_reads_past_list_properties_and_earlier_elements(tmp_path, header, r
     ("element face 2\nproperty list uchar int idx\nelement vertex 1\n" + _XYZ,
      "0\n0 0 0\n", 11),
     ("element vertex 2\n" + _XYZ, "0 0 0\n0 inf 0\n", 9),
+    ("element vertex 2\n" + _XYZ, "nan 0 0\n1 x 2\n", 9),
 ], ids=["list-count-not-a-number", "list-longer-than-the-row", "short-row", "listed-x",
-        "property-without-a-name", "a-face-row-short-of-the-vertices", "non-finite"])
+        "property-without-a-name", "a-face-row-short-of-the-vertices", "non-finite",
+        "bad-after-a-nan"])
 def test_ply_rejects_rows_that_do_not_fit_the_header(tmp_path, header, rows, line):
     with pytest.raises(ParseError, match=f"line {line}:"):
         data.read_ply(_ply(tmp_path, header, rows))
@@ -305,24 +309,58 @@ def test_ply_reads_back_any_element_order_and_extra_properties(tmp_path_factory,
     np.testing.assert_array_equal(data.read_ply(path), points)
 
 
+def _outcome(reader, path):
+    """What ``reader`` makes of ``path``: the array's dtype, shape and bytes,
+    or the ParseError text."""
+    try:
+        points = reader(path)
+    except ParseError as err:
+        return str(err)
+    return points.dtype, points.shape, points.tobytes()
+
+
+def _read_ply_oracle(path):
+    """``data.read_ply`` with the per-row loop it replaced turning its vertex
+    rows into points."""
+    with mock.patch.object(data, "_points", oracles.ply_points_oracle):
+        return data.read_ply(path)
+
+
 @_PLY_FUZZ
 @given(ply_files(), st.data())
 def test_mutated_ply_and_xyz_read_or_raise_parse_error(tmp_path_factory, case, draw):
+    # the same bits or the same ParseError text as the per-line reference
     ply_text, points = case
     folder = tmp_path_factory.mktemp("mutated")
     data.write_xyz(folder / "cloud.xyz", points)
-    for path, text, reader in ((folder / "cloud.ply", ply_text, data.read_ply),
-                               (folder / "cloud.xyz", None, data.read_xyz)):
+    for path, text, reader, oracle in (
+        (folder / "cloud.ply", ply_text, data.read_ply, _read_ply_oracle),
+        (folder / "cloud.xyz", None, data.read_xyz, oracles.read_xyz_oracle),
+    ):
         lines = (text or path.read_text()).splitlines()
         at = draw.draw(st.integers(0, len(lines) - 1))
         junk = draw.draw(st.sampled_from(["x", "-1", "3", "1e999"]))
         lines[at:at + 1] = draw.draw(st.sampled_from(
             [[], [lines[at]] * 2, [lines[at].rpartition(" ")[0]], [f"{lines[at]} {junk}"]]))
         path.write_text("\n".join(lines) + "\n")
-        try:
-            reader(path)
-        except ParseError:
-            pass
+        assert _outcome(reader, path) == _outcome(oracle, path)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("1 2\n3 4\n5 6\n", "line 1: expected 3 coordinates"),  # not two points of 3
+    ("1 2 1e999\n4 5\n", "line 2: expected 3 coordinates"),  # short before non-finite
+    ("nan 0 0\n1 x 2\n", "line 2: bad number"),
+    ("0 0 0\n1 2 3 junk\n", [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]]),
+], ids=["ragged", "short-after-an-infinity", "bad-after-a-nan", "a-fourth-token"])
+def test_xyz_reader_names_the_line_the_per_line_reference_names(tmp_path, text, want):
+    path = tmp_path / "cloud.xyz"
+    path.write_text(text)
+    got = _outcome(data.read_xyz, path)
+    assert got == _outcome(oracles.read_xyz_oracle, path)
+    if isinstance(want, str):
+        assert got == f"{path}: {want}"
+    else:
+        np.testing.assert_array_equal(data.read_xyz(path), want)
 
 
 # --- dataset helpers ------------------------------------------------------------------

@@ -5,6 +5,8 @@ Demo 06 trains a desk model for about 20 s and is left to manual runs and
 CI: ``python3 demos/06_toy_training.py``.
 """
 
+import importlib.util
+import io
 import os
 import subprocess
 import sys
@@ -108,6 +110,23 @@ def test_protocol_tape_reports_the_micro_tape(tmp_path, monkeypatch):
         monkeypatch.setenv(name, "1")  # as the tool pins them
     assert lines[-2] == f"tile workers {tiles._tile_workers()}"
     assert lines[-1].startswith("ru_maxrss ") and lines[-1].endswith(" MB")
+
+
+def test_protocol_loc_counts_code_lines_and_sums_the_modules(monkeypatch):
+    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(name, "1")  # the tool pins them when loaded; undone after
+    spec = importlib.util.spec_from_file_location("protocol", ROOT / "tools" / "protocol.py")
+    protocol = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(protocol)
+    fixture = ('"""A module docstring,\nover two lines."""\n\n# a comment\n'
+               'import math\n\nTAU = 2 * math.pi  # and another\n')
+    assert protocol._code_lines(fixture) == 2
+    out = io.StringIO()
+    protocol.loc(out)
+    *modules, total = [line.split() for line in out.getvalue().splitlines()]
+    package = Path(tiles.__file__).parent  # the pointfill on the path
+    assert [name for name, _ in modules] == sorted(p.stem for p in package.glob("*.py"))
+    assert total == ["total", str(sum(int(n) for _, n in modules))]
 
 
 def test_benchmark_smoke_exits_zero():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pointfill import autodiff as ad
-from pointfill import geometry, gradcheck, losses
+from pointfill import gradcheck, losses
 from pointfill.errors import ContractError
 from pointfill.geometry import farthest_point_sample
 
@@ -86,40 +86,6 @@ def test_chamfer_gradient_check_holds_at_a_nearest_point_tie():
     b = ad.Tensor(np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]), requires_grad=True)
     report = gradcheck.grad_check(lambda a, b: losses.chamfer(a, b, "l1"), [a, b])
     assert report.passed, report.summary()
-
-
-def _sub_gather_sq_dist(src, dst):
-    """The nearest-point difference as ``src + (-1) * gather_rows(dst, idx)``."""
-    idx = geometry.knn(src.data, dst.data, 1).indices[:, 0]
-    diff = ad.add(src, ad.mul(ad.gather_rows(dst, idx), -1.0))
-    return ad.reduce_sum(ad.mul(diff, diff), axis=1)
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_loss_terms_are_bitwise_the_sub_gather_composition(dtype, monkeypatch):
-    # two distinct clouds, the larger one 40 points: nearest rows repeat
-    rng = np.random.default_rng(12)
-    clouds = [random_cloud(rng, 40).astype(dtype), random_cloud(rng, 25).astype(dtype)]
-    terms = [
-        lambda a, b: losses.chamfer(a, b, "l1"),
-        lambda a, b: losses.chamfer(a, b, "l2"),
-        losses.partial_matching_loss,
-    ]
-    runs = []
-    for fused in (True, False):
-        if not fused:
-            monkeypatch.setattr(losses, "_nearest_sq_dist", _sub_gather_sq_dist)
-        bits = []
-        for term in terms:
-            a, b = (ad.Tensor(c, requires_grad=True) for c in clouds)
-            with ad.Tape() as tape:
-                value = term(a, b)
-            ops = {rec.backfn.__qualname__.split(".")[0] for rec in tape.records}
-            assert ("neighbor_diff" in ops) == fused and ("gather_rows" in ops) != fused
-            tape.backward(value)
-            bits.append([(x.dtype, x.tobytes()) for x in (value.data, a.grad, b.grad)])
-        runs.append(bits)
-    assert runs[0] == runs[1]
 
 
 # --- partial matching / fidelity ----------------------------------------------

@@ -1,5 +1,5 @@
 """Reproducibility protocols for pointfill: ``digest``, ``save``/``compare``,
-``sweep`` and ``tape``.
+``sweep``, ``tape`` and ``loc``.
 
 Usage, from any directory, against the tree whose ``src`` is on the path::
 
@@ -8,6 +8,7 @@ Usage, from any directory, against the tree whose ``src`` is on the path::
     PYTHONPATH=<tree>/src python tools/protocol.py compare <a.npz> <b.npz>
     PYTHONPATH=<tree>/src python tools/protocol.py sweep [--generator <variant>]
     PYTHONPATH=<tree>/src python tools/protocol.py tape [--config desk|benchmark_16k|micro]
+    PYTHONPATH=<tree>/src python tools/protocol.py loc
 
 ``digest`` prints one ``name sha256`` line per item. Two trees are bitwise
 equal on everything it covers when ``diff`` of their outputs is empty. To
@@ -87,6 +88,11 @@ and the process's ``ru_maxrss`` at the end, in MB as perfbench reports it
 (``ru_maxrss / 1024``, which includes tracemalloc's own bookkeeping). A 16k
 run takes about 3 s on a 2-vCPU Xeon.
 
+``loc`` counts the lines of code of each module of the ``pointfill`` package
+on the path: the lines that hold a token which is neither a comment nor part
+of a module, class or function docstring. It prints one ``module lines`` line
+per module, in name order, then ``total lines``.
+
 Only numpy and the ``pointfill`` API that has stood since commit ``d0dbd9f``
 are used, so the script runs on every tree from there on (``tape`` also
 reads ``pipeline._forward_loss``, there since ``57e5e40``). BLAS runs on
@@ -96,11 +102,14 @@ one thread, as in the benchmark.
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
+import io
 import os
 import resource
 import sys
 import tempfile
+import tokenize
 import tracemalloc
 from pathlib import Path
 
@@ -109,6 +118,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402  (after the thread pinning)
 
+import pointfill  # noqa: E402
 from pointfill import autodiff as ad  # noqa: E402
 from pointfill import data, gradcheck, pipeline  # noqa: E402
 from pointfill.losses import chamfer, downsample_targets  # noqa: E402
@@ -407,6 +417,34 @@ def tape(config_name="desk", out=sys.stdout):
     print(f"ru_maxrss {rss:.1f} MB", file=out)
 
 
+_NOT_CODE = (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENDMARKER)
+_DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _code_lines(source):
+    """The number of lines of ``source`` that hold a token which is neither a
+    comment nor part of a module, class or function docstring."""
+    docs, code = set(), set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, _DOCUMENTED) and ast.get_docstring(node, clean=False) is not None:
+            docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        docstring = tok.type == tokenize.STRING and tok.start[0] in docs
+        if tok.type not in _NOT_CODE and not docstring:
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    return len(code)
+
+
+def loc(out=sys.stdout):
+    total = 0
+    for path in sorted(Path(pointfill.__file__).parent.glob("*.py")):
+        lines = _code_lines(path.read_text())
+        total += lines
+        print(f"{path.stem} {lines}", file=out)
+    print(f"total {total}", file=out)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
@@ -426,6 +464,7 @@ def main(argv=None):
     held = commands.add_parser("tape", help="what one training step's tape holds")
     held.add_argument("--config", choices=TAPE_CONFIGS, default="desk",
                       help="the model layout (default desk)")
+    commands.add_parser("loc", help="lines of code per pointfill module, and the total")
     args = parser.parse_args(argv)
     if args.command == "digest":
         digest(micro=args.micro)
@@ -435,6 +474,8 @@ def main(argv=None):
         return compare(args.a, args.b)
     elif args.command == "tape":
         tape(args.config)
+    elif args.command == "loc":
+        loc()
     else:
         sweep(args.generator)
     return 0
